@@ -3,7 +3,9 @@
 Runs the configured check suites in declared order and writes a consolidated
 JSON report (optionally a flat CSV).  Exit code 0 iff every check passed,
 1 when a check failed (report still written), 2 for an invalid config.
-Reports are byte-identical across reruns and thread counts for a fixed seed.
+Reports are byte-identical across reruns for a fixed seed.  `--parallel N` is
+kept for Monte Carlo configs and has no effect: each path has its own keyed
+stream, so there is no thread count for a report to depend on.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -19,6 +22,7 @@ from .errors import ConfigInvalid, UnknownSuite
 from .fixtures import bundle_by_name
 from .serialize import BUNDLE_SCHEMA, CONFIG_SCHEMA, REPORT_SCHEMA, SPACE_SCHEMA, bundle_from_doc
 from .suites import (
+    CheckResult,
     McParams,
     REGISTRY,
     SuiteContext,
@@ -77,6 +81,7 @@ def validate_config(config: dict, parallel: int = 1) -> list[dict]:
         bad = _EXACT_ONLY_KEYS & set(config)
         if bad:
             raise ConfigInvalid(f"mc-engine config rejects exact-only keys: {sorted(bad)}")
+        _mc_params(config)
     seed = config.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         raise ConfigInvalid("seed must be a non-negative integer")
@@ -106,24 +111,47 @@ def _resolve_bundle(config: dict):
     raise ConfigInvalid("fixture must be a name or an inline document")
 
 
+def _positive_number(value, what: str) -> float:
+    """``value`` as a float, if it is a finite number > 0 (a bool is not a number)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if 0.0 < number < math.inf:
+            return number
+    raise ConfigInvalid(f"{what} must be a finite number > 0, got {value!r}")
+
+
 def _mc_params(config: dict) -> McParams:
     raw = config.get("mc", {})
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("mc must be an object")
     known = {"lambda", "mu", "t_real", "n_paths", "z_max", "epsilons"}
     extra = set(raw) - known
     if extra:
         raise ConfigInvalid(f"unknown mc keys: {sorted(extra)}")
+    n_paths = raw.get("n_paths", 100000)
+    if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 1:
+        raise ConfigInvalid(f"mc.n_paths must be an integer >= 1, got {n_paths!r}")
+    epsilons = raw.get("epsilons", (0.1, 0.01))
+    if not isinstance(epsilons, (list, tuple)) or not epsilons:
+        raise ConfigInvalid(f"mc.epsilons must be a non-empty list, got {epsilons!r}")
     return McParams(
-        lam=float(raw.get("lambda", 1.0)),
-        mu=float(raw.get("mu", 1.0)),
-        t_real=float(raw.get("t_real", 10.0)),
-        n_paths=int(raw.get("n_paths", 100000)),
-        z_max=float(raw.get("z_max", 4.0)),
-        epsilons=tuple(float(e) for e in raw.get("epsilons", (0.1, 0.01))),
+        lam=_positive_number(raw.get("lambda", 1.0), "mc.lambda"),
+        mu=_positive_number(raw.get("mu", 1.0), "mc.mu"),
+        t_real=_positive_number(raw.get("t_real", 10.0), "mc.t_real"),
+        n_paths=n_paths,
+        z_max=_positive_number(raw.get("z_max", 4.0), "mc.z_max"),
+        epsilons=tuple(_positive_number(e, "mc.epsilons entry") for e in epsilons),
     )
 
 
 def run_config(config: dict, parallel: int = 1, seed_override: int | None = None) -> dict:
-    """Execute the configured suites and return the report document."""
+    """Execute the configured suites and return the report document.
+
+    ``parallel`` is only validated (above 1 is rejected for exact configs).
+    """
     entries = validate_config(config, parallel)
     engine = config["engine"]
     seed = seed_override if seed_override is not None else config.get("seed", 0)
@@ -138,7 +166,6 @@ def run_config(config: dict, parallel: int = 1, seed_override: int | None = None
         bundle=_resolve_bundle(config) if engine == "exact" else None,
         tol=tol,
         mc=_mc_params(config) if engine == "mc" else None,
-        n_threads=max(1, int(parallel)),
     )
 
     checks = []
@@ -146,7 +173,9 @@ def run_config(config: dict, parallel: int = 1, seed_override: int | None = None
         spec = get_suite(entry["name"])
         # polarity-sensitive suites read this and mark their own rows
         ctx.expected_outcome = entry["expected_outcome"]
-        for result in spec.fn(ctx):
+        # a suite that checks nothing fails, whatever its declared polarity
+        results = spec.fn(ctx) or [CheckResult("no_rows", spec.anchor, "fails", {"rows": 0})]
+        for result in results:
             checks.append(
                 {
                     "suite": spec.name,
@@ -256,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a config JSON file")
     p_run.add_argument("--out", help="write the JSON report here instead of stdout")
     p_run.add_argument("--csv", help="also write a flat CSV table")
-    p_run.add_argument("--parallel", type=int, default=1, metavar="N", help="mc worker threads")
+    p_run.add_argument("--parallel", type=int, default=1, metavar="N", help="accepted for mc configs; has no effect")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.set_defaults(fn=_cmd_run)
 

@@ -1,27 +1,63 @@
 """Continuous-time statistical checks: Poisson paths, random times, z-tests.
 
-Determinism contract: path p draws from its own counter-based stream keyed
-(master_seed, p), per-path results land in slot p of preallocated arrays, and
-every reduction runs over those arrays in a fixed order.  Reports are
-therefore bit-identical for any thread count.
+Determinism contract: path p reads only its own counter-based stream, Philox
+keyed (seed, p).  It draws its inter-arrival times from that stream and then
+one more unit exponential, and every random time of the path is derived from
+those draws (an independent exponential time is that unit exponential over
+its rate).  So path p does not depend on ``n_paths``, on the random-time spec
+or on any other path; a set of n paths is the prefix of every larger set.
+
+Each ``(lam, t_real, seed)`` is simulated once into flat arrays (all event
+times in path order, plus per-path offsets), and every per-path statistic is
+a segment reduction over them in a fixed order.  Reports are therefore
+byte-identical on rerun, and ``--parallel`` has nothing to change.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BadParameter, InsufficientEvents
 
 _MASK64 = (1 << 64) - 1
-_CHUNK = 1024
+#: paths drawn per step of simulate_path_set; bounds its scratch array
+_CHUNK = 4096
 
 
 def _path_generator(master_seed: int, index: int) -> np.random.Generator:
     key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class _PathStreams:
+    """One generator re-keyed per path: ``at(p)`` draws what
+    ``_path_generator(seed, p)`` draws.
+
+    A fresh ``Philox(key=...)`` starts at counter 0 with an empty buffer; this
+    sets exactly that state, without building a new bit generator (and the
+    seed sequence behind it) for every path.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._rng = np.random.Generator(self._bits)
+        self._key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def at(self, index: int) -> np.random.Generator:
+        self._key[1] = int(index) & _MASK64
+        self._bits.state = self._state
+        return self._rng
 
 
 @dataclass(frozen=True)
@@ -113,16 +149,22 @@ def exact_check(name: str, estimate: float, expected: float, n: int) -> McReport
     )
 
 
+def _block_size(lam: float, t_real: float) -> int:
+    """Exponentials per block of a simulated path: about 10 standard deviations
+    above the mean count, so one block almost always passes the horizon."""
+    if not (0.0 < lam < math.inf and 0.0 < t_real < math.inf):
+        raise BadParameter("rate and horizon must be positive and finite")
+    return max(16, int(lam * t_real + 10.0 * math.sqrt(lam * t_real) + 10.0))
+
+
 def simulate_poisson(lam: float, t_real: float, seed) -> np.ndarray:
     """Jump times of one homogeneous Poisson path on (0, t_real].
 
     ``seed`` is an integer (expanded through the counter-based scheme) or an
     already-positioned generator.
     """
-    if not lam > 0.0 or not t_real > 0.0:
-        raise BadParameter("rate and horizon must be positive")
+    block = _block_size(lam, t_real)
     rng = seed if isinstance(seed, np.random.Generator) else _path_generator(int(seed), 0)
-    block = max(16, int(lam * t_real + 10.0 * math.sqrt(lam * t_real) + 10.0))
     times = np.cumsum(rng.standard_exponential(block) / lam)
     while times[-1] <= t_real:
         more = np.cumsum(rng.standard_exponential(block) / lam)
@@ -151,46 +193,110 @@ def sample_random_time(spec: RandomTimeSpec, x_events, seed) -> float:
 
 @dataclass(eq=False)
 class PathSet:
-    """Simulated ensemble: per-path event arrays, random times, validity flags."""
+    """Simulated ensemble, stored flat.
+
+    Path p's event times are ``times[offsets[p]:offsets[p + 1]]``;
+    ``unit_exp[p]`` is the unit exponential its stream draws after them.
+    ``tau`` is the random time of each path and ``tau_valid`` flags the paths
+    that have the events the random time needs.
+    """
 
     lam: float
     t_real: float
     n_paths: int
     seed: int
-    events: list
+    times: np.ndarray
+    offsets: np.ndarray
+    unit_exp: np.ndarray
     tau: np.ndarray
     tau_valid: np.ndarray
 
+    @property
+    def events(self) -> tuple:
+        """One read-only view into ``times`` per path, built on each access
+        (``path(p)`` reads a single path)."""
+        times = self.times.view()
+        times.flags.writeable = False
+        return tuple(np.split(times, self.offsets[1:-1]))
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @cached_property
+    def _owner(self) -> np.ndarray:
+        """The path index of every event."""
+        return np.repeat(np.arange(self.n_paths), self.lengths)
+
+    def _segment_count(self, flags: np.ndarray) -> np.ndarray:
+        """Per path: how many of its events are flagged."""
+        total = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
+        return total[self.offsets[1:]] - total[self.offsets[:-1]]
+
+    def _nth_events(self, k: int) -> np.ndarray:
+        """Per path: its event k (from 0), inf where it has no such event."""
+        out = np.full(self.n_paths, math.inf)
+        has = self.lengths > k
+        out[has] = self.times[self.offsets[:-1][has] + k]
+        return out
+
     def path(self, p: int) -> ContinuousPath:
-        return ContinuousPath(self.t_real, self.events[p], float(self.tau[p]))
+        events = self.times[self.offsets[p] : self.offsets[p + 1]]
+        return ContinuousPath(self.t_real, events, float(self.tau[p]))
 
     def counts_at(self, t: float) -> np.ndarray:
-        return np.fromiter(
-            (e.searchsorted(t, side="right") for e in self.events),
-            dtype=np.int64,
-            count=self.n_paths,
-        )
+        # counts the events not above t, as searchsorted(t, side="right") does (NaN included)
+        return self.lengths - self._segment_count(self.times > t)
 
     def first_events(self) -> np.ndarray:
-        return np.fromiter(
-            (e[0] if e.size else math.inf for e in self.events),
-            dtype=float,
-            count=self.n_paths,
-        )
+        return self._nth_events(0)
 
     def second_events(self) -> np.ndarray:
-        return np.fromiter(
-            (e[1] if e.size > 1 else math.inf for e in self.events),
-            dtype=float,
-            count=self.n_paths,
-        )
+        return self._nth_events(1)
 
     def window_hits(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Per path: 1.0 if any event lies in (lo_p, hi_p]."""
-        out = np.zeros(self.n_paths)
-        for p, e in enumerate(self.events):
-            out[p] = 1.0 if np.any((e > lo[p]) & (e <= hi[p])) else 0.0
-        return out
+        owner = self._owner
+        inside = (self.times > np.asarray(lo)[owner]) & (self.times <= np.asarray(hi)[owner])
+        return (self._segment_count(inside) > 0).astype(float)
+
+    def with_random_time(self, spec: RandomTimeSpec | None, n_paths: int | None = None) -> PathSet:
+        """The first ``n_paths`` paths (all by default) with the random time ``spec``.
+
+        Shares the event arrays; paths missing events for the spec are flagged
+        invalid and keep tau = inf.
+        """
+        n = self.n_paths if n_paths is None else int(n_paths)
+        if not 1 <= n <= self.n_paths:
+            raise BadParameter(f"a prefix of 1..{self.n_paths} paths, not {n}")
+        offsets = self.offsets[: n + 1]
+        prefix = PathSet(
+            lam=self.lam,
+            t_real=self.t_real,
+            n_paths=n,
+            seed=self.seed,
+            times=self.times[: offsets[-1]],
+            offsets=offsets,
+            unit_exp=self.unit_exp[:n],
+            tau=np.full(n, math.inf),
+            tau_valid=np.ones(n, dtype=bool),
+        )
+        if spec is None:
+            return prefix
+        if spec.kind == "exponential":
+            if not spec.mu > 0.0:
+                raise BadParameter("exponential rate must be positive")
+            prefix.tau = prefix.unit_exp / spec.mu
+        elif spec.kind == "midpoint":
+            # 0.5 * (e0 + inf) = inf on paths with fewer than two events
+            prefix.tau = 0.5 * (prefix._nth_events(0) + prefix._nth_events(1))
+            prefix.tau_valid = prefix.lengths >= 2
+        elif spec.kind == "copy_first":
+            prefix.tau = prefix._nth_events(0)
+            prefix.tau_valid = prefix.lengths >= 1
+        else:
+            raise BadParameter(f"unknown random-time kind {spec.kind!r}")
+        return prefix
 
 
 def simulate_path_set(
@@ -199,42 +305,55 @@ def simulate_path_set(
     n_paths: int,
     seed: int,
     tau_spec: RandomTimeSpec | None = None,
-    n_threads: int = 1,
 ) -> PathSet:
-    """Simulate the ensemble; paths missing events for the tau spec are flagged invalid."""
+    """Simulate the ensemble; paths missing events for the tau spec are flagged invalid.
+
+    Path p is ``simulate_poisson(lam, t_real, _path_generator(seed, p))`` and
+    its unit exponential is that generator's next draw.  Each path draws one
+    block plus that exponential; the rare path whose block ends at or before
+    ``t_real`` is redrawn in full by ``simulate_poisson``.
+    """
     if n_paths < 1:
         raise BadParameter("need at least one path")
-    events: list = [None] * n_paths
-    tau = np.full(n_paths, math.inf)
-    tau_valid = np.ones(n_paths, dtype=bool)
-
-    def fill(lo: int, hi: int) -> None:
-        for p in range(lo, hi):
-            rng = _path_generator(seed, p)
-            evs = simulate_poisson(lam, t_real, rng)
-            events[p] = evs
-            if tau_spec is not None:
-                try:
-                    tau[p] = sample_random_time(tau_spec, evs, rng)
-                except InsufficientEvents:
-                    tau_valid[p] = False
-
-    spans = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
-    else:
-        for span in spans:
-            fill(*span)
-    return PathSet(
+    block = _block_size(lam, t_real)
+    streams = _PathStreams(seed)
+    draws = np.empty((min(_CHUNK, n_paths), block + 1))
+    counts = np.empty(n_paths, dtype=np.int64)
+    unit_exp = np.empty(n_paths)
+    pieces = []
+    for lo in range(0, n_paths, _CHUNK):
+        hi = min(lo + _CHUNK, n_paths)
+        rows = draws[: hi - lo]
+        for i, row in enumerate(rows):
+            streams.at(lo + i).standard_exponential(out=row)
+        # row-wise cumsum adds in sequence, as simulate_poisson's 1-D cumsum does
+        arrivals = np.cumsum(rows[:, :block] / lam, axis=1)
+        inside = arrivals <= t_real
+        counts[lo:hi] = inside.sum(axis=1)
+        unit_exp[lo:hi] = rows[:, block]
+        events = arrivals[inside]
+        long_rows = np.flatnonzero(inside[:, -1])
+        if long_rows.size:
+            per_path = np.split(events, np.cumsum(counts[lo:hi])[:-1])
+            for i in long_rows:
+                rng = streams.at(lo + i)
+                per_path[i] = simulate_poisson(lam, t_real, rng)
+                unit_exp[lo + i] = rng.standard_exponential()
+                counts[lo + i] = per_path[i].size
+            events = np.concatenate(per_path)
+        pieces.append(events)
+    base = PathSet(
         lam=lam,
         t_real=t_real,
         n_paths=n_paths,
         seed=seed,
-        events=events,
-        tau=tau,
-        tau_valid=tau_valid,
+        times=np.concatenate(pieces),
+        offsets=np.concatenate(([0], np.cumsum(counts))),
+        unit_exp=unit_exp,
+        tau=np.full(n_paths, math.inf),
+        tau_valid=np.ones(n_paths, dtype=bool),
     )
+    return base if tau_spec is None else base.with_random_time(tau_spec)
 
 
 def mc_martingale_test(
@@ -250,7 +369,6 @@ def mc_martingale_test(
     tau_spec: RandomTimeSpec | None = None,
     paths: PathSet | None = None,
     z_max: float = 4.0,
-    n_threads: int = 1,
     name: str = "martingale_increment",
 ) -> McReport:
     """z-test of E[(M_t - M_s) * probe] = 0 for a path functional M.
@@ -263,7 +381,7 @@ def mc_martingale_test(
     if paths is None:
         if n_paths is None or seed is None:
             raise BadParameter("either pass a PathSet or n_paths and seed")
-        paths = simulate_path_set(lam, t_real, n_paths, seed, tau_spec, n_threads)
+        paths = simulate_path_set(lam, t_real, n_paths, seed, tau_spec)
     samples = np.zeros(paths.n_paths)
     for p in range(paths.n_paths):
         if not paths.tau_valid[p]:
@@ -280,12 +398,11 @@ def poisson_compensator_suite(
     *,
     t_real: float = 10.0,
     z_max: float = 4.0,
-    n_threads: int = 1,
     paths: PathSet | None = None,
 ) -> list[McReport]:
     """The compensated count has zero conditional drift (unit and adapted probes)."""
     if paths is None:
-        paths = simulate_path_set(lam, t_real, n_paths, seed, None, n_threads)
+        paths = simulate_path_set(lam, t_real, n_paths, seed, None)
     s, t = 0.5 * t_real, t_real
     cs = paths.counts_at(s).astype(float)
     ct = paths.counts_at(t).astype(float)
@@ -304,12 +421,11 @@ def second_moment_suite(
     *,
     t_real: float = 10.0,
     z_max: float = 4.0,
-    n_threads: int = 1,
     paths: PathSet | None = None,
 ) -> list[McReport]:
     """E[(X_t - lam t)^2] = lam t, the continuous-time bracket identity."""
     if paths is None:
-        paths = simulate_path_set(lam, t_real, n_paths, seed, None, n_threads)
+        paths = simulate_path_set(lam, t_real, n_paths, seed, None)
     out = []
     for t in (0.5 * t_real, t_real):
         c = paths.counts_at(t).astype(float)
@@ -326,7 +442,6 @@ def azema_exponential_suite(
     *,
     t_real: float = 10.0,
     z_max: float = 4.0,
-    n_threads: int = 1,
     paths: PathSet | None = None,
 ) -> list[McReport]:
     """Independent exponential time: survival law and the survival-driven compensator.
@@ -336,9 +451,7 @@ def azema_exponential_suite(
     probes known at s.
     """
     if paths is None:
-        paths = simulate_path_set(
-            lam, t_real, n_paths, seed, RandomTimeSpec("exponential", mu), n_threads
-        )
+        paths = simulate_path_set(lam, t_real, n_paths, seed, RandomTimeSpec("exponential", mu))
     tau = paths.tau
     out = [
         z_test("exponential_survival_at_1", (tau > 1.0).astype(float), math.exp(-mu), z_max)
@@ -355,10 +468,7 @@ def azema_exponential_suite(
 
 def _collision_fraction(paths: PathSet) -> tuple[float, int]:
     valid = paths.tau_valid
-    hits = np.zeros(paths.n_paths)
-    for p in range(paths.n_paths):
-        if valid[p] and np.any(paths.events[p] == paths.tau[p]):
-            hits[p] = 1.0
+    hits = (paths._segment_count(paths.times == paths.tau[paths._owner]) > 0).astype(float)
     n = int(valid.sum())
     return (float(hits[valid].mean()) if n else 0.0, n)
 
@@ -371,7 +481,6 @@ def avoidance_mc_suite(
     *,
     t_real: float = 10.0,
     z_max: float = 4.0,
-    n_threads: int = 1,
     tau_spec: RandomTimeSpec | None = None,
     paths: PathSet | None = None,
 ) -> list[McReport]:
@@ -384,7 +493,7 @@ def avoidance_mc_suite(
     """
     spec = tau_spec or RandomTimeSpec("exponential", mu)
     if paths is None:
-        paths = simulate_path_set(lam, t_real, n_paths, seed, spec, n_threads)
+        paths = simulate_path_set(lam, t_real, n_paths, seed, spec)
     frac, n_valid = _collision_fraction(paths)
     out = [exact_check("avoidance_collision_fraction", frac, 0.0, n_valid)]
 
@@ -413,7 +522,6 @@ def predictable_jump_probe(
     *,
     t_real: float = 10.0,
     z_max: float = 4.0,
-    n_threads: int = 1,
     announced: bool = True,
     mu: float = 1.0,
     paths: PathSet | None = None,
@@ -432,7 +540,7 @@ def predictable_jump_probe(
         raise BadParameter("epsilon must be positive")
     spec = RandomTimeSpec("midpoint") if announced else RandomTimeSpec("exponential", mu)
     if paths is None:
-        paths = simulate_path_set(lam, t_real, n_paths, seed, spec, n_threads)
+        paths = simulate_path_set(lam, t_real, n_paths, seed, spec)
     tau = paths.tau
     first = paths.first_events()
 
@@ -487,22 +595,19 @@ def negative_control_suite(
     *,
     t_real: float = 10.0,
     z_max: float = 4.0,
-    n_threads: int = 1,
     paths: PathSet | None = None,
     copied_paths: PathSet | None = None,
     independent_paths: PathSet | None = None,
 ) -> list[McReport]:
     """Checks engineered to fail: they guard the power of the positive tests."""
     if paths is None:
-        paths = simulate_path_set(lam, t_real, n_paths, seed, None, n_threads)
+        paths = simulate_path_set(lam, t_real, n_paths, seed, None)
     s, t = 0.5 * t_real, t_real
     raw_inc = (paths.counts_at(t) - paths.counts_at(s)).astype(float)
     uncompensated = z_test("uncompensated_count_drift", raw_inc, 0.0, z_max)
 
     if copied_paths is None:
-        copied_paths = simulate_path_set(
-            lam, t_real, n_paths, seed, RandomTimeSpec("copy_first"), n_threads
-        )
+        copied_paths = paths.with_random_time(RandomTimeSpec("copy_first"))
     frac, n_valid = _collision_fraction(copied_paths)
     collision = exact_check("copied_time_collision_fraction", frac, 0.0, n_valid)
 
@@ -513,10 +618,9 @@ def negative_control_suite(
         seed,
         t_real=t_real,
         z_max=z_max,
-        n_threads=n_threads,
         announced=False,
         mu=mu,
-        paths=independent_paths,
+        paths=independent_paths or paths.with_random_time(RandomTimeSpec("exponential", mu)),
     )
     # the unannounced hit rate must NOT reach the construction-exact value 1
     unannounced = probe[0]

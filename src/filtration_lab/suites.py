@@ -90,6 +90,11 @@ class McParams:
     z_max: float = 4.0
     epsilons: tuple = (0.1, 0.01)
 
+    @property
+    def stress_n_paths(self) -> int:
+        """Paths of mc_avoidance's stress run; may exceed n_paths."""
+        return max(1000, self.n_paths // 10)
+
 
 @dataclass
 class SuiteContext:
@@ -97,21 +102,26 @@ class SuiteContext:
     bundle: object = None
     tol: Tolerances = field(default_factory=Tolerances)
     mc: McParams | None = None
-    n_threads: int = 1
     expected_outcome: str = "holds"
     _path_cache: dict = field(default_factory=dict)
 
     def rng(self, salt: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(salt.encode())])
 
-    def paths(self, tau_spec=None, n_paths=None, lam=None):
+    def paths(self, tau_spec=None, n_paths=None):
+        """The first ``n_paths`` (default ``mc.n_paths``) paths with random time ``tau_spec``.
+
+        Every request reads one simulation per (lam, t_real, seed), made at
+        the largest size any suite asks for; path p does not depend on that size.
+        """
         mc = self.mc or McParams()
-        key = (lam or mc.lam, mc.t_real, n_paths or mc.n_paths, self.seed, tau_spec)
-        if key not in self._path_cache:
-            self._path_cache[key] = simulate_path_set(
-                key[0], key[1], key[2], self.seed, tau_spec, self.n_threads
-            )
-        return self._path_cache[key]
+        n = n_paths or mc.n_paths
+        key = (mc.lam, mc.t_real, self.seed)
+        base = self._path_cache.get(key)
+        if base is None or base.n_paths < n:
+            size = max(n, mc.n_paths, mc.stress_n_paths)
+            base = self._path_cache[key] = simulate_path_set(mc.lam, mc.t_real, size, self.seed)
+        return base.with_random_time(tau_spec, n)
 
 
 @dataclass
@@ -923,15 +933,14 @@ def suite_mc_avoidance(ctx: SuiteContext) -> list[CheckResult]:
     )
     stress_mu = 25.0 * mc.mu
     stress_spec = RandomTimeSpec("exponential", stress_mu)
-    stress_n = max(1000, mc.n_paths // 10)
     stress = avoidance_mc_suite(
         mc.lam,
         stress_mu,
-        stress_n,
+        mc.stress_n_paths,
         ctx.seed,
         t_real=mc.t_real,
         z_max=mc.z_max,
-        paths=ctx.paths(stress_spec, n_paths=stress_n),
+        paths=ctx.paths(stress_spec, n_paths=mc.stress_n_paths),
     )
     out = _mc_to_checks(reports, "Prop 4.4")
     for c in _mc_to_checks(stress, "Prop 4.4"):
@@ -968,7 +977,6 @@ def suite_mc_negative_controls(ctx: SuiteContext) -> list[CheckResult]:
         ctx.seed,
         t_real=mc.t_real,
         z_max=mc.z_max,
-        n_threads=ctx.n_threads,
         paths=ctx.paths(None),
         copied_paths=ctx.paths(RandomTimeSpec("copy_first")),
         independent_paths=ctx.paths(RandomTimeSpec("exponential", mc.mu)),

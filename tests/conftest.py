@@ -1,10 +1,12 @@
 """Shared test helpers: deliberately dumb brute-force oracles.
 
-These recompute conditional expectations, compensators, and drifts with plain
-Python loops so the vectorised engine is always checked against an
-independent path.
+These recompute conditional expectations, compensators, drifts and the
+per-path Monte Carlo reductions with plain Python loops so the vectorised
+engine is always checked against an independent path.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +54,34 @@ def oracle_max_drift(probs, partitions, values):
             drift = sum(float(probs[a]) * float(delta[a]) for a in block) / mass
             worst = max(worst, abs(drift))
     return worst
+
+
+def oracle_counts_at(events, t):
+    """Per path: events at or before t, one searchsorted per path."""
+    return np.array([e.searchsorted(t, side="right") for e in events], dtype=np.int64)
+
+
+def oracle_nth_events(events, k):
+    """Per path: its event k (from 0), inf where it has no such event."""
+    return np.array([e[k] if e.size > k else math.inf for e in events], dtype=float)
+
+
+def oracle_window_hits(events, lo, hi):
+    """Per path: 1.0 if any event lies in (lo_p, hi_p], by a loop over paths."""
+    out = np.zeros(len(events))
+    for p, e in enumerate(events):
+        out[p] = 1.0 if np.any((e > lo[p]) & (e <= hi[p])) else 0.0
+    return out
+
+
+def oracle_collision_fraction(events, tau, valid):
+    """Share of valid paths whose random time equals one of their events."""
+    hits = np.zeros(len(events))
+    for p, e in enumerate(events):
+        if valid[p] and np.any(e == tau[p]):
+            hits[p] = 1.0
+    n = int(valid.sum())
+    return (float(hits[valid].mean()) if n else 0.0, n)
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from filtration_lab.cli import (
     validate_config,
 )
 from filtration_lab.errors import ConfigInvalid
+from filtration_lab import suites
 from filtration_lab.suites import REGISTRY, describe_suite, list_suites
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "configs"
@@ -99,7 +102,65 @@ class TestValidation:
             validate_config(cfg)
 
 
+BAD_MC = [
+    ("n_paths", 0),
+    ("n_paths", -5),
+    ("n_paths", "abc"),
+    ("n_paths", True),
+    ("n_paths", 2.5),
+    ("n_paths", None),
+    ("lambda", -1.0),
+    ("lambda", 0),
+    ("lambda", "abc"),
+    ("lambda", True),
+    ("mu", 0.0),
+    ("mu", math.inf),
+    ("t_real", math.nan),
+    ("t_real", -10.0),
+    ("t_real", 10**400),
+    ("z_max", 0.0),
+    ("z_max", -4.0),
+    ("epsilons", []),
+    ("epsilons", "abc"),
+    ("epsilons", [0.1, -0.01]),
+    ("epsilons", [0.1, math.nan]),
+    ("epsilons", [False]),
+]
+
+
+class TestBadMcInput:
+    @pytest.mark.parametrize("key,value", BAD_MC, ids=[f"{k}={v!r}" for k, v in BAD_MC])
+    def test_exit_two_with_one_line(self, tmp_path, capsys, key, value):
+        cfg = _small_mc_config()
+        cfg["mc"][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))  # NaN and Infinity as Python's json writes them
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: invalid config: mc.") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_mc_must_be_an_object(self):
+        with pytest.raises(ConfigInvalid):
+            validate_config(_small_mc_config(mc=[1, 2]))
+
+
 class TestRunConfig:
+    @pytest.mark.parametrize("expected", ["holds", "fails"])
+    def test_suite_without_rows_fails(self, monkeypatch, expected):
+        spec = REGISTRY["mc_poisson_compensator"]
+        monkeypatch.setitem(suites.REGISTRY, spec.name, dataclasses.replace(spec, fn=lambda ctx: []))
+        cfg = _small_mc_config(suites=[{"name": spec.name, "expected_outcome": expected}])
+        report = run_config(cfg)
+        (row,) = report["checks"]
+        assert (row["suite"], row["name"], row["passed"]) == (spec.name, "no_rows", False)
+        assert report["summary"] == {"checks": 1, "passed": 0, "failed": 1}
+
+    def test_parallel_has_no_effect_on_mc_reports(self):
+        cfg = _small_mc_config(suites=["mc_avoidance", "mc_negative_controls"])
+        assert report_to_json(run_config(cfg, parallel=8)) == report_to_json(run_config(cfg))
+
     def test_counterexample_polarity(self):
         cfg = json.load(open(CONFIG_DIR / "counterexample_a2.json"))
         report = run_config(cfg)

@@ -1,13 +1,27 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import (
+    oracle_collision_fraction,
+    oracle_counts_at,
+    oracle_nth_events,
+    oracle_window_hits,
+)
 
+from filtration_lab import montecarlo
+from filtration_lab.cli import report_to_json, run_config
 from filtration_lab.errors import BadParameter, InsufficientEvents
 from filtration_lab.montecarlo import (
     ContinuousPath,
     McReport,
+    PathSet,
     RandomTimeSpec,
+    _collision_fraction,
+    _path_generator,
     avoidance_mc_suite,
     azema_exponential_suite,
     exact_check,
@@ -68,17 +82,19 @@ class TestRandomTimes:
 
     def test_midpoint_strictly_between_first_two(self):
         paths = simulate_path_set(1.0, 10.0, 2000, SEED, RandomTimeSpec("midpoint"))
+        events = paths.events
         for p in range(2000):
             if paths.tau_valid[p]:
-                e = paths.events[p]
+                e = events[p]
                 assert e[0] < paths.tau[p] < e[1]
 
     def test_copy_first_always_collides(self):
         paths = simulate_path_set(1.0, 10.0, 2000, SEED, RandomTimeSpec("copy_first"))
         valid = paths.tau_valid
         assert valid.any()
+        events = paths.events
         for p in np.flatnonzero(valid):
-            assert paths.tau[p] in paths.events[p]
+            assert paths.tau[p] in events[p]
 
     def test_insufficient_events(self):
         with pytest.raises(InsufficientEvents):
@@ -204,17 +220,192 @@ class TestSuites:
         assert not bad.passed and math.isinf(bad.z_score)
 
 
-class TestDeterminism:
-    def test_thread_count_invariance(self):
-        spec = RandomTimeSpec("exponential", 1.0)
-        a = simulate_path_set(1.0, 10.0, 3000, SEED, spec, n_threads=1)
-        b = simulate_path_set(1.0, 10.0, 3000, SEED, spec, n_threads=8)
-        assert np.array_equal(a.tau, b.tau)
-        for x, y in zip(a.events, b.events):
-            assert np.array_equal(x, y)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "configs"
+SPECS = (
+    None,
+    RandomTimeSpec("exponential", 2.0),
+    RandomTimeSpec("midpoint"),
+    RandomTimeSpec("copy_first"),
+)
 
+
+def _flat_path_set(events, tau=None, valid=None, t_real=10.0):
+    """A PathSet built by hand from a list of per-path event arrays."""
+    n = len(events)
+    return PathSet(
+        lam=1.0,
+        t_real=t_real,
+        n_paths=n,
+        seed=0,
+        times=np.concatenate([np.asarray(e, dtype=float) for e in events] + [np.empty(0)]),
+        offsets=np.concatenate(([0], np.cumsum([len(e) for e in events]))).astype(np.int64),
+        unit_exp=np.ones(n),
+        tau=np.full(n, math.inf) if tau is None else np.asarray(tau, dtype=float),
+        tau_valid=np.ones(n, dtype=bool) if valid is None else np.asarray(valid, dtype=bool),
+    )
+
+
+def _assert_kernels_match_oracles(paths, rng):
+    events = paths.events
+    n = paths.n_paths
+    specials = np.array([math.nan, math.inf, -math.inf, 0.0])
+    event_times = paths.times if paths.times.size else specials
+    for t in [*specials, paths.t_real, *rng.choice(event_times, 3), *rng.uniform(0, paths.t_real, 3)]:
+        assert np.array_equal(paths.counts_at(t), oracle_counts_at(events, t)), t
+    assert np.array_equal(paths.first_events(), oracle_nth_events(events, 0))
+    assert np.array_equal(paths.second_events(), oracle_nth_events(events, 1))
+
+    def bounds():
+        # random bounds, NaN and +-inf, and bounds that sit exactly on an event
+        out = rng.uniform(-1.0, paths.t_real + 1.0, n)
+        pick = rng.integers(0, 5, n)
+        out[pick == 1] = math.nan
+        out[pick == 2] = math.inf
+        out[pick == 3] = -math.inf
+        on_event = pick == 4
+        out[on_event] = rng.choice(event_times, int(on_event.sum()))
+        return out
+
+    for _ in range(4):
+        lo, hi = bounds(), bounds()
+        assert np.array_equal(paths.window_hits(lo, hi), oracle_window_hits(events, lo, hi))
+        first = paths.first_events()
+        assert np.array_equal(
+            paths.window_hits(first - 0.5, first), oracle_window_hits(events, first - 0.5, first)
+        )
+    frac = _collision_fraction(paths)
+    assert frac == oracle_collision_fraction(events, paths.tau, paths.tau_valid)
+    return frac
+
+
+class TestFlatKernels:
+    def test_hand_built_paths_with_zero_and_one_events(self):
+        events = [[], [1.0], [0.5, 2.0], [], [3.0, 3.5, 9.0], [10.0]]
+        # exact collisions on paths 1 and 4, NaN and inf random times, one invalid path
+        tau = [2.0, 1.0, math.nan, math.inf, 3.5, 4.0]
+        valid = [True, True, True, True, True, False]
+        paths = _flat_path_set(events, tau, valid)
+        frac, n_valid = _assert_kernels_match_oracles(paths, np.random.default_rng(0))
+        assert (frac, n_valid) == (0.4, 5)
+        assert np.array_equal(paths.counts_at(3.0), [0, 1, 2, 0, 1, 0])
+        assert np.array_equal(paths.window_hits(np.full(6, 0.5), np.full(6, 1.0)), [0, 1, 0, 0, 0, 0])
+
+    def test_single_path_without_events(self):
+        paths = _flat_path_set([[]])
+        _assert_kernels_match_oracles(paths, np.random.default_rng(1))
+        assert paths.counts_at(5.0).tolist() == [0]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind if s else "none")
+    def test_simulated_paths(self, spec):
+        # a low rate leaves many paths with 0 or 1 events
+        paths = simulate_path_set(0.4, 4.0, 600, SEED, spec)
+        assert {0, 1, 2} <= set(paths.lengths.tolist())
+        frac, n_valid = _assert_kernels_match_oracles(paths, np.random.default_rng(2))
+        assert frac == (1.0 if spec and spec.kind == "copy_first" else 0.0)
+        assert n_valid == int(paths.tau_valid.sum())
+
+    def test_events_are_read_only_views(self):
+        paths = simulate_path_set(1.0, 10.0, 50, SEED)
+        events = paths.events
+        assert len(events) == 50
+        assert sum(e.size for e in events) == paths.times.size
+        assert all(np.shares_memory(e, paths.times) for e in events if e.size)
+        with pytest.raises(ValueError):
+            events[0][0] = 0.0
+
+    def test_prefix_with_random_time_shares_the_simulation(self):
+        base = simulate_path_set(1.0, 10.0, 300, SEED)
+        spec = RandomTimeSpec("exponential", 25.0)
+        prefix = base.with_random_time(spec, 120)
+        direct = simulate_path_set(1.0, 10.0, 120, SEED, spec)
+        assert np.shares_memory(prefix.times, base.times)
+        for name in ("times", "offsets", "unit_exp", "tau", "tau_valid"):
+            assert np.array_equal(getattr(prefix, name), getattr(direct, name)), name
+        with pytest.raises(BadParameter):
+            base.with_random_time(spec, 301)
+        with pytest.raises(BadParameter):
+            base.with_random_time(RandomTimeSpec("nope"))
+
+
+def _assert_paths_match_per_path_streams(lam, t_real, n, seed):
+    """Path p of every spec equals simulate_poisson on its own generator, and
+    its random time comes from that generator's next draw."""
+    sets = {spec: simulate_path_set(lam, t_real, n, seed, spec) for spec in SPECS}
+    events = {spec: paths.events for spec, paths in sets.items()}
+    for p in range(n):
+        rng = _path_generator(seed, p)
+        expected = simulate_poisson(lam, t_real, rng)
+        unit = rng.standard_exponential()
+        for spec, paths in sets.items():
+            assert np.array_equal(events[spec][p], expected), (spec, p)
+            assert paths.unit_exp[p] == unit
+            if spec is None:
+                assert paths.tau[p] == math.inf and paths.tau_valid[p]
+                continue
+            try:
+                tau = sample_random_time(spec, expected, _replay(seed, p, lam, t_real))
+            except InsufficientEvents:
+                assert not paths.tau_valid[p] and paths.tau[p] == math.inf
+            else:
+                assert paths.tau_valid[p] and paths.tau[p] == tau
+    return sets[None]
+
+
+def _replay(seed, p, lam, t_real):
+    """Path p's generator, positioned just after its events."""
+    rng = _path_generator(seed, p)
+    simulate_poisson(lam, t_real, rng)
+    return rng
+
+
+class TestDeterminism:
+    def test_path_p_reads_only_its_own_stream(self, monkeypatch):
+        # small chunks so that the set spans several of them
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        paths = _assert_paths_match_per_path_streams(1.0, 10.0, 300, SEED)
+        assert paths.lengths.max() < montecarlo._block_size(1.0, 10.0)
+        _assert_paths_match_per_path_streams(3.0, 2.0, 150, 7)
+
+    def test_long_paths_fall_back_to_the_same_stream(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        monkeypatch.setattr(montecarlo, "_block_size", lambda lam, t_real: 4)
+        paths = _assert_paths_match_per_path_streams(1.0, 10.0, 300, SEED)
+        # both kinds of path occur: one block, and several blocks redrawn in full
+        assert (paths.lengths < 4).any() and (paths.lengths >= 4).any()
+
+    def test_report_digest_is_pinned(self):
+        # Digest of the report below, computed with the engine that built a
+        # fresh generator per path and random-time spec, before the flat
+        # simulate-once engine replaced it.  It changes if any per-path
+        # stream, or anything derived from one, changes.
+        config = json.loads((CONFIG_DIR / "poisson_qlc.json").read_text())
+        config["mc"]["n_paths"] = 2000
+        text = report_to_json(run_config(config))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "416ac5581849559cb2073571e976e9f823d91ba30907c62028428a6b349aeb2a"
+        )
+
+    def test_suite_context_simulates_each_rate_once(self, monkeypatch):
+        from filtration_lab import suites
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return simulate_path_set(*args)
+
+        monkeypatch.setattr(suites, "simulate_path_set", counted)
+        ctx = suites.SuiteContext(seed=SEED, mc=suites.McParams(n_paths=500))
+        plain = ctx.paths(None)
+        midpoint = ctx.paths(RandomTimeSpec("midpoint"))
+        stress = ctx.paths(RandomTimeSpec("exponential", 25.0), n_paths=ctx.mc.stress_n_paths)
+        # the stress set (1000 paths) is larger than n_paths; it is simulated up front
+        assert calls == [(1.0, 10.0, 1000, SEED)]
+        assert (plain.n_paths, midpoint.n_paths, stress.n_paths) == (500, 500, 1000)
+        assert np.array_equal(stress.offsets[:501], plain.offsets)
     def test_path_count_prefix_stability(self):
         a = simulate_path_set(1.0, 10.0, 1000, SEED)
         b = simulate_path_set(1.0, 10.0, 2000, SEED)
+        a_events, b_events = a.events, b.events
         for p in range(1000):
-            assert np.array_equal(a.events[p], b.events[p])
+            assert np.array_equal(a_events[p], b_events[p])
