@@ -53,15 +53,21 @@ from .jump_measure import (
     jump_measure,
 )
 from .representation import (
+    BatchSolution,
     RepresentationSolution,
+    independent_batch,
     independent_decomposition,
     martingale_closure,
+    martingale_closures,
     multiplicity,
     orthogonal_spanning_martingales,
+    solve_batch,
     solve_in_basis,
     solve_prp,
     solve_triple,
     solve_wrp,
+    triple_regressors,
+    wrp_regressors,
 )
 from .random_time import (
     RandomTimeBundle,

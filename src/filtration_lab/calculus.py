@@ -17,7 +17,6 @@ from .errors import (
     FiltrationMismatch,
     NotIncreasing,
     NotMartingale,
-    NotPointProcess,
     NotPredictable,
 )
 from .finite_space import (
@@ -154,10 +153,7 @@ class OrthogonalityReport:
 def _require_point_process(p: AdaptedProcess) -> PointProcess:
     if isinstance(p, PointProcess):
         return p
-    try:
-        return PointProcess(p.filtration, p.values)
-    except NotPointProcess:
-        raise
+    return PointProcess(p.filtration, p.values)
 
 
 def orthogonality_report(

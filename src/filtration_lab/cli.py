@@ -82,10 +82,15 @@ def validate_config(config: dict, parallel: int = 1) -> list[dict]:
         if bad:
             raise ConfigInvalid(f"mc-engine config rejects exact-only keys: {sorted(bad)}")
         _mc_params(config)
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigInvalid("seed must be a non-negative integer")
+    _seed(config.get("seed", 0), "seed")
     return entries
+
+
+def _seed(value, what: str) -> int:
+    """``value`` if it is an integer >= 0 (a bool is not a seed)."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ConfigInvalid(f"{what} must be a non-negative integer, got {value!r}")
 
 
 def _resolve_bundle(config: dict):
@@ -154,7 +159,10 @@ def run_config(config: dict, parallel: int = 1, seed_override: int | None = None
     """
     entries = validate_config(config, parallel)
     engine = config["engine"]
-    seed = seed_override if seed_override is not None else config.get("seed", 0)
+    if seed_override is None:
+        seed = config.get("seed", 0)
+    else:
+        seed = _seed(seed_override, "seed override (--seed or FLAB_SEED)")
 
     tol_raw = config.get("tolerances", {})
     tol = Tolerances(

@@ -95,6 +95,7 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
     n_atoms: int
     _block_of: np.ndarray = field(init=False, repr=False, compare=False)
+    _first_atom: np.ndarray = field(init=False, repr=False, compare=False)
     _arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,8 +115,11 @@ class Partition:
             missing = int(np.argmin(block_of))
             raise ValueError(f"atom {missing} not covered by any block")
         block_of.setflags(write=False)
+        first_atom = np.array([b[0] for b in blocks], dtype=np.int64)[block_of]
+        first_atom.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_block_of", block_of)
+        object.__setattr__(self, "_first_atom", first_atom)
         object.__setattr__(self, "_arrays", tuple(np.array(b, dtype=np.int64) for b in blocks))
 
     @classmethod
@@ -195,17 +199,19 @@ def conditional_expectation(
     """Exact conditional expectation of an atom-indexed variable given a partition.
 
     On a block the result is the probability-weighted average; blocks of total
-    probability zero get the value 0 (see ``zero_probability_blocks``).
+    probability zero get the value 0 (see ``zero_probability_blocks``).  A
+    stack of variables, atoms on the last axis, is averaged in one pass.
     """
     if partition.n_atoms != space.n_atoms:
         raise FiltrationMismatch("partition does not belong to the space")
     v = np.asarray(values, dtype=float)
-    out = np.zeros(space.n_atoms)
+    out = np.zeros(v.shape[:-1] + (space.n_atoms,))
     probs = space.probs
     for atoms in partition.block_arrays:
-        mass = float(probs[atoms].sum())
+        w = probs[atoms]
+        mass = float(w.sum())
         if mass > 0.0:
-            out[atoms] = float(probs[atoms] @ v[atoms]) / mass
+            out[..., atoms] = (v[..., atoms] @ w / mass)[..., None]
     return out
 
 
@@ -273,8 +279,8 @@ class AdaptedProcess:
 
     def _coerce(self, other):
         if isinstance(other, AdaptedProcess):
-            if other.filtration.space is not self.filtration.space and \
-                    other.filtration.space.n_atoms != self.filtration.space.n_atoms:
+            mine, theirs = self.space, other.space
+            if theirs is not mine and not np.array_equal(theirs.probs, mine.probs):
                 raise FiltrationMismatch("processes on different spaces")
             return other.values
         return other
@@ -337,12 +343,16 @@ def point_process_from_increments(filtration: Filtration, jumps) -> PointProcess
 
 
 def _block_violation(column: np.ndarray, partition: Partition):
-    """First block on which an atom-indexed column is not constant, else None."""
-    for i, atoms in enumerate(partition.block_arrays):
-        col = column[atoms]
-        if np.any(col != col[0]):
-            return i
-    return None
+    """First block on which an atom-indexed column (or any of a stack, atoms last) is not constant.
+
+    Every atom is compared with its block's first atom, so a NaN violates its block.
+    """
+    bad = column != column[..., partition._first_atom]
+    if bad.ndim > 1:
+        bad = bad.reshape(-1, bad.shape[-1]).any(axis=0)
+    if not bad.any():
+        return None
+    return int(partition.block_of[bad].min())
 
 
 def is_adapted(p: AdaptedProcess) -> bool:
@@ -353,14 +363,21 @@ def is_adapted(p: AdaptedProcess) -> bool:
     return True
 
 
+def predictable_violation(values: np.ndarray, filtration: Filtration):
+    """First (time, block) at which ``values[..., atom, time]`` is not predictable, else None.
+
+    Time-t values (t >= 1) must be P_{t-1}-constant and time-0 values P_0-constant.
+    """
+    for t in range(filtration.horizon + 1):
+        block = _block_violation(values[..., t], filtration.at(max(t - 1, 0)))
+        if block is not None:
+            return t, block
+    return None
+
+
 def is_predictable(p: AdaptedProcess) -> bool:
     """True iff time-t values (t >= 1) are P_{t-1}-constant and the time-0 value is P_0-constant."""
-    if _block_violation(p.values[:, 0], p.filtration.at(0)) is not None:
-        return False
-    for t in range(1, p.horizon + 1):
-        if _block_violation(p.values[:, t], p.filtration.at(t - 1)) is not None:
-            return False
-    return True
+    return predictable_violation(p.values, p.filtration) is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,11 +434,15 @@ def stop_process(p: AdaptedProcess, sigma: StoppingTime) -> AdaptedProcess:
     """Freeze the path from sigma onward: X^sigma_t = X_{t ^ sigma}."""
     if sigma.filtration.partitions != p.filtration.partitions:
         raise FiltrationMismatch("stopping time from a different filtration")
-    T = p.horizon
+    return type(p)(p.filtration, stop_values(p.values, sigma))
+
+
+def stop_values(values: np.ndarray, sigma: StoppingTime) -> np.ndarray:
+    """``values[..., atom, t]`` frozen from sigma onward, for a stack of value matrices."""
+    T = sigma.filtration.horizon
     cut = np.minimum(sigma.values, T)
     time_idx = np.minimum(np.arange(T + 1)[None, :], cut[:, None])
-    vals = np.take_along_axis(p.values, time_idx, axis=1)
-    return type(p)(p.filtration, vals)
+    return np.take_along_axis(values, np.broadcast_to(time_idx, values.shape), axis=-1)
 
 
 def rebind(p: AdaptedProcess, filtration: Filtration, check: bool = True) -> AdaptedProcess:

@@ -116,7 +116,9 @@ def z_test(name: str, samples, expected: float = 0.0, z_max: float = 4.0) -> McR
     samples = np.asarray(samples, dtype=float)
     n = int(samples.size)
     if n == 0:
-        raise BadParameter(f"statistic {name!r} has no samples")
+        # no path qualified: the statistic checks nothing, so it fails
+        nan = math.nan
+        return McReport(name, nan, nan, nan, n_paths=0, passed=False, expected=float(expected))
     estimate = float(samples.mean())
     std_error = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     if std_error > 0.0:

@@ -7,6 +7,12 @@ node; when the reference martingales span the centered child space the
 residual is zero to float precision, so the residual doubles as a
 certificate.  Degenerate nodes get the minimum-norm solution (singular-value
 cutoff 1e-12), which puts 0 on zero-variance regressors.
+
+One kernel serves every solver: per node it forms the weighted design's
+pseudo-inverse once and applies it to a whole stack of targets.
+:func:`solve_batch` is the batch entry point; ``solve_prp``, ``solve_wrp``,
+``solve_triple``, ``solve_in_basis`` and ``independent_decomposition`` solve
+one target through it.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FiltrationMismatch, IndependenceViolated, NotMartingale
+from .errors import FiltrationMismatch, IndependenceViolated, NotMartingale, NotPredictable
 from .calculus import (
     compensator,
     dual_projection,
@@ -25,22 +31,20 @@ from .calculus import (
 )
 from .enlargement import EnlargementBundle
 from .finite_space import (
+    EXACT_TOL,
     AdaptedProcess,
     Filtration,
     StoppingTime,
     conditional_expectation,
+    predictable_violation,
     stop_process,
 )
-from .jump_measure import (
-    MARKS,
-    MarkedMeasure,
-    PredictableFunction,
-    fundamental_martingales,
-    integrate,
-)
+from .jump_measure import MARKS, MarkedMeasure, fundamental_martingales
 
 #: relative singular-value cutoff for the nodewise least-squares solves
 SV_CUTOFF = 1e-12
+#: (atom, time) values per target chunk of a batched reconstruction
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -55,66 +59,137 @@ class RepresentationSolution:
     checks: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class BatchSolution:
+    """Per target i: residual_sup[i]; if kept, integrands[regressor, i] and reconstructions[i]."""
+
+    residual_sup: np.ndarray
+    integrands: np.ndarray | None = None
+    reconstructions: np.ndarray | None = None
+
+
 def martingale_closure(xi, filtration: Filtration) -> AdaptedProcess:
     """The martingale Y_t = E[xi | P_t] closing a terminal variable."""
-    xi = np.asarray(xi, dtype=float)
-    n = filtration.space.n_atoms
-    vals = np.empty((n, filtration.horizon + 1))
-    for t in range(filtration.horizon + 1):
-        vals[:, t] = conditional_expectation(filtration.space, xi, filtration.at(t))
-    return AdaptedProcess(filtration, vals)
+    return AdaptedProcess(filtration, martingale_closures(xi, filtration))
 
 
-def _nodewise_solve(
-    y: AdaptedProcess, regressor_deltas: Sequence[np.ndarray], filtration: Filtration
-) -> list[np.ndarray]:
-    """Weighted least squares of dY against regressor increments, per node.
+def martingale_closures(xis, filtration: Filtration) -> np.ndarray:
+    """Values (k, n, T+1) of the martingales closing a stack of k terminal variables (k, n)."""
+    vals = np.empty(np.shape(xis) + (filtration.horizon + 1,))
+    for t, partition in enumerate(filtration.partitions):
+        vals[..., t] = conditional_expectation(filtration.space, xis, partition)
+    return vals
 
-    Returns one predictable integrand matrix per regressor; values are
-    constant on each block of P_{t-1} and zero at time 0.
-    """
-    if not regressor_deltas:
-        return []
+
+def _nodes(filtration: Filtration):
+    """(t, block index, atoms) of every positive-mass node: a time t >= 1 and a block of P_{t-1}."""
     probs = filtration.space.probs
-    dy = y.increments()
-    n, width = y.values.shape
-    ks = [np.zeros((n, width)) for _ in regressor_deltas]
     for t in range(1, filtration.horizon + 1):
-        for atoms in filtration.at(t - 1).block_arrays:
-            w = probs[atoms]
-            if w.sum() <= 0.0:
-                continue
-            sw = np.sqrt(w)
-            design = np.stack([d[atoms, t] for d in regressor_deltas], axis=1) * sw[:, None]
-            target = dy[atoms, t] * sw
-            coef, *_ = np.linalg.lstsq(design, target, rcond=SV_CUTOFF)
-            for k, c in zip(ks, coef):
-                k[atoms, t] = c
-    return ks
+        for i, atoms in enumerate(filtration.at(t - 1).block_arrays):
+            if float(probs[atoms].sum()) > 0.0:
+                yield t, i, atoms
 
 
-def _finish(
-    kind: str,
-    integrands: dict,
-    y: AdaptedProcess,
-    reconstruction: AdaptedProcess,
-    checks: dict | None = None,
-) -> RepresentationSolution:
-    residual = AdaptedProcess(y.filtration, y.values - reconstruction.values)
-    return RepresentationSolution(
-        kind=kind,
-        integrands=integrands,
-        reconstruction=reconstruction,
-        residual=residual,
-        residual_sup=residual.sup_abs(),
-        checks=checks or {},
-    )
+def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filtration):
+    """Weighted least squares of every target's increment against the regressors', per node.
+
+    ``values`` is (k, n, T+1), ``regressors`` (r, n, T+1).  Returns each
+    (atom, t)'s node (-1 at time 0 and on zero-mass nodes), the coefficients
+    (r, k, nodes + 1) whose last column is 0, and the first target whose
+    drift exceeds ``EXACT_TOL`` with its earliest (t, block, drift), or None.
+    """
+    probs = filtration.space.probs
+    nodes = list(_nodes(filtration))
+    node_of = np.full(values.shape[1:], -1)
+    table = np.zeros((len(regressors), len(values), len(nodes) + 1))
+    drift = np.zeros((len(values), len(nodes)))
+    for node, (t, _, atoms) in enumerate(nodes):
+        node_of[atoms, t] = node
+        w = probs[atoms]
+        dy = values[:, atoms, t]
+        dy -= values[:, atoms, t - 1]
+        drift[:, node] = dy @ w / float(w.sum())
+        sw = np.sqrt(w)
+        pinv = np.linalg.pinv(regressors[:, atoms, t].T * sw[:, None], rcond=SV_CUTOFF)
+        table[:, :, node] = (pinv * sw) @ dy.T
+    bad = np.abs(drift) > EXACT_TOL
+    witness = None
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=1)))
+        node = int(np.argmax(bad[j]))
+        witness = (j, nodes[node][:2] + (float(drift[j, node]),))
+    return node_of, table, witness
+
+
+def solve_batch(
+    targets,
+    regressors: Sequence[np.ndarray],
+    filtration: Filtration,
+    keep_integrands: bool = False,
+    keep_reconstructions: bool = False,
+) -> BatchSolution:
+    """Represent a stack of martingales (k, n, T+1) against one family of regressor increments.
+
+    Every target's drift is checked at ``EXACT_TOL`` (a failure names the first
+    drifting target and its witness) and the integrands' predictability once
+    per batch.  Reconstructions are built one regressor at a time, in chunks
+    of targets, so that no (k, n, T+1) buffer beyond the kept ones is live.
+    """
+    values = np.asarray(targets, dtype=float)
+    regs = np.stack(regressors) if len(regressors) else np.zeros((0,) + values.shape[1:])
+    node_of, table, drifting = _nodewise_solve(values, regs, filtration)
+    if drifting is not None:
+        raise NotMartingale("target {} has nonzero drift at {}".format(*drifting))
+    # every integrand is a function of the node index, so checking it covers them all
+    bad = predictable_violation(node_of, filtration)
+    if bad is not None:
+        raise NotPredictable(f"integrand is not predictable at (t, block) = {bad}")
+
+    pos = filtration.space.positive
+    residual_sup = np.empty(len(values))
+    recons = np.empty_like(values) if keep_reconstructions else None
+    step = max(1, _CHUNK // node_of.size)
+    for lo in range(0, len(values), step):
+        chunk = slice(lo, lo + step)
+        recon = np.repeat(values[chunk, :, :1], node_of.shape[1], axis=-1)
+        for c, d in zip(table, regs):
+            part = c[chunk, node_of]
+            part *= d
+            recon += np.cumsum(part, axis=-1, out=part)
+        residual_sup[chunk] = np.abs(values[chunk] - recon).max(axis=-1)[:, pos].max(axis=1)
+        if recons is not None:
+            recons[chunk] = recon
+    integrands = table[:, :, node_of] if keep_integrands else None
+    return BatchSolution(residual_sup, integrands, recons)
 
 
 def _require_martingale(m: AdaptedProcess, label: str) -> None:
     check = is_martingale(m)
     if not check:
         raise NotMartingale(f"{label} has nonzero drift at {check.witness}")
+
+
+def _solve_one(kind, names, y, regressors, filtration, batch=None, checks=None):
+    """One target as a RepresentationSolution, solved here unless its ``batch`` is given."""
+    if batch is None:
+        batch = solve_batch(y.values[None], regressors, filtration, keep_integrands=True,
+                            keep_reconstructions=True)
+    recon = AdaptedProcess(filtration, batch.reconstructions[0])
+    residual = AdaptedProcess(y.filtration, y.values - recon.values)
+    integrands = dict(zip(names, batch.integrands[:, 0]))
+    sup = float(batch.residual_sup[0])
+    return RepresentationSolution(kind, integrands, recon, residual, sup, checks or {})
+
+
+def wrp_regressors(mu: MarkedMeasure, nu: MarkedMeasure) -> list[np.ndarray]:
+    """Increments of the compensated jump measure, one matrix per mark."""
+    return [mu.indicator_increments(mark) - nu.indicator_increments(mark) for mark in MARKS]
+
+
+def triple_regressors(z1, z2, z3, stop_at: StoppingTime | None = None) -> list[np.ndarray]:
+    """Increments of the three compensated jump parts, Z1 stopped at ``stop_at`` if given."""
+    first = z1 if stop_at is None else stop_process(z1, stop_at)
+    return [first.increments(), z2.increments(), z3.increments()]
 
 
 def solve_prp(
@@ -125,15 +200,8 @@ def solve_prp(
     Exactly solvable when every node branches two ways (a single counting
     source); the residual is the certificate either way.
     """
-    filtration = filtration or y.filtration
-    _require_martingale(y, "target")
     _require_martingale(m, "reference martingale")
-    (k,) = _nodewise_solve(y, [m.increments()], filtration)
-    k_proc = AdaptedProcess(filtration, k)
-    recon = AdaptedProcess(
-        filtration, y.initial[:, None] + stochastic_integral(k_proc, m).values
-    )
-    return _finish("prp", {"K": k}, y, recon)
+    return _solve_one("prp", ("K",), y, [m.increments()], filtration or y.filtration)
 
 
 def solve_wrp(
@@ -143,16 +211,8 @@ def solve_wrp(
     filtration = filtration or mu.filtration
     if y.filtration.partitions != filtration.partitions:
         raise FiltrationMismatch("target is not carried by the measure's filtration")
-    _require_martingale(y, "target")
-    deltas = [
-        mu.indicator_increments(mark) - nu.indicator_increments(mark) for mark in MARKS
-    ]
-    ks = _nodewise_solve(y, deltas, filtration)
-    w = PredictableFunction(filtration, np.stack(ks))
-    recon_vals = y.initial[:, None] + integrate(w, mu).values - integrate(w, nu).values
-    recon = AdaptedProcess(filtration, recon_vals)
-    integrands = {f"W{mark.value}": k for mark, k in zip(MARKS, ks)}
-    return _finish("wrp", integrands, y, recon)
+    names = [f"W{mark.value}" for mark in MARKS]
+    return _solve_one("wrp", names, y, wrp_regressors(mu, nu), filtration)
 
 
 def solve_triple(
@@ -168,38 +228,18 @@ def solve_triple(
     (Z1 stopped, Z2, Z3); past the stop every increment vanishes so the
     solve restricts itself to the pre-stop nodes.
     """
-    filtration = y.filtration
-    _require_martingale(y, "target")
-    if stop_at is not None:
-        target = stop_process(y, stop_at)
-        regs = [stop_process(z1, stop_at), z2, z3]
-        kind = "triple_stopped"
-    else:
-        target = y
-        regs = [z1, z2, z3]
-        kind = "triple"
-    ks = _nodewise_solve(target, [r.increments() for r in regs], filtration)
-    recon_vals = np.repeat(target.initial[:, None], target.horizon + 1, axis=1)
-    for k, r in zip(ks, regs):
-        recon_vals = recon_vals + stochastic_integral(AdaptedProcess(filtration, k), r).values
-    recon = AdaptedProcess(filtration, recon_vals)
-    integrands = {f"K{i + 1}": k for i, k in enumerate(ks)}
-    return _finish(kind, integrands, target, recon)
+    regs = triple_regressors(z1, z2, z3, stop_at)
+    if stop_at is None:
+        return _solve_one("triple", ("K1", "K2", "K3"), y, regs, y.filtration)
+    return _solve_one("triple_stopped", ("K1", "K2", "K3"), stop_process(y, stop_at), regs, y.filtration)
 
 
 def solve_in_basis(
     y: AdaptedProcess, martingales: Sequence[AdaptedProcess], kind: str = "basis"
 ) -> RepresentationSolution:
     """Represent Y against an arbitrary martingale family."""
-    filtration = y.filtration
-    _require_martingale(y, "target")
-    ks = _nodewise_solve(y, [m.increments() for m in martingales], filtration)
-    recon_vals = np.repeat(y.initial[:, None], y.horizon + 1, axis=1)
-    for k, m in zip(ks, martingales):
-        recon_vals = recon_vals + stochastic_integral(AdaptedProcess(filtration, k), m).values
-    recon = AdaptedProcess(filtration, recon_vals)
-    integrands = {f"K{i + 1}": k for i, k in enumerate(ks)}
-    return _finish(kind, integrands, y, recon)
+    names = [f"K{i + 1}" for i in range(len(martingales))]
+    return _solve_one(kind, names, y, [m.increments() for m in martingales], y.filtration)
 
 
 def verify_independence(bundle: EnlargementBundle, tol: float = 1e-9) -> None:
@@ -218,23 +258,21 @@ def verify_independence(bundle: EnlargementBundle, tol: float = 1e-9) -> None:
                     )
 
 
-def independent_decomposition(
-    y: AdaptedProcess, bundle: EnlargementBundle, tol: float = 1e-9
-) -> RepresentationSolution:
-    """Orthogonal representation against (compensated X, compensated H, their bracket).
+def independent_batch(
+    targets, bundle: EnlargementBundle, tol: float = 1e-9, keep_reconstructions: bool = False
+) -> tuple[BatchSolution, dict]:
+    """Orthogonal representation of stacked targets against (compensated X, compensated H, bracket).
 
     Requires the two component filtrations to be independent (verified by the
-    product rule).  The checks record the orthogonality of the basis, the
-    change-of-basis identities against the three compensated jump parts, the
-    bracket-compensator factorisation, and the Pythagoras identity of the
-    squared terminal norms.
+    product rule); ``targets`` are (k, n, T+1) value matrices on ``bundle.g``.
+    Returns the batch, integrands kept, and its checks: the orthogonality of
+    the basis, the change-of-basis identities against the three compensated
+    jump parts and the bracket-compensator factorisation (one value each, as
+    the basis does not depend on the target), and the Pythagoras identity of
+    the squared terminal norms (one value per target).
     """
     verify_independence(bundle, tol)
-    _require_martingale(y, "target")
     filtration = bundle.g
-    if y.filtration.partitions != filtration.partitions:
-        raise FiltrationMismatch("target is not carried by the enlarged filtration")
-
     x_pair = compensator(bundle.X)
     h_pair = compensator(bundle.H)
     xbar = x_pair.martingale_part
@@ -243,14 +281,14 @@ def independent_decomposition(
     _require_martingale(cross, "bracket of the compensated pair")
 
     basis = [xbar, hbar, cross]
-    ks = _nodewise_solve(y, [b.increments() for b in basis], filtration)
-    recon_vals = np.repeat(y.initial[:, None], y.horizon + 1, axis=1)
-    parts = []
-    for k, b in zip(ks, basis):
-        part = stochastic_integral(AdaptedProcess(filtration, k), b)
-        parts.append(part)
-        recon_vals = recon_vals + part.values
-    recon = AdaptedProcess(filtration, recon_vals)
+    deltas = [b.increments() for b in basis]
+    batch = solve_batch(
+        targets,
+        deltas,
+        filtration,
+        keep_integrands=True,
+        keep_reconstructions=keep_reconstructions,
+    )
 
     pos = bundle.space.positive
 
@@ -285,54 +323,44 @@ def independent_decomposition(
     )
 
     # Pythagoras: squared terminal norm splits across the orthogonal parts
+    values = np.asarray(targets, dtype=float)
     probs = bundle.space.probs
-    total = float(probs @ (y.terminal - y.initial) ** 2)
-    split = sum(float(probs @ p.terminal**2) for p in parts)
-    pythagoras_gap = abs(total - split)
+    total = (values[..., -1] - values[..., 0]) ** 2 @ probs
+    split = sum(
+        np.cumsum(k * d, axis=-1)[..., -1] ** 2 @ probs for k, d in zip(batch.integrands, deltas)
+    )
 
     checks = {
         "basis_orthogonality_gap": orth_gap,
         "basis_identity_gap": basis_identity_gap,
         "bracket_factorisation_gap": factor_gap,
-        "pythagoras_gap": pythagoras_gap,
+        "pythagoras_gap": np.abs(total - split),
     }
-    integrands = {f"K{i + 1}": k for i, k in enumerate(ks)}
-    residual = AdaptedProcess(filtration, y.values - recon.values)
-    return RepresentationSolution(
-        kind="independent",
-        integrands=integrands,
-        reconstruction=recon,
-        residual=residual,
-        residual_sup=residual.sup_abs(),
-        checks=checks,
-    )
+    return batch, checks
+
+
+def independent_decomposition(
+    y: AdaptedProcess, bundle: EnlargementBundle, tol: float = 1e-9
+) -> RepresentationSolution:
+    """One target through :func:`independent_batch`; its checks hold plain floats."""
+    if y.filtration.partitions != bundle.g.partitions:
+        raise FiltrationMismatch("target is not carried by the enlarged filtration")
+    batch, checks = independent_batch(y.values[None], bundle, tol, keep_reconstructions=True)
+    checks["pythagoras_gap"] = float(checks["pythagoras_gap"][0])
+    return _solve_one("independent", ("K1", "K2", "K3"), y, None, bundle.g, batch=batch, checks=checks)
 
 
 def _positive_children(filtration: Filtration, t: int, atoms: np.ndarray):
     """Positive-probability child blocks of one node, as atom arrays."""
-    child_of = filtration.at(t).block_of
-    probs = filtration.space.probs
-    children = {}
-    for a in atoms:
-        children.setdefault(int(child_of[a]), []).append(int(a))
-    out = []
-    for _, members in sorted(children.items()):
-        arr = np.array(members, dtype=np.int64)
-        if float(probs[arr].sum()) > 0.0:
-            out.append(arr)
-    return out
+    child_of = filtration.at(t).block_of[atoms]
+    children = (atoms[child_of == c] for c in np.unique(child_of))
+    return [c for c in children if float(filtration.space.probs[c].sum()) > 0.0]
 
 
 def multiplicity(filtration: Filtration) -> int:
     """Spanning number of the tree: max positive-probability branching minus one."""
-    best = 0
-    probs = filtration.space.probs
-    for t in range(1, filtration.horizon + 1):
-        for atoms in filtration.at(t - 1).block_arrays:
-            if float(probs[atoms].sum()) <= 0.0:
-                continue
-            best = max(best, len(_positive_children(filtration, t, atoms)) - 1)
-    return best
+    branching = (len(_positive_children(filtration, t, atoms)) for t, _, atoms in _nodes(filtration))
+    return max(branching, default=1) - 1
 
 
 def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProcess]:
@@ -349,15 +377,11 @@ def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProce
     n = filtration.space.n_atoms
     width = filtration.horizon + 1
     incs = [np.zeros((n, width)) for _ in range(m)]
-    for t in range(1, width):
-        for atoms in filtration.at(t - 1).block_arrays:
-            mass = float(probs[atoms].sum())
-            if mass <= 0.0:
-                continue
-            children = _positive_children(filtration, t, atoms)
-            k = len(children)
-            if k <= 1:
-                continue
+    for t, _, atoms in _nodes(filtration):
+        mass = float(probs[atoms].sum())
+        children = _positive_children(filtration, t, atoms)
+        k = len(children)
+        if k > 1:
             weights = np.array([float(probs[c].sum()) / mass for c in children])
             vectors = []
             for j in range(k - 1):

@@ -32,6 +32,7 @@ from .finite_space import (
     build_space,
     is_adapted,
     is_predictable,
+    stop_values,
 )
 from .jump_measure import (
     MARKS,
@@ -64,14 +65,18 @@ from .random_time import (
     supermartingale_gap,
 )
 from .representation import (
+    independent_batch,
     independent_decomposition,
     martingale_closure,
+    martingale_closures,
     multiplicity,
     orthogonal_spanning_martingales,
-    solve_in_basis,
+    solve_batch,
     solve_prp,
     solve_triple,
     solve_wrp,
+    triple_regressors,
+    wrp_regressors,
 )
 
 
@@ -156,6 +161,13 @@ def _check(name: str, anchor: str, ok: bool, **evidence) -> CheckResult:
     return CheckResult(name=name, anchor=anchor, outcome="holds" if ok else "fails", evidence=ev)
 
 
+def _random_closures(rng: np.random.Generator, filtration, count: int) -> np.ndarray:
+    """``count`` random closure targets, all drawn before any is solved."""
+    n = filtration.space.n_atoms
+    xis = np.array([fixtures.random_closure_variable(rng, n) for _ in range(count)])
+    return martingale_closures(xis, filtration)
+
+
 def _rep_fixtures(ctx: SuiteContext) -> list:
     out = [fixtures.space_a(), fixtures.fixture_a2(), fixtures.staggered()]
     if ctx.bundle is not None and ctx.bundle.name not in {b.name for b in out}:
@@ -163,10 +175,36 @@ def _rep_fixtures(ctx: SuiteContext) -> list:
     return out
 
 
+@dataclass(frozen=True)
+class SuiteSpec:
+    name: str
+    engine: str
+    anchor: str
+    description: str
+    fn: object
+
+
+REGISTRY: dict[str, SuiteSpec] = {}
+
+
+def _suite(name: str, engine: str, anchor: str, description: str):
+    """Register the decorated function as the suite ``name``."""
+
+    def register(fn):
+        REGISTRY[name] = SuiteSpec(name=name, engine=engine, anchor=anchor, description=description, fn=fn)
+        return fn
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # exact-engine suites
 
 
+@_suite(
+    "prp_base_filtration", "exact", "Lemma 3.1(ii)",
+    "single-source representation in the initially enlarged base filtration",
+)
 def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Lemma 3.1(ii)"
     checks = []
@@ -185,12 +223,11 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     rng = ctx.rng("prp")
-    worst = 0.0
+    xis = []
     for _ in range(25):
         coef = rng.normal(size=3)
-        xi = coef[0] * b.X.terminal**2 + coef[1] * b.X.terminal + coef[2]
-        sol = solve_prp(martingale_closure(xi, b.f), m, b.f)
-        worst = max(worst, sol.residual_sup)
+        xis.append(coef[0] * b.X.terminal**2 + coef[1] * b.X.terminal + coef[2])
+    worst = float(solve_batch(martingale_closures(xis, b.f), [m.increments()], b.f).residual_sup.max())
     checks.append(_check("single_source_solvable", anchor, worst <= ctx.tol.exact, worst_residual=worst))
 
     # initial sigma-field carrying the first jump time keeps the tree binary
@@ -205,10 +242,8 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     fjt = first_jump_time(PointProcess(base, x_vals)).values.astype(float)
     f = initial_enlargement(base, sigma_algebra_of(space, fjt))
     m3 = compensator(PointProcess(f, x_vals)).martingale_part
-    worst = 0.0
-    for _ in range(25):
-        sol = solve_prp(martingale_closure(rng.normal(size=8), f), m3, f)
-        worst = max(worst, sol.residual_sup)
+    ys = martingale_closures([rng.normal(size=8) for _ in range(25)], f)
+    worst = float(solve_batch(ys, [m3.increments()], f).residual_sup.max())
     checks.append(
         _check("initially_enlarged_still_solvable", anchor, worst <= ctx.tol.exact, worst_residual=worst)
     )
@@ -227,6 +262,10 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+@_suite(
+    "three_point_processes", "exact", "Prop 3.2",
+    "the pair splits into three counting processes with disjoint jumps",
+)
 def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Prop 3.2"
     checks = []
@@ -262,6 +301,10 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+@_suite(
+    "jump_measure_compensator", "exact", "Thm 3.3; Eqs. (ju.mea.spp), (ju.mea.spp.com), (int1)-(int3)",
+    "jump measure, its predictable compensator, and the mark-split integrals",
+)
 def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Thm 3.3; Eqs. (ju.mea.spp), (ju.mea.spp.com), (int1)-(int3)"
     checks = []
@@ -340,6 +383,10 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+@_suite(
+    "filtration_identities", "exact", "Lemma 3.4; Prop 2.1; Eq. (def.Gtil)",
+    "enlargement equals the initial join with the joint natural filtration",
+)
 def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Lemma 3.4; Prop 2.1; Eq. (def.Gtil)"
     checks = []
@@ -383,6 +430,10 @@ def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+@_suite(
+    "wrp_representation", "exact", "Thm 3.5(i), Eq. (wrp)",
+    "every martingale is an integral against the compensated jump measure",
+)
 def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Thm 3.5(i), Eq. (wrp)"
     checks = []
@@ -392,11 +443,9 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     for b in _rep_fixtures(ctx):
         mu = jump_measure(b.X, b.H)
         nu = compensator_measure(mu)
-        for _ in range(100):
-            y = martingale_closure(fixtures.random_closure_variable(rng, b.space.n_atoms), b.g)
-            sol = solve_wrp(y, mu, nu)
-            worst = max(worst, sol.residual_sup)
-            count += 1
+        sol = solve_batch(_random_closures(rng, b.g, 100), wrp_regressors(mu, nu), b.g)
+        worst = max(worst, float(sol.residual_sup.max()))
+        count += sol.residual_sup.size
     checks.append(
         _check("every_martingale_represented", anchor, worst <= ctx.tol.exact, worst_residual=worst, solves=count)
     )
@@ -424,6 +473,10 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+@_suite(
+    "triple_representation", "exact", "Thm 3.5(ii), Eq. (prp.spp); Eq. (rep.stopped)",
+    "three-integrand representation, equivalent to the measure form, incl. stopped targets",
+)
 def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Thm 3.5(ii), Eq. (prp.spp); Eq. (rep.stopped)"
     checks = []
@@ -433,19 +486,15 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     for b in _rep_fixtures(ctx):
         mu = jump_measure(b.X, b.H)
         nu = compensator_measure(mu)
-        z1, z2, z3 = fundamental_martingales(b.X, b.H)
-        for i in range(100):
-            y = martingale_closure(fixtures.random_closure_variable(rng, b.space.n_atoms), b.g)
-            sol = solve_triple(y, z1, z2, z3)
-            worst = max(worst, sol.residual_sup)
-            if i < 20:
-                other = solve_wrp(y, mu, nu)
-                equiv = max(
-                    equiv,
-                    AdaptedProcess(
-                        b.g, sol.reconstruction.values - other.reconstruction.values
-                    ).sup_abs(),
-                )
+        regs = triple_regressors(*fundamental_martingales(b.X, b.H))
+        ys = _random_closures(rng, b.g, 100)
+        # the first 20 are also solved in the measure form, and only their reconstructions kept
+        head = solve_batch(ys[:20], regs, b.g, keep_reconstructions=True)
+        rest = solve_batch(ys[20:], regs, b.g)
+        other = solve_batch(ys[:20], wrp_regressors(mu, nu), b.g, keep_reconstructions=True)
+        worst = max(worst, float(head.residual_sup.max()), float(rest.residual_sup.max()))
+        gap = head.reconstructions - other.reconstructions
+        equiv = max(equiv, float(np.abs(gap[:, b.space.positive]).max()))
     checks.append(_check("triple_integrals_represent", anchor, worst <= ctx.tol.exact, worst_residual=worst))
     checks.append(
         _check("triple_matches_measure_form", anchor, equiv <= ctx.tol.atomwise, worst_gap=equiv)
@@ -470,16 +519,18 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     rt_bundles = [fixtures.staggered_random_time(), fixtures.trinomial_random_time()]
     rt_bundles += [fixtures.random_random_time_bundle(rng) for _ in range(5)]
     for rb in rt_bundles:
-        z1, z2, z3 = fundamental_martingales(rb.X, rb.H)
         st = stopping_time(rb)
-        for _ in range(20):
-            y = martingale_closure(fixtures.random_closure_variable(rng, rb.g.space.n_atoms), rb.g)
-            sol = solve_triple(y, z1, z2, z3, stop_at=st)
-            worst = max(worst, sol.residual_sup)
+        regs = triple_regressors(*fundamental_martingales(rb.X, rb.H), stop_at=st)
+        sol = solve_batch(stop_values(_random_closures(rng, rb.g, 20), st), regs, rb.g)
+        worst = max(worst, float(sol.residual_sup.max()))
     checks.append(_check("stopped_representation", anchor, worst <= ctx.tol.exact, worst_residual=worst))
     return checks
 
 
+@_suite(
+    "completeness_random_spaces", "exact", "Corollary (stable subspaces) (i)",
+    "zero residuals for random targets across seeded random spaces",
+)
 def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Corollary (stable subspaces) (i)"
     rng = ctx.rng("completeness")
@@ -489,13 +540,13 @@ def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
     bundles += [fixtures.random_bundle(rng, name=f"random_{i}") for i in range(50)]
     for b in bundles:
         mu = jump_measure(b.X, b.H)
-        nu = compensator_measure(mu)
-        z1, z2, z3 = fundamental_martingales(b.X, b.H)
-        for _ in range(100):
-            y = martingale_closure(fixtures.random_closure_variable(rng, b.space.n_atoms), b.g)
-            worst = max(worst, solve_wrp(y, mu, nu).residual_sup)
-            worst = max(worst, solve_triple(y, z1, z2, z3).residual_sup)
-            solves += 2
+        ys = _random_closures(rng, b.g, 100)
+        for regs in (
+            wrp_regressors(mu, compensator_measure(mu)),
+            triple_regressors(*fundamental_martingales(b.X, b.H)),
+        ):
+            worst = max(worst, float(solve_batch(ys, regs, b.g).residual_sup.max()))
+            solves += len(ys)
     return [
         _check(
             "dense_by_zero_residuals",
@@ -508,53 +559,44 @@ def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
     ]
 
 
+@_suite(
+    "independent_enlargement", "exact", "Thm 4.2, Eq. (orth.ind); Eqs. (rep.Z1)-(rep.Z3)",
+    "orthogonal decomposition under independence, with the change-of-basis identities",
+)
 def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Thm 4.2, Eq. (orth.ind); Eqs. (rep.Z1)-(rep.Z3)"
     checks = []
     rng = ctx.rng("independent")
     b = fixtures.space_a()
-    worst = {
-        "residual": 0.0,
-        "orth": 0.0,
-        "identity": 0.0,
-        "factor": 0.0,
-        "pythagoras": 0.0,
-    }
     targets = [b.X.terminal * b.H.terminal] + [
         fixtures.random_closure_variable(rng, b.space.n_atoms) for _ in range(20)
     ]
-    for xi in targets:
-        sol = independent_decomposition(martingale_closure(xi, b.g), b)
-        worst["residual"] = max(worst["residual"], sol.residual_sup)
-        worst["orth"] = max(worst["orth"], sol.checks["basis_orthogonality_gap"])
-        worst["identity"] = max(worst["identity"], sol.checks["basis_identity_gap"])
-        worst["factor"] = max(worst["factor"], sol.checks["bracket_factorisation_gap"])
-        worst["pythagoras"] = max(worst["pythagoras"], sol.checks["pythagoras_gap"])
+    sol, gaps = independent_batch(martingale_closures(targets, b.g), b)
+    residual = float(sol.residual_sup.max())
+    orth = gaps["basis_orthogonality_gap"]
+    identity = gaps["basis_identity_gap"]
+    factor = gaps["bracket_factorisation_gap"]
+    pythagoras = float(gaps["pythagoras_gap"].max())
     checks.append(
         _check(
             "orthogonal_basis_represents",
             anchor,
-            worst["residual"] <= ctx.tol.exact and worst["orth"] <= ctx.tol.atomwise,
-            worst_residual=worst["residual"],
-            worst_orthogonality=worst["orth"],
+            residual <= ctx.tol.exact and orth <= ctx.tol.atomwise,
+            worst_residual=residual,
+            worst_orthogonality=orth,
         )
     )
     checks.append(
         _check(
             "change_of_basis_identities",
             anchor,
-            worst["identity"] <= ctx.tol.atomwise and worst["factor"] <= ctx.tol.exact,
-            worst_identity_gap=worst["identity"],
-            worst_factorisation_gap=worst["factor"],
+            identity <= ctx.tol.atomwise and factor <= ctx.tol.exact,
+            worst_identity_gap=identity,
+            worst_factorisation_gap=factor,
         )
     )
     checks.append(
-        _check(
-            "pythagoras_identity",
-            anchor,
-            worst["pythagoras"] <= ctx.tol.exact,
-            worst_gap=worst["pythagoras"],
-        )
+        _check("pythagoras_identity", anchor, pythagoras <= ctx.tol.exact, worst_gap=pythagoras)
     )
 
     xbar = compensator(b.X).martingale_part
@@ -581,6 +623,10 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+@_suite(
+    "multiplicity_certificates", "exact", "Multiplicity; Remark 4.3; remark after Eq. (rep.stopped)",
+    "spanning numbers with per-node orthogonal certificates",
+)
 def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Multiplicity (Davis-Varaiya); Remark 4.3; remark after Eq. (rep.stopped)"
     checks = []
@@ -600,10 +646,8 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
             drift_ok = drift_ok and bool(is_martingale(mi))
             for mj in spanning[i + 1 :]:
                 orth = max(orth, dual_projection(quadratic_covariation(mi, mj), filt).sup_abs())
-        worst = 0.0
-        for _ in range(20):
-            y = martingale_closure(fixtures.random_closure_variable(rng, filt.space.n_atoms), filt)
-            worst = max(worst, solve_in_basis(y, spanning).residual_sup)
+        ys = _random_closures(rng, filt, 20)
+        worst = float(solve_batch(ys, [m.increments() for m in spanning], filt).residual_sup.max())
         checks.append(
             _check(
                 f"spanning_number_{label}",
@@ -628,6 +672,10 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+@_suite(
+    "azema_compensator", "exact", "Eq. (G.com.gen)",
+    "survival-driven compensator formula cross-validated against the direct one",
+)
 def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Eq. (G.com.gen)"
     checks = []
@@ -687,6 +735,9 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+@_suite(
+    "avoidance_discrete", "exact", "Prop 4.4", "avoidance of jump times and its exact consequences"
+)
 def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Prop 4.4"
     checks = []
@@ -733,6 +784,10 @@ def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+@_suite(
+    "random_time_orthogonality", "exact", "Thm 4.6; Lemma A.1(v); Eq. (rep.stopped)",
+    "pairwise orthogonality vs the no-common-predictable-jump surrogate",
+)
 def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Thm 4.6; Lemma A.1(v); Eq. (rep.stopped)"
     checks = []
@@ -783,6 +838,10 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+@_suite(
+    "orthogonality_toolkit", "exact", "Lemma A.1(i)-(v); Eq. (sbYsZs); Poisson remark",
+    "bracket/compensator toolkit on random pairs, with the self-bracket pattern",
+)
 def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Lemma A.1(i)-(v); Eq. (sbYsZs); Poisson remark"
     checks = []
@@ -846,6 +905,10 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+@_suite(
+    "counterexample_a2", "exact", "Counterexample A.2",
+    "disjoint jumps yet non-orthogonal compensated parts (expected failure)",
+)
 def suite_counterexample_a2(ctx: SuiteContext) -> list[CheckResult]:
     anchor = "Counterexample A.2"
     a2 = fixtures.fixture_a2()
@@ -886,6 +949,10 @@ def _mc_to_checks(reports: list[McReport], anchor: str, expected: str = "holds")
     return out
 
 
+@_suite(
+    "mc_poisson_compensator", "mc", "Poisson remark (compensator lambda*t)",
+    "compensated Poisson count drifts zero against adapted probes",
+)
 def suite_mc_poisson(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc or McParams()
     paths = ctx.paths(None)
@@ -895,6 +962,10 @@ def suite_mc_poisson(ctx: SuiteContext) -> list[CheckResult]:
     return _mc_to_checks(reports, "Poisson remark (compensator lambda*t)")
 
 
+@_suite(
+    "mc_compensator_second_moment", "mc", "Eq. (pb.XsF)",
+    "second moment of the compensated count equals the compensator",
+)
 def suite_mc_second_moment(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc or McParams()
     paths = ctx.paths(None)
@@ -904,6 +975,10 @@ def suite_mc_second_moment(ctx: SuiteContext) -> list[CheckResult]:
     return _mc_to_checks(reports, "Eq. (pb.XsF)")
 
 
+@_suite(
+    "mc_azema_exponential", "mc", "Eq. (G.com.gen)",
+    "closed-form survival compensator for an independent exponential time",
+)
 def suite_mc_azema(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc or McParams()
     spec = RandomTimeSpec("exponential", mc.mu)
@@ -919,6 +994,10 @@ def suite_mc_azema(ctx: SuiteContext) -> list[CheckResult]:
     return _mc_to_checks(reports, "Eq. (G.com.gen)")
 
 
+@_suite(
+    "mc_avoidance", "mc", "Prop 4.4",
+    "exact avoidance fraction and enlarged-drift tests, with a stress rate",
+)
 def suite_mc_avoidance(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc or McParams()
     spec = RandomTimeSpec("exponential", mc.mu)
@@ -949,6 +1028,10 @@ def suite_mc_avoidance(ctx: SuiteContext) -> list[CheckResult]:
     return out
 
 
+@_suite(
+    "mc_predictable_jump", "mc", "Counterexample 4.8; Assumption A2",
+    "announced-window hit rate 1 vs base-window rate about lambda*eps",
+)
 def suite_mc_predictable_jump(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc or McParams()
     out = []
@@ -968,6 +1051,10 @@ def suite_mc_predictable_jump(ctx: SuiteContext) -> list[CheckResult]:
     return out
 
 
+@_suite(
+    "mc_negative_controls", "mc", "negative controls",
+    "engineered failures guarding test power (expected failure)",
+)
 def suite_mc_negative_controls(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc or McParams()
     reports = negative_control_suite(
@@ -985,165 +1072,7 @@ def suite_mc_negative_controls(ctx: SuiteContext) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-
-@dataclass(frozen=True)
-class SuiteSpec:
-    name: str
-    engine: str
-    anchor: str
-    description: str
-    fn: object
-
-
-REGISTRY: dict[str, SuiteSpec] = {}
-
-
-def _register(name: str, engine: str, anchor: str, description: str, fn) -> None:
-    REGISTRY[name] = SuiteSpec(name=name, engine=engine, anchor=anchor, description=description, fn=fn)
-
-
-_register(
-    "prp_base_filtration",
-    "exact",
-    "Lemma 3.1(ii)",
-    "single-source representation in the initially enlarged base filtration",
-    suite_prp_base,
-)
-_register(
-    "three_point_processes",
-    "exact",
-    "Prop 3.2",
-    "the pair splits into three counting processes with disjoint jumps",
-    suite_three_point_processes,
-)
-_register(
-    "jump_measure_compensator",
-    "exact",
-    "Thm 3.3; Eqs. (ju.mea.spp), (ju.mea.spp.com), (int1)-(int3)",
-    "jump measure, its predictable compensator, and the mark-split integrals",
-    suite_jump_measure,
-)
-_register(
-    "filtration_identities",
-    "exact",
-    "Lemma 3.4; Prop 2.1; Eq. (def.Gtil)",
-    "enlargement equals the initial join with the joint natural filtration",
-    suite_filtration_identities,
-)
-_register(
-    "wrp_representation",
-    "exact",
-    "Thm 3.5(i), Eq. (wrp)",
-    "every martingale is an integral against the compensated jump measure",
-    suite_wrp,
-)
-_register(
-    "triple_representation",
-    "exact",
-    "Thm 3.5(ii), Eq. (prp.spp); Eq. (rep.stopped)",
-    "three-integrand representation, equivalent to the measure form, incl. stopped targets",
-    suite_triple,
-)
-_register(
-    "completeness_random_spaces",
-    "exact",
-    "Corollary (stable subspaces) (i)",
-    "zero residuals for random targets across seeded random spaces",
-    suite_completeness,
-)
-_register(
-    "independent_enlargement",
-    "exact",
-    "Thm 4.2, Eq. (orth.ind); Eqs. (rep.Z1)-(rep.Z3)",
-    "orthogonal decomposition under independence, with the change-of-basis identities",
-    suite_independent,
-)
-_register(
-    "multiplicity_certificates",
-    "exact",
-    "Multiplicity; Remark 4.3; remark after Eq. (rep.stopped)",
-    "spanning numbers with per-node orthogonal certificates",
-    suite_multiplicity,
-)
-_register(
-    "azema_compensator",
-    "exact",
-    "Eq. (G.com.gen)",
-    "survival-driven compensator formula cross-validated against the direct one",
-    suite_azema,
-)
-_register(
-    "avoidance_discrete",
-    "exact",
-    "Prop 4.4",
-    "avoidance of jump times and its exact consequences",
-    suite_avoidance_discrete,
-)
-_register(
-    "random_time_orthogonality",
-    "exact",
-    "Thm 4.6; Lemma A.1(v); Eq. (rep.stopped)",
-    "pairwise orthogonality vs the no-common-predictable-jump surrogate",
-    suite_random_time_orth,
-)
-_register(
-    "orthogonality_toolkit",
-    "exact",
-    "Lemma A.1(i)-(v); Eq. (sbYsZs); Poisson remark",
-    "bracket/compensator toolkit on random pairs, with the self-bracket pattern",
-    suite_orthogonality_toolkit,
-)
-_register(
-    "counterexample_a2",
-    "exact",
-    "Counterexample A.2",
-    "disjoint jumps yet non-orthogonal compensated parts (expected failure)",
-    suite_counterexample_a2,
-)
-_register(
-    "mc_poisson_compensator",
-    "mc",
-    "Poisson remark (compensator lambda*t)",
-    "compensated Poisson count drifts zero against adapted probes",
-    suite_mc_poisson,
-)
-_register(
-    "mc_compensator_second_moment",
-    "mc",
-    "Eq. (pb.XsF)",
-    "second moment of the compensated count equals the compensator",
-    suite_mc_second_moment,
-)
-_register(
-    "mc_azema_exponential",
-    "mc",
-    "Eq. (G.com.gen)",
-    "closed-form survival compensator for an independent exponential time",
-    suite_mc_azema,
-)
-_register(
-    "mc_avoidance",
-    "mc",
-    "Prop 4.4",
-    "exact avoidance fraction and enlarged-drift tests, with a stress rate",
-    suite_mc_avoidance,
-)
-_register(
-    "mc_predictable_jump",
-    "mc",
-    "Counterexample 4.8; Assumption A2",
-    "announced-window hit rate 1 vs base-window rate about lambda*eps",
-    suite_mc_predictable_jump,
-)
-_register(
-    "mc_negative_controls",
-    "mc",
-    "negative controls",
-    "engineered failures guarding test power (expected failure)",
-    suite_mc_negative_controls,
-)
+# registry lookups
 
 
 def get_suite(name: str) -> SuiteSpec:

@@ -56,6 +56,46 @@ def oracle_max_drift(probs, partitions, values):
     return worst
 
 
+def oracle_block_violation(column, blocks):
+    """First block on which the column is not constant, by a loop over blocks."""
+    for i, block in enumerate(blocks):
+        col = np.asarray(column)[list(block)]
+        if np.any(col != col[0]):
+            return i
+    return None
+
+
+def oracle_nodewise_lstsq(targets, regressors, filtration, cutoff):
+    """Integrands (r, k, n, T+1) by one single-right-hand-side lstsq per node per target."""
+    probs = filtration.space.probs
+    out = np.zeros((len(regressors), len(targets)) + np.shape(targets[0]))
+    for j, y in enumerate(targets):
+        dy = np.zeros_like(y)
+        dy[:, 1:] = np.diff(y, axis=1)
+        for t in range(1, filtration.horizon + 1):
+            for atoms in filtration.at(t - 1).block_arrays:
+                w = probs[atoms]
+                if w.sum() <= 0.0:
+                    continue
+                sw = np.sqrt(w)
+                design = np.stack([d[atoms, t] for d in regressors], axis=1) * sw[:, None]
+                coef, *_ = np.linalg.lstsq(design, dy[atoms, t] * sw, rcond=cutoff)
+                for i, c in enumerate(coef):
+                    out[i, j, atoms, t] = c
+    return out
+
+
+def oracle_residual_sup(y, integrands, regressors, probs):
+    """Largest |Y - Y_0 - sum_i K_i . M_i| over positive atoms, one integral at a time."""
+    recon = np.repeat(y[:, :1], y.shape[1], axis=1)
+    for k, d in zip(integrands, regressors):
+        integral = np.zeros_like(y)
+        for t in range(1, y.shape[1]):
+            integral[:, t] = integral[:, t - 1] + k[:, t] * d[:, t]
+        recon = recon + integral
+    return float(np.abs(y - recon)[probs > 0.0].max())
+
+
 def oracle_counts_at(events, t):
     """Per path: events at or before t, one searchsorted per path."""
     return np.array([e.searchsorted(t, side="right") for e in events], dtype=np.int64)

@@ -14,7 +14,7 @@ from filtration_lab.calculus import (
     quadratic_covariation,
     stochastic_integral,
 )
-from filtration_lab.errors import NotIncreasing, NotMartingale, NotPredictable
+from filtration_lab.errors import NotIncreasing, NotMartingale, NotPointProcess, NotPredictable
 from filtration_lab.finite_space import AdaptedProcess, is_predictable
 
 
@@ -251,6 +251,17 @@ class TestOrthogonalityToolkit:
         )
         assert not rep.is_orthogonal
         assert not bool(is_martingale(rep.bracket_bar))
+
+    def test_inputs_must_be_counting_processes(self, space_a_bundle):
+        b = space_a_bundle
+        half = AdaptedProcess(b.g, 0.5 * b.X.values)
+        with pytest.raises(NotPointProcess):
+            orthogonality_report(half, b.H)
+        with pytest.raises(NotPointProcess):
+            orthogonality_report(b.X, half)
+        # a plain process with counting values is converted, not rejected
+        rep = orthogonality_report(AdaptedProcess(b.g, b.X.values), b.H)
+        assert rep.is_orthogonal and rep.witness is None
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))

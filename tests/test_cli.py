@@ -146,6 +146,40 @@ class TestBadMcInput:
             validate_config(_small_mc_config(mc=[1, 2]))
 
 
+#: (how the seed is given, value): each must exit 2 with one stderr line
+BAD_SEED = [
+    ("config", True),
+    ("config", -1),
+    ("config", 2.0),
+    ("flag", "-3"),
+    ("env", "-3"),
+]
+
+
+class TestBadSeed:
+    @pytest.mark.parametrize("how,value", BAD_SEED, ids=[f"{h}={v!r}" for h, v in BAD_SEED])
+    def test_exit_two_with_one_line(self, tmp_path, capsys, monkeypatch, how, value):
+        cfg = {"engine": "exact", "seed": 7, "suites": ["completeness_random_spaces"]}
+        args = []
+        if how == "config":
+            cfg["seed"] = value
+        elif how == "flag":
+            args = ["--seed", value]
+        else:
+            monkeypatch.setenv("FLAB_SEED", value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "r.json"), *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: invalid config: seed") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_run_config_rejects_a_negative_override(self):
+        with pytest.raises(ConfigInvalid):
+            run_config(_small_mc_config(), seed_override=-3)
+
+
 class TestRunConfig:
     @pytest.mark.parametrize("expected", ["holds", "fails"])
     def test_suite_without_rows_fails(self, monkeypatch, expected):
@@ -234,6 +268,20 @@ class TestCommandLine:
         proc = _flab("run", str(cfg_path), "--out", str(out), env={"FLAB_SEED": "999"})
         assert proc.returncode == 0
         assert json.loads(out.read_text())["config"]["seed"] == 999
+
+    def test_statistic_without_samples_fails_its_row(self, tmp_path, capsys):
+        cfg = json.load(open(CONFIG_DIR / "poisson_qlc.json"))
+        cfg["seed"] = 3
+        cfg["mc"].update({"n_paths": 2, "lambda": 0.2, "t_real": 1.0})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        rows = json.loads((tmp_path / "r.json").read_text())["checks"]
+        (row,) = [r for r in rows if r["name"] == "base_window_hit_rate_eps_0.1"]
+        assert not row["passed"]
+        assert row["evidence"]["n_paths"] == 0 and row["evidence"]["z_score"] == "nan"
 
     def test_suites_and_describe_commands(self):
         proc = _flab("suites")

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
-from conftest import oracle_conditional_expectation
+from conftest import oracle_block_violation, oracle_conditional_expectation
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtration_lab import fixtures
+from filtration_lab.enlargement import build_bundle
 from filtration_lab.errors import (
+    FiltrationMismatch,
     NegativeProbability,
     NotAStoppingTime,
     NotPointProcess,
@@ -17,11 +21,14 @@ from filtration_lab.finite_space import (
     PointProcess,
     StoppingTime,
     build_space,
+    _block_violation,
     conditional_expectation,
     first_jump_time,
     is_adapted,
     is_predictable,
+    predictable_violation,
     stop_process,
+    stop_values,
     zero_probability_blocks,
 )
 
@@ -162,6 +169,60 @@ class TestProcesses:
         assert is_adapted(s) and is_adapted(prod)
         k = AdaptedProcess(b.g, np.tile(np.arange(3.0), (16, 1)))
         assert is_adapted(stochastic_integral(k, b.X))
+
+
+    def test_arithmetic_rejects_a_different_space_of_the_same_size(self, space_a_bundle):
+        b = space_a_bundle
+        probs = np.full(16, 1.0 / 16.0)
+        probs[:2] = [0.5 / 16.0, 1.5 / 16.0]
+        other = build_bundle(build_space(probs), b.X.values, b.H.values)
+        for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
+            with pytest.raises(FiltrationMismatch):
+                op(b.X, other.H)
+        # an equal space built a second time is the same space
+        again = fixtures.space_a()
+        assert np.array_equal((b.X + again.H).values, b.X.values + b.H.values)
+
+
+class TestBlockIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), stack=st.integers(0, 3))
+    def test_violation_matches_the_block_loop(self, seed, stack):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        part = Partition.from_labels(rng.integers(0, 4, n).tolist())
+        # few distinct values, so constant blocks are common; NaN and inf mixed in
+        levels = np.array([0.0, 1.0, -2.5, np.nan, np.inf])
+        shape = (stack, n) if stack else (n,)
+        cols = levels[rng.choice(5, size=shape, p=[0.7, 0.1, 0.1, 0.05, 0.05])]
+        got = _block_violation(cols, part)
+        rows = cols if stack else cols[None]
+        hits = [v for v in (oracle_block_violation(c, part.blocks) for c in rows) if v is not None]
+        assert got == (min(hits) if hits else None)
+
+    def test_first_atom_index(self):
+        part = Partition(((4, 1), (0, 3), (2,)), 5)
+        assert part._first_atom.tolist() == [0, 1, 2, 0, 1]
+
+    def test_nan_breaks_a_singleton_block(self):
+        part = Partition.discrete(3)
+        assert _block_violation(np.array([0.0, np.nan, 1.0]), part) == 1
+
+    def test_predictable_violation_locates_time_and_block(self, space_a_bundle):
+        b = space_a_bundle
+        assert predictable_violation(b.X.values, b.g) == (1, 0)
+        stack = np.zeros((2, 16, 3))
+        assert predictable_violation(stack, b.g) is None
+        stack[1, 5, 2] = 1.0
+        assert predictable_violation(stack, b.g) == (2, b.g.at(1).block_of[5])
+
+    def test_stop_values_stops_every_matrix_of_a_stack(self, space_a_bundle):
+        b = space_a_bundle
+        sigma = first_jump_time(b.X)
+        stack = np.stack([b.X.values, b.H.values, 2.0 * b.X.values])
+        got = stop_values(stack, sigma)
+        for vals, want in zip(got, (b.X, b.H, 2.0 * b.X)):
+            assert np.array_equal(vals, stop_process(want, sigma).values)
 
 
 class TestStoppingTimes:

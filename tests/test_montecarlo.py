@@ -67,6 +67,11 @@ class TestSimulatePoisson:
         assert z_test("mean", counts, 10.0, 4.0).passed
         assert z_test("var", (counts - 10.0) ** 2, 10.0, 4.0).passed
 
+    def test_no_samples_is_a_failing_report(self):
+        r = z_test("empty", np.array([]), 0.5, 4.0)
+        assert (r.n_paths, r.passed, r.kind, r.expected) == (0, False, "z_test", 0.5)
+        assert not math.isfinite(r.z_score)
+
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):
             simulate_poisson(0.0, 10.0, 0)

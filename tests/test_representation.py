@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from conftest import oracle_nodewise_lstsq, oracle_residual_sup
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtration_lab import fixtures
 from filtration_lab.calculus import (
@@ -8,19 +11,26 @@ from filtration_lab.calculus import (
     is_martingale,
     quadratic_covariation,
 )
+from filtration_lab.enlargement import build_bundle
 from filtration_lab.errors import IndependenceViolated, NotMartingale
-from filtration_lab.finite_space import AdaptedProcess, PointProcess
+from filtration_lab.finite_space import AdaptedProcess, PointProcess, build_space
 from filtration_lab.jump_measure import compensator_measure, fundamental_martingales, jump_measure
 from filtration_lab.random_time import stopping_time
 from filtration_lab.representation import (
+    SV_CUTOFF,
+    independent_batch,
     independent_decomposition,
     martingale_closure,
+    martingale_closures,
     multiplicity,
     orthogonal_spanning_martingales,
+    solve_batch,
     solve_in_basis,
     solve_prp,
     solve_triple,
     solve_wrp,
+    triple_regressors,
+    wrp_regressors,
 )
 
 
@@ -216,3 +226,109 @@ class TestMultiplicity:
         for _ in range(15):
             b = fixtures.random_bundle(rng)
             assert multiplicity(b.g) >= multiplicity(b.f)
+
+
+def _bundle_with_null_atoms(rng, b):
+    """The same paths with about a third of the atoms given probability 0."""
+    probs = b.space.probs.copy()
+    probs[rng.random(probs.size) < 0.35] = 0.0
+    if probs.sum() == 0.0:
+        probs[0] = 1.0
+    space = build_space(probs / probs.sum())
+    return build_bundle(space, b.X.values, b.H.values, initial=b.initial, name="null_atoms")
+
+
+def _regressor_family(kind, b):
+    mu = jump_measure(b.X, b.H)
+    wrp = wrp_regressors(mu, compensator_measure(mu))
+    if kind == "wrp":
+        return wrp
+    if kind == "triple":
+        return triple_regressors(*fundamental_martingales(b.X, b.H))
+    # a repeated and a zero regressor make every node rank-deficient
+    return wrp + [wrp[0], np.zeros_like(wrp[0])]
+
+
+class TestBatchedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        k=st.sampled_from([1, 2, 100]),
+        null_atoms=st.booleans(),
+        kind=st.sampled_from(["wrp", "triple", "rank_deficient"]),
+    )
+    def test_matches_per_target_lstsq(self, seed, k, null_atoms, kind):
+        rng = np.random.default_rng(seed)
+        b = fixtures.random_bundle(rng)
+        if null_atoms:
+            b = _bundle_with_null_atoms(rng, b)
+        regs = _regressor_family(kind, b)
+        ys = martingale_closures(rng.normal(size=(k, b.space.n_atoms)), b.g)
+        batch = solve_batch(ys, regs, b.g, keep_integrands=True, keep_reconstructions=True)
+        oracle = oracle_nodewise_lstsq(list(ys), regs, b.g, SV_CUTOFF)
+        assert batch.integrands.shape == oracle.shape == (len(regs), k) + ys.shape[1:]
+        assert np.abs(batch.integrands - oracle).max() <= 1e-12
+        probs = b.space.probs
+        for i, y in enumerate(ys):
+            want = oracle_residual_sup(y, oracle[:, i], regs, probs)
+            assert abs(batch.residual_sup[i] - want) <= 1e-12
+            assert batch.residual_sup[i] == np.abs(y - batch.reconstructions[i])[probs > 0.0].max()
+
+    def test_cutoff_is_relative_to_the_largest_singular_value(self, space_a_bundle):
+        # a regressor scaled by 1e-6 still spans its direction; one scaled by
+        # 1e-14 falls under the 1e-12 cutoff and gets integrand 0
+        b = space_a_bundle
+        z1, z2, z3 = triple_regressors(*fundamental_martingales(b.X, b.H))
+        ys = martingale_closures(np.random.default_rng(52).normal(size=(3, 16)), b.g)
+        kept = solve_batch(ys, [z1, 1e-6 * z2, z3], b.g)
+        assert kept.residual_sup.max() <= 1e-9
+        cut = solve_batch(ys, [z1, 1e-14 * z2, z3], b.g, keep_integrands=True)
+        assert cut.residual_sup.min() > 1e-3
+        assert np.abs(cut.integrands[1]).max() <= 1e-9
+
+    def test_single_target_wrappers_match_the_batch(self):
+        rng = np.random.default_rng(48)
+        b = fixtures.random_bundle(rng)
+        mu = jump_measure(b.X, b.H)
+        nu = compensator_measure(mu)
+        ys = martingale_closures(rng.normal(size=(5, b.space.n_atoms)), b.g)
+        batch = solve_batch(ys, wrp_regressors(mu, nu), b.g, keep_integrands=True)
+        for i, y in enumerate(ys):
+            sol = solve_wrp(AdaptedProcess(b.g, y), mu, nu)
+            got = np.stack(list(sol.integrands.values()))
+            assert np.abs(got - batch.integrands[:, i]).max() <= 1e-12
+            assert abs(sol.residual_sup - batch.residual_sup[i]) <= 1e-12
+
+    def test_drift_failure_names_the_first_drifting_target(self, space_a_bundle):
+        b = space_a_bundle
+        ys = martingale_closures(np.random.default_rng(49).normal(size=(4, 16)), b.g)
+        ys[2] += b.X.values
+        ys[3] += b.X.values
+        regs = triple_regressors(*fundamental_martingales(b.X, b.H))
+        with pytest.raises(NotMartingale, match=r"^target 2 has nonzero drift at \(1, 0, "):
+            solve_batch(ys, regs, b.g)
+
+    def test_zero_regressors_leave_the_whole_increment(self, space_a_bundle):
+        b = space_a_bundle
+        y = martingale_closure(b.X.terminal, b.g)
+        sol = solve_in_basis(y, [])
+        assert sol.integrands == {}
+        assert sol.residual_sup == np.abs(y.values - y.initial[:, None]).max()
+
+    def test_closures_match_one_at_a_time(self, space_a_bundle):
+        b = space_a_bundle
+        xis = np.random.default_rng(50).normal(size=(6, 16))
+        stacked = martingale_closures(xis, b.g)
+        for xi, vals in zip(xis, stacked):
+            assert np.abs(martingale_closure(xi, b.g).values - vals).max() <= 1e-15
+
+    def test_independent_batch_matches_single_solves(self, space_a_bundle):
+        b = space_a_bundle
+        ys = martingale_closures(np.random.default_rng(51).normal(size=(6, 16)), b.g)
+        batch, checks = independent_batch(ys, b)
+        for i, y in enumerate(ys):
+            sol = independent_decomposition(AdaptedProcess(b.g, y), b)
+            assert abs(sol.residual_sup - batch.residual_sup[i]) <= 1e-12
+            assert abs(sol.checks["pythagoras_gap"] - checks["pythagoras_gap"][i]) <= 1e-12
+            for key in ("basis_orthogonality_gap", "basis_identity_gap", "bracket_factorisation_gap"):
+                assert sol.checks[key] == checks[key]
