@@ -78,10 +78,8 @@ from .random_time import (
     orthogonality_suite,
 )
 from .montecarlo import (
-    ContinuousPath,
     McReport,
     RandomTimeSpec,
-    mc_martingale_test,
     sample_random_time,
     simulate_poisson,
 )

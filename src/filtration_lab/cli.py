@@ -18,9 +18,17 @@ import os
 import sys
 
 from . import __version__
-from .errors import ConfigInvalid, UnknownSuite
+from .enlargement import build_bundle
+from .errors import ConfigInvalid, FiltrationLabError, UnknownSuite
 from .fixtures import bundle_by_name
-from .serialize import BUNDLE_SCHEMA, CONFIG_SCHEMA, REPORT_SCHEMA, SPACE_SCHEMA, bundle_from_doc
+from .serialize import (
+    BUNDLE_SCHEMA,
+    CONFIG_SCHEMA,
+    REPORT_SCHEMA,
+    SPACE_SCHEMA,
+    bundle_from_doc,
+    space_from_doc,
+)
 from .suites import (
     CheckResult,
     McParams,
@@ -32,6 +40,7 @@ from .suites import (
     list_suites,
 )
 
+_CONFIG_KEYS = {"schema", "engine", "fixture", "seed", "suites", "mc", "tolerances"}
 _EXACT_ONLY_KEYS = {"fixture"}
 _MC_ONLY_KEYS = {"mc"}
 
@@ -56,6 +65,9 @@ def _normalise_suites(raw) -> list[dict]:
 def validate_config(config: dict, parallel: int = 1) -> list[dict]:
     if not isinstance(config, dict):
         raise ConfigInvalid("config must be a JSON object")
+    extra = set(config) - _CONFIG_KEYS
+    if extra:
+        raise ConfigInvalid(f"unknown config keys: {sorted(extra)}")
     if "schema" in config and config["schema"] != CONFIG_SCHEMA:
         raise ConfigInvalid(f"unsupported config schema {config['schema']!r}")
     engine = config.get("engine")
@@ -82,6 +94,7 @@ def validate_config(config: dict, parallel: int = 1) -> list[dict]:
         if bad:
             raise ConfigInvalid(f"mc-engine config rejects exact-only keys: {sorted(bad)}")
         _mc_params(config)
+    _tolerances(config)
     _seed(config.get("seed", 0), "seed")
     return entries
 
@@ -94,25 +107,25 @@ def _seed(value, what: str) -> int:
 
 
 def _resolve_bundle(config: dict):
+    """The exact engine's fixture; any error while building it makes the config invalid."""
     fixture = config.get("fixture", "space_a")
-    if isinstance(fixture, str):
-        try:
+    try:
+        if isinstance(fixture, str):
             return bundle_by_name(fixture)
-        except KeyError as exc:
-            raise ConfigInvalid(str(exc)) from exc
-    if isinstance(fixture, dict):
-        schema = fixture.get("schema")
-        if schema == BUNDLE_SCHEMA:
-            return bundle_from_doc(fixture)
-        if schema == SPACE_SCHEMA:
-            from .enlargement import build_bundle
-            from .serialize import space_from_doc
-
-            space, _, processes = space_from_doc(fixture)
-            if "X" not in processes or "H" not in processes:
-                raise ConfigInvalid("inline space fixture needs processes X and H")
-            return build_bundle(space, processes["X"], processes["H"], name="inline")
-        raise ConfigInvalid(f"inline fixture schema must be {BUNDLE_SCHEMA} or {SPACE_SCHEMA}")
+        if isinstance(fixture, dict):
+            schema = fixture.get("schema")
+            if schema == BUNDLE_SCHEMA:
+                return bundle_from_doc(fixture)
+            if schema == SPACE_SCHEMA:
+                space, _, processes = space_from_doc(fixture)
+                if "X" not in processes or "H" not in processes:
+                    raise ConfigInvalid("inline space fixture needs processes X and H")
+                return build_bundle(space, processes["X"], processes["H"], name="inline")
+            raise ConfigInvalid(f"inline fixture schema must be {BUNDLE_SCHEMA} or {SPACE_SCHEMA}")
+    except ConfigInvalid:
+        raise
+    except (FiltrationLabError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigInvalid(f"fixture: {type(exc).__name__}: {exc}") from exc
     raise ConfigInvalid("fixture must be a name or an inline document")
 
 
@@ -128,14 +141,24 @@ def _positive_number(value, what: str) -> float:
     raise ConfigInvalid(f"{what} must be a finite number > 0, got {value!r}")
 
 
-def _mc_params(config: dict) -> McParams:
-    raw = config.get("mc", {})
+def _closed_object(config: dict, key: str, known: set) -> dict:
+    """``config[key]`` (default empty): an object with no keys outside ``known``."""
+    raw = config.get(key, {})
     if not isinstance(raw, dict):
-        raise ConfigInvalid("mc must be an object")
-    known = {"lambda", "mu", "t_real", "n_paths", "z_max", "epsilons"}
+        raise ConfigInvalid(f"{key} must be an object")
     extra = set(raw) - known
     if extra:
-        raise ConfigInvalid(f"unknown mc keys: {sorted(extra)}")
+        raise ConfigInvalid(f"unknown {key} keys: {sorted(extra)}")
+    return raw
+
+
+def _tolerances(config: dict) -> Tolerances:
+    raw = _closed_object(config, "tolerances", {"exact", "atomwise"})
+    return Tolerances(**{k: _positive_number(v, f"tolerances.{k}") for k, v in raw.items()})
+
+
+def _mc_params(config: dict) -> McParams:
+    raw = _closed_object(config, "mc", {"lambda", "mu", "t_real", "n_paths", "z_max", "epsilons"})
     n_paths = raw.get("n_paths", 100000)
     if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 1:
         raise ConfigInvalid(f"mc.n_paths must be an integer >= 1, got {n_paths!r}")
@@ -164,15 +187,10 @@ def run_config(config: dict, parallel: int = 1, seed_override: int | None = None
     else:
         seed = _seed(seed_override, "seed override (--seed or FLAB_SEED)")
 
-    tol_raw = config.get("tolerances", {})
-    tol = Tolerances(
-        exact=float(tol_raw.get("exact", 1e-9)),
-        atomwise=float(tol_raw.get("atomwise", 1e-12)),
-    )
     ctx = SuiteContext(
         seed=int(seed),
         bundle=_resolve_bundle(config) if engine == "exact" else None,
-        tol=tol,
+        tol=_tolerances(config),
         mc=_mc_params(config) if engine == "mc" else None,
     )
 
@@ -182,13 +200,13 @@ def run_config(config: dict, parallel: int = 1, seed_override: int | None = None
         # polarity-sensitive suites read this and mark their own rows
         ctx.expected_outcome = entry["expected_outcome"]
         # a suite that checks nothing fails, whatever its declared polarity
-        results = spec.fn(ctx) or [CheckResult("no_rows", spec.anchor, "fails", {"rows": 0})]
+        results = spec.fn(ctx) or [CheckResult("no_rows", "fails", {"rows": 0})]
         for result in results:
             checks.append(
                 {
                     "suite": spec.name,
                     "name": result.name,
-                    "anchor": result.anchor,
+                    "anchor": spec.anchor,
                     "outcome": result.outcome,
                     "expected": result.expected,
                     "passed": result.passed,

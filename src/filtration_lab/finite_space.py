@@ -189,9 +189,6 @@ class Filtration:
     def at(self, t: int) -> Partition:
         return self.partitions[t]
 
-    def same_information(self, other: "Filtration") -> bool:
-        return self.partitions == other.partitions
-
 
 def conditional_expectation(
     space: FiniteProbabilitySpace, values, partition: Partition
@@ -331,15 +328,6 @@ class PointProcess(AdaptedProcess):
 
 def as_point_process(p: AdaptedProcess) -> PointProcess:
     return PointProcess(p.filtration, p.values)
-
-
-def point_process_from_increments(filtration: Filtration, jumps) -> PointProcess:
-    """Counting path from a 0/1 jump matrix indexed (atom, time 1..T)."""
-    jumps = np.asarray(jumps, dtype=float)
-    n = filtration.space.n_atoms
-    vals = np.zeros((n, filtration.horizon + 1))
-    vals[:, 1:] = np.cumsum(jumps, axis=1)
-    return PointProcess(filtration, vals)
 
 
 def _block_violation(column: np.ndarray, partition: Partition):

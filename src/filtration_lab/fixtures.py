@@ -153,20 +153,6 @@ def copied_jump_random_time() -> RandomTimeBundle:
     return build_random_time_bundle(tau, b.f, b.X.values, name="copied_jump")
 
 
-def random_time_bundle_by_name(name: str) -> RandomTimeBundle:
-    builders = {
-        "staggered": staggered_random_time,
-        "avoidance_trinomial": trinomial_random_time,
-        "two_step_independent": two_step_independent_random_time,
-        "announced_tau": announced_tau_random_time,
-        "tau_never": never_random_time,
-        "copied_jump": copied_jump_random_time,
-    }
-    if name not in builders:
-        raise KeyError(f"unknown random-time fixture {name!r}; valid: {sorted(builders)}")
-    return builders[name]()
-
-
 def random_space_probs(rng: np.random.Generator, max_atoms: int = 6) -> np.ndarray:
     n = int(rng.integers(2, max_atoms + 1))
     weights = rng.uniform(0.1, 1.0, n)

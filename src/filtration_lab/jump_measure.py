@@ -2,9 +2,9 @@
 
 A pair (X, H) with unit jumps decomposes into three counting processes with
 pairwise disjoint jumps: X-only jumps, H-only jumps, joint jumps.  The jump
-measure places one marked event per (atom, time) where anything jumps; its
-compensator is carried in predictable density form, one increment process per
-mark, so that integrating against it is a plain double sum.
+measure and its compensator are stored one way, one increment process per
+mark: 0/1 event indicators for the measure, predictable densities for the
+compensator, so that integrating against either is a plain double sum.
 """
 from __future__ import annotations
 
@@ -38,30 +38,35 @@ _MARK_INDEX = {m: i for i, m in enumerate(MARKS)}
 
 @dataclass(frozen=True, eq=False)
 class MarkedMeasure:
-    """Marked events per atom, or the predictable density form of their compensator.
+    """Per-step mass of each mark: ``increments[k, atom, t]`` for mark ``MARKS[k]``.
 
-    Event form: ``events[atom]`` is a tuple of (time >= 1, Mark), at most one
-    per time.  Density form: ``densities[k, atom, t]`` is the predictable
-    per-step mass of mark ``MARKS[k]`` (column 0 is zero).
+    For a jump measure the entries are 0/1 event indicators, at most one mark
+    per (atom, time); for its compensator (``is_predictable_density``) they
+    are predictable densities.  Column 0 is zero.  The array is read-only.
     """
 
     filtration: Filtration
-    events: tuple | None
-    densities: np.ndarray | None
+    increments: np.ndarray
     is_predictable_density: bool
+
+    def __post_init__(self):
+        self.increments.setflags(write=False)
 
     def indicator_increments(self, mark: Mark) -> np.ndarray:
         """Per-step mass of one mark as an (atom, time) matrix."""
-        k = _MARK_INDEX[mark]
+        return self.increments[_MARK_INDEX[mark]]
+
+    @property
+    def events(self) -> tuple:
+        """Per atom, its (time, Mark) events in time order; built on each access."""
         if self.is_predictable_density:
-            return self.densities[k]
-        n = self.filtration.space.n_atoms
-        out = np.zeros((n, self.filtration.horizon + 1))
-        for atom, evs in enumerate(self.events):
-            for t, m in evs:
-                if m is mark:
-                    out[atom, t] = 1.0
-        return out
+            raise ValueError("a density-form measure has no events")
+        # (atom, time, mark) order, so each atom's events come out sorted by time
+        atoms, times, marks = np.nonzero(self.increments.transpose(1, 2, 0))
+        out = [[] for _ in range(self.filtration.space.n_atoms)]
+        for atom, t, k in zip(atoms.tolist(), times.tolist(), marks.tolist()):
+            out[atom].append((t, MARKS[k]))
+        return tuple(tuple(evs) for evs in out)
 
     def mass(self) -> AdaptedProcess:
         """Cumulative total mass over all marks."""
@@ -88,31 +93,20 @@ def joint_decomposition(
 
 
 def jump_measure(x: PointProcess, h: PointProcess) -> MarkedMeasure:
-    """Event list of the pair: one marked event wherever (dX, dH) != (0, 0)."""
+    """Jump measure of the pair: mark (dX, dH) wherever (dX, dH) != (0, 0)."""
     x = as_point_process(x)
     h = as_point_process(h)
     if x.filtration.partitions != h.filtration.partitions:
         raise FiltrationMismatch("pair must share one filtration")
-    dx = x.increments()
-    dh = h.increments()
-    events = []
-    for atom in range(x.space.n_atoms):
-        evs = []
-        for t in range(1, x.horizon + 1):
-            jump = (int(dx[atom, t]), int(dh[atom, t]))
-            if jump != (0, 0):
-                evs.append((t, Mark(jump)))
-        events.append(tuple(evs))
-    return MarkedMeasure(
-        filtration=x.filtration,
-        events=tuple(events),
-        densities=None,
-        is_predictable_density=False,
-    )
+    dx = x.increments() == 1.0
+    dh = h.increments() == 1.0
+    # stacked in MARKS order: X only, H only, joint
+    increments = np.stack([dx & ~dh, ~dx & dh, dx & dh]).astype(float)
+    return MarkedMeasure(x.filtration, increments, is_predictable_density=False)
 
 
 def compensator_measure(mu: MarkedMeasure) -> MarkedMeasure:
-    """Predictable compensator of an event-form measure, in density form.
+    """Predictable compensator of a jump measure, in density form.
 
     Each mark's event-count process is compensated in the measure's own
     filtration; the per-step predictable masses are stacked per mark.
@@ -125,10 +119,7 @@ def compensator_measure(mu: MarkedMeasure) -> MarkedMeasure:
     for k, mark in enumerate(MARKS):
         counts = PointProcess(filt, np.cumsum(mu.indicator_increments(mark), axis=1))
         dens[k] = compensator(counts).compensator.increments()
-    dens.setflags(write=False)
-    return MarkedMeasure(
-        filtration=filt, events=None, densities=dens, is_predictable_density=True
-    )
+    return MarkedMeasure(filt, dens, is_predictable_density=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +142,6 @@ class PredictableFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_components(cls, filtration: Filtration, w10, w01, w11) -> "PredictableFunction":
-        return cls(filtration, np.stack([np.asarray(c, dtype=float) for c in (w10, w01, w11)]))
-
-    @classmethod
     def constant(cls, filtration: Filtration, value: float = 1.0) -> "PredictableFunction":
         n = filtration.space.n_atoms
         return cls(filtration, np.full((len(MARKS), n, filtration.horizon + 1), float(value)))
@@ -173,7 +160,7 @@ class PredictableFunction:
 
 
 def integrate(w: PredictableFunction, m: MarkedMeasure) -> AdaptedProcess:
-    """(W * m)_t: sum of W over events up to t, or the density double sum."""
+    """(W * m)_t: the double sum of W against the measure's per-step masses."""
     if w.filtration.partitions != m.filtration.partitions:
         raise FiltrationMismatch("function and measure on different filtrations")
     step = np.zeros((m.filtration.space.n_atoms, m.filtration.horizon + 1))

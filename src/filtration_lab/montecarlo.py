@@ -61,30 +61,6 @@ class _PathStreams:
 
 
 @dataclass(frozen=True)
-class ContinuousPath:
-    """One simulated path: jump times of the counting process and a random time."""
-
-    t_real: float
-    x_events: np.ndarray
-    tau: float = math.inf
-
-    def __post_init__(self):
-        events = np.asarray(self.x_events, dtype=float)
-        if events.size and (
-            np.any(np.diff(events) <= 0.0)
-            or events[0] <= 0.0
-            or events[-1] > self.t_real
-        ):
-            raise BadParameter("event times must be strictly increasing within (0, horizon]")
-        if not self.tau > 0.0:
-            raise BadParameter("random time must be strictly positive")
-        object.__setattr__(self, "x_events", events)
-
-    def count_at(self, t: float) -> int:
-        return int(np.searchsorted(self.x_events, t, side="right"))
-
-
-@dataclass(frozen=True)
 class RandomTimeSpec:
     """How to draw the random time: 'exponential' (rate mu, independent),
     'midpoint' (halfway between the first two events), or 'copy_first'."""
@@ -200,7 +176,8 @@ class PathSet:
     Path p's event times are ``times[offsets[p]:offsets[p + 1]]``;
     ``unit_exp[p]`` is the unit exponential its stream draws after them.
     ``tau`` is the random time of each path and ``tau_valid`` flags the paths
-    that have the events the random time needs.
+    that have the events the random time needs; ``spec`` says how ``tau``
+    was drawn (None: no random time).
     """
 
     lam: float
@@ -212,11 +189,11 @@ class PathSet:
     unit_exp: np.ndarray
     tau: np.ndarray
     tau_valid: np.ndarray
+    spec: RandomTimeSpec | None = None
 
     @property
     def events(self) -> tuple:
-        """One read-only view into ``times`` per path, built on each access
-        (``path(p)`` reads a single path)."""
+        """One read-only view into ``times`` per path, built on each access."""
         times = self.times.view()
         times.flags.writeable = False
         return tuple(np.split(times, self.offsets[1:-1]))
@@ -241,10 +218,6 @@ class PathSet:
         has = self.lengths > k
         out[has] = self.times[self.offsets[:-1][has] + k]
         return out
-
-    def path(self, p: int) -> ContinuousPath:
-        events = self.times[self.offsets[p] : self.offsets[p + 1]]
-        return ContinuousPath(self.t_real, events, float(self.tau[p]))
 
     def counts_at(self, t: float) -> np.ndarray:
         # counts the events not above t, as searchsorted(t, side="right") does (NaN included)
@@ -285,6 +258,7 @@ class PathSet:
         )
         if spec is None:
             return prefix
+        prefix.spec = spec
         if spec.kind == "exponential":
             if not spec.mu > 0.0:
                 raise BadParameter("exponential rate must be positive")
@@ -358,54 +332,20 @@ def simulate_path_set(
     return base if tau_spec is None else base.with_random_time(tau_spec)
 
 
-def mc_martingale_test(
-    m_fn,
-    probe_fn,
-    s: float,
-    t: float,
-    n_paths: int | None = None,
-    seed: int | None = None,
-    *,
-    lam: float = 1.0,
-    t_real: float = 10.0,
-    tau_spec: RandomTimeSpec | None = None,
-    paths: PathSet | None = None,
-    z_max: float = 4.0,
-    name: str = "martingale_increment",
-) -> McReport:
-    """z-test of E[(M_t - M_s) * probe] = 0 for a path functional M.
-
-    The probe must, by caller contract, read only information available at
-    time s in the relevant filtration.
-    """
-    if not s < t:
-        raise BadParameter("need s < t")
-    if paths is None:
-        if n_paths is None or seed is None:
-            raise BadParameter("either pass a PathSet or n_paths and seed")
-        paths = simulate_path_set(lam, t_real, n_paths, seed, tau_spec)
-    samples = np.zeros(paths.n_paths)
-    for p in range(paths.n_paths):
-        if not paths.tau_valid[p]:
-            continue
-        path = paths.path(p)
-        samples[p] = (m_fn(path, t) - m_fn(path, s)) * probe_fn(path)
-    return z_test(name, samples[paths.tau_valid], 0.0, z_max)
+def _require_time(paths: PathSet, *kinds) -> RandomTimeSpec | None:
+    """The random-time spec of ``paths``, if its kind (None: no random time) is one of ``kinds``."""
+    kind = None if paths.spec is None else paths.spec.kind
+    if kind not in kinds:
+        wanted = " or ".join(k or "none" for k in kinds)
+        raise BadParameter(f"needs paths with random time {wanted}, got {kind or 'none'}")
+    return paths.spec
 
 
-def poisson_compensator_suite(
-    lam: float,
-    n_paths: int,
-    seed: int,
-    *,
-    t_real: float = 10.0,
-    z_max: float = 4.0,
-    paths: PathSet | None = None,
-) -> list[McReport]:
+def poisson_compensator_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
     """The compensated count has zero conditional drift (unit and adapted probes)."""
-    if paths is None:
-        paths = simulate_path_set(lam, t_real, n_paths, seed, None)
-    s, t = 0.5 * t_real, t_real
+    _require_time(paths, None)
+    lam = paths.lam
+    s, t = 0.5 * paths.t_real, paths.t_real
     cs = paths.counts_at(s).astype(float)
     ct = paths.counts_at(t).astype(float)
     inc = (ct - cs) - lam * (t - s)
@@ -416,49 +356,30 @@ def poisson_compensator_suite(
     ]
 
 
-def second_moment_suite(
-    lam: float,
-    n_paths: int,
-    seed: int,
-    *,
-    t_real: float = 10.0,
-    z_max: float = 4.0,
-    paths: PathSet | None = None,
-) -> list[McReport]:
+def second_moment_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
     """E[(X_t - lam t)^2] = lam t, the continuous-time bracket identity."""
-    if paths is None:
-        paths = simulate_path_set(lam, t_real, n_paths, seed, None)
+    _require_time(paths, None)
     out = []
-    for t in (0.5 * t_real, t_real):
+    for t in (0.5 * paths.t_real, paths.t_real):
         c = paths.counts_at(t).astype(float)
-        samples = (c - lam * t) ** 2 - lam * t
+        samples = (c - paths.lam * t) ** 2 - paths.lam * t
         out.append(z_test(f"compensated_square_at_{t:g}", samples, 0.0, z_max))
     return out
 
 
-def azema_exponential_suite(
-    lam: float,
-    mu: float,
-    n_paths: int,
-    seed: int,
-    *,
-    t_real: float = 10.0,
-    z_max: float = 4.0,
-    paths: PathSet | None = None,
-) -> list[McReport]:
+def azema_exponential_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
     """Independent exponential time: survival law and the survival-driven compensator.
 
     With survival e^{-mu t}, the enlarged compensator of the single-jump
     indicator is mu * (t ^ tau), so H - mu (t ^ tau) must drift zero against
     probes known at s.
     """
-    if paths is None:
-        paths = simulate_path_set(lam, t_real, n_paths, seed, RandomTimeSpec("exponential", mu))
+    mu = _require_time(paths, "exponential").mu
     tau = paths.tau
     out = [
         z_test("exponential_survival_at_1", (tau > 1.0).astype(float), math.exp(-mu), z_max)
     ]
-    s, t = 0.2 * t_real, 0.8 * t_real
+    s, t = 0.2 * paths.t_real, 0.8 * paths.t_real
     m_inc = ((tau <= t).astype(float) - (tau <= s).astype(float)) - mu * (
         np.minimum(tau, t) - np.minimum(tau, s)
     )
@@ -475,17 +396,7 @@ def _collision_fraction(paths: PathSet) -> tuple[float, int]:
     return (float(hits[valid].mean()) if n else 0.0, n)
 
 
-def avoidance_mc_suite(
-    lam: float,
-    mu: float,
-    n_paths: int,
-    seed: int,
-    *,
-    t_real: float = 10.0,
-    z_max: float = 4.0,
-    tau_spec: RandomTimeSpec | None = None,
-    paths: PathSet | None = None,
-) -> list[McReport]:
+def avoidance_mc_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
     """Avoidance holds pathwise-exactly for an independent exponential time.
 
     Reports: the collision fraction (must be exactly 0; a floating-point
@@ -493,20 +404,18 @@ def avoidance_mc_suite(
     compensated processes in the enlargement, and the no-common-jump
     certificate for their bracket.
     """
-    spec = tau_spec or RandomTimeSpec("exponential", mu)
-    if paths is None:
-        paths = simulate_path_set(lam, t_real, n_paths, seed, spec)
+    mu = _require_time(paths, "exponential").mu
     frac, n_valid = _collision_fraction(paths)
     out = [exact_check("avoidance_collision_fraction", frac, 0.0, n_valid)]
 
     valid = paths.tau_valid
     tau = paths.tau
     # probe time scaled to the random-time rate so the survivor set stays populated
-    s, t = min(0.2 * t_real, 1.0 / mu), 0.8 * t_real
+    s, t = min(0.2 * paths.t_real, 1.0 / mu), 0.8 * paths.t_real
     cs = paths.counts_at(s).astype(float)
     ct = paths.counts_at(t).astype(float)
     alive = (tau > s).astype(float)
-    x_inc = (ct - cs) - lam * (t - s)
+    x_inc = (ct - cs) - paths.lam * (t - s)
     out.append(z_test("count_compensated_in_enlargement", (x_inc * alive)[valid], 0.0, z_max))
     h_inc = ((tau <= t).astype(float) - (tau <= s).astype(float)) - mu * (
         np.minimum(tau, t) - np.minimum(tau, s)
@@ -516,18 +425,7 @@ def avoidance_mc_suite(
     return out
 
 
-def predictable_jump_probe(
-    lam: float,
-    epsilon: float,
-    n_paths: int,
-    seed: int,
-    *,
-    t_real: float = 10.0,
-    z_max: float = 4.0,
-    announced: bool = True,
-    mu: float = 1.0,
-    paths: PathSet | None = None,
-) -> list[McReport]:
+def predictable_jump_probe(paths: PathSet, epsilon: float, z_max: float = 4.0) -> list[McReport]:
     """Contrast the enlarged and base probabilities of a jump in a shrinking window.
 
     With the midpoint time, the second jump is announced in the enlargement
@@ -535,14 +433,13 @@ def predictable_jump_probe(
     event), so the hit rate of the window (target - eps, target] is exactly
     1.  A window anchored at an observable-by-the-base time catches a jump
     only with probability 1 - e^{-lam eps}.  With an independent exponential
-    time instead (announced=False), the "announced" target points nowhere
-    special and its hit rate collapses to the base rate.
+    time instead, the "announced" target points nowhere special and its hit
+    rate collapses to the base rate.
     """
     if not epsilon > 0.0:
         raise BadParameter("epsilon must be positive")
-    spec = RandomTimeSpec("midpoint") if announced else RandomTimeSpec("exponential", mu)
-    if paths is None:
-        paths = simulate_path_set(lam, t_real, n_paths, seed, spec)
+    announced = _require_time(paths, "midpoint", "exponential").kind == "midpoint"
+    lam, t_real = paths.lam, paths.t_real
     tau = paths.tau
     first = paths.first_events()
 
@@ -589,43 +486,23 @@ def predictable_jump_probe(
     return reports
 
 
-def negative_control_suite(
-    lam: float,
-    mu: float,
-    n_paths: int,
-    seed: int,
-    *,
-    t_real: float = 10.0,
-    z_max: float = 4.0,
-    paths: PathSet | None = None,
-    copied_paths: PathSet | None = None,
-    independent_paths: PathSet | None = None,
-) -> list[McReport]:
-    """Checks engineered to fail: they guard the power of the positive tests."""
-    if paths is None:
-        paths = simulate_path_set(lam, t_real, n_paths, seed, None)
-    s, t = 0.5 * t_real, t_real
+def negative_control_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[McReport]:
+    """Checks engineered to fail: they guard the power of the positive tests.
+
+    The copied and the independent (rate ``mu``) random times are drawn on
+    the given paths.
+    """
+    _require_time(paths, None)
+    s, t = 0.5 * paths.t_real, paths.t_real
     raw_inc = (paths.counts_at(t) - paths.counts_at(s)).astype(float)
     uncompensated = z_test("uncompensated_count_drift", raw_inc, 0.0, z_max)
 
-    if copied_paths is None:
-        copied_paths = paths.with_random_time(RandomTimeSpec("copy_first"))
-    frac, n_valid = _collision_fraction(copied_paths)
+    frac, n_valid = _collision_fraction(paths.with_random_time(RandomTimeSpec("copy_first")))
     collision = exact_check("copied_time_collision_fraction", frac, 0.0, n_valid)
 
-    probe = predictable_jump_probe(
-        lam,
-        0.1,
-        n_paths,
-        seed,
-        t_real=t_real,
-        z_max=z_max,
-        announced=False,
-        mu=mu,
-        paths=independent_paths or paths.with_random_time(RandomTimeSpec("exponential", mu)),
-    )
+    independent = paths.with_random_time(RandomTimeSpec("exponential", mu))
     # the unannounced hit rate must NOT reach the construction-exact value 1
-    unannounced = probe[0]
+    unannounced = predictable_jump_probe(independent, 0.1, z_max)[0]
     no_announcement = exact_check(
         "independent_time_announced_hit_rate", unannounced.estimate, 1.0, unannounced.n_paths
     )

@@ -102,8 +102,7 @@ def measure_to_doc(measure: MarkedMeasure) -> dict:
     doc: dict = {"schema": MEASURE_SCHEMA, "predictable_density": measure.is_predictable_density}
     if measure.is_predictable_density:
         doc["densities"] = {
-            str(list(mark.value)): measure.densities[k].tolist()
-            for k, mark in enumerate(MARKS)
+            str(list(mark.value)): measure.indicator_increments(mark).tolist() for mark in MARKS
         }
     else:
         doc["events"] = [
@@ -118,11 +117,12 @@ def measure_from_doc(doc: dict, filtration: Filtration) -> MarkedMeasure:
         dens = np.stack(
             [np.asarray(doc["densities"][str(list(m.value))], dtype=float) for m in MARKS]
         )
-        return MarkedMeasure(filtration, None, dens, True)
-    events = tuple(
-        tuple((int(t), Mark(tuple(mark))) for t, mark in evs) for evs in doc["events"]
-    )
-    return MarkedMeasure(filtration, events, None, False)
+        return MarkedMeasure(filtration, dens, True)
+    increments = np.zeros((len(MARKS), filtration.space.n_atoms, filtration.horizon + 1))
+    for atom, evs in enumerate(doc["events"]):
+        for t, mark in evs:
+            increments[MARKS.index(Mark(tuple(mark))), atom, int(t)] = 1.0
+    return MarkedMeasure(filtration, increments, False)
 
 
 def random_time_to_doc(bundle: RandomTimeBundle) -> dict:

@@ -131,8 +131,9 @@ class SuiteContext:
 
 @dataclass
 class CheckResult:
+    """One report row; ``run_config`` stamps it with its suite's anchor."""
+
     name: str
-    anchor: str
     outcome: str
     evidence: dict
     expected: str = "holds"
@@ -149,7 +150,7 @@ def _num(x):
     return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
 
 
-def _check(name: str, anchor: str, ok: bool, **evidence) -> CheckResult:
+def _check(name: str, ok: bool, **evidence) -> CheckResult:
     ev = {}
     for k, v in evidence.items():
         if isinstance(v, (np.floating, float)):
@@ -158,7 +159,7 @@ def _check(name: str, anchor: str, ok: bool, **evidence) -> CheckResult:
             ev[k] = v if isinstance(v, (bool, str)) else int(v)
         else:
             ev[k] = v
-    return CheckResult(name=name, anchor=anchor, outcome="holds" if ok else "fails", evidence=ev)
+    return CheckResult(name=name, outcome="holds" if ok else "fails", evidence=ev)
 
 
 def _random_closures(rng: np.random.Generator, filtration, count: int) -> np.ndarray:
@@ -206,7 +207,6 @@ def _suite(name: str, engine: str, anchor: str, description: str):
     "single-source representation in the initially enlarged base filtration",
 )
 def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Lemma 3.1(ii)"
     checks = []
     b = fixtures.space_a()
     x_in_f = PointProcess(b.f, b.X.values)
@@ -216,7 +216,6 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "identity_integrand",
-            anchor,
             sol.residual_sup <= ctx.tol.exact and float(np.abs(sol.integrands["K"][:, 1:]).min()) > 0.5,
             residual_sup=sol.residual_sup,
         )
@@ -228,7 +227,7 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
         coef = rng.normal(size=3)
         xis.append(coef[0] * b.X.terminal**2 + coef[1] * b.X.terminal + coef[2])
     worst = float(solve_batch(martingale_closures(xis, b.f), [m.increments()], b.f).residual_sup.max())
-    checks.append(_check("single_source_solvable", anchor, worst <= ctx.tol.exact, worst_residual=worst))
+    checks.append(_check("single_source_solvable", worst <= ctx.tol.exact, worst_residual=worst))
 
     # initial sigma-field carrying the first jump time keeps the tree binary
     space = build_space([1.0 / 8.0] * 8)
@@ -245,7 +244,7 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     ys = martingale_closures([rng.normal(size=8) for _ in range(25)], f)
     worst = float(solve_batch(ys, [m3.increments()], f).residual_sup.max())
     checks.append(
-        _check("initially_enlarged_still_solvable", anchor, worst <= ctx.tol.exact, worst_residual=worst)
+        _check("initially_enlarged_still_solvable", worst <= ctx.tol.exact, worst_residual=worst)
     )
 
     m_g = compensator(b.X).martingale_part
@@ -254,7 +253,6 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "joint_filtration_single_source_fails",
-            anchor,
             sol.residual_sup > 1e-6,
             residual_sup=sol.residual_sup,
         )
@@ -267,7 +265,6 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     "the pair splits into three counting processes with disjoint jumps",
 )
 def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Prop 3.2"
     checks = []
     rng = ctx.rng("decomposition")
     bundles = _rep_fixtures(ctx) + [fixtures.avoidance_trinomial()]
@@ -284,7 +281,7 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
         )
         ok = ok and recon == 0.0
     checks.append(
-        _check("disjoint_decomposition", anchor, ok and worst <= ctx.tol.atomwise, worst_bracket=worst)
+        _check("disjoint_decomposition", ok and worst <= ctx.tol.atomwise, worst_bracket=worst)
     )
 
     b = fixtures.space_a()
@@ -293,7 +290,6 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "joint_count_mean",
-            anchor,
             abs(joint_mean - 0.5) <= ctx.tol.atomwise,
             joint_mean=joint_mean,
         )
@@ -306,7 +302,6 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
     "jump measure, its predictable compensator, and the mark-split integrals",
 )
 def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Thm 3.3; Eqs. (ju.mea.spp), (ju.mea.spp.com), (int1)-(int3)"
     checks = []
     rng = ctx.rng("measure")
     n_w = 100
@@ -339,7 +334,6 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "compensated_integral_is_martingale",
-            anchor,
             worst_drift == 0.0,
             worst_drift=worst_drift,
             functions_per_fixture=n_w,
@@ -348,12 +342,11 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "integral_splits_across_marks",
-            anchor,
             worst_match <= ctx.tol.atomwise,
             worst_gap=worst_match,
         )
     )
-    checks.append(_check("total_mass_formula", anchor, worst_mass <= ctx.tol.atomwise, worst_gap=worst_mass))
+    checks.append(_check("total_mass_formula", worst_mass <= ctx.tol.atomwise, worst_gap=worst_mass))
 
     b = fixtures.space_a()
     nu = compensator_measure(jump_measure(b.X, b.H))
@@ -366,7 +359,6 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "uniform_fixture_densities",
-            anchor,
             dens_gap <= ctx.tol.atomwise and unit_gap <= ctx.tol.atomwise,
             density_gap=dens_gap,
             unit_integral_gap=unit_gap,
@@ -379,7 +371,7 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     a2_gap = max(
         float(np.abs(nu2.indicator_increments(m)[:, 1] - target[m]).max()) for m in MARKS
     )
-    checks.append(_check("three_atom_densities", anchor, a2_gap <= ctx.tol.atomwise, gap=a2_gap))
+    checks.append(_check("three_atom_densities", a2_gap <= ctx.tol.atomwise, gap=a2_gap))
     return checks
 
 
@@ -388,7 +380,6 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     "enlargement equals the initial join with the joint natural filtration",
 )
 def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Lemma 3.4; Prop 2.1; Eq. (def.Gtil)"
     checks = []
     rng = ctx.rng("identities")
     a2 = fixtures.fixture_a2()
@@ -411,13 +402,13 @@ def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
     for b in bundles:
         rep = verify_filtration_identities(b)
         all_ok = all_ok and rep.ok
-    checks.append(_check("enlargement_identities", anchor, all_ok, bundles=len(bundles)))
+    checks.append(_check("enlargement_identities", all_ok, bundles=len(bundles)))
 
     full = all(
         p.n_blocks == fine.space.n_atoms - len(fine.space.null_atoms)
         for p in fine_r.g.partitions
     )
-    checks.append(_check("finest_initial_field_saturates", anchor, full))
+    checks.append(_check("finest_initial_field_saturates", full))
 
     ok = True
     for b in (fixtures.space_a(), fixtures.staggered()):
@@ -426,7 +417,7 @@ def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
             pair = compensator(proc)
             ok = ok and is_predictable(pair.compensator)
             ok = ok and bool(is_martingale(pair.martingale_part))
-    checks.append(_check("point_processes_compensate_in_enlargement", anchor, ok))
+    checks.append(_check("point_processes_compensate_in_enlargement", ok))
     return checks
 
 
@@ -435,7 +426,6 @@ def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
     "every martingale is an integral against the compensated jump measure",
 )
 def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Thm 3.5(i), Eq. (wrp)"
     checks = []
     rng = ctx.rng("wrp")
     worst = 0.0
@@ -447,7 +437,7 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
         worst = max(worst, float(sol.residual_sup.max()))
         count += sol.residual_sup.size
     checks.append(
-        _check("every_martingale_represented", anchor, worst <= ctx.tol.exact, worst_residual=worst, solves=count)
+        _check("every_martingale_represented", worst <= ctx.tol.exact, worst_residual=worst, solves=count)
     )
 
     b = fixtures.fixture_a2()
@@ -459,7 +449,6 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "three_atom_solution_avoids_dead_mark",
-            anchor,
             sol.residual_sup <= ctx.tol.exact and joint_w <= ctx.tol.atomwise,
             residual_sup=sol.residual_sup,
             joint_mark_weight=joint_w,
@@ -469,7 +458,7 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     y_const = martingale_closure(np.ones(b.space.n_atoms), b.g)
     sol = solve_wrp(y_const, mu, nu)
     flat = max(float(np.abs(v).max()) for v in sol.integrands.values())
-    checks.append(_check("constant_target_gets_zero_function", anchor, flat <= ctx.tol.atomwise, max_weight=flat))
+    checks.append(_check("constant_target_gets_zero_function", flat <= ctx.tol.atomwise, max_weight=flat))
     return checks
 
 
@@ -478,7 +467,6 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     "three-integrand representation, equivalent to the measure form, incl. stopped targets",
 )
 def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Thm 3.5(ii), Eq. (prp.spp); Eq. (rep.stopped)"
     checks = []
     rng = ctx.rng("triple")
     worst = 0.0
@@ -495,9 +483,9 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
         worst = max(worst, float(head.residual_sup.max()), float(rest.residual_sup.max()))
         gap = head.reconstructions - other.reconstructions
         equiv = max(equiv, float(np.abs(gap[:, b.space.positive]).max()))
-    checks.append(_check("triple_integrals_represent", anchor, worst <= ctx.tol.exact, worst_residual=worst))
+    checks.append(_check("triple_integrals_represent", worst <= ctx.tol.exact, worst_residual=worst))
     checks.append(
-        _check("triple_matches_measure_form", anchor, equiv <= ctx.tol.atomwise, worst_gap=equiv)
+        _check("triple_matches_measure_form", equiv <= ctx.tol.atomwise, worst_gap=equiv)
     )
 
     b = fixtures.space_a()
@@ -508,7 +496,6 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "picks_out_own_coordinate",
-            anchor,
             sol.residual_sup <= ctx.tol.exact and off <= ctx.tol.atomwise and on <= ctx.tol.atomwise,
             residual_sup=sol.residual_sup,
             off_weights=off,
@@ -523,7 +510,7 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
         regs = triple_regressors(*fundamental_martingales(rb.X, rb.H), stop_at=st)
         sol = solve_batch(stop_values(_random_closures(rng, rb.g, 20), st), regs, rb.g)
         worst = max(worst, float(sol.residual_sup.max()))
-    checks.append(_check("stopped_representation", anchor, worst <= ctx.tol.exact, worst_residual=worst))
+    checks.append(_check("stopped_representation", worst <= ctx.tol.exact, worst_residual=worst))
     return checks
 
 
@@ -532,7 +519,6 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     "zero residuals for random targets across seeded random spaces",
 )
 def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Corollary (stable subspaces) (i)"
     rng = ctx.rng("completeness")
     worst = 0.0
     solves = 0
@@ -550,7 +536,6 @@ def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
     return [
         _check(
             "dense_by_zero_residuals",
-            anchor,
             worst <= ctx.tol.exact,
             worst_residual=worst,
             solves=solves,
@@ -564,7 +549,6 @@ def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
     "orthogonal decomposition under independence, with the change-of-basis identities",
 )
 def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Thm 4.2, Eq. (orth.ind); Eqs. (rep.Z1)-(rep.Z3)"
     checks = []
     rng = ctx.rng("independent")
     b = fixtures.space_a()
@@ -580,7 +564,6 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "orthogonal_basis_represents",
-            anchor,
             residual <= ctx.tol.exact and orth <= ctx.tol.atomwise,
             worst_residual=residual,
             worst_orthogonality=orth,
@@ -589,14 +572,13 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "change_of_basis_identities",
-            anchor,
             identity <= ctx.tol.atomwise and factor <= ctx.tol.exact,
             worst_identity_gap=identity,
             worst_factorisation_gap=factor,
         )
     )
     checks.append(
-        _check("pythagoras_identity", anchor, pythagoras <= ctx.tol.exact, worst_gap=pythagoras)
+        _check("pythagoras_identity", pythagoras <= ctx.tol.exact, worst_gap=pythagoras)
     )
 
     xbar = compensator(b.X).martingale_part
@@ -607,7 +589,6 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "bracket_picks_third_coordinate",
-            anchor,
             sol.residual_sup <= ctx.tol.exact and off <= ctx.tol.atomwise,
             residual_sup=sol.residual_sup,
         )
@@ -619,16 +600,16 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
         raised = False
     except IndependenceViolated:
         raised = True
-    checks.append(_check("dependent_fixture_rejected", anchor, raised))
+    checks.append(_check("dependent_fixture_rejected", raised))
     return checks
 
 
 @_suite(
-    "multiplicity_certificates", "exact", "Multiplicity; Remark 4.3; remark after Eq. (rep.stopped)",
+    "multiplicity_certificates", "exact",
+    "Multiplicity (Davis-Varaiya); Remark 4.3; remark after Eq. (rep.stopped)",
     "spanning numbers with per-node orthogonal certificates",
 )
 def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Multiplicity (Davis-Varaiya); Remark 4.3; remark after Eq. (rep.stopped)"
     checks = []
     rng = ctx.rng("multiplicity")
     cases = [
@@ -651,7 +632,6 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
         checks.append(
             _check(
                 f"spanning_number_{label}",
-                anchor,
                 got == expected
                 and len(spanning) == expected
                 and drift_ok
@@ -668,7 +648,7 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
     for _ in range(10):
         b = fixtures.random_bundle(rng)
         ok = ok and multiplicity(b.g) >= multiplicity(b.f)
-    checks.append(_check("monotone_under_refinement", anchor, ok))
+    checks.append(_check("monotone_under_refinement", ok))
     return checks
 
 
@@ -677,7 +657,6 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
     "survival-driven compensator formula cross-validated against the direct one",
 )
 def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Eq. (G.com.gen)"
     checks = []
     rng = ctx.rng("azema")
     named = [
@@ -698,7 +677,6 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "survival_formula_matches_direct_compensator",
-            anchor,
             worst_gap <= ctx.tol.exact,
             worst_gap=worst_gap,
             bundles=len(named) + len(randoms),
@@ -707,7 +685,6 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "survival_process_consistent",
-            anchor,
             worst_cons <= ctx.tol.atomwise and worst_super <= 1e-12,
             worst_block_gap=worst_cons,
             worst_drift_up=worst_super,
@@ -721,17 +698,17 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
         float(np.abs(cand.values[:, 1] - 0.5).max()) <= ctx.tol.atomwise
         and float(np.abs(cand.values[survivors, 2] - 1.5).max()) <= ctx.tol.atomwise
     )
-    checks.append(_check("independent_uniform_profile", anchor, vals_ok))
+    checks.append(_check("independent_uniform_profile", vals_ok))
 
     rb = fixtures.announced_tau_random_time()
     gap = AdaptedProcess(rb.g, direct_compensator(rb).values - rb.H.values).sup_abs()
     checks.append(
-        _check("announced_time_is_its_own_compensator", anchor, gap <= ctx.tol.atomwise, gap=gap)
+        _check("announced_time_is_its_own_compensator", gap <= ctx.tol.atomwise, gap=gap)
     )
 
     rb = fixtures.never_random_time()
     flat = max(compensator_via_azema(rb).sup_abs(), direct_compensator(rb).sup_abs())
-    checks.append(_check("never_time_compensates_to_zero", anchor, flat == 0.0, sup=flat))
+    checks.append(_check("never_time_compensates_to_zero", flat == 0.0, sup=flat))
     return checks
 
 
@@ -739,14 +716,12 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     "avoidance_discrete", "exact", "Prop 4.4", "avoidance of jump times and its exact consequences"
 )
 def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Prop 4.4"
     checks = []
     rb = fixtures.staggered_random_time()
     rep = avoidance_check(rb)
     checks.append(
         _check(
             "staggered_avoids_and_conclusions_hold",
-            anchor,
             rep.avoids and bool(rep.conclusions_hold),
             jump_collision_prob=rep.jump_collision_prob,
             conclusions={k: bool(v) for k, v in rep.conclusions.items()},
@@ -757,7 +732,6 @@ def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "deterministic_time_breaks_avoidance",
-            anchor,
             not rep.avoids and rep.sigma_collision_probs[0] > 0.0,
             sigma_collision_prob=rep.sigma_collision_probs[0],
         )
@@ -767,7 +741,6 @@ def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "copied_jump_time_collides",
-            anchor,
             not rep.avoids and rep.jump_collision_prob > 0.0,
             jump_collision_prob=rep.jump_collision_prob,
         )
@@ -777,7 +750,6 @@ def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "never_time_vacuously_avoids",
-            anchor,
             rep.avoids and bool(rep.conclusions_hold),
         )
     )
@@ -789,7 +761,6 @@ def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
     "pairwise orthogonality vs the no-common-predictable-jump surrogate",
 )
 def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Thm 4.6; Lemma A.1(v); Eq. (rep.stopped)"
     checks = []
     rng = ctx.rng("rt_orth")
     bundles = [
@@ -804,7 +775,6 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "orthogonality_matches_predictable_jump_surrogate",
-            anchor,
             all_consistent,
             bundles=len(bundles),
         )
@@ -814,7 +784,6 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "staggered_fully_orthogonal",
-            anchor,
             all(p.orthogonal for p in study.pairs),
             multiplicity=study.multiplicity,
         )
@@ -825,7 +794,6 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "overlapping_compensators_report_witness",
-            anchor,
             (not by_name["part1_vs_part2"].orthogonal)
             and by_name["part1_vs_part2"].witness is not None
             and by_name["part1_vs_joint"].orthogonal
@@ -843,7 +811,6 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
     "bracket/compensator toolkit on random pairs, with the self-bracket pattern",
 )
 def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Lemma A.1(i)-(v); Eq. (sbYsZs); Poisson remark"
     checks = []
     rng = ctx.rng("toolkit")
     n_pairs = 200
@@ -857,7 +824,6 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "toolkit_clauses_on_random_pairs",
-            anchor,
             clause_ok and worst_identity <= ctx.tol.atomwise,
             pairs=n_pairs,
             worst_identity_gap=worst_identity,
@@ -872,7 +838,6 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "common_predictable_jump_quantified",
-            anchor,
             rep.jumps_disjoint
             and not rep.is_orthogonal
             and abs(product - 0.15) <= ctx.tol.atomwise,
@@ -896,7 +861,6 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "self_bracket_compensates_to_compensator",
-            anchor,
             pattern_ok,
             bracket_compensator_terminal=float(self_comp.values[0, -1]),
             compensator_bracket_terminal=float(rep.bracket_compensators.values[0, -1]),
@@ -910,19 +874,17 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     "disjoint jumps yet non-orthogonal compensated parts (expected failure)",
 )
 def suite_counterexample_a2(ctx: SuiteContext) -> list[CheckResult]:
-    anchor = "Counterexample A.2"
     a2 = fixtures.fixture_a2()
     rep = orthogonality_report(a2.X, a2.H)
     result = _check(
         "disjoint_jumps_orthogonality",
-        anchor,
         rep.is_orthogonal,
         jumps_disjoint=rep.jumps_disjoint,
         witness=str(rep.witness),
         bar_bracket_terminal_mean=float(a2.space.expectation(rep.bracket_bar.terminal)),
     )
     result.expected = ctx.expected_outcome
-    sanity = _check("jumps_actually_disjoint", anchor, rep.jumps_disjoint)
+    sanity = _check("jumps_actually_disjoint", rep.jumps_disjoint)
     return [result, sanity]
 
 
@@ -930,12 +892,11 @@ def suite_counterexample_a2(ctx: SuiteContext) -> list[CheckResult]:
 # Monte Carlo suites
 
 
-def _mc_to_checks(reports: list[McReport], anchor: str, expected: str = "holds") -> list[CheckResult]:
+def _mc_to_checks(reports: list[McReport], expected: str = "holds") -> list[CheckResult]:
     out = []
     for r in reports:
         c = _check(
             r.statistic,
-            anchor,
             r.passed,
             estimate=r.estimate,
             std_error=r.std_error,
@@ -955,11 +916,7 @@ def _mc_to_checks(reports: list[McReport], anchor: str, expected: str = "holds")
 )
 def suite_mc_poisson(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc or McParams()
-    paths = ctx.paths(None)
-    reports = poisson_compensator_suite(
-        mc.lam, mc.n_paths, ctx.seed, t_real=mc.t_real, z_max=mc.z_max, paths=paths
-    )
-    return _mc_to_checks(reports, "Poisson remark (compensator lambda*t)")
+    return _mc_to_checks(poisson_compensator_suite(ctx.paths(None), mc.z_max))
 
 
 @_suite(
@@ -968,11 +925,7 @@ def suite_mc_poisson(ctx: SuiteContext) -> list[CheckResult]:
 )
 def suite_mc_second_moment(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc or McParams()
-    paths = ctx.paths(None)
-    reports = second_moment_suite(
-        mc.lam, mc.n_paths, ctx.seed, t_real=mc.t_real, z_max=mc.z_max, paths=paths
-    )
-    return _mc_to_checks(reports, "Eq. (pb.XsF)")
+    return _mc_to_checks(second_moment_suite(ctx.paths(None), mc.z_max))
 
 
 @_suite(
@@ -981,17 +934,8 @@ def suite_mc_second_moment(ctx: SuiteContext) -> list[CheckResult]:
 )
 def suite_mc_azema(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc or McParams()
-    spec = RandomTimeSpec("exponential", mc.mu)
-    reports = azema_exponential_suite(
-        mc.lam,
-        mc.mu,
-        mc.n_paths,
-        ctx.seed,
-        t_real=mc.t_real,
-        z_max=mc.z_max,
-        paths=ctx.paths(spec),
-    )
-    return _mc_to_checks(reports, "Eq. (G.com.gen)")
+    paths = ctx.paths(RandomTimeSpec("exponential", mc.mu))
+    return _mc_to_checks(azema_exponential_suite(paths, mc.z_max))
 
 
 @_suite(
@@ -1000,29 +944,9 @@ def suite_mc_azema(ctx: SuiteContext) -> list[CheckResult]:
 )
 def suite_mc_avoidance(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc or McParams()
-    spec = RandomTimeSpec("exponential", mc.mu)
-    reports = avoidance_mc_suite(
-        mc.lam,
-        mc.mu,
-        mc.n_paths,
-        ctx.seed,
-        t_real=mc.t_real,
-        z_max=mc.z_max,
-        paths=ctx.paths(spec),
-    )
-    stress_mu = 25.0 * mc.mu
-    stress_spec = RandomTimeSpec("exponential", stress_mu)
-    stress = avoidance_mc_suite(
-        mc.lam,
-        stress_mu,
-        mc.stress_n_paths,
-        ctx.seed,
-        t_real=mc.t_real,
-        z_max=mc.z_max,
-        paths=ctx.paths(stress_spec, n_paths=mc.stress_n_paths),
-    )
-    out = _mc_to_checks(reports, "Prop 4.4")
-    for c in _mc_to_checks(stress, "Prop 4.4"):
+    out = _mc_to_checks(avoidance_mc_suite(ctx.paths(RandomTimeSpec("exponential", mc.mu)), mc.z_max))
+    stress_paths = ctx.paths(RandomTimeSpec("exponential", 25.0 * mc.mu), n_paths=mc.stress_n_paths)
+    for c in _mc_to_checks(avoidance_mc_suite(stress_paths, mc.z_max)):
         c.name = "stress_" + c.name
         out.append(c)
     return out
@@ -1037,17 +961,7 @@ def suite_mc_predictable_jump(ctx: SuiteContext) -> list[CheckResult]:
     out = []
     paths = ctx.paths(RandomTimeSpec("midpoint"))
     for eps in mc.epsilons:
-        reports = predictable_jump_probe(
-            mc.lam,
-            eps,
-            mc.n_paths,
-            ctx.seed,
-            t_real=mc.t_real,
-            z_max=mc.z_max,
-            announced=True,
-            paths=paths,
-        )
-        out.extend(_mc_to_checks(reports, "Counterexample 4.8; Assumption A2"))
+        out.extend(_mc_to_checks(predictable_jump_probe(paths, eps, mc.z_max)))
     return out
 
 
@@ -1057,18 +971,8 @@ def suite_mc_predictable_jump(ctx: SuiteContext) -> list[CheckResult]:
 )
 def suite_mc_negative_controls(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc or McParams()
-    reports = negative_control_suite(
-        mc.lam,
-        mc.mu,
-        mc.n_paths,
-        ctx.seed,
-        t_real=mc.t_real,
-        z_max=mc.z_max,
-        paths=ctx.paths(None),
-        copied_paths=ctx.paths(RandomTimeSpec("copy_first")),
-        independent_paths=ctx.paths(RandomTimeSpec("exponential", mc.mu)),
-    )
-    return _mc_to_checks(reports, "negative controls", expected=ctx.expected_outcome)
+    reports = negative_control_suite(ctx.paths(None), mc.mu, mc.z_max)
+    return _mc_to_checks(reports, expected=ctx.expected_outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared test helpers: deliberately dumb brute-force oracles.
 
-These recompute conditional expectations, compensators, drifts and the
-per-path Monte Carlo reductions with plain Python loops so the vectorised
+These recompute conditional expectations, compensators, drifts, jump-measure
+events and the per-path Monte Carlo reductions with plain Python loops so the vectorised
 engine is always checked against an independent path.
 """
 from __future__ import annotations
@@ -94,6 +94,21 @@ def oracle_residual_sup(y, integrands, regressors, probs):
             integral[:, t] = integral[:, t - 1] + k[:, t] * d[:, t]
         recon = recon + integral
     return float(np.abs(y - recon)[probs > 0.0].max())
+
+
+def oracle_jump_events(dx, dh):
+    """Per atom, its (time, Mark) events, by a loop over atoms and times."""
+    from filtration_lab.jump_measure import Mark
+
+    events = []
+    for atom in range(dx.shape[0]):
+        evs = []
+        for t in range(1, dx.shape[1]):
+            jump = (int(dx[atom, t]), int(dh[atom, t]))
+            if jump != (0, 0):
+                evs.append((t, Mark(jump)))
+        events.append(tuple(evs))
+    return tuple(events)
 
 
 def oracle_counts_at(events, t):

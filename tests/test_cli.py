@@ -63,6 +63,23 @@ class TestRegistry:
         assert "Eq. (prp.spp)" in text
         assert "exact" in text
 
+    def test_every_row_carries_its_registered_anchor(self):
+        exact_suites = [
+            {"name": name, "expected_outcome": "fails" if name == "counterexample_a2" else "holds"}
+            for name, spec in REGISTRY.items()
+            if spec.engine == "exact"
+        ]
+        mc_suites = [
+            {"name": name, "expected_outcome": "fails" if name == "mc_negative_controls" else "holds"}
+            for name, spec in REGISTRY.items()
+            if spec.engine == "mc"
+        ]
+        rows = run_config({"engine": "exact", "seed": 7, "suites": exact_suites})["checks"]
+        rows += run_config(_small_mc_config(suites=mc_suites, mc={"n_paths": 1000}))["checks"]
+        assert {row["suite"] for row in rows} == set(REGISTRY)
+        for row in rows:
+            assert row["anchor"] == REGISTRY[row["suite"]].anchor, (row["suite"], row["name"])
+
     def test_describe_unknown(self):
         from filtration_lab.errors import UnknownSuite
 
@@ -178,6 +195,48 @@ class TestBadSeed:
     def test_run_config_rejects_a_negative_override(self):
         with pytest.raises(ConfigInvalid):
             run_config(_small_mc_config(), seed_override=-3)
+
+
+#: (what is wrong, config overrides): each must exit 2 with one stderr line
+_INLINE = {
+    "schema": "filtration-lab/bundle-v1",
+    "probs": [0.5, 0.5],
+    "initial": [[0, 1]],
+    "x_values": [[0, 1], [0, 0]],
+    "h_values": [[0, 0], [0, 1]],
+}
+BAD_CONFIG = [
+    ("probs_sum_to_1.1", {"fixture": dict(_INLINE, probs=[0.5, 0.6])}),
+    ("jump_of_two", {"fixture": dict(_INLINE, x_values=[[0, 2], [0, 0]])}),
+    ("fixture_missing_key", {"fixture": {k: v for k, v in _INLINE.items() if k != "initial"}}),
+    ("fixture_ragged_values", {"fixture": dict(_INLINE, x_values=[[0, 1], [0]])}),
+    ("fixture_atom_out_of_range", {"fixture": dict(_INLINE, initial=[[0, 5]])}),
+    ("unknown_fixture_name", {"fixture": "nope"}),
+    ("tolerance_not_a_number", {"tolerances": {"exact": "abc"}}),
+    ("tolerances_a_list", {"tolerances": []}),
+    ("tolerance_negative", {"tolerances": {"atomwise": -1e-12}}),
+    ("tolerance_unknown_key", {"tolerances": {"exactly": 1e-9}}),
+    ("unknown_top_level_key", {"name": "x"}),
+]
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("what,overrides", BAD_CONFIG, ids=[w for w, _ in BAD_CONFIG])
+    def test_exit_two_with_one_line(self, tmp_path, capsys, what, overrides):
+        cfg = {"engine": "exact", "seed": 7, "suites": ["counterexample_a2"], **overrides}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: invalid config: ") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_valid_tolerances_are_accepted(self):
+        cfg = json.load(open(CONFIG_DIR / "counterexample_a2.json"))
+        cfg["tolerances"] = {"exact": 1, "atomwise": 1e-3}
+        validate_config(cfg)
+        assert run_config(cfg)["summary"]["failed"] == 0
 
 
 class TestRunConfig:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from conftest import oracle_jump_events
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtration_lab import fixtures
 from filtration_lab.calculus import is_martingale, quadratic_covariation, stochastic_integral
@@ -91,6 +94,26 @@ class TestJumpMeasure:
             for evs in jump_measure(b.X, b.H).events:
                 times = [t for t, _ in evs]
                 assert len(times) == len(set(times))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), max_atoms=st.integers(2, 12), max_horizon=st.integers(1, 6))
+    def test_dense_measure_matches_event_loop(self, seed, max_atoms, max_horizon):
+        b = fixtures.random_bundle(np.random.default_rng(seed), max_atoms, max_horizon)
+        mu = jump_measure(b.X, b.H)
+        events = oracle_jump_events(b.X.increments(), b.H.increments())
+        assert mu.events == events
+        dense = np.zeros((len(MARKS), b.space.n_atoms, b.g.horizon + 1))
+        for atom, evs in enumerate(events):
+            for t, mark in evs:
+                dense[MARKS.index(mark), atom, t] = 1.0
+        assert np.array_equal(mu.increments, dense)
+        assert not mu.increments.flags.writeable
+
+    def test_density_form_has_no_events(self, a2_bundle):
+        nu = compensator_measure(jump_measure(a2_bundle.X, a2_bundle.H))
+        with pytest.raises(ValueError):
+            nu.events
 
 
 class TestCompensatorMeasure:

@@ -16,7 +16,6 @@ from filtration_lab import montecarlo
 from filtration_lab.cli import report_to_json, run_config
 from filtration_lab.errors import BadParameter, InsufficientEvents
 from filtration_lab.montecarlo import (
-    ContinuousPath,
     McReport,
     PathSet,
     RandomTimeSpec,
@@ -25,7 +24,6 @@ from filtration_lab.montecarlo import (
     avoidance_mc_suite,
     azema_exponential_suite,
     exact_check,
-    mc_martingale_test,
     negative_control_suite,
     poisson_compensator_suite,
     predictable_jump_probe,
@@ -109,91 +107,37 @@ class TestRandomTimes:
         with pytest.raises(BadParameter):
             sample_random_time(RandomTimeSpec("nope"), np.array([1.0]), 0)
 
-    def test_path_validation(self):
-        with pytest.raises(BadParameter):
-            ContinuousPath(10.0, np.array([2.0, 1.0]))
-        with pytest.raises(BadParameter):
-            ContinuousPath(10.0, np.array([1.0]), tau=0.0)
-        p = ContinuousPath(10.0, np.array([1.0, 3.0]), tau=2.0)
-        assert p.count_at(2.5) == 1
-
-
-class TestMartingaleTests:
-    def test_compensated_count_passes(self):
-        r = mc_martingale_test(
-            lambda path, t: path.count_at(t) - 1.0 * t,
-            lambda path: 1.0,
-            5.0,
-            10.0,
-            N,
-            SEED,
-            lam=1.0,
-            name="compensated",
-        )
-        assert r.passed
-
-    def test_uncompensated_count_fails_loudly(self):
-        r = mc_martingale_test(
-            lambda path, t: float(path.count_at(t)),
-            lambda path: 1.0,
-            5.0,
-            10.0,
-            N,
-            SEED,
-            lam=1.0,
-            name="uncompensated",
-        )
-        assert not r.passed
-        assert abs(r.z_score) > 50.0
-
-    def test_survival_compensated_jump(self):
-        spec = RandomTimeSpec("exponential", 1.0)
-        r = mc_martingale_test(
-            lambda path, t: (1.0 if path.tau <= t else 0.0) - 1.0 * min(path.tau, t),
-            lambda path: 1.0 if path.tau > 2.0 else 0.0,
-            2.0,
-            8.0,
-            N,
-            SEED,
-            lam=1.0,
-            tau_spec=spec,
-            name="survival_compensated",
-        )
-        assert r.passed
-
-    def test_requires_ordered_times(self):
-        with pytest.raises(BadParameter):
-            mc_martingale_test(lambda p, t: 0.0, lambda p: 1.0, 5.0, 5.0, 10, 0)
-
 
 class TestSuites:
     def test_positive_controls_pass(self):
         paths = simulate_path_set(1.0, 10.0, N, SEED)
-        for r in poisson_compensator_suite(1.0, N, SEED, paths=paths):
+        for r in poisson_compensator_suite(paths):
             assert r.passed, r
-        for r in second_moment_suite(1.0, N, SEED, paths=paths):
+        for r in second_moment_suite(paths):
             assert r.passed, r
         spec = RandomTimeSpec("exponential", 1.0)
         epaths = simulate_path_set(1.0, 10.0, N, SEED, spec)
-        for r in azema_exponential_suite(1.0, 1.0, N, SEED, paths=epaths):
+        for r in azema_exponential_suite(epaths):
             assert r.passed, r
-        for r in avoidance_mc_suite(1.0, 1.0, N, SEED, paths=epaths):
+        for r in avoidance_mc_suite(epaths):
             assert r.passed, r
 
     def test_z_reports_have_positive_std_error(self):
         paths = simulate_path_set(1.0, 10.0, N, SEED)
-        for r in poisson_compensator_suite(1.0, N, SEED, paths=paths):
+        for r in poisson_compensator_suite(paths):
             if r.kind == "z_test":
                 assert r.std_error > 0.0
 
     def test_avoidance_fraction_exactly_zero(self):
-        reports = avoidance_mc_suite(1.0, 1.0, N, SEED)
+        spec = RandomTimeSpec("exponential", 1.0)
+        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, N, SEED, spec))
         frac = next(r for r in reports if r.statistic == "avoidance_collision_fraction")
         assert frac.kind == "exact"
         assert frac.estimate == 0.0
 
     def test_avoidance_stress_rate(self):
-        reports = avoidance_mc_suite(1.0, 25.0, 5000, SEED)
+        spec = RandomTimeSpec("exponential", 25.0)
+        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, 5000, SEED, spec))
         for r in reports:
             assert r.passed, r
             if r.kind == "z_test":
@@ -202,21 +146,42 @@ class TestSuites:
     def test_predictable_jump_probe_announced(self):
         paths = simulate_path_set(1.0, 10.0, N, SEED, RandomTimeSpec("midpoint"))
         for eps in (0.1, 0.01):
-            hit, base = predictable_jump_probe(1.0, eps, N, SEED, paths=paths)
+            hit, base = predictable_jump_probe(paths, eps)
             assert hit.kind == "exact" and hit.estimate == 1.0 and hit.passed
             assert base.passed
             assert abs(base.estimate - (1.0 - math.exp(-eps))) < 0.01
 
     def test_predictable_jump_probe_negative_control(self):
-        reports = predictable_jump_probe(1.0, 0.1, N, SEED, announced=False, mu=1.0)
-        unannounced, base = reports
+        paths = simulate_path_set(1.0, 10.0, N, SEED, RandomTimeSpec("exponential", 1.0))
+        unannounced, base = predictable_jump_probe(paths, 0.1)
         # without an announced time both windows behave like the base window
         assert abs(unannounced.estimate - base.estimate) < 0.02
         assert unannounced.estimate < 0.5
 
     def test_negative_controls_fail(self):
-        for r in negative_control_suite(1.0, 1.0, 5000, SEED):
+        for r in negative_control_suite(simulate_path_set(1.0, 10.0, 5000, SEED), 1.0):
             assert not r.passed, r
+
+    @pytest.mark.parametrize(
+        "suite,wrong",
+        [
+            (poisson_compensator_suite, RandomTimeSpec("exponential", 1.0)),
+            (second_moment_suite, RandomTimeSpec("midpoint")),
+            (azema_exponential_suite, RandomTimeSpec("midpoint")),
+            (azema_exponential_suite, None),
+            (avoidance_mc_suite, RandomTimeSpec("copy_first")),
+            (predictable_jump_probe, RandomTimeSpec("copy_first")),
+            (predictable_jump_probe, None),
+            (negative_control_suite, RandomTimeSpec("exponential", 1.0)),
+        ],
+        ids=lambda v: getattr(v, "__name__", None) or (v.kind if v else "none"),
+    )
+    def test_wrong_random_time_is_rejected(self, suite, wrong):
+        paths = simulate_path_set(1.0, 10.0, 50, SEED, wrong)
+        # the second argument is predictable_jump_probe's epsilon or negative_control_suite's mu
+        extra = (0.1,) if suite in (predictable_jump_probe, negative_control_suite) else ()
+        with pytest.raises(BadParameter, match="needs paths with random time"):
+            suite(paths, *extra)
 
     def test_exact_check_semantics(self):
         good = exact_check("x", 0.0, 0.0, 10)
