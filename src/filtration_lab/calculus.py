@@ -23,10 +23,11 @@ from .finite_space import (
     EXACT_TOL,
     AdaptedProcess,
     Filtration,
-    PointProcess,
+    as_point_process,
     conditional_expectation,
     is_adapted,
     is_predictable,
+    positive_sup,
     rebind,
 )
 
@@ -116,16 +117,15 @@ def is_martingale(
 ) -> MartingaleCheck:
     """Exact one-step drift test: E[dM_t | P_{t-1}] = 0 for all t >= 1."""
     filtration = filtration or m.filtration
-    probs = filtration.space.probs
     delta = m.increments()
     for t in range(1, filtration.horizon + 1):
-        for i, atoms in enumerate(filtration.at(t - 1).block_arrays):
-            mass = float(probs[atoms].sum())
-            if mass <= 0.0:
-                continue
-            drift = float(probs[atoms] @ delta[atoms, t]) / mass
-            if abs(drift) > tol:
-                return MartingaleCheck(False, (t, i, drift))
+        previous = filtration.at(t - 1)
+        drift = conditional_expectation(filtration.space, delta[:, t], previous)
+        bad = np.flatnonzero(np.abs(drift) > tol)
+        if bad.size:
+            # blocks are ordered by first atom: the first bad atom lies in the first bad block
+            atom = bad[0]
+            return MartingaleCheck(False, (t, int(previous.block_of[atom]), float(drift[atom])))
     return MartingaleCheck(True, None)
 
 
@@ -150,12 +150,6 @@ class OrthogonalityReport:
     decomposition_gap: float = 0.0
 
 
-def _require_point_process(p: AdaptedProcess) -> PointProcess:
-    if isinstance(p, PointProcess):
-        return p
-    return PointProcess(p.filtration, p.values)
-
-
 def orthogonality_report(
     y: AdaptedProcess, z: AdaptedProcess, tol: float = EXACT_TOL
 ) -> OrthogonalityReport:
@@ -171,12 +165,13 @@ def orthogonality_report(
         ``disjoint_predictable`` (bracket martingale iff it vanishes iff the
         compensators never jump together).
     """
-    y = _require_point_process(y)
-    z = _require_point_process(z)
+    y = as_point_process(y)
+    z = as_point_process(z)
     if y.filtration.partitions != z.filtration.partitions:
         raise FiltrationMismatch("pair must share one filtration")
     filt = y.filtration
-    pos = filt.space.positive
+    space = filt.space
+    pos = space.positive
 
     yp = dual_projection(y, filt)
     zp = dual_projection(z, filt)
@@ -189,41 +184,38 @@ def orthogonality_report(
     b_pp = quadratic_covariation(yp, zp)
     b_bar = quadratic_covariation(ybar, zbar)
 
-    def sup(v: np.ndarray) -> float:
-        return float(np.abs(v[pos]).max()) if pos.any() else 0.0
-
     clauses: dict = {}
     clauses["increasing_brackets"] = all(
         np.all(b.increments()[pos] >= 0.0) and np.all(np.isfinite(b.values))
         for b in (b_yp_z, b_y_zp, b_pp)
     )
     clauses["associated"] = (
-        sup(dual_projection(b_yp_z, filt).values - b_pp.values) <= tol
-        and sup(dual_projection(b_y_zp, filt).values - b_pp.values) <= tol
+        positive_sup(space, dual_projection(b_yp_z, filt).values - b_pp.values) <= tol
+        and positive_sup(space, dual_projection(b_y_zp, filt).values - b_pp.values) <= tol
     )
 
-    compensators_match = sup(dual_projection(b_yz, filt).values - b_pp.values) <= tol
+    compensators_match = (
+        positive_sup(space, dual_projection(b_yz, filt).values - b_pp.values) <= tol
+    )
     bar_martingale = bool(is_martingale(b_bar, tol=tol))
     clauses["martingale_iff_match"] = bar_martingale == compensators_match
 
-    disjoint = sup(y.increments() * z.increments()) <= tol
+    disjoint = positive_sup(space, y.increments() * z.increments()) <= tol
     if disjoint:
-        clauses["disjoint_zero"] = bar_martingale == (sup(b_bar.values) <= tol)
+        clauses["disjoint_zero"] = bar_martingale == (positive_sup(space, b_bar.values) <= tol)
         clauses["disjoint_predictable"] = bar_martingale == (
-            sup(yp.increments() * zp.increments()) <= tol
+            positive_sup(space, yp.increments() * zp.increments()) <= tol
         )
 
     identity = b_yz.values - b_yp_z.values - b_y_zp.values + b_pp.values
-    decomposition_gap = sup(b_bar.values - identity)
+    decomposition_gap = positive_sup(space, b_bar.values - identity)
 
     bar_comp = dual_projection(b_bar, filt)
     inc = bar_comp.increments()
     witness = None
     mask = (np.abs(inc) > tol) & pos[:, None]
     if mask.any():
-        hits = np.argwhere(mask)  # rows of (atom, time)
-        order = np.lexsort((hits[:, 0], hits[:, 1]))  # earliest time, then atom
-        atom, t = hits[order[0]]
+        t, atom = np.argwhere(mask.T)[0]  # earliest time, then lowest atom
         witness = (int(t), int(atom))
 
     return OrthogonalityReport(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -45,20 +46,33 @@ _EXACT_ONLY_KEYS = {"fixture"}
 _MC_ONLY_KEYS = {"mc"}
 
 
-def _normalise_suites(raw) -> list[dict]:
+def _normalise_suites(raw, engine: str) -> list[dict]:
+    """Each entry as {name, expected_outcome}; ``fails`` only for a suite that honours polarity."""
     if not isinstance(raw, list) or not raw:
         raise ConfigInvalid("config needs a non-empty 'suites' list")
     entries = []
     for item in raw:
-        if isinstance(item, str):
-            entries.append({"name": item, "expected_outcome": "holds"})
-        elif isinstance(item, dict) and "name" in item:
-            expected = item.get("expected_outcome", "holds")
-            if expected not in ("holds", "fails"):
-                raise ConfigInvalid(f"expected_outcome must be holds|fails, got {expected!r}")
-            entries.append({"name": item["name"], "expected_outcome": expected})
-        else:
-            raise ConfigInvalid(f"bad suite entry: {item!r}")
+        entry = {"name": item} if isinstance(item, str) else item
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ConfigInvalid(f"bad suite entry (needs a string name): {item!r}")
+        extra = set(entry) - {"name", "expected_outcome"}
+        if extra:
+            raise ConfigInvalid(f"unknown suite entry keys: {sorted(extra)}")
+        name = entry["name"]
+        try:
+            spec = get_suite(name)
+        except UnknownSuite as exc:
+            raise ConfigInvalid(str(exc)) from exc
+        if spec.engine != engine:
+            raise ConfigInvalid(
+                f"suite {name!r} belongs to the {spec.engine} engine, config says {engine}"
+            )
+        expected = entry.get("expected_outcome", "holds")
+        if expected not in ("holds", "fails"):
+            raise ConfigInvalid(f"expected_outcome must be holds|fails, got {expected!r}")
+        if expected == "fails" and not spec.honours_polarity:
+            raise ConfigInvalid(f"suite {name!r} does not honour expected_outcome 'fails'")
+        entries.append({"name": name, "expected_outcome": expected})
     return entries
 
 
@@ -73,16 +87,7 @@ def validate_config(config: dict, parallel: int = 1) -> list[dict]:
     engine = config.get("engine")
     if engine not in ("exact", "mc"):
         raise ConfigInvalid("engine must be 'exact' or 'mc'")
-    entries = _normalise_suites(config.get("suites"))
-    for entry in entries:
-        try:
-            spec = get_suite(entry["name"])
-        except UnknownSuite as exc:
-            raise ConfigInvalid(str(exc)) from exc
-        if spec.engine != engine:
-            raise ConfigInvalid(
-                f"suite {entry['name']!r} belongs to the {spec.engine} engine, config says {engine}"
-            )
+    entries = _normalise_suites(config.get("suites"), engine)
     if engine == "exact":
         bad = _MC_ONLY_KEYS & set(config)
         if bad:
@@ -114,8 +119,9 @@ def _resolve_bundle(config: dict):
             return bundle_by_name(fixture)
         if isinstance(fixture, dict):
             schema = fixture.get("schema")
+            # an inline fixture is named "inline", so no canonical fixture's name shadows it
             if schema == BUNDLE_SCHEMA:
-                return bundle_from_doc(fixture)
+                return dataclasses.replace(bundle_from_doc(fixture), name="inline")
             if schema == SPACE_SCHEMA:
                 space, _, processes = space_from_doc(fixture)
                 if "X" not in processes or "H" not in processes:

@@ -154,12 +154,7 @@ class Partition:
 
     def refines(self, coarser: "Partition") -> bool:
         """True if every block of self lies inside one block of ``coarser``."""
-        if coarser.n_atoms != self.n_atoms:
-            return False
-        for atoms in self._arrays:
-            if np.unique(coarser._block_of[atoms]).size != 1:
-                return False
-        return True
+        return coarser.n_atoms == self.n_atoms and _block_violation(coarser.block_of, self) is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +211,15 @@ def zero_probability_blocks(
     space: FiniteProbabilitySpace, partition: Partition
 ) -> tuple[int, ...]:
     """Indices of blocks on which conditional expectations are flagged as 0."""
-    return tuple(
-        i
-        for i, atoms in enumerate(partition.block_arrays)
-        if float(space.probs[atoms].sum()) == 0.0
-    )
+    has_mass = np.zeros(partition.n_blocks, dtype=bool)
+    has_mass[partition.block_of[space.positive]] = True
+    return tuple(int(i) for i in np.flatnonzero(~has_mass))
+
+
+def positive_sup(space: FiniteProbabilitySpace, values) -> float:
+    """Max absolute value over positive-probability atoms (the first axis); 0 if there are none."""
+    vals = np.abs(np.asarray(values)[space.positive])
+    return float(vals.max()) if vals.size else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,15 +299,9 @@ class AdaptedProcess:
     def __neg__(self):
         return AdaptedProcess(self.filtration, -self.values)
 
-    def sup_abs(self, positive_only: bool = True) -> float:
-        """Max absolute value, by default over positive-probability atoms only."""
-        vals = np.abs(self.values)
-        if positive_only:
-            mask = self.space.positive
-            if not mask.any():
-                return 0.0
-            vals = vals[mask]
-        return float(vals.max()) if vals.size else 0.0
+    def sup_abs(self) -> float:
+        """Max absolute value over positive-probability atoms."""
+        return positive_sup(self.space, self.values)
 
 
 class PointProcess(AdaptedProcess):
@@ -327,7 +320,8 @@ class PointProcess(AdaptedProcess):
 
 
 def as_point_process(p: AdaptedProcess) -> PointProcess:
-    return PointProcess(p.filtration, p.values)
+    """``p`` itself if it is a PointProcess, else its values validated as one."""
+    return p if isinstance(p, PointProcess) else PointProcess(p.filtration, p.values)
 
 
 def _block_violation(column: np.ndarray, partition: Partition):
@@ -385,12 +379,10 @@ class StoppingTime:
         if not ok.all():
             bad = int(np.argmin(ok))
             raise ValueError(f"atom {bad}: value {vals[bad]} outside 0..{T} or NEVER")
-        for t in range(T + 1):
-            hit = vals <= t
-            for i, atoms in enumerate(self.filtration.at(t).block_arrays):
-                marks = hit[atoms]
-                if marks.any() and not marks.all():
-                    raise NotAStoppingTime(t, self.filtration.at(t).blocks[i])
+        for t, partition in enumerate(self.filtration.partitions):
+            block = _block_violation(vals <= t, partition)
+            if block is not None:
+                raise NotAStoppingTime(t, partition.blocks[block])
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -410,11 +402,7 @@ class StoppingTime:
 def first_jump_time(x: PointProcess, level: int = 1) -> StoppingTime:
     """First time the counting path reaches ``level`` (NEVER if it does not)."""
     reached = x.values >= level
-    vals = np.full(x.space.n_atoms, NEVER, dtype=np.int64)
-    rows, cols = np.nonzero(reached)
-    for r, c in zip(rows, cols):
-        if c < vals[r]:
-            vals[r] = c
+    vals = np.where(reached.any(axis=1), reached.argmax(axis=1), NEVER)
     return StoppingTime(x.filtration, vals)
 
 

@@ -186,11 +186,10 @@ def random_closure_variable(rng: np.random.Generator, n_atoms: int) -> np.ndarra
 
 def random_predictable_values(rng: np.random.Generator, filtration: Filtration) -> np.ndarray:
     """Block-constant values on P_{t-1} for t >= 1, zero at time 0."""
-    n = filtration.space.n_atoms
-    vals = np.zeros((n, filtration.horizon + 1))
+    vals = np.zeros((filtration.space.n_atoms, filtration.horizon + 1))
     for t in range(1, filtration.horizon + 1):
-        for atoms in filtration.at(t - 1).block_arrays:
-            vals[atoms, t] = rng.normal()
+        previous = filtration.at(t - 1)
+        vals[:, t] = rng.normal(size=previous.n_blocks)[previous.block_of]
     return vals
 
 

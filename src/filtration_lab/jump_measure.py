@@ -20,7 +20,7 @@ from .finite_space import (
     Filtration,
     PointProcess,
     as_point_process,
-    is_predictable,
+    predictable_violation,
 )
 
 
@@ -36,13 +36,29 @@ MARKS: tuple[Mark, ...] = (Mark.X_ONLY, Mark.H_ONLY, Mark.JOINT)
 _MARK_INDEX = {m: i for i, m in enumerate(MARKS)}
 
 
+def _mark_stack(filtration: Filtration, values) -> np.ndarray:
+    """``values`` as a float array of shape (marks, atoms, T+1), or ValueError."""
+    vals = np.asarray(values, dtype=float)
+    shape = (len(MARKS), filtration.space.n_atoms, filtration.horizon + 1)
+    if vals.shape != shape:
+        raise ValueError(f"values must have shape {shape}, got {vals.shape}")
+    return vals
+
+
+def _require_predictable(values: np.ndarray, filtration: Filtration) -> None:
+    violation = predictable_violation(values, filtration)
+    if violation is not None:
+        raise NotPredictable(f"not predictable at (time, block) {violation}")
+
+
 @dataclass(frozen=True, eq=False)
 class MarkedMeasure:
     """Per-step mass of each mark: ``increments[k, atom, t]`` for mark ``MARKS[k]``.
 
     For a jump measure the entries are 0/1 event indicators, at most one mark
     per (atom, time); for its compensator (``is_predictable_density``) they
-    are predictable densities.  Column 0 is zero.  The array is read-only.
+    are predictable densities.  Column 0 is zero.  All three are checked on
+    construction.  The array is read-only.
     """
 
     filtration: Filtration
@@ -50,7 +66,15 @@ class MarkedMeasure:
     is_predictable_density: bool
 
     def __post_init__(self):
-        self.increments.setflags(write=False)
+        inc = _mark_stack(self.filtration, self.increments)
+        if np.any(inc[..., 0] != 0.0):
+            raise ValueError("a measure puts no mass at time 0")
+        if self.is_predictable_density:
+            _require_predictable(inc, self.filtration)
+        elif np.any((inc != 0.0) & (inc != 1.0)) or np.any(inc.sum(axis=0) > 1.0):
+            raise ValueError("events must be 0/1 indicators, at most one mark per (atom, time)")
+        inc.setflags(write=False)
+        object.__setattr__(self, "increments", inc)
 
     def indicator_increments(self, mark: Mark) -> np.ndarray:
         """Per-step mass of one mark as an (atom, time) matrix."""
@@ -130,14 +154,8 @@ class PredictableFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        n = self.filtration.space.n_atoms
-        shape = (len(MARKS), n, self.filtration.horizon + 1)
-        if vals.shape != shape:
-            raise ValueError(f"values must have shape {shape}, got {vals.shape}")
-        for k, mark in enumerate(MARKS):
-            if not is_predictable(AdaptedProcess(self.filtration, vals[k])):
-                raise NotPredictable(f"component {mark.value} is not predictable")
+        vals = _mark_stack(self.filtration, np.array(self.values, dtype=float))
+        _require_predictable(vals, self.filtration)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

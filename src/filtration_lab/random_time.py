@@ -24,6 +24,7 @@ from .finite_space import (
     PointProcess,
     StoppingTime,
     conditional_expectation,
+    positive_sup,
     rebind,
     stop_process,
 )
@@ -136,10 +137,8 @@ def direct_compensator(bundle: RandomTimeBundle) -> AdaptedProcess:
 
 def cross_validation_gap(bundle: RandomTimeBundle) -> float:
     """Sup distance between the survival-driven and the direct compensator."""
-    candidate = compensator_via_azema(bundle)
-    direct = direct_compensator(bundle)
-    diff = AdaptedProcess(bundle.g, candidate.values - direct.values)
-    return diff.sup_abs()
+    gap = compensator_via_azema(bundle).values - direct_compensator(bundle).values
+    return positive_sup(bundle.g.space, gap)
 
 
 def azema_consistency_gap(bundle: RandomTimeBundle) -> float:
@@ -160,16 +159,12 @@ def azema_consistency_gap(bundle: RandomTimeBundle) -> float:
 
 def supermartingale_gap(bundle: RandomTimeBundle) -> float:
     """Max positive one-step rise of the survival process (should be <= 0)."""
-    probs = bundle.f.space.probs
+    space = bundle.f.space
     vals = bundle.azema.values
     worst = 0.0
     for t in range(1, bundle.f.horizon + 1):
-        for atoms in bundle.f.at(t - 1).block_arrays:
-            mass = float(probs[atoms].sum())
-            if mass <= 0.0:
-                continue
-            drift = float(probs[atoms] @ vals[atoms, t]) / mass - float(vals[atoms[0], t - 1])
-            worst = max(worst, drift)
+        drift = conditional_expectation(space, vals[:, t], bundle.f.at(t - 1)) - vals[:, t - 1]
+        worst = max(worst, float(drift[space.positive].max()))
     return worst
 
 
@@ -202,11 +197,8 @@ def avoidance_check(bundle: RandomTimeBundle, sigma_list=()) -> AvoidanceReport:
         hit = finite & (sigma.values == bundle.tau)
         sigma_probs.append(float(probs[hit].sum()))
 
-    dx = bundle.X.increments()
-    hit_jump = np.zeros(len(probs), dtype=bool)
-    for atom in np.flatnonzero(finite):
-        hit_jump[atom] = dx[atom, bundle.tau[atom]] == 1.0
-    jump_prob = float(probs[hit_jump].sum())
+    dx_at_tau = bundle.X.increments()[np.arange(len(probs)), np.where(finite, bundle.tau, 0)]
+    jump_prob = float(probs[finite & (dx_at_tau == 1.0)].sum())
 
     avoids = jump_prob == 0.0 and all(p == 0.0 for p in sigma_probs)
 
@@ -221,8 +213,8 @@ def avoidance_check(bundle: RandomTimeBundle, sigma_list=()) -> AvoidanceReport:
         conclusions = {
             "no_common_jumps": bracket.sup_abs() <= tol,
             "joint_part_vanishes": z3.sup_abs() <= tol,
-            "z1_is_compensated_x": AdaptedProcess(bundle.g, z1.values - xbar.values).sup_abs() <= tol,
-            "z2_is_compensated_h": AdaptedProcess(bundle.g, z2.values - hbar.values).sup_abs() <= tol,
+            "z1_is_compensated_x": positive_sup(bundle.g.space, z1.values - xbar.values) <= tol,
+            "z2_is_compensated_h": positive_sup(bundle.g.space, z2.values - hbar.values) <= tol,
             "z1_z2_bracket_vanishes": quadratic_covariation(z1, z2).sup_abs() <= tol,
         }
         conclusions_hold = all(conclusions.values())
@@ -283,9 +275,7 @@ def orthogonality_suite(bundle: RandomTimeBundle) -> OrthogonalityStudy:
         rep = orthogonality_report(a, b)
         ap = dual_projection(a, bundle.g)
         bp = dual_projection(b, bundle.g)
-        surrogate = AdaptedProcess(
-            bundle.g, ap.increments() * bp.increments()
-        ).sup_abs() <= tol
+        surrogate = positive_sup(bundle.g.space, ap.increments() * bp.increments()) <= tol
         pairs.append(
             PairStudy(
                 name=label,

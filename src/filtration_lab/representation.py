@@ -36,6 +36,7 @@ from .finite_space import (
     Filtration,
     StoppingTime,
     conditional_expectation,
+    positive_sup,
     predictable_violation,
     stop_process,
 )
@@ -244,18 +245,17 @@ def solve_in_basis(
 
 def verify_independence(bundle: EnlargementBundle, tol: float = 1e-9) -> None:
     """Product rule for every pair of blocks of the two filtrations, all times."""
-    probs = bundle.space.probs
-    for t in range(bundle.f.horizon + 1):
-        for bf in bundle.f.at(t).block_arrays:
-            pf = float(probs[bf].sum())
-            for bh in bundle.h_filtration.at(t).block_arrays:
-                ph = float(probs[bh].sum())
-                joint = float(probs[np.intersect1d(bf, bh)].sum())
-                if abs(joint - pf * ph) > tol:
-                    raise IndependenceViolated(
-                        f"product rule fails at t={t}: P(joint)={joint!r} vs "
-                        f"P(F-block)*P(H-block)={pf * ph!r}"
-                    )
+    for t, (f, h) in enumerate(zip(bundle.f.partitions, bundle.h_filtration.partitions)):
+        joint = np.zeros((f.n_blocks, h.n_blocks))
+        np.add.at(joint, (f.block_of, h.block_of), bundle.space.probs)
+        product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+        bad = np.argwhere(np.abs(joint - product) > tol)
+        if bad.size:
+            i, j = bad[0]
+            raise IndependenceViolated(
+                f"product rule fails at t={t}, F-block {i}, H-block {j}: "
+                f"P(joint)={float(joint[i, j])!r} vs P(F-block)*P(H-block)={float(product[i, j])!r}"
+            )
 
 
 def independent_batch(
@@ -290,17 +290,14 @@ def independent_batch(
         keep_reconstructions=keep_reconstructions,
     )
 
-    pos = bundle.space.positive
-
-    def sup(v: np.ndarray) -> float:
-        return float(np.abs(v[pos]).max()) if pos.any() else 0.0
+    space = bundle.space
 
     # pairwise predictable covariations of the basis
     orth_gap = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
             bracket = quadratic_covariation(basis[i], basis[j])
-            orth_gap = max(orth_gap, sup(dual_projection(bracket, filtration).values))
+            orth_gap = max(orth_gap, dual_projection(bracket, filtration).sup_abs())
 
     # change of basis: each compensated jump part against the orthogonal
     # basis; the joint part picks up both predictable densities, the single
@@ -312,19 +309,20 @@ def independent_batch(
     z1_rhs = xbar.values - z3_rhs
     z2_rhs = hbar.values - z3_rhs
     basis_identity_gap = max(
-        sup(z1.values - z1_rhs), sup(z2.values - z2_rhs), sup(z3.values - z3_rhs)
+        positive_sup(space, z.values - rhs) for z, rhs in ((z1, z1_rhs), (z2, z2_rhs), (z3, z3_rhs))
     )
 
     # bracket compensator factorisation: [X,H]^p = [X^p, H^p]
     bracket_xh = quadratic_covariation(bundle.X, bundle.H)
-    factor_gap = sup(
+    factor_gap = positive_sup(
+        space,
         dual_projection(bracket_xh, filtration).values
-        - quadratic_covariation(x_pair.compensator, h_pair.compensator).values
+        - quadratic_covariation(x_pair.compensator, h_pair.compensator).values,
     )
 
     # Pythagoras: squared terminal norm splits across the orthogonal parts
     values = np.asarray(targets, dtype=float)
-    probs = bundle.space.probs
+    probs = space.probs
     total = (values[..., -1] - values[..., 0]) ** 2 @ probs
     split = sum(
         np.cumsum(k * d, axis=-1)[..., -1] ** 2 @ probs for k, d in zip(batch.integrands, deltas)

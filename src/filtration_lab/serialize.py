@@ -62,6 +62,8 @@ def space_from_doc(doc: dict):
     """Returns (space, filtration or None, process value-matrix dict)."""
     _check_schema(doc, SPACE_SCHEMA)
     atoms = sorted(doc["atoms"], key=lambda a: a["id"])
+    if [a["id"] for a in atoms] != list(range(len(atoms))):
+        raise ValueError("atom ids must be exactly 0..n-1")
     space = build_space([a["prob"] for a in atoms])
     filtration = None
     if "filtration" in doc:
@@ -87,6 +89,9 @@ def bundle_to_doc(bundle: EnlargementBundle) -> dict:
 
 def bundle_from_doc(doc: dict) -> EnlargementBundle:
     _check_schema(doc, BUNDLE_SCHEMA)
+    name = doc.get("name", "custom")
+    if not isinstance(name, str):
+        raise ValueError(f"bundle name must be a string, got {name!r}")
     space = build_space(doc["probs"])
     initial = _partition(doc["initial"], space.n_atoms)
     return build_bundle(
@@ -94,7 +99,7 @@ def bundle_from_doc(doc: dict) -> EnlargementBundle:
         np.asarray(doc["x_values"], dtype=float),
         np.asarray(doc["h_values"], dtype=float),
         initial=initial,
-        name=doc.get("name", "custom"),
+        name=name,
     )
 
 
@@ -118,10 +123,15 @@ def measure_from_doc(doc: dict, filtration: Filtration) -> MarkedMeasure:
             [np.asarray(doc["densities"][str(list(m.value))], dtype=float) for m in MARKS]
         )
         return MarkedMeasure(filtration, dens, True)
-    increments = np.zeros((len(MARKS), filtration.space.n_atoms, filtration.horizon + 1))
+    n, T = filtration.space.n_atoms, filtration.horizon
+    if len(doc["events"]) != n:
+        raise ValueError(f"events list {len(doc['events'])} atoms, the space has {n}")
+    increments = np.zeros((len(MARKS), n, T + 1))
     for atom, evs in enumerate(doc["events"]):
         for t, mark in evs:
-            increments[MARKS.index(Mark(tuple(mark))), atom, int(t)] = 1.0
+            if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= T:
+                raise ValueError(f"atom {atom}: event time {t!r} outside 1..{T}")
+            increments[MARKS.index(Mark(tuple(mark))), atom, t] += 1.0
     return MarkedMeasure(filtration, increments, False)
 
 

@@ -1,7 +1,8 @@
 """Shared test helpers: deliberately dumb brute-force oracles.
 
-These recompute conditional expectations, compensators, drifts, jump-measure
-events and the per-path Monte Carlo reductions with plain Python loops so the vectorised
+These recompute conditional expectations, compensators, drifts, block
+constancy, stopping-time and independence checks, jump-measure events and the
+per-path Monte Carlo reductions with plain Python loops so the vectorised
 engine is always checked against an independent path.
 """
 from __future__ import annotations
@@ -63,6 +64,100 @@ def oracle_block_violation(column, blocks):
         if np.any(col != col[0]):
             return i
     return None
+
+
+def oracle_drift_witness(probs, partitions, values, tol):
+    """(t, block, drift) of the first one-step drift above tol, by a loop over blocks."""
+    values = np.asarray(values, dtype=float)
+    for t in range(1, values.shape[1]):
+        delta = values[:, t] - values[:, t - 1]
+        for i, block in enumerate(partitions[t - 1].blocks):
+            atoms = np.array(block)
+            mass = float(probs[atoms].sum())
+            if mass <= 0.0:
+                continue
+            drift = float(probs[atoms] @ delta[atoms]) / mass
+            if abs(drift) > tol:
+                return (t, i, drift)
+    return None
+
+
+def oracle_stopping_violation(values, partitions):
+    """(t, block) of the first block that {sigma <= t} cuts through, by a loop over blocks."""
+    for t, partition in enumerate(partitions):
+        for block in partition.blocks:
+            marks = np.asarray(values)[list(block)] <= t
+            if marks.any() and not marks.all():
+                return (t, block)
+    return None
+
+
+def oracle_refines(fine, coarse):
+    """True if every block of ``fine`` lies inside one block of ``coarse``."""
+    if fine.n_atoms != coarse.n_atoms:
+        return False
+    return all(len({int(coarse.block_of[a]) for a in block}) == 1 for block in fine.blocks)
+
+
+def oracle_independence_violation(probs, f_partitions, h_partitions, tol):
+    """(t, F-block, H-block) of the first pair breaking the product rule, row-major per t."""
+    for t, (f, h) in enumerate(zip(f_partitions, h_partitions)):
+        for i, bf in enumerate(f.blocks):
+            for j, bh in enumerate(h.blocks):
+                pf = float(probs[list(bf)].sum())
+                ph = float(probs[list(bh)].sum())
+                joint = float(probs[np.intersect1d(bf, bh)].sum())
+                if abs(joint - pf * ph) > tol:
+                    return (t, i, j)
+    return None
+
+
+def oracle_first_jump_time(values, level, never):
+    """Per atom, the first time its path reaches ``level`` (``never`` if it does not)."""
+    reached = np.asarray(values) >= level
+    out = np.full(reached.shape[0], never, dtype=np.int64)
+    for r, c in zip(*np.nonzero(reached)):
+        if c < out[r]:
+            out[r] = c
+    return out
+
+
+def oracle_random_predictable_values(rng, filtration):
+    """One scalar normal draw per block of P_{t-1}, blocks in order, for t = 1..T."""
+    vals = np.zeros((filtration.space.n_atoms, filtration.horizon + 1))
+    for t in range(1, filtration.horizon + 1):
+        for block in filtration.at(t - 1).blocks:
+            vals[list(block), t] = rng.normal()
+    return vals
+
+
+def oracle_supermartingale_gap(probs, partitions, azema):
+    """Largest one-step rise E[A_t | P_{t-1}] - A_{t-1} over positive-mass blocks (at least 0)."""
+    worst = 0.0
+    for t in range(1, azema.shape[1]):
+        for block in partitions[t - 1].blocks:
+            atoms = np.array(block)
+            mass = float(probs[atoms].sum())
+            if mass <= 0.0:
+                continue
+            rise = float(probs[atoms] @ azema[atoms, t]) / mass - float(azema[atoms[0], t - 1])
+            worst = max(worst, rise)
+    return worst
+
+
+def random_filtration(rng, n_atoms, horizon, zero_frac=0.3):
+    """A space with some zero-probability atoms and a random refining filtration on it."""
+    from filtration_lab.finite_space import Filtration, Partition, build_space
+
+    weights = rng.uniform(0.1, 1.0, n_atoms) * (rng.random(n_atoms) >= zero_frac)
+    weights[int(rng.integers(n_atoms))] = 1.0  # at least one atom carries mass
+    space = build_space(weights / weights.sum())
+    labels = [()] * n_atoms
+    parts = []
+    for _ in range(horizon + 1):
+        parts.append(Partition.from_labels(labels))
+        labels = [lab + (int(rng.integers(0, 2)),) for lab in labels]
+    return Filtration(space, tuple(parts))
 
 
 def oracle_nodewise_lstsq(targets, regressors, filtration, cutoff):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import oracle_compensator, oracle_max_drift
+from conftest import oracle_compensator, oracle_drift_witness, oracle_max_drift, random_filtration
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,7 @@ from filtration_lab.calculus import (
     stochastic_integral,
 )
 from filtration_lab.errors import NotIncreasing, NotMartingale, NotPointProcess, NotPredictable
-from filtration_lab.finite_space import AdaptedProcess, is_predictable
+from filtration_lab.finite_space import AdaptedProcess, conditional_expectation, is_predictable
 
 
 class TestCompensator:
@@ -270,3 +270,31 @@ class TestOrthogonalityToolkit:
         b = fixtures.random_bundle(rng)
         rep = orthogonality_report(b.X, b.H)
         assert rep.decomposition_gap <= 1e-12
+
+
+class TestDriftWitness:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6), kicks=st.integers(0, 2), nan=st.booleans())
+    def test_witness_matches_the_block_loop(self, seed, kicks, nan):
+        rng = np.random.default_rng(seed)
+        n, horizon = int(rng.integers(1, 10)), int(rng.integers(1, 4))
+        filt = random_filtration(rng, n, horizon)
+        xi = rng.normal(size=n)
+        values = np.stack(
+            [conditional_expectation(filt.space, xi, part) for part in filt.partitions], axis=1
+        )
+        for _ in range(kicks):  # a drift at a random (atom, time)
+            values[int(rng.integers(n)), int(rng.integers(1, horizon + 1))] += rng.normal()
+        if nan:  # a NaN column or a single NaN value
+            t = int(rng.integers(horizon + 1))
+            values[int(rng.integers(n)) if rng.random() < 0.5 else slice(None), t] = np.nan
+        check = is_martingale(AdaptedProcess(filt, values))
+        want = oracle_drift_witness(filt.space.probs, filt.partitions, values, 1e-9)
+        assert check.witness == want  # same block and bitwise the same drift
+        assert check.ok == (want is None)
+
+    def test_drift_at_the_tolerance_passes(self, space_a_bundle):
+        b = space_a_bundle
+        vals = np.tile(np.array([0.0, 0.5, 0.5]), (16, 1))
+        assert is_martingale(AdaptedProcess(b.g, vals), tol=0.5)
+        assert is_martingale(AdaptedProcess(b.g, vals), tol=0.25).witness == (1, 0, 0.5)

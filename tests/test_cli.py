@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from filtration_lab.cli import (
+    _resolve_bundle,
     main,
     report_to_csv,
     report_to_json,
@@ -205,6 +206,11 @@ _INLINE = {
     "x_values": [[0, 1], [0, 0]],
     "h_values": [[0, 0], [0, 1]],
 }
+_INLINE_SPACE = {
+    "schema": "filtration-lab/space-v1",
+    "atoms": [{"id": 0, "prob": 0.5}, {"id": 0, "prob": 0.5}],
+    "processes": {"X": [[0, 1], [0, 0]], "H": [[0, 0], [0, 1]]},
+}
 BAD_CONFIG = [
     ("probs_sum_to_1.1", {"fixture": dict(_INLINE, probs=[0.5, 0.6])}),
     ("jump_of_two", {"fixture": dict(_INLINE, x_values=[[0, 2], [0, 0]])}),
@@ -217,6 +223,22 @@ BAD_CONFIG = [
     ("tolerance_negative", {"tolerances": {"atomwise": -1e-12}}),
     ("tolerance_unknown_key", {"tolerances": {"exactly": 1e-9}}),
     ("unknown_top_level_key", {"name": "x"}),
+    ("suite_name_a_list", {"suites": [{"name": ["counterexample_a2"]}]}),
+    ("suite_name_an_object", {"suites": [{"name": {}}]}),
+    ("suite_entry_without_name", {"suites": [{"expected_outcome": "holds"}]}),
+    ("suite_entry_a_number", {"suites": [3]}),
+    ("suite_entry_typo_key", {"suites": [{"name": "counterexample_a2", "expexted_outcome": "fails"}]}),
+    ("fails_without_polarity", {"suites": [{"name": "filtration_identities", "expected_outcome": "fails"}]}),
+    (
+        "fails_without_polarity_mc",
+        {"engine": "mc", "suites": [{"name": "mc_poisson_compensator", "expected_outcome": "fails"}]},
+    ),
+    ("inline_bundle_name_a_list", {"fixture": dict(_INLINE, name=["space_a"])}),
+    ("inline_space_duplicate_atom_ids", {"fixture": _INLINE_SPACE}),
+    (
+        "inline_space_atom_ids_from_1",
+        {"fixture": dict(_INLINE_SPACE, atoms=[{"id": 1, "prob": 0.5}, {"id": 2, "prob": 0.5}])},
+    ),
 ]
 
 
@@ -232,8 +254,18 @@ class TestBadConfig:
         assert err.startswith("error: invalid config: ") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("name", ["space_a", "fixture_a2", "staggered", "large_tree"])
+    def test_inline_bundle_always_runs(self, name):
+        cfg = {"engine": "exact", "fixture": dict(_INLINE, name=name), "suites": ["three_point_processes"]}
+        bundle = _resolve_bundle(cfg)
+        assert bundle.name == "inline"
+        assert suites._rep_fixtures(suites.SuiteContext(seed=0, bundle=bundle))[0] is bundle
+        report = run_config(cfg)
+        assert report["config"]["fixture"]["name"] == name
+        assert report["summary"]["failed"] == 0
+
     def test_valid_tolerances_are_accepted(self):
-        cfg = json.load(open(CONFIG_DIR / "counterexample_a2.json"))
+        cfg = json.loads((CONFIG_DIR / "counterexample_a2.json").read_text())
         cfg["tolerances"] = {"exact": 1, "atomwise": 1e-3}
         validate_config(cfg)
         assert run_config(cfg)["summary"]["failed"] == 0
@@ -242,7 +274,8 @@ class TestBadConfig:
 class TestRunConfig:
     @pytest.mark.parametrize("expected", ["holds", "fails"])
     def test_suite_without_rows_fails(self, monkeypatch, expected):
-        spec = REGISTRY["mc_poisson_compensator"]
+        # only a suite that honours polarity may be declared to fail
+        spec = REGISTRY["mc_negative_controls" if expected == "fails" else "mc_poisson_compensator"]
         monkeypatch.setitem(suites.REGISTRY, spec.name, dataclasses.replace(spec, fn=lambda ctx: []))
         cfg = _small_mc_config(suites=[{"name": spec.name, "expected_outcome": expected}])
         report = run_config(cfg)
@@ -255,7 +288,7 @@ class TestRunConfig:
         assert report_to_json(run_config(cfg, parallel=8)) == report_to_json(run_config(cfg))
 
     def test_counterexample_polarity(self):
-        cfg = json.load(open(CONFIG_DIR / "counterexample_a2.json"))
+        cfg = json.loads((CONFIG_DIR / "counterexample_a2.json").read_text())
         report = run_config(cfg)
         assert report["summary"]["failed"] == 0
         row = next(
@@ -264,7 +297,7 @@ class TestRunConfig:
         assert row["outcome"] == "fails" and row["expected"] == "fails" and row["passed"]
 
     def test_counterexample_without_polarity_fails(self):
-        cfg = json.load(open(CONFIG_DIR / "counterexample_a2.json"))
+        cfg = json.loads((CONFIG_DIR / "counterexample_a2.json").read_text())
         cfg["suites"] = ["counterexample_a2"]
         report = run_config(cfg)
         assert report["summary"]["failed"] == 1
@@ -329,7 +362,7 @@ class TestCommandLine:
         assert json.loads(out.read_text())["config"]["seed"] == 999
 
     def test_statistic_without_samples_fails_its_row(self, tmp_path, capsys):
-        cfg = json.load(open(CONFIG_DIR / "poisson_qlc.json"))
+        cfg = json.loads((CONFIG_DIR / "poisson_qlc.json").read_text())
         cfg["seed"] = 3
         cfg["mc"].update({"n_paths": 2, "lambda": 0.2, "t_real": 1.0})
         cfg_path = tmp_path / "cfg.json"

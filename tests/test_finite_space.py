@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from conftest import oracle_block_violation, oracle_conditional_expectation
+from conftest import (
+    oracle_block_violation,
+    oracle_conditional_expectation,
+    oracle_first_jump_time,
+    oracle_random_predictable_values,
+    oracle_refines,
+    oracle_stopping_violation,
+    random_filtration,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtration_lab import fixtures
-from filtration_lab.enlargement import build_bundle
+from filtration_lab.enlargement import build_bundle, natural_filtration
 from filtration_lab.errors import (
     FiltrationMismatch,
     NegativeProbability,
@@ -265,3 +273,79 @@ class TestStoppingTimes:
         values = np.full(16, NEVER, dtype=np.int64)
         st = StoppingTime(space_a_bundle.g, values)
         assert (st.values == NEVER).all()
+
+
+class TestBlockOracles:
+    """The block-index rewrites against the per-block loops they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_refines_matches_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        labels = rng.integers(0, 4, n)
+        fine = Partition.from_labels(labels.tolist())
+        coarse = Partition.from_labels((labels // 2).tolist())
+        other = Partition.from_labels(rng.integers(0, 3, n).tolist())
+        for a in (fine, coarse, other):
+            for b in (fine, coarse, other, Partition.trivial(n + 1)):
+                assert a.refines(b) == oracle_refines(a, b)
+        assert fine.refines(coarse)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), valid=st.booleans(), perturb=st.booleans())
+    def test_stopping_time_validation_matches_the_loop(self, seed, valid, perturb):
+        rng = np.random.default_rng(seed)
+        n, horizon = int(rng.integers(1, 10)), int(rng.integers(1, 4))
+        filt = random_filtration(rng, n, horizon)
+        if valid:
+            # stop on a random set of blocks at each time: a stopping time by construction
+            stopped = np.zeros(n, dtype=bool)
+            values = np.full(n, NEVER, dtype=np.int64)
+            for t, part in enumerate(filt.partitions):
+                stopped |= (rng.random(part.n_blocks) < 0.4)[part.block_of]
+                values[stopped & (values == NEVER)] = t
+        else:
+            values = rng.choice(np.array(list(range(horizon + 1)) + [NEVER], dtype=np.int64), n)
+        if perturb:
+            values[int(rng.integers(n))] = int(rng.integers(0, horizon + 1))
+        want = oracle_stopping_violation(values, filt.partitions)
+        if want is None:
+            assert np.array_equal(StoppingTime(filt, values).values, values)
+        else:
+            with pytest.raises(NotAStoppingTime) as exc:
+                StoppingTime(filt, values)
+            assert (exc.value.t, exc.value.block) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), level=st.integers(1, 3))
+    def test_first_jump_time_matches_the_loop(self, seed, level):
+        rng = np.random.default_rng(seed)
+        n, horizon = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+        filt = random_filtration(rng, n, horizon)
+        values = np.zeros((n, horizon + 1))
+        values[:, 1:] = np.cumsum(rng.integers(0, 2, (n, horizon)), axis=1)
+        x = PointProcess(natural_filtration(filt.space, [values]), values)
+        got = first_jump_time(x, level).values
+        assert np.array_equal(got, oracle_first_jump_time(values, level, NEVER))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_random_predictable_values_draw_for_draw(self, seed):
+        rng = np.random.default_rng(seed)
+        filt = random_filtration(rng, int(rng.integers(1, 12)), int(rng.integers(1, 5)))
+        new, old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = fixtures.random_predictable_values(new, filt)
+        assert np.array_equal(got, oracle_random_predictable_values(old, filt))
+        assert new.normal() == old.normal()
+        assert is_predictable(AdaptedProcess(filt, got))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_zero_probability_blocks_match_the_block_masses(self, seed):
+        rng = np.random.default_rng(seed)
+        filt = random_filtration(rng, int(rng.integers(1, 12)), 2, zero_frac=0.6)
+        probs = filt.space.probs
+        for part in filt.partitions:
+            want = tuple(i for i, b in enumerate(part.blocks) if probs[list(b)].sum() == 0.0)
+            assert zero_probability_blocks(filt.space, part) == want

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from conftest import oracle_supermartingale_gap, random_filtration
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtration_lab import fixtures
 from filtration_lab.calculus import compensator, is_martingale
@@ -185,3 +188,24 @@ class TestOrthogonalityStudy:
         for _ in range(15):
             study = orthogonality_suite(fixtures.random_random_time_bundle(rng))
             assert study.all_consistent
+
+
+class TestBlockOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_gaps_match_the_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        n, horizon = int(rng.integers(1, 10)), int(rng.integers(1, 4))
+        space = random_filtration(rng, n, horizon).space  # some atoms carry no mass
+        x_values = np.zeros((n, horizon + 1))
+        x_values[:, 1:] = np.cumsum(rng.integers(0, 2, (n, horizon)), axis=1)
+        f = natural_filtration(space, [x_values])
+        choices = np.array(list(range(1, horizon + 1)) + [NEVER], dtype=np.int64)
+        tau = rng.choice(choices, n)
+        rb = build_random_time_bundle(tau, f, x_values)
+        want = oracle_supermartingale_gap(space.probs, f.partitions, rb.azema.values)
+        assert supermartingale_gap(rb) == want
+        # tau's collision with a jump of X, atom by atom
+        dx = rb.X.increments()
+        hit = [tau[a] != NEVER and dx[a, tau[a]] == 1.0 for a in range(n)]
+        assert avoidance_check(rb).jump_collision_prob == float(space.probs[hit].sum())

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from conftest import oracle_nodewise_lstsq, oracle_residual_sup
+from conftest import (
+    oracle_independence_violation,
+    oracle_nodewise_lstsq,
+    oracle_residual_sup,
+    random_filtration,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +35,7 @@ from filtration_lab.representation import (
     solve_triple,
     solve_wrp,
     triple_regressors,
+    verify_independence,
     wrp_regressors,
 )
 
@@ -187,6 +193,35 @@ class TestIndependentDecomposition:
         y = martingale_closure(dep.X.terminal, dep.g)
         with pytest.raises(IndependenceViolated):
             independent_decomposition(y, dep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), product=st.booleans())
+    def test_product_rule_matches_the_block_loop(self, seed, product):
+        rng = np.random.default_rng(seed)
+        horizon = int(rng.integers(1, 4))
+        if product:  # X reads one factor of a product space, H the other: independent
+            p = random_filtration(rng, int(rng.integers(1, 4)), 1).space.probs
+            q = random_filtration(rng, int(rng.integers(1, 4)), 1).space.probs
+            probs = np.outer(p, q).ravel()
+            rows = np.repeat(np.arange(len(p)), len(q))
+            cols = np.tile(np.arange(len(q)), len(p))
+            dx = rng.integers(0, 2, (len(p), horizon))[rows]
+            dh = rng.integers(0, 2, (len(q), horizon))[cols]
+        else:
+            probs = random_filtration(rng, int(rng.integers(1, 9)), 1).space.probs
+            dx = rng.integers(0, 2, (len(probs), horizon))
+            dh = rng.integers(0, 2, (len(probs), horizon))
+        x, h = (np.concatenate([np.zeros((len(probs), 1)), d.cumsum(axis=1)], axis=1) for d in (dx, dh))
+        b = build_bundle(build_space(probs), x, h)
+        want = oracle_independence_violation(
+            b.space.probs, b.f.partitions, b.h_filtration.partitions, 1e-9
+        )
+        if want is None:
+            verify_independence(b)
+        else:
+            t, i, j = want
+            with pytest.raises(IndependenceViolated, match=f"t={t}, F-block {i}, H-block {j}:"):
+                verify_independence(b)
 
 
 class TestMultiplicity:

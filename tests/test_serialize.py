@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from filtration_lab import fixtures
-from filtration_lab.jump_measure import MARKS, compensator_measure, jump_measure
+from filtration_lab.errors import NotPredictable
+from filtration_lab.jump_measure import MARKS, MarkedMeasure, compensator_measure, jump_measure
 from filtration_lab.representation import martingale_closure, solve_wrp
 from filtration_lab.serialize import (
     bundle_from_doc,
@@ -69,6 +70,63 @@ class TestMeasureDoc:
             assert np.array_equal(
                 back.indicator_increments(mark), nu.indicator_increments(mark)
             )
+
+
+def _events_doc(events):
+    return {"schema": "filtration-lab/measure-v1", "predictable_density": False, "events": events}
+
+
+def _density_doc(per_mark):
+    return {
+        "schema": "filtration-lab/measure-v1",
+        "predictable_density": True,
+        "densities": {str(list(m.value)): per_mark(m) for m in MARKS},
+    }
+
+
+_ZEROS = [[0.0, 0.0]] * 3
+#: (what is wrong, measure-v1 document on fixture_a2 (3 atoms, horizon 1), error)
+BAD_MEASURE_DOCS = [
+    ("event_at_time_0_and_two_marks", _events_doc([[[0, [1, 0]], [1, [1, 0]], [1, [0, 1]]], [], []]), ValueError),
+    ("event_at_time_0", _events_doc([[[0, [1, 0]]], [], []]), ValueError),
+    ("two_marks_at_one_time", _events_doc([[[1, [1, 0]], [1, [0, 1]]], [], []]), ValueError),
+    ("same_event_twice", _events_doc([[[1, [1, 0]], [1, [1, 0]]], [], []]), ValueError),
+    ("event_past_horizon", _events_doc([[[2, [1, 0]]], [], []]), ValueError),
+    ("event_time_not_an_integer", _events_doc([[[1.5, [1, 0]]], [], []]), ValueError),
+    ("unknown_mark", _events_doc([[[1, [0, 0]]], [], []]), ValueError),
+    ("events_for_two_atoms", _events_doc([[], []]), ValueError),
+    ("density_wrong_shape", _density_doc(lambda m: [[0.0, 0.5]] * 2), ValueError),
+    ("density_ragged", _density_doc(lambda m: [[0.0, 0.5], [0.0]] + [[0.0, 0.5]]), ValueError),
+    ("density_mass_at_time_0", _density_doc(lambda m: [[0.1, 0.5]] * 3), ValueError),
+    (
+        "density_not_predictable",
+        _density_doc(lambda m: [[0.0, 0.5], [0.0, 0.2], [0.0, 0.5]] if m is MARKS[0] else _ZEROS),
+        NotPredictable,
+    ),
+]
+
+
+class TestMeasureValidation:
+    @pytest.mark.parametrize(
+        "what,doc,error", BAD_MEASURE_DOCS, ids=[w for w, _, _ in BAD_MEASURE_DOCS]
+    )
+    def test_bad_document_rejected(self, a2_bundle, what, doc, error):
+        with pytest.raises(error):
+            measure_from_doc(_json_roundtrip(doc), a2_bundle.g)
+
+    def test_good_documents_read(self, a2_bundle):
+        mu = measure_from_doc(_events_doc([[[1, [1, 0]]], [[1, [1, 1]]], []]), a2_bundle.g)
+        assert mu.events == (((1, MARKS[0]),), ((1, MARKS[2]),), ())
+        nu = measure_from_doc(_density_doc(lambda m: [[0.0, 0.25]] * 3), a2_bundle.g)
+        assert np.all(nu.increments[:, :, 1] == 0.25)
+
+    def test_constructor_checks_event_entries(self, a2_bundle):
+        inc = np.zeros((3, 3, 2))
+        inc[0, 1, 1] = 0.5
+        with pytest.raises(ValueError):
+            MarkedMeasure(a2_bundle.g, inc, is_predictable_density=False)
+        with pytest.raises(ValueError):
+            MarkedMeasure(a2_bundle.g, np.zeros((3, 3, 3)), is_predictable_density=True)
 
 
 class TestRandomTimeDoc:
