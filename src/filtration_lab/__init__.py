@@ -80,6 +80,5 @@ from .random_time import (
 from .montecarlo import (
     McReport,
     RandomTimeSpec,
-    sample_random_time,
     simulate_poisson,
 )

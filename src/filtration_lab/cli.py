@@ -123,9 +123,7 @@ def _resolve_bundle(config: dict):
             if schema == BUNDLE_SCHEMA:
                 return dataclasses.replace(bundle_from_doc(fixture), name="inline")
             if schema == SPACE_SCHEMA:
-                space, _, processes = space_from_doc(fixture)
-                if "X" not in processes or "H" not in processes:
-                    raise ConfigInvalid("inline space fixture needs processes X and H")
+                space, processes = space_from_doc(fixture)
                 return build_bundle(space, processes["X"], processes["H"], name="inline")
             raise ConfigInvalid(f"inline fixture schema must be {BUNDLE_SCHEMA} or {SPACE_SCHEMA}")
     except ConfigInvalid:
@@ -164,21 +162,21 @@ def _tolerances(config: dict) -> Tolerances:
 
 
 def _mc_params(config: dict) -> McParams:
+    """``McParams`` from the keys the config gives (``lambda`` is ``lam``); the rest are defaults."""
     raw = _closed_object(config, "mc", {"lambda", "mu", "t_real", "n_paths", "z_max", "epsilons"})
-    n_paths = raw.get("n_paths", 100000)
-    if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 1:
-        raise ConfigInvalid(f"mc.n_paths must be an integer >= 1, got {n_paths!r}")
-    epsilons = raw.get("epsilons", (0.1, 0.01))
-    if not isinstance(epsilons, (list, tuple)) or not epsilons:
-        raise ConfigInvalid(f"mc.epsilons must be a non-empty list, got {epsilons!r}")
-    return McParams(
-        lam=_positive_number(raw.get("lambda", 1.0), "mc.lambda"),
-        mu=_positive_number(raw.get("mu", 1.0), "mc.mu"),
-        t_real=_positive_number(raw.get("t_real", 10.0), "mc.t_real"),
-        n_paths=n_paths,
-        z_max=_positive_number(raw.get("z_max", 4.0), "mc.z_max"),
-        epsilons=tuple(_positive_number(e, "mc.epsilons entry") for e in epsilons),
-    )
+    params = {}
+    for key, value in raw.items():
+        if key == "n_paths":
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ConfigInvalid(f"mc.n_paths must be an integer >= 1, got {value!r}")
+        elif key == "epsilons":
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ConfigInvalid(f"mc.epsilons must be a non-empty list, got {value!r}")
+            value = tuple(_positive_number(e, "mc.epsilons entry") for e in value)
+        else:
+            value = _positive_number(value, f"mc.{key}")
+        params["lam" if key == "lambda" else key] = value
+    return McParams(**params)
 
 
 def run_config(config: dict, parallel: int = 1, seed_override: int | None = None) -> dict:
@@ -197,7 +195,7 @@ def run_config(config: dict, parallel: int = 1, seed_override: int | None = None
         seed=int(seed),
         bundle=_resolve_bundle(config) if engine == "exact" else None,
         tol=_tolerances(config),
-        mc=_mc_params(config) if engine == "mc" else None,
+        mc=_mc_params(config),
     )
 
     checks = []

@@ -65,10 +65,6 @@ class VanishingAzema(FiltrationLabError):
     """Survival probability hit zero strictly before the random time."""
 
 
-class InsufficientEvents(FiltrationLabError):
-    """Path does not carry enough events for the requested random time."""
-
-
 class BadParameter(FiltrationLabError):
     """Parameter outside its admissible range."""
 

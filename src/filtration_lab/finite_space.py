@@ -58,10 +58,6 @@ class FiniteProbabilitySpace:
         return int(self.probs.size)
 
     @property
-    def atom_ids(self) -> tuple[int, ...]:
-        return tuple(range(self.n_atoms))
-
-    @property
     def positive(self) -> np.ndarray:
         """Boolean mask of atoms with strictly positive probability."""
         return self.probs > 0.0
@@ -70,10 +66,6 @@ class FiniteProbabilitySpace:
     def null_atoms(self) -> tuple[int, ...]:
         """Atoms carrying zero probability (permitted, but flagged)."""
         return tuple(int(i) for i in np.flatnonzero(self.probs == 0.0))
-
-    @property
-    def has_null_atoms(self) -> bool:
-        return len(self.null_atoms) > 0
 
     def expectation(self, values) -> float:
         return float(self.probs @ np.asarray(values, dtype=float))
@@ -266,39 +258,6 @@ class AdaptedProcess:
         out[:, 1:] = np.diff(self.values, axis=1)
         return out
 
-    def left_shifted(self) -> "AdaptedProcess":
-        """Previous-time values (Y_{t-1}, with Y_0 kept at time 0)."""
-        vals = np.empty_like(self.values)
-        vals[:, 0] = self.values[:, 0]
-        vals[:, 1:] = self.values[:, :-1]
-        return AdaptedProcess(self.filtration, vals)
-
-    def _coerce(self, other):
-        if isinstance(other, AdaptedProcess):
-            mine, theirs = self.space, other.space
-            if theirs is not mine and not np.array_equal(theirs.probs, mine.probs):
-                raise FiltrationMismatch("processes on different spaces")
-            return other.values
-        return other
-
-    def __add__(self, other):
-        return AdaptedProcess(self.filtration, self.values + self._coerce(other))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return AdaptedProcess(self.filtration, self.values - self._coerce(other))
-
-    def __mul__(self, other):
-        return AdaptedProcess(self.filtration, self.values * self._coerce(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return AdaptedProcess(self.filtration, -self.values)
-
     def sup_abs(self) -> float:
         """Max absolute value over positive-probability atoms."""
         return positive_sup(self.space, self.values)
@@ -392,11 +351,6 @@ class StoppingTime:
     @classmethod
     def never(cls, filtration: Filtration) -> "StoppingTime":
         return cls(filtration, np.full(filtration.space.n_atoms, NEVER, dtype=np.int64))
-
-    def min_with(self, other: "StoppingTime") -> "StoppingTime":
-        if other.filtration.partitions != self.filtration.partitions:
-            raise FiltrationMismatch("stopping times on different filtrations")
-        return StoppingTime(self.filtration, np.minimum(self.values, other.values))
 
 
 def first_jump_time(x: PointProcess, level: int = 1) -> StoppingTime:

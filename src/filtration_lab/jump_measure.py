@@ -80,18 +80,6 @@ class MarkedMeasure:
         """Per-step mass of one mark as an (atom, time) matrix."""
         return self.increments[_MARK_INDEX[mark]]
 
-    @property
-    def events(self) -> tuple:
-        """Per atom, its (time, Mark) events in time order; built on each access."""
-        if self.is_predictable_density:
-            raise ValueError("a density-form measure has no events")
-        # (atom, time, mark) order, so each atom's events come out sorted by time
-        atoms, times, marks = np.nonzero(self.increments.transpose(1, 2, 0))
-        out = [[] for _ in range(self.filtration.space.n_atoms)]
-        for atom, t, k in zip(atoms.tolist(), times.tolist(), marks.tolist()):
-            out[atom].append((t, MARKS[k]))
-        return tuple(tuple(evs) for evs in out)
-
     def mass(self) -> AdaptedProcess:
         """Cumulative total mass over all marks."""
         step = sum(self.indicator_increments(m) for m in MARKS)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParameter, InsufficientEvents
+from .errors import BadParameter
 
 _MASK64 = (1 << 64) - 1
 #: paths drawn per step of simulate_path_set; bounds its scratch array
@@ -148,25 +148,6 @@ def simulate_poisson(lam: float, t_real: float, seed) -> np.ndarray:
         more = np.cumsum(rng.standard_exponential(block) / lam)
         times = np.concatenate([times, times[-1] + more])
     return times[times <= t_real]
-
-
-def sample_random_time(spec: RandomTimeSpec, x_events, seed) -> float:
-    """Draw the random time for one path according to ``spec``."""
-    events = np.asarray(x_events, dtype=float)
-    if spec.kind == "exponential":
-        rng = seed if isinstance(seed, np.random.Generator) else _path_generator(int(seed), 0)
-        if not spec.mu > 0.0:
-            raise BadParameter("exponential rate must be positive")
-        return float(rng.standard_exponential() / spec.mu)
-    if spec.kind == "midpoint":
-        if events.size < 2:
-            raise InsufficientEvents("midpoint needs at least two events")
-        return float(0.5 * (events[0] + events[1]))
-    if spec.kind == "copy_first":
-        if events.size < 1:
-            raise InsufficientEvents("copy_first needs at least one event")
-        return float(events[0])
-    raise BadParameter(f"unknown random-time kind {spec.kind!r}")
 
 
 @dataclass(eq=False)

@@ -107,7 +107,7 @@ class SuiteContext:
     seed: int
     bundle: object = None
     tol: Tolerances = field(default_factory=Tolerances)
-    mc: McParams | None = None
+    mc: McParams = field(default_factory=McParams)
     expected_outcome: str = "holds"
     _path_cache: dict = field(default_factory=dict)
 
@@ -120,7 +120,7 @@ class SuiteContext:
         Every request reads one simulation per (lam, t_real, seed), made at
         the largest size any suite asks for; path p does not depend on that size.
         """
-        mc = self.mc or McParams()
+        mc = self.mc
         n = n_paths or mc.n_paths
         key = (mc.lam, mc.t_real, self.seed)
         base = self._path_cache.get(key)
@@ -918,8 +918,7 @@ def _mc_to_checks(reports: list[McReport], expected: str = "holds") -> list[Chec
     "compensated Poisson count drifts zero against adapted probes",
 )
 def suite_mc_poisson(ctx: SuiteContext) -> list[CheckResult]:
-    mc = ctx.mc or McParams()
-    return _mc_to_checks(poisson_compensator_suite(ctx.paths(None), mc.z_max))
+    return _mc_to_checks(poisson_compensator_suite(ctx.paths(None), ctx.mc.z_max))
 
 
 @_suite(
@@ -927,8 +926,7 @@ def suite_mc_poisson(ctx: SuiteContext) -> list[CheckResult]:
     "second moment of the compensated count equals the compensator",
 )
 def suite_mc_second_moment(ctx: SuiteContext) -> list[CheckResult]:
-    mc = ctx.mc or McParams()
-    return _mc_to_checks(second_moment_suite(ctx.paths(None), mc.z_max))
+    return _mc_to_checks(second_moment_suite(ctx.paths(None), ctx.mc.z_max))
 
 
 @_suite(
@@ -936,9 +934,8 @@ def suite_mc_second_moment(ctx: SuiteContext) -> list[CheckResult]:
     "closed-form survival compensator for an independent exponential time",
 )
 def suite_mc_azema(ctx: SuiteContext) -> list[CheckResult]:
-    mc = ctx.mc or McParams()
-    paths = ctx.paths(RandomTimeSpec("exponential", mc.mu))
-    return _mc_to_checks(azema_exponential_suite(paths, mc.z_max))
+    paths = ctx.paths(RandomTimeSpec("exponential", ctx.mc.mu))
+    return _mc_to_checks(azema_exponential_suite(paths, ctx.mc.z_max))
 
 
 @_suite(
@@ -946,7 +943,7 @@ def suite_mc_azema(ctx: SuiteContext) -> list[CheckResult]:
     "exact avoidance fraction and enlarged-drift tests, with a stress rate",
 )
 def suite_mc_avoidance(ctx: SuiteContext) -> list[CheckResult]:
-    mc = ctx.mc or McParams()
+    mc = ctx.mc
     out = _mc_to_checks(avoidance_mc_suite(ctx.paths(RandomTimeSpec("exponential", mc.mu)), mc.z_max))
     stress_paths = ctx.paths(RandomTimeSpec("exponential", 25.0 * mc.mu), n_paths=mc.stress_n_paths)
     for c in _mc_to_checks(avoidance_mc_suite(stress_paths, mc.z_max)):
@@ -960,11 +957,10 @@ def suite_mc_avoidance(ctx: SuiteContext) -> list[CheckResult]:
     "announced-window hit rate 1 vs base-window rate about lambda*eps",
 )
 def suite_mc_predictable_jump(ctx: SuiteContext) -> list[CheckResult]:
-    mc = ctx.mc or McParams()
     out = []
     paths = ctx.paths(RandomTimeSpec("midpoint"))
-    for eps in mc.epsilons:
-        out.extend(_mc_to_checks(predictable_jump_probe(paths, eps, mc.z_max)))
+    for eps in ctx.mc.epsilons:
+        out.extend(_mc_to_checks(predictable_jump_probe(paths, eps, ctx.mc.z_max)))
     return out
 
 
@@ -974,8 +970,7 @@ def suite_mc_predictable_jump(ctx: SuiteContext) -> list[CheckResult]:
     honours_polarity=True,
 )
 def suite_mc_negative_controls(ctx: SuiteContext) -> list[CheckResult]:
-    mc = ctx.mc or McParams()
-    reports = negative_control_suite(ctx.paths(None), mc.mu, mc.z_max)
+    reports = negative_control_suite(ctx.paths(None), ctx.mc.mu, ctx.mc.z_max)
     return _mc_to_checks(reports, expected=ctx.expected_outcome)
 
 

@@ -1,9 +1,9 @@
 """Shared test helpers: deliberately dumb brute-force oracles.
 
 These recompute conditional expectations, compensators, drifts, block
-constancy, stopping-time and independence checks, jump-measure events and the
-per-path Monte Carlo reductions with plain Python loops so the vectorised
-engine is always checked against an independent path.
+constancy, stopping-time and independence checks, jump-measure events, random
+times and the per-path Monte Carlo reductions with plain Python loops so the
+vectorised engine is always checked against an independent path.
 """
 from __future__ import annotations
 
@@ -204,6 +204,17 @@ def oracle_jump_events(dx, dh):
                 evs.append((t, Mark(jump)))
         events.append(tuple(evs))
     return tuple(events)
+
+
+def oracle_random_time(spec, events, rng):
+    """One path's random time from its events and its generator, or None without the events it needs."""
+    if spec.kind == "exponential":
+        return float(rng.standard_exponential() / spec.mu)
+    if spec.kind == "midpoint":
+        return float(0.5 * (events[0] + events[1])) if events.size >= 2 else None
+    if spec.kind == "copy_first":
+        return float(events[0]) if events.size >= 1 else None
+    raise ValueError(f"unknown random-time kind {spec.kind!r}")
 
 
 def oracle_counts_at(events, t):

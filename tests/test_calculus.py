@@ -132,11 +132,16 @@ class TestBrackets:
             y, z = b.X, b.H
             lhs = y.values * z.values - (y.initial * z.initial)[:, None]
             rhs = (
-                stochastic_integral(y.left_shifted(), z).values
-                + stochastic_integral(z.left_shifted(), y).values
+                stochastic_integral(_left_shifted(y), z).values
+                + stochastic_integral(_left_shifted(z), y).values
                 + quadratic_covariation(y, z).values
             )
             assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def _left_shifted(p):
+    """Y_{t-1}, with Y_0 kept at time 0."""
+    return AdaptedProcess(p.filtration, np.concatenate([p.values[:, :1], p.values[:, :-1]], axis=1))
 
 
 class TestStochasticIntegral:

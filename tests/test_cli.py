@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from filtration_lab.cli import (
+    _mc_params,
     _resolve_bundle,
     main,
     report_to_csv,
@@ -159,6 +160,12 @@ class TestBadMcInput:
         assert err.startswith("error: invalid config: mc.") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    def test_absent_keys_keep_the_mc_defaults(self):
+        assert _mc_params({"engine": "mc"}) == suites.McParams()
+        given = {"mc": {"lambda": 2, "epsilons": [0.5]}}
+        assert _mc_params(given) == suites.McParams(lam=2.0, epsilons=(0.5,))
+        assert suites.SuiteContext(seed=0).mc == suites.McParams()
+
     def test_mc_must_be_an_object(self):
         with pytest.raises(ConfigInvalid):
             validate_config(_small_mc_config(mc=[1, 2]))
@@ -211,6 +218,7 @@ _INLINE_SPACE = {
     "atoms": [{"id": 0, "prob": 0.5}, {"id": 0, "prob": 0.5}],
     "processes": {"X": [[0, 1], [0, 0]], "H": [[0, 0], [0, 1]]},
 }
+_SPACE_OK = dict(_INLINE_SPACE, atoms=[{"id": 0, "prob": 0.5}, {"id": 1, "prob": 0.5}])
 BAD_CONFIG = [
     ("probs_sum_to_1.1", {"fixture": dict(_INLINE, probs=[0.5, 0.6])}),
     ("jump_of_two", {"fixture": dict(_INLINE, x_values=[[0, 2], [0, 0]])}),
@@ -239,6 +247,16 @@ BAD_CONFIG = [
         "inline_space_atom_ids_from_1",
         {"fixture": dict(_INLINE_SPACE, atoms=[{"id": 1, "prob": 0.5}, {"id": 2, "prob": 0.5}])},
     ),
+    # a space-v1 fixture has exactly the keys schema, atoms, processes and the processes X, H
+    ("inline_space_with_filtration", {"fixture": dict(_SPACE_OK, filtration=[[[0], [1]], [[0], [1]]])}),
+    (
+        "inline_space_extra_process",
+        {"fixture": dict(_SPACE_OK, processes={**_SPACE_OK["processes"], "Y": [[0, 0], [0, 0]]})},
+    ),
+    ("inline_space_without_h", {"fixture": dict(_SPACE_OK, processes={"X": [[0, 1], [0, 0]]})}),
+    ("inline_space_processes_a_list", {"fixture": dict(_SPACE_OK, processes=[[0, 1], [0, 0]])}),
+    ("inline_space_without_processes", {"fixture": {k: v for k, v in _SPACE_OK.items() if k != "processes"}}),
+    ("inline_bundle_unknown_key", {"fixture": dict(_INLINE, filtration=[[[0, 1]], [[0], [1]]])}),
 ]
 
 
@@ -253,6 +271,10 @@ class TestBadConfig:
         assert code == 2
         assert err.startswith("error: invalid config: ") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
+
+    def test_inline_space_runs(self):
+        cfg = {"engine": "exact", "fixture": _SPACE_OK, "suites": ["three_point_processes"]}
+        assert run_config(cfg)["summary"]["failed"] == 0
 
     @pytest.mark.parametrize("name", ["space_a", "fixture_a2", "staggered", "large_tree"])
     def test_inline_bundle_always_runs(self, name):

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from filtration_lab import fixtures
 from filtration_lab.calculus import is_martingale, quadratic_covariation, stochastic_integral
 from filtration_lab.enlargement import build_bundle
+from filtration_lab.errors import NotPredictable
 from filtration_lab.finite_space import AdaptedProcess, PointProcess, build_space
 from filtration_lab.jump_measure import (
     MARKS,
     Mark,
+    MarkedMeasure,
     PredictableFunction,
     compensator_measure,
     fundamental_martingales,
@@ -57,13 +59,12 @@ class TestJumpMeasure:
         b = space_a_bundle
         quiet = build_bundle(b.space, np.zeros_like(b.X.values), np.zeros_like(b.H.values))
         mu = jump_measure(quiet.X, quiet.H)
-        assert all(len(evs) == 0 for evs in mu.events)
+        assert not mu.increments.any()
 
     def test_three_atom_fixture_events(self, a2_bundle):
         mu = jump_measure(a2_bundle.X, a2_bundle.H)
-        assert mu.events[0] == ((1, Mark.X_ONLY),)
-        assert mu.events[1] == ((1, Mark.H_ONLY),)
-        assert mu.events[2] == ()
+        # rows are marks, columns atoms: atom 0 jumps X only, atom 1 H only, atom 2 not
+        assert mu.increments[:, :, 1].tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
 
     def test_mixed_path_events(self, space_a_bundle):
         b = space_a_bundle
@@ -76,7 +77,10 @@ class TestJumpMeasure:
             for a in range(16)
             if dx[a, 1] == 1 and dh[a, 1] == 0 and dx[a, 2] == 1 and dh[a, 2] == 1
         )
-        assert mu.events[atom] == ((1, Mark.X_ONLY), (2, Mark.JOINT))
+        expected = np.zeros((len(MARKS), b.g.horizon + 1))
+        expected[MARKS.index(Mark.X_ONLY), 1] = 1.0
+        expected[MARKS.index(Mark.JOINT), 2] = 1.0
+        assert np.array_equal(mu.increments[:, atom], expected)
 
     def test_total_mass_formula(self):
         rng = np.random.default_rng(32)
@@ -91,9 +95,7 @@ class TestJumpMeasure:
         rng = np.random.default_rng(33)
         for _ in range(10):
             b = fixtures.random_bundle(rng)
-            for evs in jump_measure(b.X, b.H).events:
-                times = [t for t, _ in evs]
-                assert len(times) == len(set(times))
+            assert jump_measure(b.X, b.H).increments.sum(axis=0).max() <= 1.0
 
 
     @settings(max_examples=60, deadline=None)
@@ -102,7 +104,6 @@ class TestJumpMeasure:
         b = fixtures.random_bundle(np.random.default_rng(seed), max_atoms, max_horizon)
         mu = jump_measure(b.X, b.H)
         events = oracle_jump_events(b.X.increments(), b.H.increments())
-        assert mu.events == events
         dense = np.zeros((len(MARKS), b.space.n_atoms, b.g.horizon + 1))
         for atom, evs in enumerate(events):
             for t, mark in evs:
@@ -110,10 +111,48 @@ class TestJumpMeasure:
         assert np.array_equal(mu.increments, dense)
         assert not mu.increments.flags.writeable
 
-    def test_density_form_has_no_events(self, a2_bundle):
-        nu = compensator_measure(jump_measure(a2_bundle.X, a2_bundle.H))
-        with pytest.raises(ValueError):
-            nu.events
+
+def _a2_increments(entries, shape=(3, 3, 2)):
+    """Increments on fixture_a2 (3 atoms, horizon 1): ``entries`` maps (mark, atom, t) to a value."""
+    inc = np.zeros(shape)
+    for index, value in entries.items():
+        inc[index] = value
+    return inc
+
+
+#: (what is wrong, increments on fixture_a2, is_predictable_density, error)
+BAD_MEASURES = [
+    ("event_at_time_0", _a2_increments({(0, 0, 0): 1.0}), False, ValueError),
+    ("two_marks_at_one_time", _a2_increments({(0, 0, 1): 1.0, (1, 0, 1): 1.0}), False, ValueError),
+    ("entry_of_2", _a2_increments({(0, 0, 1): 2.0}), False, ValueError),
+    ("entry_of_half", _a2_increments({(0, 1, 1): 0.5}), False, ValueError),
+    ("wrong_shape", np.zeros((3, 3, 3)), True, ValueError),  # one time step too many
+    ("density_mass_at_time_0", _a2_increments({(0, 0, 0): 0.1, (0, 0, 1): 0.5}), True, ValueError),
+    # P_0 is trivial, so a time-1 density must be one number across the three atoms
+    (
+        "density_not_predictable",
+        _a2_increments({(0, 0, 1): 0.5, (0, 1, 1): 0.2, (0, 2, 1): 0.5}),
+        True,
+        NotPredictable,
+    ),
+]
+
+
+class TestMeasureValidation:
+    @pytest.mark.parametrize(
+        "what,increments,density,error", BAD_MEASURES, ids=[row[0] for row in BAD_MEASURES]
+    )
+    def test_bad_increments_rejected(self, a2_bundle, what, increments, density, error):
+        with pytest.raises(error):
+            MarkedMeasure(a2_bundle.g, increments, is_predictable_density=density)
+
+    def test_good_increments_accepted(self, a2_bundle):
+        events = _a2_increments({(0, 0, 1): 1.0, (2, 1, 1): 1.0})
+        densities = _a2_increments({(k, a, 1): 0.25 for k in range(3) for a in range(3)})
+        for inc, density in ((events, False), (densities, True)):
+            measure = MarkedMeasure(a2_bundle.g, inc, is_predictable_density=density)
+            assert np.array_equal(measure.increments, inc)
+            assert not measure.increments.flags.writeable
 
 
 class TestCompensatorMeasure:

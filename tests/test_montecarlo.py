@@ -9,12 +9,13 @@ from conftest import (
     oracle_collision_fraction,
     oracle_counts_at,
     oracle_nth_events,
+    oracle_random_time,
     oracle_window_hits,
 )
 
 from filtration_lab import montecarlo
 from filtration_lab.cli import report_to_json, run_config
-from filtration_lab.errors import BadParameter, InsufficientEvents
+from filtration_lab.errors import BadParameter
 from filtration_lab.montecarlo import (
     McReport,
     PathSet,
@@ -27,7 +28,6 @@ from filtration_lab.montecarlo import (
     negative_control_suite,
     poisson_compensator_suite,
     predictable_jump_probe,
-    sample_random_time,
     second_moment_suite,
     simulate_path_set,
     simulate_poisson,
@@ -100,12 +100,16 @@ class TestRandomTimes:
             assert paths.tau[p] in events[p]
 
     def test_insufficient_events(self):
-        with pytest.raises(InsufficientEvents):
-            sample_random_time(RandomTimeSpec("midpoint"), np.array([1.0]), 0)
-        with pytest.raises(InsufficientEvents):
-            sample_random_time(RandomTimeSpec("copy_first"), np.array([]), 0)
+        # path lengths 1, 0, 2: midpoint needs two events, copy_first one
+        base = _flat_path_set([[1.0], [], [2.0, 3.0]])
+        midpoint = base.with_random_time(RandomTimeSpec("midpoint"))
+        assert midpoint.tau_valid.tolist() == [False, False, True]
+        assert midpoint.tau.tolist() == [math.inf, math.inf, 2.5]
+        copy_first = base.with_random_time(RandomTimeSpec("copy_first"))
+        assert copy_first.tau_valid.tolist() == [True, False, True]
+        assert copy_first.tau.tolist() == [1.0, math.inf, 2.0]
         with pytest.raises(BadParameter):
-            sample_random_time(RandomTimeSpec("nope"), np.array([1.0]), 0)
+            base.with_random_time(RandomTimeSpec("nope"))
 
 
 class TestSuites:
@@ -312,9 +316,8 @@ def _assert_paths_match_per_path_streams(lam, t_real, n, seed):
             if spec is None:
                 assert paths.tau[p] == math.inf and paths.tau_valid[p]
                 continue
-            try:
-                tau = sample_random_time(spec, expected, _replay(seed, p, lam, t_real))
-            except InsufficientEvents:
+            tau = oracle_random_time(spec, expected, _replay(seed, p, lam, t_real))
+            if tau is None:
                 assert not paths.tau_valid[p] and paths.tau[p] == math.inf
             else:
                 assert paths.tau_valid[p] and paths.tau[p] == tau
