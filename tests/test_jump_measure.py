@@ -123,6 +123,12 @@ def _a2_increments(entries, shape=(3, 3, 2)):
 #: (what is wrong, increments on fixture_a2, is_predictable_density, error)
 BAD_MEASURES = [
     ("event_at_time_0", _a2_increments({(0, 0, 0): 1.0}), False, ValueError),
+    (
+        "time_0_and_two_marks",
+        _a2_increments({(0, 0, 0): 1.0, (0, 0, 1): 1.0, (1, 0, 1): 1.0}),
+        False,
+        ValueError,
+    ),
     ("two_marks_at_one_time", _a2_increments({(0, 0, 1): 1.0, (1, 0, 1): 1.0}), False, ValueError),
     ("entry_of_2", _a2_increments({(0, 0, 1): 2.0}), False, ValueError),
     ("entry_of_half", _a2_increments({(0, 1, 1): 0.5}), False, ValueError),
