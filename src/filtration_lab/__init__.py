@@ -70,12 +70,13 @@ from .representation import (
     wrp_regressors,
 )
 from .random_time import (
-    RandomTimeBundle,
     avoidance_check,
-    build_random_time_bundle,
     compensator_via_azema,
     cross_validation_gap,
     orthogonality_suite,
+    random_time_bundle,
+    survival,
+    tau_of,
 )
 from .montecarlo import (
     McReport,

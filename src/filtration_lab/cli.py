@@ -33,7 +33,6 @@ from .serialize import (
 from .suites import (
     CheckResult,
     McParams,
-    REGISTRY,
     SuiteContext,
     Tolerances,
     describe_suite,

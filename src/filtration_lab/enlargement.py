@@ -8,7 +8,7 @@ recorded as a note on the identity report rather than checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,7 +79,7 @@ def progressive_enlargement(f: Filtration, other: Filtration) -> Filtration:
 
 @dataclass(frozen=True, eq=False)
 class EnlargementBundle:
-    """Base, initially and progressively enlarged filtrations of a pair (X, H).
+    """Initially and progressively enlarged filtrations of a pair (X, H).
 
     ``f`` adjoins the initial sigma-field to the natural filtration of X;
     ``g`` additionally makes H adapted.  The processes are carried bound to
@@ -87,7 +87,6 @@ class EnlargementBundle:
     """
 
     space: FiniteProbabilitySpace
-    base: Filtration
     initial: Partition
     f: Filtration
     h_filtration: Filtration
@@ -104,14 +103,12 @@ def build_bundle(
     initial: Partition | None = None,
     name: str = "custom",
 ) -> EnlargementBundle:
-    base = natural_filtration(space, [x_values])
     initial = initial or Partition.trivial(space.n_atoms)
-    f = initial_enlargement(base, initial)
+    f = initial_enlargement(natural_filtration(space, [x_values]), initial)
     h_filtration = natural_filtration(space, [h_values])
     g = progressive_enlargement(f, h_filtration)
     return EnlargementBundle(
         space=space,
-        base=base,
         initial=initial,
         f=f,
         h_filtration=h_filtration,

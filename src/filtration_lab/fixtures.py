@@ -5,9 +5,9 @@ import itertools
 
 import numpy as np
 
-from .enlargement import EnlargementBundle, build_bundle, natural_filtration
+from .enlargement import EnlargementBundle, build_bundle
 from .finite_space import NEVER, Filtration, Partition, build_space, first_jump_time
-from .random_time import RandomTimeBundle, build_random_time_bundle
+from .random_time import random_time_bundle
 
 
 def _paths_from_jumps(jumps) -> np.ndarray:
@@ -92,24 +92,7 @@ def bundle_by_name(name: str) -> EnlargementBundle:
     return builders[name]()
 
 
-def tau_from_h(bundle: EnlargementBundle) -> np.ndarray:
-    """Jump time of a single-jump H as an atom map (NEVER where it never jumps)."""
-    return first_jump_time(bundle.H).values
-
-
-def staggered_random_time() -> RandomTimeBundle:
-    """Random time jumping only at t=2 over a base that jumps only at t=1."""
-    b = staggered()
-    return build_random_time_bundle(tau_from_h(b), b.f, b.X.values, name="staggered")
-
-
-def trinomial_random_time() -> RandomTimeBundle:
-    """Avoidance-style bundle with three-way branching (spanning number 2)."""
-    b = avoidance_trinomial()
-    return build_random_time_bundle(tau_from_h(b), b.f, b.X.values, name="avoidance_trinomial")
-
-
-def two_step_independent_random_time() -> RandomTimeBundle:
+def two_step_independent_random_time() -> EnlargementBundle:
     """tau uniform on {1, 2}, independent of a two-step coin-flip base."""
     rows = []
     for dx1, dx2 in itertools.product((0, 1), repeat=2):
@@ -117,13 +100,11 @@ def two_step_independent_random_time() -> RandomTimeBundle:
             rows.append((dx1, dx2, tau))
     space = build_space([1.0 / 8.0] * 8)
     dx = np.array([[r[0], r[1]] for r in rows])
-    x_values = _paths_from_jumps(dx)
-    f = natural_filtration(space, [x_values])
     tau = np.array([r[2] for r in rows], dtype=np.int64)
-    return build_random_time_bundle(tau, f, x_values, name="two_step_independent")
+    return random_time_bundle(space, _paths_from_jumps(dx), tau, name="two_step_independent")
 
 
-def announced_tau_random_time() -> RandomTimeBundle:
+def announced_tau_random_time() -> EnlargementBundle:
     """tau announced one step after the first jump of the base process.
 
     {tau = t} is known at t-1, so the indicator process is predictable in the
@@ -132,25 +113,23 @@ def announced_tau_random_time() -> RandomTimeBundle:
     bits = list(itertools.product((0, 1), repeat=2))
     space = build_space([0.25] * 4)
     dx = np.array([[b[0], b[1]] for b in bits])
-    x_values = _paths_from_jumps(dx)
-    f = natural_filtration(space, [x_values])
     tau = np.where(dx[:, 0] == 1, 2, NEVER).astype(np.int64)
-    return build_random_time_bundle(tau, f, x_values, name="announced_tau")
+    return random_time_bundle(space, _paths_from_jumps(dx), tau, name="announced_tau")
 
 
-def never_random_time() -> RandomTimeBundle:
+def never_random_time() -> EnlargementBundle:
     """tau never happens: H vanishes, survival stays at one."""
     b = staggered()
     tau = np.full(b.space.n_atoms, NEVER, dtype=np.int64)
-    return build_random_time_bundle(tau, b.f, b.X.values, name="tau_never")
+    return random_time_bundle(b.space, b.X.values, tau, name="tau_never")
 
 
-def copied_jump_random_time() -> RandomTimeBundle:
+def copied_jump_random_time() -> EnlargementBundle:
     """tau equals the first jump time of the base process (avoidance fails)."""
     b = staggered()
     tau = first_jump_time(b.X).values
     # atoms where X never jumps keep tau = NEVER
-    return build_random_time_bundle(tau, b.f, b.X.values, name="copied_jump")
+    return random_time_bundle(b.space, b.X.values, tau, name="copied_jump")
 
 
 def random_space_probs(rng: np.random.Generator, max_atoms: int = 6) -> np.ndarray:
@@ -195,14 +174,12 @@ def random_predictable_values(rng: np.random.Generator, filtration: Filtration) 
 
 def random_random_time_bundle(
     rng: np.random.Generator, max_atoms: int = 6, max_horizon: int = 3
-) -> RandomTimeBundle:
+) -> EnlargementBundle:
     probs = random_space_probs(rng, max_atoms)
     space = build_space(probs)
     n = space.n_atoms
     horizon = int(rng.integers(1, max_horizon + 1))
     dx = rng.integers(0, 2, (n, horizon))
-    x_values = _paths_from_jumps(dx)
-    f = natural_filtration(space, [x_values])
     choices = np.arange(1, horizon + 1).tolist() + [NEVER]
     tau = np.array([choices[int(rng.integers(0, len(choices)))] for _ in range(n)], dtype=np.int64)
-    return build_random_time_bundle(tau, f, x_values, name="random")
+    return random_time_bundle(space, _paths_from_jumps(dx), tau, name="random")

@@ -361,13 +361,19 @@ def azema_exponential_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport
         z_test("exponential_survival_at_1", (tau > 1.0).astype(float), math.exp(-mu), z_max)
     ]
     s, t = 0.2 * paths.t_real, 0.8 * paths.t_real
-    m_inc = ((tau <= t).astype(float) - (tau <= s).astype(float)) - mu * (
-        np.minimum(tau, t) - np.minimum(tau, s)
-    )
-    alive = (tau > s).astype(float)
-    out.append(z_test("survival_compensated_jump_probed", m_inc * alive, 0.0, z_max))
+    m_inc = _compensated_jump_increment(tau, mu, s, t)
+    # m_inc is 0 where tau <= s, so the probe must vary on {tau > s}
+    probe = (paths.counts_at(s) > paths.lam * s).astype(float)
+    out.append(z_test("survival_compensated_jump_probed", m_inc * probe, 0.0, z_max))
     out.append(z_test("survival_compensated_jump", m_inc, 0.0, z_max))
     return out
+
+
+def _compensated_jump_increment(tau: np.ndarray, mu: float, s: float, t: float) -> np.ndarray:
+    """Increment over (s, t] of 1{tau <= .} minus its compensator mu (. ^ tau)."""
+    return ((tau <= t).astype(float) - (tau <= s).astype(float)) - mu * (
+        np.minimum(tau, t) - np.minimum(tau, s)
+    )
 
 
 def _collision_fraction(paths: PathSet) -> tuple[float, int]:
@@ -398,10 +404,8 @@ def avoidance_mc_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
     alive = (tau > s).astype(float)
     x_inc = (ct - cs) - paths.lam * (t - s)
     out.append(z_test("count_compensated_in_enlargement", (x_inc * alive)[valid], 0.0, z_max))
-    h_inc = ((tau <= t).astype(float) - (tau <= s).astype(float)) - mu * (
-        np.minimum(tau, t) - np.minimum(tau, s)
-    )
-    out.append(z_test("jump_indicator_compensated", (h_inc * alive)[valid], 0.0, z_max))
+    h_inc = _compensated_jump_increment(tau, mu, s, t)
+    out.append(z_test("jump_indicator_compensated", h_inc[valid], 0.0, z_max))
     out.append(exact_check("bracket_common_jump_fraction", frac, 0.0, n_valid))
     return out
 

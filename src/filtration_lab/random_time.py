@@ -1,11 +1,12 @@
 """Progressive enlargement by a random time on the exact engine.
 
 A random time tau (any atom map into {1..T} or never, measurability not
-required) induces the single-jump indicator process H, the enlarged
-filtration, and the survival supermartingale A_t = P[tau > t | F_t].  The
-enlarged compensator of H admits a closed form driven by A, which this module
-cross-validates against the direct compensator; in discrete time the identity
-is exact on every consistent model.
+required) is the enlargement by a point process H = 1{tau <= t} that jumps at
+most once: ``random_time_bundle`` builds it with ``build_bundle`` and
+``tau_of`` reads tau back off H.  The survival supermartingale
+A_t = P[tau > t | F_t] gives the enlarged compensator of H in closed form,
+which this module cross-validates against the direct compensator; in
+discrete time the identity is exact on every consistent model.
 """
 from __future__ import annotations
 
@@ -15,15 +16,15 @@ import numpy as np
 
 from .errors import BadParameter, TauAtZero, VanishingAzema
 from .calculus import compensator, dual_projection, orthogonality_report, quadratic_covariation
-from .enlargement import natural_filtration, progressive_enlargement
+from .enlargement import EnlargementBundle, build_bundle
 from .finite_space import (
     EXACT_TOL,
     NEVER,
     AdaptedProcess,
-    Filtration,
-    PointProcess,
+    FiniteProbabilitySpace,
     StoppingTime,
     conditional_expectation,
+    first_jump_time,
     positive_sup,
     rebind,
     stop_process,
@@ -32,35 +33,16 @@ from .jump_measure import fundamental_martingales, joint_decomposition
 from .representation import multiplicity
 
 
-@dataclass(frozen=True, eq=False)
-class RandomTimeBundle:
-    """Random time, its indicator process, both filtrations and the survival process.
-
-    ``X`` is the counting process generating the base filtration; it rides
-    along because the avoidance and orthogonality checks are statements about
-    the pair (X, H).
-    """
-
-    tau: np.ndarray
-    f: Filtration
-    g: Filtration
-    H: PointProcess
-    azema: AdaptedProcess
-    X: PointProcess | None = None
-    name: str = "custom"
-
-
-def build_random_time_bundle(
-    tau, f: Filtration, x_values=None, name: str = "custom"
-) -> RandomTimeBundle:
-    """Assemble the enlargement of ``f`` by the random time ``tau``.
+def random_time_bundle(
+    space: FiniteProbabilitySpace, x_values, tau, name: str = "custom"
+) -> EnlargementBundle:
+    """Enlarge the natural filtration of X by the random time ``tau``.
 
     ``tau`` maps atoms into {1..T} or NEVER; it need not be measurable with
-    respect to anything.
+    respect to anything.  The bundle's H is the indicator process 1{tau <= t}.
     """
     tau = np.asarray(tau, dtype=np.int64)
-    space = f.space
-    T = f.horizon
+    T = np.shape(x_values)[1] - 1
     if tau.shape != (space.n_atoms,):
         raise BadParameter(f"tau needs one value per atom, got shape {tau.shape}")
     if np.any(tau == 0):
@@ -69,39 +51,32 @@ def build_random_time_bundle(
     if not ok.all():
         bad = int(np.argmin(ok))
         raise BadParameter(f"atom {bad}: tau={tau[bad]} outside 1..{T} or NEVER")
-
-    grid = np.arange(T + 1)[None, :]
-    h_values = (grid >= tau[:, None]).astype(float)
-    hbb = natural_filtration(space, [h_values])
-    g = progressive_enlargement(f, hbb)
-
-    azema_vals = np.empty((space.n_atoms, T + 1))
-    survive = (tau[:, None] > grid).astype(float)
-    for t in range(T + 1):
-        azema_vals[:, t] = conditional_expectation(space, survive[:, t], f.at(t))
-
-    x_proc = None
-    if x_values is not None:
-        x_proc = rebind(PointProcess(f, np.asarray(x_values, dtype=float)), g)
-
-    return RandomTimeBundle(
-        tau=tau,
-        f=f,
-        g=g,
-        H=PointProcess(g, h_values),
-        azema=AdaptedProcess(f, azema_vals),
-        X=x_proc,
-        name=name,
-    )
+    h_values = (np.arange(T + 1)[None, :] >= tau[:, None]).astype(float)
+    return build_bundle(space, x_values, h_values, name=name)
 
 
-def stopping_time(bundle: RandomTimeBundle) -> StoppingTime:
-    """tau as a stopping time of the enlarged filtration."""
-    return StoppingTime(bundle.g, bundle.tau)
+def tau_of(bundle: EnlargementBundle) -> StoppingTime:
+    """The jump time of H, a stopping time of the enlarged filtration.
+
+    Only a bundle whose H jumps at most once is a random-time bundle.
+    """
+    if np.any(bundle.H.values[:, -1] > 1.0):
+        raise BadParameter(f"H of {bundle.name!r} jumps more than once, so it is no random time")
+    return first_jump_time(bundle.H)
 
 
-def compensator_via_azema(bundle: RandomTimeBundle) -> AdaptedProcess:
-    """Enlarged compensator of H from its base projection and the survival process.
+def survival(bundle: EnlargementBundle) -> AdaptedProcess:
+    """The survival (Azema) supermartingale A_t = P[tau > t | F_t] in the base filtration."""
+    f = bundle.f
+    survive = (tau_of(bundle).values[:, None] > np.arange(f.horizon + 1)[None, :]).astype(float)
+    values = np.empty(survive.shape)
+    for t in range(f.horizon + 1):
+        values[:, t] = conditional_expectation(f.space, survive[:, t], f.at(t))
+    return AdaptedProcess(f, values)
+
+
+def compensator_via_azema(bundle: EnlargementBundle, azema: AdaptedProcess) -> AdaptedProcess:
+    """Enlarged compensator of H from its base projection and the survival process ``azema``.
 
     Adds, while s <= tau, the base predictable increment of H divided by the
     previous survival value.  Must agree with the direct enlarged compensator
@@ -113,13 +88,13 @@ def compensator_via_azema(bundle: RandomTimeBundle) -> AdaptedProcess:
     hp_base = dual_projection(rebind(bundle.H, f, check=False), f)
     base_inc = hp_base.increments()
     grid = np.arange(T + 1)[None, :]
-    alive = grid <= np.minimum(bundle.tau, np.int64(T + 1))[:, None]
+    alive = grid <= np.minimum(tau_of(bundle).values, np.int64(T + 1))[:, None]
     alive[:, 0] = False
-    prev_a = np.empty_like(bundle.azema.values)
+    prev_a = np.empty_like(azema.values)
     prev_a[:, 0] = 1.0
-    prev_a[:, 1:] = bundle.azema.values[:, :-1]
+    prev_a[:, 1:] = azema.values[:, :-1]
 
-    positive = bundle.f.space.positive[:, None]
+    positive = f.space.positive[:, None]
     bad = alive & (prev_a <= 0.0) & positive
     if bad.any():
         atom, t = np.argwhere(bad)[0]
@@ -130,37 +105,33 @@ def compensator_via_azema(bundle: RandomTimeBundle) -> AdaptedProcess:
     return AdaptedProcess(bundle.g, np.cumsum(inc, axis=1))
 
 
-def direct_compensator(bundle: RandomTimeBundle) -> AdaptedProcess:
-    """Enlarged compensator of H computed head-on."""
-    return compensator(bundle.H).compensator
-
-
-def cross_validation_gap(bundle: RandomTimeBundle) -> float:
+def cross_validation_gap(bundle: EnlargementBundle) -> float:
     """Sup distance between the survival-driven and the direct compensator."""
-    gap = compensator_via_azema(bundle).values - direct_compensator(bundle).values
+    direct = compensator(bundle.H).compensator
+    gap = compensator_via_azema(bundle, survival(bundle)).values - direct.values
     return positive_sup(bundle.g.space, gap)
 
 
-def azema_consistency_gap(bundle: RandomTimeBundle) -> float:
+def azema_consistency_gap(bundle: EnlargementBundle) -> float:
     """Max over blocks of |A_t * P(block) - P({tau > t} within block)|."""
-    probs = bundle.f.space.probs
+    probs = bundle.space.probs
     T = bundle.f.horizon
-    grid = np.arange(T + 1)[None, :]
-    survive = (bundle.tau[:, None] > grid).astype(float)
+    azema = survival(bundle).values
+    survive = 1.0 - bundle.H.values  # 1{tau > t}
     worst = 0.0
     for t in range(T + 1):
         for atoms in bundle.f.at(t).block_arrays:
             mass = float(probs[atoms].sum())
-            lhs = float(bundle.azema.values[atoms[0], t]) * mass
+            lhs = float(azema[atoms[0], t]) * mass
             rhs = float(probs[atoms] @ survive[atoms, t])
             worst = max(worst, abs(lhs - rhs))
     return worst
 
 
-def supermartingale_gap(bundle: RandomTimeBundle) -> float:
+def supermartingale_gap(bundle: EnlargementBundle) -> float:
     """Max positive one-step rise of the survival process (should be <= 0)."""
-    space = bundle.f.space
-    vals = bundle.azema.values
+    space = bundle.space
+    vals = survival(bundle).values
     worst = 0.0
     for t in range(1, bundle.f.horizon + 1):
         drift = conditional_expectation(space, vals[:, t], bundle.f.at(t - 1)) - vals[:, t - 1]
@@ -177,7 +148,7 @@ class AvoidanceReport:
     conclusions_hold: bool | None
 
 
-def avoidance_check(bundle: RandomTimeBundle, sigma_list=()) -> AvoidanceReport:
+def avoidance_check(bundle: EnlargementBundle, sigma_list=()) -> AvoidanceReport:
     """Check that tau never equals a supplied stopping time or a jump time of X.
 
     When avoidance holds, the consequences are evaluated exactly: no common
@@ -187,17 +158,16 @@ def avoidance_check(bundle: RandomTimeBundle, sigma_list=()) -> AvoidanceReport:
     overlap in time the last conclusion can honestly fail; that failure mode
     has no continuous-time counterpart and is reported, not raised.
     """
-    if bundle.X is None:
-        raise ValueError("bundle carries no generating process X")
+    tau = tau_of(bundle).values
     probs = bundle.g.space.probs
-    finite = bundle.tau != NEVER
+    finite = tau != NEVER
 
     sigma_probs = []
     for sigma in sigma_list:
-        hit = finite & (sigma.values == bundle.tau)
+        hit = finite & (sigma.values == tau)
         sigma_probs.append(float(probs[hit].sum()))
 
-    dx_at_tau = bundle.X.increments()[np.arange(len(probs)), np.where(finite, bundle.tau, 0)]
+    dx_at_tau = bundle.X.increments()[np.arange(len(probs)), np.where(finite, tau, 0)]
     jump_prob = float(probs[finite & (dx_at_tau == 1.0)].sum())
 
     avoids = jump_prob == 0.0 and all(p == 0.0 for p in sigma_probs)
@@ -241,14 +211,13 @@ class PairStudy:
 class OrthogonalityStudy:
     pairs: tuple
     multiplicity: int
-    note: str
 
     @property
     def all_consistent(self) -> bool:
         return all(p.consistent for p in self.pairs)
 
 
-def orthogonality_suite(bundle: RandomTimeBundle) -> OrthogonalityStudy:
+def orthogonality_suite(bundle: EnlargementBundle) -> OrthogonalityStudy:
     """Pairwise orthogonality of the compensated jump parts, with surrogates.
 
     For each pair among the three disjoint counting parts (and the first one
@@ -257,11 +226,8 @@ def orthogonality_suite(bundle: RandomTimeBundle) -> OrthogonalityStudy:
     discrete equivalence.  The continuity-based sufficient conditions live in
     the Monte Carlo engine.
     """
-    if bundle.X is None:
-        raise ValueError("bundle carries no generating process X")
     y1, y2, y3 = joint_decomposition(bundle.X, bundle.H)
-    st = stopping_time(bundle)
-    y1_stopped = stop_process(y1, st)
+    y1_stopped = stop_process(y1, tau_of(bundle))
     named = [
         ("part1_vs_part2", y1, y2),
         ("part1_vs_joint", y1, y3),
@@ -285,9 +251,4 @@ def orthogonality_suite(bundle: RandomTimeBundle) -> OrthogonalityStudy:
                 witness=rep.witness,
             )
         )
-    note = (
-        "continuity-driven sufficient conditions (continuous enlarged "
-        "compensators) have no discrete counterpart and are exercised by the "
-        "Monte Carlo engine"
-    )
-    return OrthogonalityStudy(pairs=tuple(pairs), multiplicity=multiplicity(bundle.g), note=note)
+    return OrthogonalityStudy(pairs=tuple(pairs), multiplicity=multiplicity(bundle.g))

@@ -58,12 +58,12 @@ from .montecarlo import (
 from .random_time import (
     avoidance_check,
     azema_consistency_gap,
-    cross_validation_gap,
-    direct_compensator,
     compensator_via_azema,
+    cross_validation_gap,
     orthogonality_suite,
-    stopping_time,
     supermartingale_gap,
+    survival,
+    tau_of,
 )
 from .representation import (
     independent_batch,
@@ -505,10 +505,10 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     worst = 0.0
-    rt_bundles = [fixtures.staggered_random_time(), fixtures.trinomial_random_time()]
+    rt_bundles = [fixtures.staggered(), fixtures.avoidance_trinomial()]
     rt_bundles += [fixtures.random_random_time_bundle(rng) for _ in range(5)]
     for rb in rt_bundles:
-        st = stopping_time(rb)
+        st = tau_of(rb)
         regs = triple_regressors(*fundamental_martingales(rb.X, rb.H), stop_at=st)
         sol = solve_batch(stop_values(_random_closures(rng, rb.g, 20), st), regs, rb.g)
         worst = max(worst, float(sol.residual_sup.max()))
@@ -617,7 +617,7 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
     cases = [
         ("single_source", fixtures.space_a().f, 1),
         ("joint_uniform", fixtures.space_a().g, 3),
-        ("avoidance_trinomial", fixtures.trinomial_random_time().g, 2),
+        ("avoidance_trinomial", fixtures.avoidance_trinomial().g, 2),
         ("staggered", fixtures.staggered().g, 1),
     ]
     for label, filt, expected in cases:
@@ -665,8 +665,8 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
         fixtures.two_step_independent_random_time(),
         fixtures.announced_tau_random_time(),
         fixtures.never_random_time(),
-        fixtures.staggered_random_time(),
-        fixtures.trinomial_random_time(),
+        fixtures.staggered(),
+        fixtures.avoidance_trinomial(),
     ]
     randoms = [fixtures.random_random_time_bundle(rng) for _ in range(20)]
     worst_gap = 0.0
@@ -694,8 +694,8 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     rb = fixtures.two_step_independent_random_time()
-    cand = compensator_via_azema(rb)
-    survivors = rb.tau >= 2
+    cand = compensator_via_azema(rb, survival(rb))
+    survivors = tau_of(rb).values >= 2
     vals_ok = (
         float(np.abs(cand.values[:, 1] - 0.5).max()) <= ctx.tol.atomwise
         and float(np.abs(cand.values[survivors, 2] - 1.5).max()) <= ctx.tol.atomwise
@@ -703,13 +703,15 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(_check("independent_uniform_profile", vals_ok))
 
     rb = fixtures.announced_tau_random_time()
-    gap = positive_sup(rb.g.space, direct_compensator(rb).values - rb.H.values)
+    gap = positive_sup(rb.g.space, compensator(rb.H).compensator.values - rb.H.values)
     checks.append(
         _check("announced_time_is_its_own_compensator", gap <= ctx.tol.atomwise, gap=gap)
     )
 
     rb = fixtures.never_random_time()
-    flat = max(compensator_via_azema(rb).sup_abs(), direct_compensator(rb).sup_abs())
+    flat = max(
+        compensator_via_azema(rb, survival(rb)).sup_abs(), compensator(rb.H).compensator.sup_abs()
+    )
     checks.append(_check("never_time_compensates_to_zero", flat == 0.0, sup=flat))
     return checks
 
@@ -719,7 +721,7 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
 )
 def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
-    rb = fixtures.staggered_random_time()
+    rb = fixtures.staggered()
     rep = avoidance_check(rb)
     checks.append(
         _check(
@@ -766,8 +768,8 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("rt_orth")
     bundles = [
-        fixtures.staggered_random_time(),
-        fixtures.trinomial_random_time(),
+        fixtures.staggered(),
+        fixtures.avoidance_trinomial(),
         fixtures.two_step_independent_random_time(),
     ] + [fixtures.random_random_time_bundle(rng) for _ in range(5)]
     all_consistent = True
@@ -782,7 +784,7 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
         )
     )
 
-    study = orthogonality_suite(fixtures.staggered_random_time())
+    study = orthogonality_suite(fixtures.staggered())
     checks.append(
         _check(
             "staggered_fully_orthogonal",
@@ -791,7 +793,7 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
         )
     )
 
-    study = orthogonality_suite(fixtures.trinomial_random_time())
+    study = orthogonality_suite(fixtures.avoidance_trinomial())
     by_name = {p.name: p for p in study.pairs}
     checks.append(
         _check(

@@ -145,6 +145,23 @@ def oracle_supermartingale_gap(probs, partitions, azema):
     return worst
 
 
+def oracle_survival(probs, partitions, tau):
+    """P[tau > t | block of the atom at t], atom by atom and time by time (0 on zero-mass blocks)."""
+    n, width = len(tau), len(partitions)
+    out = np.zeros((n, width))
+    for t in range(width):
+        block_of = partitions[t].block_of
+        for a in range(n):
+            mass = alive = 0.0
+            for b in range(n):
+                if block_of[b] == block_of[a]:
+                    mass += float(probs[b])
+                    alive += float(probs[b]) if tau[b] > t else 0.0
+            if mass > 0.0:
+                out[a, t] = alive / mass
+    return out
+
+
 def random_filtration(rng, n_atoms, horizon, zero_frac=0.3):
     """A space with some zero-probability atoms and a random refining filtration on it."""
     from filtration_lab.finite_space import Filtration, Partition, build_space

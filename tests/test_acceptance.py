@@ -178,7 +178,7 @@ def test_criterion_5_multiplicity_certificates():
     cases = [
         ("single source", fixtures.space_a().f, 1),
         ("joint uniform", fixtures.space_a().g, 3),
-        ("avoidance style", fixtures.trinomial_random_time().g, 2),
+        ("avoidance style", fixtures.avoidance_trinomial().g, 2),
     ]
     ok = True
     details = []

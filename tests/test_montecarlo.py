@@ -126,6 +126,16 @@ class TestSuites:
         for r in avoidance_mc_suite(epaths):
             assert r.passed, r
 
+    def test_survival_probe_changes_the_statistic(self):
+        # the increment vanishes where tau <= s, so a probe 1{tau > s} would
+        # reproduce the unprobed row; 1{N_s > lam s} must not
+        paths = simulate_path_set(1.0, 10.0, 200, SEED, RandomTimeSpec("exponential", 1.0))
+        by_name = {r.statistic: r for r in azema_exponential_suite(paths)}
+        probed = by_name["survival_compensated_jump_probed"]
+        plain = by_name["survival_compensated_jump"]
+        assert probed.estimate != plain.estimate
+        assert probed.std_error != plain.std_error
+
     def test_z_reports_have_positive_std_error(self):
         paths = simulate_path_set(1.0, 10.0, N, SEED)
         for r in poisson_compensator_suite(paths):
@@ -347,15 +357,17 @@ class TestDeterminism:
         assert (paths.lengths < 4).any() and (paths.lengths >= 4).any()
 
     def test_report_digest_is_pinned(self):
-        # Digest of the report below, computed with the engine that built a
-        # fresh generator per path and random-time spec, before the flat
-        # simulate-once engine replaced it.  It changes if any per-path
+        # Digest of the report below.  The per-path streams are those of the
+        # engine that built a fresh generator per path and random-time spec;
+        # the digest was last re-pinned when survival_compensated_jump_probed
+        # took the probe 1{N_s > lam s}, which moved only that row's
+        # estimate, std_error and z_score.  It changes if any per-path
         # stream, or anything derived from one, changes.
         config = json.loads((CONFIG_DIR / "poisson_qlc.json").read_text())
         config["mc"]["n_paths"] = 2000
         text = report_to_json(run_config(config))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "416ac5581849559cb2073571e976e9f823d91ba30907c62028428a6b349aeb2a"
+            "0cd9cf98b2b3968383e41ccc956c91a3b8e8bad728992c05044a9a0b6e9871d0"
         )
 
     def test_suite_context_simulates_each_rate_once(self, monkeypatch):

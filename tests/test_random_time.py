@@ -1,29 +1,29 @@
 import numpy as np
 import pytest
-from conftest import oracle_supermartingale_gap, random_filtration
+from conftest import oracle_supermartingale_gap, oracle_survival, random_filtration
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtration_lab import fixtures
 from filtration_lab.calculus import compensator, is_martingale
-from filtration_lab.enlargement import natural_filtration
+from filtration_lab.enlargement import natural_filtration, progressive_enlargement
 from filtration_lab.errors import BadParameter, TauAtZero, VanishingAzema
-from filtration_lab.finite_space import NEVER, AdaptedProcess, build_space
+from filtration_lab.finite_space import NEVER, AdaptedProcess, StoppingTime, build_space
 from filtration_lab.random_time import (
     AvoidanceReport,
     avoidance_check,
     azema_consistency_gap,
-    build_random_time_bundle,
     compensator_via_azema,
     cross_validation_gap,
-    direct_compensator,
     orthogonality_suite,
+    random_time_bundle,
     supermartingale_gap,
+    survival,
+    tau_of,
 )
-from filtration_lab.finite_space import StoppingTime
 
 
-def _coin_filtration(n_steps=2):
+def _coin_paths(n_steps=2):
     n = 2**n_steps
     space = build_space([1.0 / n] * n)
     jumps = np.array(
@@ -31,22 +31,31 @@ def _coin_filtration(n_steps=2):
     )
     vals = np.zeros((n, n_steps + 1))
     vals[:, 1:] = np.cumsum(jumps, axis=1)
-    return natural_filtration(space, [vals]), vals
+    return space, vals
+
+
+def _random_space_and_paths(rng):
+    """A space with some zero-mass atoms, a counting path per atom, and a random time."""
+    n, horizon = int(rng.integers(1, 10)), int(rng.integers(1, 4))
+    space = random_filtration(rng, n, horizon).space
+    x_values = np.zeros((n, horizon + 1))
+    x_values[:, 1:] = np.cumsum(rng.integers(0, 2, (n, horizon)), axis=1)
+    choices = np.array(list(range(1, horizon + 1)) + [NEVER], dtype=np.int64)
+    return space, x_values, rng.choice(choices, n)
 
 
 class TestBundleConstruction:
     def test_never_time(self):
         rb = fixtures.never_random_time()
         assert rb.H.sup_abs() == 0.0
-        assert np.allclose(rb.azema.values, 1.0, atol=1e-15)
+        assert np.allclose(survival(rb).values, 1.0, atol=1e-15)
         assert rb.g.partitions == rb.f.partitions
 
     def test_deterministic_time_profile(self):
-        f, vals = _coin_filtration()
-        tau = np.full(4, 2, dtype=np.int64)
-        rb = build_random_time_bundle(tau, f, vals)
+        space, vals = _coin_paths()
+        rb = random_time_bundle(space, vals, np.full(4, 2, dtype=np.int64))
         grid = np.arange(3)[None, :]
-        assert np.array_equal(rb.azema.values, (grid < 2).astype(float) * np.ones((4, 1)))
+        assert np.array_equal(survival(rb).values, (grid < 2).astype(float) * np.ones((4, 1)))
 
     def test_survival_process_consistency_and_supermartingale(self):
         rng = np.random.default_rng(51)
@@ -56,14 +65,29 @@ class TestBundleConstruction:
             assert supermartingale_gap(rb) <= 1e-12
 
     def test_tau_at_zero_rejected(self):
-        f, vals = _coin_filtration()
+        space, vals = _coin_paths()
         with pytest.raises(TauAtZero):
-            build_random_time_bundle(np.array([0, 1, 1, 2]), f, vals)
+            random_time_bundle(space, vals, np.array([0, 1, 1, 2]))
 
     def test_tau_out_of_range_rejected(self):
-        f, vals = _coin_filtration()
+        space, vals = _coin_paths()
         with pytest.raises(BadParameter):
-            build_random_time_bundle(np.array([1, 1, 2, 5]), f, vals)
+            random_time_bundle(space, vals, np.array([1, 1, 2, 5]))
+
+    @pytest.mark.parametrize(
+        "tau", [[1, 1, 2, -1], [1, 1, 2], [[1, 1, 2, 2]]], ids=["negative", "too_few", "two_dims"]
+    )
+    def test_negative_or_misshapen_tau_rejected(self, tau):
+        space, vals = _coin_paths()
+        with pytest.raises(BadParameter):
+            random_time_bundle(space, vals, np.array(tau))
+
+    def test_h_jumping_twice_is_no_random_time(self):
+        b = fixtures.space_a()  # H jumps at t=1 and t=2 on some atoms
+        with pytest.raises(BadParameter, match="more than once"):
+            tau_of(b)
+        with pytest.raises(BadParameter, match="more than once"):
+            avoidance_check(b)
 
     def test_joint_jump_time_supermartingale(self, space_a_bundle):
         b = space_a_bundle
@@ -71,7 +95,7 @@ class TestBundleConstruction:
         tau = np.where(
             bracket_jumps[:, 0] == 1, 1, np.where(bracket_jumps[:, 1] == 1, 2, NEVER)
         ).astype(np.int64)
-        rb = build_random_time_bundle(tau, b.f, b.X.values)
+        rb = random_time_bundle(b.space, b.X.values, tau)
         assert supermartingale_gap(rb) <= 1e-12
         assert azema_consistency_gap(rb) <= 1e-12
 
@@ -79,29 +103,29 @@ class TestBundleConstruction:
 class TestSurvivalFormula:
     def test_independent_uniform_two_step(self):
         rb = fixtures.two_step_independent_random_time()
-        cand = compensator_via_azema(rb)
+        cand = compensator_via_azema(rb, survival(rb))
         assert np.allclose(cand.values[:, 1], 0.5, atol=1e-15)
-        survivors = rb.tau >= 2
+        survivors = tau_of(rb).values >= 2
         assert np.allclose(cand.values[survivors, 2], 1.5, atol=1e-15)
         assert np.allclose(cand.values[~survivors, 2], 0.5, atol=1e-15)
         assert cross_validation_gap(rb) <= 1e-12
 
     def test_announced_time_is_predictable(self):
         rb = fixtures.announced_tau_random_time()
-        direct = direct_compensator(rb)
+        direct = compensator(rb.H).compensator
         assert np.abs(direct.values - rb.H.values).max() <= 1e-15
         assert cross_validation_gap(rb) <= 1e-12
 
     def test_never_time_zero_everywhere(self):
         rb = fixtures.never_random_time()
-        assert compensator_via_azema(rb).sup_abs() == 0.0
-        assert direct_compensator(rb).sup_abs() == 0.0
+        assert compensator_via_azema(rb, survival(rb)).sup_abs() == 0.0
+        assert compensator(rb.H).compensator.sup_abs() == 0.0
 
     def test_cross_validation_on_named_and_random_bundles(self):
         rng = np.random.default_rng(52)
         bundles = [
-            fixtures.staggered_random_time(),
-            fixtures.trinomial_random_time(),
+            fixtures.staggered(),
+            fixtures.avoidance_trinomial(),
             fixtures.two_step_independent_random_time(),
             fixtures.announced_tau_random_time(),
         ] + [fixtures.random_random_time_bundle(rng) for _ in range(25)]
@@ -109,33 +133,23 @@ class TestSurvivalFormula:
             assert cross_validation_gap(rb) <= 1e-9
             assert bool(
                 is_martingale(
-                    AdaptedProcess(rb.g, rb.H.values - compensator_via_azema(rb).values)
+                    AdaptedProcess(rb.g, rb.H.values - compensator_via_azema(rb, survival(rb)).values)
                 )
             )
 
     def test_vanishing_survival_raises(self):
         # inconsistent by hand: survival forced to zero before the time
-        f, vals = _coin_filtration()
-        tau = np.array([2, 2, 2, 2], dtype=np.int64)
-        rb = build_random_time_bundle(tau, f, vals)
-        broken = rb.azema.values.copy()
+        space, vals = _coin_paths()
+        rb = random_time_bundle(space, vals, np.array([2, 2, 2, 2], dtype=np.int64))
+        broken = survival(rb).values.copy()
         broken[:, 1] = 0.0
-        bad = type(rb)(
-            tau=rb.tau,
-            f=rb.f,
-            g=rb.g,
-            H=rb.H,
-            azema=AdaptedProcess(rb.f, broken),
-            X=rb.X,
-            name="broken",
-        )
         with pytest.raises(VanishingAzema):
-            compensator_via_azema(bad)
+            compensator_via_azema(rb, AdaptedProcess(rb.f, broken))
 
 
 class TestAvoidance:
     def test_staggered_avoids_with_all_conclusions(self):
-        rep = avoidance_check(fixtures.staggered_random_time())
+        rep = avoidance_check(fixtures.staggered())
         assert isinstance(rep, AvoidanceReport)
         assert rep.avoids
         assert rep.jump_collision_prob == 0.0
@@ -149,7 +163,7 @@ class TestAvoidance:
         }
 
     def test_supplied_deterministic_time_breaks_avoidance(self):
-        rb = fixtures.staggered_random_time()
+        rb = fixtures.staggered()
         rep = avoidance_check(rb, [StoppingTime.constant(rb.g, 2)])
         assert not rep.avoids
         assert rep.sigma_collision_probs[0] == pytest.approx(0.5, abs=1e-15)
@@ -168,13 +182,13 @@ class TestAvoidance:
 
 class TestOrthogonalityStudy:
     def test_staggered_all_orthogonal(self):
-        study = orthogonality_suite(fixtures.staggered_random_time())
+        study = orthogonality_suite(fixtures.staggered())
         assert all(p.orthogonal for p in study.pairs)
         assert study.all_consistent
         assert study.multiplicity == 1
 
     def test_trinomial_overlap_detected(self):
-        study = orthogonality_suite(fixtures.trinomial_random_time())
+        study = orthogonality_suite(fixtures.avoidance_trinomial())
         by_name = {p.name: p for p in study.pairs}
         assert not by_name["part1_vs_part2"].orthogonal
         assert by_name["part1_vs_part2"].witness is not None
@@ -194,18 +208,24 @@ class TestBlockOracles:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_gaps_match_the_loops(self, seed):
-        rng = np.random.default_rng(seed)
-        n, horizon = int(rng.integers(1, 10)), int(rng.integers(1, 4))
-        space = random_filtration(rng, n, horizon).space  # some atoms carry no mass
-        x_values = np.zeros((n, horizon + 1))
-        x_values[:, 1:] = np.cumsum(rng.integers(0, 2, (n, horizon)), axis=1)
-        f = natural_filtration(space, [x_values])
-        choices = np.array(list(range(1, horizon + 1)) + [NEVER], dtype=np.int64)
-        tau = rng.choice(choices, n)
-        rb = build_random_time_bundle(tau, f, x_values)
-        want = oracle_supermartingale_gap(space.probs, f.partitions, rb.azema.values)
+        space, x_values, tau = _random_space_and_paths(np.random.default_rng(seed))
+        rb = random_time_bundle(space, x_values, tau)
+        want = oracle_supermartingale_gap(space.probs, rb.f.partitions, survival(rb).values)
         assert supermartingale_gap(rb) == want
         # tau's collision with a jump of X, atom by atom
         dx = rb.X.increments()
-        hit = [tau[a] != NEVER and dx[a, tau[a]] == 1.0 for a in range(n)]
+        hit = [tau[a] != NEVER and dx[a, tau[a]] == 1.0 for a in range(space.n_atoms)]
         assert avoidance_check(rb).jump_collision_prob == float(space.probs[hit].sum())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_random_time_is_the_bundle_of_its_indicator(self, seed):
+        space, x_values, tau = _random_space_and_paths(np.random.default_rng(seed))
+        rb = random_time_bundle(space, x_values, tau)
+        assert np.array_equal(tau_of(rb).values, tau)
+        want_g = progressive_enlargement(
+            natural_filtration(space, [x_values]), natural_filtration(space, [rb.H.values])
+        )
+        assert rb.g.partitions == want_g.partitions
+        want = oracle_survival(space.probs, rb.f.partitions, tau)
+        np.testing.assert_allclose(survival(rb).values, want, rtol=0.0, atol=1e-15)

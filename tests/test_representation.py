@@ -20,7 +20,7 @@ from filtration_lab.enlargement import build_bundle
 from filtration_lab.errors import IndependenceViolated, NotMartingale
 from filtration_lab.finite_space import AdaptedProcess, PointProcess, build_space
 from filtration_lab.jump_measure import compensator_measure, fundamental_martingales, jump_measure
-from filtration_lab.random_time import stopping_time
+from filtration_lab.random_time import tau_of
 from filtration_lab.representation import (
     SV_CUTOFF,
     independent_batch,
@@ -152,11 +152,11 @@ class TestMeasureAndTripleRepresentation:
 
     def test_stopped_representation(self):
         rng = np.random.default_rng(44)
-        bundles = [fixtures.staggered_random_time(), fixtures.trinomial_random_time()]
+        bundles = [fixtures.staggered(), fixtures.avoidance_trinomial()]
         bundles += [fixtures.random_random_time_bundle(rng) for _ in range(5)]
         for rb in bundles:
             z1, z2, z3 = fundamental_martingales(rb.X, rb.H)
-            st = stopping_time(rb)
+            st = tau_of(rb)
             for _ in range(10):
                 y = martingale_closure(rng.normal(size=rb.g.space.n_atoms), rb.g)
                 sol = solve_triple(y, z1, z2, z3, stop_at=st)
@@ -228,7 +228,7 @@ class TestMultiplicity:
     def test_known_spanning_numbers(self):
         assert multiplicity(fixtures.space_a().f) == 1
         assert multiplicity(fixtures.space_a().g) == 3
-        assert multiplicity(fixtures.trinomial_random_time().g) == 2
+        assert multiplicity(fixtures.avoidance_trinomial().g) == 2
         assert multiplicity(fixtures.staggered().g) == 1
 
     def test_certificates(self):
@@ -236,7 +236,7 @@ class TestMultiplicity:
         for filt, expected in (
             (fixtures.space_a().f, 1),
             (fixtures.space_a().g, 3),
-            (fixtures.trinomial_random_time().g, 2),
+            (fixtures.avoidance_trinomial().g, 2),
         ):
             spanning = orthogonal_spanning_martingales(filt)
             assert len(spanning) == expected
