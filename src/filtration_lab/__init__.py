@@ -4,6 +4,7 @@ under filtration enlargement of counting processes."""
 __version__ = "0.1.0"
 
 from .finite_space import (
+    ATOMWISE_TOL,
     EXACT_TOL,
     NEVER,
     AdaptedProcess,
@@ -17,7 +18,6 @@ from .finite_space import (
     first_jump_time,
     is_adapted,
     is_predictable,
-    rebind,
     stop_process,
 )
 from .calculus import (

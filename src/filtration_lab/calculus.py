@@ -28,15 +28,13 @@ from .finite_space import (
     is_adapted,
     is_predictable,
     positive_sup,
-    rebind,
 )
 
 
 @dataclass(frozen=True)
 class CompensatorPair:
-    """Raw increasing process, its compensator, and the compensated martingale."""
+    """Compensator of an increasing process, and the compensated martingale."""
 
-    raw: AdaptedProcess
     compensator: AdaptedProcess
     martingale_part: AdaptedProcess
 
@@ -67,11 +65,9 @@ def dual_projection(p: AdaptedProcess, filtration: Filtration | None = None) -> 
     return AdaptedProcess(filtration, np.cumsum(inc, axis=1))
 
 
-def compensator(a: AdaptedProcess, filtration: Filtration | None = None) -> CompensatorPair:
+def compensator(a: AdaptedProcess) -> CompensatorPair:
     """Doob decomposition of an adapted increasing process starting at 0."""
-    if filtration is not None and filtration is not a.filtration:
-        a = rebind(a, filtration)  # raises NotAdapted when it is not
-    elif not is_adapted(a):
+    if not is_adapted(a):
         from .errors import NotAdapted
 
         raise NotAdapted("input process is not adapted")
@@ -81,7 +77,7 @@ def compensator(a: AdaptedProcess, filtration: Filtration | None = None) -> Comp
         raise NotIncreasing("process has a negative increment")
     comp = dual_projection(a, a.filtration)
     mart = AdaptedProcess(a.filtration, a.values - comp.values)
-    return CompensatorPair(raw=a, compensator=comp, martingale_part=mart)
+    return CompensatorPair(compensator=comp, martingale_part=mart)
 
 
 def quadratic_covariation(y: AdaptedProcess, z: AdaptedProcess) -> AdaptedProcess:
@@ -112,16 +108,14 @@ def stochastic_integral(k: AdaptedProcess, m: AdaptedProcess) -> AdaptedProcess:
     return AdaptedProcess(m.filtration, vals)
 
 
-def is_martingale(
-    m: AdaptedProcess, filtration: Filtration | None = None, tol: float = EXACT_TOL
-) -> MartingaleCheck:
-    """Exact one-step drift test: E[dM_t | P_{t-1}] = 0 for all t >= 1."""
-    filtration = filtration or m.filtration
+def is_martingale(m: AdaptedProcess) -> MartingaleCheck:
+    """One-step drift test: |E[dM_t | P_{t-1}]| <= EXACT_TOL for all t >= 1."""
+    filtration = m.filtration
     delta = m.increments()
     for t in range(1, filtration.horizon + 1):
         previous = filtration.at(t - 1)
         drift = conditional_expectation(filtration.space, delta[:, t], previous)
-        bad = np.flatnonzero(np.abs(drift) > tol)
+        bad = np.flatnonzero(np.abs(drift) > EXACT_TOL)
         if bad.size:
             # blocks are ordered by first atom: the first bad atom lies in the first bad block
             atom = bad[0]
@@ -138,7 +132,6 @@ class OrthogonalityReport:
     bracket of the compensators.
     """
 
-    bracket_raw: AdaptedProcess
     bracket_compensators: AdaptedProcess
     bracket_bar: AdaptedProcess
     is_orthogonal: bool
@@ -150,10 +143,8 @@ class OrthogonalityReport:
     decomposition_gap: float = 0.0
 
 
-def orthogonality_report(
-    y: AdaptedProcess, z: AdaptedProcess, tol: float = EXACT_TOL
-) -> OrthogonalityReport:
-    """Evaluate the orthogonality toolkit for two counting processes.
+def orthogonality_report(y: AdaptedProcess, z: AdaptedProcess) -> OrthogonalityReport:
+    """Evaluate the orthogonality toolkit for two counting processes, at ``EXACT_TOL``.
 
     Clauses reported:
       * ``increasing_brackets``: [Y^p,Z], [Y,Z^p], [Y^p,Z^p] are increasing
@@ -190,21 +181,21 @@ def orthogonality_report(
         for b in (b_yp_z, b_y_zp, b_pp)
     )
     clauses["associated"] = (
-        positive_sup(space, dual_projection(b_yp_z, filt).values - b_pp.values) <= tol
-        and positive_sup(space, dual_projection(b_y_zp, filt).values - b_pp.values) <= tol
+        positive_sup(space, dual_projection(b_yp_z, filt).values - b_pp.values) <= EXACT_TOL
+        and positive_sup(space, dual_projection(b_y_zp, filt).values - b_pp.values) <= EXACT_TOL
     )
 
     compensators_match = (
-        positive_sup(space, dual_projection(b_yz, filt).values - b_pp.values) <= tol
+        positive_sup(space, dual_projection(b_yz, filt).values - b_pp.values) <= EXACT_TOL
     )
-    bar_martingale = bool(is_martingale(b_bar, tol=tol))
+    bar_martingale = bool(is_martingale(b_bar))
     clauses["martingale_iff_match"] = bar_martingale == compensators_match
 
-    disjoint = positive_sup(space, y.increments() * z.increments()) <= tol
+    disjoint = positive_sup(space, y.increments() * z.increments()) <= EXACT_TOL
     if disjoint:
-        clauses["disjoint_zero"] = bar_martingale == (positive_sup(space, b_bar.values) <= tol)
+        clauses["disjoint_zero"] = bar_martingale == (positive_sup(space, b_bar.values) <= EXACT_TOL)
         clauses["disjoint_predictable"] = bar_martingale == (
-            positive_sup(space, yp.increments() * zp.increments()) <= tol
+            positive_sup(space, yp.increments() * zp.increments()) <= EXACT_TOL
         )
 
     identity = b_yz.values - b_yp_z.values - b_y_zp.values + b_pp.values
@@ -213,13 +204,12 @@ def orthogonality_report(
     bar_comp = dual_projection(b_bar, filt)
     inc = bar_comp.increments()
     witness = None
-    mask = (np.abs(inc) > tol) & pos[:, None]
+    mask = (np.abs(inc) > EXACT_TOL) & pos[:, None]
     if mask.any():
         t, atom = np.argwhere(mask.T)[0]  # earliest time, then lowest atom
         witness = (int(t), int(atom))
 
     return OrthogonalityReport(
-        bracket_raw=b_yz,
         bracket_compensators=b_pp,
         bracket_bar=b_bar,
         is_orthogonal=witness is None,

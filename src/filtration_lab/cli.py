@@ -34,13 +34,12 @@ from .suites import (
     CheckResult,
     McParams,
     SuiteContext,
-    Tolerances,
     describe_suite,
     get_suite,
     list_suites,
 )
 
-_CONFIG_KEYS = {"schema", "engine", "fixture", "seed", "suites", "mc", "tolerances"}
+_CONFIG_KEYS = {"schema", "engine", "fixture", "seed", "suites", "mc"}
 _EXACT_ONLY_KEYS = {"fixture"}
 _MC_ONLY_KEYS = {"mc"}
 
@@ -98,7 +97,6 @@ def validate_config(config: dict, parallel: int = 1) -> list[dict]:
         if bad:
             raise ConfigInvalid(f"mc-engine config rejects exact-only keys: {sorted(bad)}")
         _mc_params(config)
-    _tolerances(config)
     _seed(config.get("seed", 0), "seed")
     return entries
 
@@ -155,11 +153,6 @@ def _closed_object(config: dict, key: str, known: set) -> dict:
     return raw
 
 
-def _tolerances(config: dict) -> Tolerances:
-    raw = _closed_object(config, "tolerances", {"exact", "atomwise"})
-    return Tolerances(**{k: _positive_number(v, f"tolerances.{k}") for k, v in raw.items()})
-
-
 def _mc_params(config: dict) -> McParams:
     """``McParams`` from the keys the config gives (``lambda`` is ``lam``); the rest are defaults."""
     raw = _closed_object(config, "mc", {"lambda", "mu", "t_real", "n_paths", "z_max", "epsilons"})
@@ -193,7 +186,6 @@ def run_config(config: dict, parallel: int = 1, seed_override: int | None = None
     ctx = SuiteContext(
         seed=int(seed),
         bundle=_resolve_bundle(config) if engine == "exact" else None,
-        tol=_tolerances(config),
         mc=_mc_params(config),
     )
 

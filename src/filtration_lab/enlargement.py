@@ -3,8 +3,9 @@
 The natural filtration of a family of processes partitions atoms by equality
 of the joint path prefix.  Initial enlargement joins a fixed partition into
 every time slice; progressive enlargement is the timewise common refinement
-of two filtrations.  Right-continuity is vacuous in discrete time and is
-recorded as a note on the identity report rather than checked.
+of two filtrations.  Right-continuity is vacuous in discrete time: every
+filtration is right-continuous by construction, so the identity report does
+not check the smallest-right-continuous qualifier.
 """
 from __future__ import annotations
 
@@ -65,6 +66,8 @@ def sigma_algebra_of(space: FiniteProbabilitySpace, values) -> Partition:
 
 def initial_enlargement(base: Filtration, initial: Partition) -> Filtration:
     """Adjoin a fixed sigma-field to every time slice of the filtration."""
+    if initial.n_blocks == 1:
+        return base
     parts = tuple(join(p, initial) for p in base.partitions)
     return Filtration(base.space, parts)
 
@@ -122,7 +125,6 @@ def build_bundle(
 @dataclass(frozen=True)
 class FiltrationIdentityReport:
     checks: dict
-    note: str
 
     @property
     def ok(self) -> bool:
@@ -160,8 +162,4 @@ def verify_filtration_identities(bundle: EnlargementBundle) -> FiltrationIdentit
             and np.array_equal(h_rebuilt.values, bundle.H.values)
         ),
     }
-    note = (
-        "discrete time: every filtration is right-continuous by construction, "
-        "so the smallest-right-continuous qualifier adds nothing here"
-    )
-    return FiltrationIdentityReport(checks=checks, note=note)
+    return FiltrationIdentityReport(checks=checks)

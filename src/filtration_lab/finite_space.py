@@ -23,8 +23,10 @@ from .errors import (
 
 #: tolerance for the probability-sum invariant of a space
 PROB_SUM_TOL = 1e-12
-#: global tolerance for assertion-style operators (martingale drift, residuals)
+#: tolerance of assertion-style operators (martingale drift, residuals, independence)
 EXACT_TOL = 1e-9
+#: tolerance of atomwise identities (brackets, integrals, densities, decomposition gaps)
+ATOMWISE_TOL = 1e-12
 #: stopping-time value standing for "never"
 NEVER = np.iinfo(np.int64).max
 
@@ -353,9 +355,9 @@ class StoppingTime:
         return cls(filtration, np.full(filtration.space.n_atoms, NEVER, dtype=np.int64))
 
 
-def first_jump_time(x: PointProcess, level: int = 1) -> StoppingTime:
-    """First time the counting path reaches ``level`` (NEVER if it does not)."""
-    reached = x.values >= level
+def first_jump_time(x: PointProcess) -> StoppingTime:
+    """First time the counting path jumps (NEVER if it does not)."""
+    reached = x.values >= 1.0
     vals = np.where(reached.any(axis=1), reached.argmax(axis=1), NEVER)
     return StoppingTime(x.filtration, vals)
 
@@ -374,12 +376,3 @@ def stop_values(values: np.ndarray, sigma: StoppingTime) -> np.ndarray:
     time_idx = np.minimum(np.arange(T + 1)[None, :], cut[:, None])
     return np.take_along_axis(values, np.broadcast_to(time_idx, values.shape), axis=-1)
 
-
-def rebind(p: AdaptedProcess, filtration: Filtration, check: bool = True) -> AdaptedProcess:
-    """Attach the same values to another filtration (e.g. an enlargement)."""
-    out = type(p)(filtration, p.values)
-    if check and not is_adapted(out):
-        from .errors import NotAdapted
-
-        raise NotAdapted("process is not adapted to the target filtration")
-    return out

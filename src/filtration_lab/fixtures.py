@@ -142,7 +142,6 @@ def random_bundle(
     rng: np.random.Generator,
     max_atoms: int = 6,
     max_horizon: int = 3,
-    allow_initial: bool = True,
     name: str = "random",
 ) -> EnlargementBundle:
     probs = random_space_probs(rng, max_atoms)
@@ -152,7 +151,7 @@ def random_bundle(
     dx = rng.integers(0, 2, (n, horizon))
     dh = rng.integers(0, 2, (n, horizon))
     initial = None
-    if allow_initial and rng.random() < 0.5:
+    if rng.random() < 0.5:
         initial = Partition.from_labels(rng.integers(0, 2, n).tolist())
     return build_bundle(
         space, _paths_from_jumps(dx), _paths_from_jumps(dh), initial=initial, name=name
@@ -172,13 +171,11 @@ def random_predictable_values(rng: np.random.Generator, filtration: Filtration) 
     return vals
 
 
-def random_random_time_bundle(
-    rng: np.random.Generator, max_atoms: int = 6, max_horizon: int = 3
-) -> EnlargementBundle:
-    probs = random_space_probs(rng, max_atoms)
+def random_random_time_bundle(rng: np.random.Generator) -> EnlargementBundle:
+    probs = random_space_probs(rng)
     space = build_space(probs)
     n = space.n_atoms
-    horizon = int(rng.integers(1, max_horizon + 1))
+    horizon = int(rng.integers(1, 4))
     dx = rng.integers(0, 2, (n, horizon))
     choices = np.arange(1, horizon + 1).tolist() + [NEVER]
     tau = np.array([choices[int(rng.integers(0, len(choices)))] for _ in range(n)], dtype=np.int64)

@@ -135,14 +135,9 @@ def _block_size(lam: float, t_real: float) -> int:
     return max(16, int(lam * t_real + 10.0 * math.sqrt(lam * t_real) + 10.0))
 
 
-def simulate_poisson(lam: float, t_real: float, seed) -> np.ndarray:
-    """Jump times of one homogeneous Poisson path on (0, t_real].
-
-    ``seed`` is an integer (expanded through the counter-based scheme) or an
-    already-positioned generator.
-    """
+def simulate_poisson(lam: float, t_real: float, rng: np.random.Generator) -> np.ndarray:
+    """Jump times of one homogeneous Poisson path on (0, t_real], drawn from ``rng``."""
     block = _block_size(lam, t_real)
-    rng = seed if isinstance(seed, np.random.Generator) else _path_generator(int(seed), 0)
     times = np.cumsum(rng.standard_exponential(block) / lam)
     while times[-1] <= t_real:
         more = np.cumsum(rng.standard_exponential(block) / lam)
@@ -256,14 +251,8 @@ class PathSet:
         return prefix
 
 
-def simulate_path_set(
-    lam: float,
-    t_real: float,
-    n_paths: int,
-    seed: int,
-    tau_spec: RandomTimeSpec | None = None,
-) -> PathSet:
-    """Simulate the ensemble; paths missing events for the tau spec are flagged invalid.
+def simulate_path_set(lam: float, t_real: float, n_paths: int, seed: int) -> PathSet:
+    """Simulate the ensemble, with no random time (see ``PathSet.with_random_time``).
 
     Path p is ``simulate_poisson(lam, t_real, _path_generator(seed, p))`` and
     its unit exponential is that generator's next draw.  Each path draws one
@@ -299,7 +288,7 @@ def simulate_path_set(
                 counts[lo + i] = per_path[i].size
             events = np.concatenate(per_path)
         pieces.append(events)
-    base = PathSet(
+    return PathSet(
         lam=lam,
         t_real=t_real,
         n_paths=n_paths,
@@ -310,7 +299,6 @@ def simulate_path_set(
         tau=np.full(n_paths, math.inf),
         tau_valid=np.ones(n_paths, dtype=bool),
     )
-    return base if tau_spec is None else base.with_random_time(tau_spec)
 
 
 def _require_time(paths: PathSet, *kinds) -> RandomTimeSpec | None:

@@ -26,7 +26,6 @@ from .finite_space import (
     conditional_expectation,
     first_jump_time,
     positive_sup,
-    rebind,
     stop_process,
 )
 from .jump_measure import fundamental_martingales, joint_decomposition
@@ -85,7 +84,7 @@ def compensator_via_azema(bundle: EnlargementBundle, azema: AdaptedProcess) -> A
     """
     f = bundle.f
     T = f.horizon
-    hp_base = dual_projection(rebind(bundle.H, f, check=False), f)
+    hp_base = dual_projection(bundle.H, f)
     base_inc = hp_base.increments()
     grid = np.arange(T + 1)[None, :]
     alive = grid <= np.minimum(tau_of(bundle).values, np.int64(T + 1))[:, None]
@@ -105,33 +104,32 @@ def compensator_via_azema(bundle: EnlargementBundle, azema: AdaptedProcess) -> A
     return AdaptedProcess(bundle.g, np.cumsum(inc, axis=1))
 
 
-def cross_validation_gap(bundle: EnlargementBundle) -> float:
-    """Sup distance between the survival-driven and the direct compensator."""
+def cross_validation_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> float:
+    """Sup distance between the compensator driven by the survival ``azema`` and the direct one."""
     direct = compensator(bundle.H).compensator
-    gap = compensator_via_azema(bundle, survival(bundle)).values - direct.values
+    gap = compensator_via_azema(bundle, azema).values - direct.values
     return positive_sup(bundle.g.space, gap)
 
 
-def azema_consistency_gap(bundle: EnlargementBundle) -> float:
-    """Max over blocks of |A_t * P(block) - P({tau > t} within block)|."""
+def azema_consistency_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> float:
+    """Max over blocks of |A_t * P(block) - P({tau > t} within block)|, A the survival ``azema``."""
     probs = bundle.space.probs
     T = bundle.f.horizon
-    azema = survival(bundle).values
     survive = 1.0 - bundle.H.values  # 1{tau > t}
     worst = 0.0
     for t in range(T + 1):
         for atoms in bundle.f.at(t).block_arrays:
             mass = float(probs[atoms].sum())
-            lhs = float(azema[atoms[0], t]) * mass
+            lhs = float(azema.values[atoms[0], t]) * mass
             rhs = float(probs[atoms] @ survive[atoms, t])
             worst = max(worst, abs(lhs - rhs))
     return worst
 
 
-def supermartingale_gap(bundle: EnlargementBundle) -> float:
-    """Max positive one-step rise of the survival process (should be <= 0)."""
+def supermartingale_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> float:
+    """Max positive one-step rise of the survival process ``azema`` (should be <= 0)."""
     space = bundle.space
-    vals = survival(bundle).values
+    vals = azema.values
     worst = 0.0
     for t in range(1, bundle.f.horizon + 1):
         drift = conditional_expectation(space, vals[:, t], bundle.f.at(t - 1)) - vals[:, t - 1]
@@ -179,13 +177,12 @@ def avoidance_check(bundle: EnlargementBundle, sigma_list=()) -> AvoidanceReport
         z1, z2, z3 = fundamental_martingales(bundle.X, bundle.H)
         xbar = compensator(bundle.X).martingale_part
         hbar = compensator(bundle.H).martingale_part
-        tol = EXACT_TOL
         conclusions = {
-            "no_common_jumps": bracket.sup_abs() <= tol,
-            "joint_part_vanishes": z3.sup_abs() <= tol,
-            "z1_is_compensated_x": positive_sup(bundle.g.space, z1.values - xbar.values) <= tol,
-            "z2_is_compensated_h": positive_sup(bundle.g.space, z2.values - hbar.values) <= tol,
-            "z1_z2_bracket_vanishes": quadratic_covariation(z1, z2).sup_abs() <= tol,
+            "no_common_jumps": bracket.sup_abs() <= EXACT_TOL,
+            "joint_part_vanishes": z3.sup_abs() <= EXACT_TOL,
+            "z1_is_compensated_x": positive_sup(bundle.g.space, z1.values - xbar.values) <= EXACT_TOL,
+            "z2_is_compensated_h": positive_sup(bundle.g.space, z2.values - hbar.values) <= EXACT_TOL,
+            "z1_z2_bracket_vanishes": quadratic_covariation(z1, z2).sup_abs() <= EXACT_TOL,
         }
         conclusions_hold = all(conclusions.values())
 
@@ -202,7 +199,6 @@ def avoidance_check(bundle: EnlargementBundle, sigma_list=()) -> AvoidanceReport
 class PairStudy:
     name: str
     orthogonal: bool
-    no_common_predictable_jumps: bool
     consistent: bool
     witness: tuple | None
 
@@ -236,17 +232,15 @@ def orthogonality_suite(bundle: EnlargementBundle) -> OrthogonalityStudy:
         ("stopped_part1_vs_joint", y1_stopped, y3),
     ]
     pairs = []
-    tol = EXACT_TOL
     for label, a, b in named:
         rep = orthogonality_report(a, b)
         ap = dual_projection(a, bundle.g)
         bp = dual_projection(b, bundle.g)
-        surrogate = positive_sup(bundle.g.space, ap.increments() * bp.increments()) <= tol
+        surrogate = positive_sup(bundle.g.space, ap.increments() * bp.increments()) <= EXACT_TOL
         pairs.append(
             PairStudy(
                 name=label,
                 orthogonal=rep.is_orthogonal,
-                no_common_predictable_jumps=surrogate,
                 consistent=rep.is_orthogonal == surrogate,
                 witness=rep.witness,
             )

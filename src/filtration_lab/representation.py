@@ -55,7 +55,6 @@ class RepresentationSolution:
     kind: str
     integrands: dict
     reconstruction: AdaptedProcess
-    residual: AdaptedProcess
     residual_sup: float
     checks: dict = field(default_factory=dict)
 
@@ -176,10 +175,9 @@ def _solve_one(kind, names, y, regressors, filtration, batch=None, checks=None):
         batch = solve_batch(y.values[None], regressors, filtration, keep_integrands=True,
                             keep_reconstructions=True)
     recon = AdaptedProcess(filtration, batch.reconstructions[0])
-    residual = AdaptedProcess(y.filtration, y.values - recon.values)
     integrands = dict(zip(names, batch.integrands[:, 0]))
     sup = float(batch.residual_sup[0])
-    return RepresentationSolution(kind, integrands, recon, residual, sup, checks or {})
+    return RepresentationSolution(kind, integrands, recon, sup, checks or {})
 
 
 def wrp_regressors(mu: MarkedMeasure, nu: MarkedMeasure) -> list[np.ndarray]:
@@ -193,23 +191,21 @@ def triple_regressors(z1, z2, z3, stop_at: StoppingTime | None = None) -> list[n
     return [first.increments(), z2.increments(), z3.increments()]
 
 
-def solve_prp(
-    y: AdaptedProcess, m: AdaptedProcess, filtration: Filtration | None = None
-) -> RepresentationSolution:
+def solve_prp(y: AdaptedProcess, m: AdaptedProcess) -> RepresentationSolution:
     """Represent Y against a single reference martingale M.
 
     Exactly solvable when every node branches two ways (a single counting
     source); the residual is the certificate either way.
     """
     _require_martingale(m, "reference martingale")
-    return _solve_one("prp", ("K",), y, [m.increments()], filtration or y.filtration)
+    return _solve_one("prp", ("K",), y, [m.increments()], y.filtration)
 
 
 def solve_wrp(
-    y: AdaptedProcess, mu: MarkedMeasure, nu: MarkedMeasure, filtration: Filtration | None = None
+    y: AdaptedProcess, mu: MarkedMeasure, nu: MarkedMeasure
 ) -> RepresentationSolution:
     """Represent Y as an integral against the compensated jump measure."""
-    filtration = filtration or mu.filtration
+    filtration = mu.filtration
     if y.filtration.partitions != filtration.partitions:
         raise FiltrationMismatch("target is not carried by the measure's filtration")
     names = [f"W{mark.value}" for mark in MARKS]
@@ -217,39 +213,28 @@ def solve_wrp(
 
 
 def solve_triple(
-    y: AdaptedProcess,
-    z1: AdaptedProcess,
-    z2: AdaptedProcess,
-    z3: AdaptedProcess,
-    stop_at: StoppingTime | None = None,
+    y: AdaptedProcess, z1: AdaptedProcess, z2: AdaptedProcess, z3: AdaptedProcess
 ) -> RepresentationSolution:
-    """Represent Y against the three compensated jump-part martingales.
-
-    With ``stop_at`` given, represents the stopped target against
-    (Z1 stopped, Z2, Z3); past the stop every increment vanishes so the
-    solve restricts itself to the pre-stop nodes.
-    """
-    regs = triple_regressors(z1, z2, z3, stop_at)
-    if stop_at is None:
-        return _solve_one("triple", ("K1", "K2", "K3"), y, regs, y.filtration)
-    return _solve_one("triple_stopped", ("K1", "K2", "K3"), stop_process(y, stop_at), regs, y.filtration)
+    """Represent Y against the three compensated jump-part martingales."""
+    regs = triple_regressors(z1, z2, z3)
+    return _solve_one("triple", ("K1", "K2", "K3"), y, regs, y.filtration)
 
 
 def solve_in_basis(
-    y: AdaptedProcess, martingales: Sequence[AdaptedProcess], kind: str = "basis"
+    y: AdaptedProcess, martingales: Sequence[AdaptedProcess]
 ) -> RepresentationSolution:
     """Represent Y against an arbitrary martingale family."""
     names = [f"K{i + 1}" for i in range(len(martingales))]
-    return _solve_one(kind, names, y, [m.increments() for m in martingales], y.filtration)
+    return _solve_one("basis", names, y, [m.increments() for m in martingales], y.filtration)
 
 
-def verify_independence(bundle: EnlargementBundle, tol: float = 1e-9) -> None:
-    """Product rule for every pair of blocks of the two filtrations, all times."""
+def verify_independence(bundle: EnlargementBundle) -> None:
+    """Product rule, to ``EXACT_TOL``, for every pair of blocks of the two filtrations, all times."""
     for t, (f, h) in enumerate(zip(bundle.f.partitions, bundle.h_filtration.partitions)):
         joint = np.zeros((f.n_blocks, h.n_blocks))
         np.add.at(joint, (f.block_of, h.block_of), bundle.space.probs)
         product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-        bad = np.argwhere(np.abs(joint - product) > tol)
+        bad = np.argwhere(np.abs(joint - product) > EXACT_TOL)
         if bad.size:
             i, j = bad[0]
             raise IndependenceViolated(
@@ -259,7 +244,7 @@ def verify_independence(bundle: EnlargementBundle, tol: float = 1e-9) -> None:
 
 
 def independent_batch(
-    targets, bundle: EnlargementBundle, tol: float = 1e-9, keep_reconstructions: bool = False
+    targets, bundle: EnlargementBundle, keep_reconstructions: bool = False
 ) -> tuple[BatchSolution, dict]:
     """Orthogonal representation of stacked targets against (compensated X, compensated H, bracket).
 
@@ -271,7 +256,7 @@ def independent_batch(
     the basis does not depend on the target), and the Pythagoras identity of
     the squared terminal norms (one value per target).
     """
-    verify_independence(bundle, tol)
+    verify_independence(bundle)
     filtration = bundle.g
     x_pair = compensator(bundle.X)
     h_pair = compensator(bundle.H)
@@ -338,12 +323,12 @@ def independent_batch(
 
 
 def independent_decomposition(
-    y: AdaptedProcess, bundle: EnlargementBundle, tol: float = 1e-9
+    y: AdaptedProcess, bundle: EnlargementBundle
 ) -> RepresentationSolution:
     """One target through :func:`independent_batch`; its checks hold plain floats."""
     if y.filtration.partitions != bundle.g.partitions:
         raise FiltrationMismatch("target is not carried by the enlarged filtration")
-    batch, checks = independent_batch(y.values[None], bundle, tol, keep_reconstructions=True)
+    batch, checks = independent_batch(y.values[None], bundle, keep_reconstructions=True)
     checks["pythagoras_gap"] = float(checks["pythagoras_gap"][0])
     return _solve_one("independent", ("K1", "K2", "K3"), y, None, bundle.g, batch=batch, checks=checks)
 

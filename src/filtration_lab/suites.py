@@ -25,6 +25,8 @@ from .calculus import (
 from .enlargement import build_bundle, verify_filtration_identities
 from .errors import IndependenceViolated, UnknownSuite
 from .finite_space import (
+    ATOMWISE_TOL,
+    EXACT_TOL,
     AdaptedProcess,
     Partition,
     PointProcess,
@@ -82,12 +84,6 @@ from .representation import (
 
 
 @dataclass
-class Tolerances:
-    exact: float = 1e-9
-    atomwise: float = 1e-12
-
-
-@dataclass
 class McParams:
     lam: float = 1.0
     mu: float = 1.0
@@ -106,7 +102,6 @@ class McParams:
 class SuiteContext:
     seed: int
     bundle: object = None
-    tol: Tolerances = field(default_factory=Tolerances)
     mc: McParams = field(default_factory=McParams)
     expected_outcome: str = "holds"
     _path_cache: dict = field(default_factory=dict)
@@ -219,7 +214,7 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "identity_integrand",
-            sol.residual_sup <= ctx.tol.exact and float(np.abs(sol.integrands["K"][:, 1:]).min()) > 0.5,
+            sol.residual_sup <= EXACT_TOL and float(np.abs(sol.integrands["K"][:, 1:]).min()) > 0.5,
             residual_sup=sol.residual_sup,
         )
     )
@@ -230,7 +225,7 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
         coef = rng.normal(size=3)
         xis.append(coef[0] * b.X.terminal**2 + coef[1] * b.X.terminal + coef[2])
     worst = float(solve_batch(martingale_closures(xis, b.f), [m.increments()], b.f).residual_sup.max())
-    checks.append(_check("single_source_solvable", worst <= ctx.tol.exact, worst_residual=worst))
+    checks.append(_check("single_source_solvable", worst <= EXACT_TOL, worst_residual=worst))
 
     # initial sigma-field carrying the first jump time keeps the tree binary
     space = build_space([1.0 / 8.0] * 8)
@@ -247,12 +242,12 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     ys = martingale_closures([rng.normal(size=8) for _ in range(25)], f)
     worst = float(solve_batch(ys, [m3.increments()], f).residual_sup.max())
     checks.append(
-        _check("initially_enlarged_still_solvable", worst <= ctx.tol.exact, worst_residual=worst)
+        _check("initially_enlarged_still_solvable", worst <= EXACT_TOL, worst_residual=worst)
     )
 
     m_g = compensator(b.X).martingale_part
     y = martingale_closure(b.H.terminal, b.g)
-    sol = solve_prp(y, m_g, b.g)
+    sol = solve_prp(y, m_g)
     checks.append(
         _check(
             "joint_filtration_single_source_fails",
@@ -284,7 +279,7 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
         )
         ok = ok and recon == 0.0
     checks.append(
-        _check("disjoint_decomposition", ok and worst <= ctx.tol.atomwise, worst_bracket=worst)
+        _check("disjoint_decomposition", ok and worst <= ATOMWISE_TOL, worst_bracket=worst)
     )
 
     b = fixtures.space_a()
@@ -293,7 +288,7 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "joint_count_mean",
-            abs(joint_mean - 0.5) <= ctx.tol.atomwise,
+            abs(joint_mean - 0.5) <= ATOMWISE_TOL,
             joint_mean=joint_mean,
         )
     )
@@ -326,7 +321,7 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
                 np.stack([fixtures.random_predictable_values(rng, b.g) for _ in MARKS]),
             )
             diff = AdaptedProcess(b.g, integrate(w, mu).values - integrate(w, nu).values)
-            drift = is_martingale(diff, tol=ctx.tol.exact)
+            drift = is_martingale(diff)
             if not drift:
                 worst_drift = max(worst_drift, abs(drift.witness[2]))
             split = sum(
@@ -344,11 +339,11 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "integral_splits_across_marks",
-            worst_match <= ctx.tol.atomwise,
+            worst_match <= ATOMWISE_TOL,
             worst_gap=worst_match,
         )
     )
-    checks.append(_check("total_mass_formula", worst_mass <= ctx.tol.atomwise, worst_gap=worst_mass))
+    checks.append(_check("total_mass_formula", worst_mass <= ATOMWISE_TOL, worst_gap=worst_mass))
 
     b = fixtures.space_a()
     nu = compensator_measure(jump_measure(b.X, b.H))
@@ -361,7 +356,7 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "uniform_fixture_densities",
-            dens_gap <= ctx.tol.atomwise and unit_gap <= ctx.tol.atomwise,
+            dens_gap <= ATOMWISE_TOL and unit_gap <= ATOMWISE_TOL,
             density_gap=dens_gap,
             unit_integral_gap=unit_gap,
         )
@@ -373,7 +368,7 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     a2_gap = max(
         float(np.abs(nu2.indicator_increments(m)[:, 1] - target[m]).max()) for m in MARKS
     )
-    checks.append(_check("three_atom_densities", a2_gap <= ctx.tol.atomwise, gap=a2_gap))
+    checks.append(_check("three_atom_densities", a2_gap <= ATOMWISE_TOL, gap=a2_gap))
     return checks
 
 
@@ -439,7 +434,7 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
         worst = max(worst, float(sol.residual_sup.max()))
         count += sol.residual_sup.size
     checks.append(
-        _check("every_martingale_represented", worst <= ctx.tol.exact, worst_residual=worst, solves=count)
+        _check("every_martingale_represented", worst <= EXACT_TOL, worst_residual=worst, solves=count)
     )
 
     b = fixtures.fixture_a2()
@@ -451,7 +446,7 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "three_atom_solution_avoids_dead_mark",
-            sol.residual_sup <= ctx.tol.exact and joint_w <= ctx.tol.atomwise,
+            sol.residual_sup <= EXACT_TOL and joint_w <= ATOMWISE_TOL,
             residual_sup=sol.residual_sup,
             joint_mark_weight=joint_w,
         )
@@ -460,7 +455,7 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     y_const = martingale_closure(np.ones(b.space.n_atoms), b.g)
     sol = solve_wrp(y_const, mu, nu)
     flat = max(float(np.abs(v).max()) for v in sol.integrands.values())
-    checks.append(_check("constant_target_gets_zero_function", flat <= ctx.tol.atomwise, max_weight=flat))
+    checks.append(_check("constant_target_gets_zero_function", flat <= ATOMWISE_TOL, max_weight=flat))
     return checks
 
 
@@ -485,9 +480,9 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
         worst = max(worst, float(head.residual_sup.max()), float(rest.residual_sup.max()))
         gap = head.reconstructions - other.reconstructions
         equiv = max(equiv, float(np.abs(gap[:, b.space.positive]).max()))
-    checks.append(_check("triple_integrals_represent", worst <= ctx.tol.exact, worst_residual=worst))
+    checks.append(_check("triple_integrals_represent", worst <= EXACT_TOL, worst_residual=worst))
     checks.append(
-        _check("triple_matches_measure_form", equiv <= ctx.tol.atomwise, worst_gap=equiv)
+        _check("triple_matches_measure_form", equiv <= ATOMWISE_TOL, worst_gap=equiv)
     )
 
     b = fixtures.space_a()
@@ -498,7 +493,7 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "picks_out_own_coordinate",
-            sol.residual_sup <= ctx.tol.exact and off <= ctx.tol.atomwise and on <= ctx.tol.atomwise,
+            sol.residual_sup <= EXACT_TOL and off <= ATOMWISE_TOL and on <= ATOMWISE_TOL,
             residual_sup=sol.residual_sup,
             off_weights=off,
         )
@@ -512,7 +507,7 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
         regs = triple_regressors(*fundamental_martingales(rb.X, rb.H), stop_at=st)
         sol = solve_batch(stop_values(_random_closures(rng, rb.g, 20), st), regs, rb.g)
         worst = max(worst, float(sol.residual_sup.max()))
-    checks.append(_check("stopped_representation", worst <= ctx.tol.exact, worst_residual=worst))
+    checks.append(_check("stopped_representation", worst <= EXACT_TOL, worst_residual=worst))
     return checks
 
 
@@ -538,7 +533,7 @@ def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
     return [
         _check(
             "dense_by_zero_residuals",
-            worst <= ctx.tol.exact,
+            worst <= EXACT_TOL,
             worst_residual=worst,
             solves=solves,
             spaces=len(bundles),
@@ -566,7 +561,7 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "orthogonal_basis_represents",
-            residual <= ctx.tol.exact and orth <= ctx.tol.atomwise,
+            residual <= EXACT_TOL and orth <= ATOMWISE_TOL,
             worst_residual=residual,
             worst_orthogonality=orth,
         )
@@ -574,13 +569,13 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "change_of_basis_identities",
-            identity <= ctx.tol.atomwise and factor <= ctx.tol.exact,
+            identity <= ATOMWISE_TOL and factor <= EXACT_TOL,
             worst_identity_gap=identity,
             worst_factorisation_gap=factor,
         )
     )
     checks.append(
-        _check("pythagoras_identity", pythagoras <= ctx.tol.exact, worst_gap=pythagoras)
+        _check("pythagoras_identity", pythagoras <= EXACT_TOL, worst_gap=pythagoras)
     )
 
     xbar = compensator(b.X).martingale_part
@@ -591,7 +586,7 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "bracket_picks_third_coordinate",
-            sol.residual_sup <= ctx.tol.exact and off <= ctx.tol.atomwise,
+            sol.residual_sup <= EXACT_TOL and off <= ATOMWISE_TOL,
             residual_sup=sol.residual_sup,
         )
     )
@@ -637,8 +632,8 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
                 got == expected
                 and len(spanning) == expected
                 and drift_ok
-                and orth <= ctx.tol.atomwise
-                and worst <= ctx.tol.exact,
+                and orth <= ATOMWISE_TOL
+                and worst <= EXACT_TOL,
                 computed=got,
                 expected_value=expected,
                 certificate_residual=worst,
@@ -673,13 +668,14 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     worst_cons = 0.0
     worst_super = 0.0
     for rb in named + randoms:
-        worst_gap = max(worst_gap, cross_validation_gap(rb))
-        worst_cons = max(worst_cons, azema_consistency_gap(rb))
-        worst_super = max(worst_super, supermartingale_gap(rb))
+        azema = survival(rb)
+        worst_gap = max(worst_gap, cross_validation_gap(rb, azema))
+        worst_cons = max(worst_cons, azema_consistency_gap(rb, azema))
+        worst_super = max(worst_super, supermartingale_gap(rb, azema))
     checks.append(
         _check(
             "survival_formula_matches_direct_compensator",
-            worst_gap <= ctx.tol.exact,
+            worst_gap <= EXACT_TOL,
             worst_gap=worst_gap,
             bundles=len(named) + len(randoms),
         )
@@ -687,7 +683,7 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "survival_process_consistent",
-            worst_cons <= ctx.tol.atomwise and worst_super <= 1e-12,
+            worst_cons <= ATOMWISE_TOL and worst_super <= ATOMWISE_TOL,
             worst_block_gap=worst_cons,
             worst_drift_up=worst_super,
         )
@@ -697,15 +693,15 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     cand = compensator_via_azema(rb, survival(rb))
     survivors = tau_of(rb).values >= 2
     vals_ok = (
-        float(np.abs(cand.values[:, 1] - 0.5).max()) <= ctx.tol.atomwise
-        and float(np.abs(cand.values[survivors, 2] - 1.5).max()) <= ctx.tol.atomwise
+        float(np.abs(cand.values[:, 1] - 0.5).max()) <= ATOMWISE_TOL
+        and float(np.abs(cand.values[survivors, 2] - 1.5).max()) <= ATOMWISE_TOL
     )
     checks.append(_check("independent_uniform_profile", vals_ok))
 
     rb = fixtures.announced_tau_random_time()
     gap = positive_sup(rb.g.space, compensator(rb.H).compensator.values - rb.H.values)
     checks.append(
-        _check("announced_time_is_its_own_compensator", gap <= ctx.tol.atomwise, gap=gap)
+        _check("announced_time_is_its_own_compensator", gap <= ATOMWISE_TOL, gap=gap)
     )
 
     rb = fixtures.never_random_time()
@@ -828,7 +824,7 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(
         _check(
             "toolkit_clauses_on_random_pairs",
-            clause_ok and worst_identity <= ctx.tol.atomwise,
+            clause_ok and worst_identity <= ATOMWISE_TOL,
             pairs=n_pairs,
             worst_identity_gap=worst_identity,
         )
@@ -844,7 +840,7 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
             "common_predictable_jump_quantified",
             rep.jumps_disjoint
             and not rep.is_orthogonal
-            and abs(product - 0.15) <= ctx.tol.atomwise,
+            and abs(product - 0.15) <= ATOMWISE_TOL,
             predictable_jump_product=product,
             witness=str(rep.witness),
         )
@@ -856,8 +852,8 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     own = compensator(b.X).compensator
     grid = 0.5 * np.arange(b.g.horizon + 1)[None, :]
     pattern_ok = (
-        float(np.abs(self_comp.values - own.values).max()) <= ctx.tol.atomwise
-        and float(np.abs(own.values - grid).max()) <= ctx.tol.atomwise
+        float(np.abs(self_comp.values - own.values).max()) <= ATOMWISE_TOL
+        and float(np.abs(own.values - grid).max()) <= ATOMWISE_TOL
         and rep.bracket_compensators.sup_abs() > 0.01
         and not rep.is_orthogonal
         and not bool(is_martingale(rep.bracket_bar))

@@ -112,9 +112,9 @@ def oracle_independence_violation(probs, f_partitions, h_partitions, tol):
     return None
 
 
-def oracle_first_jump_time(values, level, never):
-    """Per atom, the first time its path reaches ``level`` (``never`` if it does not)."""
-    reached = np.asarray(values) >= level
+def oracle_first_jump_time(values, never):
+    """Per atom, the first time its counting path reaches 1 (``never`` if it does not)."""
+    reached = np.asarray(values) >= 1
     out = np.full(reached.shape[0], never, dtype=np.int64)
     for r, c in zip(*np.nonzero(reached)):
         if c < out[r]:

@@ -29,7 +29,7 @@ from filtration_lab.jump_measure import (
     integrate,
     jump_measure,
 )
-from filtration_lab.random_time import cross_validation_gap
+from filtration_lab.random_time import cross_validation_gap, survival
 from filtration_lab.representation import (
     independent_decomposition,
     martingale_closure,
@@ -96,7 +96,7 @@ def test_criterion_2_compensated_measure_integrals():
                 b.g, np.stack([fixtures.random_predictable_values(rng, b.g) for _ in MARKS])
             )
             diff = AdaptedProcess(b.g, integrate(w, mu).values - integrate(w, nu).values)
-            check = is_martingale(diff, tol=1e-9)
+            check = is_martingale(diff)
             if not check:
                 worst_drift = max(worst_drift, abs(check.witness[2]))
             split = sum(
@@ -164,7 +164,7 @@ def test_criterion_4_survival_formula_cross_validation():
         fixtures.announced_tau_random_time(),
         fixtures.never_random_time(),
     ] + [fixtures.random_random_time_bundle(rng) for _ in range(20)]
-    worst = max(cross_validation_gap(rb) for rb in bundles)
+    worst = max(cross_validation_gap(rb, survival(rb)) for rb in bundles)
     _verdict(
         4,
         "survival-driven compensator equals the direct one on every bundle",

@@ -15,7 +15,15 @@ from filtration_lab.calculus import (
     stochastic_integral,
 )
 from filtration_lab.errors import NotIncreasing, NotMartingale, NotPointProcess, NotPredictable
-from filtration_lab.finite_space import AdaptedProcess, conditional_expectation, is_predictable
+from filtration_lab.finite_space import (
+    EXACT_TOL,
+    AdaptedProcess,
+    Filtration,
+    Partition,
+    build_space,
+    conditional_expectation,
+    is_predictable,
+)
 
 
 class TestCompensator:
@@ -298,8 +306,9 @@ class TestDriftWitness:
         assert check.witness == want  # same block and bitwise the same drift
         assert check.ok == (want is None)
 
-    def test_drift_at_the_tolerance_passes(self, space_a_bundle):
-        b = space_a_bundle
-        vals = np.tile(np.array([0.0, 0.5, 0.5]), (16, 1))
-        assert is_martingale(AdaptedProcess(b.g, vals), tol=0.5)
-        assert is_martingale(AdaptedProcess(b.g, vals), tol=0.25).witness == (1, 0, 0.5)
+    def test_drift_at_the_tolerance_passes(self):
+        space = build_space([1.0])
+        filt = Filtration(space, (Partition.trivial(1), Partition.trivial(1)))
+        assert is_martingale(AdaptedProcess(filt, [[0.0, EXACT_TOL]]))
+        above = np.nextafter(EXACT_TOL, 1.0)
+        assert is_martingale(AdaptedProcess(filt, [[0.0, above]])).witness == (1, 0, above)

@@ -302,16 +302,16 @@ class TestBlockOracles:
             assert (exc.value.t, exc.value.block) == want
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10**6), level=st.integers(1, 3))
-    def test_first_jump_time_matches_the_loop(self, seed, level):
+    @given(seed=st.integers(0, 10**6))
+    def test_first_jump_time_matches_the_loop(self, seed):
         rng = np.random.default_rng(seed)
         n, horizon = int(rng.integers(1, 10)), int(rng.integers(1, 5))
         filt = random_filtration(rng, n, horizon)
         values = np.zeros((n, horizon + 1))
         values[:, 1:] = np.cumsum(rng.integers(0, 2, (n, horizon)), axis=1)
         x = PointProcess(natural_filtration(filt.space, [values]), values)
-        got = first_jump_time(x, level).values
-        assert np.array_equal(got, oracle_first_jump_time(values, level, NEVER))
+        got = first_jump_time(x).values
+        assert np.array_equal(got, oracle_first_jump_time(values, NEVER))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6))

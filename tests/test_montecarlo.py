@@ -40,15 +40,15 @@ N = 20000
 
 class TestSimulatePoisson:
     def test_deterministic_given_seed(self):
-        a = simulate_poisson(1.0, 10.0, 1234)
-        b = simulate_poisson(1.0, 10.0, 1234)
+        a = simulate_poisson(1.0, 10.0, _path_generator(1234, 0))
+        b = simulate_poisson(1.0, 10.0, _path_generator(1234, 0))
         assert np.array_equal(a, b)
-        c = simulate_poisson(1.0, 10.0, 1235)
+        c = simulate_poisson(1.0, 10.0, _path_generator(1235, 0))
         assert not np.array_equal(a, c)
 
     def test_events_sorted_in_range(self):
         for seed in range(50):
-            evs = simulate_poisson(2.0, 5.0, seed)
+            evs = simulate_poisson(2.0, 5.0, _path_generator(seed, 0))
             if evs.size:
                 assert evs[0] > 0.0 and evs[-1] <= 5.0
                 assert np.all(np.diff(evs) > 0.0)
@@ -72,19 +72,23 @@ class TestSimulatePoisson:
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):
-            simulate_poisson(0.0, 10.0, 0)
+            simulate_poisson(0.0, 10.0, _path_generator(0, 0))
         with pytest.raises(BadParameter):
-            simulate_poisson(1.0, -1.0, 0)
+            simulate_poisson(1.0, -1.0, _path_generator(0, 0))
 
 
 class TestRandomTimes:
     def test_exponential_survival(self):
-        paths = simulate_path_set(1.0, 10.0, N, SEED, RandomTimeSpec("exponential", 1.0))
+        paths = simulate_path_set(1.0, 10.0, N, SEED).with_random_time(
+            RandomTimeSpec("exponential", 1.0)
+        )
         surv = (paths.tau > 1.0).astype(float)
         assert z_test("survival", surv, math.exp(-1.0), 4.0).passed
 
     def test_midpoint_strictly_between_first_two(self):
-        paths = simulate_path_set(1.0, 10.0, 2000, SEED, RandomTimeSpec("midpoint"))
+        paths = simulate_path_set(1.0, 10.0, 2000, SEED).with_random_time(
+            RandomTimeSpec("midpoint")
+        )
         events = paths.events
         for p in range(2000):
             if paths.tau_valid[p]:
@@ -92,7 +96,9 @@ class TestRandomTimes:
                 assert e[0] < paths.tau[p] < e[1]
 
     def test_copy_first_always_collides(self):
-        paths = simulate_path_set(1.0, 10.0, 2000, SEED, RandomTimeSpec("copy_first"))
+        paths = simulate_path_set(1.0, 10.0, 2000, SEED).with_random_time(
+            RandomTimeSpec("copy_first")
+        )
         valid = paths.tau_valid
         assert valid.any()
         events = paths.events
@@ -120,7 +126,7 @@ class TestSuites:
         for r in second_moment_suite(paths):
             assert r.passed, r
         spec = RandomTimeSpec("exponential", 1.0)
-        epaths = simulate_path_set(1.0, 10.0, N, SEED, spec)
+        epaths = simulate_path_set(1.0, 10.0, N, SEED).with_random_time(spec)
         for r in azema_exponential_suite(epaths):
             assert r.passed, r
         for r in avoidance_mc_suite(epaths):
@@ -129,7 +135,9 @@ class TestSuites:
     def test_survival_probe_changes_the_statistic(self):
         # the increment vanishes where tau <= s, so a probe 1{tau > s} would
         # reproduce the unprobed row; 1{N_s > lam s} must not
-        paths = simulate_path_set(1.0, 10.0, 200, SEED, RandomTimeSpec("exponential", 1.0))
+        paths = simulate_path_set(1.0, 10.0, 200, SEED).with_random_time(
+            RandomTimeSpec("exponential", 1.0)
+        )
         by_name = {r.statistic: r for r in azema_exponential_suite(paths)}
         probed = by_name["survival_compensated_jump_probed"]
         plain = by_name["survival_compensated_jump"]
@@ -144,21 +152,21 @@ class TestSuites:
 
     def test_avoidance_fraction_exactly_zero(self):
         spec = RandomTimeSpec("exponential", 1.0)
-        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, N, SEED, spec))
+        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, N, SEED).with_random_time(spec))
         frac = next(r for r in reports if r.statistic == "avoidance_collision_fraction")
         assert frac.kind == "exact"
         assert frac.estimate == 0.0
 
     def test_avoidance_stress_rate(self):
         spec = RandomTimeSpec("exponential", 25.0)
-        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, 5000, SEED, spec))
+        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, 5000, SEED).with_random_time(spec))
         for r in reports:
             assert r.passed, r
             if r.kind == "z_test":
                 assert r.std_error > 0.0
 
     def test_predictable_jump_probe_announced(self):
-        paths = simulate_path_set(1.0, 10.0, N, SEED, RandomTimeSpec("midpoint"))
+        paths = simulate_path_set(1.0, 10.0, N, SEED).with_random_time(RandomTimeSpec("midpoint"))
         for eps in (0.1, 0.01):
             hit, base = predictable_jump_probe(paths, eps)
             assert hit.kind == "exact" and hit.estimate == 1.0 and hit.passed
@@ -166,7 +174,9 @@ class TestSuites:
             assert abs(base.estimate - (1.0 - math.exp(-eps))) < 0.01
 
     def test_predictable_jump_probe_negative_control(self):
-        paths = simulate_path_set(1.0, 10.0, N, SEED, RandomTimeSpec("exponential", 1.0))
+        paths = simulate_path_set(1.0, 10.0, N, SEED).with_random_time(
+            RandomTimeSpec("exponential", 1.0)
+        )
         unannounced, base = predictable_jump_probe(paths, 0.1)
         # without an announced time both windows behave like the base window
         assert abs(unannounced.estimate - base.estimate) < 0.02
@@ -191,7 +201,7 @@ class TestSuites:
         ids=lambda v: getattr(v, "__name__", None) or (v.kind if v else "none"),
     )
     def test_wrong_random_time_is_rejected(self, suite, wrong):
-        paths = simulate_path_set(1.0, 10.0, 50, SEED, wrong)
+        paths = simulate_path_set(1.0, 10.0, 50, SEED).with_random_time(wrong)
         # the second argument is predictable_jump_probe's epsilon or negative_control_suite's mu
         extra = (0.1,) if suite in (predictable_jump_probe, negative_control_suite) else ()
         with pytest.raises(BadParameter, match="needs paths with random time"):
@@ -282,7 +292,7 @@ class TestFlatKernels:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind if s else "none")
     def test_simulated_paths(self, spec):
         # a low rate leaves many paths with 0 or 1 events
-        paths = simulate_path_set(0.4, 4.0, 600, SEED, spec)
+        paths = simulate_path_set(0.4, 4.0, 600, SEED).with_random_time(spec)
         assert {0, 1, 2} <= set(paths.lengths.tolist())
         frac, n_valid = _assert_kernels_match_oracles(paths, np.random.default_rng(2))
         assert frac == (1.0 if spec and spec.kind == "copy_first" else 0.0)
@@ -301,7 +311,7 @@ class TestFlatKernels:
         base = simulate_path_set(1.0, 10.0, 300, SEED)
         spec = RandomTimeSpec("exponential", 25.0)
         prefix = base.with_random_time(spec, 120)
-        direct = simulate_path_set(1.0, 10.0, 120, SEED, spec)
+        direct = simulate_path_set(1.0, 10.0, 120, SEED).with_random_time(spec)
         assert np.shares_memory(prefix.times, base.times)
         for name in ("times", "offsets", "unit_exp", "tau", "tau_valid"):
             assert np.array_equal(getattr(prefix, name), getattr(direct, name)), name
@@ -314,7 +324,7 @@ class TestFlatKernels:
 def _assert_paths_match_per_path_streams(lam, t_real, n, seed):
     """Path p of every spec equals simulate_poisson on its own generator, and
     its random time comes from that generator's next draw."""
-    sets = {spec: simulate_path_set(lam, t_real, n, seed, spec) for spec in SPECS}
+    sets = {spec: simulate_path_set(lam, t_real, n, seed).with_random_time(spec) for spec in SPECS}
     events = {spec: paths.events for spec, paths in sets.items()}
     for p in range(n):
         rng = _path_generator(seed, p)

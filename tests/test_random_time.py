@@ -61,8 +61,9 @@ class TestBundleConstruction:
         rng = np.random.default_rng(51)
         for _ in range(20):
             rb = fixtures.random_random_time_bundle(rng)
-            assert azema_consistency_gap(rb) <= 1e-12
-            assert supermartingale_gap(rb) <= 1e-12
+            azema = survival(rb)
+            assert azema_consistency_gap(rb, azema) <= 1e-12
+            assert supermartingale_gap(rb, azema) <= 1e-12
 
     def test_tau_at_zero_rejected(self):
         space, vals = _coin_paths()
@@ -96,8 +97,9 @@ class TestBundleConstruction:
             bracket_jumps[:, 0] == 1, 1, np.where(bracket_jumps[:, 1] == 1, 2, NEVER)
         ).astype(np.int64)
         rb = random_time_bundle(b.space, b.X.values, tau)
-        assert supermartingale_gap(rb) <= 1e-12
-        assert azema_consistency_gap(rb) <= 1e-12
+        azema = survival(rb)
+        assert supermartingale_gap(rb, azema) <= 1e-12
+        assert azema_consistency_gap(rb, azema) <= 1e-12
 
 
 class TestSurvivalFormula:
@@ -108,13 +110,13 @@ class TestSurvivalFormula:
         survivors = tau_of(rb).values >= 2
         assert np.allclose(cand.values[survivors, 2], 1.5, atol=1e-15)
         assert np.allclose(cand.values[~survivors, 2], 0.5, atol=1e-15)
-        assert cross_validation_gap(rb) <= 1e-12
+        assert cross_validation_gap(rb, survival(rb)) <= 1e-12
 
     def test_announced_time_is_predictable(self):
         rb = fixtures.announced_tau_random_time()
         direct = compensator(rb.H).compensator
         assert np.abs(direct.values - rb.H.values).max() <= 1e-15
-        assert cross_validation_gap(rb) <= 1e-12
+        assert cross_validation_gap(rb, survival(rb)) <= 1e-12
 
     def test_never_time_zero_everywhere(self):
         rb = fixtures.never_random_time()
@@ -130,7 +132,7 @@ class TestSurvivalFormula:
             fixtures.announced_tau_random_time(),
         ] + [fixtures.random_random_time_bundle(rng) for _ in range(25)]
         for rb in bundles:
-            assert cross_validation_gap(rb) <= 1e-9
+            assert cross_validation_gap(rb, survival(rb)) <= 1e-9
             assert bool(
                 is_martingale(
                     AdaptedProcess(rb.g, rb.H.values - compensator_via_azema(rb, survival(rb)).values)
@@ -210,8 +212,9 @@ class TestBlockOracles:
     def test_gaps_match_the_loops(self, seed):
         space, x_values, tau = _random_space_and_paths(np.random.default_rng(seed))
         rb = random_time_bundle(space, x_values, tau)
-        want = oracle_supermartingale_gap(space.probs, rb.f.partitions, survival(rb).values)
-        assert supermartingale_gap(rb) == want
+        azema = survival(rb)
+        want = oracle_supermartingale_gap(space.probs, rb.f.partitions, azema.values)
+        assert supermartingale_gap(rb, azema) == want
         # tau's collision with a jump of X, atom by atom
         dx = rb.X.increments()
         hit = [tau[a] != NEVER and dx[a, tau[a]] == 1.0 for a in range(space.n_atoms)]

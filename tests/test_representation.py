@@ -18,7 +18,7 @@ from filtration_lab.calculus import (
 )
 from filtration_lab.enlargement import build_bundle
 from filtration_lab.errors import IndependenceViolated, NotMartingale
-from filtration_lab.finite_space import AdaptedProcess, PointProcess, build_space
+from filtration_lab.finite_space import AdaptedProcess, PointProcess, build_space, stop_values
 from filtration_lab.jump_measure import compensator_measure, fundamental_martingales, jump_measure
 from filtration_lab.random_time import tau_of
 from filtration_lab.representation import (
@@ -84,21 +84,21 @@ class TestSingleSourceRepresentation:
         m = compensator(x_f).martingale_part
         for _ in range(25):
             xi = rng.normal() * b.X.terminal ** 2 + rng.normal() * b.X.terminal
-            sol = solve_prp(martingale_closure(xi, b.f), m, b.f)
+            sol = solve_prp(martingale_closure(xi, b.f), m)
             assert sol.residual_sup <= 1e-9
 
     def test_joint_filtration_four_way_branching_fails(self, space_a_bundle):
         b = space_a_bundle
         m = compensator(b.X).martingale_part
         y = martingale_closure(b.H.terminal, b.g)
-        sol = solve_prp(y, m, b.g)
+        sol = solve_prp(y, m)
         assert sol.residual_sup > 0.5
 
     def test_rejects_non_martingale_target(self, space_a_bundle):
         b = space_a_bundle
         m = compensator(b.X).martingale_part
         with pytest.raises(NotMartingale):
-            solve_prp(b.X, m, b.g)
+            solve_prp(b.X, m)
 
 
 class TestMeasureAndTripleRepresentation:
@@ -155,13 +155,11 @@ class TestMeasureAndTripleRepresentation:
         bundles = [fixtures.staggered(), fixtures.avoidance_trinomial()]
         bundles += [fixtures.random_random_time_bundle(rng) for _ in range(5)]
         for rb in bundles:
-            z1, z2, z3 = fundamental_martingales(rb.X, rb.H)
             st = tau_of(rb)
-            for _ in range(10):
-                y = martingale_closure(rng.normal(size=rb.g.space.n_atoms), rb.g)
-                sol = solve_triple(y, z1, z2, z3, stop_at=st)
-                assert sol.kind == "triple_stopped"
-                assert sol.residual_sup <= 1e-9
+            regs = triple_regressors(*fundamental_martingales(rb.X, rb.H), stop_at=st)
+            xis = [rng.normal(size=rb.g.space.n_atoms) for _ in range(10)]
+            sol = solve_batch(stop_values(martingale_closures(xis, rb.g), st), regs, rb.g)
+            assert sol.residual_sup.max() <= 1e-9
 
 
 class TestIndependentDecomposition:
