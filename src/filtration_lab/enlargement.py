@@ -28,6 +28,11 @@ def join(a: Partition, b: Partition) -> Partition:
     """Blockwise common refinement of two partitions."""
     if a.n_atoms != b.n_atoms:
         raise FiltrationMismatch("partitions cover different atom counts")
+    # a frozen partition joined with the trivial one is itself
+    if b.n_blocks == 1:
+        return a
+    if a.n_blocks == 1:
+        return b
     labels = list(zip(a.block_of.tolist(), b.block_of.tolist()))
     return Partition.from_labels(labels)
 
@@ -39,22 +44,25 @@ def _value_matrix(proc) -> np.ndarray:
 def natural_filtration(space: FiniteProbabilitySpace, processes: Sequence) -> Filtration:
     """Coarsest filtration making every given process adapted.
 
-    P_t groups atoms whose joint paths agree on [0, t].
+    P_t groups atoms whose joint paths agree on [0, t]: it splits each block
+    of P_{t-1} by the processes' values at t.
     """
     mats = [_value_matrix(p) for p in processes]
     if not mats:
         raise ValueError("need at least one process")
-    horizon = mats[0].shape[1] - 1
+    n = space.n_atoms
     for m in mats:
-        if m.shape != (space.n_atoms, horizon + 1):
+        if m.ndim != 2 or m.shape[0] != n or m.shape[1] == 0:
+            raise FiltrationMismatch(f"process values must have shape ({n}, T+1), got {m.shape}")
+        if m.shape != mats[0].shape:
             raise FiltrationMismatch("processes disagree on shape")
+    columns = [m.T.tolist() for m in mats]
+    block = [0] * n
     parts = []
-    for t in range(horizon + 1):
-        labels = [
-            tuple(tuple(m[atom, : t + 1].tolist()) for m in mats)
-            for atom in range(space.n_atoms)
-        ]
-        parts.append(Partition.from_labels(labels))
+    for t in range(mats[0].shape[1]):
+        p = Partition.from_labels(list(zip(block, *(c[t] for c in columns))))
+        block = p.block_of.tolist()
+        parts.append(p)
     return Filtration(space, tuple(parts))
 
 

@@ -9,6 +9,7 @@ which makes every downstream identity checkable to float precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -90,31 +91,30 @@ class Partition:
     n_atoms: int
     _block_of: np.ndarray = field(init=False, repr=False, compare=False)
     _first_atom: np.ndarray = field(init=False, repr=False, compare=False)
-    _arrays: tuple = field(init=False, repr=False, compare=False)
+    _positive_by_space: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(tuple(sorted(int(a) for a in b)) for b in self.blocks)
         if any(len(b) == 0 for b in blocks):
             raise ValueError("empty block")
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
-        block_of = np.full(self.n_atoms, -1, dtype=np.int64)
+        n = self.n_atoms
+        owner = [-1] * n
         for i, b in enumerate(blocks):
             for a in b:
-                if a < 0 or a >= self.n_atoms:
-                    raise ValueError(f"atom id {a} outside 0..{self.n_atoms - 1}")
-                if block_of[a] != -1:
+                if a < 0 or a >= n:
+                    raise ValueError(f"atom id {a} outside 0..{n - 1}")
+                if owner[a] != -1:
                     raise ValueError(f"atom {a} appears in two blocks")
-                block_of[a] = i
-        if np.any(block_of == -1):
-            missing = int(np.argmin(block_of))
-            raise ValueError(f"atom {missing} not covered by any block")
-        block_of.setflags(write=False)
-        first_atom = np.array([b[0] for b in blocks], dtype=np.int64)[block_of]
-        first_atom.setflags(write=False)
+                owner[a] = i
+        if -1 in owner:
+            raise ValueError(f"atom {owner.index(-1)} not covered by any block")
+        block_of = _frozen(owner, dtype=np.int64)
+        first_atom = _frozen([blocks[i][0] for i in owner], dtype=np.int64)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_block_of", block_of)
         object.__setattr__(self, "_first_atom", first_atom)
-        object.__setattr__(self, "_arrays", tuple(np.array(b, dtype=np.int64) for b in blocks))
+        object.__setattr__(self, "_positive_by_space", {})
 
     @classmethod
     def trivial(cls, n_atoms: int) -> "Partition":
@@ -138,13 +138,32 @@ class Partition:
         """Array mapping atom id to the index of its block."""
         return self._block_of
 
-    @property
+    @cached_property
     def block_arrays(self) -> tuple:
-        return self._arrays
+        """Each block as a read-only atom-id array, built on first use."""
+        return tuple(_frozen(b, dtype=np.int64) for b in self.blocks)
 
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+    def positive_blocks(self, space: FiniteProbabilitySpace) -> tuple:
+        """(block index, atoms, probs[atoms], block mass) of every block of positive mass.
+
+        Built once per space and kept: the partition and the space are both
+        frozen, so an entry cannot go stale.  The space is keyed by identity.
+        """
+        table = self._positive_by_space.get(space)
+        if table is None:
+            table = []
+            for i, atoms in enumerate(self.block_arrays):
+                w = space.probs[atoms]
+                w.setflags(write=False)
+                mass = float(w.sum())
+                if mass > 0.0:
+                    table.append((i, atoms, w, mass))
+            table = self._positive_by_space[space] = tuple(table)
+        return table
 
     def refines(self, coarser: "Partition") -> bool:
         """True if every block of self lies inside one block of ``coarser``."""
@@ -192,12 +211,8 @@ def conditional_expectation(
         raise FiltrationMismatch("partition does not belong to the space")
     v = np.asarray(values, dtype=float)
     out = np.zeros(v.shape[:-1] + (space.n_atoms,))
-    probs = space.probs
-    for atoms in partition.block_arrays:
-        w = probs[atoms]
-        mass = float(w.sum())
-        if mass > 0.0:
-            out[..., atoms] = (v[..., atoms] @ w / mass)[..., None]
+    for _, atoms, w, mass in partition.positive_blocks(space):
+        out[..., atoms] = (v[..., atoms] @ w / mass)[..., None]
     return out
 
 
@@ -256,8 +271,10 @@ class AdaptedProcess:
 
     def increments(self) -> np.ndarray:
         """Jump matrix with the time-0 column set to 0 (X_{0-} := X_0)."""
-        out = np.zeros_like(self.values)
-        out[:, 1:] = np.diff(self.values, axis=1)
+        v = self.values
+        out = np.empty_like(v)
+        out[:, 0] = 0.0
+        np.subtract(v[:, 1:], v[:, :-1], out=out[:, 1:])
         return out
 
     def sup_abs(self) -> float:

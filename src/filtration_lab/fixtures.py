@@ -1,6 +1,7 @@
 """Canonical and seeded-random fixtures used by the check suites and tests."""
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -17,6 +18,24 @@ def _paths_from_jumps(jumps) -> np.ndarray:
     return out
 
 
+def _built_once(build):
+    """A plain function returning the one bundle ``build`` makes, built on the first call.
+
+    Bundles are frozen, so every caller can share it.  The result is a plain
+    function, not a ``functools`` cache object, so it is found and wrapped
+    like any other function of this module; ``cache_clear`` drops the bundle.
+    """
+    cached = functools.cache(build)
+
+    @functools.wraps(build)
+    def shared() -> EnlargementBundle:
+        return cached()
+
+    shared.cache_clear = cached.cache_clear
+    return shared
+
+
+@_built_once
 def space_a() -> EnlargementBundle:
     """16 uniform atoms, horizon 2, all four jump bits independent fair coins."""
     bits = list(itertools.product((0, 1), repeat=4))  # (dx1, dh1, dx2, dh2)
@@ -26,6 +45,7 @@ def space_a() -> EnlargementBundle:
     return build_bundle(space, _paths_from_jumps(dx), _paths_from_jumps(dh), name="space_a")
 
 
+@_built_once
 def fixture_a2() -> EnlargementBundle:
     """Three atoms (0.3, 0.5, 0.2), horizon 1; X jumps on the first, H on the second.
 
@@ -38,6 +58,7 @@ def fixture_a2() -> EnlargementBundle:
     return build_bundle(space, _paths_from_jumps(dx), _paths_from_jumps(dh), name="fixture_a2")
 
 
+@_built_once
 def staggered() -> EnlargementBundle:
     """X can jump only at t=1, H only at t=2; four uniform atoms."""
     bits = list(itertools.product((0, 1), repeat=2))  # (dx1, dh2)
@@ -47,6 +68,7 @@ def staggered() -> EnlargementBundle:
     return build_bundle(space, _paths_from_jumps(dx), _paths_from_jumps(dh), name="staggered")
 
 
+@_built_once
 def avoidance_trinomial() -> EnlargementBundle:
     """Per step either X jumps, H jumps, or nothing; H jumps at most once.
 
@@ -70,6 +92,7 @@ def avoidance_trinomial() -> EnlargementBundle:
     return build_bundle(space, _paths_from_jumps(dx), _paths_from_jumps(dh), name="avoidance_trinomial")
 
 
+@_built_once
 def dependent() -> EnlargementBundle:
     """H copies the first jump bit of X, breaking the product rule at t=1."""
     bits = list(itertools.product((0, 1), repeat=3))  # (dx1, dx2, dh2)
@@ -92,6 +115,7 @@ def bundle_by_name(name: str) -> EnlargementBundle:
     return builders[name]()
 
 
+@_built_once
 def two_step_independent_random_time() -> EnlargementBundle:
     """tau uniform on {1, 2}, independent of a two-step coin-flip base."""
     rows = []
@@ -104,6 +128,7 @@ def two_step_independent_random_time() -> EnlargementBundle:
     return random_time_bundle(space, _paths_from_jumps(dx), tau, name="two_step_independent")
 
 
+@_built_once
 def announced_tau_random_time() -> EnlargementBundle:
     """tau announced one step after the first jump of the base process.
 
@@ -117,6 +142,7 @@ def announced_tau_random_time() -> EnlargementBundle:
     return random_time_bundle(space, _paths_from_jumps(dx), tau, name="announced_tau")
 
 
+@_built_once
 def never_random_time() -> EnlargementBundle:
     """tau never happens: H vanishes, survival stays at one."""
     b = staggered()
@@ -124,6 +150,7 @@ def never_random_time() -> EnlargementBundle:
     return random_time_bundle(b.space, b.X.values, tau, name="tau_never")
 
 
+@_built_once
 def copied_jump_random_time() -> EnlargementBundle:
     """tau equals the first jump time of the base process (avoidance fails)."""
     b = staggered()

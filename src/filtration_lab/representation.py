@@ -82,12 +82,14 @@ def martingale_closures(xis, filtration: Filtration) -> np.ndarray:
 
 
 def _nodes(filtration: Filtration):
-    """(t, block index, atoms) of every positive-mass node: a time t >= 1 and a block of P_{t-1}."""
-    probs = filtration.space.probs
+    """(t, block index, atoms, probs[atoms], mass) of every positive-mass node.
+
+    A node is a time t >= 1 and a block of P_{t-1}; the rest is the block's
+    entry in ``Partition.positive_blocks``.
+    """
     for t in range(1, filtration.horizon + 1):
-        for i, atoms in enumerate(filtration.at(t - 1).block_arrays):
-            if float(probs[atoms].sum()) > 0.0:
-                yield t, i, atoms
+        for node in filtration.at(t - 1).positive_blocks(filtration.space):
+            yield (t,) + node
 
 
 def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filtration):
@@ -98,17 +100,15 @@ def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filt
     (r, k, nodes + 1) whose last column is 0, and the first target whose
     drift exceeds ``EXACT_TOL`` with its earliest (t, block, drift), or None.
     """
-    probs = filtration.space.probs
     nodes = list(_nodes(filtration))
     node_of = np.full(values.shape[1:], -1)
     table = np.zeros((len(regressors), len(values), len(nodes) + 1))
     drift = np.zeros((len(values), len(nodes)))
-    for node, (t, _, atoms) in enumerate(nodes):
+    for node, (t, _, atoms, w, mass) in enumerate(nodes):
         node_of[atoms, t] = node
-        w = probs[atoms]
         dy = values[:, atoms, t]
         dy -= values[:, atoms, t - 1]
-        drift[:, node] = dy @ w / float(w.sum())
+        drift[:, node] = dy @ w / mass
         sw = np.sqrt(w)
         pinv = np.linalg.pinv(regressors[:, atoms, t].T * sw[:, None], rcond=SV_CUTOFF)
         table[:, :, node] = (pinv * sw) @ dy.T
@@ -342,7 +342,9 @@ def _positive_children(filtration: Filtration, t: int, atoms: np.ndarray):
 
 def multiplicity(filtration: Filtration) -> int:
     """Spanning number of the tree: max positive-probability branching minus one."""
-    branching = (len(_positive_children(filtration, t, atoms)) for t, _, atoms in _nodes(filtration))
+    branching = (
+        len(_positive_children(filtration, t, atoms)) for t, _, atoms, _, _ in _nodes(filtration)
+    )
     return max(branching, default=1) - 1
 
 
@@ -360,8 +362,7 @@ def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProce
     n = filtration.space.n_atoms
     width = filtration.horizon + 1
     incs = [np.zeros((n, width)) for _ in range(m)]
-    for t, _, atoms in _nodes(filtration):
-        mass = float(probs[atoms].sum())
+    for t, _, atoms, _, mass in _nodes(filtration):
         children = _positive_children(filtration, t, atoms)
         k = len(children)
         if k > 1:

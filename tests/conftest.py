@@ -14,6 +14,16 @@ import pytest
 
 from filtration_lab import fixtures
 
+#: the builders ``fixtures.bundle_by_name`` knows
+BY_NAME_FIXTURES = ("space_a", "fixture_a2", "staggered", "avoidance_trinomial", "dependent")
+#: the named random-time fixtures
+RANDOM_TIME_FIXTURES = (
+    "two_step_independent_random_time",
+    "announced_tau_random_time",
+    "never_random_time",
+    "copied_jump_random_time",
+)
+
 
 def oracle_conditional_expectation(probs, values, blocks):
     """Weighted block average by explicit summation."""
@@ -110,6 +120,25 @@ def oracle_independence_violation(probs, f_partitions, h_partitions, tol):
                 if abs(joint - pf * ph) > tol:
                     return (t, i, j)
     return None
+
+
+def oracle_natural_filtration(mats):
+    """Per time t, blocks of atoms whose joint paths agree on [0, t], by grouping on the whole prefix."""
+    n, width = np.shape(mats[0])
+    slices = []
+    for t in range(width):
+        groups = {}
+        for atom in range(n):
+            prefix = tuple(tuple(float(x) for x in m[atom, : t + 1]) for m in mats)
+            groups.setdefault(prefix, []).append(atom)
+        slices.append(sorted(tuple(g) for g in groups.values()))
+    return slices
+
+
+def oracle_join(a, b):
+    """Blocks of the common refinement: every non-empty intersection of a block of ``a`` with one of ``b``."""
+    meets = (tuple(sorted(set(ba) & set(bb))) for ba in a.blocks for bb in b.blocks)
+    return sorted(m for m in meets if m)
 
 
 def oracle_first_jump_time(values, never):

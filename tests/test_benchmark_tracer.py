@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import BY_NAME_FIXTURES, RANDOM_TIME_FIXTURES
 
 import filtration_lab.cli as cli
 from filtration_lab import fixtures, representation, suites
@@ -82,3 +83,19 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_it(tracer_module
         "montecarlo.events",
     ):
         assert tracer.counts[counter] > 0, counter
+
+
+def test_every_named_fixture_is_traced(tracer_module):
+    # a fixture name bound to a cache object instead of a function drops out of `fixtures.self_s`
+    named = BY_NAME_FIXTURES + RANDOM_TIME_FIXTURES
+    assert set(named) <= set(tracer_module.public_functions(fixtures))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for name in BY_NAME_FIXTURES:
+            fixtures.bundle_by_name(name)
+        for name in RANDOM_TIME_FIXTURES:
+            getattr(fixtures, name)()
+    finally:
+        tracer.uninstall()
+    assert {f"fixtures.{name}" for name in named} <= {span[0] for span in tracer.spans}

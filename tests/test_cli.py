@@ -255,6 +255,10 @@ BAD_CONFIG = [
     ("inline_space_processes_a_list", {"fixture": dict(_SPACE_OK, processes=[[0, 1], [0, 0]])}),
     ("inline_space_without_processes", {"fixture": {k: v for k, v in _SPACE_OK.items() if k != "processes"}}),
     ("inline_bundle_unknown_key", {"fixture": dict(_INLINE, filtration=[[[0, 1]], [[0], [1]]])}),
+    # value matrices that are not (atoms, times)
+    ("inline_bundle_x_values_empty", {"fixture": dict(_INLINE, x_values=[])}),
+    ("inline_bundle_x_values_flat", {"fixture": dict(_INLINE, x_values=[0, 1])}),
+    ("inline_space_x_flat", {"fixture": dict(_SPACE_OK, processes={**_SPACE_OK["processes"], "X": [0, 1]})}),
 ]
 
 

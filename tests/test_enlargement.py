@@ -1,4 +1,8 @@
 import numpy as np
+import pytest
+from conftest import oracle_join, oracle_natural_filtration
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtration_lab import fixtures
 from filtration_lab.calculus import compensator, is_martingale
@@ -11,6 +15,7 @@ from filtration_lab.enlargement import (
     sigma_algebra_of,
     verify_filtration_identities,
 )
+from filtration_lab.errors import FiltrationMismatch
 from filtration_lab.finite_space import (
     Partition,
     PointProcess,
@@ -42,6 +47,55 @@ class TestNaturalFiltration:
         b = space_a_bundle
         filt = natural_filtration(b.space, [b.X.values])
         assert is_adapted(PointProcess(filt, b.X.values))
+
+
+def _random_value_matrices(rng, n, horizon, count):
+    """``count`` (n, horizon + 1) matrices over three float levels, so that paths repeat."""
+    levels = rng.normal(size=3)
+    return [levels[rng.integers(0, 3, (n, horizon + 1))] for _ in range(count)]
+
+
+class TestFiltrationOracles:
+    """The slice-by-slice natural filtration and the join against grouping by whole prefixes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), count=st.integers(1, 2), horizon=st.integers(1, 4))
+    def test_natural_filtration_matches_prefix_grouping(self, seed, count, horizon):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        space = build_space(np.full(n, 1.0 / n))
+        mats = _random_value_matrices(rng, n, horizon, count)
+        filt = natural_filtration(space, mats)
+        assert [list(p.blocks) for p in filt.partitions] == oracle_natural_filtration(mats)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), horizon=st.integers(1, 4))
+    def test_join_matches_pairwise_intersections(self, seed, horizon):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        space = build_space(np.full(n, 1.0 / n))
+        mx, mh = _random_value_matrices(rng, n, horizon, 2)
+        fx, fh = natural_filtration(space, [mx]), natural_filtration(space, [mh])
+        for a, b in zip(fx.partitions, fh.partitions):
+            for left, right in ((a, b), (b, a), (a, Partition.trivial(n)), (Partition.trivial(n), b)):
+                assert list(join(left, right).blocks) == oracle_join(left, right)
+
+    def test_horizon_zero_still_raises(self):
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            natural_filtration(build_space([0.5, 0.5]), [np.zeros((2, 1))])
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [0.0, 1.0], np.zeros((3, 2)), np.zeros((2, 0)), np.zeros((2, 2, 1))],
+        ids=["empty", "flat", "wrong_atom_count", "no_times", "three_axes"],
+    )
+    def test_rejects_values_not_atoms_by_times(self, values):
+        with pytest.raises(FiltrationMismatch):
+            natural_filtration(build_space([0.5, 0.5]), [values])
+
+    def test_rejects_processes_of_different_horizons(self):
+        with pytest.raises(FiltrationMismatch, match="disagree on shape"):
+            natural_filtration(build_space([0.5, 0.5]), [np.zeros((2, 2)), np.zeros((2, 3))])
 
 
 class TestJoins:

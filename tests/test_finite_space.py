@@ -96,6 +96,22 @@ class TestPartition:
             Filtration(space, (Partition.discrete(4), Partition.trivial(4)))
 
 
+    @pytest.mark.parametrize(
+        "blocks,n,message",
+        [
+            (((0, 1), ()), 2, "empty block"),
+            (((0, 2),), 2, "atom id 2 outside 0..1"),
+            (((0, -1), (1,)), 2, "atom id -1 outside 0..1"),
+            (((0, 1), (1, 2)), 3, "atom 1 appears in two blocks"),
+            (((0,), (2,)), 4, "atom 1 not covered by any block"),
+        ],
+    )
+    def test_validation_messages(self, blocks, n, message):
+        with pytest.raises(ValueError) as exc:
+            Partition(blocks, n)
+        assert str(exc.value) == message
+
+
 class TestConditionalExpectation:
     def test_finest_partition_is_identity(self):
         space = build_space([0.3, 0.5, 0.2])
@@ -132,6 +148,25 @@ class TestConditionalExpectation:
         coarse_of_fine = conditional_expectation(b.space, fine, b.g.at(1))
         coarse = conditional_expectation(b.space, v, b.g.at(1))
         assert np.allclose(coarse_of_fine, coarse, atol=1e-12)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_block_weights_cached_per_space(self, first):
+        # dyadic weights and values: every sum and product is exact, so any summation order agrees
+        pi = Partition(((0, 1), (2,), (3, 4)), 5)
+        spaces = [
+            build_space([0.125, 0.25, 0.125, 0.25, 0.25]),
+            build_space([0.5, 0.0, 0.0, 0.25, 0.25]),  # block (2,) has no mass
+        ]
+        v = np.array([[1.5, -2.0, 3.0, 0.75, 4.0], [-0.5, 8.0, 1.0, 2.5, -3.25]])
+        order = spaces[first:] + spaces[:first]
+        for space in order + order:
+            got = conditional_expectation(space, v, pi)
+            for row, out in zip(v, got):
+                want = oracle_conditional_expectation(space.probs, row, pi.blocks)
+                assert np.array_equal(out, want)
+            assert pi.positive_blocks(space) is pi.positive_blocks(space)
+        assert [b[0] for b in pi.positive_blocks(spaces[1])] == [0, 2]
+        assert conditional_expectation(spaces[1], v, pi)[:, 2].tolist() == [0.0, 0.0]
 
     def test_zero_probability_block_gets_zero(self):
         space = build_space([0.5, 0.5, 0.0])
