@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     FiltrationMismatch,
+    NotAdapted,
     NotIncreasing,
     NotMartingale,
     NotPredictable,
@@ -24,10 +25,10 @@ from .finite_space import (
     AdaptedProcess,
     Filtration,
     as_point_process,
-    conditional_expectation,
     is_adapted,
     is_predictable,
     positive_sup,
+    slice_expectations,
 )
 
 
@@ -57,19 +58,13 @@ def dual_projection(p: AdaptedProcess, filtration: Filtration | None = None) -> 
     the output always is predictable.
     """
     filtration = filtration or p.filtration
-    space = filtration.space
-    delta = p.increments()
-    inc = np.zeros_like(delta)
-    for t in range(1, filtration.horizon + 1):
-        inc[:, t] = conditional_expectation(space, delta[:, t], filtration.at(t - 1))
+    inc = slice_expectations(p.increments(), filtration, 1)
     return AdaptedProcess(filtration, np.cumsum(inc, axis=1))
 
 
 def compensator(a: AdaptedProcess) -> CompensatorPair:
     """Doob decomposition of an adapted increasing process starting at 0."""
     if not is_adapted(a):
-        from .errors import NotAdapted
-
         raise NotAdapted("input process is not adapted")
     if np.any(a.initial != 0.0):
         raise NotIncreasing("increasing processes must start at 0")
@@ -91,9 +86,7 @@ def quadratic_covariation(y: AdaptedProcess, z: AdaptedProcess) -> AdaptedProces
 def predictable_covariation(y: AdaptedProcess, z: AdaptedProcess) -> AdaptedProcess:
     """<Y, Z> = compensator of [Y, Z]; both inputs must be exact martingales."""
     for m in (y, z):
-        check = is_martingale(m)
-        if not check:
-            raise NotMartingale(f"operand has drift {check.witness}")
+        require_martingale(m, "operand")
     return dual_projection(quadratic_covariation(y, z), y.filtration)
 
 
@@ -110,17 +103,22 @@ def stochastic_integral(k: AdaptedProcess, m: AdaptedProcess) -> AdaptedProcess:
 
 def is_martingale(m: AdaptedProcess) -> MartingaleCheck:
     """One-step drift test: |E[dM_t | P_{t-1}]| <= EXACT_TOL for all t >= 1."""
-    filtration = m.filtration
-    delta = m.increments()
-    for t in range(1, filtration.horizon + 1):
-        previous = filtration.at(t - 1)
-        drift = conditional_expectation(filtration.space, delta[:, t], previous)
-        bad = np.flatnonzero(np.abs(drift) > EXACT_TOL)
-        if bad.size:
-            # blocks are ordered by first atom: the first bad atom lies in the first bad block
-            atom = bad[0]
-            return MartingaleCheck(False, (t, int(previous.block_of[atom]), float(drift[atom])))
-    return MartingaleCheck(True, None)
+    drift = slice_expectations(m.increments(), m.filtration, 1)
+    bad = np.abs(drift) > EXACT_TOL
+    if not bad.any():
+        return MartingaleCheck(True, None)
+    # earliest t, then its first bad atom; blocks are ordered by first atom, so
+    # that atom lies in the lowest bad block
+    t, atom = (int(i) for i in np.argwhere(bad.T)[0])
+    block = int(m.filtration.at(t - 1).block_of[atom])
+    return MartingaleCheck(False, (t, block, float(drift[atom, t])))
+
+
+def require_martingale(m: AdaptedProcess, label: str) -> None:
+    """Raise NotMartingale, naming ``label`` and the drift witness, unless ``m`` is a martingale."""
+    check = is_martingale(m)
+    if not check:
+        raise NotMartingale(f"{label} has nonzero drift at {check.witness}")
 
 
 @dataclass(frozen=True)
@@ -137,6 +135,8 @@ class OrthogonalityReport:
     is_orthogonal: bool
     #: (time, atom) of the first nonzero compensated-bracket drift
     witness: tuple[int, int] | None
+    #: dY^p * dZ^p per (atom, time): the compensators' common jumps
+    predictable_jump_product: np.ndarray
     clauses: dict = field(default_factory=dict)
     jumps_disjoint: bool = False
     #: sup over atoms/times of the bracket decomposition identity residual
@@ -191,12 +191,11 @@ def orthogonality_report(y: AdaptedProcess, z: AdaptedProcess) -> OrthogonalityR
     bar_martingale = bool(is_martingale(b_bar))
     clauses["martingale_iff_match"] = bar_martingale == compensators_match
 
+    jump_product = yp.increments() * zp.increments()
     disjoint = positive_sup(space, y.increments() * z.increments()) <= EXACT_TOL
     if disjoint:
         clauses["disjoint_zero"] = bar_martingale == (positive_sup(space, b_bar.values) <= EXACT_TOL)
-        clauses["disjoint_predictable"] = bar_martingale == (
-            positive_sup(space, yp.increments() * zp.increments()) <= EXACT_TOL
-        )
+        clauses["disjoint_predictable"] = bar_martingale == (positive_sup(space, jump_product) <= EXACT_TOL)
 
     identity = b_yz.values - b_yp_z.values - b_y_zp.values + b_pp.values
     decomposition_gap = positive_sup(space, b_bar.values - identity)
@@ -214,6 +213,7 @@ def orthogonality_report(y: AdaptedProcess, z: AdaptedProcess) -> OrthogonalityR
         bracket_bar=b_bar,
         is_orthogonal=witness is None,
         witness=witness,
+        predictable_jump_product=jump_product,
         clauses=clauses,
         jumps_disjoint=disjoint,
         decomposition_gap=decomposition_gap,

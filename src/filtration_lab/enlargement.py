@@ -22,6 +22,7 @@ from .finite_space import (
     Partition,
     PointProcess,
 )
+from .jump_measure import Mark, PredictableFunction, integrate, jump_measure
 
 
 def join(a: Partition, b: Partition) -> Partition:
@@ -150,8 +151,6 @@ def verify_filtration_identities(bundle: EnlargementBundle) -> FiltrationIdentit
         and H from the marks);
       * ``marks_rebuild_paths``: the rebuilt paths coincide with X and H.
     """
-    from .jump_measure import Mark, PredictableFunction, integrate, jump_measure
-
     joint = natural_filtration(bundle.space, [bundle.X.values, bundle.H.values])
     expected_g = initial_enlargement(joint, bundle.initial)
 

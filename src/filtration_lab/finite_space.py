@@ -315,29 +315,39 @@ def _block_violation(column: np.ndarray, partition: Partition):
     return int(partition.block_of[bad].min())
 
 
-def is_adapted(p: AdaptedProcess) -> bool:
-    """True iff the time-t values are constant on every block of P_t, exactly."""
-    for t in range(p.horizon + 1):
-        if _block_violation(p.values[:, t], p.filtration.at(t)) is not None:
-            return False
-    return True
+def slice_expectations(values, filtration: Filtration, lag: int) -> np.ndarray:
+    """Slice t of a ``(..., n, T+1)`` stack averaged over the blocks of P_{t-lag}; slices t < lag are 0.
+
+    Lag 1 is the one-step average E[. | P_{t-1}] behind compensators and
+    drifts, lag 0 the closure E[. | P_t].
+    """
+    v = np.asarray(values, dtype=float)
+    out = np.zeros(v.shape)
+    for t in range(lag, filtration.horizon + 1):
+        out[..., t] = conditional_expectation(filtration.space, v[..., t], filtration.at(t - lag))
+    return out
 
 
-def predictable_violation(values: np.ndarray, filtration: Filtration):
-    """First (time, block) at which ``values[..., atom, time]`` is not predictable, else None.
+def slice_violation(values, filtration: Filtration, lag: int):
+    """First (t, block) at which slice t of a ``(..., n, T+1)`` stack is not P_{max(t-lag, 0)}-constant, else None.
 
-    Time-t values (t >= 1) must be P_{t-1}-constant and time-0 values P_0-constant.
+    Lag 0 tests adaptedness, lag 1 predictability (slice 0 against P_0).
     """
     for t in range(filtration.horizon + 1):
-        block = _block_violation(values[..., t], filtration.at(max(t - 1, 0)))
+        block = _block_violation(values[..., t], filtration.at(max(t - lag, 0)))
         if block is not None:
             return t, block
     return None
 
 
+def is_adapted(p: AdaptedProcess) -> bool:
+    """True iff the time-t values are constant on every block of P_t, exactly."""
+    return slice_violation(p.values, p.filtration, 0) is None
+
+
 def is_predictable(p: AdaptedProcess) -> bool:
     """True iff time-t values (t >= 1) are P_{t-1}-constant and the time-0 value is P_0-constant."""
-    return predictable_violation(p.values, p.filtration) is None
+    return slice_violation(p.values, p.filtration, 1) is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,10 +367,10 @@ class StoppingTime:
         if not ok.all():
             bad = int(np.argmin(ok))
             raise ValueError(f"atom {bad}: value {vals[bad]} outside 0..{T} or NEVER")
-        for t, partition in enumerate(self.filtration.partitions):
-            block = _block_violation(vals <= t, partition)
-            if block is not None:
-                raise NotAStoppingTime(t, partition.blocks[block])
+        bad = slice_violation(vals[:, None] <= np.arange(T + 1), self.filtration, 0)
+        if bad is not None:
+            t, block = bad
+            raise NotAStoppingTime(t, self.filtration.at(t).blocks[block])
         object.__setattr__(self, "values", vals)
 
     @classmethod

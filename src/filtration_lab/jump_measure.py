@@ -20,7 +20,7 @@ from .finite_space import (
     Filtration,
     PointProcess,
     as_point_process,
-    predictable_violation,
+    slice_violation,
 )
 
 
@@ -46,7 +46,7 @@ def _mark_stack(filtration: Filtration, values) -> np.ndarray:
 
 
 def _require_predictable(values: np.ndarray, filtration: Filtration) -> None:
-    violation = predictable_violation(values, filtration)
+    violation = slice_violation(values, filtration, 1)
     if violation is not None:
         raise NotPredictable(f"not predictable at (time, block) {violation}")
 

@@ -23,9 +23,9 @@ from .finite_space import (
     AdaptedProcess,
     FiniteProbabilitySpace,
     StoppingTime,
-    conditional_expectation,
     first_jump_time,
     positive_sup,
+    slice_expectations,
     stop_process,
 )
 from .jump_measure import fundamental_martingales, joint_decomposition
@@ -68,10 +68,7 @@ def survival(bundle: EnlargementBundle) -> AdaptedProcess:
     """The survival (Azema) supermartingale A_t = P[tau > t | F_t] in the base filtration."""
     f = bundle.f
     survive = (tau_of(bundle).values[:, None] > np.arange(f.horizon + 1)[None, :]).astype(float)
-    values = np.empty(survive.shape)
-    for t in range(f.horizon + 1):
-        values[:, t] = conditional_expectation(f.space, survive[:, t], f.at(t))
-    return AdaptedProcess(f, values)
+    return AdaptedProcess(f, slice_expectations(survive, f, 0))
 
 
 def compensator_via_azema(bundle: EnlargementBundle, azema: AdaptedProcess) -> AdaptedProcess:
@@ -112,29 +109,26 @@ def cross_validation_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> fl
 
 
 def azema_consistency_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> float:
-    """Max over blocks of |A_t * P(block) - P({tau > t} within block)|, A the survival ``azema``."""
-    probs = bundle.space.probs
-    T = bundle.f.horizon
+    """Max over blocks of |A_t * P(block) - P({tau > t} within block)|, A the survival ``azema``.
+
+    Blocks of mass 0 give 0 - 0, so only the positive-mass blocks are visited.
+    """
+    f = bundle.f
     survive = 1.0 - bundle.H.values  # 1{tau > t}
     worst = 0.0
-    for t in range(T + 1):
-        for atoms in bundle.f.at(t).block_arrays:
-            mass = float(probs[atoms].sum())
+    for t, partition in enumerate(f.partitions):
+        for _, atoms, w, mass in partition.positive_blocks(f.space):
             lhs = float(azema.values[atoms[0], t]) * mass
-            rhs = float(probs[atoms] @ survive[atoms, t])
+            rhs = float(w @ survive[atoms, t])
             worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def supermartingale_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> float:
     """Max positive one-step rise of the survival process ``azema`` (should be <= 0)."""
-    space = bundle.space
     vals = azema.values
-    worst = 0.0
-    for t in range(1, bundle.f.horizon + 1):
-        drift = conditional_expectation(space, vals[:, t], bundle.f.at(t - 1)) - vals[:, t - 1]
-        worst = max(worst, float(drift[space.positive].max()))
-    return worst
+    drift = slice_expectations(vals, bundle.f, 1)[:, 1:] - vals[:, :-1]
+    return max(0.0, float(drift[bundle.space.positive].max()))
 
 
 @dataclass(frozen=True)
@@ -234,9 +228,7 @@ def orthogonality_suite(bundle: EnlargementBundle) -> OrthogonalityStudy:
     pairs = []
     for label, a, b in named:
         rep = orthogonality_report(a, b)
-        ap = dual_projection(a, bundle.g)
-        bp = dual_projection(b, bundle.g)
-        surrogate = positive_sup(bundle.g.space, ap.increments() * bp.increments()) <= EXACT_TOL
+        surrogate = positive_sup(bundle.g.space, rep.predictable_jump_product) <= EXACT_TOL
         pairs.append(
             PairStudy(
                 name=label,

@@ -25,8 +25,8 @@ from .errors import FiltrationMismatch, IndependenceViolated, NotMartingale, Not
 from .calculus import (
     compensator,
     dual_projection,
-    is_martingale,
     quadratic_covariation,
+    require_martingale,
     stochastic_integral,
 )
 from .enlargement import EnlargementBundle
@@ -35,9 +35,9 @@ from .finite_space import (
     AdaptedProcess,
     Filtration,
     StoppingTime,
-    conditional_expectation,
     positive_sup,
-    predictable_violation,
+    slice_expectations,
+    slice_violation,
     stop_process,
 )
 from .jump_measure import MARKS, MarkedMeasure, fundamental_martingales
@@ -52,7 +52,6 @@ _CHUNK = 1 << 13
 class RepresentationSolution:
     """Integrands, reconstruction, and the residual certificate."""
 
-    kind: str
     integrands: dict
     reconstruction: AdaptedProcess
     residual_sup: float
@@ -75,21 +74,27 @@ def martingale_closure(xi, filtration: Filtration) -> AdaptedProcess:
 
 def martingale_closures(xis, filtration: Filtration) -> np.ndarray:
     """Values (k, n, T+1) of the martingales closing a stack of k terminal variables (k, n)."""
-    vals = np.empty(np.shape(xis) + (filtration.horizon + 1,))
-    for t, partition in enumerate(filtration.partitions):
-        vals[..., t] = conditional_expectation(filtration.space, xis, partition)
-    return vals
+    xis = np.asarray(xis, dtype=float)
+    stack = np.broadcast_to(xis[..., None], xis.shape + (filtration.horizon + 1,))
+    return slice_expectations(stack, filtration, 0)
 
 
 def _nodes(filtration: Filtration):
-    """(t, block index, atoms, probs[atoms], mass) of every positive-mass node.
+    """(t, block index, atoms, probs[atoms], mass, children) of every positive-mass node.
 
-    A node is a time t >= 1 and a block of P_{t-1}; the rest is the block's
-    entry in ``Partition.positive_blocks``.
+    A node is a time t >= 1 and a block of P_{t-1}; the next four are the
+    block's entry in ``Partition.positive_blocks``, and ``children`` lists the
+    entries of P_t's table that lie inside the block, in block order.  A node
+    of positive mass has at least one.
     """
+    space = filtration.space
     for t in range(1, filtration.horizon + 1):
-        for node in filtration.at(t - 1).positive_blocks(filtration.space):
-            yield (t,) + node
+        parent_of = filtration.at(t - 1).block_of
+        children: dict = {}
+        for child in filtration.at(t).positive_blocks(space):
+            children.setdefault(int(parent_of[child[1][0]]), []).append(child)
+        for node in filtration.at(t - 1).positive_blocks(space):
+            yield (t,) + node + (children[node[0]],)
 
 
 def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filtration):
@@ -104,7 +109,7 @@ def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filt
     node_of = np.full(values.shape[1:], -1)
     table = np.zeros((len(regressors), len(values), len(nodes) + 1))
     drift = np.zeros((len(values), len(nodes)))
-    for node, (t, _, atoms, w, mass) in enumerate(nodes):
+    for node, (t, _, atoms, w, mass, _) in enumerate(nodes):
         node_of[atoms, t] = node
         dy = values[:, atoms, t]
         dy -= values[:, atoms, t - 1]
@@ -141,7 +146,7 @@ def solve_batch(
     if drifting is not None:
         raise NotMartingale("target {} has nonzero drift at {}".format(*drifting))
     # every integrand is a function of the node index, so checking it covers them all
-    bad = predictable_violation(node_of, filtration)
+    bad = slice_violation(node_of, filtration, 1)
     if bad is not None:
         raise NotPredictable(f"integrand is not predictable at (t, block) = {bad}")
 
@@ -163,13 +168,7 @@ def solve_batch(
     return BatchSolution(residual_sup, integrands, recons)
 
 
-def _require_martingale(m: AdaptedProcess, label: str) -> None:
-    check = is_martingale(m)
-    if not check:
-        raise NotMartingale(f"{label} has nonzero drift at {check.witness}")
-
-
-def _solve_one(kind, names, y, regressors, filtration, batch=None, checks=None):
+def _solve_one(names, y, regressors, filtration, batch=None, checks=None):
     """One target as a RepresentationSolution, solved here unless its ``batch`` is given."""
     if batch is None:
         batch = solve_batch(y.values[None], regressors, filtration, keep_integrands=True,
@@ -177,7 +176,7 @@ def _solve_one(kind, names, y, regressors, filtration, batch=None, checks=None):
     recon = AdaptedProcess(filtration, batch.reconstructions[0])
     integrands = dict(zip(names, batch.integrands[:, 0]))
     sup = float(batch.residual_sup[0])
-    return RepresentationSolution(kind, integrands, recon, sup, checks or {})
+    return RepresentationSolution(integrands, recon, sup, checks or {})
 
 
 def wrp_regressors(mu: MarkedMeasure, nu: MarkedMeasure) -> list[np.ndarray]:
@@ -197,8 +196,8 @@ def solve_prp(y: AdaptedProcess, m: AdaptedProcess) -> RepresentationSolution:
     Exactly solvable when every node branches two ways (a single counting
     source); the residual is the certificate either way.
     """
-    _require_martingale(m, "reference martingale")
-    return _solve_one("prp", ("K",), y, [m.increments()], y.filtration)
+    require_martingale(m, "reference martingale")
+    return _solve_one(("K",), y, [m.increments()], y.filtration)
 
 
 def solve_wrp(
@@ -209,7 +208,7 @@ def solve_wrp(
     if y.filtration.partitions != filtration.partitions:
         raise FiltrationMismatch("target is not carried by the measure's filtration")
     names = [f"W{mark.value}" for mark in MARKS]
-    return _solve_one("wrp", names, y, wrp_regressors(mu, nu), filtration)
+    return _solve_one(names, y, wrp_regressors(mu, nu), filtration)
 
 
 def solve_triple(
@@ -217,7 +216,7 @@ def solve_triple(
 ) -> RepresentationSolution:
     """Represent Y against the three compensated jump-part martingales."""
     regs = triple_regressors(z1, z2, z3)
-    return _solve_one("triple", ("K1", "K2", "K3"), y, regs, y.filtration)
+    return _solve_one(("K1", "K2", "K3"), y, regs, y.filtration)
 
 
 def solve_in_basis(
@@ -225,7 +224,7 @@ def solve_in_basis(
 ) -> RepresentationSolution:
     """Represent Y against an arbitrary martingale family."""
     names = [f"K{i + 1}" for i in range(len(martingales))]
-    return _solve_one("basis", names, y, [m.increments() for m in martingales], y.filtration)
+    return _solve_one(names, y, [m.increments() for m in martingales], y.filtration)
 
 
 def verify_independence(bundle: EnlargementBundle) -> None:
@@ -263,7 +262,7 @@ def independent_batch(
     xbar = x_pair.martingale_part
     hbar = h_pair.martingale_part
     cross = quadratic_covariation(xbar, hbar)
-    _require_martingale(cross, "bracket of the compensated pair")
+    require_martingale(cross, "bracket of the compensated pair")
 
     basis = [xbar, hbar, cross]
     deltas = [b.increments() for b in basis]
@@ -330,22 +329,12 @@ def independent_decomposition(
         raise FiltrationMismatch("target is not carried by the enlarged filtration")
     batch, checks = independent_batch(y.values[None], bundle, keep_reconstructions=True)
     checks["pythagoras_gap"] = float(checks["pythagoras_gap"][0])
-    return _solve_one("independent", ("K1", "K2", "K3"), y, None, bundle.g, batch=batch, checks=checks)
-
-
-def _positive_children(filtration: Filtration, t: int, atoms: np.ndarray):
-    """Positive-probability child blocks of one node, as atom arrays."""
-    child_of = filtration.at(t).block_of[atoms]
-    children = (atoms[child_of == c] for c in np.unique(child_of))
-    return [c for c in children if float(filtration.space.probs[c].sum()) > 0.0]
+    return _solve_one(("K1", "K2", "K3"), y, None, bundle.g, batch=batch, checks=checks)
 
 
 def multiplicity(filtration: Filtration) -> int:
     """Spanning number of the tree: max positive-probability branching minus one."""
-    branching = (
-        len(_positive_children(filtration, t, atoms)) for t, _, atoms, _, _ in _nodes(filtration)
-    )
-    return max(branching, default=1) - 1
+    return max((len(children) for *_, children in _nodes(filtration)), default=1) - 1
 
 
 def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProcess]:
@@ -358,15 +347,13 @@ def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProce
     every martingale nodewise.
     """
     m = multiplicity(filtration)
-    probs = filtration.space.probs
     n = filtration.space.n_atoms
     width = filtration.horizon + 1
     incs = [np.zeros((n, width)) for _ in range(m)]
-    for t, _, atoms, _, mass in _nodes(filtration):
-        children = _positive_children(filtration, t, atoms)
+    for t, _, _, _, mass, children in _nodes(filtration):
         k = len(children)
         if k > 1:
-            weights = np.array([float(probs[c].sum()) / mass for c in children])
+            weights = np.array([child_mass / mass for *_, child_mass in children])
             vectors = []
             for j in range(k - 1):
                 v = np.full(k, -weights[j])  # centered indicator of child j
@@ -377,6 +364,6 @@ def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProce
                 if norm > SV_CUTOFF:
                     vectors.append(v / norm)
             for i, e in enumerate(vectors):
-                for c, child in enumerate(children):
+                for c, (_, child, _, _) in enumerate(children):
                     incs[i][child, t] = e[c]
     return [AdaptedProcess(filtration, np.cumsum(inc, axis=1)) for inc in incs]

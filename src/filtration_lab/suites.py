@@ -22,7 +22,13 @@ from .calculus import (
     quadratic_covariation,
     stochastic_integral,
 )
-from .enlargement import build_bundle, verify_filtration_identities
+from .enlargement import (
+    build_bundle,
+    initial_enlargement,
+    natural_filtration,
+    sigma_algebra_of,
+    verify_filtration_identities,
+)
 from .errors import IndependenceViolated, UnknownSuite
 from .finite_space import (
     ATOMWISE_TOL,
@@ -32,6 +38,7 @@ from .finite_space import (
     PointProcess,
     StoppingTime,
     build_space,
+    first_jump_time,
     is_adapted,
     is_predictable,
     positive_sup,
@@ -48,6 +55,7 @@ from .jump_measure import (
 )
 from .montecarlo import (
     McReport,
+    PathSet,
     RandomTimeSpec,
     avoidance_mc_suite,
     azema_exponential_suite,
@@ -104,7 +112,7 @@ class SuiteContext:
     bundle: object = None
     mc: McParams = field(default_factory=McParams)
     expected_outcome: str = "holds"
-    _path_cache: dict = field(default_factory=dict)
+    _paths: PathSet | None = field(default=None, init=False, repr=False)
 
     def rng(self, salt: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(salt.encode())])
@@ -112,17 +120,14 @@ class SuiteContext:
     def paths(self, tau_spec=None, n_paths=None):
         """The first ``n_paths`` (default ``mc.n_paths``) paths with random time ``tau_spec``.
 
-        Every request reads one simulation per (lam, t_real, seed), made at
+        Every request reads the context's one simulation, made on first use at
         the largest size any suite asks for; path p does not depend on that size.
         """
         mc = self.mc
-        n = n_paths or mc.n_paths
-        key = (mc.lam, mc.t_real, self.seed)
-        base = self._path_cache.get(key)
-        if base is None or base.n_paths < n:
-            size = max(n, mc.n_paths, mc.stress_n_paths)
-            base = self._path_cache[key] = simulate_path_set(mc.lam, mc.t_real, size, self.seed)
-        return base.with_random_time(tau_spec, n)
+        if self._paths is None:
+            size = max(mc.n_paths, mc.stress_n_paths)
+            self._paths = simulate_path_set(mc.lam, mc.t_real, size, self.seed)
+        return self._paths.with_random_time(tau_spec, n_paths or mc.n_paths)
 
 
 @dataclass
@@ -232,9 +237,6 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     dx = np.array([[(a >> 2) & 1, (a >> 1) & 1, a & 1] for a in range(8)])
     x_vals = np.zeros((8, 4))
     x_vals[:, 1:] = np.cumsum(dx, axis=1)
-    from .enlargement import initial_enlargement, natural_filtration, sigma_algebra_of
-    from .finite_space import first_jump_time
-
     base = natural_filtration(space, [x_vals])
     fjt = first_jump_time(PointProcess(base, x_vals)).values.astype(float)
     f = initial_enlargement(base, sigma_algebra_of(space, fjt))
@@ -832,9 +834,7 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
 
     a2 = fixtures.fixture_a2()
     rep = orthogonality_report(a2.X, a2.H)
-    yp = dual_projection(a2.X, a2.g)
-    zp = dual_projection(a2.H, a2.g)
-    product = float((yp.increments() * zp.increments())[:, 1].max())
+    product = float(rep.predictable_jump_product[:, 1].max())
     checks.append(
         _check(
             "common_predictable_jump_quantified",

@@ -174,6 +174,40 @@ def oracle_supermartingale_gap(probs, partitions, azema):
     return worst
 
 
+def oracle_positive_children(probs, filtration):
+    """Per node (t >= 1, positive-mass block of P_{t-1}): (t, node atoms, child blocks, child masses).
+
+    The children are the positive-mass blocks of P_t inside the node, found by
+    testing every block of P_t for containment, in block order.
+    """
+    out = []
+    for t in range(1, filtration.horizon + 1):
+        for node in filtration.at(t - 1).blocks:
+            if sum(float(probs[a]) for a in node) <= 0.0:
+                continue
+            children, masses = [], []
+            for block in filtration.at(t).blocks:
+                mass = float(probs[list(block)].sum())
+                if set(block) <= set(node) and mass > 0.0:
+                    children.append(block)
+                    masses.append(mass)
+            out.append((t, node, children, masses))
+    return out
+
+
+def oracle_azema_consistency_gap(probs, partitions, azema, survive):
+    """Max over every block of every slice, zero-mass blocks included, of |A_t P(block) - P(tau > t, block)|."""
+    worst = 0.0
+    for t, partition in enumerate(partitions):
+        for block in partition.blocks:
+            atoms = np.array(block)
+            mass = float(probs[atoms].sum())
+            lhs = float(azema[atoms[0], t]) * mass
+            rhs = float(probs[atoms] @ survive[atoms, t])
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
 def oracle_survival(probs, partitions, tau):
     """P[tau > t | block of the atom at t], atom by atom and time by time (0 on zero-mass blocks)."""
     n, width = len(tau), len(partitions)

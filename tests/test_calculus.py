@@ -306,6 +306,13 @@ class TestDriftWitness:
         assert check.witness == want  # same block and bitwise the same drift
         assert check.ok == (want is None)
 
+    def test_witness_is_the_earliest_time_then_the_lowest_block(self):
+        # atom 0 drifts only at t=2, atom 1 already at t=1
+        space = build_space([0.5, 0.5])
+        filt = Filtration(space, (Partition.discrete(2),) * 3)
+        check = is_martingale(AdaptedProcess(filt, [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        assert check.witness == (1, 1, 1.0)
+
     def test_drift_at_the_tolerance_passes(self):
         space = build_space([1.0])
         filt = Filtration(space, (Partition.trivial(1), Partition.trivial(1)))

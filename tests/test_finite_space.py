@@ -33,7 +33,7 @@ from filtration_lab.finite_space import (
     first_jump_time,
     is_adapted,
     is_predictable,
-    predictable_violation,
+    slice_violation,
     stop_process,
     stop_values,
     zero_probability_blocks,
@@ -237,11 +237,18 @@ class TestBlockIndex:
 
     def test_predictable_violation_locates_time_and_block(self, space_a_bundle):
         b = space_a_bundle
-        assert predictable_violation(b.X.values, b.g) == (1, 0)
+        assert slice_violation(b.X.values, b.g, 1) == (1, 0)
         stack = np.zeros((2, 16, 3))
-        assert predictable_violation(stack, b.g) is None
+        assert slice_violation(stack, b.g, 1) is None
         stack[1, 5, 2] = 1.0
-        assert predictable_violation(stack, b.g) == (2, b.g.at(1).block_of[5])
+        assert slice_violation(stack, b.g, 1) == (2, b.g.at(1).block_of[5])
+
+    def test_slice_zero_is_checked_against_p0(self):
+        filt = Filtration(build_space([0.5, 0.5]), (Partition.trivial(2), Partition.discrete(2)))
+        values = np.array([[0.0, 0.0], [1.0, 1.0]])  # time 0 splits what P_0 does not
+        assert slice_violation(values, filt, 0) == (0, 0)
+        assert slice_violation(values, filt, 1) == (0, 0)
+        assert not is_predictable(AdaptedProcess(filt, values))
 
     def test_stop_values_stops_every_matrix_of_a_stack(self, space_a_bundle):
         b = space_a_bundle

@@ -1,10 +1,15 @@
-"""Every package module reads each name it imports, and every defaulted
-parameter of a package function is passed by some call in the program.
+"""Every package module reads each name it imports and imports only at module
+level, only ``finite_space`` calls the two block primitives, and every
+defaulted parameter of a package function is passed by some call in the
+program.
 
-``__init__.py`` is left out of the import scan: its imports are the package's
-exports.  The parameter scan reads the calls in ``src/`` and ``perfbench/``,
-not in the tests: a default that only a test ever overrides is a setting the
-program never uses.
+``__init__.py`` is left out of the unused-import scan: its imports are the
+package's exports.  The block primitives (``conditional_expectation`` and
+``_block_violation``) are walked over time by ``finite_space``'s two slice
+operators, so a time loop written around them anywhere else is flagged.  The
+parameter scan reads the calls in ``src/`` and ``perfbench/``, not in the
+tests: a default that only a test ever overrides is a setting the program
+never uses.
 """
 import ast
 from pathlib import Path
@@ -13,8 +18,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "filtration_lab"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+CALLERS = ALL_MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
+#: called only inside finite_space, whose slice operators walk them over time
+BLOCK_PRIMITIVES = ("conditional_expectation", "_block_violation")
+NOT_FINITE_SPACE = [p for p in ALL_MODULES if p.name != "finite_space.py"]
 
 #: (function, parameter) -> why it keeps a default no program call overrides
 UNPASSED_ALLOWED = {
@@ -41,6 +50,28 @@ def unused_imports(source: str) -> list:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def function_imports(source: str) -> list:
+    """(line, statement) of every import statement inside a function body."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.add((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def primitive_calls(source: str) -> list:
+    """(line, name) of every call to a block primitive, by plain name or attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in BLOCK_PRIMITIVES:
+                found.append((node.lineno, name))
+    return sorted(found)
 
 
 def _defaulted(fn: ast.FunctionDef, method: bool) -> tuple:
@@ -122,6 +153,41 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_scan_finds_an_import_in_a_function():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from .x import y\n"
+        "    def g():\n"
+        "        import sys\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        import json as j\n"
+    )
+    assert function_imports(source) == [(3, "from .x import y"), (5, "import sys"), (8, "import json as j")]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_imports_at_module_level_only(path):
+    assert function_imports(path.read_text()) == []
+
+
+def test_the_scan_finds_a_block_primitive_call():
+    source = (
+        "from .finite_space import conditional_expectation\n"
+        "def f(space, v, p):\n"
+        "    for t in range(3):\n"
+        "        conditional_expectation(space, v, p)\n"
+        "    return finite_space._block_violation(v, p), _block_violation\n"
+    )
+    assert primitive_calls(source) == [(4, "conditional_expectation"), (5, "_block_violation")]
+
+
+@pytest.mark.parametrize("path", NOT_FINITE_SPACE, ids=[p.name for p in NOT_FINITE_SPACE])
+def test_only_finite_space_calls_the_block_primitives(path):
+    assert primitive_calls(path.read_text()) == []
 
 
 def test_the_scan_finds_an_unpassed_parameter():

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from conftest import oracle_supermartingale_gap, oracle_survival, random_filtration
+from conftest import (
+    oracle_azema_consistency_gap,
+    oracle_supermartingale_gap,
+    oracle_survival,
+    random_filtration,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,6 +224,18 @@ class TestBlockOracles:
         dx = rb.X.increments()
         hit = [tau[a] != NEVER and dx[a, tau[a]] == 1.0 for a in range(space.n_atoms)]
         assert avoidance_check(rb).jump_collision_prob == float(space.probs[hit].sum())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_consistency_gap_matches_the_loop_over_every_block(self, seed):
+        rng = np.random.default_rng(seed)
+        space, x_values, tau = _random_space_and_paths(rng)
+        rb = random_time_bundle(space, x_values, tau)
+        survive = 1.0 - rb.H.values
+        # the survival process, and an arbitrary matrix whose gap is far from 0
+        for azema in (survival(rb), AdaptedProcess(rb.f, rng.normal(size=x_values.shape))):
+            want = oracle_azema_consistency_gap(space.probs, rb.f.partitions, azema.values, survive)
+            assert azema_consistency_gap(rb, azema) == want
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6))

@@ -3,6 +3,7 @@ import pytest
 from conftest import (
     oracle_independence_violation,
     oracle_nodewise_lstsq,
+    oracle_positive_children,
     oracle_residual_sup,
     random_filtration,
 )
@@ -253,6 +254,37 @@ class TestMultiplicity:
         spanning = orthogonal_spanning_martingales(b.g)
         y = martingale_closure(b.X.terminal * b.H.terminal, b.g)
         assert solve_in_basis(y, spanning[:2]).residual_sup > 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_children_match_the_containment_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        trees = (
+            random_filtration(rng, int(rng.integers(1, 12)), int(rng.integers(1, 4)), zero_frac=0.3),
+            _bundle_with_null_atoms(rng, fixtures.random_bundle(rng)).g,
+        )
+        for filt in trees:
+            probs = filt.space.probs
+            nodes = oracle_positive_children(probs, filt)
+            assert multiplicity(filt) == max(len(children) for _, _, children, _ in nodes) - 1
+            incs = [m.increments() for m in orthogonal_spanning_martingales(filt)]
+            assert len(incs) == multiplicity(filt)
+            for t, node, children, masses in nodes:
+                # each member is constant on every positive child and 0 on the node's null atoms
+                outside = sorted(set(node) - {a for c in children for a in c})
+                e = np.array([[inc[c[0], t] for c in children] for inc in incs])
+                e = e.reshape(len(incs), len(children))
+                for inc in incs:
+                    for c in children:
+                        assert np.all(inc[list(c), t] == inc[c[0], t])
+                    assert np.all(inc[outside, t] == 0.0)
+                # the first k-1 are centered and orthonormal under the node's child weights, the rest 0
+                k = len(children)
+                weights = np.array(masses) / float(probs[list(node)].sum())
+                gram = (e * weights) @ e.T
+                want = np.diag([1.0] * (k - 1) + [0.0] * (len(incs) - k + 1))
+                np.testing.assert_allclose(gram, want, rtol=0.0, atol=1e-9)
+                np.testing.assert_allclose(e @ weights, 0.0, rtol=0.0, atol=1e-9)
 
     def test_monotone_under_enlargement(self):
         rng = np.random.default_rng(47)
