@@ -27,7 +27,6 @@ from .calculus import (
     dual_projection,
     is_martingale,
     orthogonality_report,
-    predictable_covariation,
     quadratic_covariation,
     stochastic_integral,
 )
@@ -38,7 +37,6 @@ from .enlargement import (
     join,
     natural_filtration,
     progressive_enlargement,
-    sigma_algebra_of,
     verify_filtration_identities,
 )
 from .jump_measure import (

@@ -4,8 +4,8 @@ The compensator is the discrete dual predictable projection
 ``A^p_t = sum_{s<=t} E[dA_s | P_{s-1}]`` (Doob decomposition), which is the
 unique predictable increasing process making ``A - A^p`` an exact martingale
 on a finite space.  Quadratic covariation is the jump-product sum; the
-predictable covariation of two martingales is the compensator of their
-bracket.
+predictable covariation of two martingales is the compensator
+(``dual_projection``) of their bracket.
 """
 from __future__ import annotations
 
@@ -83,13 +83,6 @@ def quadratic_covariation(y: AdaptedProcess, z: AdaptedProcess) -> AdaptedProces
     return AdaptedProcess(y.filtration, np.cumsum(prod, axis=1))
 
 
-def predictable_covariation(y: AdaptedProcess, z: AdaptedProcess) -> AdaptedProcess:
-    """<Y, Z> = compensator of [Y, Z]; both inputs must be exact martingales."""
-    for m in (y, z):
-        require_martingale(m, "operand")
-    return dual_projection(quadratic_covariation(y, z), y.filtration)
-
-
 def stochastic_integral(k: AdaptedProcess, m: AdaptedProcess) -> AdaptedProcess:
     """(K . M)_t = sum_{s<=t} K_s dM_s for predictable K."""
     if k.filtration.partitions != m.filtration.partitions:
@@ -102,9 +95,9 @@ def stochastic_integral(k: AdaptedProcess, m: AdaptedProcess) -> AdaptedProcess:
 
 
 def is_martingale(m: AdaptedProcess) -> MartingaleCheck:
-    """One-step drift test: |E[dM_t | P_{t-1}]| <= EXACT_TOL for all t >= 1."""
+    """One-step drift test: |E[dM_t | P_{t-1}]| <= EXACT_TOL for all t >= 1 (a NaN drift fails)."""
     drift = slice_expectations(m.increments(), m.filtration, 1)
-    bad = np.abs(drift) > EXACT_TOL
+    bad = ~(np.abs(drift) <= EXACT_TOL)
     if not bad.any():
         return MartingaleCheck(True, None)
     # earliest t, then its first bad atom; blocks are ordered by first atom, so

@@ -15,7 +15,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -181,7 +180,7 @@ def run_config(config: dict, parallel: int = 1, seed_override: int | None = None
     if seed_override is None:
         seed = config.get("seed", 0)
     else:
-        seed = _seed(seed_override, "seed override (--seed or FLAB_SEED)")
+        seed = _seed(seed_override, "seed override (--seed)")
 
     ctx = SuiteContext(
         seed=int(seed),
@@ -253,16 +252,8 @@ def _cmd_run(args) -> int:
         print(f"error: cannot load config: {exc}", file=sys.stderr)
         return 2
 
-    seed_override = args.seed
-    if seed_override is None and os.environ.get("FLAB_SEED"):
-        try:
-            seed_override = int(os.environ["FLAB_SEED"])
-        except ValueError:
-            print("error: FLAB_SEED must be an integer", file=sys.stderr)
-            return 2
-
     try:
-        report = run_config(config, parallel=args.parallel, seed_override=seed_override)
+        report = run_config(config, parallel=args.parallel, seed_override=args.seed)
     except ConfigInvalid as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import FiltrationMismatch
 from .finite_space import (
-    AdaptedProcess,
     Filtration,
     FiniteProbabilitySpace,
     Partition,
@@ -38,17 +37,13 @@ def join(a: Partition, b: Partition) -> Partition:
     return Partition.from_labels(labels)
 
 
-def _value_matrix(proc) -> np.ndarray:
-    return proc.values if isinstance(proc, AdaptedProcess) else np.asarray(proc, dtype=float)
-
-
 def natural_filtration(space: FiniteProbabilitySpace, processes: Sequence) -> Filtration:
-    """Coarsest filtration making every given process adapted.
+    """Coarsest filtration making every given process (a value matrix, atoms by times) adapted.
 
     P_t groups atoms whose joint paths agree on [0, t]: it splits each block
     of P_{t-1} by the processes' values at t.
     """
-    mats = [_value_matrix(p) for p in processes]
+    mats = [np.asarray(p, dtype=float) for p in processes]
     if not mats:
         raise ValueError("need at least one process")
     n = space.n_atoms
@@ -65,12 +60,6 @@ def natural_filtration(space: FiniteProbabilitySpace, processes: Sequence) -> Fi
         block = p.block_of.tolist()
         parts.append(p)
     return Filtration(space, tuple(parts))
-
-
-def sigma_algebra_of(space: FiniteProbabilitySpace, values) -> Partition:
-    """Partition generated by the level sets of a random variable."""
-    v = np.asarray(values)
-    return Partition.from_labels([v[atom].item() for atom in range(space.n_atoms)])
 
 
 def initial_enlargement(base: Filtration, initial: Partition) -> Filtration:

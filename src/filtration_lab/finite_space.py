@@ -204,8 +204,8 @@ def conditional_expectation(
     """Exact conditional expectation of an atom-indexed variable given a partition.
 
     On a block the result is the probability-weighted average; blocks of total
-    probability zero get the value 0 (see ``zero_probability_blocks``).  A
-    stack of variables, atoms on the last axis, is averaged in one pass.
+    probability zero get the value 0.  A stack of variables, atoms on the last
+    axis, is averaged in one pass.
     """
     if partition.n_atoms != space.n_atoms:
         raise FiltrationMismatch("partition does not belong to the space")
@@ -216,19 +216,22 @@ def conditional_expectation(
     return out
 
 
-def zero_probability_blocks(
-    space: FiniteProbabilitySpace, partition: Partition
-) -> tuple[int, ...]:
-    """Indices of blocks on which conditional expectations are flagged as 0."""
-    has_mass = np.zeros(partition.n_blocks, dtype=bool)
-    has_mass[partition.block_of[space.positive]] = True
-    return tuple(int(i) for i in np.flatnonzero(~has_mass))
-
-
 def positive_sup(space: FiniteProbabilitySpace, values) -> float:
-    """Max absolute value over positive-probability atoms (the first axis); 0 if there are none."""
+    """Max absolute value over positive-probability atoms (the first axis); 0 if there are none.
+
+    A NaN on a positive-probability atom makes the sup NaN.
+    """
     vals = np.abs(np.asarray(values)[space.positive])
     return float(vals.max()) if vals.size else 0.0
+
+
+def max_gap(*gaps) -> float:
+    """Largest of the gaps, each a float or an array of floats; NaN if any gap is NaN.
+
+    Every max over fixtures, targets, marks or blocks goes through here, so no
+    NaN is dropped the way the builtin ``max`` drops one.
+    """
+    return float(np.max(np.concatenate([np.ravel(g) for g in gaps])))
 
 
 @dataclass(frozen=True, eq=False)

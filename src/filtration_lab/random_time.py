@@ -24,6 +24,7 @@ from .finite_space import (
     FiniteProbabilitySpace,
     StoppingTime,
     first_jump_time,
+    max_gap,
     positive_sup,
     slice_expectations,
     stop_process,
@@ -115,20 +116,20 @@ def azema_consistency_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> f
     """
     f = bundle.f
     survive = 1.0 - bundle.H.values  # 1{tau > t}
-    worst = 0.0
+    gaps = []
     for t, partition in enumerate(f.partitions):
         for _, atoms, w, mass in partition.positive_blocks(f.space):
             lhs = float(azema.values[atoms[0], t]) * mass
             rhs = float(w @ survive[atoms, t])
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+            gaps.append(abs(lhs - rhs))
+    return max_gap(gaps)
 
 
 def supermartingale_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> float:
-    """Max positive one-step rise of the survival process ``azema`` (should be <= 0)."""
+    """Max positive one-step rise of the survival process ``azema`` (0 if it never rises)."""
     vals = azema.values
     drift = slice_expectations(vals, bundle.f, 1)[:, 1:] - vals[:, :-1]
-    return max(0.0, float(drift[bundle.space.positive].max()))
+    return positive_sup(bundle.space, np.maximum(drift, 0.0))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .finite_space import (
     AdaptedProcess,
     Filtration,
     StoppingTime,
+    max_gap,
     positive_sup,
     slice_expectations,
     slice_violation,
@@ -103,7 +104,8 @@ def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filt
     ``values`` is (k, n, T+1), ``regressors`` (r, n, T+1).  Returns each
     (atom, t)'s node (-1 at time 0 and on zero-mass nodes), the coefficients
     (r, k, nodes + 1) whose last column is 0, and the first target whose
-    drift exceeds ``EXACT_TOL`` with its earliest (t, block, drift), or None.
+    drift exceeds ``EXACT_TOL`` or is NaN with its earliest (t, block, drift),
+    or None.
     """
     nodes = list(_nodes(filtration))
     node_of = np.full(values.shape[1:], -1)
@@ -117,7 +119,7 @@ def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filt
         sw = np.sqrt(w)
         pinv = np.linalg.pinv(regressors[:, atoms, t].T * sw[:, None], rcond=SV_CUTOFF)
         table[:, :, node] = (pinv * sw) @ dy.T
-    bad = np.abs(drift) > EXACT_TOL
+    bad = ~(np.abs(drift) <= EXACT_TOL)
     witness = None
     if bad.any():
         j = int(np.argmax(bad.any(axis=1)))
@@ -277,11 +279,13 @@ def independent_batch(
     space = bundle.space
 
     # pairwise predictable covariations of the basis
-    orth_gap = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            bracket = quadratic_covariation(basis[i], basis[j])
-            orth_gap = max(orth_gap, dual_projection(bracket, filtration).sup_abs())
+    orth_gap = max_gap(
+        [
+            dual_projection(quadratic_covariation(a, b), filtration).sup_abs()
+            for i, a in enumerate(basis)
+            for b in basis[i + 1 :]
+        ]
+    )
 
     # change of basis: each compensated jump part against the orthogonal
     # basis; the joint part picks up both predictable densities, the single
@@ -292,8 +296,8 @@ def independent_batch(
     z3_rhs = cross.values + stochastic_integral(dxp, hbar).values + stochastic_integral(dhp, xbar).values
     z1_rhs = xbar.values - z3_rhs
     z2_rhs = hbar.values - z3_rhs
-    basis_identity_gap = max(
-        positive_sup(space, z.values - rhs) for z, rhs in ((z1, z1_rhs), (z2, z2_rhs), (z3, z3_rhs))
+    basis_identity_gap = max_gap(
+        [positive_sup(space, z.values - rhs) for z, rhs in ((z1, z1_rhs), (z2, z2_rhs), (z3, z3_rhs))]
     )
 
     # bracket compensator factorisation: [X,H]^p = [X^p, H^p]

@@ -26,7 +26,6 @@ from .enlargement import (
     build_bundle,
     initial_enlargement,
     natural_filtration,
-    sigma_algebra_of,
     verify_filtration_identities,
 )
 from .errors import IndependenceViolated, UnknownSuite
@@ -41,6 +40,7 @@ from .finite_space import (
     first_jump_time,
     is_adapted,
     is_predictable,
+    max_gap,
     positive_sup,
     stop_values,
 )
@@ -229,7 +229,7 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     for _ in range(25):
         coef = rng.normal(size=3)
         xis.append(coef[0] * b.X.terminal**2 + coef[1] * b.X.terminal + coef[2])
-    worst = float(solve_batch(martingale_closures(xis, b.f), [m.increments()], b.f).residual_sup.max())
+    worst = max_gap(solve_batch(martingale_closures(xis, b.f), [m.increments()], b.f).residual_sup)
     checks.append(_check("single_source_solvable", worst <= EXACT_TOL, worst_residual=worst))
 
     # initial sigma-field carrying the first jump time keeps the tree binary
@@ -238,11 +238,11 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     x_vals = np.zeros((8, 4))
     x_vals[:, 1:] = np.cumsum(dx, axis=1)
     base = natural_filtration(space, [x_vals])
-    fjt = first_jump_time(PointProcess(base, x_vals)).values.astype(float)
-    f = initial_enlargement(base, sigma_algebra_of(space, fjt))
+    fjt = first_jump_time(PointProcess(base, x_vals)).values
+    f = initial_enlargement(base, Partition.from_labels(fjt))
     m3 = compensator(PointProcess(f, x_vals)).martingale_part
     ys = martingale_closures([rng.normal(size=8) for _ in range(25)], f)
-    worst = float(solve_batch(ys, [m3.increments()], f).residual_sup.max())
+    worst = max_gap(solve_batch(ys, [m3.increments()], f).residual_sup)
     checks.append(
         _check("initially_enlarged_still_solvable", worst <= EXACT_TOL, worst_residual=worst)
     )
@@ -269,19 +269,22 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
     rng = ctx.rng("decomposition")
     bundles = _rep_fixtures(ctx) + [fixtures.avoidance_trinomial()]
     bundles += [fixtures.random_bundle(rng) for _ in range(10)]
-    ok = True
-    worst = 0.0
+    brackets, recons = [], []
     for b in bundles:
         y1, y2, y3 = joint_decomposition(b.X, b.H)  # validates counting-path shape
         for a, c in ((y1, y2), (y1, y3), (y2, y3)):
-            worst = max(worst, quadratic_covariation(a, c).sup_abs())
-        recon = max(
+            brackets.append(quadratic_covariation(a, c).sup_abs())
+        recons += [
             positive_sup(b.space, y1.values + y3.values - b.X.values),
             positive_sup(b.space, y2.values + y3.values - b.H.values),
-        )
-        ok = ok and recon == 0.0
+        ]
+    worst = max_gap(brackets)
     checks.append(
-        _check("disjoint_decomposition", ok and worst <= ATOMWISE_TOL, worst_bracket=worst)
+        _check(
+            "disjoint_decomposition",
+            max_gap(recons) == 0.0 and worst <= ATOMWISE_TOL,
+            worst_bracket=worst,
+        )
     )
 
     b = fixtures.space_a()
@@ -305,9 +308,7 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("measure")
     n_w = 100
-    worst_drift = 0.0
-    worst_match = 0.0
-    worst_mass = 0.0
+    drifts, matches, masses = [], [], []
     for b in _rep_fixtures(ctx):
         mu = jump_measure(b.X, b.H)
         nu = compensator_measure(mu)
@@ -315,8 +316,7 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
         zs = (z1, z2, z3)
         bracket = quadratic_covariation(b.X, b.H)
         expected_mass = b.X.values + b.H.values - bracket.values
-        mass_gap = positive_sup(b.space, mu.mass().values - expected_mass)
-        worst_mass = max(worst_mass, mass_gap)
+        masses.append(positive_sup(b.space, mu.mass().values - expected_mass))
         for _ in range(n_w):
             w = PredictableFunction(
                 b.g,
@@ -324,12 +324,12 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
             )
             diff = AdaptedProcess(b.g, integrate(w, mu).values - integrate(w, nu).values)
             drift = is_martingale(diff)
-            if not drift:
-                worst_drift = max(worst_drift, abs(drift.witness[2]))
+            drifts.append(0.0 if drift else abs(drift.witness[2]))
             split = sum(
                 stochastic_integral(w.component(mark), z).values for mark, z in zip(MARKS, zs)
             )
-            worst_match = max(worst_match, positive_sup(b.space, diff.values - split))
+            matches.append(positive_sup(b.space, diff.values - split))
+    worst_drift, worst_match, worst_mass = max_gap(drifts), max_gap(matches), max_gap(masses)
     checks.append(
         _check(
             "compensated_integral_is_martingale",
@@ -349,12 +349,12 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
 
     b = fixtures.space_a()
     nu = compensator_measure(jump_measure(b.X, b.H))
-    dens_gap = max(
-        float(np.abs(nu.indicator_increments(mark)[:, 1:] - 0.25).max()) for mark in MARKS
+    dens_gap = max_gap(
+        [positive_sup(b.space, nu.indicator_increments(mark)[:, 1:] - 0.25) for mark in MARKS]
     )
     ones = PredictableFunction.constant(b.g, 1.0)
     expected = 0.75 * np.arange(b.g.horizon + 1)[None, :]
-    unit_gap = float(np.abs(integrate(ones, nu).values - expected).max())
+    unit_gap = positive_sup(b.space, integrate(ones, nu).values - expected)
     checks.append(
         _check(
             "uniform_fixture_densities",
@@ -367,8 +367,8 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     a2 = fixtures.fixture_a2()
     nu2 = compensator_measure(jump_measure(a2.X, a2.H))
     target = {MARKS[0]: 0.3, MARKS[1]: 0.5, MARKS[2]: 0.0}
-    a2_gap = max(
-        float(np.abs(nu2.indicator_increments(m)[:, 1] - target[m]).max()) for m in MARKS
+    a2_gap = max_gap(
+        [positive_sup(a2.space, nu2.indicator_increments(m)[:, 1] - target[m]) for m in MARKS]
     )
     checks.append(_check("three_atom_densities", a2_gap <= ATOMWISE_TOL, gap=a2_gap))
     return checks
@@ -427,14 +427,14 @@ def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
 def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("wrp")
-    worst = 0.0
-    count = 0
+    residuals = []
     for b in _rep_fixtures(ctx):
         mu = jump_measure(b.X, b.H)
         nu = compensator_measure(mu)
         sol = solve_batch(_random_closures(rng, b.g, 100), wrp_regressors(mu, nu), b.g)
-        worst = max(worst, float(sol.residual_sup.max()))
-        count += sol.residual_sup.size
+        residuals.append(sol.residual_sup)
+    worst = max_gap(*residuals)
+    count = sum(r.size for r in residuals)
     checks.append(
         _check("every_martingale_represented", worst <= EXACT_TOL, worst_residual=worst, solves=count)
     )
@@ -444,7 +444,7 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     nu = compensator_measure(mu)
     xi = np.array([0.0, 0.0, 1.0])
     sol = solve_wrp(martingale_closure(xi, b.g), mu, nu)
-    joint_w = float(np.abs(sol.integrands["W(1, 1)"]).max())
+    joint_w = positive_sup(b.space, sol.integrands["W(1, 1)"])
     checks.append(
         _check(
             "three_atom_solution_avoids_dead_mark",
@@ -456,7 +456,7 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
 
     y_const = martingale_closure(np.ones(b.space.n_atoms), b.g)
     sol = solve_wrp(y_const, mu, nu)
-    flat = max(float(np.abs(v).max()) for v in sol.integrands.values())
+    flat = max_gap([positive_sup(b.space, v) for v in sol.integrands.values()])
     checks.append(_check("constant_target_gets_zero_function", flat <= ATOMWISE_TOL, max_weight=flat))
     return checks
 
@@ -468,8 +468,7 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
 def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("triple")
-    worst = 0.0
-    equiv = 0.0
+    residuals, equivs = [], []
     for b in _rep_fixtures(ctx):
         mu = jump_measure(b.X, b.H)
         nu = compensator_measure(mu)
@@ -479,9 +478,10 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
         head = solve_batch(ys[:20], regs, b.g, keep_reconstructions=True)
         rest = solve_batch(ys[20:], regs, b.g)
         other = solve_batch(ys[:20], wrp_regressors(mu, nu), b.g, keep_reconstructions=True)
-        worst = max(worst, float(head.residual_sup.max()), float(rest.residual_sup.max()))
+        residuals += [head.residual_sup, rest.residual_sup]
         gap = head.reconstructions - other.reconstructions
-        equiv = max(equiv, float(np.abs(gap[:, b.space.positive]).max()))
+        equivs.append(positive_sup(b.space, np.swapaxes(gap, 0, 1)))  # atoms first
+    worst, equiv = max_gap(*residuals), max_gap(equivs)
     checks.append(_check("triple_integrals_represent", worst <= EXACT_TOL, worst_residual=worst))
     checks.append(
         _check("triple_matches_measure_form", equiv <= ATOMWISE_TOL, worst_gap=equiv)
@@ -490,8 +490,8 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     b = fixtures.space_a()
     z1, z2, z3 = fundamental_martingales(b.X, b.H)
     sol = solve_triple(AdaptedProcess(b.g, z2.values), z1, z2, z3)
-    off = max(float(np.abs(sol.integrands[k][:, 1:]).max()) for k in ("K1", "K3"))
-    on = float(np.abs(sol.integrands["K2"][:, 1:] - 1.0).max())
+    off = max_gap([positive_sup(b.space, sol.integrands[k][:, 1:]) for k in ("K1", "K3")])
+    on = positive_sup(b.space, sol.integrands["K2"][:, 1:] - 1.0)
     checks.append(
         _check(
             "picks_out_own_coordinate",
@@ -501,14 +501,15 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
         )
     )
 
-    worst = 0.0
+    residuals = []
     rt_bundles = [fixtures.staggered(), fixtures.avoidance_trinomial()]
     rt_bundles += [fixtures.random_random_time_bundle(rng) for _ in range(5)]
     for rb in rt_bundles:
         st = tau_of(rb)
         regs = triple_regressors(*fundamental_martingales(rb.X, rb.H), stop_at=st)
         sol = solve_batch(stop_values(_random_closures(rng, rb.g, 20), st), regs, rb.g)
-        worst = max(worst, float(sol.residual_sup.max()))
+        residuals.append(sol.residual_sup)
+    worst = max_gap(*residuals)
     checks.append(_check("stopped_representation", worst <= EXACT_TOL, worst_residual=worst))
     return checks
 
@@ -519,8 +520,7 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
 )
 def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
     rng = ctx.rng("completeness")
-    worst = 0.0
-    solves = 0
+    residuals = []
     bundles = [fixtures.space_a(), fixtures.fixture_a2(), fixtures.staggered()]
     bundles += [fixtures.random_bundle(rng, name=f"random_{i}") for i in range(50)]
     for b in bundles:
@@ -530,14 +530,14 @@ def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
             wrp_regressors(mu, compensator_measure(mu)),
             triple_regressors(*fundamental_martingales(b.X, b.H)),
         ):
-            worst = max(worst, float(solve_batch(ys, regs, b.g).residual_sup.max()))
-            solves += len(ys)
+            residuals.append(solve_batch(ys, regs, b.g).residual_sup)
+    worst = max_gap(*residuals)
     return [
         _check(
             "dense_by_zero_residuals",
             worst <= EXACT_TOL,
             worst_residual=worst,
-            solves=solves,
+            solves=sum(r.size for r in residuals),
             spaces=len(bundles),
         )
     ]
@@ -555,11 +555,11 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
         fixtures.random_closure_variable(rng, b.space.n_atoms) for _ in range(20)
     ]
     sol, gaps = independent_batch(martingale_closures(targets, b.g), b)
-    residual = float(sol.residual_sup.max())
+    residual = max_gap(sol.residual_sup)
     orth = gaps["basis_orthogonality_gap"]
     identity = gaps["basis_identity_gap"]
     factor = gaps["bracket_factorisation_gap"]
-    pythagoras = float(gaps["pythagoras_gap"].max())
+    pythagoras = max_gap(gaps["pythagoras_gap"])
     checks.append(
         _check(
             "orthogonal_basis_represents",
@@ -584,7 +584,7 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     hbar = compensator(b.H).martingale_part
     cross = quadratic_covariation(xbar, hbar)
     sol = independent_decomposition(cross, b)
-    off = max(float(np.abs(sol.integrands[k][:, 1:]).max()) for k in ("K1", "K2"))
+    off = max_gap([positive_sup(b.space, sol.integrands[k][:, 1:]) for k in ("K1", "K2")])
     checks.append(
         _check(
             "bracket_picks_third_coordinate",
@@ -620,14 +620,15 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
     for label, filt, expected in cases:
         got = multiplicity(filt)
         spanning = orthogonal_spanning_martingales(filt)
-        orth = 0.0
-        drift_ok = True
-        for i, mi in enumerate(spanning):
-            drift_ok = drift_ok and bool(is_martingale(mi))
-            for mj in spanning[i + 1 :]:
-                orth = max(orth, dual_projection(quadratic_covariation(mi, mj), filt).sup_abs())
+        drift_ok = all(is_martingale(mi) for mi in spanning)
+        pair_gaps = [
+            dual_projection(quadratic_covariation(mi, mj), filt).sup_abs()
+            for i, mi in enumerate(spanning)
+            for mj in spanning[i + 1 :]
+        ]
+        orth = max_gap(0.0, pair_gaps)  # a family of one has no pairs
         ys = _random_closures(rng, filt, 20)
-        worst = float(solve_batch(ys, [m.increments() for m in spanning], filt).residual_sup.max())
+        worst = max_gap(solve_batch(ys, [m.increments() for m in spanning], filt).residual_sup)
         checks.append(
             _check(
                 f"spanning_number_{label}",
@@ -666,14 +667,13 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
         fixtures.avoidance_trinomial(),
     ]
     randoms = [fixtures.random_random_time_bundle(rng) for _ in range(20)]
-    worst_gap = 0.0
-    worst_cons = 0.0
-    worst_super = 0.0
+    cross, consistency, rise = [], [], []
     for rb in named + randoms:
         azema = survival(rb)
-        worst_gap = max(worst_gap, cross_validation_gap(rb, azema))
-        worst_cons = max(worst_cons, azema_consistency_gap(rb, azema))
-        worst_super = max(worst_super, supermartingale_gap(rb, azema))
+        cross.append(cross_validation_gap(rb, azema))
+        consistency.append(azema_consistency_gap(rb, azema))
+        rise.append(supermartingale_gap(rb, azema))
+    worst_gap, worst_cons, worst_super = max_gap(cross), max_gap(consistency), max_gap(rise)
     checks.append(
         _check(
             "survival_formula_matches_direct_compensator",
@@ -695,8 +695,8 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     cand = compensator_via_azema(rb, survival(rb))
     survivors = tau_of(rb).values >= 2
     vals_ok = (
-        float(np.abs(cand.values[:, 1] - 0.5).max()) <= ATOMWISE_TOL
-        and float(np.abs(cand.values[survivors, 2] - 1.5).max()) <= ATOMWISE_TOL
+        positive_sup(rb.space, cand.values[:, 1] - 0.5) <= ATOMWISE_TOL
+        and positive_sup(rb.space, np.where(survivors, cand.values[:, 2] - 1.5, 0.0)) <= ATOMWISE_TOL
     )
     checks.append(_check("independent_uniform_profile", vals_ok))
 
@@ -707,7 +707,7 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     rb = fixtures.never_random_time()
-    flat = max(
+    flat = max_gap(
         compensator_via_azema(rb, survival(rb)).sup_abs(), compensator(rb.H).compensator.sup_abs()
     )
     checks.append(_check("never_time_compensates_to_zero", flat == 0.0, sup=flat))
@@ -817,12 +817,13 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     rng = ctx.rng("toolkit")
     n_pairs = 200
     clause_ok = True
-    worst_identity = 0.0
+    identity_gaps = []
     for _ in range(n_pairs):
         b = fixtures.random_bundle(rng)
         rep = orthogonality_report(b.X, b.H)
         clause_ok = clause_ok and all(rep.clauses.values())
-        worst_identity = max(worst_identity, rep.decomposition_gap)
+        identity_gaps.append(rep.decomposition_gap)
+    worst_identity = max_gap(identity_gaps)
     checks.append(
         _check(
             "toolkit_clauses_on_random_pairs",
@@ -852,8 +853,8 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     own = compensator(b.X).compensator
     grid = 0.5 * np.arange(b.g.horizon + 1)[None, :]
     pattern_ok = (
-        float(np.abs(self_comp.values - own.values).max()) <= ATOMWISE_TOL
-        and float(np.abs(own.values - grid).max()) <= ATOMWISE_TOL
+        positive_sup(b.space, self_comp.values - own.values) <= ATOMWISE_TOL
+        and positive_sup(b.space, own.values - grid) <= ATOMWISE_TOL
         and rep.bracket_compensators.sup_abs() > 0.01
         and not rep.is_orthogonal
         and not bool(is_martingale(rep.bracket_bar))

@@ -77,7 +77,7 @@ def oracle_block_violation(column, blocks):
 
 
 def oracle_drift_witness(probs, partitions, values, tol):
-    """(t, block, drift) of the first one-step drift above tol, by a loop over blocks."""
+    """(t, block, drift) of the first one-step drift above tol or NaN, by a loop over blocks."""
     values = np.asarray(values, dtype=float)
     for t in range(1, values.shape[1]):
         delta = values[:, t] - values[:, t - 1]
@@ -87,7 +87,7 @@ def oracle_drift_witness(probs, partitions, values, tol):
             if mass <= 0.0:
                 continue
             drift = float(probs[atoms] @ delta[atoms]) / mass
-            if abs(drift) > tol:
+            if not abs(drift) <= tol:
                 return (t, i, drift)
     return None
 

@@ -10,11 +10,10 @@ from filtration_lab.calculus import (
     dual_projection,
     is_martingale,
     orthogonality_report,
-    predictable_covariation,
     quadratic_covariation,
     stochastic_integral,
 )
-from filtration_lab.errors import NotIncreasing, NotMartingale, NotPointProcess, NotPredictable
+from filtration_lab.errors import NotIncreasing, NotPointProcess, NotPredictable
 from filtration_lab.finite_space import (
     EXACT_TOL,
     AdaptedProcess,
@@ -97,22 +96,17 @@ class TestBrackets:
     def test_predictable_covariation_of_compensated_count(self, space_a_bundle):
         b = space_a_bundle
         m = compensator(b.X).martingale_part
-        pc = predictable_covariation(m, m)
+        pc = dual_projection(quadratic_covariation(m, m))
         assert np.allclose(pc.values, 0.25 * np.arange(3)[None, :], atol=1e-15)
         # the product minus the predictable covariation drifts zero
         prod = AdaptedProcess(b.g, m.values * m.values - pc.values)
         assert bool(is_martingale(prod))
 
-    def test_predictable_covariation_requires_martingales(self, space_a_bundle):
-        b = space_a_bundle
-        with pytest.raises(NotMartingale):
-            predictable_covariation(b.X, b.X)
-
     def test_discrete_bracket_identity_not_the_continuous_one(self, space_a_bundle):
         # <M,M>_t = sum_s p(1-p) per step, not the compensator itself
         b = space_a_bundle
         m = compensator(b.X).martingale_part
-        pc = predictable_covariation(m, m)
+        pc = dual_projection(quadratic_covariation(m, m))
         comp = compensator(b.X).compensator
         assert not np.allclose(pc.values, comp.values)
 
@@ -122,7 +116,8 @@ class TestBrackets:
         for _ in range(10):
             b = fixtures.random_bundle(rng)
             pair = compensator(b.X)
-            pc = predictable_covariation(pair.martingale_part, pair.martingale_part)
+            m = pair.martingale_part
+            pc = dual_projection(quadratic_covariation(m, m))
             p_step = pair.compensator.increments()
             expected = np.cumsum(p_step * (1.0 - p_step), axis=1)
             assert np.allclose(pc.values, expected, atol=1e-12)
@@ -131,7 +126,7 @@ class TestBrackets:
         b = staggered_bundle
         yb = compensator(b.X).martingale_part
         zb = compensator(b.H).martingale_part
-        assert predictable_covariation(yb, zb).sup_abs() <= 1e-15
+        assert dual_projection(quadratic_covariation(yb, zb)).sup_abs() <= 1e-15
 
     def test_integration_by_parts(self):
         rng = np.random.default_rng(8)
@@ -303,7 +298,8 @@ class TestDriftWitness:
             values[int(rng.integers(n)) if rng.random() < 0.5 else slice(None), t] = np.nan
         check = is_martingale(AdaptedProcess(filt, values))
         want = oracle_drift_witness(filt.space.probs, filt.partitions, values, 1e-9)
-        assert check.witness == want  # same block and bitwise the same drift
+        # same block and bitwise the same drift; repr compares a NaN drift too
+        assert repr(check.witness) == repr(want)
         assert check.ok == (want is None)
 
     def test_witness_is_the_earliest_time_then_the_lowest_block(self):
@@ -312,6 +308,13 @@ class TestDriftWitness:
         filt = Filtration(space, (Partition.discrete(2),) * 3)
         check = is_martingale(AdaptedProcess(filt, [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
         assert check.witness == (1, 1, 1.0)
+
+    def test_nan_drift_fails(self, space_a_bundle):
+        values = np.zeros((space_a_bundle.space.n_atoms, 3))
+        values[:, 2] = np.nan
+        check = is_martingale(AdaptedProcess(space_a_bundle.g, values))
+        assert not check
+        assert check.witness[:2] == (2, 0) and np.isnan(check.witness[2])
 
     def test_drift_at_the_tolerance_passes(self):
         space = build_space([1.0])

@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from filtration_lab.calculus import MartingaleCheck
 from filtration_lab.cli import (
     _mc_params,
     _resolve_bundle,
@@ -17,23 +19,16 @@ from filtration_lab.cli import (
     validate_config,
 )
 from filtration_lab.errors import ConfigInvalid
+from filtration_lab.finite_space import AdaptedProcess
 from filtration_lab import suites
 from filtration_lab.suites import REGISTRY, describe_suite, list_suites
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "configs"
 
 
-def _flab(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def _flab(*args):
     return subprocess.run(
-        [sys.executable, "-m", "filtration_lab", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
+        [sys.executable, "-m", "filtration_lab", *args], capture_output=True, text=True
     )
 
 
@@ -177,21 +172,18 @@ BAD_SEED = [
     ("config", -1),
     ("config", 2.0),
     ("flag", "-3"),
-    ("env", "-3"),
 ]
 
 
 class TestBadSeed:
     @pytest.mark.parametrize("how,value", BAD_SEED, ids=[f"{h}={v!r}" for h, v in BAD_SEED])
-    def test_exit_two_with_one_line(self, tmp_path, capsys, monkeypatch, how, value):
+    def test_exit_two_with_one_line(self, tmp_path, capsys, how, value):
         cfg = {"engine": "exact", "seed": 7, "suites": ["completeness_random_spaces"]}
         args = []
         if how == "config":
             cfg["seed"] = value
-        elif how == "flag":
-            args = ["--seed", value]
         else:
-            monkeypatch.setenv("FLAB_SEED", value)
+            args = ["--seed", value]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         code = main(["run", str(cfg_path), "--out", str(tmp_path / "r.json"), *args])
@@ -371,11 +363,11 @@ class TestCommandLine:
         assert proc.returncode == 2
         assert "invalid config" in proc.stderr
 
-    def test_env_seed_override(self, tmp_path):
+    def test_seed_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_small_mc_config()))
         out = tmp_path / "report.json"
-        proc = _flab("run", str(cfg_path), "--out", str(out), env={"FLAB_SEED": "999"})
+        proc = _flab("run", str(cfg_path), "--out", str(out), "--seed", "999")
         assert proc.returncode == 0
         assert json.loads(out.read_text())["config"]["seed"] == 999
 
@@ -408,3 +400,141 @@ class TestCommandLine:
         cfg_path.write_text(json.dumps(_small_mc_config()))
         code = main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
         assert code == 0
+
+
+def _nan_float(_gap):
+    return math.nan
+
+
+def _nan_residual(batch):
+    """The batch with its last target's residual NaN."""
+    residual = batch.residual_sup.copy()
+    residual[-1] = math.nan
+    return dataclasses.replace(batch, residual_sup=residual)
+
+
+def _nan_reconstructions(batch):
+    return dataclasses.replace(batch, reconstructions=batch.reconstructions * math.nan)
+
+
+def _nan_values(process):
+    return AdaptedProcess(process.filtration, np.full(process.values.shape, math.nan))
+
+
+def _nan_drift(_check):
+    return MartingaleCheck(False, (1, 0, math.nan))
+
+
+def _nan_decomposition_gap(report):
+    return dataclasses.replace(report, decomposition_gap=math.nan)
+
+
+def _nan_independent(key):
+    """An ``independent_batch`` result whose residual (``key`` None) or check ``key`` is NaN."""
+
+    def poison(result):
+        batch, checks = result
+        if key is None:
+            return _nan_residual(batch), checks
+        return batch, {**checks, key: checks[key] * math.nan}
+
+    return poison
+
+
+#: (suite, gap source in its namespace) -> calls the suite makes on the bundled space_a_full config
+NAN_SOURCE_CALLS = {
+    ("prp_base_filtration", "solve_batch"): 2,
+    ("three_point_processes", "quadratic_covariation"): 42,  # 3 pairs x 14 bundles
+    ("jump_measure_compensator", "is_martingale"): 300,  # 100 functions x 3 fixtures
+    ("jump_measure_compensator", "stochastic_integral"): 900,  # 3 marks x 100 x 3
+    ("jump_measure_compensator", "quadratic_covariation"): 3,
+    ("wrp_representation", "solve_batch"): 3,
+    # 3 fixtures x (triple head, triple rest, measure-form head), then 7 stopped
+    ("triple_representation", "solve_batch"): 16,
+    ("completeness_random_spaces", "solve_batch"): 106,  # 2 families x 53 spaces
+    ("independent_enlargement", "independent_batch"): 1,
+    ("azema_compensator", "cross_validation_gap"): 25,
+    ("azema_compensator", "azema_consistency_gap"): 25,
+    ("azema_compensator", "supermartingale_gap"): 25,
+    ("orthogonality_toolkit", "orthogonality_report"): 202,  # 200 random pairs, then a2 and space_a
+}
+
+#: every exact row that reports a worst_* value: (suite, row, evidence key, gap source, poison,
+#: the source's 0-based calls on the row's first and last fixture)
+NAN_GAPS = [
+    ("prp_base_filtration", "single_source_solvable", "worst_residual", "solve_batch",
+     _nan_residual, (0, 0)),
+    ("prp_base_filtration", "initially_enlarged_still_solvable", "worst_residual", "solve_batch",
+     _nan_residual, (1, 1)),
+    ("three_point_processes", "disjoint_decomposition", "worst_bracket", "quadratic_covariation",
+     _nan_values, (0, 41)),
+    ("jump_measure_compensator", "compensated_integral_is_martingale", "worst_drift", "is_martingale",
+     _nan_drift, (0, 299)),
+    ("jump_measure_compensator", "integral_splits_across_marks", "worst_gap", "stochastic_integral",
+     _nan_values, (0, 899)),
+    ("jump_measure_compensator", "total_mass_formula", "worst_gap", "quadratic_covariation",
+     _nan_values, (0, 2)),
+    ("wrp_representation", "every_martingale_represented", "worst_residual", "solve_batch",
+     _nan_residual, (0, 2)),
+    ("triple_representation", "triple_integrals_represent", "worst_residual", "solve_batch",
+     _nan_residual, (0, 7)),
+    ("triple_representation", "triple_matches_measure_form", "worst_gap", "solve_batch",
+     _nan_reconstructions, (2, 8)),
+    ("triple_representation", "stopped_representation", "worst_residual", "solve_batch",
+     _nan_residual, (9, 15)),
+    ("completeness_random_spaces", "dense_by_zero_residuals", "worst_residual", "solve_batch",
+     _nan_residual, (0, 105)),
+    ("independent_enlargement", "orthogonal_basis_represents", "worst_residual", "independent_batch",
+     _nan_independent(None), (0, 0)),
+    ("independent_enlargement", "orthogonal_basis_represents", "worst_orthogonality",
+     "independent_batch", _nan_independent("basis_orthogonality_gap"), (0, 0)),
+    ("independent_enlargement", "change_of_basis_identities", "worst_identity_gap", "independent_batch",
+     _nan_independent("basis_identity_gap"), (0, 0)),
+    ("independent_enlargement", "change_of_basis_identities", "worst_factorisation_gap",
+     "independent_batch", _nan_independent("bracket_factorisation_gap"), (0, 0)),
+    ("independent_enlargement", "pythagoras_identity", "worst_gap", "independent_batch",
+     _nan_independent("pythagoras_gap"), (0, 0)),
+    ("azema_compensator", "survival_formula_matches_direct_compensator", "worst_gap",
+     "cross_validation_gap", _nan_float, (0, 24)),
+    ("azema_compensator", "survival_process_consistent", "worst_block_gap", "azema_consistency_gap",
+     _nan_float, (0, 24)),
+    ("azema_compensator", "survival_process_consistent", "worst_drift_up", "supermartingale_gap",
+     _nan_float, (0, 24)),
+    ("orthogonality_toolkit", "toolkit_clauses_on_random_pairs", "worst_identity_gap",
+     "orthogonality_report", _nan_decomposition_gap, (0, 199)),
+]
+NAN_GAP_CASES = [
+    (suite, row, key, source, poison, call)
+    for suite, row, key, source, poison, calls in NAN_GAPS
+    for call in sorted(set(calls))
+]
+
+
+class TestNanGapFailsItsRow:
+    """A NaN gap on the first or the last fixture of a row fails the row and the run."""
+
+    @pytest.mark.parametrize(
+        "suite,row,key,source,poison,call",
+        NAN_GAP_CASES,
+        ids=[f"{row}.{key}@{call}" for _, row, key, _, _, call in NAN_GAP_CASES],
+    )
+    def test_row_fails_with_nan_evidence(
+        self, tmp_path, monkeypatch, suite, row, key, source, poison, call
+    ):
+        real = getattr(suites, source)
+        calls = []
+
+        def faulty(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(source)
+            return poison(result) if len(calls) == call + 1 else result
+
+        monkeypatch.setattr(suites, source, faulty)
+        cfg = json.loads((CONFIG_DIR / "space_a_full.json").read_text())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(cfg, suites=[suite])))
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert len(calls) == NAN_SOURCE_CALLS[(suite, source)]
+        assert code == 1
+        (got,) = [r for r in json.loads((tmp_path / "r.json").read_text())["checks"] if r["name"] == row]
+        assert (got["outcome"], got["passed"], got["evidence"][key]) == ("fails", False, "nan")

@@ -12,7 +12,6 @@ from filtration_lab.enlargement import (
     join,
     natural_filtration,
     progressive_enlargement,
-    sigma_algebra_of,
     verify_filtration_identities,
 )
 from filtration_lab.errors import FiltrationMismatch
@@ -115,8 +114,7 @@ class TestJoins:
         vals = np.zeros((8, 4))
         vals[:, 1:] = np.cumsum(dx, axis=1)
         base = natural_filtration(space, [vals])
-        fjt = first_jump_time(PointProcess(base, vals)).values.astype(float)
-        initial = sigma_algebra_of(space, fjt)
+        initial = Partition.from_labels(first_jump_time(PointProcess(base, vals)).values)
         f = initial_enlargement(base, initial)
         # time 0 already separates the first-jump-time classes
         assert f.at(0) == initial

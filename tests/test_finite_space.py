@@ -36,7 +36,6 @@ from filtration_lab.finite_space import (
     slice_violation,
     stop_process,
     stop_values,
-    zero_probability_blocks,
 )
 
 
@@ -173,7 +172,6 @@ class TestConditionalExpectation:
         pi = Partition(((0, 1), (2,)), 3)
         out = conditional_expectation(space, [1.0, 3.0, 9.0], pi)
         assert out[2] == 0.0
-        assert zero_probability_blocks(space, pi) == (1,)
 
 
 class TestProcesses:
@@ -365,13 +363,3 @@ class TestBlockOracles:
         assert np.array_equal(got, oracle_random_predictable_values(old, filt))
         assert new.normal() == old.normal()
         assert is_predictable(AdaptedProcess(filt, got))
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10**6))
-    def test_zero_probability_blocks_match_the_block_masses(self, seed):
-        rng = np.random.default_rng(seed)
-        filt = random_filtration(rng, int(rng.integers(1, 12)), 2, zero_frac=0.6)
-        probs = filt.space.probs
-        for part in filt.partitions:
-            want = tuple(i for i, b in enumerate(part.blocks) if probs[list(b)].sum() == 0.0)
-            assert zero_probability_blocks(filt.space, part) == want

@@ -1,7 +1,7 @@
 """Every package module reads each name it imports and imports only at module
-level, only ``finite_space`` calls the two block primitives, and every
-defaulted parameter of a package function is passed by some call in the
-program.
+level, only ``finite_space`` calls the two block primitives, every defaulted
+parameter of a package function is passed by some call in the program, and
+every gap is reduced by ``finite_space``'s two reductions.
 
 ``__init__.py`` is left out of the unused-import scan: its imports are the
 package's exports.  The block primitives (``conditional_expectation`` and
@@ -9,7 +9,10 @@ package's exports.  The block primitives (``conditional_expectation`` and
 operators, so a time loop written around them anywhere else is flagged.  The
 parameter scan reads the calls in ``src/`` and ``perfbench/``, not in the
 tests: a default that only a test ever overrides is a setting the program
-never uses.
+never uses.  A gap is reduced over atoms by ``positive_sup`` and over
+fixtures, targets, marks or blocks by ``max_gap``: a running
+``x = max(x, gap)`` drops a NaN gap, and ``np.abs(gap).max()`` also reads the
+null atoms, so both are flagged.
 """
 import ast
 from pathlib import Path
@@ -71,6 +74,41 @@ def primitive_calls(source: str) -> list:
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
             if name in BLOCK_PRIMITIVES:
                 found.append((node.lineno, name))
+    return sorted(found)
+
+
+def running_maxima(source: str) -> list:
+    """(line, name) of every ``name = max(name, ...)`` with the builtin ``max``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "max"
+        ):
+            name = node.targets[0].id
+            if any(isinstance(a, ast.Name) and a.id == name for a in node.value.args):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def abs_max_calls(source: str) -> list:
+    """Line of every argument-free ``.max()`` taken of an ``abs(...)`` or ``np.abs(...)`` call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "max"
+            and not node.args
+            and not node.keywords
+            and isinstance(node.func.value, ast.Call)
+        ):
+            inner = node.func.value.func
+            if (getattr(inner, "id", None) or getattr(inner, "attr", None)) == "abs":
+                found.append(node.lineno)
     return sorted(found)
 
 
@@ -188,6 +226,40 @@ def test_the_scan_finds_a_block_primitive_call():
 @pytest.mark.parametrize("path", NOT_FINITE_SPACE, ids=[p.name for p in NOT_FINITE_SPACE])
 def test_only_finite_space_calls_the_block_primitives(path):
     assert primitive_calls(path.read_text()) == []
+
+
+def test_the_scan_finds_a_running_max():
+    source = (
+        "worst = 0.0\n"
+        "for g in gaps:\n"
+        "    worst = max(worst, g)\n"
+        "    best = max(g, 1.0, best)\n"
+        "    worst = max(other, g)\n"
+        "    worst = np.max(worst, g)\n"
+        "    self.worst = max(self.worst, g)\n"
+    )
+    assert running_maxima(source) == [(3, "worst"), (4, "best")]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_no_running_max(path):
+    assert running_maxima(path.read_text()) == []
+
+
+def test_the_scan_finds_an_abs_max():
+    source = (
+        "a = float(np.abs(x - y).max())\n"
+        "b = abs(x).max()\n"
+        "c = np.abs(x).max(axis=0)\n"
+        "d = np.abs(x).min()\n"
+        "e = positive_sup(space, x)\n"
+    )
+    assert abs_max_calls(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", NOT_FINITE_SPACE, ids=[p.name for p in NOT_FINITE_SPACE])
+def test_only_finite_space_takes_an_abs_max(path):
+    assert abs_max_calls(path.read_text()) == []
 
 
 def test_the_scan_finds_an_unpassed_parameter():

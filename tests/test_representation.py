@@ -373,6 +373,14 @@ class TestBatchedKernel:
         with pytest.raises(NotMartingale, match=r"^target 2 has nonzero drift at \(1, 0, "):
             solve_batch(ys, regs, b.g)
 
+    def test_nan_target_is_not_a_martingale(self, space_a_bundle):
+        b = space_a_bundle
+        ys = martingale_closures(np.random.default_rng(49).normal(size=(2, 16)), b.g)
+        ys[1, :, 2] = np.nan
+        regs = triple_regressors(*fundamental_martingales(b.X, b.H))
+        with pytest.raises(NotMartingale, match=r"^target 1 has nonzero drift at \(2, 0, nan\)"):
+            solve_batch(ys, regs, b.g)
+
     def test_zero_regressors_leave_the_whole_increment(self, space_a_bundle):
         b = space_a_bundle
         y = martingale_closure(b.X.terminal, b.g)
