@@ -101,10 +101,10 @@ def validate_config(config: dict, parallel: int = 1) -> list[dict]:
 
 
 def _seed(value, what: str) -> int:
-    """``value`` if it is an integer >= 0 (a bool is not a seed)."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+    """``value`` if it is an integer in [0, 2^64), the Philox key range (a bool is not a seed)."""
+    if isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 1 << 64:
         return value
-    raise ConfigInvalid(f"{what} must be a non-negative integer, got {value!r}")
+    raise ConfigInvalid(f"{what} must be an integer in [0, 2^64), got {value!r}")
 
 
 def _resolve_bundle(config: dict):

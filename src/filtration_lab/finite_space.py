@@ -65,7 +65,7 @@ class FiniteProbabilitySpace:
         """Boolean mask of atoms with strictly positive probability."""
         return self.probs > 0.0
 
-    @property
+    @cached_property
     def null_atoms(self) -> tuple[int, ...]:
         """Atoms carrying zero probability (permitted, but flagged)."""
         return tuple(int(i) for i in np.flatnonzero(self.probs == 0.0))
@@ -203,13 +203,17 @@ def conditional_expectation(
 ) -> np.ndarray:
     """Exact conditional expectation of an atom-indexed variable given a partition.
 
-    On a block the result is the probability-weighted average; blocks of total
-    probability zero get the value 0.  A stack of variables, atoms on the last
-    axis, is averaged in one pass.
+    On a block the result is the probability-weighted average over its
+    positive-probability atoms, written to every atom of the block; blocks of
+    total probability zero get the value 0.  A stack of variables, atoms on
+    the last axis, is averaged in one pass.
     """
     if partition.n_atoms != space.n_atoms:
         raise FiltrationMismatch("partition does not belong to the space")
     v = np.asarray(values, dtype=float)
+    if space.null_atoms:
+        # weight 0 does not silence a NaN or an inf (nan * 0 is nan), so drop them
+        v = np.where(space.positive, v, 0.0)
     out = np.zeros(v.shape[:-1] + (space.n_atoms,))
     for _, atoms, w, mass in partition.positive_blocks(space):
         out[..., atoms] = (v[..., atoms] @ w / mass)[..., None]

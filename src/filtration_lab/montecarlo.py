@@ -22,13 +22,13 @@ import numpy as np
 
 from .errors import BadParameter
 
-_MASK64 = (1 << 64) - 1
 #: paths drawn per step of simulate_path_set; bounds its scratch array
 _CHUNK = 4096
 
 
 def _path_generator(master_seed: int, index: int) -> np.random.Generator:
-    key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    """Path ``index``'s stream; seed and index are in [0, 2^64)."""
+    key = np.array([master_seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -37,25 +37,25 @@ class _PathStreams:
     ``_path_generator(seed, p)`` draws.
 
     A fresh ``Philox(key=...)`` starts at counter 0 with an empty buffer; this
-    sets exactly that state, without building a new bit generator (and the
-    seed sequence behind it) for every path.
+    sets exactly that state, without building a new bit generator per path.
+    The state holds plain ints: its setter reads them without making NumPy scalars.
     """
 
     def __init__(self, seed: int):
         self._bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._rng = np.random.Generator(self._bits)
-        self._key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+        self._key = [int(seed), 0]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
 
     def at(self, index: int) -> np.random.Generator:
-        self._key[1] = int(index) & _MASK64
+        self._key[1] = int(index)
         self._bits.state = self._state
         return self._rng
 
@@ -185,8 +185,7 @@ class PathSet:
 
     def _segment_count(self, flags: np.ndarray) -> np.ndarray:
         """Per path: how many of its events are flagged."""
-        total = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
-        return total[self.offsets[1:]] - total[self.offsets[:-1]]
+        return np.bincount(self._owner[flags], minlength=self.n_paths)
 
     def _nth_events(self, k: int) -> np.ndarray:
         """Per path: its event k (from 0), inf where it has no such event."""
@@ -214,8 +213,8 @@ class PathSet:
     def with_random_time(self, spec: RandomTimeSpec | None, n_paths: int | None = None) -> PathSet:
         """The first ``n_paths`` paths (all by default) with the random time ``spec``.
 
-        Shares the event arrays; paths missing events for the spec are flagged
-        invalid and keep tau = inf.
+        Shares the event arrays and a slice of the owner index; paths missing
+        events for the spec are flagged invalid and keep tau = inf.
         """
         n = self.n_paths if n_paths is None else int(n_paths)
         if not 1 <= n <= self.n_paths:
@@ -232,6 +231,7 @@ class PathSet:
             tau=np.full(n, math.inf),
             tau_valid=np.ones(n, dtype=bool),
         )
+        prefix._owner = self._owner[: offsets[-1]]
         if spec is None:
             return prefix
         prefix.spec = spec

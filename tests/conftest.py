@@ -26,7 +26,7 @@ RANDOM_TIME_FIXTURES = (
 
 
 def oracle_conditional_expectation(probs, values, blocks):
-    """Weighted block average by explicit summation."""
+    """Weighted block average over the block's positive atoms, by explicit summation."""
     probs = [float(p) for p in probs]
     values = [float(v) for v in values]
     out = [0.0] * len(probs)
@@ -34,7 +34,7 @@ def oracle_conditional_expectation(probs, values, blocks):
         mass = sum(probs[a] for a in block)
         if mass <= 0.0:
             continue
-        avg = sum(probs[a] * values[a] for a in block) / mass
+        avg = sum(probs[a] * values[a] for a in block if probs[a] > 0.0) / mass
         for a in block:
             out[a] = avg
     return np.array(out)
@@ -77,10 +77,13 @@ def oracle_block_violation(column, blocks):
 
 
 def oracle_drift_witness(probs, partitions, values, tol):
-    """(t, block, drift) of the first one-step drift above tol or NaN, by a loop over blocks."""
+    """(t, block, drift) of the first one-step drift above tol or NaN, by a loop over blocks.
+
+    A null atom's increment, even a NaN one, carries no weight.
+    """
     values = np.asarray(values, dtype=float)
     for t in range(1, values.shape[1]):
-        delta = values[:, t] - values[:, t - 1]
+        delta = np.where(probs > 0.0, values[:, t] - values[:, t - 1], 0.0)
         for i, block in enumerate(partitions[t - 1].blocks):
             atoms = np.array(block)
             mass = float(probs[atoms].sum())

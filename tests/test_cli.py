@@ -172,6 +172,9 @@ BAD_SEED = [
     ("config", -1),
     ("config", 2.0),
     ("flag", "-3"),
+    # Philox keys are 64-bit: a larger seed would alias seed mod 2^64
+    ("config", 2**64),
+    ("flag", str(2**64)),
 ]
 
 
@@ -191,6 +194,20 @@ class TestBadSeed:
         assert code == 2
         assert err.startswith("error: invalid config: seed") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_largest_seed_runs(self, tmp_path, how):
+        cfg = _small_mc_config(mc={"n_paths": 200})
+        args = []
+        if how == "config":
+            cfg["seed"] = 2**64 - 1
+        else:
+            args = ["--seed", str(2**64 - 1)]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "r.json"), *args])
+        assert code == 0
+        assert json.loads((tmp_path / "r.json").read_text())["config"]["seed"] == 2**64 - 1
 
     def test_run_config_rejects_a_negative_override(self):
         with pytest.raises(ConfigInvalid):

@@ -139,6 +139,28 @@ class TestConditionalExpectation:
                 want = oracle_conditional_expectation(b.space.probs, v, b.g.at(t).blocks)
                 assert np.allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_null_atom_value_stays_out_of_its_block(self, bad):
+        out = conditional_expectation(build_space([0.5, 0.5, 0.0]), [1.0, 2.0, bad], Partition.trivial(3))
+        assert out.tolist() == [1.5, 1.5, 1.5]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_oracle_with_null_atoms(self, seed):
+        rng = np.random.default_rng(seed)
+        filt = random_filtration(rng, int(rng.integers(1, 12)), int(rng.integers(1, 4)))
+        space = filt.space
+        v = rng.normal(size=(2, space.n_atoms))
+        # non-finite values on null atoms only: the averages must stay finite
+        null = np.flatnonzero(space.probs == 0.0)
+        v[0, null] = rng.choice([np.nan, np.inf, -np.inf], null.size)
+        for partition in filt.partitions:
+            got = conditional_expectation(space, v, partition)
+            assert np.isfinite(got).all()
+            for row, out in zip(v, got):
+                want = oracle_conditional_expectation(space.probs, row, partition.blocks)
+                np.testing.assert_allclose(out, want, rtol=0.0, atol=1e-12)
+
     def test_tower_property(self):
         rng = np.random.default_rng(5)
         b = fixtures.space_a()

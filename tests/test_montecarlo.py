@@ -307,6 +307,36 @@ class TestFlatKernels:
         with pytest.raises(ValueError):
             events[0][0] = 0.0
 
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind if s else "none")
+    def test_prefixes_across_a_chunk_boundary(self, monkeypatch, spec):
+        # a prefix reads a slice of its parent's owner index
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        base = simulate_path_set(0.4, 4.0, 300, SEED)
+        rng = np.random.default_rng(3)
+        for n in (1, 63, 64, 65, 299):
+            prefix = base.with_random_time(spec, n)
+            assert np.shares_memory(prefix._owner, base._owner)
+            _assert_kernels_match_oracles(prefix, rng)
+            _assert_kernels_match_oracles(prefix.with_random_time(spec, max(1, n // 2)), rng)
+
+    def test_every_path_set_a_small_config_reads(self, monkeypatch):
+        handed_out = []
+        with_random_time = PathSet.with_random_time
+
+        def recorded(self, *args):
+            handed_out.append(with_random_time(self, *args))
+            return handed_out[-1]
+
+        monkeypatch.setattr(PathSet, "with_random_time", recorded)
+        config = json.loads((CONFIG_DIR / "poisson_qlc.json").read_text())
+        config["mc"]["n_paths"] = 300
+        run_config(config)
+        # the suites' sets and the negative controls' prefixes of them
+        assert len(handed_out) == 9
+        rng = np.random.default_rng(4)
+        for paths in handed_out:
+            _assert_kernels_match_oracles(paths, rng)
+
     def test_prefix_with_random_time_shares_the_simulation(self):
         base = simulate_path_set(1.0, 10.0, 300, SEED)
         spec = RandomTimeSpec("exponential", 25.0)
@@ -365,6 +395,17 @@ class TestDeterminism:
         paths = _assert_paths_match_per_path_streams(1.0, 10.0, 300, SEED)
         # both kinds of path occur: one block, and several blocks redrawn in full
         assert (paths.lengths < 4).any() and (paths.lengths >= 4).any()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rekeyed_stream_is_the_path_generator(self, seed):
+        streams = montecarlo._PathStreams(seed)
+        chunk = montecarlo._CHUNK
+        # out of order and repeated, and each read leaves a part-used buffer,
+        # so a state that is not reset in full shows in the next read
+        for p in (chunk, 1, 2**63, 0, chunk - 1, 1, 2**63, chunk):
+            got, want = streams.at(p), _path_generator(seed, p)
+            assert np.array_equal(got.standard_exponential(7), want.standard_exponential(7)), p
+            assert np.array_equal(got.random(3, dtype=np.float32), want.random(3, dtype=np.float32)), p
 
     def test_report_digest_is_pinned(self):
         # Digest of the report below.  The per-path streams are those of the
