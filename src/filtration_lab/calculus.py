@@ -26,9 +26,10 @@ from .finite_space import (
     Filtration,
     as_point_process,
     is_adapted,
-    is_predictable,
     positive_sup,
     slice_expectations,
+    slice_violation,
+    time_increments,
 )
 
 
@@ -87,24 +88,45 @@ def stochastic_integral(k: AdaptedProcess, m: AdaptedProcess) -> AdaptedProcess:
     """(K . M)_t = sum_{s<=t} K_s dM_s for predictable K."""
     if k.filtration.partitions != m.filtration.partitions:
         raise FiltrationMismatch("integrand and integrator on different filtrations")
-    if not is_predictable(k):
-        raise NotPredictable("integrand must be predictable")
-    vals = np.zeros_like(m.values)
-    vals[:, 1:] = np.cumsum(k.values[:, 1:] * m.increments()[:, 1:], axis=1)
-    return AdaptedProcess(m.filtration, vals)
+    return AdaptedProcess(m.filtration, stochastic_integrals(k.values, m))
+
+
+def stochastic_integrals(integrands, m: AdaptedProcess) -> np.ndarray:
+    """(K . M) for every integrand K of a ``(..., n, T+1)`` stack, as values of the same shape.
+
+    The whole stack's predictability is checked once; a failure names its
+    first (t, block).
+    """
+    k = np.asarray(integrands, dtype=float)
+    bad = slice_violation(k, m.filtration, 1)
+    if bad is not None:
+        raise NotPredictable(f"integrand is not predictable at (t, block) = {bad}")
+    vals = np.zeros(k.shape)
+    np.cumsum(k[..., 1:] * m.increments()[:, 1:], axis=-1, out=vals[..., 1:])
+    return vals
 
 
 def is_martingale(m: AdaptedProcess) -> MartingaleCheck:
     """One-step drift test: |E[dM_t | P_{t-1}]| <= EXACT_TOL for all t >= 1 (a NaN drift fails)."""
-    drift = slice_expectations(m.increments(), m.filtration, 1)
+    return martingale_checks(m.values, m.filtration)[0]
+
+
+def martingale_checks(values, filtration: Filtration) -> list[MartingaleCheck]:
+    """The drift test of :func:`is_martingale` for every entry of a ``(..., n, T+1)`` stack.
+
+    One check per entry, the leading axes flattened in C order.
+    """
+    v = np.asarray(values, dtype=float)
+    drift = slice_expectations(time_increments(v), filtration, 1).reshape((-1,) + v.shape[-2:])
     bad = ~(np.abs(drift) <= EXACT_TOL)
-    if not bad.any():
-        return MartingaleCheck(True, None)
-    # earliest t, then its first bad atom; blocks are ordered by first atom, so
-    # that atom lies in the lowest bad block
-    t, atom = (int(i) for i in np.argwhere(bad.T)[0])
-    block = int(m.filtration.at(t - 1).block_of[atom])
-    return MartingaleCheck(False, (t, block, float(drift[atom, t])))
+    checks = [MartingaleCheck(True, None)] * len(drift)
+    for i in np.flatnonzero(bad.any(axis=(1, 2))):
+        # earliest t, then its first bad atom; blocks are ordered by first atom,
+        # so that atom lies in the lowest bad block
+        t, atom = (int(j) for j in np.argwhere(bad[i].T)[0])
+        block = int(filtration.at(t - 1).block_of[atom])
+        checks[i] = MartingaleCheck(False, (t, block, float(drift[i, atom, t])))
+    return checks
 
 
 def require_martingale(m: AdaptedProcess, label: str) -> None:

@@ -229,6 +229,14 @@ def positive_sup(space: FiniteProbabilitySpace, values) -> float:
     return float(vals.max()) if vals.size else 0.0
 
 
+def positive_sups(space: FiniteProbabilitySpace, values) -> np.ndarray:
+    """Max absolute value over the positive-probability atoms and times of each ``(..., n, T+1)`` entry.
+
+    A NaN on a positive-probability atom makes its entry's sup NaN.
+    """
+    return np.abs(np.asarray(values)[..., space.positive, :]).max(axis=(-2, -1))
+
+
 def max_gap(*gaps) -> float:
     """Largest of the gaps, each a float or an array of floats; NaN if any gap is NaN.
 
@@ -278,15 +286,20 @@ class AdaptedProcess:
 
     def increments(self) -> np.ndarray:
         """Jump matrix with the time-0 column set to 0 (X_{0-} := X_0)."""
-        v = self.values
-        out = np.empty_like(v)
-        out[:, 0] = 0.0
-        np.subtract(v[:, 1:], v[:, :-1], out=out[:, 1:])
-        return out
+        return time_increments(self.values)
 
     def sup_abs(self) -> float:
         """Max absolute value over positive-probability atoms."""
         return positive_sup(self.space, self.values)
+
+
+def time_increments(values) -> np.ndarray:
+    """Jumps of each entry of a ``(..., n, T+1)`` stack along time, the time-0 column set to 0."""
+    v = np.asarray(values, dtype=float)
+    out = np.empty_like(v)
+    out[..., 0] = 0.0
+    np.subtract(v[..., 1:], v[..., :-1], out=out[..., 1:])
+    return out
 
 
 class PointProcess(AdaptedProcess):

@@ -191,10 +191,23 @@ def random_closure_variable(rng: np.random.Generator, n_atoms: int) -> np.ndarra
 
 def random_predictable_values(rng: np.random.Generator, filtration: Filtration) -> np.ndarray:
     """Block-constant values on P_{t-1} for t >= 1, zero at time 0."""
-    vals = np.zeros((filtration.space.n_atoms, filtration.horizon + 1))
-    for t in range(1, filtration.horizon + 1):
-        previous = filtration.at(t - 1)
-        vals[:, t] = rng.normal(size=previous.n_blocks)[previous.block_of]
+    return random_predictable_stack(rng, filtration, 1)[0]
+
+
+def random_predictable_stack(rng: np.random.Generator, filtration: Filtration, count: int) -> np.ndarray:
+    """``count`` consecutive :func:`random_predictable_values` draws, stacked (count, n, T+1).
+
+    One normal draw per block of P_{t-1}, for t = 1..T, entry after entry, all
+    from one ``rng.normal`` call: a call of size a + b draws what a call of
+    size a and then one of size b would.
+    """
+    parts = filtration.partitions[:-1]
+    draws = rng.normal(size=(count, sum(p.n_blocks for p in parts)))
+    vals = np.zeros((count, filtration.space.n_atoms, filtration.horizon + 1))
+    start = 0
+    for t, previous in enumerate(parts, start=1):
+        vals[:, :, t] = draws[:, start + previous.block_of]
+        start += previous.n_blocks
     return vals
 
 

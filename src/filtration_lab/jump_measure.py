@@ -169,10 +169,21 @@ def integrate(w: PredictableFunction, m: MarkedMeasure) -> AdaptedProcess:
     """(W * m)_t: the double sum of W against the measure's per-step masses."""
     if w.filtration.partitions != m.filtration.partitions:
         raise FiltrationMismatch("function and measure on different filtrations")
-    step = np.zeros((m.filtration.space.n_atoms, m.filtration.horizon + 1))
-    for k, mark in enumerate(MARKS):
-        step += w.values[k] * m.indicator_increments(mark)
-    return AdaptedProcess(m.filtration, np.cumsum(step, axis=1))
+    return AdaptedProcess(m.filtration, integrals(w.values, m))
+
+
+def integrals(values, m: MarkedMeasure) -> np.ndarray:
+    """(W * m) for every function W of a ``(..., marks, n, T+1)`` stack of mark values.
+
+    The marks' per-step products are added in ``MARKS`` order, then summed
+    over time.  The values are taken as given: their predictability is the
+    caller's to check.
+    """
+    vals = np.asarray(values, dtype=float)
+    step = np.zeros(vals.shape[:-3] + vals.shape[-2:])
+    for k in range(len(MARKS)):
+        step += vals[..., k, :, :] * m.increments[k]
+    return np.cumsum(step, axis=-1)
 
 
 def fundamental_martingales(

@@ -37,6 +37,7 @@ from .finite_space import (
     StoppingTime,
     max_gap,
     positive_sup,
+    positive_sups,
     slice_expectations,
     slice_violation,
     stop_process,
@@ -80,6 +81,11 @@ def martingale_closures(xis, filtration: Filtration) -> np.ndarray:
     return slice_expectations(stack, filtration, 0)
 
 
+def chunk_length(filtration: Filtration) -> int:
+    """Entries of a stack of (n, T+1) matrices worked on at once: at most ``_CHUNK`` values, at least one entry."""
+    return max(1, _CHUNK // (filtration.space.n_atoms * (filtration.horizon + 1)))
+
+
 def _nodes(filtration: Filtration):
     """(t, block index, atoms, probs[atoms], mass, children) of every positive-mass node.
 
@@ -108,6 +114,9 @@ def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filt
     or None.
     """
     nodes = list(_nodes(filtration))
+    if filtration.space.null_atoms:
+        # weight 0 does not silence a NaN or an inf, so a null atom's increment is dropped
+        values = np.where(filtration.space.positive[:, None], values, 0.0)
     node_of = np.full(values.shape[1:], -1)
     table = np.zeros((len(regressors), len(values), len(nodes) + 1))
     drift = np.zeros((len(values), len(nodes)))
@@ -152,10 +161,9 @@ def solve_batch(
     if bad is not None:
         raise NotPredictable(f"integrand is not predictable at (t, block) = {bad}")
 
-    pos = filtration.space.positive
     residual_sup = np.empty(len(values))
     recons = np.empty_like(values) if keep_reconstructions else None
-    step = max(1, _CHUNK // node_of.size)
+    step = chunk_length(filtration)
     for lo in range(0, len(values), step):
         chunk = slice(lo, lo + step)
         recon = np.repeat(values[chunk, :, :1], node_of.shape[1], axis=-1)
@@ -163,7 +171,7 @@ def solve_batch(
             part = c[chunk, node_of]
             part *= d
             recon += np.cumsum(part, axis=-1, out=part)
-        residual_sup[chunk] = np.abs(values[chunk] - recon).max(axis=-1)[:, pos].max(axis=1)
+        residual_sup[chunk] = positive_sups(filtration.space, values[chunk] - recon)
         if recons is not None:
             recons[chunk] = recon
     integrands = table[:, :, node_of] if keep_integrands else None

@@ -18,11 +18,13 @@ from .calculus import (
     compensator,
     dual_projection,
     is_martingale,
+    martingale_checks,
     orthogonality_report,
     quadratic_covariation,
-    stochastic_integral,
+    stochastic_integrals,
 )
 from .enlargement import (
+    EnlargementBundle,
     build_bundle,
     initial_enlargement,
     natural_filtration,
@@ -42,13 +44,16 @@ from .finite_space import (
     is_predictable,
     max_gap,
     positive_sup,
+    positive_sups,
     stop_values,
 )
 from .jump_measure import (
     MARKS,
+    MarkedMeasure,
     PredictableFunction,
     compensator_measure,
     fundamental_martingales,
+    integrals,
     integrate,
     joint_decomposition,
     jump_measure,
@@ -76,6 +81,7 @@ from .random_time import (
     tau_of,
 )
 from .representation import (
+    chunk_length,
     independent_batch,
     independent_decomposition,
     martingale_closure,
@@ -300,6 +306,28 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
     return checks
 
 
+def mark_split_checks(
+    b: EnlargementBundle, mu: MarkedMeasure, nu: MarkedMeasure, rng: np.random.Generator, count: int
+):
+    """Thm 3.3 on ``count`` random predictable functions W, worked in chunks of W.
+
+    Per W, in draw order: the drift check of W * (mu - nu), and the sup over
+    positive atoms of its gap to sum_k W_k . Z_k.  W_i's mark k is row 3i + k
+    of the draws; the stochastic integrals check each chunk's predictability.
+    """
+    zs = fundamental_martingales(b.X, b.H)
+    checks, gaps = [], []
+    step = chunk_length(b.g)
+    for lo in range(0, count, step):
+        ws = fixtures.random_predictable_stack(rng, b.g, min(step, count - lo) * len(MARKS))
+        ws = ws.reshape((-1, len(MARKS)) + ws.shape[1:])
+        diff = integrals(ws, mu) - integrals(ws, nu)
+        checks += martingale_checks(diff, b.g)
+        split = sum(stochastic_integrals(ws[:, k], z) for k, z in enumerate(zs))
+        gaps.append(positive_sups(b.space, diff - split))
+    return checks, np.concatenate(gaps)
+
+
 @_suite(
     "jump_measure_compensator", "exact", "Thm 3.3; Eqs. (ju.mea.spp), (ju.mea.spp.com), (int1)-(int3)",
     "jump measure, its predictable compensator, and the mark-split integrals",
@@ -312,24 +340,13 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     for b in _rep_fixtures(ctx):
         mu = jump_measure(b.X, b.H)
         nu = compensator_measure(mu)
-        z1, z2, z3 = fundamental_martingales(b.X, b.H)
-        zs = (z1, z2, z3)
         bracket = quadratic_covariation(b.X, b.H)
         expected_mass = b.X.values + b.H.values - bracket.values
         masses.append(positive_sup(b.space, mu.mass().values - expected_mass))
-        for _ in range(n_w):
-            w = PredictableFunction(
-                b.g,
-                np.stack([fixtures.random_predictable_values(rng, b.g) for _ in MARKS]),
-            )
-            diff = AdaptedProcess(b.g, integrate(w, mu).values - integrate(w, nu).values)
-            drift = is_martingale(diff)
-            drifts.append(0.0 if drift else abs(drift.witness[2]))
-            split = sum(
-                stochastic_integral(w.component(mark), z).values for mark, z in zip(MARKS, zs)
-            )
-            matches.append(positive_sup(b.space, diff.values - split))
-    worst_drift, worst_match, worst_mass = max_gap(drifts), max_gap(matches), max_gap(masses)
+        drift_checks, gaps = mark_split_checks(b, mu, nu, rng, n_w)
+        drifts += [0.0 if c else abs(c.witness[2]) for c in drift_checks]
+        matches.append(gaps)
+    worst_drift, worst_match, worst_mass = max_gap(drifts), max_gap(*matches), max_gap(masses)
     checks.append(
         _check(
             "compensated_integral_is_martingale",

@@ -1,9 +1,10 @@
 """Shared test helpers: deliberately dumb brute-force oracles.
 
 These recompute conditional expectations, compensators, drifts, block
-constancy, stopping-time and independence checks, jump-measure events, random
-times and the per-path Monte Carlo reductions with plain Python loops so the
-vectorised engine is always checked against an independent path.
+constancy, stopping-time and independence checks, jump-measure events, the
+one-function-at-a-time Thm 3.3 check, random times and the per-path Monte
+Carlo reductions with plain Python loops so the vectorised engine is always
+checked against an independent path.
 """
 from __future__ import annotations
 
@@ -161,6 +162,39 @@ def oracle_random_predictable_values(rng, filtration):
         for block in filtration.at(t - 1).blocks:
             vals[list(block), t] = rng.normal()
     return vals
+
+
+def oracle_mark_split(bundle, mu, nu, rng, count):
+    """Thm 3.3 one function W at a time: per W, the drift witness of W * (mu - nu) and its sup gap to sum_k W_k . Z_k.
+
+    W's marks are drawn one after another by ``oracle_random_predictable_values``;
+    every integral is a running sum over time, and the drift is the block loop
+    of ``oracle_drift_witness``.
+    """
+    from filtration_lab.finite_space import EXACT_TOL
+    from filtration_lab.jump_measure import MARKS, fundamental_martingales
+
+    filt = bundle.g
+    probs = filt.space.probs
+    dz = [np.diff(z.values, axis=1, prepend=z.values[:, :1]) for z in fundamental_martingales(bundle.X, bundle.H)]
+
+    def running_sum(steps):
+        out = np.zeros_like(steps)
+        for t in range(1, out.shape[1]):
+            out[:, t] = out[:, t - 1] + steps[:, t]
+        return out
+
+    witnesses, gaps = [], []
+    for _ in range(count):
+        w = [oracle_random_predictable_values(rng, filt) for _ in MARKS]
+        against_mu, against_nu = (
+            running_sum(sum(wk * m.increments[k] for k, wk in enumerate(w))) for m in (mu, nu)
+        )
+        diff = against_mu - against_nu
+        split = sum(running_sum(wk * d) for wk, d in zip(w, dz))
+        witnesses.append(oracle_drift_witness(probs, filt.partitions, diff, EXACT_TOL))
+        gaps.append(float(np.abs(diff - split)[probs > 0.0].max()))
+    return witnesses, gaps
 
 
 def oracle_supermartingale_gap(probs, partitions, azema):

@@ -9,9 +9,11 @@ from filtration_lab.calculus import (
     compensator,
     dual_projection,
     is_martingale,
+    martingale_checks,
     orthogonality_report,
     quadratic_covariation,
     stochastic_integral,
+    stochastic_integrals,
 )
 from filtration_lab.errors import NotIncreasing, NotPointProcess, NotPredictable
 from filtration_lab.finite_space import (
@@ -22,6 +24,8 @@ from filtration_lab.finite_space import (
     build_space,
     conditional_expectation,
     is_predictable,
+    positive_sup,
+    positive_sups,
 )
 
 
@@ -182,6 +186,59 @@ class TestStochasticIntegral:
         m = compensator(b.X).martingale_part
         k = AdaptedProcess(b.g, fixtures.random_predictable_values(rng, b.g))
         assert bool(is_martingale(stochastic_integral(k, m)))
+
+
+class TestStackedKernels:
+    """Each entry of a stacked kernel's result is the one-process result."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_every_entry_is_the_one_process_result(self, seed):
+        rng = np.random.default_rng(seed)
+        filt = random_filtration(rng, int(rng.integers(1, 10)), int(rng.integers(1, 4)))
+        space, n, width = filt.space, filt.space.n_atoms, filt.horizon + 1
+        # martingale closures, some kicked off at a random (atom, time)
+        values = np.zeros((2, 3, n, width))
+        for entry in np.ndindex(2, 3):
+            xi = rng.normal(size=n)
+            for t, part in enumerate(filt.partitions):
+                values[entry + (slice(None), t)] = conditional_expectation(space, xi, part)
+            if rng.random() < 0.5:
+                values[entry + (int(rng.integers(n)), int(rng.integers(width)))] += rng.normal()
+        checks = martingale_checks(values, filt)
+        assert len(checks) == 6
+        for check, one in zip(checks, values.reshape(6, n, width)):
+            want = is_martingale(AdaptedProcess(filt, one))
+            assert check.ok == want.ok
+            if not check:
+                assert check.witness[:2] == want.witness[:2]
+                assert check.witness[2] == pytest.approx(want.witness[2], rel=1e-12)
+        ks = fixtures.random_predictable_stack(rng, filt, 6).reshape(2, 3, n, width)
+        m = AdaptedProcess(filt, values[0, 0])
+        got = stochastic_integrals(ks, m)
+        for entry in np.ndindex(2, 3):
+            one = stochastic_integral(AdaptedProcess(filt, ks[entry]), m).values
+            assert np.array_equal(got[entry], one)
+            assert positive_sups(space, got)[entry] == positive_sup(space, one)
+
+    def test_a_stack_sup_keeps_a_nan_on_a_positive_atom_only(self):
+        space = build_space([0.5, 0.5, 0.0])
+        stack = np.zeros((3, 3, 2))
+        stack[0, 2, 1] = np.nan  # null atom
+        stack[1, 0, 1] = np.nan
+        stack[2, 1, 0] = -3.0
+        assert repr(positive_sups(space, stack).tolist()) == "[0.0, nan, 3.0]"
+
+    def test_the_first_non_predictable_integrand_is_named(self, space_a_bundle):
+        b = space_a_bundle
+        ks = fixtures.random_predictable_stack(np.random.default_rng(3), b.g, 4)
+        atom = b.g.at(1).blocks[1][-1]
+        ks[3, atom, 2] += 1.0
+        ks[2, atom, 2] += 1.0
+        with pytest.raises(NotPredictable, match=r"\(t, block\) = \(2, 1\)$"):
+            stochastic_integrals(ks, compensator(b.X).martingale_part)
+        with pytest.raises(NotPredictable, match=r"\(t, block\) = \(2, 1\)$"):
+            stochastic_integral(AdaptedProcess(b.g, ks[3]), compensator(b.X).martingale_part)
 
 
 class TestMartingaleCheck:

@@ -442,6 +442,28 @@ def _nan_drift(_check):
     return MartingaleCheck(False, (1, 0, math.nan))
 
 
+def _nan_check(entry):
+    """A ``martingale_checks`` result whose check ``entry`` has a NaN drift."""
+
+    def poison(checks):
+        checks = list(checks)
+        checks[entry] = _nan_drift(checks[entry])
+        return checks
+
+    return poison
+
+
+def _nan_integral(entry):
+    """A ``stochastic_integrals`` stack whose integral ``entry`` is NaN."""
+
+    def poison(stack):
+        stack = stack.copy()
+        stack[entry] = math.nan
+        return stack
+
+    return poison
+
+
 def _nan_decomposition_gap(report):
     return dataclasses.replace(report, decomposition_gap=math.nan)
 
@@ -462,8 +484,9 @@ def _nan_independent(key):
 NAN_SOURCE_CALLS = {
     ("prp_base_filtration", "solve_batch"): 2,
     ("three_point_processes", "quadratic_covariation"): 42,  # 3 pairs x 14 bundles
-    ("jump_measure_compensator", "is_martingale"): 300,  # 100 functions x 3 fixtures
-    ("jump_measure_compensator", "stochastic_integral"): 900,  # 3 marks x 100 x 3
+    # one chunk of 100 functions per fixture x 3 fixtures
+    ("jump_measure_compensator", "martingale_checks"): 3,
+    ("jump_measure_compensator", "stochastic_integrals"): 9,  # 3 marks x 3 chunks
     ("jump_measure_compensator", "quadratic_covariation"): 3,
     ("wrp_representation", "solve_batch"): 3,
     # 3 fixtures x (triple head, triple rest, measure-form head), then 7 stopped
@@ -477,7 +500,8 @@ NAN_SOURCE_CALLS = {
 }
 
 #: every exact row that reports a worst_* value: (suite, row, evidence key, gap source, poison,
-#: the source's 0-based calls on the row's first and last fixture)
+#: the source's 0-based calls on the row's first and last fixture); a stacked source is
+#: poisoned in its first entry on the first call and in its last entry on the last call
 NAN_GAPS = [
     ("prp_base_filtration", "single_source_solvable", "worst_residual", "solve_batch",
      _nan_residual, (0, 0)),
@@ -485,10 +509,14 @@ NAN_GAPS = [
      _nan_residual, (1, 1)),
     ("three_point_processes", "disjoint_decomposition", "worst_bracket", "quadratic_covariation",
      _nan_values, (0, 41)),
-    ("jump_measure_compensator", "compensated_integral_is_martingale", "worst_drift", "is_martingale",
-     _nan_drift, (0, 299)),
-    ("jump_measure_compensator", "integral_splits_across_marks", "worst_gap", "stochastic_integral",
-     _nan_values, (0, 899)),
+    ("jump_measure_compensator", "compensated_integral_is_martingale", "worst_drift",
+     "martingale_checks", _nan_check(0), (0,)),
+    ("jump_measure_compensator", "compensated_integral_is_martingale", "worst_drift",
+     "martingale_checks", _nan_check(-1), (2,)),
+    ("jump_measure_compensator", "integral_splits_across_marks", "worst_gap", "stochastic_integrals",
+     _nan_integral(0), (0,)),
+    ("jump_measure_compensator", "integral_splits_across_marks", "worst_gap", "stochastic_integrals",
+     _nan_integral(-1), (8,)),
     ("jump_measure_compensator", "total_mass_formula", "worst_gap", "quadratic_covariation",
      _nan_values, (0, 2)),
     ("wrp_representation", "every_martingale_represented", "worst_residual", "solve_batch",

@@ -385,3 +385,17 @@ class TestBlockOracles:
         assert np.array_equal(got, oracle_random_predictable_values(old, filt))
         assert new.normal() == old.normal()
         assert is_predictable(AdaptedProcess(filt, got))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), known_at_0=st.booleans())
+    def test_random_predictable_stack_draw_for_draw(self, seed, known_at_0):
+        rng = np.random.default_rng(seed)
+        filt = random_filtration(rng, int(rng.integers(1, 12)), int(rng.integers(1, 5)))
+        if known_at_0:  # a non-trivial P_0: P_1 already known at time 0
+            filt = Filtration(filt.space, (filt.at(1),) + filt.partitions[1:])
+        for count in (1, 2, 7):
+            new, old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+            got = fixtures.random_predictable_stack(new, filt, count)
+            want = [oracle_random_predictable_values(old, filt) for _ in range(count)]
+            assert np.array_equal(got, np.stack(want))
+            assert new.normal() == old.normal()

@@ -11,8 +11,9 @@ parameter scan reads the calls in ``src/`` and ``perfbench/``, not in the
 tests: a default that only a test ever overrides is a setting the program
 never uses.  A gap is reduced over atoms by ``positive_sup`` and over
 fixtures, targets, marks or blocks by ``max_gap``: a running
-``x = max(x, gap)`` drops a NaN gap, and ``np.abs(gap).max()`` also reads the
-null atoms, so both are flagged.
+``x = max(x, gap)`` drops a NaN gap, and ``np.abs(gap).max()``, whole or along
+an axis, also reads the null atoms, so both are flagged; a stack of gaps is
+reduced entry by entry by ``positive_sups``.
 """
 import ast
 from pathlib import Path
@@ -95,15 +96,13 @@ def running_maxima(source: str) -> list:
 
 
 def abs_max_calls(source: str) -> list:
-    """Line of every argument-free ``.max()`` taken of an ``abs(...)`` or ``np.abs(...)`` call."""
+    """Line of every ``.max(...)``, whole or along an axis, taken of an ``abs(...)`` or ``np.abs(...)`` call."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "max"
-            and not node.args
-            and not node.keywords
             and isinstance(node.func.value, ast.Call)
         ):
             inner = node.func.value.func
@@ -251,10 +250,13 @@ def test_the_scan_finds_an_abs_max():
         "a = float(np.abs(x - y).max())\n"
         "b = abs(x).max()\n"
         "c = np.abs(x).max(axis=0)\n"
-        "d = np.abs(x).min()\n"
-        "e = positive_sup(space, x)\n"
+        "d = np.abs(x - y).max(axis=-1)[:, pos].max(axis=1)\n"
+        "e = np.abs(x).max(1)\n"
+        "f = np.abs(x).min()\n"
+        "g = positive_sup(space, x)\n"
+        "h = positive_sups(space, x - y)\n"
     )
-    assert abs_max_calls(source) == [1, 2]
+    assert abs_max_calls(source) == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("path", NOT_FINITE_SPACE, ids=[p.name for p in NOT_FINITE_SPACE])

@@ -1,10 +1,13 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
-from conftest import oracle_jump_events
+from conftest import oracle_jump_events, oracle_mark_split
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filtration_lab import fixtures
+from filtration_lab import fixtures, representation, suites
 from filtration_lab.calculus import is_martingale, quadratic_covariation, stochastic_integral
 from filtration_lab.enlargement import build_bundle
 from filtration_lab.errors import NotPredictable
@@ -273,3 +276,96 @@ class TestFundamentalMartingales:
             hbar = compensator(b.H).martingale_part
             assert np.abs(z1.values + z3.values - xbar.values).max() <= 1e-12
             assert np.abs(z2.values + z3.values - hbar.values).max() <= 1e-12
+
+
+def _four_ary_tree(depth, seed):
+    """Every (dX, dH) mark at every node up to ``depth``, with seeded atom weights."""
+    jumps = np.array(list(itertools.product(((0, 0), (1, 0), (0, 1), (1, 1)), repeat=depth)))
+    x, h = (np.pad(np.cumsum(jumps[:, :, i], axis=1), ((0, 0), (1, 0))) for i in (0, 1))
+    weights = np.random.default_rng(seed).uniform(0.1, 1.0, len(jumps))
+    return build_bundle(build_space(weights / weights.sum()), x, h, name="four_ary_tree")
+
+
+#: a depth-3 4-ary tree (64 atoms), then the three fixtures the suite always runs on
+SPLIT_FIXTURES = ("four_ary_tree", "space_a", "fixture_a2", "staggered")
+
+
+def _split_bundle(name):
+    return _four_ary_tree(3, 7) if name == "four_ary_tree" else getattr(fixtures, name)()
+
+
+def _scaled(nu, factor):
+    return MarkedMeasure(nu.filtration, nu.increments * factor, is_predictable_density=True)
+
+
+class TestMarkSplitChecks:
+    """The suite's chunked Thm 3.3 check against the one-function-at-a-time loop."""
+
+    @pytest.mark.parametrize("name", SPLIT_FIXTURES)
+    def test_matches_the_per_function_loop(self, monkeypatch, name):
+        b = _split_bundle(name)
+        mu = jump_measure(b.X, b.H)
+        nu = compensator_measure(mu)
+        old = np.random.default_rng(5)
+        want_witnesses, want_gaps = oracle_mark_split(b, mu, nu, old, 100)
+        assert want_witnesses == [None] * 100
+        sizes = []
+        real = suites.martingale_checks
+
+        def counting(values, filtration):
+            sizes.append(len(values))
+            return real(values, filtration)
+
+        monkeypatch.setattr(suites, "martingale_checks", counting)
+        width = b.space.n_atoms * (b.g.horizon + 1)
+        # the default chunk, then chunks of 1 and of 7 functions (a remainder of 2)
+        for per_chunk, chunk in ((None, representation._CHUNK), (1, width), (7, 8 * width - 1)):
+            monkeypatch.setattr(representation, "_CHUNK", chunk)
+            step = representation.chunk_length(b.g)
+            assert per_chunk in (None, step)
+            sizes.clear()
+            new = np.random.default_rng(5)
+            checks, gaps = suites.mark_split_checks(b, mu, nu, new, 100)
+            assert sizes == [step] * (100 // step) + [100 % step] * (100 % step > 0)
+            assert [c.witness for c in checks] == want_witnesses
+            assert gaps.tolist() == want_gaps  # bitwise: the same products and running sums
+            assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("name", SPLIT_FIXTURES)
+    def test_a_scaled_compensator_drifts_where_the_loop_says(self, name):
+        b = _split_bundle(name)
+        mu = jump_measure(b.X, b.H)
+        nu = _scaled(compensator_measure(mu), 1.001)
+        checks, _ = suites.mark_split_checks(b, mu, nu, np.random.default_rng(5), 20)
+        want, _ = oracle_mark_split(b, mu, nu, np.random.default_rng(5), 20)
+        assert not any(checks)
+        assert [c.witness[:2] for c in checks] == [w[:2] for w in want]
+        # a stack's block averages are matrix-vector products, one function's
+        # are dot products: the two may round apart in the last bits
+        assert [c.witness[2] for c in checks] == pytest.approx([w[2] for w in want], rel=1e-12)
+
+    def test_a_scaled_compensator_fails_the_martingale_row(self, monkeypatch):
+        real = suites.compensator_measure
+        monkeypatch.setattr(suites, "compensator_measure", lambda mu: _scaled(real(mu), 1.001))
+        rows = {r.name: r for r in suites.suite_jump_measure(suites.SuiteContext(seed=11))}
+        row = rows["compensated_integral_is_martingale"]
+        assert row.outcome == "fails" and row.evidence["worst_drift"] > 0.0
+
+    def test_a_non_predictable_function_is_named(self, monkeypatch):
+        b = fixtures.space_a()
+        mu = jump_measure(b.X, b.H)
+        nu = compensator_measure(mu)
+        width = b.space.n_atoms * (b.g.horizon + 1)
+        monkeypatch.setattr(representation, "_CHUNK", 7 * width)
+        atom = b.g.at(1).blocks[2][-1]
+        real = fixtures.random_predictable_stack
+
+        def spoiled(rng, filtration, count):
+            stack = real(rng, filtration, count)
+            if count == 2 * len(MARKS):  # the last chunk: its last function's joint mark
+                stack[-1, atom, 2] += 1.0
+            return stack
+
+        monkeypatch.setattr(fixtures, "random_predictable_stack", spoiled)
+        with pytest.raises(NotPredictable, match=re.escape("(t, block) = (2, 2)")):
+            suites.mark_split_checks(b, mu, nu, np.random.default_rng(5), 100)

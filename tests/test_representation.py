@@ -19,7 +19,14 @@ from filtration_lab.calculus import (
 )
 from filtration_lab.enlargement import build_bundle
 from filtration_lab.errors import IndependenceViolated, NotMartingale
-from filtration_lab.finite_space import AdaptedProcess, PointProcess, build_space, stop_values
+from filtration_lab.finite_space import (
+    AdaptedProcess,
+    Filtration,
+    Partition,
+    PointProcess,
+    build_space,
+    stop_values,
+)
 from filtration_lab.jump_measure import compensator_measure, fundamental_martingales, jump_measure
 from filtration_lab.random_time import tau_of
 from filtration_lab.representation import (
@@ -380,6 +387,17 @@ class TestBatchedKernel:
         regs = triple_regressors(*fundamental_martingales(b.X, b.H))
         with pytest.raises(NotMartingale, match=r"^target 1 has nonzero drift at \(2, 0, nan\)"):
             solve_batch(ys, regs, b.g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_null_atom_value_stays_out_of_the_solve(self, bad):
+        # P_0 trivial, P_1 discrete; atom 2 carries no probability
+        filt = Filtration(build_space([0.5, 0.5, 0.0]), (Partition.trivial(3), Partition.discrete(3)))
+        y = AdaptedProcess(filt, [[0.0, 1.0], [0.0, -1.0], [0.0, bad]])
+        m = AdaptedProcess(filt, [[0.0, 2.0], [0.0, -2.0], [0.0, 0.0]])
+        assert is_martingale(y)
+        sol = solve_prp(y, m)
+        assert sol.residual_sup <= 1e-15
+        assert sol.integrands["K"][:, 1] == pytest.approx([0.5] * 3, abs=1e-15)
 
     def test_zero_regressors_leave_the_whole_increment(self, space_a_bundle):
         b = space_a_bundle
