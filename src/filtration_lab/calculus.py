@@ -25,7 +25,6 @@ from .finite_space import (
     AdaptedProcess,
     Filtration,
     as_point_process,
-    is_adapted,
     positive_sup,
     slice_expectations,
     slice_violation,
@@ -59,21 +58,33 @@ def dual_projection(p: AdaptedProcess, filtration: Filtration | None = None) -> 
     the output always is predictable.
     """
     filtration = filtration or p.filtration
-    inc = slice_expectations(p.increments(), filtration, 1)
-    return AdaptedProcess(filtration, np.cumsum(inc, axis=1))
+    return AdaptedProcess(filtration, dual_projections(p.values, filtration))
+
+
+def dual_projections(values, filtration: Filtration) -> np.ndarray:
+    """The :func:`dual_projection` of every entry of a ``(..., n, T+1)`` stack, in one pass."""
+    return np.cumsum(slice_expectations(time_increments(values), filtration, 1), axis=-1)
 
 
 def compensator(a: AdaptedProcess) -> CompensatorPair:
     """Doob decomposition of an adapted increasing process starting at 0."""
-    if not is_adapted(a):
+    comp = compensators(a.values, a.filtration)
+    return CompensatorPair(AdaptedProcess(a.filtration, comp), AdaptedProcess(a.filtration, a.values - comp))
+
+
+def compensators(values, filtration: Filtration) -> np.ndarray:
+    """Compensators of a ``(..., n, T+1)`` stack of adapted increasing processes starting at 0.
+
+    One bad entry raises for the whole stack, as it would alone.
+    """
+    v = np.asarray(values, dtype=float)
+    if slice_violation(v, filtration, 0) is not None:
         raise NotAdapted("input process is not adapted")
-    if np.any(a.initial != 0.0):
+    if np.any(v[..., 0] != 0.0):
         raise NotIncreasing("increasing processes must start at 0")
-    if np.any(a.increments()[:, 1:] < 0.0):
+    if np.any(time_increments(v)[..., 1:] < 0.0):
         raise NotIncreasing("process has a negative increment")
-    comp = dual_projection(a, a.filtration)
-    mart = AdaptedProcess(a.filtration, a.values - comp.values)
-    return CompensatorPair(compensator=comp, martingale_part=mart)
+    return dual_projections(v, filtration)
 
 
 def quadratic_covariation(y: AdaptedProcess, z: AdaptedProcess) -> AdaptedProcess:
@@ -177,55 +188,45 @@ def orthogonality_report(y: AdaptedProcess, z: AdaptedProcess) -> OrthogonalityR
         raise FiltrationMismatch("pair must share one filtration")
     filt = y.filtration
     space = filt.space
-    pos = space.positive
 
-    yp = dual_projection(y, filt)
-    zp = dual_projection(z, filt)
-    ybar = AdaptedProcess(filt, y.values - yp.values)
-    zbar = AdaptedProcess(filt, z.values - zp.values)
-
-    b_yz = quadratic_covariation(y, z)
-    b_yp_z = quadratic_covariation(yp, z)
-    b_y_zp = quadratic_covariation(y, zp)
-    b_pp = quadratic_covariation(yp, zp)
-    b_bar = quadratic_covariation(ybar, zbar)
+    yp, zp = dual_projections(np.stack([y.values, z.values]), filt)
+    # jump products, then brackets, of [Y,Z], [Y^p,Z], [Y,Z^p], [Y^p,Z^p], [Ybar,Zbar]
+    left = time_increments(np.stack([y.values, yp, y.values, yp, y.values - yp]))
+    prods = left * time_increments(np.stack([z.values, z.values, zp, zp, z.values - zp]))
+    brackets = np.cumsum(prods, axis=-1)
+    b_yz, b_yp_z, b_y_zp, b_pp, b_bar = brackets
+    incs = time_increments(brackets)
+    # one-step drifts of [Y,Z], [Y^p,Z], [Y,Z^p] and the compensated bracket
+    drifts = slice_expectations(incs[[0, 1, 2, 4]], filt, 1)
+    comp_yz, comp_yp_z, comp_y_zp, comp_bar = np.cumsum(drifts, axis=-1)
 
     clauses: dict = {}
-    clauses["increasing_brackets"] = all(
-        np.all(b.increments()[pos] >= 0.0) and np.all(np.isfinite(b.values))
-        for b in (b_yp_z, b_y_zp, b_pp)
+    clauses["increasing_brackets"] = bool(
+        np.all(incs[1:4, space.positive] >= 0.0) and np.all(np.isfinite(brackets[1:4]))
     )
     clauses["associated"] = (
-        positive_sup(space, dual_projection(b_yp_z, filt).values - b_pp.values) <= EXACT_TOL
-        and positive_sup(space, dual_projection(b_y_zp, filt).values - b_pp.values) <= EXACT_TOL
+        positive_sup(space, comp_yp_z - b_pp) <= EXACT_TOL
+        and positive_sup(space, comp_y_zp - b_pp) <= EXACT_TOL
     )
-
-    compensators_match = (
-        positive_sup(space, dual_projection(b_yz, filt).values - b_pp.values) <= EXACT_TOL
-    )
-    bar_martingale = bool(is_martingale(b_bar))
+    compensators_match = positive_sup(space, comp_yz - b_pp) <= EXACT_TOL
+    bar_martingale = bool(np.all(np.abs(drifts[3]) <= EXACT_TOL))
     clauses["martingale_iff_match"] = bar_martingale == compensators_match
 
-    jump_product = yp.increments() * zp.increments()
-    disjoint = positive_sup(space, y.increments() * z.increments()) <= EXACT_TOL
+    jump_product = prods[3]
+    disjoint = positive_sup(space, prods[0]) <= EXACT_TOL
     if disjoint:
-        clauses["disjoint_zero"] = bar_martingale == (positive_sup(space, b_bar.values) <= EXACT_TOL)
+        clauses["disjoint_zero"] = bar_martingale == (positive_sup(space, b_bar) <= EXACT_TOL)
         clauses["disjoint_predictable"] = bar_martingale == (positive_sup(space, jump_product) <= EXACT_TOL)
 
-    identity = b_yz.values - b_yp_z.values - b_y_zp.values + b_pp.values
-    decomposition_gap = positive_sup(space, b_bar.values - identity)
+    decomposition_gap = positive_sup(space, b_bar - (b_yz - b_yp_z - b_y_zp + b_pp))
 
-    bar_comp = dual_projection(b_bar, filt)
-    inc = bar_comp.increments()
-    witness = None
-    mask = (np.abs(inc) > EXACT_TOL) & pos[:, None]
-    if mask.any():
-        t, atom = np.argwhere(mask.T)[0]  # earliest time, then lowest atom
-        witness = (int(t), int(atom))
+    # (time, atom) at which the compensated bracket's compensator first moves: earliest t, then lowest atom
+    moves = np.argwhere(((np.abs(time_increments(comp_bar)) > EXACT_TOL) & space.positive[:, None]).T)
+    witness = (int(moves[0, 0]), int(moves[0, 1])) if len(moves) else None
 
     return OrthogonalityReport(
-        bracket_compensators=b_pp,
-        bracket_bar=b_bar,
+        bracket_compensators=AdaptedProcess(filt, b_pp),
+        bracket_bar=AdaptedProcess(filt, b_bar),
         is_orthogonal=witness is None,
         witness=witness,
         predictable_jump_product=jump_product,

@@ -148,21 +148,31 @@ class Partition:
         return len(self.blocks)
 
     def positive_blocks(self, space: FiniteProbabilitySpace) -> tuple:
-        """(block index, atoms, probs[atoms], block mass) of every block of positive mass.
+        """(block index, atoms, probs[atoms], block mass) of every block of positive mass."""
+        return self._block_table(space)[0]
 
-        Built once per space and kept: the partition and the space are both
-        frozen, so an entry cannot go stale.  The space is keyed by identity.
+    def size_groups(self, space: FiniteProbabilitySpace) -> tuple:
+        """The positive-mass blocks grouped by size: (atoms (G, m), probs (G, m), masses (G,)) per size m."""
+        return self._block_table(space)[1]
+
+    def _block_table(self, space: FiniteProbabilitySpace) -> tuple:
+        """The positive-mass blocks, one by one and grouped by size, built once per space and kept.
+
+        The partition and the space are both frozen, so an entry cannot go
+        stale.  The space is keyed by identity.
         """
         table = self._positive_by_space.get(space)
         if table is None:
-            table = []
+            blocks, by_size = [], {}
             for i, atoms in enumerate(self.block_arrays):
                 w = space.probs[atoms]
                 w.setflags(write=False)
                 mass = float(w.sum())
                 if mass > 0.0:
-                    table.append((i, atoms, w, mass))
-            table = self._positive_by_space[space] = tuple(table)
+                    blocks.append((i, atoms, w, mass))
+                    by_size.setdefault(len(atoms), []).append(blocks[-1])
+            groups = tuple(tuple(_frozen(c, dtype=None) for c in list(zip(*g))[1:]) for g in by_size.values())
+            table = self._positive_by_space[space] = (tuple(blocks), groups)
         return table
 
     def refines(self, coarser: "Partition") -> bool:
@@ -206,7 +216,8 @@ def conditional_expectation(
     On a block the result is the probability-weighted average over its
     positive-probability atoms, written to every atom of the block; blocks of
     total probability zero get the value 0.  A stack of variables, atoms on
-    the last axis, is averaged in one pass.
+    the last axis, is averaged in one pass, one ``np.vecdot`` per block size,
+    which rounds every entry exactly as ``v[atoms] @ w / mass`` does alone.
     """
     if partition.n_atoms != space.n_atoms:
         raise FiltrationMismatch("partition does not belong to the space")
@@ -215,8 +226,9 @@ def conditional_expectation(
         # weight 0 does not silence a NaN or an inf (nan * 0 is nan), so drop them
         v = np.where(space.positive, v, 0.0)
     out = np.zeros(v.shape[:-1] + (space.n_atoms,))
-    for _, atoms, w, mass in partition.positive_blocks(space):
-        out[..., atoms] = (v[..., atoms] @ w / mass)[..., None]
+    for atoms, w, masses in partition.size_groups(space):
+        # take() lays the rows out contiguously; a strided row would be summed in another order
+        out[..., atoms] = (np.vecdot(np.take(v, atoms, axis=-1), w) / masses)[..., None]
     return out
 
 

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FiltrationMismatch, NotPredictable
-from .calculus import compensator, quadratic_covariation
+from .calculus import compensators, quadratic_covariation
 from .finite_space import (
     AdaptedProcess,
     Filtration,
     PointProcess,
     as_point_process,
     slice_violation,
+    time_increments,
 )
 
 
@@ -120,18 +121,14 @@ def jump_measure(x: PointProcess, h: PointProcess) -> MarkedMeasure:
 def compensator_measure(mu: MarkedMeasure) -> MarkedMeasure:
     """Predictable compensator of a jump measure, in density form.
 
-    Each mark's event-count process is compensated in the measure's own
-    filtration; the per-step predictable masses are stacked per mark.
+    The three marks' event-count processes are compensated together in the
+    measure's own filtration; their per-step predictable masses are the densities.
     """
     if mu.is_predictable_density:
         raise ValueError("input is already in density form")
-    filt = mu.filtration
-    n = filt.space.n_atoms
-    dens = np.zeros((len(MARKS), n, filt.horizon + 1))
-    for k, mark in enumerate(MARKS):
-        counts = PointProcess(filt, np.cumsum(mu.indicator_increments(mark), axis=1))
-        dens[k] = compensator(counts).compensator.increments()
-    return MarkedMeasure(filt, dens, is_predictable_density=True)
+    counts = np.cumsum(mu.increments, axis=-1)
+    dens = time_increments(compensators(counts, mu.filtration))
+    return MarkedMeasure(mu.filtration, dens, is_predictable_density=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +187,5 @@ def fundamental_martingales(
     x: PointProcess, h: PointProcess
 ) -> tuple[AdaptedProcess, AdaptedProcess, AdaptedProcess]:
     """Compensated versions of the three disjoint counting parts of (X, H)."""
-    y1, y2, y3 = joint_decomposition(x, h)
-    return (
-        compensator(y1).martingale_part,
-        compensator(y2).martingale_part,
-        compensator(y3).martingale_part,
-    )
+    parts = np.stack([p.values for p in joint_decomposition(x, h)])
+    return tuple(AdaptedProcess(x.filtration, v) for v in parts - compensators(parts, x.filtration))

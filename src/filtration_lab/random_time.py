@@ -112,17 +112,17 @@ def cross_validation_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> fl
 def azema_consistency_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> float:
     """Max over blocks of |A_t * P(block) - P({tau > t} within block)|, A the survival ``azema``.
 
-    Blocks of mass 0 give 0 - 0, so only the positive-mass blocks are visited.
+    Blocks of mass 0 give 0 - 0, so only the positive-mass blocks are visited,
+    one block size at a time; each block's dot product rounds as it would alone.
     """
     f = bundle.f
     survive = 1.0 - bundle.H.values  # 1{tau > t}
     gaps = []
     for t, partition in enumerate(f.partitions):
-        for _, atoms, w, mass in partition.positive_blocks(f.space):
-            lhs = float(azema.values[atoms[0], t]) * mass
-            rhs = float(w @ survive[atoms, t])
-            gaps.append(abs(lhs - rhs))
-    return max_gap(gaps)
+        for atoms, w, masses in partition.size_groups(f.space):
+            lhs = azema.values[atoms[:, 0], t] * masses
+            gaps.append(np.abs(lhs - np.vecdot(np.take(survive[:, t], atoms), w)))
+    return max_gap(*gaps)
 
 
 def supermartingale_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> float:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import FiltrationMismatch, IndependenceViolated, NotMartingale, NotPredictable
 from .calculus import (
-    compensator,
-    dual_projection,
+    compensators,
+    dual_projections,
     quadratic_covariation,
     require_martingale,
     stochastic_integral,
@@ -41,6 +41,7 @@ from .finite_space import (
     slice_expectations,
     slice_violation,
     stop_process,
+    time_increments,
 )
 from .jump_measure import MARKS, MarkedMeasure, fundamental_martingales
 
@@ -267,10 +268,10 @@ def independent_batch(
     """
     verify_independence(bundle)
     filtration = bundle.g
-    x_pair = compensator(bundle.X)
-    h_pair = compensator(bundle.H)
-    xbar = x_pair.martingale_part
-    hbar = h_pair.martingale_part
+    xh = np.stack([bundle.X.values, bundle.H.values])
+    comps = compensators(xh, filtration)
+    dxp, dhp = (AdaptedProcess(filtration, d) for d in time_increments(comps))
+    xbar, hbar = (AdaptedProcess(filtration, v) for v in xh - comps)
     cross = quadratic_covariation(xbar, hbar)
     require_martingale(cross, "bracket of the compensated pair")
 
@@ -286,34 +287,23 @@ def independent_batch(
 
     space = bundle.space
 
-    # pairwise predictable covariations of the basis
-    orth_gap = max_gap(
-        [
-            dual_projection(quadratic_covariation(a, b), filtration).sup_abs()
-            for i, a in enumerate(basis)
-            for b in basis[i + 1 :]
-        ]
-    )
+    # pairwise predictable covariations of the basis, and the bracket
+    # compensator factorisation [X,H]^p = [X^p, H^p]
+    brackets = [quadratic_covariation(a, b).values for i, a in enumerate(basis) for b in basis[i + 1 :]]
+    brackets.append(quadratic_covariation(bundle.X, bundle.H).values)
+    projected = dual_projections(brackets, filtration)
+    orth_gap = max_gap(positive_sups(space, projected[:3]))
+    factor_gap = positive_sup(space, projected[3] - np.cumsum(dxp.values * dhp.values, axis=-1))
 
     # change of basis: each compensated jump part against the orthogonal
     # basis; the joint part picks up both predictable densities, the single
     # parts are the compensated processes minus the joint part
     z1, z2, z3 = fundamental_martingales(bundle.X, bundle.H)
-    dxp = AdaptedProcess(filtration, x_pair.compensator.increments())
-    dhp = AdaptedProcess(filtration, h_pair.compensator.increments())
     z3_rhs = cross.values + stochastic_integral(dxp, hbar).values + stochastic_integral(dhp, xbar).values
     z1_rhs = xbar.values - z3_rhs
     z2_rhs = hbar.values - z3_rhs
     basis_identity_gap = max_gap(
         [positive_sup(space, z.values - rhs) for z, rhs in ((z1, z1_rhs), (z2, z2_rhs), (z3, z3_rhs))]
-    )
-
-    # bracket compensator factorisation: [X,H]^p = [X^p, H^p]
-    bracket_xh = quadratic_covariation(bundle.X, bundle.H)
-    factor_gap = positive_sup(
-        space,
-        dual_projection(bracket_xh, filtration).values
-        - quadratic_covariation(x_pair.compensator, h_pair.compensator).values,
     )
 
     # Pythagoras: squared terminal norm splits across the orthogonal parts

@@ -17,6 +17,7 @@ from . import fixtures
 from .calculus import (
     compensator,
     dual_projection,
+    dual_projections,
     is_martingale,
     martingale_checks,
     orthogonality_report,
@@ -46,6 +47,7 @@ from .finite_space import (
     positive_sup,
     positive_sups,
     stop_values,
+    time_increments,
 )
 from .jump_measure import (
     MARKS,
@@ -637,15 +639,15 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
     for label, filt, expected in cases:
         got = multiplicity(filt)
         spanning = orthogonal_spanning_martingales(filt)
-        drift_ok = all(is_martingale(mi) for mi in spanning)
-        pair_gaps = [
-            dual_projection(quadratic_covariation(mi, mj), filt).sup_abs()
-            for i, mi in enumerate(spanning)
-            for mj in spanning[i + 1 :]
-        ]
-        orth = max_gap(0.0, pair_gaps)  # a family of one has no pairs
+        values = np.stack([m.values for m in spanning])
+        drift_ok = all(martingale_checks(values, filt))
+        incs = time_increments(values)
+        first, second = np.triu_indices(len(spanning), 1)
+        brackets = np.cumsum(incs[first] * incs[second], axis=-1)
+        # a family of one has no pairs
+        orth = max_gap(0.0, positive_sups(filt.space, dual_projections(brackets, filt)))
         ys = _random_closures(rng, filt, 20)
-        worst = max_gap(solve_batch(ys, [m.increments() for m in spanning], filt).residual_sup)
+        worst = max_gap(solve_batch(ys, list(incs), filt).residual_sup)
         checks.append(
             _check(
                 f"spanning_number_{label}",

@@ -41,6 +41,81 @@ def oracle_conditional_expectation(probs, values, blocks):
     return np.array(out)
 
 
+def oracle_block_loop(space, values, partition):
+    """The block average of one variable in its earlier form: ``v[atoms] @ w / mass`` per positive-mass block.
+
+    A null atom's value is dropped first, as in the kernel; the dot product is
+    NumPy's 1-d one, whose rounding every entry of a stack must keep.
+    """
+    v = np.where(space.positive, np.asarray(values, dtype=float), 0.0)
+    out = np.zeros(space.n_atoms)
+    for atoms in partition.block_arrays:
+        w = space.probs[atoms]
+        mass = float(w.sum())
+        if mass > 0.0:
+            out[atoms] = v[atoms] @ w / mass
+    return out
+
+
+def oracle_orthogonality_report(y, z):
+    """The fields of ``orthogonality_report`` in its earlier form: seven one-process projection passes.
+
+    Each pass is the block loop of ``oracle_block_loop`` over every slice;
+    brackets are running jump-product sums of processes built one at a time.
+    """
+    from filtration_lab.finite_space import EXACT_TOL, positive_sup, time_increments
+
+    filt = y.filtration
+    space = filt.space
+    pos = space.positive
+
+    def drift(values):
+        inc = time_increments(values)
+        out = np.zeros_like(inc)
+        for t in range(1, filt.horizon + 1):
+            out[:, t] = oracle_block_loop(space, inc[:, t], filt.at(t - 1))
+        return out
+
+    def projection(values):
+        return np.cumsum(drift(values), axis=1)
+
+    def bracket(a, b):
+        return np.cumsum(time_increments(a) * time_increments(b), axis=1)
+
+    yp, zp = projection(y.values), projection(z.values)
+    b_yz, b_yp_z = bracket(y.values, z.values), bracket(yp, z.values)
+    b_y_zp, b_pp = bracket(y.values, zp), bracket(yp, zp)
+    b_bar = bracket(y.values - yp, z.values - zp)
+    clauses = {
+        "increasing_brackets": all(
+            np.all(time_increments(b)[pos] >= 0.0) and np.all(np.isfinite(b)) for b in (b_yp_z, b_y_zp, b_pp)
+        ),
+        "associated": positive_sup(space, projection(b_yp_z) - b_pp) <= EXACT_TOL
+        and positive_sup(space, projection(b_y_zp) - b_pp) <= EXACT_TOL,
+    }
+    compensators_match = positive_sup(space, projection(b_yz) - b_pp) <= EXACT_TOL
+    bar_martingale = bool(np.all(np.abs(drift(b_bar)) <= EXACT_TOL))
+    clauses["martingale_iff_match"] = bar_martingale == compensators_match
+    jump_product = time_increments(yp) * time_increments(zp)
+    disjoint = positive_sup(space, time_increments(y.values) * time_increments(z.values)) <= EXACT_TOL
+    if disjoint:
+        clauses["disjoint_zero"] = bar_martingale == (positive_sup(space, b_bar) <= EXACT_TOL)
+        clauses["disjoint_predictable"] = bar_martingale == (positive_sup(space, jump_product) <= EXACT_TOL)
+    identity = b_yz - b_yp_z - b_y_zp + b_pp
+    mask = (np.abs(time_increments(projection(b_bar))) > EXACT_TOL) & pos[:, None]
+    witness = tuple(int(i) for i in np.argwhere(mask.T)[0]) if mask.any() else None
+    return {
+        "bracket_compensators": b_pp,
+        "bracket_bar": b_bar,
+        "is_orthogonal": witness is None,
+        "witness": witness,
+        "predictable_jump_product": jump_product,
+        "clauses": clauses,
+        "jumps_disjoint": disjoint,
+        "decomposition_gap": positive_sup(space, b_bar - identity),
+    }
+
+
 def oracle_compensator(probs, partitions, values):
     """Cumulative one-step conditional increments, all loops."""
     values = np.asarray(values, dtype=float)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    oracle_block_loop,
     oracle_block_violation,
     oracle_conditional_expectation,
     oracle_first_jump_time,
@@ -188,6 +189,39 @@ class TestConditionalExpectation:
             assert pi.positive_blocks(space) is pi.positive_blocks(space)
         assert [b[0] for b in pi.positive_blocks(spaces[1])] == [0, 2]
         assert conditional_expectation(spaces[1], v, pi)[:, 2].tolist() == [0.0, 0.0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_a_stack_rounds_like_its_entries_and_like_the_block_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        filt = random_filtration(rng, int(rng.integers(1, 41)), int(rng.integers(1, 4)))
+        space = filt.space
+        n, k = space.n_atoms, int(rng.integers(1, 6))
+        # slice 1 of a (k, n, 3) stack is a strided (k, n) view; values span 17 decades,
+        # and the null atoms carry NaN and infinities
+        stack = rng.normal(size=(k, n, 3)) * 10.0 ** rng.integers(-8, 9, size=(k, n, 3))
+        null = ~space.positive
+        stack[:, null, 1] = rng.choice([np.nan, np.inf, -np.inf], (k, int(null.sum())))
+        v = stack[..., 1]
+        for partition in filt.partitions:
+            got = conditional_expectation(space, v, partition)
+            assert np.isfinite(got).all()
+            assert np.array_equal(conditional_expectation(space, v.reshape(k, 1, n), partition)[:, 0], got)
+            for row, out in zip(v, got):
+                one = conditional_expectation(space, row, partition)
+                assert np.array_equal(out, one)
+                assert np.array_equal(one, oracle_block_loop(space, row, partition))
+
+    def test_blocks_are_grouped_by_size(self):
+        space = build_space([0.25, 0.0, 0.25, 0.125, 0.125, 0.25])
+        pi = Partition(((0, 2), (1,), (3, 4), (5,)), 6)
+        sizes = {len(atoms[0]): (atoms.tolist(), w.tolist(), masses.tolist())
+                 for atoms, w, masses in pi.size_groups(space)}
+        assert sizes == {
+            2: ([[0, 2], [3, 4]], [[0.25, 0.25], [0.125, 0.125]], [0.5, 0.25]),
+            1: ([[5]], [[0.25]], [0.25]),  # block (1,) has no mass
+        }
+        assert pi.size_groups(space) is pi.size_groups(space)
 
     def test_zero_probability_block_gets_zero(self):
         space = build_space([0.5, 0.5, 0.0])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtration_lab import fixtures, representation, suites
-from filtration_lab.calculus import is_martingale, quadratic_covariation, stochastic_integral
+from filtration_lab.calculus import compensator, is_martingale, quadratic_covariation, stochastic_integral
 from filtration_lab.enlargement import build_bundle
 from filtration_lab.errors import NotPredictable
 from filtration_lab.finite_space import AdaptedProcess, PointProcess, build_space
@@ -339,10 +339,19 @@ class TestMarkSplitChecks:
         checks, _ = suites.mark_split_checks(b, mu, nu, np.random.default_rng(5), 20)
         want, _ = oracle_mark_split(b, mu, nu, np.random.default_rng(5), 20)
         assert not any(checks)
-        assert [c.witness[:2] for c in checks] == [w[:2] for w in want]
-        # a stack's block averages are matrix-vector products, one function's
-        # are dot products: the two may round apart in the last bits
-        assert [c.witness[2] for c in checks] == pytest.approx([w[2] for w in want], rel=1e-12)
+        # bitwise: every entry of a stack rounds like the block loop's dot product
+        assert [c.witness for c in checks] == want
+
+    @pytest.mark.parametrize("name", SPLIT_FIXTURES)
+    def test_stacked_compensators_are_the_per_part_loops(self, name):
+        b = _split_bundle(name)
+        mu = jump_measure(b.X, b.H)
+        nu = compensator_measure(mu)
+        for mark in MARKS:
+            counts = PointProcess(b.g, np.cumsum(mu.indicator_increments(mark), axis=1))
+            assert np.array_equal(nu.indicator_increments(mark), compensator(counts).compensator.increments())
+        for z, part in zip(fundamental_martingales(b.X, b.H), joint_decomposition(b.X, b.H)):
+            assert np.array_equal(z.values, compensator(part).martingale_part.values)
 
     def test_a_scaled_compensator_fails_the_martingale_row(self, monkeypatch):
         real = suites.compensator_measure
