@@ -33,8 +33,7 @@ def join(a: Partition, b: Partition) -> Partition:
         return a
     if a.n_blocks == 1:
         return b
-    labels = list(zip(a.block_of.tolist(), b.block_of.tolist()))
-    return Partition.from_labels(labels)
+    return Partition.from_labels(zip(a.labels, b.labels))
 
 
 def natural_filtration(space: FiniteProbabilitySpace, processes: Sequence) -> Filtration:
@@ -53,11 +52,10 @@ def natural_filtration(space: FiniteProbabilitySpace, processes: Sequence) -> Fi
         if m.shape != mats[0].shape:
             raise FiltrationMismatch("processes disagree on shape")
     columns = [m.T.tolist() for m in mats]
-    block = [0] * n
+    p = Partition.trivial(n)
     parts = []
     for t in range(mats[0].shape[1]):
-        p = Partition.from_labels(list(zip(block, *(c[t] for c in columns))))
-        block = p.block_of.tolist()
+        p = Partition.from_labels(zip(p.labels, *(c[t] for c in columns)))
         parts.append(p)
     return Filtration(space, tuple(parts))
 

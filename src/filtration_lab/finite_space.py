@@ -1,16 +1,20 @@
 """Finite probability spaces, partitions as sigma-fields, filtrations, processes.
 
 Atoms are indexed 0..n-1 and carry probabilities.  A sigma-field is a
-partition of the atom set; a filtration is a refining sequence of partitions
-indexed by integer time 0..T.  Processes are (atom, time) value matrices tied
-to a filtration.  Conditional expectation is an exact weighted block average,
-which makes every downstream identity checkable to float precision.
+partition of the atom set, stored as its canonical label vector (atom a's
+block, blocks numbered by first atom); its blocks and block tables are
+derived from the labels on first read.  A filtration is a refining sequence
+of partitions indexed by integer time 0..T.  Processes are (atom, time) value
+matrices tied to a filtration.  Conditional expectation is an exact weighted
+block average, which makes every downstream identity checkable to float
+precision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import groupby
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -79,73 +83,78 @@ def build_space(atom_probs: Sequence[float]) -> FiniteProbabilitySpace:
     return FiniteProbabilitySpace(np.asarray(atom_probs, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Partition:
-    """Disjoint blocks of atom ids covering 0..n_atoms-1 (a finite sigma-field).
+    """A finite sigma-field on atoms 0..n-1, stored as its canonical label vector.
 
-    Blocks are canonicalised (sorted within and across blocks) so two
-    partitions are equal iff they carry the same information.
+    ``labels[a]`` is atom a's block, blocks numbered by first atom, so two partitions
+    are equal iff they carry the same information.  All else is derived on first read.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    n_atoms: int
-    _block_of: np.ndarray = field(init=False, repr=False, compare=False)
-    _first_atom: np.ndarray = field(init=False, repr=False, compare=False)
-    _positive_by_space: dict = field(init=False, repr=False, compare=False)
+    labels: tuple[int, ...]
 
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(a) for a in b)) for b in self.blocks)
+    def __init__(self, blocks, n_atoms: int):
+        """Validate outside input: explicit ``blocks`` of atom ids, non-empty, disjoint and covering 0..n_atoms-1."""
+        blocks = sorted((tuple(sorted(int(a) for a in b)) for b in blocks), key=lambda b: b[:1])
         if any(len(b) == 0 for b in blocks):
             raise ValueError("empty block")
-        blocks = tuple(sorted(blocks, key=lambda b: b[0]))
-        n = self.n_atoms
-        owner = [-1] * n
+        owner = [-1] * n_atoms
         for i, b in enumerate(blocks):
             for a in b:
-                if a < 0 or a >= n:
-                    raise ValueError(f"atom id {a} outside 0..{n - 1}")
+                if a < 0 or a >= n_atoms:
+                    raise ValueError(f"atom id {a} outside 0..{n_atoms - 1}")
                 if owner[a] != -1:
                     raise ValueError(f"atom {a} appears in two blocks")
                 owner[a] = i
         if -1 in owner:
             raise ValueError(f"atom {owner.index(-1)} not covered by any block")
-        block_of = _frozen(owner, dtype=np.int64)
-        first_atom = _frozen([blocks[i][0] for i in owner], dtype=np.int64)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_block_of", block_of)
-        object.__setattr__(self, "_first_atom", first_atom)
-        object.__setattr__(self, "_positive_by_space", {})
+        object.__setattr__(self, "labels", tuple(owner))
+
+    @classmethod
+    def from_labels(cls, labels: Iterable) -> "Partition":
+        """Group atoms by equal labels (the sigma-field generated by a map), blocks numbered as first seen."""
+        seen: dict = {}
+        p = object.__new__(cls)
+        object.__setattr__(p, "labels", tuple([seen.setdefault(lab, len(seen)) for lab in labels]))
+        return p
 
     @classmethod
     def trivial(cls, n_atoms: int) -> "Partition":
-        return cls((tuple(range(n_atoms)),), n_atoms)
+        return cls.from_labels([0] * n_atoms)
 
     @classmethod
     def discrete(cls, n_atoms: int) -> "Partition":
         """Finest partition: every atom its own block."""
-        return cls(tuple((i,) for i in range(n_atoms)), n_atoms)
-
-    @classmethod
-    def from_labels(cls, labels: Sequence) -> "Partition":
-        """Group atoms by equal labels (the sigma-field generated by a map)."""
-        groups: dict = {}
-        for atom, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(atom)
-        return cls(tuple(tuple(g) for g in groups.values()), len(labels))
+        return cls.from_labels(range(n_atoms))
 
     @property
+    def n_atoms(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def n_blocks(self) -> int:
+        return max(self.labels, default=-1) + 1
+
+    @cached_property
     def block_of(self) -> np.ndarray:
-        """Array mapping atom id to the index of its block."""
-        return self._block_of
+        """Read-only array mapping atom id to the index of its block."""
+        return _frozen(self.labels, dtype=np.int64)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Each block's atom ids, ascending, in block order."""
+        atoms = sorted(range(self.n_atoms), key=self.labels.__getitem__)  # a stable sort keeps each block ascending
+        return tuple(tuple(g) for _, g in groupby(atoms, key=self.labels.__getitem__))
+
+    @cached_property
+    def _first_atom(self) -> np.ndarray:
+        """Read-only array mapping atom id to the first atom of its block."""
+        return _frozen([self.blocks[lab][0] for lab in self.labels], dtype=np.int64)
 
     @cached_property
     def block_arrays(self) -> tuple:
-        """Each block as a read-only atom-id array, built on first use."""
+        """Each block as a read-only atom-id array."""
         return tuple(_frozen(b, dtype=np.int64) for b in self.blocks)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
 
     def positive_blocks(self, space: FiniteProbabilitySpace) -> tuple:
         """(block index, atoms, probs[atoms], block mass) of every block of positive mass."""
@@ -156,28 +165,23 @@ class Partition:
         return self._block_table(space)[1]
 
     def _block_table(self, space: FiniteProbabilitySpace) -> tuple:
-        """The positive-mass blocks, one by one and grouped by size, built once per space and kept.
-
-        The partition and the space are both frozen, so an entry cannot go
-        stale.  The space is keyed by identity.
-        """
-        table = self._positive_by_space.get(space)
-        if table is None:
+        """The positive-mass blocks, one by one and grouped by size, kept per space (both are frozen; keyed by identity)."""
+        tables = self.__dict__.setdefault("_tables", {})
+        if space not in tables:
             blocks, by_size = [], {}
             for i, atoms in enumerate(self.block_arrays):
-                w = space.probs[atoms]
-                w.setflags(write=False)
+                w = _frozen(space.probs[atoms])
                 mass = float(w.sum())
                 if mass > 0.0:
                     blocks.append((i, atoms, w, mass))
                     by_size.setdefault(len(atoms), []).append(blocks[-1])
             groups = tuple(tuple(_frozen(c, dtype=None) for c in list(zip(*g))[1:]) for g in by_size.values())
-            table = self._positive_by_space[space] = (tuple(blocks), groups)
-        return table
+            tables[space] = (tuple(blocks), groups)
+        return tables[space]
 
     def refines(self, coarser: "Partition") -> bool:
-        """True if every block of self lies inside one block of ``coarser``."""
-        return coarser.n_atoms == self.n_atoms and _block_violation(coarser.block_of, self) is None
+        """True if every block of self lies inside one block of ``coarser``: no label of self pairs with two of ``coarser``."""
+        return coarser.n_atoms == self.n_atoms and len(set(zip(self.labels, coarser.labels))) == self.n_blocks
 
 
 @dataclass(frozen=True, eq=False)

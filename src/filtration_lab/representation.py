@@ -25,6 +25,7 @@ from .errors import FiltrationMismatch, IndependenceViolated, NotMartingale, Not
 from .calculus import (
     compensators,
     dual_projections,
+    martingale_checks,
     quadratic_covariation,
     require_martingale,
     stochastic_integral,
@@ -109,10 +110,8 @@ def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filt
     """Weighted least squares of every target's increment against the regressors', per node.
 
     ``values`` is (k, n, T+1), ``regressors`` (r, n, T+1).  Returns each
-    (atom, t)'s node (-1 at time 0 and on zero-mass nodes), the coefficients
-    (r, k, nodes + 1) whose last column is 0, and the first target whose
-    drift exceeds ``EXACT_TOL`` or is NaN with its earliest (t, block, drift),
-    or None.
+    (atom, t)'s node (-1 at time 0 and on zero-mass nodes) and the
+    coefficients (r, k, nodes + 1) whose last column is 0.
     """
     nodes = list(_nodes(filtration))
     if filtration.space.null_atoms:
@@ -120,22 +119,14 @@ def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filt
         values = np.where(filtration.space.positive[:, None], values, 0.0)
     node_of = np.full(values.shape[1:], -1)
     table = np.zeros((len(regressors), len(values), len(nodes) + 1))
-    drift = np.zeros((len(values), len(nodes)))
-    for node, (t, _, atoms, w, mass, _) in enumerate(nodes):
+    for node, (t, _, atoms, w, _, _) in enumerate(nodes):
         node_of[atoms, t] = node
         dy = values[:, atoms, t]
         dy -= values[:, atoms, t - 1]
-        drift[:, node] = dy @ w / mass
         sw = np.sqrt(w)
         pinv = np.linalg.pinv(regressors[:, atoms, t].T * sw[:, None], rcond=SV_CUTOFF)
         table[:, :, node] = (pinv * sw) @ dy.T
-    bad = ~(np.abs(drift) <= EXACT_TOL)
-    witness = None
-    if bad.any():
-        j = int(np.argmax(bad.any(axis=1)))
-        node = int(np.argmax(bad[j]))
-        witness = (j, nodes[node][:2] + (float(drift[j, node]),))
-    return node_of, table, witness
+    return node_of, table
 
 
 def solve_batch(
@@ -147,16 +138,18 @@ def solve_batch(
 ) -> BatchSolution:
     """Represent a stack of martingales (k, n, T+1) against one family of regressor increments.
 
-    Every target's drift is checked at ``EXACT_TOL`` (a failure names the first
-    drifting target and its witness) and the integrands' predictability once
-    per batch.  Reconstructions are built one regressor at a time, in chunks
-    of targets, so that no (k, n, T+1) buffer beyond the kept ones is live.
+    Every target's drift is checked by :func:`martingale_checks` (a failure
+    names the first drifting target and the witness ``is_martingale`` gives
+    for it) and the integrands' predictability once per batch.
+    Reconstructions are built one regressor at a time, in chunks of targets,
+    so that no (k, n, T+1) buffer beyond the kept ones is live.
     """
     values = np.asarray(targets, dtype=float)
     regs = np.stack(regressors) if len(regressors) else np.zeros((0,) + values.shape[1:])
-    node_of, table, drifting = _nodewise_solve(values, regs, filtration)
-    if drifting is not None:
-        raise NotMartingale("target {} has nonzero drift at {}".format(*drifting))
+    for j, check in enumerate(martingale_checks(values, filtration)):
+        if not check:
+            raise NotMartingale(f"target {j} has nonzero drift at {check.witness}")
+    node_of, table = _nodewise_solve(values, regs, filtration)
     # every integrand is a function of the node index, so checking it covers them all
     bad = slice_violation(node_of, filtration, 1)
     if bad is not None:

@@ -40,7 +40,7 @@ def bundle_from_doc(doc: dict) -> EnlargementBundle:
     if not isinstance(name, str):
         raise ValueError(f"bundle name must be a string, got {name!r}")
     space = build_space(doc["probs"])
-    initial = Partition(tuple(tuple(b) for b in doc["initial"]), space.n_atoms)
+    initial = Partition(doc["initial"], space.n_atoms)
     return build_bundle(
         space,
         np.asarray(doc["x_values"], dtype=float),

@@ -41,6 +41,36 @@ def oracle_conditional_expectation(probs, values, blocks):
     return np.array(out)
 
 
+def oracle_first_seen_blocks(labels):
+    """Atoms grouped by equal labels, each group ascending, groups in the order their labels are first seen."""
+    groups = {}
+    for atom, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(atom)
+    return [tuple(g) for g in groups.values()]
+
+
+def oracle_block_tables(probs, blocks):
+    """``Partition.positive_blocks`` and ``size_groups`` by a loop over the blocks.
+
+    Per positive-mass block: (index, atoms, probs[atoms], mass); per block
+    size, in the order sizes first appear: (atoms (G, m), probs (G, m),
+    masses (G,)).
+    """
+    positive, by_size = [], {}
+    for i, block in enumerate(blocks):
+        atoms = np.array(block, dtype=np.int64)
+        w = probs[atoms]
+        mass = float(w.sum())
+        if mass > 0.0:
+            positive.append((i, atoms, w, mass))
+            by_size.setdefault(len(block), []).append((atoms, w, mass))
+    groups = [
+        (np.stack([a for a, _, _ in g]), np.stack([w for _, w, _ in g]), np.array([m for *_, m in g]))
+        for g in by_size.values()
+    ]
+    return positive, groups
+
+
 def oracle_block_loop(space, values, partition):
     """The block average of one variable in its earlier form: ``v[atoms] @ w / mass`` per positive-mass block.
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from conftest import (
     oracle_block_loop,
+    oracle_block_tables,
     oracle_block_violation,
     oracle_conditional_expectation,
     oracle_first_jump_time,
+    oracle_first_seen_blocks,
     oracle_random_predictable_values,
     oracle_refines,
     oracle_stopping_violation,
@@ -110,6 +112,63 @@ class TestPartition:
         with pytest.raises(ValueError) as exc:
             Partition(blocks, n)
         assert str(exc.value) == message
+
+
+#: atom labels of every kind a map may give: ints, NumPy integers equal to them, and tuples
+LABELS = st.lists(
+    st.one_of(st.integers(0, 5), st.integers(0, 5).map(np.int64), st.tuples(st.integers(0, 2), st.booleans())),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCanonicalLabels:
+    """A partition built from labels against a first-seen grouping of its atoms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(labels=LABELS, seed=st.integers(0, 10**6))
+    def test_views_match_the_first_seen_grouping(self, labels, seed):
+        n = len(labels)
+        blocks = oracle_first_seen_blocks(labels)
+        p = Partition.from_labels(labels)
+        # the explicit-blocks constructor, handed the blocks in any order
+        rng = np.random.default_rng(seed)
+        shuffled = [tuple(rng.permutation(blocks[i]).tolist()) for i in rng.permutation(len(blocks))]
+        q = Partition(shuffled, n)
+        assert p == q and hash(p) == hash(q) and p.labels == q.labels
+        owner = {a: i for i, b in enumerate(blocks) for a in b}
+        assert p.blocks == tuple(blocks)
+        assert p.n_blocks == len(blocks) and p.n_atoms == n
+        assert p.block_of.tolist() == [owner[a] for a in range(n)]
+        assert p._first_atom.tolist() == [blocks[owner[a]][0] for a in range(n)]
+        # an injective relabelling carries the same information
+        distinct = list(dict.fromkeys(labels))
+        rename = dict(zip(distinct, (f"block {k}" for k in rng.permutation(len(distinct)))))
+        r = Partition.from_labels([rename[lab] for lab in labels])
+        assert r == p and hash(r) == hash(p) and r.labels == p.labels
+
+    @settings(max_examples=150, deadline=None)
+    @given(labels=LABELS, seed=st.integers(0, 10**6))
+    def test_block_tables_match_the_per_block_loop(self, labels, seed):
+        rng = np.random.default_rng(seed)
+        n = len(labels)
+        weights = rng.uniform(0.1, 1.0, n) * (rng.random(n) >= 0.3)
+        weights[int(rng.integers(n))] = 1.0  # at least one atom carries mass
+        space = build_space(weights / weights.sum())
+        p = Partition.from_labels(labels)
+        positive, groups = oracle_block_tables(space.probs, oracle_first_seen_blocks(labels))
+        assert len(p.positive_blocks(space)) == len(positive)
+        for got, want in zip(p.positive_blocks(space), positive):
+            assert got[0] == want[0] and got[3] == want[3]
+            assert _bitwise_equal(got[1], want[1]) and _bitwise_equal(got[2], want[2])
+        assert len(p.size_groups(space)) == len(groups)
+        for got, want in zip(p.size_groups(space), groups):
+            assert all(_bitwise_equal(g, w) for g, w in zip(got, want))
 
 
 class TestConditionalExpectation:
@@ -267,11 +326,12 @@ class TestProcesses:
 
 class TestBlockIndex:
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10**6), stack=st.integers(0, 3))
-    def test_violation_matches_the_block_loop(self, seed, stack):
+    @given(seed=st.integers(0, 10**6), stack=st.integers(0, 3), numpy_labels=st.booleans())
+    def test_violation_matches_the_block_loop(self, seed, stack, numpy_labels):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
-        part = Partition.from_labels(rng.integers(0, 4, n).tolist())
+        labels = rng.integers(0, 4, n)
+        part = Partition.from_labels(labels if numpy_labels else labels.tolist())
         # few distinct values, so constant blocks are common; NaN and inf mixed in
         levels = np.array([0.0, 1.0, -2.5, np.nan, np.inf])
         shape = (stack, n) if stack else (n,)
@@ -367,10 +427,11 @@ class TestBlockOracles:
         fine = Partition.from_labels(labels.tolist())
         coarse = Partition.from_labels((labels // 2).tolist())
         other = Partition.from_labels(rng.integers(0, 3, n).tolist())
-        for a in (fine, coarse, other):
-            for b in (fine, coarse, other, Partition.trivial(n + 1)):
+        finer = Partition.from_labels(zip(labels.tolist(), rng.integers(0, 2, n)))  # tuple labels
+        for a in (fine, coarse, other, finer):
+            for b in (fine, coarse, other, finer, Partition.trivial(n + 1)):
                 assert a.refines(b) == oracle_refines(a, b)
-        assert fine.refines(coarse)
+        assert fine.refines(coarse) and finer.refines(fine)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), valid=st.booleans(), perturb=st.booleans())

@@ -1,15 +1,19 @@
 """Every package module reads each name it imports and imports only at module
-level, only ``finite_space`` calls the two block primitives, every defaulted
+level, only ``finite_space`` calls the two block primitives, only
+``serialize`` builds a partition from explicit blocks, every defaulted
 parameter of a package function is passed by some call in the program, and
 every gap is reduced by ``finite_space``'s two reductions.
 
 ``__init__.py`` is left out of the unused-import scan: its imports are the
 package's exports.  The block primitives (``conditional_expectation`` and
 ``_block_violation``) are walked over time by ``finite_space``'s two slice
-operators, so a time loop written around them anywhere else is flagged.  The
-parameter scan reads the calls in ``src/`` and ``perfbench/``, not in the
-tests: a default that only a test ever overrides is a setting the program
-never uses.  A gap is reduced over atoms by ``positive_sup`` and over
+operators, so a time loop written around them anywhere else is flagged.  A
+partition's one stored form is its label vector: the package builds every
+partition from labels (``from_labels``, ``trivial``, ``discrete``), and the
+validating blocks constructor ``Partition(blocks, n_atoms)`` is kept for the
+blocks a bundle document brings in.  The parameter scan reads the calls in
+``src/`` and ``perfbench/``, not in the tests: a default that only a test
+ever overrides is a setting the program never uses.  A gap is reduced over atoms by ``positive_sup`` and over
 fixtures, targets, marks or blocks by ``max_gap``: a running
 ``x = max(x, gap)`` drops a NaN gap, and ``np.abs(gap).max()``, whole or along
 an axis, also reads the null atoms, so both are flagged; a stack of gaps is
@@ -76,6 +80,15 @@ def primitive_calls(source: str) -> list:
             if name in BLOCK_PRIMITIVES:
                 found.append((node.lineno, name))
     return sorted(found)
+
+
+def partition_constructor_calls(source: str) -> list:
+    """Line of every call of the blocks constructor ``Partition(...)``, by plain name or attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "Partition"
+    )
 
 
 def running_maxima(source: str) -> list:
@@ -225,6 +238,22 @@ def test_the_scan_finds_a_block_primitive_call():
 @pytest.mark.parametrize("path", NOT_FINITE_SPACE, ids=[p.name for p in NOT_FINITE_SPACE])
 def test_only_finite_space_calls_the_block_primitives(path):
     assert primitive_calls(path.read_text()) == []
+
+
+def test_the_scan_finds_a_partition_constructor_call():
+    source = (
+        "p = Partition(((0, 1),), 2)\n"
+        "q = finite_space.Partition(blocks, n)\n"
+        "r = Partition.from_labels([0, 1])\n"
+        "s = (Partition.trivial(2), Partition.discrete(2), Partition)\n"
+    )
+    assert partition_constructor_calls(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_only_serialize_builds_a_partition_from_blocks(path):
+    calls = partition_constructor_calls(path.read_text())
+    assert (calls != []) == (path.name == "serialize.py"), calls
 
 
 def test_the_scan_finds_a_running_max():

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import (
@@ -15,6 +19,7 @@ from filtration_lab.calculus import (
     compensator,
     dual_projection,
     is_martingale,
+    martingale_checks,
     quadratic_covariation,
 )
 from filtration_lab.enlargement import build_bundle
@@ -46,6 +51,7 @@ from filtration_lab.representation import (
     verify_independence,
     wrp_regressors,
 )
+from filtration_lab.serialize import bundle_from_doc
 
 
 class TestMartingaleClosure:
@@ -310,6 +316,16 @@ def _bundle_with_null_atoms(rng, b):
     return build_bundle(space, b.X.values, b.H.values, initial=b.initial, name="null_atoms")
 
 
+def _large_tree(seed):
+    """The benchmark's ``exact_large_tree`` bundle: the complete 4-way (dX, dH) tree of horizon 4, 256 atoms."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up while the class is built
+    spec.loader.exec_module(module)
+    return bundle_from_doc(module.tree_bundle_doc(seed))
+
+
 def _regressor_family(kind, b):
     mu = jump_measure(b.X, b.H)
     wrp = wrp_regressors(mu, compensator_measure(mu))
@@ -387,6 +403,22 @@ class TestBatchedKernel:
         regs = triple_regressors(*fundamental_martingales(b.X, b.H))
         with pytest.raises(NotMartingale, match=r"^target 1 has nonzero drift at \(2, 0, nan\)"):
             solve_batch(ys, regs, b.g)
+
+    def test_drift_witness_is_the_one_is_martingale_names(self):
+        # the solver must name the drift is_martingale computes, bit for bit: on this tree a drift
+        # averaged over the stacked targets by another kernel rounds apart in most witnesses' last bits
+        b = _large_tree(11)
+        regs = triple_regressors(*fundamental_martingales(b.X, b.H))
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            ys = martingale_closures(rng.normal(size=(8, b.space.n_atoms)), b.g)
+            first = int(rng.integers(0, 8))
+            ys[first:] += rng.normal(size=ys[first:].shape)
+            checks = martingale_checks(ys, b.g)
+            assert checks[first].witness is not None
+            with pytest.raises(NotMartingale) as exc:
+                solve_batch(ys, regs, b.g)
+            assert str(exc.value) == f"target {first} has nonzero drift at {checks[first].witness}"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_null_atom_value_stays_out_of_the_solve(self, bad):
