@@ -2,12 +2,12 @@
 
 Atoms are indexed 0..n-1 and carry probabilities.  A sigma-field is a
 partition of the atom set, stored as its canonical label vector (atom a's
-block, blocks numbered by first atom); its blocks and block tables are
-derived from the labels on first read.  A filtration is a refining sequence
-of partitions indexed by integer time 0..T.  Processes are (atom, time) value
-matrices tied to a filtration.  Conditional expectation is an exact weighted
-block average, which makes every downstream identity checkable to float
-precision.
+block, blocks numbered by first atom); its blocks, and its one block table per
+space (the positive-mass blocks grouped by size), are derived from the labels
+on first read.  A filtration is a refining sequence of partitions indexed by
+integer time 0..T.  Processes are (atom, time) value matrices tied to a
+filtration.  Conditional expectation is an exact weighted block average, which
+makes every downstream identity checkable to float precision.
 """
 from __future__ import annotations
 
@@ -40,6 +40,13 @@ def _frozen(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def atom_id(a) -> int:
+    """An atom id of outside input: an int or a NumPy integer, never a bool, a float or a string."""
+    if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+        raise ValueError(f"atom id {a!r} is not an integer")
+    return int(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +102,7 @@ class Partition:
 
     def __init__(self, blocks, n_atoms: int):
         """Validate outside input: explicit ``blocks`` of atom ids, non-empty, disjoint and covering 0..n_atoms-1."""
-        blocks = sorted((tuple(sorted(int(a) for a in b)) for b in blocks), key=lambda b: b[:1])
+        blocks = sorted((tuple(sorted(atom_id(a) for a in b)) for b in blocks), key=lambda b: b[:1])
         if any(len(b) == 0 for b in blocks):
             raise ValueError("empty block")
         owner = [-1] * n_atoms
@@ -151,32 +158,20 @@ class Partition:
         """Read-only array mapping atom id to the first atom of its block."""
         return _frozen([self.blocks[lab][0] for lab in self.labels], dtype=np.int64)
 
-    @cached_property
-    def block_arrays(self) -> tuple:
-        """Each block as a read-only atom-id array."""
-        return tuple(_frozen(b, dtype=np.int64) for b in self.blocks)
-
-    def positive_blocks(self, space: FiniteProbabilitySpace) -> tuple:
-        """(block index, atoms, probs[atoms], block mass) of every block of positive mass."""
-        return self._block_table(space)[0]
-
     def size_groups(self, space: FiniteProbabilitySpace) -> tuple:
-        """The positive-mass blocks grouped by size: (atoms (G, m), probs (G, m), masses (G,)) per size m."""
-        return self._block_table(space)[1]
+        """The positive-mass blocks grouped by size, sizes as first seen: (atoms (G, m), probs (G, m), masses (G,)) per size m.
 
-    def _block_table(self, space: FiniteProbabilitySpace) -> tuple:
-        """The positive-mass blocks, one by one and grouped by size, kept per space (both are frozen; keyed by identity)."""
+        This is the partition's one block table, kept per space (all frozen; keyed by identity).
+        """
         tables = self.__dict__.setdefault("_tables", {})
         if space not in tables:
-            blocks, by_size = [], {}
-            for i, atoms in enumerate(self.block_arrays):
-                w = _frozen(space.probs[atoms])
+            by_size = {}
+            for atoms in map(np.array, self.blocks):
+                w = space.probs[atoms]
                 mass = float(w.sum())
                 if mass > 0.0:
-                    blocks.append((i, atoms, w, mass))
-                    by_size.setdefault(len(atoms), []).append(blocks[-1])
-            groups = tuple(tuple(_frozen(c, dtype=None) for c in list(zip(*g))[1:]) for g in by_size.values())
-            tables[space] = (tuple(blocks), groups)
+                    by_size.setdefault(len(atoms), []).append((atoms, w, mass))
+            tables[space] = tuple(tuple(_frozen(c, dtype=None) for c in zip(*g)) for g in by_size.values())
         return tables[space]
 
     def refines(self, coarser: "Partition") -> bool:

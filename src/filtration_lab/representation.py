@@ -8,11 +8,11 @@ residual is zero to float precision, so the residual doubles as a
 certificate.  Degenerate nodes get the minimum-norm solution (singular-value
 cutoff 1e-12), which puts 0 on zero-variance regressors.
 
-One kernel serves every solver: per node it forms the weighted design's
-pseudo-inverse once and applies it to a whole stack of targets.
-:func:`solve_batch` is the batch entry point; ``solve_prp``, ``solve_wrp``,
-``solve_triple``, ``solve_in_basis`` and ``independent_decomposition`` solve
-one target through it.
+One kernel serves every solver: per time and block size it forms one stacked
+pseudo-inverse of the nodes' weighted designs and applies it to a whole stack
+of targets.  :func:`solve_batch` is the batch entry point; ``solve_prp``,
+``solve_wrp``, ``solve_triple``, ``solve_in_basis`` and
+``independent_decomposition`` solve one target through it.
 """
 from __future__ import annotations
 
@@ -89,44 +89,45 @@ def chunk_length(filtration: Filtration) -> int:
 
 
 def _nodes(filtration: Filtration):
-    """(t, block index, atoms, probs[atoms], mass, children) of every positive-mass node.
+    """(t, mass, children) of every positive-mass node, a time t >= 1 and a block of P_{t-1}, by P_{t-1}'s size groups.
 
-    A node is a time t >= 1 and a block of P_{t-1}; the next four are the
-    block's entry in ``Partition.positive_blocks``, and ``children`` lists the
-    entries of P_t's table that lie inside the block, in block order.  A node
-    of positive mass has at least one.
+    ``children`` are the node's positive-mass blocks of P_t as (atoms, mass), in block order.
     """
-    space = filtration.space
     for t in range(1, filtration.horizon + 1):
-        parent_of = filtration.at(t - 1).block_of
-        children: dict = {}
-        for child in filtration.at(t).positive_blocks(space):
-            children.setdefault(int(parent_of[child[1][0]]), []).append(child)
-        for node in filtration.at(t - 1).positive_blocks(space):
-            yield (t,) + node + (children[node[0]],)
+        block_of = filtration.at(t).block_of
+        for atoms, w, masses in filtration.at(t - 1).size_groups(filtration.space):
+            for node, node_probs, mass, labels in zip(atoms, w, masses, block_of[atoms]):
+                masks = [labels == label for label in dict.fromkeys(labels.tolist())]
+                children = [(node[mask], float(node_probs[mask].sum())) for mask in masks]
+                yield t, float(mass), [child for child in children if child[1] > 0.0]
 
 
 def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filtration):
     """Weighted least squares of every target's increment against the regressors', per node.
 
-    ``values`` is (k, n, T+1), ``regressors`` (r, n, T+1).  Returns each
-    (atom, t)'s node (-1 at time 0 and on zero-mass nodes) and the
+    ``values`` is (k, n, T+1), ``regressors`` (r, n, T+1).  The G nodes of one
+    time and block size m are solved as one stack of (m, r) designs.  Returns
+    each (atom, t)'s node (-1 at time 0 and on zero-mass nodes) and the
     coefficients (r, k, nodes + 1) whose last column is 0.
     """
-    nodes = list(_nodes(filtration))
-    if filtration.space.null_atoms:
+    space = filtration.space
+    if space.null_atoms:
         # weight 0 does not silence a NaN or an inf, so a null atom's increment is dropped
-        values = np.where(filtration.space.positive[:, None], values, 0.0)
+        values = np.where(space.positive[:, None], values, 0.0)
     node_of = np.full(values.shape[1:], -1)
-    table = np.zeros((len(regressors), len(values), len(nodes) + 1))
-    for node, (t, _, atoms, w, _, _) in enumerate(nodes):
-        node_of[atoms, t] = node
-        dy = values[:, atoms, t]
-        dy -= values[:, atoms, t - 1]
-        sw = np.sqrt(w)
-        pinv = np.linalg.pinv(regressors[:, atoms, t].T * sw[:, None], rcond=SV_CUTOFF)
-        table[:, :, node] = (pinv * sw) @ dy.T
-    return node_of, table
+    coefs, offset = [], 0
+    for t in range(1, filtration.horizon + 1):
+        for atoms, w, _ in filtration.at(t - 1).size_groups(space):
+            node_of[atoms, t] = np.arange(offset, offset + len(atoms))[:, None]
+            offset += len(atoms)
+            # (G, m, k) with each node's (m, k) block row-major: matmul's rounding depends on the
+            # layout, and this one gives every node the bits of a solve of that node alone
+            dy = np.ascontiguousarray((values[:, atoms, t] - values[:, atoms, t - 1]).transpose(1, 2, 0))
+            sw = np.sqrt(w)
+            pinv = np.linalg.pinv(regressors[:, atoms, t].transpose(1, 2, 0) * sw[..., None], rcond=SV_CUTOFF)
+            coefs.append((pinv * sw[:, None]) @ dy)
+    coefs.append(np.zeros((1, len(regressors), len(values))))
+    return node_of, np.concatenate(coefs).transpose(1, 2, 0)
 
 
 def solve_batch(
@@ -341,14 +342,11 @@ def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProce
     has size ``multiplicity(filtration)``, is pairwise orthogonal, and spans
     every martingale nodewise.
     """
-    m = multiplicity(filtration)
-    n = filtration.space.n_atoms
-    width = filtration.horizon + 1
-    incs = [np.zeros((n, width)) for _ in range(m)]
-    for t, _, _, _, mass, children in _nodes(filtration):
+    incs = [np.zeros((filtration.space.n_atoms, filtration.horizon + 1)) for _ in range(multiplicity(filtration))]
+    for t, mass, children in _nodes(filtration):
         k = len(children)
         if k > 1:
-            weights = np.array([child_mass / mass for *_, child_mass in children])
+            weights = np.array([child_mass / mass for _, child_mass in children])
             vectors = []
             for j in range(k - 1):
                 v = np.full(k, -weights[j])  # centered indicator of child j
@@ -359,6 +357,6 @@ def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProce
                 if norm > SV_CUTOFF:
                     vectors.append(v / norm)
             for i, e in enumerate(vectors):
-                for c, (_, child, _, _) in enumerate(children):
+                for c, (child, _) in enumerate(children):
                     incs[i][child, t] = e[c]
     return [AdaptedProcess(filtration, np.cumsum(inc, axis=1)) for inc in incs]

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .enlargement import EnlargementBundle, build_bundle
-from .finite_space import Partition, build_space
+from .finite_space import Partition, atom_id, build_space
 
 SPACE_SCHEMA = "filtration-lab/space-v1"
 BUNDLE_SCHEMA = "filtration-lab/bundle-v1"
@@ -24,9 +24,10 @@ def _check_doc(doc: dict, schema: str, keys: set) -> None:
 def space_from_doc(doc: dict):
     """Returns (space, {"X": values, "H": values}); the document has exactly these two processes."""
     _check_doc(doc, SPACE_SCHEMA, {"schema", "atoms", "processes"})
-    atoms = sorted(doc["atoms"], key=lambda a: a["id"])
-    if [a["id"] for a in atoms] != list(range(len(atoms))):
+    ids = [atom_id(a["id"]) for a in doc["atoms"]]
+    if sorted(ids) != list(range(len(ids))):
         raise ValueError("atom ids must be exactly 0..n-1")
+    atoms = sorted(doc["atoms"], key=lambda a: a["id"])
     space = build_space([a["prob"] for a in atoms])
     processes = doc["processes"]
     if not isinstance(processes, dict) or set(processes) != {"X", "H"}:

@@ -50,25 +50,22 @@ def oracle_first_seen_blocks(labels):
 
 
 def oracle_block_tables(probs, blocks):
-    """``Partition.positive_blocks`` and ``size_groups`` by a loop over the blocks.
+    """``Partition.size_groups`` by a loop over the blocks.
 
-    Per positive-mass block: (index, atoms, probs[atoms], mass); per block
-    size, in the order sizes first appear: (atoms (G, m), probs (G, m),
-    masses (G,)).
+    Per block size, in the order sizes first appear, the positive-mass blocks
+    of that size: (atoms (G, m), probs (G, m), masses (G,)).
     """
-    positive, by_size = [], {}
-    for i, block in enumerate(blocks):
+    by_size = {}
+    for block in blocks:
         atoms = np.array(block, dtype=np.int64)
         w = probs[atoms]
         mass = float(w.sum())
         if mass > 0.0:
-            positive.append((i, atoms, w, mass))
             by_size.setdefault(len(block), []).append((atoms, w, mass))
-    groups = [
+    return [
         (np.stack([a for a, _, _ in g]), np.stack([w for _, w, _ in g]), np.array([m for *_, m in g]))
         for g in by_size.values()
     ]
-    return positive, groups
 
 
 def oracle_block_loop(space, values, partition):
@@ -79,7 +76,7 @@ def oracle_block_loop(space, values, partition):
     """
     v = np.where(space.positive, np.asarray(values, dtype=float), 0.0)
     out = np.zeros(space.n_atoms)
-    for atoms in partition.block_arrays:
+    for atoms in map(np.array, partition.blocks):
         w = space.probs[atoms]
         mass = float(w.sum())
         if mass > 0.0:
@@ -337,6 +334,33 @@ def oracle_positive_children(probs, filtration):
     return out
 
 
+def oracle_spanning_family(probs, filtration, cutoff):
+    """Values of the orthogonal spanning family by Gram-Schmidt over :func:`oracle_positive_children`.
+
+    At each node the centered indicators of all but the last child are
+    orthonormalised under the child weights (a vector of norm at most
+    ``cutoff`` is dropped); member i takes the i-th vector on the node.
+    """
+    nodes = oracle_positive_children(probs, filtration)
+    incs = [np.zeros((len(probs), filtration.horizon + 1)) for _ in range(max(len(c) for _, _, c, _ in nodes) - 1)]
+    for t, node, children, masses in nodes:
+        mass = float(probs[list(node)].sum())
+        weights = np.array([child_mass / mass for child_mass in masses])
+        vectors = []
+        for j in range(len(children) - 1):
+            v = np.full(len(children), -weights[j])
+            v[j] += 1.0
+            for e in vectors:
+                v = v - float((weights * v) @ e) * e
+            norm = float(np.sqrt((weights * v) @ v))
+            if norm > cutoff:
+                vectors.append(v / norm)
+        for i, e in enumerate(vectors):
+            for c, child in enumerate(children):
+                incs[i][list(child), t] = e[c]
+    return [np.cumsum(inc, axis=1) for inc in incs]
+
+
 def oracle_azema_consistency_gap(probs, partitions, azema, survive):
     """Max over every block of every slice, zero-mass blocks included, of |A_t P(block) - P(tau > t, block)|."""
     worst = 0.0
@@ -390,7 +414,7 @@ def oracle_nodewise_lstsq(targets, regressors, filtration, cutoff):
         dy = np.zeros_like(y)
         dy[:, 1:] = np.diff(y, axis=1)
         for t in range(1, filtration.horizon + 1):
-            for atoms in filtration.at(t - 1).block_arrays:
+            for atoms in map(np.array, filtration.at(t - 1).blocks):
                 w = probs[atoms]
                 if w.sum() <= 0.0:
                     continue
@@ -411,6 +435,34 @@ def oracle_residual_sup(y, integrands, regressors, probs):
             integral[:, t] = integral[:, t - 1] + k[:, t] * d[:, t]
         recon = recon + integral
     return float(np.abs(y - recon)[probs > 0.0].max())
+
+
+def oracle_pinv_per_node(values, regressors, filtration, cutoff):
+    """The nodewise solve one node at a time: one ``np.linalg.pinv`` per positive-mass node.
+
+    Nodes are numbered time by time in block order.  Returns each (atom, t)'s
+    node (-1 at time 0 and on zero-mass nodes) and the coefficients
+    (r, k, nodes + 1) whose last column is 0, as ``_nodewise_solve`` does; a
+    null atom's increment is dropped first, as there.
+    """
+    space = filtration.space
+    nodes = [
+        (t, atoms)
+        for t in range(1, filtration.horizon + 1)
+        for atoms in map(np.array, filtration.at(t - 1).blocks)
+        if float(space.probs[atoms].sum()) > 0.0
+    ]
+    values = np.where(space.positive[:, None], values, 0.0)
+    node_of = np.full(values.shape[1:], -1)
+    table = np.zeros((len(regressors), len(values), len(nodes) + 1))
+    for node, (t, atoms) in enumerate(nodes):
+        node_of[atoms, t] = node
+        dy = values[:, atoms, t]
+        dy -= values[:, atoms, t - 1]
+        sw = np.sqrt(space.probs[atoms])
+        pinv = np.linalg.pinv(regressors[:, atoms, t].T * sw[:, None], rcond=cutoff)
+        table[:, :, node] = (pinv * sw) @ dy.T
+    return node_of, table
 
 
 def oracle_jump_events(dx, dh):

@@ -228,6 +228,14 @@ _INLINE_SPACE = {
     "processes": {"X": [[0, 1], [0, 0]], "H": [[0, 0], [0, 1]]},
 }
 _SPACE_OK = dict(_INLINE_SPACE, atoms=[{"id": 0, "prob": 0.5}, {"id": 1, "prob": 0.5}])
+#: four atoms, one path per (dX, dH) mark
+_INLINE_4 = {
+    "schema": "filtration-lab/bundle-v1",
+    "probs": [0.25] * 4,
+    "initial": [[0, 1, 2, 3]],
+    "x_values": [[0, 0], [0, 1], [0, 0], [0, 1]],
+    "h_values": [[0, 0], [0, 0], [0, 1], [0, 1]],
+}
 BAD_CONFIG = [
     ("probs_sum_to_1.1", {"fixture": dict(_INLINE, probs=[0.5, 0.6])}),
     ("jump_of_two", {"fixture": dict(_INLINE, x_values=[[0, 2], [0, 0]])}),
@@ -268,6 +276,18 @@ BAD_CONFIG = [
     ("inline_bundle_x_values_empty", {"fixture": dict(_INLINE, x_values=[])}),
     ("inline_bundle_x_values_flat", {"fixture": dict(_INLINE, x_values=[0, 1])}),
     ("inline_space_x_flat", {"fixture": dict(_SPACE_OK, processes={**_SPACE_OK["processes"], "X": [0, 1]})}),
+    # an atom id is an integer: int() would truncate a float and take a bool or a digit string
+    ("inline_bundle_fractional_atom_id", {"fixture": dict(_INLINE_4, initial=[[0.5, 1, 2, 3]])}),
+    ("inline_bundle_boolean_atom_id", {"fixture": dict(_INLINE_4, initial=[[True, 0], [2, 3]])}),
+    ("inline_bundle_string_atom_ids", {"fixture": dict(_INLINE_4, initial=[["0", "1"], [2, 3]])}),
+    (
+        "inline_space_boolean_atom_id",
+        {"fixture": dict(_SPACE_OK, atoms=[{"id": 0, "prob": 0.5}, {"id": True, "prob": 0.5}])},
+    ),
+    (
+        "inline_space_float_atom_ids",
+        {"fixture": dict(_SPACE_OK, atoms=[{"id": 0.0, "prob": 0.5}, {"id": 1.0, "prob": 0.5}])},
+    ),
 ]
 
 

@@ -106,12 +106,18 @@ class TestPartition:
             (((0, -1), (1,)), 2, "atom id -1 outside 0..1"),
             (((0, 1), (1, 2)), 3, "atom 1 appears in two blocks"),
             (((0,), (2,)), 4, "atom 1 not covered by any block"),
+            (((0, 1.0), (2,)), 3, "atom id 1.0 is not an integer"),
+            (((True, 0), (2,)), 3, "atom id True is not an integer"),
+            ((("0", 1),), 2, "atom id '0' is not an integer"),
         ],
     )
     def test_validation_messages(self, blocks, n, message):
         with pytest.raises(ValueError) as exc:
             Partition(blocks, n)
         assert str(exc.value) == message
+
+    def test_numpy_integer_atom_ids(self):
+        assert Partition(((np.int64(1), np.int32(0)), (np.uint8(2),)), 3) == Partition(((0, 1), (2,)), 3)
 
 
 #: atom labels of every kind a map may give: ints, NumPy integers equal to them, and tuples
@@ -161,11 +167,7 @@ class TestCanonicalLabels:
         weights[int(rng.integers(n))] = 1.0  # at least one atom carries mass
         space = build_space(weights / weights.sum())
         p = Partition.from_labels(labels)
-        positive, groups = oracle_block_tables(space.probs, oracle_first_seen_blocks(labels))
-        assert len(p.positive_blocks(space)) == len(positive)
-        for got, want in zip(p.positive_blocks(space), positive):
-            assert got[0] == want[0] and got[3] == want[3]
-            assert _bitwise_equal(got[1], want[1]) and _bitwise_equal(got[2], want[2])
+        groups = oracle_block_tables(space.probs, oracle_first_seen_blocks(labels))
         assert len(p.size_groups(space)) == len(groups)
         for got, want in zip(p.size_groups(space), groups):
             assert all(_bitwise_equal(g, w) for g, w in zip(got, want))
@@ -245,8 +247,9 @@ class TestConditionalExpectation:
             for row, out in zip(v, got):
                 want = oracle_conditional_expectation(space.probs, row, pi.blocks)
                 assert np.array_equal(out, want)
-            assert pi.positive_blocks(space) is pi.positive_blocks(space)
-        assert [b[0] for b in pi.positive_blocks(spaces[1])] == [0, 2]
+            assert pi.size_groups(space) is pi.size_groups(space)
+        # only blocks 0 and 2 carry mass under spaces[1]
+        assert [atoms.tolist() for atoms, _, _ in pi.size_groups(spaces[1])] == [[[0, 1], [3, 4]]]
         assert conditional_expectation(spaces[1], v, pi)[:, 2].tolist() == [0.0, 0.0]
 
     @settings(max_examples=80, deadline=None)

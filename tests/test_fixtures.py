@@ -30,8 +30,8 @@ def test_named_fixture_is_one_shared_read_only_bundle(name):
     arrays = [b.space.probs, b.X.values, b.H.values, b.initial.block_of]
     for filtration in (b.f, b.h_filtration, b.g):
         for p in filtration.partitions:
-            arrays += [p.block_of, *p.block_arrays]
-            arrays += [w for _, _, w, _ in p.positive_blocks(b.space)]
+            arrays += [p.block_of, p._first_atom]
+            arrays += [a for group in p.size_groups(b.space) for a in group]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         b.X.values[0, 0] = 1.0

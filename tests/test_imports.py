@@ -1,23 +1,26 @@
 """Every package module reads each name it imports and imports only at module
-level, only ``finite_space`` calls the two block primitives, only
-``serialize`` builds a partition from explicit blocks, every defaulted
-parameter of a package function is passed by some call in the program, and
-every gap is reduced by ``finite_space``'s two reductions.
+level, only ``finite_space`` calls the two block primitives and reads a
+partition's block views, only ``serialize`` builds a partition from explicit
+blocks, every defaulted parameter of a package function is passed by some call
+in the program, and every gap is reduced by ``finite_space``'s two reductions.
 
 ``__init__.py`` is left out of the unused-import scan: its imports are the
 package's exports.  The block primitives (``conditional_expectation`` and
 ``_block_violation``) are walked over time by ``finite_space``'s two slice
 operators, so a time loop written around them anywhere else is flagged.  A
-partition's one stored form is its label vector: the package builds every
-partition from labels (``from_labels``, ``trivial``, ``discrete``), and the
-validating blocks constructor ``Partition(blocks, n_atoms)`` is kept for the
-blocks a bundle document brings in.  The parameter scan reads the calls in
-``src/`` and ``perfbench/``, not in the tests: a default that only a test
-ever overrides is a setting the program never uses.  A gap is reduced over atoms by ``positive_sup`` and over
-fixtures, targets, marks or blocks by ``max_gap``: a running
-``x = max(x, gap)`` drops a NaN gap, and ``np.abs(gap).max()``, whole or along
-an axis, also reads the null atoms, so both are flagged; a stack of gaps is
-reduced entry by entry by ``positive_sups``.
+partition keeps one block table per space, its size groups: every block walk
+outside ``finite_space`` reads them, ``block_of`` or ``labels``, never the
+per-block views ``blocks`` and ``_first_atom``.  A partition's one stored form
+is its label vector: the package builds every partition from labels
+(``from_labels``, ``trivial``, ``discrete``), and the validating blocks
+constructor ``Partition(blocks, n_atoms)`` is kept for the blocks a bundle
+document brings in.  The parameter scan reads the calls in ``src/`` and
+``perfbench/``, not in the tests: a default that only a test ever overrides is
+a setting the program never uses.  A gap is reduced over atoms by
+``positive_sup`` and over fixtures, targets, marks or blocks by ``max_gap``: a
+running ``x = max(x, gap)`` drops a NaN gap, and ``np.abs(gap).max()``, whole
+or along an axis, also reads the null atoms, so both are flagged; a stack of
+gaps is reduced entry by entry by ``positive_sups``.
 """
 import ast
 from pathlib import Path
@@ -32,6 +35,8 @@ CALLERS = ALL_MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
 #: called only inside finite_space, whose slice operators walk them over time
 BLOCK_PRIMITIVES = ("conditional_expectation", "_block_violation")
 NOT_FINITE_SPACE = [p for p in ALL_MODULES if p.name != "finite_space.py"]
+#: a partition's per-block views, read only inside finite_space
+BLOCK_VIEWS = ("blocks", "_first_atom")
 
 #: (function, parameter) -> why it keeps a default no program call overrides
 UNPASSED_ALLOWED = {
@@ -80,6 +85,15 @@ def primitive_calls(source: str) -> list:
             if name in BLOCK_PRIMITIVES:
                 found.append((node.lineno, name))
     return sorted(found)
+
+
+def block_view_reads(source: str) -> list:
+    """(line, attribute) of every read of a partition's per-block view, such as ``p.blocks``."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in BLOCK_VIEWS
+    )
 
 
 def partition_constructor_calls(source: str) -> list:
@@ -238,6 +252,21 @@ def test_the_scan_finds_a_block_primitive_call():
 @pytest.mark.parametrize("path", NOT_FINITE_SPACE, ids=[p.name for p in NOT_FINITE_SPACE])
 def test_only_finite_space_calls_the_block_primitives(path):
     assert primitive_calls(path.read_text()) == []
+
+
+def test_the_scan_finds_a_block_view_read():
+    source = (
+        "for atoms in p.blocks:\n"
+        "    first = filtration.at(t).blocks[0], p._first_atom\n"
+        "groups = p.size_groups(space), p.block_of, p.labels, p.n_blocks\n"
+        "blocks = [b for b in q.blocks_of]\n"
+    )
+    assert block_view_reads(source) == [(1, "blocks"), (2, "_first_atom"), (2, "blocks")]
+
+
+@pytest.mark.parametrize("path", NOT_FINITE_SPACE, ids=[p.name for p in NOT_FINITE_SPACE])
+def test_only_finite_space_reads_the_block_views(path):
+    assert block_view_reads(path.read_text()) == []
 
 
 def test_the_scan_finds_a_partition_constructor_call():

@@ -1,20 +1,24 @@
 import importlib.util
 import sys
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import (
     oracle_independence_violation,
     oracle_nodewise_lstsq,
+    oracle_pinv_per_node,
     oracle_positive_children,
     oracle_residual_sup,
+    oracle_spanning_family,
     random_filtration,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filtration_lab import fixtures
+from filtration_lab import fixtures, representation
 from filtration_lab.calculus import (
     compensator,
     dual_projection,
@@ -280,8 +284,11 @@ class TestMultiplicity:
             probs = filt.space.probs
             nodes = oracle_positive_children(probs, filt)
             assert multiplicity(filt) == max(len(children) for _, _, children, _ in nodes) - 1
-            incs = [m.increments() for m in orthogonal_spanning_martingales(filt)]
-            assert len(incs) == multiplicity(filt)
+            family = orthogonal_spanning_martingales(filt)
+            want = oracle_spanning_family(probs, filt, SV_CUTOFF)
+            assert len(family) == len(want) == multiplicity(filt)
+            assert all(m.values.tobytes() == w.tobytes() for m, w in zip(family, want))
+            incs = [m.increments() for m in family]
             for t, node, children, masses in nodes:
                 # each member is constant on every positive child and 0 on the node's null atoms
                 outside = sorted(set(node) - {a for c in children for a in c})
@@ -298,6 +305,15 @@ class TestMultiplicity:
                 want = np.diag([1.0] * (k - 1) + [0.0] * (len(incs) - k + 1))
                 np.testing.assert_allclose(gram, want, rtol=0.0, atol=1e-9)
                 np.testing.assert_allclose(e @ weights, 0.0, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("tree", ["space_a", "large_tree"])
+    def test_children_of_large_nodes_keep_the_bits(self, tree):
+        # nodes of 16 to 256 atoms, where the order of a child's mass sum shows in its bits
+        b = _large_tree(3) if tree == "large_tree" else fixtures.space_a()
+        for filt in (b.f, b.g):
+            want = oracle_spanning_family(filt.space.probs, filt, SV_CUTOFF)
+            got = orthogonal_spanning_martingales(filt)
+            assert [m.values.tobytes() for m in got] == [w.tobytes() for w in want]
 
     def test_monotone_under_enlargement(self):
         rng = np.random.default_rng(47)
@@ -337,6 +353,15 @@ def _regressor_family(kind, b):
     return wrp + [wrp[0], np.zeros_like(wrp[0])]
 
 
+def _assert_solved_node_by_node(batch, ys, regs, filtration):
+    """``batch`` has the bits of the same solve with one ``np.linalg.pinv`` per node."""
+    with mock.patch.object(representation, "_nodewise_solve", partial(oracle_pinv_per_node, cutoff=SV_CUTOFF)):
+        want = solve_batch(ys, regs, filtration, keep_integrands=True, keep_reconstructions=True)
+    for field in ("integrands", "residual_sup", "reconstructions"):
+        got, expected = getattr(batch, field), getattr(want, field)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), field
+
+
 class TestBatchedKernel:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -353,6 +378,7 @@ class TestBatchedKernel:
         regs = _regressor_family(kind, b)
         ys = martingale_closures(rng.normal(size=(k, b.space.n_atoms)), b.g)
         batch = solve_batch(ys, regs, b.g, keep_integrands=True, keep_reconstructions=True)
+        _assert_solved_node_by_node(batch, ys, regs, b.g)
         oracle = oracle_nodewise_lstsq(list(ys), regs, b.g, SV_CUTOFF)
         assert batch.integrands.shape == oracle.shape == (len(regs), k) + ys.shape[1:]
         assert np.abs(batch.integrands - oracle).max() <= 1e-12
@@ -361,6 +387,27 @@ class TestBatchedKernel:
             want = oracle_residual_sup(y, oracle[:, i], regs, probs)
             assert abs(batch.residual_sup[i] - want) <= 1e-12
             assert batch.residual_sup[i] == np.abs(y - batch.reconstructions[i])[probs > 0.0].max()
+
+    @pytest.mark.parametrize("tree", ["space_a", "large_tree"])
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    def test_stacks_of_large_nodes_keep_the_bits(self, tree, k):
+        # nodes of 16 to 256 atoms, where matmul's rounding shows the increments' memory layout
+        b = _large_tree(11) if tree == "large_tree" else fixtures.space_a()
+        ys = martingale_closures(np.random.default_rng(k).normal(size=(k, b.space.n_atoms)), b.g)
+        for regs in (_regressor_family("wrp", b), _regressor_family("rank_deficient", b)):
+            batch = solve_batch(ys, regs, b.g, keep_integrands=True, keep_reconstructions=True)
+            _assert_solved_node_by_node(batch, ys, regs, b.g)
+
+    @pytest.mark.parametrize("tree,calls", [("large_tree", 4), ("space_a", 2)])
+    def test_one_pinv_per_time_and_block_size(self, monkeypatch, tree, calls):
+        # the 256-atom tree has 85 nodes and space_a's joint tree 5, each of one size per time
+        b = _large_tree(11) if tree == "large_tree" else fixtures.space_a()
+        pinv, made = np.linalg.pinv, []
+        monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kw: made.append(args[0].shape) or pinv(*args, **kw))
+        ys = martingale_closures(np.random.default_rng(53).normal(size=(3, b.space.n_atoms)), b.g)
+        solve_batch(ys, triple_regressors(*fundamental_martingales(b.X, b.H)), b.g)
+        assert len(made) == calls
+        assert sum(shape[0] for shape in made) == sum(p.n_blocks for p in b.g.partitions[:-1])
 
     def test_cutoff_is_relative_to_the_largest_singular_value(self, space_a_bundle):
         # a regressor scaled by 1e-6 still spans its direction; one scaled by
