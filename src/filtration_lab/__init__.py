@@ -79,5 +79,4 @@ from .random_time import (
 from .montecarlo import (
     McReport,
     RandomTimeSpec,
-    simulate_poisson,
 )

@@ -4,8 +4,9 @@ Runs the configured check suites in declared order and writes a consolidated
 JSON report (optionally a flat CSV).  Exit code 0 iff every check passed,
 1 when a check failed (report still written), 2 for an invalid config.
 Reports are byte-identical across reruns for a fixed seed.  `--parallel N` is
-kept for Monte Carlo configs and has no effect: each path has its own keyed
-stream, so there is no thread count for a report to depend on.
+kept for Monte Carlo configs and has no effect: path p reads a fixed-width
+slice of one stream keyed by the seed, so there is no thread count for a
+report to depend on.
 """
 from __future__ import annotations
 

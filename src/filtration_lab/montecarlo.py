@@ -1,11 +1,16 @@
 """Continuous-time statistical checks: Poisson paths, random times, z-tests.
 
-Determinism contract: path p reads only its own counter-based stream, Philox
-keyed (seed, p).  It draws its inter-arrival times from that stream and then
-one more unit exponential, and every random time of the path is derived from
-those draws (an independent exponential time is that unit exponential over
-its rate).  So path p does not depend on ``n_paths``, on the random-time spec
-or on any other path; a set of n paths is the prefix of every larger set.
+Determinism contract: every ``(lam, t_real, seed)`` has one counter-based
+stream, Philox keyed (seed, 2^64 - 1), of unit exponentials, cut into slices
+of fixed width S = ``_block_size(lam, t_real) + 1``.  Path p reads entries
+[p S, (p + 1) S): its first S - 1 inter-arrival times, then the unit
+exponential behind its random time (an independent exponential time is that
+unit exponential over its rate).  A stream's prefix does not depend on how
+much of it is drawn, so path p does not depend on ``n_paths``, on how many
+paths are drawn at once or on the random-time spec; a set of n paths is the
+prefix of every larger set.  The rare path still at or before ``t_real``
+after its S - 1 arrivals continues from its own stream, keyed (seed, p);
+p < 2^64 - 1, so no path's key is the main stream's.
 
 Each ``(lam, t_real, seed)`` is simulated once into flat arrays (all event
 times in path order, plus per-path offsets), and every per-path statistic is
@@ -24,40 +29,13 @@ from .errors import BadParameter
 
 #: paths drawn per step of simulate_path_set; bounds its scratch array
 _CHUNK = 4096
+#: key word 1 of the main stream; a path's own stream has its index there instead
+_MAIN_STREAM = 2**64 - 1
 
 
-def _path_generator(master_seed: int, index: int) -> np.random.Generator:
-    """Path ``index``'s stream; seed and index are in [0, 2^64)."""
-    key = np.array([master_seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-class _PathStreams:
-    """One generator re-keyed per path: ``at(p)`` draws what
-    ``_path_generator(seed, p)`` draws.
-
-    A fresh ``Philox(key=...)`` starts at counter 0 with an empty buffer; this
-    sets exactly that state, without building a new bit generator per path.
-    The state holds plain ints: its setter reads them without making NumPy scalars.
-    """
-
-    def __init__(self, seed: int):
-        self._bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._rng = np.random.Generator(self._bits)
-        self._key = [int(seed), 0]
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": self._key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def at(self, index: int) -> np.random.Generator:
-        self._key[1] = int(index)
-        self._bits.state = self._state
-        return self._rng
+def _stream(seed: int, word: int) -> np.random.Generator:
+    """The Philox stream keyed (seed, word); both are in [0, 2^64)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -128,21 +106,23 @@ def exact_check(name: str, estimate: float, expected: float, n: int) -> McReport
 
 
 def _block_size(lam: float, t_real: float) -> int:
-    """Exponentials per block of a simulated path: about 10 standard deviations
-    above the mean count, so one block almost always passes the horizon."""
+    """Inter-arrival times in a path's slice of the main stream: 5 standard
+    deviations above the mean count, plus 5 (at least 16), so a path falls back
+    to its own stream with probability about 3e-7 or less at every rate."""
     if not (0.0 < lam < math.inf and 0.0 < t_real < math.inf):
         raise BadParameter("rate and horizon must be positive and finite")
-    return max(16, int(lam * t_real + 10.0 * math.sqrt(lam * t_real) + 10.0))
+    return max(16, int(lam * t_real + 5.0 * math.sqrt(lam * t_real) + 5.0))
 
 
-def simulate_poisson(lam: float, t_real: float, rng: np.random.Generator) -> np.ndarray:
-    """Jump times of one homogeneous Poisson path on (0, t_real], drawn from ``rng``."""
-    block = _block_size(lam, t_real)
-    times = np.cumsum(rng.standard_exponential(block) / lam)
-    while times[-1] <= t_real:
-        more = np.cumsum(rng.standard_exponential(block) / lam)
-        times = np.concatenate([times, times[-1] + more])
-    return times[times <= t_real]
+def _continuation(last: float, lam: float, t_real: float, block: int, rng: np.random.Generator) -> np.ndarray:
+    """The events after arrival ``last`` (at or before ``t_real``) on (last, t_real]:
+    blocks of ``block`` inter-arrival times from ``rng`` until one passes ``t_real``."""
+    tail = []
+    while last <= t_real:
+        tail.append(last + np.cumsum(rng.standard_exponential(block) / lam))
+        last = tail[-1][-1]
+    tail = np.concatenate(tail)
+    return tail[tail <= t_real]
 
 
 @dataclass(eq=False)
@@ -150,7 +130,7 @@ class PathSet:
     """Simulated ensemble, stored flat.
 
     Path p's event times are ``times[offsets[p]:offsets[p + 1]]``;
-    ``unit_exp[p]`` is the unit exponential its stream draws after them.
+    ``unit_exp[p]`` is the unit exponential that ends its slice of the stream.
     ``tau`` is the random time of each path and ``tau_valid`` flags the paths
     that have the events the random time needs; ``spec`` says how ``tau``
     was drawn (None: no random time).
@@ -254,15 +234,15 @@ class PathSet:
 def simulate_path_set(lam: float, t_real: float, n_paths: int, seed: int) -> PathSet:
     """Simulate the ensemble, with no random time (see ``PathSet.with_random_time``).
 
-    Path p is ``simulate_poisson(lam, t_real, _path_generator(seed, p))`` and
-    its unit exponential is that generator's next draw.  Each path draws one
-    block plus that exponential; the rare path whose block ends at or before
-    ``t_real`` is redrawn in full by ``simulate_poisson``.
+    A chunk of paths is one draw of ``(rows, block + 1)`` exponentials from the
+    main stream (see the module docstring); a path whose ``block`` arrivals all
+    lie at or before ``t_real`` takes the rest of its events from
+    ``_continuation`` on its own stream.
     """
-    if n_paths < 1:
-        raise BadParameter("need at least one path")
+    if not 1 <= n_paths < _MAIN_STREAM:
+        raise BadParameter(f"need 1 to 2^64 - 2 paths, not {n_paths}")
     block = _block_size(lam, t_real)
-    streams = _PathStreams(seed)
+    stream = _stream(seed, _MAIN_STREAM)
     draws = np.empty((min(_CHUNK, n_paths), block + 1))
     counts = np.empty(n_paths, dtype=np.int64)
     unit_exp = np.empty(n_paths)
@@ -270,9 +250,8 @@ def simulate_path_set(lam: float, t_real: float, n_paths: int, seed: int) -> Pat
     for lo in range(0, n_paths, _CHUNK):
         hi = min(lo + _CHUNK, n_paths)
         rows = draws[: hi - lo]
-        for i, row in enumerate(rows):
-            streams.at(lo + i).standard_exponential(out=row)
-        # row-wise cumsum adds in sequence, as simulate_poisson's 1-D cumsum does
+        stream.standard_exponential(out=rows)
+        # row-wise cumsum adds in sequence, as a 1-D cumsum of one path's slice does
         arrivals = np.cumsum(rows[:, :block] / lam, axis=1)
         inside = arrivals <= t_real
         counts[lo:hi] = inside.sum(axis=1)
@@ -280,13 +259,11 @@ def simulate_path_set(lam: float, t_real: float, n_paths: int, seed: int) -> Pat
         events = arrivals[inside]
         long_rows = np.flatnonzero(inside[:, -1])
         if long_rows.size:
-            per_path = np.split(events, np.cumsum(counts[lo:hi])[:-1])
-            for i in long_rows:
-                rng = streams.at(lo + i)
-                per_path[i] = simulate_poisson(lam, t_real, rng)
-                unit_exp[lo + i] = rng.standard_exponential()
-                counts[lo + i] = per_path[i].size
-            events = np.concatenate(per_path)
+            tails = [_continuation(arrivals[i, -1], lam, t_real, block, _stream(seed, lo + i)) for i in long_rows]
+            sizes = [tail.size for tail in tails]
+            ends = np.cumsum(counts[lo:hi])[long_rows]
+            events = np.insert(events, np.repeat(ends, sizes), np.concatenate(tails))
+            counts[lo + long_rows] += sizes
         pieces.append(events)
     return PathSet(
         lam=lam,

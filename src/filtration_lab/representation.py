@@ -328,9 +328,14 @@ def independent_decomposition(
     return _solve_one(("K1", "K2", "K3"), y, None, bundle.g, batch=batch, checks=checks)
 
 
+def _spanning_number(nodes) -> int:
+    """Max positive-probability branching of the ``_nodes`` walked, minus one."""
+    return max((len(children) for *_, children in nodes), default=1) - 1
+
+
 def multiplicity(filtration: Filtration) -> int:
     """Spanning number of the tree: max positive-probability branching minus one."""
-    return max((len(children) for *_, children in _nodes(filtration)), default=1) - 1
+    return _spanning_number(_nodes(filtration))
 
 
 def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProcess]:
@@ -342,8 +347,9 @@ def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProce
     has size ``multiplicity(filtration)``, is pairwise orthogonal, and spans
     every martingale nodewise.
     """
-    incs = [np.zeros((filtration.space.n_atoms, filtration.horizon + 1)) for _ in range(multiplicity(filtration))]
-    for t, mass, children in _nodes(filtration):
+    nodes = list(_nodes(filtration))
+    incs = [np.zeros((filtration.space.n_atoms, filtration.horizon + 1)) for _ in range(_spanning_number(nodes))]
+    for t, mass, children in nodes:
         k = len(children)
         if k > 1:
             weights = np.array([child_mass / mass for _, child_mass in children])

@@ -2,9 +2,10 @@
 
 These recompute conditional expectations, compensators, drifts, block
 constancy, stopping-time and independence checks, jump-measure events, the
-one-function-at-a-time Thm 3.3 check, random times and the per-path Monte
-Carlo reductions with plain Python loops so the vectorised engine is always
-checked against an independent path.
+one-function-at-a-time Thm 3.3 check, Monte Carlo paths sliced from one
+stream prefix, random times and the per-path Monte Carlo reductions with
+plain Python loops so the vectorised engine is always checked against an
+independent path.
 """
 from __future__ import annotations
 
@@ -480,10 +481,36 @@ def oracle_jump_events(dx, dh):
     return tuple(events)
 
 
-def oracle_random_time(spec, events, rng):
-    """One path's random time from its events and its generator, or None without the events it needs."""
+def oracle_path_set(lam, t_real, n_paths, seed, block):
+    """Per path p: (events, unit exponential), by slicing one draw of the whole stream prefix.
+
+    The stream is Philox keyed (seed, 2^64 - 1); its first n_paths (block + 1)
+    unit exponentials are drawn in one call, and path p takes entries
+    [p (block + 1), (p + 1) (block + 1)): ``block`` inter-arrival times, then
+    its unit exponential.  A path whose arrivals all lie at or before t_real
+    draws further blocks of ``block`` from Philox keyed (seed, p) until one passes it.
+    """
+    def stream(word):
+        return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
+
+    width = block + 1
+    draws = stream(2**64 - 1).standard_exponential(n_paths * width)
+    out = []
+    for p in range(n_paths):
+        row = draws[p * width : (p + 1) * width]
+        times = np.cumsum(row[:block] / lam)
+        if times[-1] <= t_real:
+            own = stream(p)
+            while times[-1] <= t_real:
+                times = np.concatenate([times, times[-1] + np.cumsum(own.standard_exponential(block) / lam)])
+        out.append((times[times <= t_real], float(row[block])))
+    return out
+
+
+def oracle_random_time(spec, events, unit_exp):
+    """One path's random time from its events and its unit exponential, or None without the events it needs."""
     if spec.kind == "exponential":
-        return float(rng.standard_exponential() / spec.mu)
+        return float(unit_exp / spec.mu)
     if spec.kind == "midpoint":
         return float(0.5 * (events[0] + events[1])) if events.size >= 2 else None
     if spec.kind == "copy_first":

@@ -9,6 +9,7 @@ from conftest import (
     oracle_collision_fraction,
     oracle_counts_at,
     oracle_nth_events,
+    oracle_path_set,
     oracle_random_time,
     oracle_window_hits,
 )
@@ -21,7 +22,6 @@ from filtration_lab.montecarlo import (
     PathSet,
     RandomTimeSpec,
     _collision_fraction,
-    _path_generator,
     avoidance_mc_suite,
     azema_exponential_suite,
     exact_check,
@@ -30,7 +30,6 @@ from filtration_lab.montecarlo import (
     predictable_jump_probe,
     second_moment_suite,
     simulate_path_set,
-    simulate_poisson,
     z_test,
 )
 
@@ -40,15 +39,15 @@ N = 20000
 
 class TestSimulatePoisson:
     def test_deterministic_given_seed(self):
-        a = simulate_poisson(1.0, 10.0, _path_generator(1234, 0))
-        b = simulate_poisson(1.0, 10.0, _path_generator(1234, 0))
-        assert np.array_equal(a, b)
-        c = simulate_poisson(1.0, 10.0, _path_generator(1235, 0))
-        assert not np.array_equal(a, c)
+        a = simulate_path_set(1.0, 10.0, 50, 1234)
+        b = simulate_path_set(1.0, 10.0, 50, 1234)
+        for name in ("times", "offsets", "unit_exp"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        c = simulate_path_set(1.0, 10.0, 50, 1235)
+        assert not np.array_equal(a.times[:10], c.times[:10])
 
     def test_events_sorted_in_range(self):
-        for seed in range(50):
-            evs = simulate_poisson(2.0, 5.0, _path_generator(seed, 0))
+        for evs in simulate_path_set(2.0, 5.0, 50, SEED).events:
             if evs.size:
                 assert evs[0] > 0.0 and evs[-1] <= 5.0
                 assert np.all(np.diff(evs) > 0.0)
@@ -72,9 +71,11 @@ class TestSimulatePoisson:
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):
-            simulate_poisson(0.0, 10.0, _path_generator(0, 0))
+            simulate_path_set(0.0, 10.0, 1, 0)
         with pytest.raises(BadParameter):
-            simulate_poisson(1.0, -1.0, _path_generator(0, 0))
+            simulate_path_set(1.0, -1.0, 1, 0)
+        with pytest.raises(BadParameter):
+            simulate_path_set(1.0, 10.0, 0, 0)
 
 
 class TestRandomTimes:
@@ -309,13 +310,13 @@ class TestFlatKernels:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind if s else "none")
     def test_prefixes_across_a_chunk_boundary(self, monkeypatch, spec):
-        # a prefix reads a slice of its parent's owner index
+        # a prefix reads a slice of its parent's owner index (an empty one if its paths have no events)
         monkeypatch.setattr(montecarlo, "_CHUNK", 64)
         base = simulate_path_set(0.4, 4.0, 300, SEED)
         rng = np.random.default_rng(3)
         for n in (1, 63, 64, 65, 299):
             prefix = base.with_random_time(spec, n)
-            assert np.shares_memory(prefix._owner, base._owner)
+            assert prefix._owner.base is base._owner
             _assert_kernels_match_oracles(prefix, rng)
             _assert_kernels_match_oracles(prefix.with_random_time(spec, max(1, n // 2)), rng)
 
@@ -351,22 +352,20 @@ class TestFlatKernels:
             base.with_random_time(RandomTimeSpec("nope"))
 
 
-def _assert_paths_match_per_path_streams(lam, t_real, n, seed):
-    """Path p of every spec equals simulate_poisson on its own generator, and
-    its random time comes from that generator's next draw."""
+def _assert_paths_match_the_oracle(lam, t_real, n, seed):
+    """Path p of every spec is slice p of the oracle's stream prefix, and its
+    random time comes from that path's events and unit exponential."""
     sets = {spec: simulate_path_set(lam, t_real, n, seed).with_random_time(spec) for spec in SPECS}
     events = {spec: paths.events for spec, paths in sets.items()}
-    for p in range(n):
-        rng = _path_generator(seed, p)
-        expected = simulate_poisson(lam, t_real, rng)
-        unit = rng.standard_exponential()
+    expected = oracle_path_set(lam, t_real, n, seed, montecarlo._block_size(lam, t_real))
+    for p, (want, unit) in enumerate(expected):
         for spec, paths in sets.items():
-            assert np.array_equal(events[spec][p], expected), (spec, p)
+            assert np.array_equal(events[spec][p], want), (spec, p)
             assert paths.unit_exp[p] == unit
             if spec is None:
                 assert paths.tau[p] == math.inf and paths.tau_valid[p]
                 continue
-            tau = oracle_random_time(spec, expected, _replay(seed, p, lam, t_real))
+            tau = oracle_random_time(spec, want, unit)
             if tau is None:
                 assert not paths.tau_valid[p] and paths.tau[p] == math.inf
             else:
@@ -374,51 +373,57 @@ def _assert_paths_match_per_path_streams(lam, t_real, n, seed):
     return sets[None]
 
 
-def _replay(seed, p, lam, t_real):
-    """Path p's generator, positioned just after its events."""
-    rng = _path_generator(seed, p)
-    simulate_poisson(lam, t_real, rng)
-    return rng
-
-
 class TestDeterminism:
-    def test_path_p_reads_only_its_own_stream(self, monkeypatch):
-        # small chunks so that the set spans several of them
-        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
-        paths = _assert_paths_match_per_path_streams(1.0, 10.0, 300, SEED)
+    @pytest.mark.parametrize("chunk", [64, montecarlo._CHUNK])
+    def test_path_p_reads_its_slice_of_one_stream(self, monkeypatch, chunk):
+        # at 64 paths per chunk the set spans several chunks
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        paths = _assert_paths_match_the_oracle(1.0, 10.0, 300, SEED)
         assert paths.lengths.max() < montecarlo._block_size(1.0, 10.0)
-        _assert_paths_match_per_path_streams(3.0, 2.0, 150, 7)
+        _assert_paths_match_the_oracle(3.0, 2.0, 150, 7)
 
-    def test_long_paths_fall_back_to_the_same_stream(self, monkeypatch):
+    def test_long_paths_continue_from_their_own_stream(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", 64)
         monkeypatch.setattr(montecarlo, "_block_size", lambda lam, t_real: 4)
-        paths = _assert_paths_match_per_path_streams(1.0, 10.0, 300, SEED)
-        # both kinds of path occur: one block, and several blocks redrawn in full
+        paths = _assert_paths_match_the_oracle(1.0, 10.0, 300, SEED)
+        # both kinds of path occur: one slice, and a slice continued from the path's own stream
         assert (paths.lengths < 4).any() and (paths.lengths >= 4).any()
 
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    def test_rekeyed_stream_is_the_path_generator(self, seed):
-        streams = montecarlo._PathStreams(seed)
-        chunk = montecarlo._CHUNK
-        # out of order and repeated, and each read leaves a part-used buffer,
-        # so a state that is not reset in full shows in the next read
-        for p in (chunk, 1, 2**63, 0, chunk - 1, 1, 2**63, chunk):
-            got, want = streams.at(p), _path_generator(seed, p)
-            assert np.array_equal(got.standard_exponential(7), want.standard_exponential(7)), p
-            assert np.array_equal(got.random(3, dtype=np.float32), want.random(3, dtype=np.float32)), p
+    @pytest.mark.parametrize("seed", [0, SEED, 2**64 - 1])
+    def test_no_path_stream_has_the_main_key(self, monkeypatch, seed):
+        keys = []
+        stream = montecarlo._stream
+
+        def recorded(*key):
+            keys.append(key)
+            return stream(*key)
+
+        monkeypatch.setattr(montecarlo, "_stream", recorded)
+        monkeypatch.setattr(montecarlo, "_block_size", lambda lam, t_real: 4)
+        simulate_path_set(1.0, 10.0, 300, seed)
+        main, *own = keys
+        assert main == (seed, 2**64 - 1)
+        # path p's own key is (seed, p), and p < n_paths
+        assert own and all(s == seed and 0 <= p < 300 for s, p in own)
+        assert len(set(own)) == len(own)
+        # n_paths is at most 2^64 - 2, so no path index reaches the main key word
+        for n in (2**64 - 1, 2**64):
+            with pytest.raises(BadParameter):
+                simulate_path_set(1.0, 10.0, n, seed)
 
     def test_report_digest_is_pinned(self):
-        # Digest of the report below.  The per-path streams are those of the
-        # engine that built a fresh generator per path and random-time spec;
-        # the digest was last re-pinned when survival_compensated_jump_probed
-        # took the probe 1{N_s > lam s}, which moved only that row's
-        # estimate, std_error and z_score.  It changes if any per-path
-        # stream, or anything derived from one, changes.
+        # Digest of the report below.  Path p reads entries [p S, (p + 1) S)
+        # of one Philox stream keyed (seed, 2^64 - 1), S = _block_size + 1
+        # (31 at lam 1, T 10), and continues from its own stream keyed
+        # (seed, p) if its arrivals stay at or before T.  It was last re-pinned
+        # when that rule replaced one stream per path, which moved only the
+        # estimate, std_error, z_score and n_paths values of the MC rows.  It
+        # changes if the stream rule, or anything derived from it, changes.
         config = json.loads((CONFIG_DIR / "poisson_qlc.json").read_text())
         config["mc"]["n_paths"] = 2000
         text = report_to_json(run_config(config))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "0cd9cf98b2b3968383e41ccc956c91a3b8e8bad728992c05044a9a0b6e9871d0"
+            "4fb2fd506e89ead2bbce61c8e2a9270453a7a2f7acfb195c91ff50697ceed394"
         )
 
     def test_suite_context_simulates_each_rate_once(self, monkeypatch):
@@ -445,3 +450,4 @@ class TestDeterminism:
         a_events, b_events = a.events, b.events
         for p in range(1000):
             assert np.array_equal(a_events[p], b_events[p])
+        assert np.array_equal(a.unit_exp, b.unit_exp[:1000])

@@ -315,6 +315,20 @@ class TestMultiplicity:
             got = orthogonal_spanning_martingales(filt)
             assert [m.values.tobytes() for m in got] == [w.tobytes() for w in want]
 
+    def test_spanning_family_walks_the_tree_once(self, monkeypatch):
+        walks = []
+        nodes = representation._nodes
+
+        def counted(filtration):
+            walks.append(filtration)
+            return nodes(filtration)
+
+        monkeypatch.setattr(representation, "_nodes", counted)
+        b = _large_tree(3)
+        family = orthogonal_spanning_martingales(b.g)
+        assert walks == [b.g]
+        assert len(family) == multiplicity(b.g) == 3
+
     def test_monotone_under_enlargement(self):
         rng = np.random.default_rng(47)
         for _ in range(15):
