@@ -185,10 +185,6 @@ def random_bundle(
     )
 
 
-def random_closure_variable(rng: np.random.Generator, n_atoms: int) -> np.ndarray:
-    return rng.normal(size=n_atoms)
-
-
 def random_predictable_values(rng: np.random.Generator, filtration: Filtration) -> np.ndarray:
     """Block-constant values on P_{t-1} for t >= 1, zero at time 0."""
     return random_predictable_stack(rng, filtration, 1)[0]

@@ -14,13 +14,19 @@ p < 2^64 - 1, so no path's key is the main stream's.
 
 Each ``(lam, t_real, seed)`` is simulated once into flat arrays (all event
 times in path order, plus per-path offsets), and every per-path statistic is
-a segment reduction over them in a fixed order.  Reports are therefore
-byte-identical on rerun, and ``--parallel`` has nothing to change.
+a segment reduction over them in a fixed order.  A statistic that depends on
+the paths alone (the count at a time t, event k of each path) is computed
+once per simulation, on all of its paths, and cached there read-only; every
+prefix from ``with_random_time`` reads its first entries.  Events are sorted
+within a path, so a window (lo, hi] holds an event iff the path's last event
+at or before hi lies above lo: one pass finds those last events for a stack
+of windows that share hi.  Reports are therefore byte-identical on rerun,
+and ``--parallel`` has nothing to change.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -133,7 +139,9 @@ class PathSet:
     ``unit_exp[p]`` is the unit exponential that ends its slice of the stream.
     ``tau`` is the random time of each path and ``tau_valid`` flags the paths
     that have the events the random time needs; ``spec`` says how ``tau``
-    was drawn (None: no random time).
+    was drawn (None: no random time).  A prefix keeps the set it was cut
+    from in ``_whole`` (None: this is the whole simulation), whose
+    ``_stats`` caches the statistics of all its paths.
     """
 
     lam: float
@@ -146,6 +154,8 @@ class PathSet:
     tau: np.ndarray
     tau_valid: np.ndarray
     spec: RandomTimeSpec | None = None
+    _whole: PathSet | None = field(default=None, init=False, repr=False)
+    _stats: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def events(self) -> tuple:
@@ -167,16 +177,30 @@ class PathSet:
         """Per path: how many of its events are flagged."""
         return np.bincount(self._owner[flags], minlength=self.n_paths)
 
+    def _cached(self, key, compute) -> np.ndarray:
+        """``compute(whole)`` on the whole simulation, made once per ``key``
+        and kept read-only; the entries of this set's paths."""
+        whole = self._whole or self
+        out = whole._stats.get(key)
+        if out is None:
+            out = whole._stats[key] = compute(whole)
+            out.flags.writeable = False
+        return out[: self.n_paths]
+
     def _nth_events(self, k: int) -> np.ndarray:
         """Per path: its event k (from 0), inf where it has no such event."""
-        out = np.full(self.n_paths, math.inf)
-        has = self.lengths > k
-        out[has] = self.times[self.offsets[:-1][has] + k]
-        return out
+
+        def nth(whole):
+            out = np.full(whole.n_paths, math.inf)
+            has = whole.lengths > k
+            out[has] = whole.times[whole.offsets[:-1][has] + k]
+            return out
+
+        return self._cached(("nth", k), nth)
 
     def counts_at(self, t: float) -> np.ndarray:
         # counts the events not above t, as searchsorted(t, side="right") does (NaN included)
-        return self.lengths - self._segment_count(self.times > t)
+        return self._cached(("count", t), lambda whole: whole.lengths - whole._segment_count(whole.times > t))
 
     def first_events(self) -> np.ndarray:
         return self._nth_events(0)
@@ -185,16 +209,25 @@ class PathSet:
         return self._nth_events(1)
 
     def window_hits(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Per path: 1.0 if any event lies in (lo_p, hi_p]."""
-        owner = self._owner
-        inside = (self.times > np.asarray(lo)[owner]) & (self.times <= np.asarray(hi)[owner])
-        return (self._segment_count(inside) > 0).astype(float)
+        """Per path: 1.0 if any event lies in (lo_p, hi_p]; a ``(k, n_paths)``
+        stack ``lo`` gives one row per window.
+
+        That event exists iff the last event at or before hi_p lies above
+        lo_p (events are sorted within a path), so one pass over the events
+        serves every row.  A NaN bound holds no event.
+        """
+        below = self._segment_count(self.times <= np.asarray(hi)[self._owner])
+        last = np.full(self.n_paths, -math.inf)
+        has = below > 0
+        last[has] = self.times[self.offsets[:-1][has] + below[has] - 1]
+        return (last > np.asarray(lo)).astype(float)
 
     def with_random_time(self, spec: RandomTimeSpec | None, n_paths: int | None = None) -> PathSet:
         """The first ``n_paths`` paths (all by default) with the random time ``spec``.
 
-        Shares the event arrays and a slice of the owner index; paths missing
-        events for the spec are flagged invalid and keep tau = inf.
+        Shares the event arrays, a slice of the owner index and the whole
+        simulation's statistics; paths missing events for the spec are
+        flagged invalid and keep tau = inf.
         """
         n = self.n_paths if n_paths is None else int(n_paths)
         if not 1 <= n <= self.n_paths:
@@ -212,6 +245,7 @@ class PathSet:
             tau_valid=np.ones(n, dtype=bool),
         )
         prefix._owner = self._owner[: offsets[-1]]
+        prefix._whole = self._whole or self
         if spec is None:
             return prefix
         prefix.spec = spec
@@ -375,7 +409,7 @@ def avoidance_mc_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
     return out
 
 
-def predictable_jump_probe(paths: PathSet, epsilon: float, z_max: float = 4.0) -> list[McReport]:
+def predictable_jump_probe(paths: PathSet, epsilons, z_max: float = 4.0) -> list[McReport]:
     """Contrast the enlarged and base probabilities of a jump in a shrinking window.
 
     With the midpoint time, the second jump is announced in the enlargement
@@ -384,56 +418,62 @@ def predictable_jump_probe(paths: PathSet, epsilon: float, z_max: float = 4.0) -
     1.  A window anchored at an observable-by-the-base time catches a jump
     only with probability 1 - e^{-lam eps}.  With an independent exponential
     time instead, the "announced" target points nowhere special and its hit
-    rate collapses to the base rate.
+    rate collapses to the base rate.  Per width in ``epsilons``: the target
+    row, then the base row.
     """
-    if not epsilon > 0.0:
+    target_rows = _target_window_rows(paths, epsilons, z_max)
+    base_rows = _base_window_rows(paths, epsilons, z_max)
+    return [row for pair in zip(target_rows, base_rows) for row in pair]
+
+
+def _widths(epsilons) -> np.ndarray:
+    """The window widths, a sequence of positive numbers, as a column."""
+    eps = np.asarray(epsilons, dtype=float)
+    if eps.ndim != 1:
+        raise BadParameter("epsilons must be a sequence of window widths")
+    if not (eps > 0.0).all():
         raise BadParameter("epsilon must be positive")
+    return eps[:, None]
+
+
+def _target_window_rows(paths: PathSet, epsilons, z_max: float) -> list[McReport]:
+    """Hit rate of (target - eps, target] per width, target = 2 tau - first event."""
+    eps = _widths(epsilons)
     announced = _require_time(paths, "midpoint", "exponential").kind == "midpoint"
-    lam, t_real = paths.lam, paths.t_real
     tau = paths.tau
     first = paths.first_events()
-
     if announced:
         target = paths.second_events()
         with np.errstate(invalid="ignore"):
-            qualify = paths.tau_valid & (target <= t_real) & (target - tau > epsilon)
+            qualify = paths.tau_valid & (target <= paths.t_real) & (target - tau > eps)
     else:
         target = 2.0 * tau - first
-        qualify = (
-            np.isfinite(first)
-            & (target <= t_real)
-            & (target - epsilon > np.maximum(tau, first))
-        )
-    hits = paths.window_hits(target - epsilon, target)
-    n_q = int(qualify.sum())
+        qualify = np.isfinite(first) & (target <= paths.t_real) & (target - eps > np.maximum(tau, first))
+    hits = paths.window_hits(target - eps, target)
     reports = []
-    if announced:
-        estimate = float(hits[qualify].mean()) if n_q else 0.0
-        reports.append(
-            exact_check(f"announced_window_hit_rate_eps_{epsilon:g}", estimate, 1.0, n_q)
-        )
-    else:
-        reports.append(
-            z_test(
-                f"unannounced_window_hit_rate_eps_{epsilon:g}",
-                hits[qualify],
-                1.0 - math.exp(-lam * epsilon),
-                z_max,
-            )
-        )
-
-    anchor = first + 1.0
-    base_ok = np.isfinite(first) & (anchor <= t_real)
-    base_hits = paths.window_hits(anchor - epsilon, anchor)
-    reports.append(
-        z_test(
-            f"base_window_hit_rate_eps_{epsilon:g}",
-            base_hits[base_ok],
-            1.0 - math.exp(-lam * epsilon),
-            z_max,
-        )
-    )
+    for epsilon, hit, ok in zip(eps[:, 0], hits, qualify):
+        if announced:
+            n_q = int(ok.sum())
+            estimate = float(hit[ok].mean()) if n_q else 0.0
+            reports.append(exact_check(f"announced_window_hit_rate_eps_{epsilon:g}", estimate, 1.0, n_q))
+        else:
+            expected = 1.0 - math.exp(-paths.lam * epsilon)
+            reports.append(z_test(f"unannounced_window_hit_rate_eps_{epsilon:g}", hit[ok], expected, z_max))
     return reports
+
+
+def _base_window_rows(paths: PathSet, epsilons, z_max: float) -> list[McReport]:
+    """Hit rate of (anchor - eps, anchor] per width, anchor = first event + 1, known to the base."""
+    eps = _widths(epsilons)
+    first = paths.first_events()
+    anchor = first + 1.0
+    base_ok = np.isfinite(first) & (anchor <= paths.t_real)
+    hits = paths.window_hits(anchor - eps, anchor)
+    rows = []
+    for epsilon, hit in zip(eps[:, 0], hits):
+        expected = 1.0 - math.exp(-paths.lam * epsilon)
+        rows.append(z_test(f"base_window_hit_rate_eps_{epsilon:g}", hit[base_ok], expected, z_max))
+    return rows
 
 
 def negative_control_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[McReport]:
@@ -452,7 +492,7 @@ def negative_control_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> lis
 
     independent = paths.with_random_time(RandomTimeSpec("exponential", mu))
     # the unannounced hit rate must NOT reach the construction-exact value 1
-    unannounced = predictable_jump_probe(independent, 0.1, z_max)[0]
+    (unannounced,) = _target_window_rows(independent, (0.1,), z_max)
     no_announcement = exact_check(
         "independent_time_announced_hit_rate", unannounced.estimate, 1.0, unannounced.n_paths
     )

@@ -174,8 +174,7 @@ def _check(name: str, ok: bool, **evidence) -> CheckResult:
 def _random_closures(rng: np.random.Generator, filtration, count: int) -> np.ndarray:
     """``count`` random closure targets, all drawn before any is solved."""
     n = filtration.space.n_atoms
-    xis = np.array([fixtures.random_closure_variable(rng, n) for _ in range(count)])
-    return martingale_closures(xis, filtration)
+    return martingale_closures(rng.normal(size=(count, n)), filtration)
 
 
 def _rep_fixtures(ctx: SuiteContext) -> list:
@@ -570,9 +569,7 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("independent")
     b = fixtures.space_a()
-    targets = [b.X.terminal * b.H.terminal] + [
-        fixtures.random_closure_variable(rng, b.space.n_atoms) for _ in range(20)
-    ]
+    targets = np.vstack([b.X.terminal * b.H.terminal, rng.normal(size=(20, b.space.n_atoms))])
     sol, gaps = independent_batch(martingale_closures(targets, b.g), b)
     residual = max_gap(sol.residual_sup)
     orth = gaps["basis_orthogonality_gap"]
@@ -975,11 +972,8 @@ def suite_mc_avoidance(ctx: SuiteContext) -> list[CheckResult]:
     "announced-window hit rate 1 vs base-window rate about lambda*eps",
 )
 def suite_mc_predictable_jump(ctx: SuiteContext) -> list[CheckResult]:
-    out = []
     paths = ctx.paths(RandomTimeSpec("midpoint"))
-    for eps in ctx.mc.epsilons:
-        out.extend(_mc_to_checks(predictable_jump_probe(paths, eps, ctx.mc.z_max)))
-    return out
+    return _mc_to_checks(predictable_jump_probe(paths, ctx.mc.epsilons, ctx.mc.z_max))
 
 
 @_suite(

@@ -168,8 +168,14 @@ class TestSuites:
 
     def test_predictable_jump_probe_announced(self):
         paths = simulate_path_set(1.0, 10.0, N, SEED).with_random_time(RandomTimeSpec("midpoint"))
-        for eps in (0.1, 0.01):
-            hit, base = predictable_jump_probe(paths, eps)
+        reports = predictable_jump_probe(paths, (0.1, 0.01))
+        assert [r.statistic for r in reports] == [
+            "announced_window_hit_rate_eps_0.1",
+            "base_window_hit_rate_eps_0.1",
+            "announced_window_hit_rate_eps_0.01",
+            "base_window_hit_rate_eps_0.01",
+        ]
+        for eps, hit, base in zip((0.1, 0.01), reports[::2], reports[1::2]):
             assert hit.kind == "exact" and hit.estimate == 1.0 and hit.passed
             assert base.passed
             assert abs(base.estimate - (1.0 - math.exp(-eps))) < 0.01
@@ -178,10 +184,24 @@ class TestSuites:
         paths = simulate_path_set(1.0, 10.0, N, SEED).with_random_time(
             RandomTimeSpec("exponential", 1.0)
         )
-        unannounced, base = predictable_jump_probe(paths, 0.1)
+        unannounced, base = predictable_jump_probe(paths, (0.1,))
         # without an announced time both windows behave like the base window
         assert abs(unannounced.estimate - base.estimate) < 0.02
         assert unannounced.estimate < 0.5
+
+    @pytest.mark.parametrize(
+        "spec", [RandomTimeSpec("midpoint"), RandomTimeSpec("exponential", 1.0)], ids=["midpoint", "exponential"]
+    )
+    def test_predictable_jump_probe_stacks_widths(self, spec):
+        # one window pass per window end gives each width the rows it gets alone
+        paths = simulate_path_set(1.0, 10.0, 2000, SEED).with_random_time(spec)
+        widths = (0.1, 0.01, 0.5, 0.1)
+        alone = [r for eps in widths for r in predictable_jump_probe(paths, (eps,))]
+        assert predictable_jump_probe(paths, widths) == alone
+        assert predictable_jump_probe(paths, ()) == []
+        for bad in (0.1, [[0.1]], (0.1, 0.0), (math.nan,), (-0.1,)):
+            with pytest.raises(BadParameter):
+                predictable_jump_probe(paths, bad)
 
     def test_negative_controls_fail(self):
         for r in negative_control_suite(simulate_path_set(1.0, 10.0, 5000, SEED), 1.0):
@@ -203,8 +223,8 @@ class TestSuites:
     )
     def test_wrong_random_time_is_rejected(self, suite, wrong):
         paths = simulate_path_set(1.0, 10.0, 50, SEED).with_random_time(wrong)
-        # the second argument is predictable_jump_probe's epsilon or negative_control_suite's mu
-        extra = (0.1,) if suite in (predictable_jump_probe, negative_control_suite) else ()
+        # the second argument is predictable_jump_probe's epsilons or negative_control_suite's mu
+        extra = {predictable_jump_probe: ((0.1,),), negative_control_suite: (0.1,)}.get(suite, ())
         with pytest.raises(BadParameter, match="needs paths with random time"):
             suite(paths, *extra)
 
@@ -264,6 +284,12 @@ def _assert_kernels_match_oracles(paths, rng):
     for _ in range(4):
         lo, hi = bounds(), bounds()
         assert np.array_equal(paths.window_hits(lo, hi), oracle_window_hits(events, lo, hi))
+        # a stack of lower bounds sharing hi: one row per window
+        stack = np.array([bounds(), lo, hi - 0.25, bounds()])
+        hits = paths.window_hits(stack, hi)
+        assert hits.shape == (4, n)
+        for row, lo_row in zip(hits, stack):
+            assert np.array_equal(row, oracle_window_hits(events, lo_row, hi))
         first = paths.first_events()
         assert np.array_equal(
             paths.window_hits(first - 0.5, first), oracle_window_hits(events, first - 0.5, first)
@@ -337,6 +363,79 @@ class TestFlatKernels:
         rng = np.random.default_rng(4)
         for paths in handed_out:
             _assert_kernels_match_oracles(paths, rng)
+
+    def test_bundled_config_makes_each_pass_once(self, monkeypatch):
+        # full passes over a set's events: one count per distinct time the suites
+        # ask for, one window pass per window end (mc_predictable_jump's target and
+        # base anchor, the negative controls' target) and one collision pass per
+        # random time; a suite that repeats one of these passes changes the numbers
+        passes, inside, wholes = [], [], []
+        segment_count, with_random_time = PathSet._segment_count, PathSet.with_random_time
+
+        def tagged(kind, fn):
+            def wrapper(*args):
+                inside.append(kind)
+                try:
+                    return fn(*args)
+                finally:
+                    inside.pop()
+
+            return wrapper
+
+        def counted(self, flags):
+            passes.append(inside[-1] if inside else "count")
+            return segment_count(self, flags)
+
+        def recorded(self, *args):
+            wholes.append(self._whole or self)
+            return with_random_time(self, *args)
+
+        monkeypatch.setattr(PathSet, "_segment_count", counted)
+        monkeypatch.setattr(PathSet, "window_hits", tagged("window", PathSet.window_hits))
+        monkeypatch.setattr(montecarlo, "_collision_fraction", tagged("collision", _collision_fraction))
+        monkeypatch.setattr(PathSet, "with_random_time", recorded)
+        config = json.loads((CONFIG_DIR / "poisson_qlc.json").read_text())
+        config["mc"]["n_paths"] = 300
+        run_config(config)
+        assert (passes.count("count"), passes.count("window"), passes.count("collision")) == (6, 3, 3)
+        # every set the suites read is a prefix of one simulation, which caches the counts
+        (whole,) = {id(w): w for w in wholes}.values()
+        counted_at = sorted(t for kind, t in whole._stats if kind == "count")
+        assert counted_at == [0.04, 1.0, 2.0, 5.0, 8.0, 10.0]
+
+    def test_statistics_are_cached_once_per_simulation(self, monkeypatch):
+        passes = []
+        segment_count = PathSet._segment_count
+
+        def counted(self, flags):
+            passes.append(flags.size)
+            return segment_count(self, flags)
+
+        monkeypatch.setattr(PathSet, "_segment_count", counted)
+        spec = RandomTimeSpec("copy_first")
+        for prefix_first in (True, False):
+            base = simulate_path_set(0.4, 4.0, 300, SEED)
+            prefix = base.with_random_time(spec, 120).with_random_time(spec, 80)
+            passes.clear()
+            for paths in (prefix, base) if prefix_first else (base, prefix):
+                events = paths.events
+                for t in (2.0, math.inf):
+                    assert np.array_equal(paths.counts_at(t), oracle_counts_at(events, t)), t
+                assert np.array_equal(paths.first_events(), oracle_nth_events(events, 0))
+                assert np.array_equal(paths.second_events(), oracle_nth_events(events, 1))
+            # each count is one pass over the whole simulation, whichever set asked first
+            assert passes == [base.times.size] * 2
+            assert np.shares_memory(prefix.counts_at(2.0), base.counts_at(2.0))
+            # NaN equals nothing, so a NaN time may miss the cache; it still counts every event
+            for paths in (prefix, base, prefix):
+                for t in (math.nan, float("nan"), np.float64("nan")):
+                    assert np.array_equal(paths.counts_at(t), oracle_counts_at(paths.events, t))
+            assert prefix._whole is base
+            stats = (base.counts_at(2.0), prefix.counts_at(2.0), prefix.first_events(), base.second_events())
+            # copy_first's tau is the cached first events, so it is read-only too
+            for stat in (*stats, prefix.tau):
+                with pytest.raises(ValueError):
+                    stat[0] = 0
 
     def test_prefix_with_random_time_shares_the_simulation(self):
         base = simulate_path_set(1.0, 10.0, 300, SEED)
