@@ -25,7 +25,7 @@ from .finite_space import (
     AdaptedProcess,
     Filtration,
     as_point_process,
-    positive_sup,
+    segment_sups,
     slice_expectations,
     slice_violation,
     time_increments,
@@ -169,6 +169,29 @@ class OrthogonalityReport:
     decomposition_gap: float = 0.0
 
 
+@dataclass(frozen=True)
+class SegmentedToolkit:
+    """The toolkit's verdicts on each segment of atoms (entry i: segment i), and the processes they read.
+
+    A disjoint-jumps clause holds vacuously on a segment whose jumps overlap.
+    """
+
+    orthogonal: np.ndarray
+    clauses: dict
+    jumps_disjoint: np.ndarray
+    decomposition_gap: np.ndarray
+    #: values of [Y^p,Z^p], [Ybar,Zbar] and dY^p dZ^p, and the (atom, time) flags where [Ybar,Zbar]^p moves
+    bracket_compensators: np.ndarray
+    bracket_bar: np.ndarray
+    predictable_jump_product: np.ndarray
+    bar_moves: np.ndarray
+
+    def clauses_at(self, i: int) -> dict:
+        """Segment i's clauses as a lone pair reports them (the disjoint-jumps ones only if its jumps are)."""
+        disjoint_only = ("disjoint_zero", "disjoint_predictable")
+        return {k: bool(v[i]) for k, v in self.clauses.items() if self.jumps_disjoint[i] or k not in disjoint_only}
+
+
 def orthogonality_report(y: AdaptedProcess, z: AdaptedProcess) -> OrthogonalityReport:
     """Evaluate the orthogonality toolkit for two counting processes, at ``EXACT_TOL``.
 
@@ -181,6 +204,36 @@ def orthogonality_report(y: AdaptedProcess, z: AdaptedProcess) -> OrthogonalityR
       * under disjoint jumps additionally ``disjoint_zero`` and
         ``disjoint_predictable`` (bracket martingale iff it vanishes iff the
         compensators never jump together).
+
+    The verdict, clauses and gap are those of the pair as the one segment of
+    :func:`orthogonality_segments`.
+    """
+    toolkit = orthogonality_segments(y, z, [0])
+    filt = y.filtration
+    # (time, atom) at which the compensated bracket's compensator first moves: earliest t, then lowest atom
+    moves = np.argwhere(toolkit.bar_moves.T)
+    witness = (int(moves[0, 0]), int(moves[0, 1])) if len(moves) else None
+    return OrthogonalityReport(
+        bracket_compensators=AdaptedProcess(filt, toolkit.bracket_compensators),
+        bracket_bar=AdaptedProcess(filt, toolkit.bracket_bar),
+        is_orthogonal=bool(toolkit.orthogonal[0]),
+        witness=witness,
+        predictable_jump_product=toolkit.predictable_jump_product,
+        clauses=toolkit.clauses_at(0),
+        jumps_disjoint=bool(toolkit.jumps_disjoint[0]),
+        decomposition_gap=float(toolkit.decomposition_gap[0]),
+    )
+
+
+def orthogonality_segments(y: AdaptedProcess, z: AdaptedProcess, starts) -> SegmentedToolkit:
+    """The verdict, clauses and gap of :func:`orthogonality_report` on each segment of atoms, in one pass.
+
+    Segment i is the atoms from ``starts[i]`` up to the next start (the last
+    runs to the end).  Every clause and gap is reduced segment by segment, so
+    on a disjoint union whose initial sigma-field separates the segments,
+    segment i reports bit for bit what its pair reports alone.  A reduction
+    over the whole union would not do: two pairs that break an equivalence
+    clause in opposite directions would make the union satisfy it.
     """
     y = as_point_process(y)
     z = as_point_process(z)
@@ -199,38 +252,34 @@ def orthogonality_report(y: AdaptedProcess, z: AdaptedProcess) -> OrthogonalityR
     # one-step drifts of [Y,Z], [Y^p,Z], [Y,Z^p] and the compensated bracket
     drifts = slice_expectations(incs[[0, 1, 2, 4]], filt, 1)
     comp_yz, comp_yp_z, comp_y_zp, comp_bar = np.cumsum(drifts, axis=-1)
-
-    clauses: dict = {}
-    clauses["increasing_brackets"] = bool(
-        np.all(incs[1:4, space.positive] >= 0.0) and np.all(np.isfinite(brackets[1:4]))
-    )
-    clauses["associated"] = (
-        positive_sup(space, comp_yp_z - b_pp) <= EXACT_TOL
-        and positive_sup(space, comp_y_zp - b_pp) <= EXACT_TOL
-    )
-    compensators_match = positive_sup(space, comp_yz - b_pp) <= EXACT_TOL
-    bar_martingale = bool(np.all(np.abs(drifts[3]) <= EXACT_TOL))
-    clauses["martingale_iff_match"] = bar_martingale == compensators_match
-
     jump_product = prods[3]
-    disjoint = positive_sup(space, prods[0]) <= EXACT_TOL
-    if disjoint:
-        clauses["disjoint_zero"] = bar_martingale == (positive_sup(space, b_bar) <= EXACT_TOL)
-        clauses["disjoint_predictable"] = bar_martingale == (positive_sup(space, jump_product) <= EXACT_TOL)
 
-    decomposition_gap = positive_sup(space, b_bar - (b_yz - b_yp_z - b_y_zp + b_pp))
-
-    # (time, atom) at which the compensated bracket's compensator first moves: earliest t, then lowest atom
-    moves = np.argwhere(((np.abs(time_increments(comp_bar)) > EXACT_TOL) & space.positive[:, None]).T)
-    witness = (int(moves[0, 0]), int(moves[0, 1])) if len(moves) else None
-
-    return OrthogonalityReport(
-        bracket_compensators=AdaptedProcess(filt, b_pp),
-        bracket_bar=AdaptedProcess(filt, b_bar),
-        is_orthogonal=witness is None,
-        witness=witness,
-        predictable_jump_product=jump_product,
+    identity = b_bar - (b_yz - b_yp_z - b_y_zp + b_pp)
+    gaps = [comp_yp_z - b_pp, comp_y_zp - b_pp, comp_yz - b_pp, prods[0], b_bar, jump_product, identity]
+    sups = segment_sups(space, np.stack(gaps), starts)
+    yp_z_associated, y_zp_associated, compensators_match, disjoint, bar_zero, no_common_jump = sups[:6] <= EXACT_TOL
+    positive = space.positive[:, None]
+    moves = (np.abs(time_increments(comp_bar)) > EXACT_TOL) & positive
+    atom_ok = np.stack([
+        ((incs[1:4] >= 0.0) | ~positive).all(axis=(0, 2)) & np.isfinite(brackets[1:4]).all(axis=(0, 2)),
+        (np.abs(drifts[3]) <= EXACT_TOL).all(axis=-1),
+        ~moves.any(axis=-1),
+    ])
+    increasing_brackets, bar_martingale, orthogonal = np.logical_and.reduceat(atom_ok, starts, axis=-1)
+    clauses = {
+        "increasing_brackets": increasing_brackets,
+        "associated": yp_z_associated & y_zp_associated,
+        "martingale_iff_match": bar_martingale == compensators_match,
+        "disjoint_zero": ~disjoint | (bar_martingale == bar_zero),
+        "disjoint_predictable": ~disjoint | (bar_martingale == no_common_jump),
+    }
+    return SegmentedToolkit(
+        orthogonal=orthogonal,
         clauses=clauses,
         jumps_disjoint=disjoint,
-        decomposition_gap=decomposition_gap,
+        decomposition_gap=sups[6],
+        bracket_compensators=b_pp,
+        bracket_bar=b_bar,
+        predictable_jump_product=jump_product,
+        bar_moves=moves,
     )

@@ -248,6 +248,17 @@ def positive_sups(space: FiniteProbabilitySpace, values) -> np.ndarray:
     return np.abs(np.asarray(values)[..., space.positive, :]).max(axis=(-2, -1))
 
 
+def segment_sups(space: FiniteProbabilitySpace, values, starts) -> np.ndarray:
+    """:func:`positive_sups` per segment of atoms: ``(..., len(starts))`` for a ``(..., n, T+1)`` stack.
+
+    Segment i is the atoms from ``starts[i]`` up to the next start (the last
+    runs to n).  A segment with no positive-probability atom gets 0; a NaN on a
+    positive-probability atom makes its segment's sup NaN.
+    """
+    per_atom = np.where(space.positive[:, None], np.abs(values), 0.0).max(axis=-1)
+    return np.maximum.reduceat(per_atom, starts, axis=-1)
+
+
 def max_gap(*gaps) -> float:
     """Largest of the gaps, each a float or an array of floats; NaN if any gap is NaN.
 

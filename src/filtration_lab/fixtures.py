@@ -171,18 +171,62 @@ def random_bundle(
     max_horizon: int = 3,
     name: str = "random",
 ) -> EnlargementBundle:
+    return random_pair_bundle(random_pair_draw(rng, max_atoms, max_horizon), name)
+
+
+def random_pair_draw(rng: np.random.Generator, max_atoms: int, max_horizon: int) -> tuple:
+    """The draws of one :func:`random_bundle`, in its order: (probs, dX, dH, initial labels or None)."""
     probs = random_space_probs(rng, max_atoms)
-    space = build_space(probs)
-    n = space.n_atoms
+    n = probs.size
     horizon = int(rng.integers(1, max_horizon + 1))
     dx = rng.integers(0, 2, (n, horizon))
     dh = rng.integers(0, 2, (n, horizon))
-    initial = None
-    if rng.random() < 0.5:
-        initial = Partition.from_labels(rng.integers(0, 2, n).tolist())
-    return build_bundle(
-        space, _paths_from_jumps(dx), _paths_from_jumps(dh), initial=initial, name=name
+    initial = rng.integers(0, 2, n).tolist() if rng.random() < 0.5 else None
+    return probs, dx, dh, initial
+
+
+def random_pair_bundle(draw: tuple, name: str) -> EnlargementBundle:
+    """The bundle of one :func:`random_pair_draw`."""
+    probs, dx, dh, initial = draw
+    initial = None if initial is None else Partition.from_labels(initial)
+    return build_bundle(build_space(probs), _paths_from_jumps(dx), _paths_from_jumps(dh), initial=initial, name=name)
+
+
+def random_pair_unions(rng: np.random.Generator, n_pairs: int) -> list[tuple]:
+    """The pairs of ``n_pairs`` :func:`random_bundle` calls, as one :func:`pair_union` per horizon present (ascending).
+
+    The rng is drawn exactly as those calls draw it.
+    """
+    by_horizon: dict = {}
+    for i in range(n_pairs):
+        draw = random_pair_draw(rng, 6, 3)
+        by_horizon.setdefault(draw[1].shape[1], []).append((i, draw))
+    return [pair_union(*zip(*by_horizon[horizon])) for horizon in sorted(by_horizon)]
+
+
+def pair_union(pairs, draws) -> tuple:
+    """The :func:`random_pair_draw` ``draws`` of one horizon as one disjoint-union bundle: (bundle, starts, pairs).
+
+    Segment i of ``starts`` holds the draw with id ``pairs[i]``; the last
+    segment is the filler atom.  With k pairs every probability is scaled by
+    2^-m, m = ceil(log2(k + 1)), which is exact, so every block average rounds
+    as in the lone pair; the filler takes the remaining mass, with X = H = 0
+    and a block of its own.  The initial sigma-field labels an atom (pair id,
+    the pair's own initial label): the paper's initial enlargement, so the
+    union's filtrations split pair by pair.
+    """
+    probs, dx, dh, initial = zip(*draws)
+    initial = [own or [0] * p.size for own, p in zip(initial, probs)]
+    probs = np.ldexp(np.concatenate(probs), -len(draws).bit_length())
+    filler = np.zeros((1, dx[0].shape[1]), dtype=np.int64)
+    bundle = build_bundle(
+        build_space(np.append(probs, 1.0 - probs.sum())),
+        _paths_from_jumps(np.concatenate(dx + (filler,))),
+        _paths_from_jumps(np.concatenate(dh + (filler,))),
+        initial=Partition.from_labels([(i, lab) for i, own in zip(pairs, initial) for lab in own] + [None]),
+        name="random_pairs",
     )
+    return bundle, np.cumsum([0] + [len(own) for own in initial]), tuple(pairs)
 
 
 def random_predictable_values(rng: np.random.Generator, filtration: Filtration) -> np.ndarray:

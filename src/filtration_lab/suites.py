@@ -21,6 +21,7 @@ from .calculus import (
     is_martingale,
     martingale_checks,
     orthogonality_report,
+    orthogonality_segments,
     quadratic_covariation,
     stochastic_integrals,
 )
@@ -830,16 +831,16 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
 )
 def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
-    rng = ctx.rng("toolkit")
     n_pairs = 200
     clause_ok = True
     identity_gaps = []
-    for _ in range(n_pairs):
-        b = fixtures.random_bundle(rng)
-        rep = orthogonality_report(b.X, b.H)
-        clause_ok = clause_ok and all(rep.clauses.values())
-        identity_gaps.append(rep.decomposition_gap)
-    worst_identity = max_gap(identity_gaps)
+    # one pass per horizon: the pairs as segments of a disjoint-union bundle, the filler segment last
+    for bundle, starts, pairs in fixtures.random_pair_unions(ctx.rng("toolkit"), n_pairs):
+        toolkit = orthogonality_segments(bundle.X, bundle.H, starts)
+        k = len(pairs)
+        clause_ok = clause_ok and all(v[:k].all() for v in toolkit.clauses.values())
+        identity_gaps.append(toolkit.decomposition_gap[:k])
+    worst_identity = max_gap(*identity_gaps)
     checks.append(
         _check(
             "toolkit_clauses_on_random_pairs",

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import (
@@ -10,7 +13,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filtration_lab import fixtures
+from filtration_lab import fixtures, suites
 from filtration_lab.calculus import (
     compensator,
     compensators,
@@ -18,10 +21,12 @@ from filtration_lab.calculus import (
     is_martingale,
     martingale_checks,
     orthogonality_report,
+    orthogonality_segments,
     quadratic_covariation,
     stochastic_integral,
     stochastic_integrals,
 )
+from filtration_lab.cli import run_config
 from filtration_lab.errors import NotAdapted, NotIncreasing, NotPointProcess, NotPredictable
 from filtration_lab.finite_space import (
     EXACT_TOL,
@@ -34,6 +39,7 @@ from filtration_lab.finite_space import (
     is_predictable,
     positive_sup,
     positive_sups,
+    segment_sups,
 )
 from filtration_lab.jump_measure import MarkedMeasure, compensator_measure, integrals, jump_measure
 
@@ -272,6 +278,18 @@ class TestStackedKernels:
         stack[2, 1, 0] = -3.0
         assert repr(positive_sups(space, stack).tolist()) == "[0.0, nan, 3.0]"
 
+    def test_a_segment_sup_is_the_sup_of_its_atoms(self):
+        space = build_space([0.25, 0.25, 0.0, 0.25, 0.25, 0.0])
+        stack = np.zeros((3, 6, 2))
+        stack[0, 2, 1] = np.nan  # null atom
+        stack[1, 3, 1] = np.nan
+        stack[2, 1, 0] = -3.0
+        stack[2, 4, 1] = 2.0
+        got = segment_sups(space, stack, [0, 2, 3])
+        assert repr(got.tolist()) == "[[0.0, 0.0, 0.0], [0.0, 0.0, nan], [3.0, 0.0, 2.0]]"
+        # a segment that is every atom is the positive sup
+        assert np.array_equal(segment_sups(space, stack, [0])[:, 0], positive_sups(space, stack), equal_nan=True)
+
     def test_the_first_non_predictable_integrand_is_named(self, space_a_bundle):
         b = space_a_bundle
         ks = fixtures.random_predictable_stack(np.random.default_rng(3), b.g, 4)
@@ -415,6 +433,74 @@ class TestTwoPassReport:
         b = getattr(fixtures, name)()
         y, z = (getattr(b, p) for p in pair)
         _assert_is_the_oracle(orthogonality_report(y, z), y, z)
+
+
+class TestSegmentedToolkit:
+    """Each pair of a disjoint union is one segment, and reports bit for bit what it reports alone."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 99])
+    def test_each_segment_is_its_lone_pair_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        lone = [fixtures.random_bundle(rng) for _ in range(60)]
+        covered = set()
+        for b, starts, pairs in fixtures.random_pair_unions(np.random.default_rng(seed), 60):
+            toolkit = orthogonality_segments(b.X, b.H, starts)
+            for j, i in enumerate(pairs):
+                pair = lone[i]
+                rep = orthogonality_report(pair.X, pair.H)
+                want = oracle_orthogonality_report(pair.X, pair.H)
+                assert toolkit.clauses_at(j) == rep.clauses == want["clauses"]
+                gap = toolkit.decomposition_gap[j]
+                assert gap.tobytes() == np.float64(rep.decomposition_gap).tobytes()
+                assert gap.tobytes() == np.float64(want["decomposition_gap"]).tobytes()
+                assert toolkit.orthogonal[j] == rep.is_orthogonal == want["is_orthogonal"]
+                assert toolkit.jumps_disjoint[j] == rep.jumps_disjoint == want["jumps_disjoint"]
+                covered.add((pair.g.horizon, pair.initial.n_blocks > 1))
+            # the filler atom: no jumps, so nothing to break
+            assert toolkit.decomposition_gap[-1] == 0.0 and all(v[-1] for v in toolkit.clauses.values())
+        assert covered == {(h, initial) for h in (1, 2, 3) for initial in (False, True)}
+
+    def test_each_pair_keeps_its_own_verdict(self):
+        # independent coins: orthogonal, jumps overlap; Counterexample A.2: not orthogonal, jumps disjoint
+        coins = (np.full(4, 0.25), np.array([[0], [0], [1], [1]]), np.array([[0], [1], [0], [1]]), None)
+        a2 = (np.array([0.3, 0.5, 0.2]), np.array([[1], [0], [0]]), np.array([[0], [1], [0]]), None)
+        for draws in ((coins, a2), (a2, coins)):
+            union, starts, _ = fixtures.pair_union([0, 1], draws)
+            toolkit = orthogonality_segments(union.X, union.H, starts)
+            for j, draw in enumerate(draws):
+                alone = fixtures.random_pair_bundle(draw, "alone")
+                rep = orthogonality_report(alone.X, alone.H)
+                assert (toolkit.orthogonal[j], toolkit.jumps_disjoint[j]) == (rep.is_orthogonal, rep.jumps_disjoint)
+                assert toolkit.clauses_at(j) == rep.clauses
+                assert toolkit.decomposition_gap[j] == rep.decomposition_gap
+            assert toolkit.orthogonal[:2].tolist() == [draws[0] is coins, draws[1] is coins]
+            assert toolkit.jumps_disjoint[:2].tolist() == [draws[0] is a2, draws[1] is a2]
+            # reduced over the whole union, each verdict would be lost for one of the pairs
+            whole = orthogonality_segments(union.X, union.H, [0])
+            assert (whole.orthogonal[0], whole.jumps_disjoint[0]) == (False, False)
+
+    def test_the_toolkit_makes_one_union_pass_per_horizon(self, monkeypatch):
+        # the 200 random pairs as one union pass per horizon present (3 at the bundled seed),
+        # and orthogonality_report only on fixture_a2 and space_a, never per pair
+        passes, reports = [], []
+
+        def union_pass(y, z, starts):
+            passes.append((y.horizon, len(starts) - 1))
+            return orthogonality_segments(y, z, starts)
+
+        def report(y, z):
+            reports.append(y.space.n_atoms)
+            return orthogonality_report(y, z)
+
+        monkeypatch.setattr(suites, "orthogonality_segments", union_pass)
+        monkeypatch.setattr(suites, "orthogonality_report", report)
+        config_dir = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "configs"
+        config = json.loads((config_dir / "space_a_full.json").read_text())
+        report_doc = run_config(dict(config, suites=["orthogonality_toolkit"]))
+        assert report_doc["summary"]["failed"] == 0
+        assert [h for h, _ in passes] == [1, 2, 3]
+        assert sum(pairs for _, pairs in passes) == 200
+        assert reports == [3, 16]
 
 
 class TestDriftWitness:

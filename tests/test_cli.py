@@ -20,8 +20,8 @@ from filtration_lab.cli import (
 )
 from filtration_lab.errors import ConfigInvalid
 from filtration_lab.finite_space import AdaptedProcess
-from filtration_lab import suites
-from filtration_lab.suites import REGISTRY, describe_suite, list_suites
+from filtration_lab import fixtures, suites
+from filtration_lab.suites import REGISTRY, SuiteContext, describe_suite, list_suites
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "configs"
 
@@ -484,8 +484,23 @@ def _nan_integral(entry):
     return poison
 
 
-def _nan_decomposition_gap(report):
-    return dataclasses.replace(report, decomposition_gap=math.nan)
+def _nan_segment_gap(entry):
+    """An ``orthogonality_segments`` result whose segment ``entry`` has a NaN decomposition gap."""
+
+    def poison(toolkit):
+        gap = toolkit.decomposition_gap.copy()
+        gap[entry] = math.nan
+        return dataclasses.replace(toolkit, decomposition_gap=gap)
+
+    return poison
+
+
+def _toolkit_slot(pair):
+    """(union pass, segment) that holds the toolkit's drawn pair ``pair`` on the bundled space_a_full config."""
+    seed = json.loads((CONFIG_DIR / "space_a_full.json").read_text())["seed"]
+    unions = fixtures.random_pair_unions(SuiteContext(seed=seed).rng("toolkit"), 200)
+    (slot,) = [(call, pairs.index(pair)) for call, (_, _, pairs) in enumerate(unions) if pair in pairs]
+    return slot
 
 
 def _nan_independent(key):
@@ -516,7 +531,7 @@ NAN_SOURCE_CALLS = {
     ("azema_compensator", "cross_validation_gap"): 25,
     ("azema_compensator", "azema_consistency_gap"): 25,
     ("azema_compensator", "supermartingale_gap"): 25,
-    ("orthogonality_toolkit", "orthogonality_report"): 202,  # 200 random pairs, then a2 and space_a
+    ("orthogonality_toolkit", "orthogonality_segments"): 3,  # one union of the 200 random pairs per horizon
 }
 
 #: every exact row that reports a worst_* value: (suite, row, evidence key, gap source, poison,
@@ -565,8 +580,9 @@ NAN_GAPS = [
      _nan_float, (0, 24)),
     ("azema_compensator", "survival_process_consistent", "worst_drift_up", "supermartingale_gap",
      _nan_float, (0, 24)),
-    ("orthogonality_toolkit", "toolkit_clauses_on_random_pairs", "worst_identity_gap",
-     "orthogonality_report", _nan_decomposition_gap, (0, 199)),
+    # the first and the last drawn pair, each a segment of its horizon's union
+    *[("orthogonality_toolkit", "toolkit_clauses_on_random_pairs", "worst_identity_gap",
+       "orthogonality_segments", _nan_segment_gap(entry), (call,)) for call, entry in map(_toolkit_slot, (0, 199))],
 ]
 NAN_GAP_CASES = [
     (suite, row, key, source, poison, call)

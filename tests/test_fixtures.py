@@ -3,11 +3,13 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import BY_NAME_FIXTURES, RANDOM_TIME_FIXTURES
 
 import filtration_lab.cli as cli
 from filtration_lab import fixtures, random_time
+from filtration_lab.finite_space import Partition
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,3 +60,36 @@ def test_space_a_full_builds_each_named_fixture_at_most_once(monkeypatch):
     names = {getattr(fixtures, name)().name for name in NAMED}
     assert built["space_a"] == 1
     assert {name: built[name] for name in names if built[name] > 1} == {}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 2024])
+def test_random_pair_unions_hold_the_lone_bundles(seed):
+    rng = np.random.default_rng(seed)
+    lone = [fixtures.random_bundle(rng) for _ in range(200)]
+    after_lone = rng.bit_generator.state
+    rng = np.random.default_rng(seed)
+    unions = fixtures.random_pair_unions(rng, 200)
+    # the same draws in the same order, grouped by horizon in draw order
+    assert rng.bit_generator.state == after_lone
+    assert [b.g.horizon for b, _, _ in unions] == [1, 2, 3]
+    assert sorted(i for _, _, pairs in unions for i in pairs) == list(range(200))
+    for b, starts, pairs in unions:
+        k = len(pairs)
+        assert list(pairs) == sorted(pairs)
+        scale = 2.0 ** -int(np.ceil(np.log2(k + 1)))
+        labels = [np.array(b.g.at(t).labels) for t in range(b.g.horizon + 1)]
+        for j, i in enumerate(pairs):
+            pair, atoms = lone[i], slice(starts[j], starts[j + 1])
+            assert pair.g.horizon == b.g.horizon
+            assert np.array_equal(b.X.values[atoms], pair.X.values)
+            assert np.array_equal(b.H.values[atoms], pair.H.values)
+            assert np.array_equal(b.space.probs[atoms], pair.space.probs * scale)
+            for t, lab in enumerate(labels):
+                # the pair's G blocks, and no block shared with another pair or the filler
+                assert Partition.from_labels(lab[atoms].tolist()) == pair.g.at(t)
+                assert not np.isin(lab[atoms], np.delete(lab, np.r_[atoms])).any()
+        # the filler: the last atom, the remaining mass, no jumps, a block of its own
+        assert starts[-1] == b.space.n_atoms - 1
+        assert b.space.probs[-1] == 1.0 - b.space.probs[:-1].sum() > 0.0
+        assert not b.X.values[-1].any() and not b.H.values[-1].any()
+        assert all(lab[-1] not in lab[:-1] for lab in labels)

@@ -311,6 +311,29 @@ class TestFlatKernels:
         assert np.array_equal(paths.counts_at(3.0), [0, 1, 2, 0, 1, 0])
         assert np.array_equal(paths.window_hits(np.full(6, 0.5), np.full(6, 1.0)), [0, 1, 0, 0, 0, 0])
 
+    def test_a_count_reads_the_smaller_side(self, monkeypatch):
+        # events not above t, counted from the events above t or from the rest, whichever are fewer
+        flagged = []
+        segment_count = PathSet._segment_count
+
+        def counted(self, flags):
+            flagged.append(int(np.count_nonzero(flags)))
+            return segment_count(self, flags)
+
+        paths = simulate_path_set(1.0, 10.0, 2000, SEED)
+        for t in (0.04, 5.0, 10.0, math.nan, math.inf, -math.inf):
+            want = oracle_counts_at(paths.events, t)
+            above = paths.times > t
+            from_above = paths.lengths - np.bincount(paths._owner[above], minlength=paths.n_paths)
+            from_rest = np.bincount(paths._owner[~above], minlength=paths.n_paths)
+            assert np.array_equal(from_above, want) and np.array_equal(from_rest, want), t
+            monkeypatch.setattr(PathSet, "_segment_count", counted)
+            flagged.clear()
+            got = paths.counts_at(t)
+            monkeypatch.undo()
+            assert np.array_equal(got, want) and got.dtype == np.int64, t
+            assert flagged == [min(above.sum(), (~above).sum())], t
+
     def test_single_path_without_events(self):
         paths = _flat_path_set([[]])
         _assert_kernels_match_oracles(paths, np.random.default_rng(1))
