@@ -316,11 +316,18 @@ class AdaptedProcess:
 
 
 def time_increments(values) -> np.ndarray:
-    """Jumps of each entry of a ``(..., n, T+1)`` stack along time, the time-0 column set to 0."""
-    v = np.asarray(values, dtype=float)
+    """Jumps of each entry of a ``(..., n, T+1)`` stack along time, the time-0 column set to 0.
+
+    One subtraction over the flattened array, with floating-point warnings
+    off: the differences across the end of a row (an inf - inf, say) land in
+    the time-0 column, which is then reset.  An in-row inf - inf still gives NaN.
+    """
+    v = np.ascontiguousarray(values, dtype=float)
     out = np.empty_like(v)
+    flat, jumps = v.reshape(-1), out.reshape(-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.subtract(flat[1:], flat[:-1], out=jumps[1:])
     out[..., 0] = 0.0
-    np.subtract(v[..., 1:], v[..., :-1], out=out[..., 1:])
     return out
 
 

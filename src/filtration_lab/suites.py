@@ -164,12 +164,23 @@ def _check(name: str, ok: bool, **evidence) -> CheckResult:
     ev = {}
     for k, v in evidence.items():
         if isinstance(v, (np.floating, float)):
-            ev[k] = _num(v)
-        elif isinstance(v, (np.integer, int, bool, str)):
-            ev[k] = v if isinstance(v, (bool, str)) else int(v)
-        else:
-            ev[k] = v
+            v = _num(v)
+        elif isinstance(v, (np.integer, int)) and not isinstance(v, bool):
+            v = int(v)
+        ev[k] = v
     return CheckResult(name=name, outcome="holds" if ok else "fails", evidence=ev)
+
+
+def _bounded(name: str, gaps: dict, ok: bool = True, **evidence) -> CheckResult:
+    """A row that holds iff ``ok`` and each family of gaps is within its own tolerance.
+
+    ``gaps`` maps an evidence key to ``(tol, *family)``, the family's gaps each
+    a float or an array.  The family's :func:`max_gap` is reported under its
+    key, so a NaN anywhere in it fails the row and reads "nan".
+    """
+    worst = {key: max_gap(*family) for key, (_, *family) in gaps.items()}
+    ok = ok and all(worst[key] <= tol for key, (tol, *_) in gaps.items())
+    return _check(name, ok, **worst, **evidence)
 
 
 def _random_closures(rng: np.random.Generator, filtration, count: int) -> np.ndarray:
@@ -225,10 +236,10 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
 
     sol = solve_prp(m, m)
     checks.append(
-        _check(
+        _bounded(
             "identity_integrand",
-            sol.residual_sup <= EXACT_TOL and float(np.abs(sol.integrands["K"][:, 1:]).min()) > 0.5,
-            residual_sup=sol.residual_sup,
+            {"residual_sup": (EXACT_TOL, sol.residual_sup)},
+            ok=float(np.abs(sol.integrands["K"][:, 1:]).min()) > 0.5,
         )
     )
 
@@ -237,8 +248,8 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     for _ in range(25):
         coef = rng.normal(size=3)
         xis.append(coef[0] * b.X.terminal**2 + coef[1] * b.X.terminal + coef[2])
-    worst = max_gap(solve_batch(martingale_closures(xis, b.f), [m.increments()], b.f).residual_sup)
-    checks.append(_check("single_source_solvable", worst <= EXACT_TOL, worst_residual=worst))
+    sol = solve_batch(martingale_closures(xis, b.f), [m.increments()], b.f)
+    checks.append(_bounded("single_source_solvable", {"worst_residual": (EXACT_TOL, sol.residual_sup)}))
 
     # initial sigma-field carrying the first jump time keeps the tree binary
     space = build_space([1.0 / 8.0] * 8)
@@ -250,9 +261,9 @@ def suite_prp_base(ctx: SuiteContext) -> list[CheckResult]:
     f = initial_enlargement(base, Partition.from_labels(fjt))
     m3 = compensator(PointProcess(f, x_vals)).martingale_part
     ys = martingale_closures([rng.normal(size=8) for _ in range(25)], f)
-    worst = max_gap(solve_batch(ys, [m3.increments()], f).residual_sup)
+    sol = solve_batch(ys, [m3.increments()], f)
     checks.append(
-        _check("initially_enlarged_still_solvable", worst <= EXACT_TOL, worst_residual=worst)
+        _bounded("initially_enlarged_still_solvable", {"worst_residual": (EXACT_TOL, sol.residual_sup)})
     )
 
     m_g = compensator(b.X).martingale_part
@@ -286,12 +297,11 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
             positive_sup(b.space, y1.values + y3.values - b.X.values),
             positive_sup(b.space, y2.values + y3.values - b.H.values),
         ]
-    worst = max_gap(brackets)
     checks.append(
-        _check(
+        _bounded(
             "disjoint_decomposition",
-            max_gap(recons) == 0.0 and worst <= ATOMWISE_TOL,
-            worst_bracket=worst,
+            {"worst_bracket": (ATOMWISE_TOL, brackets)},
+            ok=max_gap(recons) == 0.0,
         )
     )
 
@@ -338,58 +348,42 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("measure")
     n_w = 100
-    drifts, matches, masses = [], [], []
+    drifts, matches, masses, nus = [], [], [], {}
     for b in _rep_fixtures(ctx):
         mu = jump_measure(b.X, b.H)
-        nu = compensator_measure(mu)
+        nu = nus[b.name] = compensator_measure(mu)
         bracket = quadratic_covariation(b.X, b.H)
         expected_mass = b.X.values + b.H.values - bracket.values
         masses.append(positive_sup(b.space, mu.mass().values - expected_mass))
         drift_checks, gaps = mark_split_checks(b, mu, nu, rng, n_w)
         drifts += [0.0 if c else abs(c.witness[2]) for c in drift_checks]
         matches.append(gaps)
-    worst_drift, worst_match, worst_mass = max_gap(drifts), max_gap(*matches), max_gap(masses)
     checks.append(
-        _check(
-            "compensated_integral_is_martingale",
-            worst_drift == 0.0,
-            worst_drift=worst_drift,
-            functions_per_fixture=n_w,
+        _bounded(
+            "compensated_integral_is_martingale", {"worst_drift": (0.0, drifts)}, functions_per_fixture=n_w
         )
     )
-    checks.append(
-        _check(
-            "integral_splits_across_marks",
-            worst_match <= ATOMWISE_TOL,
-            worst_gap=worst_match,
-        )
-    )
-    checks.append(_check("total_mass_formula", worst_mass <= ATOMWISE_TOL, worst_gap=worst_mass))
+    checks.append(_bounded("integral_splits_across_marks", {"worst_gap": (ATOMWISE_TOL, *matches)}))
+    checks.append(_bounded("total_mass_formula", {"worst_gap": (ATOMWISE_TOL, masses)}))
 
     b = fixtures.space_a()
-    nu = compensator_measure(jump_measure(b.X, b.H))
-    dens_gap = max_gap(
-        [positive_sup(b.space, nu.indicator_increments(mark)[:, 1:] - 0.25) for mark in MARKS]
-    )
+    nu = nus[b.name]
+    densities = [positive_sup(b.space, nu.indicator_increments(mark)[:, 1:] - 0.25) for mark in MARKS]
     ones = PredictableFunction.constant(b.g, 1.0)
     expected = 0.75 * np.arange(b.g.horizon + 1)[None, :]
-    unit_gap = positive_sup(b.space, integrate(ones, nu).values - expected)
+    unit = positive_sup(b.space, integrate(ones, nu).values - expected)
     checks.append(
-        _check(
+        _bounded(
             "uniform_fixture_densities",
-            dens_gap <= ATOMWISE_TOL and unit_gap <= ATOMWISE_TOL,
-            density_gap=dens_gap,
-            unit_integral_gap=unit_gap,
+            {"density_gap": (ATOMWISE_TOL, densities), "unit_integral_gap": (ATOMWISE_TOL, unit)},
         )
     )
 
     a2 = fixtures.fixture_a2()
-    nu2 = compensator_measure(jump_measure(a2.X, a2.H))
+    nu2 = nus[a2.name]
     target = {MARKS[0]: 0.3, MARKS[1]: 0.5, MARKS[2]: 0.0}
-    a2_gap = max_gap(
-        [positive_sup(a2.space, nu2.indicator_increments(m)[:, 1] - target[m]) for m in MARKS]
-    )
-    checks.append(_check("three_atom_densities", a2_gap <= ATOMWISE_TOL, gap=a2_gap))
+    a2_gaps = [positive_sup(a2.space, nu2.indicator_increments(m)[:, 1] - target[m]) for m in MARKS]
+    checks.append(_bounded("three_atom_densities", {"gap": (ATOMWISE_TOL, a2_gaps)}))
     return checks
 
 
@@ -416,10 +410,7 @@ def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
         name="space_a_full_initial",
     )
     bundles = _rep_fixtures(ctx) + [h_only, fine_r] + [fixtures.random_bundle(rng) for _ in range(5)]
-    all_ok = True
-    for b in bundles:
-        rep = verify_filtration_identities(b)
-        all_ok = all_ok and rep.ok
+    all_ok = all(verify_filtration_identities(b).ok for b in bundles)
     checks.append(_check("enlargement_identities", all_ok, bundles=len(bundles)))
 
     full = all(
@@ -446,37 +437,36 @@ def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
 def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("wrp")
-    residuals = []
+    residuals, measures = [], {}
     for b in _rep_fixtures(ctx):
         mu = jump_measure(b.X, b.H)
         nu = compensator_measure(mu)
+        measures[b.name] = mu, nu
         sol = solve_batch(_random_closures(rng, b.g, 100), wrp_regressors(mu, nu), b.g)
         residuals.append(sol.residual_sup)
-    worst = max_gap(*residuals)
     count = sum(r.size for r in residuals)
     checks.append(
-        _check("every_martingale_represented", worst <= EXACT_TOL, worst_residual=worst, solves=count)
+        _bounded("every_martingale_represented", {"worst_residual": (EXACT_TOL, *residuals)}, solves=count)
     )
 
     b = fixtures.fixture_a2()
-    mu = jump_measure(b.X, b.H)
-    nu = compensator_measure(mu)
+    mu, nu = measures[b.name]
     xi = np.array([0.0, 0.0, 1.0])
     sol = solve_wrp(martingale_closure(xi, b.g), mu, nu)
-    joint_w = positive_sup(b.space, sol.integrands["W(1, 1)"])
     checks.append(
-        _check(
+        _bounded(
             "three_atom_solution_avoids_dead_mark",
-            sol.residual_sup <= EXACT_TOL and joint_w <= ATOMWISE_TOL,
-            residual_sup=sol.residual_sup,
-            joint_mark_weight=joint_w,
+            {
+                "residual_sup": (EXACT_TOL, sol.residual_sup),
+                "joint_mark_weight": (ATOMWISE_TOL, positive_sup(b.space, sol.integrands["W(1, 1)"])),
+            },
         )
     )
 
     y_const = martingale_closure(np.ones(b.space.n_atoms), b.g)
     sol = solve_wrp(y_const, mu, nu)
-    flat = max_gap([positive_sup(b.space, v) for v in sol.integrands.values()])
-    checks.append(_check("constant_target_gets_zero_function", flat <= ATOMWISE_TOL, max_weight=flat))
+    weights = [positive_sup(b.space, v) for v in sol.integrands.values()]
+    checks.append(_bounded("constant_target_gets_zero_function", {"max_weight": (ATOMWISE_TOL, weights)}))
     return checks
 
 
@@ -487,11 +477,12 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
 def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("triple")
-    residuals, equivs = [], []
+    residuals, equivs, zs = [], [], {}
     for b in _rep_fixtures(ctx):
         mu = jump_measure(b.X, b.H)
         nu = compensator_measure(mu)
-        regs = triple_regressors(*fundamental_martingales(b.X, b.H))
+        zs[b.name] = fundamental_martingales(b.X, b.H)
+        regs = triple_regressors(*zs[b.name])
         ys = _random_closures(rng, b.g, 100)
         # the first 20 are also solved in the measure form, and only their reconstructions kept
         head = solve_batch(ys[:20], regs, b.g, keep_reconstructions=True)
@@ -500,23 +491,19 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
         residuals += [head.residual_sup, rest.residual_sup]
         gap = head.reconstructions - other.reconstructions
         equivs.append(positive_sup(b.space, np.swapaxes(gap, 0, 1)))  # atoms first
-    worst, equiv = max_gap(*residuals), max_gap(equivs)
-    checks.append(_check("triple_integrals_represent", worst <= EXACT_TOL, worst_residual=worst))
-    checks.append(
-        _check("triple_matches_measure_form", equiv <= ATOMWISE_TOL, worst_gap=equiv)
-    )
+    checks.append(_bounded("triple_integrals_represent", {"worst_residual": (EXACT_TOL, *residuals)}))
+    checks.append(_bounded("triple_matches_measure_form", {"worst_gap": (ATOMWISE_TOL, equivs)}))
 
     b = fixtures.space_a()
-    z1, z2, z3 = fundamental_martingales(b.X, b.H)
+    z1, z2, z3 = zs[b.name]
     sol = solve_triple(AdaptedProcess(b.g, z2.values), z1, z2, z3)
-    off = max_gap([positive_sup(b.space, sol.integrands[k][:, 1:]) for k in ("K1", "K3")])
+    off = [positive_sup(b.space, sol.integrands[k][:, 1:]) for k in ("K1", "K3")]
     on = positive_sup(b.space, sol.integrands["K2"][:, 1:] - 1.0)
     checks.append(
-        _check(
+        _bounded(
             "picks_out_own_coordinate",
-            sol.residual_sup <= EXACT_TOL and off <= ATOMWISE_TOL and on <= ATOMWISE_TOL,
-            residual_sup=sol.residual_sup,
-            off_weights=off,
+            {"residual_sup": (EXACT_TOL, sol.residual_sup), "off_weights": (ATOMWISE_TOL, off)},
+            ok=on <= ATOMWISE_TOL,
         )
     )
 
@@ -528,8 +515,7 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
         regs = triple_regressors(*fundamental_martingales(rb.X, rb.H), stop_at=st)
         sol = solve_batch(stop_values(_random_closures(rng, rb.g, 20), st), regs, rb.g)
         residuals.append(sol.residual_sup)
-    worst = max_gap(*residuals)
-    checks.append(_check("stopped_representation", worst <= EXACT_TOL, worst_residual=worst))
+    checks.append(_bounded("stopped_representation", {"worst_residual": (EXACT_TOL, *residuals)}))
     return checks
 
 
@@ -550,12 +536,10 @@ def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
             triple_regressors(*fundamental_martingales(b.X, b.H)),
         ):
             residuals.append(solve_batch(ys, regs, b.g).residual_sup)
-    worst = max_gap(*residuals)
     return [
-        _check(
+        _bounded(
             "dense_by_zero_residuals",
-            worst <= EXACT_TOL,
-            worst_residual=worst,
+            {"worst_residual": (EXACT_TOL, *residuals)},
             solves=sum(r.size for r in residuals),
             spaces=len(bundles),
         )
@@ -572,30 +556,25 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     b = fixtures.space_a()
     targets = np.vstack([b.X.terminal * b.H.terminal, rng.normal(size=(20, b.space.n_atoms))])
     sol, gaps = independent_batch(martingale_closures(targets, b.g), b)
-    residual = max_gap(sol.residual_sup)
-    orth = gaps["basis_orthogonality_gap"]
-    identity = gaps["basis_identity_gap"]
-    factor = gaps["bracket_factorisation_gap"]
-    pythagoras = max_gap(gaps["pythagoras_gap"])
     checks.append(
-        _check(
+        _bounded(
             "orthogonal_basis_represents",
-            residual <= EXACT_TOL and orth <= ATOMWISE_TOL,
-            worst_residual=residual,
-            worst_orthogonality=orth,
+            {
+                "worst_residual": (EXACT_TOL, sol.residual_sup),
+                "worst_orthogonality": (ATOMWISE_TOL, gaps["basis_orthogonality_gap"]),
+            },
         )
     )
     checks.append(
-        _check(
+        _bounded(
             "change_of_basis_identities",
-            identity <= ATOMWISE_TOL and factor <= EXACT_TOL,
-            worst_identity_gap=identity,
-            worst_factorisation_gap=factor,
+            {
+                "worst_identity_gap": (ATOMWISE_TOL, gaps["basis_identity_gap"]),
+                "worst_factorisation_gap": (EXACT_TOL, gaps["bracket_factorisation_gap"]),
+            },
         )
     )
-    checks.append(
-        _check("pythagoras_identity", pythagoras <= EXACT_TOL, worst_gap=pythagoras)
-    )
+    checks.append(_bounded("pythagoras_identity", {"worst_gap": (EXACT_TOL, gaps["pythagoras_gap"])}))
 
     xbar = compensator(b.X).martingale_part
     hbar = compensator(b.H).martingale_part
@@ -603,10 +582,10 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     sol = independent_decomposition(cross, b)
     off = max_gap([positive_sup(b.space, sol.integrands[k][:, 1:]) for k in ("K1", "K2")])
     checks.append(
-        _check(
+        _bounded(
             "bracket_picks_third_coordinate",
-            sol.residual_sup <= EXACT_TOL and off <= ATOMWISE_TOL,
-            residual_sup=sol.residual_sup,
+            {"residual_sup": (EXACT_TOL, sol.residual_sup)},
+            ok=off <= ATOMWISE_TOL,
         )
     )
 
@@ -642,22 +621,18 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
         incs = time_increments(values)
         first, second = np.triu_indices(len(spanning), 1)
         brackets = np.cumsum(incs[first] * incs[second], axis=-1)
-        # a family of one has no pairs
-        orth = max_gap(0.0, positive_sups(filt.space, dual_projections(brackets, filt)))
-        ys = _random_closures(rng, filt, 20)
-        worst = max_gap(solve_batch(ys, list(incs), filt).residual_sup)
+        orth = positive_sups(filt.space, dual_projections(brackets, filt))
+        sol = solve_batch(_random_closures(rng, filt, 20), list(incs), filt)
         checks.append(
-            _check(
+            _bounded(
                 f"spanning_number_{label}",
-                got == expected
-                and len(spanning) == expected
-                and drift_ok
-                and orth <= ATOMWISE_TOL
-                and worst <= EXACT_TOL,
+                {
+                    "certificate_residual": (EXACT_TOL, sol.residual_sup),
+                    "certificate_orthogonality": (ATOMWISE_TOL, 0.0, orth),  # a family of one has no pairs
+                },
+                ok=got == expected and len(spanning) == expected and drift_ok,
                 computed=got,
                 expected_value=expected,
-                certificate_residual=worst,
-                certificate_orthogonality=orth,
             )
         )
 
@@ -676,58 +651,44 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
 def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("azema")
-    named = [
-        fixtures.two_step_independent_random_time(),
-        fixtures.announced_tau_random_time(),
-        fixtures.never_random_time(),
-        fixtures.staggered(),
-        fixtures.avoidance_trinomial(),
-    ]
-    randoms = [fixtures.random_random_time_bundle(rng) for _ in range(20)]
+    two_step = fixtures.two_step_independent_random_time()
+    announced = fixtures.announced_tau_random_time()
+    never = fixtures.never_random_time()
+    bundles = [two_step, announced, never, fixtures.staggered(), fixtures.avoidance_trinomial()]
+    bundles += [fixtures.random_random_time_bundle(rng) for _ in range(20)]
+    azemas = [survival(rb) for rb in bundles]  # two_step's and never's are reused below
     cross, consistency, rise = [], [], []
-    for rb in named + randoms:
-        azema = survival(rb)
+    for rb, azema in zip(bundles, azemas):
         cross.append(cross_validation_gap(rb, azema))
         consistency.append(azema_consistency_gap(rb, azema))
         rise.append(supermartingale_gap(rb, azema))
-    worst_gap, worst_cons, worst_super = max_gap(cross), max_gap(consistency), max_gap(rise)
     checks.append(
-        _check(
+        _bounded(
             "survival_formula_matches_direct_compensator",
-            worst_gap <= EXACT_TOL,
-            worst_gap=worst_gap,
-            bundles=len(named) + len(randoms),
+            {"worst_gap": (EXACT_TOL, cross)},
+            bundles=len(bundles),
         )
     )
     checks.append(
-        _check(
+        _bounded(
             "survival_process_consistent",
-            worst_cons <= ATOMWISE_TOL and worst_super <= ATOMWISE_TOL,
-            worst_block_gap=worst_cons,
-            worst_drift_up=worst_super,
+            {"worst_block_gap": (ATOMWISE_TOL, consistency), "worst_drift_up": (ATOMWISE_TOL, rise)},
         )
     )
 
-    rb = fixtures.two_step_independent_random_time()
-    cand = compensator_via_azema(rb, survival(rb))
-    survivors = tau_of(rb).values >= 2
+    cand = compensator_via_azema(two_step, azemas[0])
+    survivors = tau_of(two_step).values >= 2
     vals_ok = (
-        positive_sup(rb.space, cand.values[:, 1] - 0.5) <= ATOMWISE_TOL
-        and positive_sup(rb.space, np.where(survivors, cand.values[:, 2] - 1.5, 0.0)) <= ATOMWISE_TOL
+        positive_sup(two_step.space, cand.values[:, 1] - 0.5) <= ATOMWISE_TOL
+        and positive_sup(two_step.space, np.where(survivors, cand.values[:, 2] - 1.5, 0.0)) <= ATOMWISE_TOL
     )
     checks.append(_check("independent_uniform_profile", vals_ok))
 
-    rb = fixtures.announced_tau_random_time()
-    gap = positive_sup(rb.g.space, compensator(rb.H).compensator.values - rb.H.values)
-    checks.append(
-        _check("announced_time_is_its_own_compensator", gap <= ATOMWISE_TOL, gap=gap)
-    )
+    gap = positive_sup(announced.space, compensator(announced.H).compensator.values - announced.H.values)
+    checks.append(_bounded("announced_time_is_its_own_compensator", {"gap": (ATOMWISE_TOL, gap)}))
 
-    rb = fixtures.never_random_time()
-    flat = max_gap(
-        compensator_via_azema(rb, survival(rb)).sup_abs(), compensator(rb.H).compensator.sup_abs()
-    )
-    checks.append(_check("never_time_compensates_to_zero", flat == 0.0, sup=flat))
+    sups = [compensator_via_azema(never, azemas[2]).sup_abs(), compensator(never.H).compensator.sup_abs()]
+    checks.append(_bounded("never_time_compensates_to_zero", {"sup": (0.0, sups)}))
     return checks
 
 
@@ -787,19 +748,16 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
         fixtures.avoidance_trinomial(),
         fixtures.two_step_independent_random_time(),
     ] + [fixtures.random_random_time_bundle(rng) for _ in range(5)]
-    all_consistent = True
-    for rb in bundles:
-        study = orthogonality_suite(rb)
-        all_consistent = all_consistent and study.all_consistent
+    studies = [orthogonality_suite(rb) for rb in bundles]
     checks.append(
         _check(
             "orthogonality_matches_predictable_jump_surrogate",
-            all_consistent,
+            all(study.all_consistent for study in studies),
             bundles=len(bundles),
         )
     )
 
-    study = orthogonality_suite(fixtures.staggered())
+    study = studies[0]
     checks.append(
         _check(
             "staggered_fully_orthogonal",
@@ -808,7 +766,7 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
         )
     )
 
-    study = orthogonality_suite(fixtures.avoidance_trinomial())
+    study = studies[1]
     by_name = {p.name: p for p in study.pairs}
     checks.append(
         _check(
@@ -840,13 +798,12 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
         k = len(pairs)
         clause_ok = clause_ok and all(v[:k].all() for v in toolkit.clauses.values())
         identity_gaps.append(toolkit.decomposition_gap[:k])
-    worst_identity = max_gap(*identity_gaps)
     checks.append(
-        _check(
+        _bounded(
             "toolkit_clauses_on_random_pairs",
-            clause_ok and worst_identity <= ATOMWISE_TOL,
+            {"worst_identity_gap": (ATOMWISE_TOL, *identity_gaps)},
+            ok=clause_ok,
             pairs=n_pairs,
-            worst_identity_gap=worst_identity,
         )
     )
 

@@ -559,3 +559,12 @@ def a2_bundle():
 @pytest.fixture
 def staggered_bundle():
     return fixtures.staggered()
+
+
+def oracle_time_increments(values):
+    """Jumps along the last axis, one subtraction per time step; time 0 gets 0."""
+    v = np.asarray(values, dtype=float)
+    out = np.zeros_like(v)
+    for t in range(1, v.shape[-1]):
+        out[..., t] = v[..., t] - v[..., t - 1]
+    return out

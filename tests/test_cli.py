@@ -619,3 +619,50 @@ class TestNanGapFailsItsRow:
         assert code == 1
         (got,) = [r for r in json.loads((tmp_path / "r.json").read_text())["checks"] if r["name"] == row]
         assert (got["outcome"], got["passed"], got["evidence"][key]) == ("fails", False, "nan")
+
+    def test_the_table_names_every_worst_value(self):
+        # the bundled report's rows; test_golden keeps the golden copy's rows and keys in step with it
+        golden = json.loads((Path(__file__).resolve().parent / "golden" / "space_a_full.json").read_text())
+        reported = {
+            (row["suite"], row["name"], key)
+            for row in golden["checks"]
+            for key in row["evidence"]
+            if key.startswith("worst_")
+        }
+        assert reported == {(suite, row, key) for suite, row, key, *_ in NAN_GAPS}
+
+
+class TestBoundedRow:
+    """``suites._bounded``: each family reduced by ``max_gap`` and held to its own tolerance."""
+
+    def test_every_family_is_reported_and_a_maximum_at_its_tolerance_holds(self):
+        gaps = {
+            "worst_a": (0.5, 0.25, np.array([0.5, 0.0])),
+            "worst_b": (0.0, [0.0, 0.0]),
+            "c": (1.0, np.zeros(0), 1.0),
+        }
+        row = suites._bounded("row", gaps, solves=3)
+        assert (row.name, row.outcome) == ("row", "holds")
+        assert row.evidence == {"worst_a": 0.5, "worst_b": 0.0, "c": 1.0, "solves": 3}
+
+    @pytest.mark.parametrize("family", ["worst_a", "worst_b"])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_a_nan_in_any_family_fails_the_row(self, family, where):
+        gaps = {"worst_a": [0.0, 1e-20, 0.0], "worst_b": [np.zeros(4), np.zeros(2)]}
+        if family == "worst_a":
+            gaps[family][where] = math.nan
+        else:
+            gaps[family][where][where] = math.nan
+        row = suites._bounded("row", {"worst_a": (1e-12, gaps["worst_a"]), "worst_b": (1.0, *gaps["worst_b"])})
+        other = "worst_b" if family == "worst_a" else "worst_a"
+        assert row.outcome == "fails"
+        assert row.evidence[family] == "nan" and isinstance(row.evidence[other], float)
+
+    def test_a_maximum_over_its_tolerance_fails_the_row(self):
+        row = suites._bounded("row", {"worst_a": (1e-12, 0.0, 2e-12), "worst_b": (1.0, 0.5)})
+        assert (row.outcome, row.evidence) == ("fails", {"worst_a": 2e-12, "worst_b": 0.5})
+
+    @pytest.mark.parametrize("ok", [False, np.False_])
+    def test_ok_false_fails_the_row_within_tolerance(self, ok):
+        row = suites._bounded("row", {"worst_a": (1e-12, 0.0)}, ok=ok, computed=2)
+        assert (row.outcome, row.evidence) == ("fails", {"worst_a": 0.0, "computed": 2})

@@ -10,6 +10,7 @@ from conftest import (
     oracle_random_predictable_values,
     oracle_refines,
     oracle_stopping_violation,
+    oracle_time_increments,
     random_filtration,
 )
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from filtration_lab.finite_space import (
     slice_violation,
     stop_process,
     stop_values,
+    time_increments,
 )
 
 
@@ -374,6 +376,36 @@ class TestBlockIndex:
         got = stop_values(stack, sigma)
         for vals, want in zip(got, (b.X, b.H, AdaptedProcess(b.g, 2.0 * b.X.values))):
             assert np.array_equal(vals, stop_process(want, sigma).values)
+
+
+class TestTimeIncrements:
+    @staticmethod
+    def _assert_bitwise(values):
+        got = time_increments(values)
+        want = oracle_time_increments(values)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(100, 6, 4), (3, 16, 3), (16, 3), (5, 2), (2, 3, 4, 2), (1, 1)])
+    def test_matches_the_per_step_formula(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        self._assert_bitwise(v)
+        self._assert_bitwise(v.tolist())
+        if v.ndim >= 2:
+            # strided inputs: a transposed stack, every other atom, and the first T columns
+            self._assert_bitwise(np.swapaxes(rng.normal(size=shape[:-2] + (shape[-1], shape[-2])), -1, -2))
+            self._assert_bitwise(v[..., ::2, :])
+        if shape[-1] > 2:
+            self._assert_bitwise(v[..., :-1])
+
+    def test_row_ends_raise_no_warning(self):
+        # each row starts and ends at +inf: inf - inf only across rows, where time 0 is reset
+        v = np.random.default_rng(3).normal(size=(4, 5, 3))
+        v[..., 0] = v[..., -1] = np.inf
+        v[1, :, -1] = np.finfo(float).max
+        v[2, :, 0] = -np.finfo(float).max
+        self._assert_bitwise(v)
+        assert not time_increments(v)[..., 0].any()
 
 
 class TestStoppingTimes:

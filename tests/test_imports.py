@@ -20,7 +20,9 @@ a setting the program never uses.  A gap is reduced over atoms by
 ``positive_sup`` and over fixtures, targets, marks or blocks by ``max_gap``: a
 running ``x = max(x, gap)`` drops a NaN gap, and ``np.abs(gap).max()``, whole
 or along an axis, also reads the null atoms, so both are flagged; a stack of
-gaps is reduced entry by entry by ``positive_sups``.
+gaps is reduced entry by entry by ``positive_sups``.  A row's ``worst_*``
+value is built by ``suites._bounded``, so no call in ``suites`` passes a
+``worst_*`` keyword.
 """
 import ast
 from pathlib import Path
@@ -136,6 +138,17 @@ def abs_max_calls(source: str) -> list:
             if (getattr(inner, "id", None) or getattr(inner, "attr", None)) == "abs":
                 found.append(node.lineno)
     return sorted(found)
+
+
+def worst_keywords(source: str) -> list:
+    """(line, keyword) of every call that passes a keyword argument named ``worst_*``."""
+    return sorted(
+        (node.lineno, kw.arg)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg is not None and kw.arg.startswith("worst_")
+    )
 
 
 def _defaulted(fn: ast.FunctionDef, method: bool) -> tuple:
@@ -320,6 +333,21 @@ def test_the_scan_finds_an_abs_max():
 @pytest.mark.parametrize("path", NOT_FINITE_SPACE, ids=[p.name for p in NOT_FINITE_SPACE])
 def test_only_finite_space_takes_an_abs_max(path):
     assert abs_max_calls(path.read_text()) == []
+
+
+def test_the_scan_finds_a_worst_keyword():
+    source = (
+        "_check('a', w <= tol, worst_gap=w)\n"
+        "_check('b', ok,\n"
+        "       worst_residual=r, solves=3)\n"
+        "_bounded('c', {'worst_gap': (tol, w)}, spaces=2)\n"
+        "f(**{'worst_gap': w}, worst=w, best_worst=w)\n"
+    )
+    assert worst_keywords(source) == [(1, "worst_gap"), (2, "worst_residual")]
+
+
+def test_every_worst_value_is_built_by_the_row_builder():
+    assert worst_keywords((PACKAGE / "suites.py").read_text()) == []
 
 
 def test_the_scan_finds_an_unpassed_parameter():
