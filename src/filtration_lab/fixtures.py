@@ -165,13 +165,8 @@ def random_space_probs(rng: np.random.Generator, max_atoms: int = 6) -> np.ndarr
     return weights / weights.sum()
 
 
-def random_bundle(
-    rng: np.random.Generator,
-    max_atoms: int = 6,
-    max_horizon: int = 3,
-    name: str = "random",
-) -> EnlargementBundle:
-    return random_pair_bundle(random_pair_draw(rng, max_atoms, max_horizon), name)
+def random_bundle(rng: np.random.Generator, max_atoms: int = 6, max_horizon: int = 3) -> EnlargementBundle:
+    return random_pair_bundle(random_pair_draw(rng, max_atoms, max_horizon), "random")
 
 
 def random_pair_draw(rng: np.random.Generator, max_atoms: int, max_horizon: int) -> tuple:
@@ -209,15 +204,17 @@ def pair_union(pairs, draws) -> tuple:
 
     Segment i of ``starts`` holds the draw with id ``pairs[i]``; the last
     segment is the filler atom.  With k pairs every probability is scaled by
-    2^-m, m = ceil(log2(k + 1)), which is exact, so every block average rounds
-    as in the lone pair; the filler takes the remaining mass, with X = H = 0
-    and a block of its own.  The initial sigma-field labels an atom (pair id,
-    the pair's own initial label): the paper's initial enlargement, so the
-    union's filtrations split pair by pair.
+    4^-m, the least power of four above k, which is exact.  So every block
+    average rounds as in the lone pair, and so does a nodewise solve, which
+    weights by sqrt(p): sqrt(4^-m p) is 2^-m sqrt(p) exactly, where an odd
+    power of two would round.  The filler takes the remaining mass, with
+    X = H = 0 and a block of its own.  The initial sigma-field labels an atom
+    (pair id, the pair's own initial label): the paper's initial enlargement,
+    so the union's filtrations split pair by pair.
     """
     probs, dx, dh, initial = zip(*draws)
     initial = [own or [0] * p.size for own, p in zip(initial, probs)]
-    probs = np.ldexp(np.concatenate(probs), -len(draws).bit_length())
+    probs = np.ldexp(np.concatenate(probs), -2 * ((len(draws).bit_length() + 1) // 2))
     filler = np.zeros((1, dx[0].shape[1]), dtype=np.int64)
     bundle = build_bundle(
         build_space(np.append(probs, 1.0 - probs.sum())),

@@ -525,23 +525,35 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
 )
 def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
     rng = ctx.rng("completeness")
+    n_random, count = 50, 100
+    # the random spaces as one disjoint-union bundle per horizon, the filler segment last
+    unions = fixtures.random_pair_unions(rng, n_random)
+    named = [fixtures.space_a(), fixtures.fixture_a2(), fixtures.staggered()]
+    problems = [(b, _random_closures(rng, b.g, count)) for b in named]
+    # the random spaces' targets from one draw, split as their own (count, n) draws in id order
+    spans = sorted((i, u, starts[j], starts[j + 1]) for u, (_, starts, pairs) in enumerate(unions)
+                   for j, i in enumerate(pairs))
+    sizes = [stop - start for *_, start, stop in spans]
+    parts = np.split(rng.normal(size=count * sum(sizes)), count * np.cumsum(sizes)[:-1])
+    targets = [np.zeros((count, b.space.n_atoms)) for b, _, _ in unions]  # the filler's target is 0
+    for (_, u, start, stop), part in zip(spans, parts):
+        targets[u][:, start:stop] = part.reshape(count, -1)
+    problems += [(b, martingale_closures(ys, b.g)) for (b, _, _), ys in zip(unions, targets)]
     residuals = []
-    bundles = [fixtures.space_a(), fixtures.fixture_a2(), fixtures.staggered()]
-    bundles += [fixtures.random_bundle(rng, name=f"random_{i}") for i in range(50)]
-    for b in bundles:
+    for b, ys in problems:
         mu = jump_measure(b.X, b.H)
-        ys = _random_closures(rng, b.g, 100)
         for regs in (
             wrp_regressors(mu, compensator_measure(mu)),
             triple_regressors(*fundamental_martingales(b.X, b.H)),
         ):
             residuals.append(solve_batch(ys, regs, b.g).residual_sup)
+    spaces = len(named) + n_random
     return [
         _bounded(
             "dense_by_zero_residuals",
             {"worst_residual": (EXACT_TOL, *residuals)},
-            solves=sum(r.size for r in residuals),
-            spaces=len(bundles),
+            solves=2 * count * spaces,
+            spaces=spaces,
         )
     ]
 

@@ -76,7 +76,8 @@ def test_random_pair_unions_hold_the_lone_bundles(seed):
     for b, starts, pairs in unions:
         k = len(pairs)
         assert list(pairs) == sorted(pairs)
-        scale = 2.0 ** -int(np.ceil(np.log2(k + 1)))
+        # the least power of four above k, so that the scale has an exact square root
+        scale = 4.0 ** -min(m for m in range(8) if 4**m > k)
         labels = [np.array(b.g.at(t).labels) for t in range(b.g.horizon + 1)]
         for j, i in enumerate(pairs):
             pair, atoms = lone[i], slice(starts[j], starts[j + 1])

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from functools import partial
 from pathlib import Path
@@ -18,7 +19,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filtration_lab import fixtures, representation
+from filtration_lab import fixtures, representation, suites
 from filtration_lab.calculus import (
     compensator,
     dual_projection,
@@ -26,6 +27,7 @@ from filtration_lab.calculus import (
     martingale_checks,
     quadratic_covariation,
 )
+from filtration_lab.cli import run_config
 from filtration_lab.enlargement import build_bundle
 from filtration_lab.errors import IndependenceViolated, NotMartingale
 from filtration_lab.finite_space import (
@@ -34,6 +36,7 @@ from filtration_lab.finite_space import (
     Partition,
     PointProcess,
     build_space,
+    segment_sups,
     stop_values,
 )
 from filtration_lab.jump_measure import compensator_measure, fundamental_martingales, jump_measure
@@ -516,3 +519,88 @@ class TestBatchedKernel:
             assert abs(sol.checks["pythagoras_gap"] - checks["pythagoras_gap"][i]) <= 1e-12
             for key in ("basis_orthogonality_gap", "basis_identity_gap", "bracket_factorisation_gap"):
                 assert sol.checks[key] == checks[key]
+
+
+class TestUnionSolves:
+    """Each random space of a power-of-four disjoint union solves bit for bit as it does alone."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 99])
+    def test_each_segment_solves_like_its_lone_space(self, seed):
+        rng = np.random.default_rng(seed)
+        lone = [fixtures.random_bundle(rng) for _ in range(50)]
+        xis = [rng.normal(size=(20, b.space.n_atoms)) for b in lone]
+        closures = [martingale_closures(xi, b.g) for xi, b in zip(xis, lone)]
+        covered = set()
+        for b, starts, pairs in fixtures.random_pair_unions(np.random.default_rng(seed), 50):
+            targets = np.zeros((20, b.space.n_atoms))  # the filler's target is 0
+            for j, i in enumerate(pairs):
+                targets[:, starts[j] : starts[j + 1]] = xis[i]
+            ys = martingale_closures(targets, b.g)
+            for j, i in enumerate(pairs):
+                assert ys[:, starts[j] : starts[j + 1]].tobytes() == closures[i].tobytes()
+            for kind in ("wrp", "triple"):
+                union = solve_batch(ys, _regressor_family(kind, b), b.g, keep_reconstructions=True)
+                sups = segment_sups(b.space, ys - union.reconstructions, starts)
+                for j, i in enumerate(pairs):
+                    pair = lone[i]
+                    alone = solve_batch(closures[i], _regressor_family(kind, pair), pair.g)
+                    assert sups[:, j].tobytes() == alone.residual_sup.tobytes(), (kind, i)
+                    covered.add((pair.g.horizon, pair.initial.n_blocks > 1))
+                assert not sups[:, -1].any()
+                # the union's own residual is the largest over its segments
+                assert union.residual_sup.tobytes() == sups.max(axis=-1).tobytes()
+        assert covered == {(h, initial) for h in (1, 2, 3) for initial in (False, True)}
+
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_pinv_of_a_stack_scaled_by_a_power_of_two_is_scaled_exactly(self, m, r):
+        # a union's nodes are its spaces' nodes weighted by sqrt(4^-j p) = 2^-j sqrt(p); LAPACK does not
+        # promise that the pseudo-inverse then scales exactly, and the union solves rely on it
+        rng = np.random.default_rng(100 * m + r)
+        designs = rng.normal(size=(6, m, r)) * np.sqrt(rng.uniform(0.01, 1.0, (6, m, 1)))
+        designs[1, :, 0] = 0.0  # a zero regressor
+        designs[2] = designs[2, :, :1]  # every regressor the same
+        designs[3] *= 1e-13  # all of a node's singular values near the cutoff
+        want = np.linalg.pinv(designs, rcond=SV_CUTOFF)
+        for j in range(1, 8):
+            got = np.linalg.pinv(designs * 2.0**-j, rcond=SV_CUTOFF)
+            assert got.tobytes() == np.ldexp(want, j).tobytes(), j
+
+    def test_the_completeness_suite_solves_one_union_per_horizon(self, monkeypatch):
+        # 3 named spaces alone, the 50 random ones as one union per horizon present (3 at the bundled
+        # seed), each with both regressor families: 12 solves, drawing the rng as 53 lone spaces would
+        solved, rngs = [], []
+        real_solve, real_rng = suites.solve_batch, suites.SuiteContext.rng
+
+        def solve(ys, regs, filtration, **kwargs):
+            solved.append((filtration.space.n_atoms, filtration.horizon, len(ys)))
+            return real_solve(ys, regs, filtration, **kwargs)
+
+        def rng(ctx, salt):
+            rngs.append(real_rng(ctx, salt))
+            return rngs[-1]
+
+        monkeypatch.setattr(suites, "solve_batch", solve)
+        monkeypatch.setattr(suites.SuiteContext, "rng", rng)
+        config = json.loads((Path(suites.__file__).parent / "configs" / "space_a_full.json").read_text())
+        report = run_config(dict(config, suites=["completeness_random_spaces"]))
+        assert report["summary"]["failed"] == 0
+        (row,) = report["checks"]
+        assert (row["evidence"]["solves"], row["evidence"]["spaces"]) == (10600, 53)
+
+        (used,) = rngs
+        want = suites.SuiteContext(seed=config["seed"]).rng("completeness")
+        lone = [fixtures.random_bundle(want) for _ in range(50)]
+        named = [fixtures.space_a(), fixtures.fixture_a2(), fixtures.staggered()]
+        for b in named + lone:
+            want.normal(size=(100, b.space.n_atoms))
+        assert used.bit_generator.state == want.bit_generator.state
+
+        horizons = sorted({b.g.horizon for b in lone})
+        assert len(solved) == 2 * (3 + len(horizons)) == 12
+        assert [n for n, _, _ in solved[:6]] == [16, 16, 3, 3, 4, 4]
+        assert [h for _, h, _ in solved[6:]] == [h for h in horizons for _ in range(2)]
+        # each union: its spaces' atoms and one filler atom
+        for h, (n, _, _) in zip(horizons, solved[6::2]):
+            assert n == sum(b.space.n_atoms for b in lone if b.g.horizon == h) + 1
+        assert {k for _, _, k in solved} == {100}
