@@ -76,7 +76,4 @@ from .random_time import (
     survival,
     tau_of,
 )
-from .montecarlo import (
-    McReport,
-    RandomTimeSpec,
-)
+from .montecarlo import RandomTimeSpec

@@ -27,11 +27,11 @@ from .serialize import (
     CONFIG_SCHEMA,
     REPORT_SCHEMA,
     SPACE_SCHEMA,
+    CheckResult,
     bundle_from_doc,
     space_from_doc,
 )
 from .suites import (
-    CheckResult,
     McParams,
     SuiteContext,
     describe_suite,

@@ -426,10 +426,6 @@ class StoppingTime:
     def constant(cls, filtration: Filtration, t: int) -> "StoppingTime":
         return cls(filtration, np.full(filtration.space.n_atoms, t, dtype=np.int64))
 
-    @classmethod
-    def never(cls, filtration: Filtration) -> "StoppingTime":
-        return cls(filtration, np.full(filtration.space.n_atoms, NEVER, dtype=np.int64))
-
 
 def first_jump_time(x: PointProcess) -> StoppingTime:
     """First time the counting path jumps (NEVER if it does not)."""

@@ -158,9 +158,6 @@ class PredictableFunction:
             vals[_MARK_INDEX[m]] = 1.0
         return cls(filtration, vals)
 
-    def component(self, mark: Mark) -> AdaptedProcess:
-        return AdaptedProcess(self.filtration, self.values[_MARK_INDEX[mark]])
-
 
 def integrate(w: PredictableFunction, m: MarkedMeasure) -> AdaptedProcess:
     """(W * m)_t: the double sum of W against the measure's per-step masses."""

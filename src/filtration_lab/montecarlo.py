@@ -1,5 +1,10 @@
 """Continuous-time statistical checks: Poisson paths, random times, z-tests.
 
+Every suite takes a simulation without a random time, draws on it the random
+time it tests (``PathSet.with_random_time``), and returns report rows: a
+z-test or an exact check is a ``serialize.CheckResult``, the row the exact
+engine writes, with the statistic's numbers as its evidence.
+
 Determinism contract: every ``(lam, t_real, seed)`` has one counter-based
 stream, Philox keyed (seed, 2^64 - 1), of unit exponentials, cut into slices
 of fixed width S = ``_block_size(lam, t_real) + 1``.  Path p reads entries
@@ -32,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadParameter
+from .serialize import CheckResult, _check
 
 #: paths drawn per step of simulate_path_set; bounds its scratch array
 _CHUNK = 4096
@@ -53,61 +59,46 @@ class RandomTimeSpec:
     mu: float = 1.0
 
 
-@dataclass(frozen=True)
-class McReport:
-    """One Monte Carlo measurement with its gate decision.
+def z_test(name: str, samples, expected: float = 0.0, z_max: float = 4.0) -> CheckResult:
+    """The report row of a noisy statistic: it holds iff |z| <= ``z_max``.
 
-    ``kind`` is "z_test" for noisy statistics (pass iff |z| <= z_max) or
-    "exact" for almost-sure statements (pass iff the estimate equals the
-    expected value exactly; z is then 0 or inf so the z-gate reads the same).
+    With no samples (no path qualified) the statistic checks nothing, so every
+    number is NaN and the row fails.
     """
-
-    statistic: str
-    estimate: float
-    std_error: float
-    z_score: float
-    n_paths: int
-    passed: bool
-    kind: str = "z_test"
-    expected: float = 0.0
-
-
-def z_test(name: str, samples, expected: float = 0.0, z_max: float = 4.0) -> McReport:
     samples = np.asarray(samples, dtype=float)
     n = int(samples.size)
-    if n == 0:
-        # no path qualified: the statistic checks nothing, so it fails
-        nan = math.nan
-        return McReport(name, nan, nan, nan, n_paths=0, passed=False, expected=float(expected))
-    estimate = float(samples.mean())
-    std_error = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    if std_error > 0.0:
-        z = (estimate - expected) / std_error
-    else:
-        z = 0.0 if estimate == expected else math.inf
-    return McReport(
-        statistic=name,
+    estimate = std_error = z = math.nan
+    if n:
+        estimate = float(samples.mean())
+        std_error = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        if std_error > 0.0:
+            z = (estimate - expected) / std_error
+        else:
+            z = 0.0 if estimate == expected else math.inf
+    return _check(
+        name,
+        abs(z) <= z_max,
         estimate=estimate,
         std_error=std_error,
         z_score=float(z),
         n_paths=n,
-        passed=abs(z) <= z_max,
-        kind="z_test",
-        expected=float(expected),
+        expected_value=float(expected),
+        exact=False,
     )
 
 
-def exact_check(name: str, estimate: float, expected: float, n: int) -> McReport:
-    z = 0.0 if estimate == expected else math.inf
-    return McReport(
-        statistic=name,
+def exact_check(name: str, estimate: float, expected: float, n: int) -> CheckResult:
+    """The report row of an almost-sure statement: it holds iff the estimate
+    equals the expected value exactly (z is then 0, else inf)."""
+    return _check(
+        name,
+        estimate == expected,
         estimate=float(estimate),
         std_error=0.0,
-        z_score=z,
+        z_score=0.0 if estimate == expected else math.inf,
         n_paths=int(n),
-        passed=estimate == expected,
-        kind="exact",
-        expected=float(expected),
+        expected_value=float(expected),
+        exact=True,
     )
 
 
@@ -137,11 +128,10 @@ class PathSet:
 
     Path p's event times are ``times[offsets[p]:offsets[p + 1]]``;
     ``unit_exp[p]`` is the unit exponential that ends its slice of the stream.
-    ``tau`` is the random time of each path and ``tau_valid`` flags the paths
-    that have the events the random time needs; ``spec`` says how ``tau``
-    was drawn (None: no random time).  A prefix keeps the set it was cut
-    from in ``_whole`` (None: this is the whole simulation), whose
-    ``_stats`` caches the statistics of all its paths.
+    ``tau`` is the random time of each path (inf: none) and ``tau_valid``
+    flags the paths that have the events the random time needs.  A prefix
+    keeps the set it was cut from in ``_whole`` (None: this is the whole
+    simulation), whose ``_stats`` caches the statistics of all its paths.
     """
 
     lam: float
@@ -153,7 +143,6 @@ class PathSet:
     unit_exp: np.ndarray
     tau: np.ndarray
     tau_valid: np.ndarray
-    spec: RandomTimeSpec | None = None
     _whole: PathSet | None = field(default=None, init=False, repr=False)
     _stats: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -255,7 +244,6 @@ class PathSet:
         prefix._whole = self._whole or self
         if spec is None:
             return prefix
-        prefix.spec = spec
         if spec.kind == "exponential":
             if not spec.mu > 0.0:
                 raise BadParameter("exponential rate must be positive")
@@ -319,18 +307,8 @@ def simulate_path_set(lam: float, t_real: float, n_paths: int, seed: int) -> Pat
     )
 
 
-def _require_time(paths: PathSet, *kinds) -> RandomTimeSpec | None:
-    """The random-time spec of ``paths``, if its kind (None: no random time) is one of ``kinds``."""
-    kind = None if paths.spec is None else paths.spec.kind
-    if kind not in kinds:
-        wanted = " or ".join(k or "none" for k in kinds)
-        raise BadParameter(f"needs paths with random time {wanted}, got {kind or 'none'}")
-    return paths.spec
-
-
-def poisson_compensator_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
+def poisson_compensator_suite(paths: PathSet, z_max: float = 4.0) -> list[CheckResult]:
     """The compensated count has zero conditional drift (unit and adapted probes)."""
-    _require_time(paths, None)
     lam = paths.lam
     s, t = 0.5 * paths.t_real, paths.t_real
     cs = paths.counts_at(s).astype(float)
@@ -343,9 +321,8 @@ def poisson_compensator_suite(paths: PathSet, z_max: float = 4.0) -> list[McRepo
     ]
 
 
-def second_moment_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
+def second_moment_suite(paths: PathSet, z_max: float = 4.0) -> list[CheckResult]:
     """E[(X_t - lam t)^2] = lam t, the continuous-time bracket identity."""
-    _require_time(paths, None)
     out = []
     for t in (0.5 * paths.t_real, paths.t_real):
         c = paths.counts_at(t).astype(float)
@@ -354,15 +331,15 @@ def second_moment_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
     return out
 
 
-def azema_exponential_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
-    """Independent exponential time: survival law and the survival-driven compensator.
+def azema_exponential_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[CheckResult]:
+    """Independent exponential time of rate ``mu``, drawn on ``paths``: survival
+    law and the survival-driven compensator.
 
     With survival e^{-mu t}, the enlarged compensator of the single-jump
     indicator is mu * (t ^ tau), so H - mu (t ^ tau) must drift zero against
     probes known at s.
     """
-    mu = _require_time(paths, "exponential").mu
-    tau = paths.tau
+    tau = paths.with_random_time(RandomTimeSpec("exponential", mu)).tau
     out = [
         z_test("exponential_survival_at_1", (tau > 1.0).astype(float), math.exp(-mu), z_max)
     ]
@@ -389,15 +366,16 @@ def _collision_fraction(paths: PathSet) -> tuple[float, int]:
     return (float(hits[valid].mean()) if n else 0.0, n)
 
 
-def avoidance_mc_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
-    """Avoidance holds pathwise-exactly for an independent exponential time.
+def avoidance_mc_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[CheckResult]:
+    """Avoidance holds pathwise-exactly for an independent exponential time
+    of rate ``mu``, drawn on ``paths``.
 
     Reports: the collision fraction (must be exactly 0; a floating-point
     collision is reported, never silently passed), drift tests for the two
     compensated processes in the enlargement, and the no-common-jump
     certificate for their bracket.
     """
-    mu = _require_time(paths, "exponential").mu
+    paths = paths.with_random_time(RandomTimeSpec("exponential", mu))
     frac, n_valid = _collision_fraction(paths)
     out = [exact_check("avoidance_collision_fraction", frac, 0.0, n_valid)]
 
@@ -416,19 +394,18 @@ def avoidance_mc_suite(paths: PathSet, z_max: float = 4.0) -> list[McReport]:
     return out
 
 
-def predictable_jump_probe(paths: PathSet, epsilons, z_max: float = 4.0) -> list[McReport]:
+def predictable_jump_probe(paths: PathSet, epsilons, z_max: float = 4.0) -> list[CheckResult]:
     """Contrast the enlarged and base probabilities of a jump in a shrinking window.
 
-    With the midpoint time, the second jump is announced in the enlargement
-    as soon as the random time passes (target = 2 tau - tau_1 = second
-    event), so the hit rate of the window (target - eps, target] is exactly
-    1.  A window anchored at an observable-by-the-base time catches a jump
-    only with probability 1 - e^{-lam eps}.  With an independent exponential
-    time instead, the "announced" target points nowhere special and its hit
-    rate collapses to the base rate.  Per width in ``epsilons``: the target
-    row, then the base row.
+    With the midpoint time, drawn on ``paths``, the second jump is announced
+    in the enlargement as soon as the random time passes (target = 2 tau -
+    tau_1 = second event), so the hit rate of the window (target - eps,
+    target] is exactly 1.  A window anchored at an observable-by-the-base
+    time catches a jump only with probability 1 - e^{-lam eps}.  Per width in
+    ``epsilons``: the target row, then the base row.
     """
-    target_rows = _target_window_rows(paths, epsilons, z_max)
+    midpoint = paths.with_random_time(RandomTimeSpec("midpoint"))
+    target_rows = _target_window_rows(midpoint, epsilons, z_max, announced=True)
     base_rows = _base_window_rows(paths, epsilons, z_max)
     return [row for pair in zip(target_rows, base_rows) for row in pair]
 
@@ -443,10 +420,15 @@ def _widths(epsilons) -> np.ndarray:
     return eps[:, None]
 
 
-def _target_window_rows(paths: PathSet, epsilons, z_max: float) -> list[McReport]:
-    """Hit rate of (target - eps, target] per width, target = 2 tau - first event."""
+def _target_window_rows(paths: PathSet, epsilons, z_max: float, announced: bool) -> list[CheckResult]:
+    """Hit rate of (target - eps, target] per width, target = 2 tau - first event.
+
+    ``announced``: tau is the midpoint time, so the target is the second
+    event and every qualifying window holds it.  Otherwise tau is an
+    independent time, the target points nowhere special and its hit rate is
+    the base rate.
+    """
     eps = _widths(epsilons)
-    announced = _require_time(paths, "midpoint", "exponential").kind == "midpoint"
     tau = paths.tau
     first = paths.first_events()
     if announced:
@@ -469,7 +451,7 @@ def _target_window_rows(paths: PathSet, epsilons, z_max: float) -> list[McReport
     return reports
 
 
-def _base_window_rows(paths: PathSet, epsilons, z_max: float) -> list[McReport]:
+def _base_window_rows(paths: PathSet, epsilons, z_max: float) -> list[CheckResult]:
     """Hit rate of (anchor - eps, anchor] per width, anchor = first event + 1, known to the base."""
     eps = _widths(epsilons)
     first = paths.first_events()
@@ -483,13 +465,12 @@ def _base_window_rows(paths: PathSet, epsilons, z_max: float) -> list[McReport]:
     return rows
 
 
-def negative_control_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[McReport]:
+def negative_control_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[CheckResult]:
     """Checks engineered to fail: they guard the power of the positive tests.
 
     The copied and the independent (rate ``mu``) random times are drawn on
     the given paths.
     """
-    _require_time(paths, None)
     s, t = 0.5 * paths.t_real, paths.t_real
     raw_inc = (paths.counts_at(t) - paths.counts_at(s)).astype(float)
     uncompensated = z_test("uncompensated_count_drift", raw_inc, 0.0, z_max)
@@ -499,8 +480,7 @@ def negative_control_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> lis
 
     independent = paths.with_random_time(RandomTimeSpec("exponential", mu))
     # the unannounced hit rate must NOT reach the construction-exact value 1
-    (unannounced,) = _target_window_rows(independent, (0.1,), z_max)
-    no_announcement = exact_check(
-        "independent_time_announced_hit_rate", unannounced.estimate, 1.0, unannounced.n_paths
-    )
+    (unannounced,) = _target_window_rows(independent, (0.1,), z_max, announced=False)
+    ev = unannounced.evidence  # its estimate is "nan" when no window qualified
+    no_announcement = exact_check("independent_time_announced_hit_rate", float(ev["estimate"]), 1.0, ev["n_paths"])
     return [uncompensated, collision, no_announcement]

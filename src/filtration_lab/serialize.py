@@ -1,5 +1,9 @@
-"""Versioned JSON documents: the inline fixtures `flab` reads and the schema names."""
+"""Versioned JSON documents: the inline fixtures `flab` reads, the schema
+names, and the report row both engines write."""
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,6 +14,40 @@ SPACE_SCHEMA = "filtration-lab/space-v1"
 BUNDLE_SCHEMA = "filtration-lab/bundle-v1"
 REPORT_SCHEMA = "filtration-lab/report-v1"
 CONFIG_SCHEMA = "filtration-lab/config-v1"
+
+
+@dataclass
+class CheckResult:
+    """One report row; ``run_config`` stamps it with its suite's anchor."""
+
+    name: str
+    outcome: str
+    evidence: dict
+    expected: str = "holds"
+
+    @property
+    def passed(self) -> bool:
+        return self.outcome == self.expected
+
+
+def _num(x):
+    x = float(x)
+    if math.isfinite(x):
+        return x
+    return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
+
+
+def _check(name: str, ok: bool, **evidence) -> CheckResult:
+    """The row ``name``, holding iff ``ok``, with its evidence as JSON values (a
+    non-finite float as "inf", "-inf" or "nan")."""
+    ev = {}
+    for k, v in evidence.items():
+        if isinstance(v, (np.floating, float)):
+            v = _num(v)
+        elif isinstance(v, (np.integer, int)) and not isinstance(v, bool):
+            v = int(v)
+        ev[k] = v
+    return CheckResult(name=name, outcome="holds" if ok else "fails", evidence=ev)
 
 
 def _check_doc(doc: dict, schema: str, keys: set) -> None:

@@ -7,7 +7,6 @@ counterexample passes exactly when the property breaks the way it should.
 """
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -62,9 +61,7 @@ from .jump_measure import (
     jump_measure,
 )
 from .montecarlo import (
-    McReport,
     PathSet,
-    RandomTimeSpec,
     avoidance_mc_suite,
     azema_exponential_suite,
     negative_control_suite,
@@ -98,6 +95,7 @@ from .representation import (
     triple_regressors,
     wrp_regressors,
 )
+from .serialize import CheckResult, _check
 
 
 @dataclass
@@ -126,8 +124,8 @@ class SuiteContext:
     def rng(self, salt: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(salt.encode())])
 
-    def paths(self, tau_spec=None, n_paths=None):
-        """The first ``n_paths`` (default ``mc.n_paths``) paths with random time ``tau_spec``.
+    def paths(self, n_paths=None) -> PathSet:
+        """The first ``n_paths`` (default ``mc.n_paths``) paths, without a random time.
 
         Every request reads the context's one simulation, made on first use at
         the largest size any suite asks for; path p does not depend on that size.
@@ -136,39 +134,7 @@ class SuiteContext:
         if self._paths is None:
             size = max(mc.n_paths, mc.stress_n_paths)
             self._paths = simulate_path_set(mc.lam, mc.t_real, size, self.seed)
-        return self._paths.with_random_time(tau_spec, n_paths or mc.n_paths)
-
-
-@dataclass
-class CheckResult:
-    """One report row; ``run_config`` stamps it with its suite's anchor."""
-
-    name: str
-    outcome: str
-    evidence: dict
-    expected: str = "holds"
-
-    @property
-    def passed(self) -> bool:
-        return self.outcome == self.expected
-
-
-def _num(x):
-    x = float(x)
-    if math.isfinite(x):
-        return x
-    return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-
-
-def _check(name: str, ok: bool, **evidence) -> CheckResult:
-    ev = {}
-    for k, v in evidence.items():
-        if isinstance(v, (np.floating, float)):
-            v = _num(v)
-        elif isinstance(v, (np.integer, int)) and not isinstance(v, bool):
-            v = int(v)
-        ev[k] = v
-    return CheckResult(name=name, outcome="holds" if ok else "fails", evidence=ev)
+        return self._paths.with_random_time(None, n_paths or mc.n_paths)
 
 
 def _bounded(name: str, gaps: dict, ok: bool = True, **evidence) -> CheckResult:
@@ -288,9 +254,10 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
     rng = ctx.rng("decomposition")
     bundles = _rep_fixtures(ctx) + [fixtures.avoidance_trinomial()]
     bundles += [fixtures.random_bundle(rng) for _ in range(10)]
-    brackets, recons = [], []
+    brackets, recons, thirds = [], [], {}
     for b in bundles:
         y1, y2, y3 = joint_decomposition(b.X, b.H)  # validates counting-path shape
+        thirds[b.name] = y3
         for a, c in ((y1, y2), (y1, y3), (y2, y3)):
             brackets.append(quadratic_covariation(a, c).sup_abs())
         recons += [
@@ -306,8 +273,7 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     b = fixtures.space_a()
-    _, _, y3 = joint_decomposition(b.X, b.H)
-    joint_mean = b.space.expectation(y3.terminal)
+    joint_mean = b.space.expectation(thirds[b.name].terminal)
     checks.append(
         _check(
             "joint_count_mean",
@@ -528,16 +494,14 @@ def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
     n_random, count = 50, 100
     # the random spaces as one disjoint-union bundle per horizon, the filler segment last
     unions = fixtures.random_pair_unions(rng, n_random)
-    named = [fixtures.space_a(), fixtures.fixture_a2(), fixtures.staggered()]
+    named = _rep_fixtures(ctx)
     problems = [(b, _random_closures(rng, b.g, count)) for b in named]
-    # the random spaces' targets from one draw, split as their own (count, n) draws in id order
+    targets = [np.zeros((count, b.space.n_atoms)) for b, _, _ in unions]  # the filler's target is 0
+    # each random space's (count, n) targets, drawn in id order straight into its segment
     spans = sorted((i, u, starts[j], starts[j + 1]) for u, (_, starts, pairs) in enumerate(unions)
                    for j, i in enumerate(pairs))
-    sizes = [stop - start for *_, start, stop in spans]
-    parts = np.split(rng.normal(size=count * sum(sizes)), count * np.cumsum(sizes)[:-1])
-    targets = [np.zeros((count, b.space.n_atoms)) for b, _, _ in unions]  # the filler's target is 0
-    for (_, u, start, stop), part in zip(spans, parts):
-        targets[u][:, start:stop] = part.reshape(count, -1)
+    for _, u, start, stop in spans:
+        targets[u][:, start:stop] = rng.normal(size=(count, stop - start))
     problems += [(b, martingale_closures(ys, b.g)) for (b, _, _), ys in zip(unions, targets)]
     residuals = []
     for b, ys in problems:
@@ -880,30 +844,12 @@ def suite_counterexample_a2(ctx: SuiteContext) -> list[CheckResult]:
 # Monte Carlo suites
 
 
-def _mc_to_checks(reports: list[McReport], expected: str = "holds") -> list[CheckResult]:
-    out = []
-    for r in reports:
-        c = _check(
-            r.statistic,
-            r.passed,
-            estimate=r.estimate,
-            std_error=r.std_error,
-            z_score=r.z_score,
-            n_paths=r.n_paths,
-            expected_value=r.expected,
-            exact=r.kind == "exact",
-        )
-        c.expected = expected
-        out.append(c)
-    return out
-
-
 @_suite(
     "mc_poisson_compensator", "mc", "Poisson remark (compensator lambda*t)",
     "compensated Poisson count drifts zero against adapted probes",
 )
 def suite_mc_poisson(ctx: SuiteContext) -> list[CheckResult]:
-    return _mc_to_checks(poisson_compensator_suite(ctx.paths(None), ctx.mc.z_max))
+    return poisson_compensator_suite(ctx.paths(), ctx.mc.z_max)
 
 
 @_suite(
@@ -911,7 +857,7 @@ def suite_mc_poisson(ctx: SuiteContext) -> list[CheckResult]:
     "second moment of the compensated count equals the compensator",
 )
 def suite_mc_second_moment(ctx: SuiteContext) -> list[CheckResult]:
-    return _mc_to_checks(second_moment_suite(ctx.paths(None), ctx.mc.z_max))
+    return second_moment_suite(ctx.paths(), ctx.mc.z_max)
 
 
 @_suite(
@@ -919,8 +865,7 @@ def suite_mc_second_moment(ctx: SuiteContext) -> list[CheckResult]:
     "closed-form survival compensator for an independent exponential time",
 )
 def suite_mc_azema(ctx: SuiteContext) -> list[CheckResult]:
-    paths = ctx.paths(RandomTimeSpec("exponential", ctx.mc.mu))
-    return _mc_to_checks(azema_exponential_suite(paths, ctx.mc.z_max))
+    return azema_exponential_suite(ctx.paths(), ctx.mc.mu, ctx.mc.z_max)
 
 
 @_suite(
@@ -929,9 +874,8 @@ def suite_mc_azema(ctx: SuiteContext) -> list[CheckResult]:
 )
 def suite_mc_avoidance(ctx: SuiteContext) -> list[CheckResult]:
     mc = ctx.mc
-    out = _mc_to_checks(avoidance_mc_suite(ctx.paths(RandomTimeSpec("exponential", mc.mu)), mc.z_max))
-    stress_paths = ctx.paths(RandomTimeSpec("exponential", 25.0 * mc.mu), n_paths=mc.stress_n_paths)
-    for c in _mc_to_checks(avoidance_mc_suite(stress_paths, mc.z_max)):
+    out = avoidance_mc_suite(ctx.paths(), mc.mu, mc.z_max)
+    for c in avoidance_mc_suite(ctx.paths(mc.stress_n_paths), 25.0 * mc.mu, mc.z_max):
         c.name = "stress_" + c.name
         out.append(c)
     return out
@@ -942,8 +886,7 @@ def suite_mc_avoidance(ctx: SuiteContext) -> list[CheckResult]:
     "announced-window hit rate 1 vs base-window rate about lambda*eps",
 )
 def suite_mc_predictable_jump(ctx: SuiteContext) -> list[CheckResult]:
-    paths = ctx.paths(RandomTimeSpec("midpoint"))
-    return _mc_to_checks(predictable_jump_probe(paths, ctx.mc.epsilons, ctx.mc.z_max))
+    return predictable_jump_probe(ctx.paths(), ctx.mc.epsilons, ctx.mc.z_max)
 
 
 @_suite(
@@ -952,8 +895,10 @@ def suite_mc_predictable_jump(ctx: SuiteContext) -> list[CheckResult]:
     honours_polarity=True,
 )
 def suite_mc_negative_controls(ctx: SuiteContext) -> list[CheckResult]:
-    reports = negative_control_suite(ctx.paths(None), ctx.mc.mu, ctx.mc.z_max)
-    return _mc_to_checks(reports, expected=ctx.expected_outcome)
+    rows = negative_control_suite(ctx.paths(), ctx.mc.mu, ctx.mc.z_max)
+    for row in rows:
+        row.expected = ctx.expected_outcome
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,8 @@ def test_criterion_2_compensated_measure_integrals():
             if not check:
                 worst_drift = max(worst_drift, abs(check.witness[2]))
             split = sum(
-                stochastic_integral(w.component(mark), z).values
-                for mark, z in zip(MARKS, zs)
+                stochastic_integral(AdaptedProcess(b.g, w.values[k]), z).values
+                for k, z in enumerate(zs)
             )
             worst_split = max(worst_split, float(np.abs(diff.values - split).max()))
     _verdict(

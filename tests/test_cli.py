@@ -307,6 +307,12 @@ class TestBadConfig:
         cfg = {"engine": "exact", "fixture": _SPACE_OK, "suites": ["three_point_processes"]}
         assert run_config(cfg)["summary"]["failed"] == 0
 
+    @pytest.mark.parametrize("fixture,spaces", [("staggered", 53), (_INLINE_4, 54)], ids=["canonical", "inline"])
+    def test_completeness_runs_on_the_configured_fixture(self, fixture, spaces):
+        cfg = {"engine": "exact", "fixture": fixture, "suites": ["completeness_random_spaces"]}
+        (row,) = run_config(cfg)["checks"]
+        assert row["passed"] and row["evidence"]["spaces"] == spaces
+
     @pytest.mark.parametrize("name", ["space_a", "fixture_a2", "staggered", "large_tree"])
     def test_inline_bundle_always_runs(self, name):
         cfg = {"engine": "exact", "fixture": dict(_INLINE, name=name), "suites": ["three_point_processes"]}

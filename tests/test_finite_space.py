@@ -412,7 +412,7 @@ class TestStoppingTimes:
     def test_constant_and_never(self, space_a_bundle):
         b = space_a_bundle
         sigma = StoppingTime.constant(b.g, 1)
-        rho = StoppingTime.never(b.g)
+        rho = StoppingTime(b.g, np.full(16, NEVER))
         assert np.array_equal(stop_process(b.X, rho).values, b.X.values)
         frozen = stop_process(b.X, StoppingTime.constant(b.g, 0))
         assert np.array_equal(frozen.values, np.zeros_like(b.X.values))

@@ -210,8 +210,8 @@ class TestCompensatorMeasure:
                 )
                 assert bool(is_martingale(diff))
                 split = sum(
-                    stochastic_integral(w.component(mark), z).values
-                    for mark, z in zip(MARKS, (z1, z2, z3))
+                    stochastic_integral(AdaptedProcess(b.g, w.values[k]), z).values
+                    for k, z in enumerate((z1, z2, z3))
                 )
                 assert np.abs(diff.values - split).max() <= 1e-12
 

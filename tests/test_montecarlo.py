@@ -18,10 +18,11 @@ from filtration_lab import montecarlo
 from filtration_lab.cli import report_to_json, run_config
 from filtration_lab.errors import BadParameter
 from filtration_lab.montecarlo import (
-    McReport,
     PathSet,
     RandomTimeSpec,
+    _base_window_rows,
     _collision_fraction,
+    _target_window_rows,
     avoidance_mc_suite,
     azema_exponential_suite,
     exact_check,
@@ -56,18 +57,13 @@ class TestSimulatePoisson:
         paths = simulate_path_set(1.0, 10.0, N, SEED)
         counts = paths.counts_at(10.0).astype(float)
         r = z_test("mean_count", counts, 10.0, 4.0)
-        assert r.passed and r.std_error > 0.0
+        assert r.passed and r.evidence["std_error"] > 0.0
 
     def test_rate_two_mean_and_variance(self):
         paths = simulate_path_set(2.0, 5.0, N, SEED)
         counts = paths.counts_at(5.0).astype(float)
         assert z_test("mean", counts, 10.0, 4.0).passed
         assert z_test("var", (counts - 10.0) ** 2, 10.0, 4.0).passed
-
-    def test_no_samples_is_a_failing_report(self):
-        r = z_test("empty", np.array([]), 0.5, 4.0)
-        assert (r.n_paths, r.passed, r.kind, r.expected) == (0, False, "z_test", 0.5)
-        assert not math.isfinite(r.z_score)
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):
@@ -126,113 +122,126 @@ class TestSuites:
             assert r.passed, r
         for r in second_moment_suite(paths):
             assert r.passed, r
-        spec = RandomTimeSpec("exponential", 1.0)
-        epaths = simulate_path_set(1.0, 10.0, N, SEED).with_random_time(spec)
-        for r in azema_exponential_suite(epaths):
+        for r in azema_exponential_suite(paths, 1.0):
             assert r.passed, r
-        for r in avoidance_mc_suite(epaths):
+        for r in avoidance_mc_suite(paths, 1.0):
             assert r.passed, r
 
     def test_survival_probe_changes_the_statistic(self):
         # the increment vanishes where tau <= s, so a probe 1{tau > s} would
         # reproduce the unprobed row; 1{N_s > lam s} must not
-        paths = simulate_path_set(1.0, 10.0, 200, SEED).with_random_time(
-            RandomTimeSpec("exponential", 1.0)
-        )
-        by_name = {r.statistic: r for r in azema_exponential_suite(paths)}
+        paths = simulate_path_set(1.0, 10.0, 200, SEED)
+        by_name = {r.name: r.evidence for r in azema_exponential_suite(paths, 1.0)}
         probed = by_name["survival_compensated_jump_probed"]
         plain = by_name["survival_compensated_jump"]
-        assert probed.estimate != plain.estimate
-        assert probed.std_error != plain.std_error
+        assert probed["estimate"] != plain["estimate"]
+        assert probed["std_error"] != plain["std_error"]
 
     def test_z_reports_have_positive_std_error(self):
         paths = simulate_path_set(1.0, 10.0, N, SEED)
         for r in poisson_compensator_suite(paths):
-            if r.kind == "z_test":
-                assert r.std_error > 0.0
+            if not r.evidence["exact"]:
+                assert r.evidence["std_error"] > 0.0
 
     def test_avoidance_fraction_exactly_zero(self):
-        spec = RandomTimeSpec("exponential", 1.0)
-        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, N, SEED).with_random_time(spec))
-        frac = next(r for r in reports if r.statistic == "avoidance_collision_fraction")
-        assert frac.kind == "exact"
-        assert frac.estimate == 0.0
+        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, N, SEED), 1.0)
+        frac = next(r.evidence for r in reports if r.name == "avoidance_collision_fraction")
+        assert frac["exact"]
+        assert frac["estimate"] == 0.0
 
     def test_avoidance_stress_rate(self):
-        spec = RandomTimeSpec("exponential", 25.0)
-        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, 5000, SEED).with_random_time(spec))
+        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, 5000, SEED), 25.0)
         for r in reports:
             assert r.passed, r
-            if r.kind == "z_test":
-                assert r.std_error > 0.0
+            if not r.evidence["exact"]:
+                assert r.evidence["std_error"] > 0.0
 
     def test_predictable_jump_probe_announced(self):
-        paths = simulate_path_set(1.0, 10.0, N, SEED).with_random_time(RandomTimeSpec("midpoint"))
-        reports = predictable_jump_probe(paths, (0.1, 0.01))
-        assert [r.statistic for r in reports] == [
+        reports = predictable_jump_probe(simulate_path_set(1.0, 10.0, N, SEED), (0.1, 0.01))
+        assert [r.name for r in reports] == [
             "announced_window_hit_rate_eps_0.1",
             "base_window_hit_rate_eps_0.1",
             "announced_window_hit_rate_eps_0.01",
             "base_window_hit_rate_eps_0.01",
         ]
         for eps, hit, base in zip((0.1, 0.01), reports[::2], reports[1::2]):
-            assert hit.kind == "exact" and hit.estimate == 1.0 and hit.passed
+            assert hit.evidence["exact"] and hit.evidence["estimate"] == 1.0 and hit.passed
             assert base.passed
-            assert abs(base.estimate - (1.0 - math.exp(-eps))) < 0.01
+            assert abs(base.evidence["estimate"] - (1.0 - math.exp(-eps))) < 0.01
 
     def test_predictable_jump_probe_negative_control(self):
-        paths = simulate_path_set(1.0, 10.0, N, SEED).with_random_time(
-            RandomTimeSpec("exponential", 1.0)
-        )
-        unannounced, base = predictable_jump_probe(paths, (0.1,))
+        paths = simulate_path_set(1.0, 10.0, N, SEED)
+        timed = paths.with_random_time(RandomTimeSpec("exponential", 1.0))
+        (unannounced,) = _target_window_rows(timed, (0.1,), 4.0, False)
+        (base,) = _base_window_rows(paths, (0.1,), 4.0)
         # without an announced time both windows behave like the base window
-        assert abs(unannounced.estimate - base.estimate) < 0.02
-        assert unannounced.estimate < 0.5
+        assert abs(unannounced.evidence["estimate"] - base.evidence["estimate"]) < 0.02
+        assert unannounced.evidence["estimate"] < 0.5
 
     @pytest.mark.parametrize(
         "spec", [RandomTimeSpec("midpoint"), RandomTimeSpec("exponential", 1.0)], ids=["midpoint", "exponential"]
     )
     def test_predictable_jump_probe_stacks_widths(self, spec):
         # one window pass per window end gives each width the rows it gets alone
-        paths = simulate_path_set(1.0, 10.0, 2000, SEED).with_random_time(spec)
+        paths = simulate_path_set(1.0, 10.0, 2000, SEED)
+        timed = paths.with_random_time(spec)
         widths = (0.1, 0.01, 0.5, 0.1)
-        alone = [r for eps in widths for r in predictable_jump_probe(paths, (eps,))]
-        assert predictable_jump_probe(paths, widths) == alone
-        assert predictable_jump_probe(paths, ()) == []
-        for bad in (0.1, [[0.1]], (0.1, 0.0), (math.nan,), (-0.1,)):
-            with pytest.raises(BadParameter):
-                predictable_jump_probe(paths, bad)
+        for rows in (
+            lambda eps: _target_window_rows(timed, eps, 4.0, spec.kind == "midpoint"),
+            lambda eps: _base_window_rows(paths, eps, 4.0),
+            lambda eps: predictable_jump_probe(paths, eps),  # draws the midpoint time itself
+        ):
+            assert rows(widths) == [r for eps in widths for r in rows((eps,))]
+            assert rows(()) == []
+            for bad in (0.1, [[0.1]], (0.1, 0.0), (math.nan,), (-0.1,)):
+                with pytest.raises(BadParameter):
+                    rows(bad)
 
     def test_negative_controls_fail(self):
         for r in negative_control_suite(simulate_path_set(1.0, 10.0, 5000, SEED), 1.0):
             assert not r.passed, r
 
-    @pytest.mark.parametrize(
-        "suite,wrong",
-        [
-            (poisson_compensator_suite, RandomTimeSpec("exponential", 1.0)),
-            (second_moment_suite, RandomTimeSpec("midpoint")),
-            (azema_exponential_suite, RandomTimeSpec("midpoint")),
-            (azema_exponential_suite, None),
-            (avoidance_mc_suite, RandomTimeSpec("copy_first")),
-            (predictable_jump_probe, RandomTimeSpec("copy_first")),
-            (predictable_jump_probe, None),
-            (negative_control_suite, RandomTimeSpec("exponential", 1.0)),
-        ],
-        ids=lambda v: getattr(v, "__name__", None) or (v.kind if v else "none"),
-    )
-    def test_wrong_random_time_is_rejected(self, suite, wrong):
-        paths = simulate_path_set(1.0, 10.0, 50, SEED).with_random_time(wrong)
-        # the second argument is predictable_jump_probe's epsilons or negative_control_suite's mu
-        extra = {predictable_jump_probe: ((0.1,),), negative_control_suite: (0.1,)}.get(suite, ())
-        with pytest.raises(BadParameter, match="needs paths with random time"):
-            suite(paths, *extra)
-
     def test_exact_check_semantics(self):
         good = exact_check("x", 0.0, 0.0, 10)
         bad = exact_check("x", 0.001, 0.0, 10)
-        assert good.passed and good.z_score == 0.0
-        assert not bad.passed and math.isinf(bad.z_score)
+        assert good.passed and good.evidence["z_score"] == 0.0
+        assert not bad.passed and bad.evidence["z_score"] == "inf"
+
+    def test_rows_carry_the_report_evidence(self):
+        # the rows' evidence as the report writes it: a non-finite number is a string
+        rows = [
+            z_test("none", [], 0.5),
+            z_test("one", [0.25], 0.25),
+            z_test("one_off", [0.25], 0.5),
+            z_test("many", [1.0, 2.0, 3.0, 6.0], 2.0, 0.5),
+            exact_check("hit", 0.0, 0.0, 10),
+            exact_check("miss", 0.001, 0.0, 10),
+        ]
+        want = [
+            ("none", "fails", "nan", "nan", "nan", 0, 0.5, False),
+            ("one", "holds", 0.25, 0.0, 0.0, 1, 0.25, False),
+            ("one_off", "fails", 0.25, 0.0, "inf", 1, 0.5, False),
+            ("many", "fails", 3.0, 1.0801234497346435, 0.9258200997725514, 4, 2.0, False),
+            ("hit", "holds", 0.0, 0.0, 0.0, 10, 0.0, True),
+            ("miss", "fails", 0.001, 0.0, "inf", 10, 0.0, True),
+        ]
+        keys = ("estimate", "std_error", "z_score", "n_paths", "expected_value", "exact")
+        for row, (name, outcome, *values) in zip(rows, want):
+            assert (row.name, row.outcome, row.expected) == (name, outcome, "holds")
+            assert row.evidence == dict(zip(keys, values)), name
+            assert [type(v) for v in row.evidence.values()] == [type(v) for v in values], name
+
+        # a rate far below 1/t_real leaves no path with an event, so no unannounced window qualifies
+        config = {
+            "schema": "filtration-lab/config-v1",
+            "engine": "mc",
+            "seed": SEED,
+            "mc": {"lambda": 1e-9, "n_paths": 50},
+            "suites": [{"name": "mc_negative_controls", "expected_outcome": "fails"}],
+        }
+        (row,) = [c for c in run_config(config)["checks"] if c["name"] == "independent_time_announced_hit_rate"]
+        assert (row["outcome"], row["passed"]) == ("fails", True)
+        assert row["evidence"]["estimate"] == "nan" and row["evidence"]["n_paths"] == 0
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "configs"
@@ -381,8 +390,8 @@ class TestFlatKernels:
         config = json.loads((CONFIG_DIR / "poisson_qlc.json").read_text())
         config["mc"]["n_paths"] = 300
         run_config(config)
-        # the suites' sets and the negative controls' prefixes of them
-        assert len(handed_out) == 9
+        # each suite's plain set (the stress run's too) and the random times the suites draw on them
+        assert len(handed_out) == 13
         rng = np.random.default_rng(4)
         for paths in handed_out:
             _assert_kernels_match_oracles(paths, rng)
@@ -559,12 +568,11 @@ class TestDeterminism:
 
         monkeypatch.setattr(suites, "simulate_path_set", counted)
         ctx = suites.SuiteContext(seed=SEED, mc=suites.McParams(n_paths=500))
-        plain = ctx.paths(None)
-        midpoint = ctx.paths(RandomTimeSpec("midpoint"))
-        stress = ctx.paths(RandomTimeSpec("exponential", 25.0), n_paths=ctx.mc.stress_n_paths)
+        plain = ctx.paths()
+        stress = ctx.paths(ctx.mc.stress_n_paths)
         # the stress set (1000 paths) is larger than n_paths; it is simulated up front
         assert calls == [(1.0, 10.0, 1000, SEED)]
-        assert (plain.n_paths, midpoint.n_paths, stress.n_paths) == (500, 500, 1000)
+        assert (plain.n_paths, stress.n_paths) == (500, 1000)
         assert np.array_equal(stress.offsets[:501], plain.offsets)
     def test_path_count_prefix_stability(self):
         a = simulate_path_set(1.0, 10.0, 1000, SEED)
