@@ -17,6 +17,7 @@ from conftest import (
 from filtration_lab import montecarlo
 from filtration_lab.cli import report_to_json, run_config
 from filtration_lab.errors import BadParameter
+from filtration_lab.serialize import CheckResult
 from filtration_lab.montecarlo import (
     PathSet,
     RandomTimeSpec,
@@ -201,6 +202,35 @@ class TestSuites:
         for r in negative_control_suite(simulate_path_set(1.0, 10.0, 5000, SEED), 1.0):
             assert not r.passed, r
 
+    @pytest.mark.parametrize(
+        "suite,carried",
+        [
+            (poisson_compensator_suite, RandomTimeSpec("exponential", 1.0)),
+            (second_moment_suite, RandomTimeSpec("midpoint")),
+            (azema_exponential_suite, RandomTimeSpec("midpoint")),
+            (azema_exponential_suite, RandomTimeSpec("exponential", 3.0)),
+            (avoidance_mc_suite, RandomTimeSpec("copy_first")),
+            (predictable_jump_probe, RandomTimeSpec("copy_first")),
+            (predictable_jump_probe, RandomTimeSpec("exponential", 1.0)),
+            (negative_control_suite, RandomTimeSpec("midpoint")),
+        ],
+        ids=lambda v: getattr(v, "__name__", None) or v.kind,
+    )
+    def test_suite_draws_its_own_random_time(self, suite, carried):
+        # a suite reads only the simulation: a time the set already carries changes no row,
+        # and the time a suite draws is not left on the set it was handed
+        plain = simulate_path_set(1.0, 10.0, 50, SEED)
+        timed = plain.with_random_time(carried)
+        tau, valid = timed.tau.copy(), timed.tau_valid.copy()
+        # the second argument is predictable_jump_probe's epsilons or the others' mu
+        extra = {predictable_jump_probe: ((0.1,),), poisson_compensator_suite: (), second_moment_suite: ()}
+        args = extra.get(suite, (0.5,))
+        rows = suite(plain, *args)
+        assert rows and all(isinstance(r, CheckResult) for r in rows)
+        assert suite(timed, *args) == rows
+        assert np.all(plain.tau == math.inf) and plain.tau_valid.all()
+        assert np.array_equal(timed.tau, tau) and np.array_equal(timed.tau_valid, valid)
+
     def test_exact_check_semantics(self):
         good = exact_check("x", 0.0, 0.0, 10)
         bad = exact_check("x", 0.001, 0.0, 10)
@@ -231,6 +261,7 @@ class TestSuites:
             assert row.evidence == dict(zip(keys, values)), name
             assert [type(v) for v in row.evidence.values()] == [type(v) for v in values], name
 
+    def test_negative_control_with_no_qualifying_window_fails(self):
         # a rate far below 1/t_real leaves no path with an event, so no unannounced window qualifies
         config = {
             "schema": "filtration-lab/config-v1",
