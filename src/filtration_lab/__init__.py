@@ -76,4 +76,3 @@ from .random_time import (
     survival,
     tau_of,
 )
-from .montecarlo import RandomTimeSpec

@@ -1,9 +1,9 @@
 """Continuous-time statistical checks: Poisson paths, random times, z-tests.
 
-Every suite takes a simulation without a random time, draws on it the random
-time it tests (``PathSet.with_random_time``), and returns report rows: a
-z-test or an exact check is a ``serialize.CheckResult``, the row the exact
-engine writes, with the statistic's numbers as its evidence.
+A ``PathSet`` holds paths only.  Every suite takes one, computes the random
+time it tests as an array over its paths, and returns report rows: a z-test
+or an exact check is a ``serialize.CheckResult``, the row the exact engine
+writes, with the statistic's numbers as its evidence.
 
 Determinism contract: every ``(lam, t_real, seed)`` has one counter-based
 stream, Philox keyed (seed, 2^64 - 1), of unit exponentials, cut into slices
@@ -11,18 +11,18 @@ of fixed width S = ``_block_size(lam, t_real) + 1``.  Path p reads entries
 [p S, (p + 1) S): its first S - 1 inter-arrival times, then the unit
 exponential behind its random time (an independent exponential time is that
 unit exponential over its rate).  A stream's prefix does not depend on how
-much of it is drawn, so path p does not depend on ``n_paths``, on how many
-paths are drawn at once or on the random-time spec; a set of n paths is the
-prefix of every larger set.  The rare path still at or before ``t_real``
-after its S - 1 arrivals continues from its own stream, keyed (seed, p);
-p < 2^64 - 1, so no path's key is the main stream's.
+much of it is drawn, so path p does not depend on ``n_paths`` or on how many
+paths are drawn at once; a set of n paths is the prefix of every larger set.
+The rare path still at or before ``t_real`` after its S - 1 arrivals
+continues from its own stream, keyed (seed, p); p < 2^64 - 1, so no path's
+key is the main stream's.
 
 Each ``(lam, t_real, seed)`` is simulated once into flat arrays (all event
 times in path order, plus per-path offsets), and every per-path statistic is
 a segment reduction over them in a fixed order.  A statistic that depends on
 the paths alone (the count at a time t, event k of each path) is computed
 once per simulation, on all of its paths, and cached there read-only; every
-prefix from ``with_random_time`` reads its first entries.  Events are sorted
+prefix (``PathSet.prefix``) reads its first entries.  Events are sorted
 within a path, so a window (lo, hi] holds an event iff the path's last event
 at or before hi lies above lo: one pass finds those last events for a stack
 of windows that share hi.  Reports are therefore byte-identical on rerun,
@@ -48,15 +48,6 @@ _MAIN_STREAM = 2**64 - 1
 def _stream(seed: int, word: int) -> np.random.Generator:
     """The Philox stream keyed (seed, word); both are in [0, 2^64)."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
-
-
-@dataclass(frozen=True)
-class RandomTimeSpec:
-    """How to draw the random time: 'exponential' (rate mu, independent),
-    'midpoint' (halfway between the first two events), or 'copy_first'."""
-
-    kind: str
-    mu: float = 1.0
 
 
 def z_test(name: str, samples, expected: float = 0.0, z_max: float = 4.0) -> CheckResult:
@@ -128,10 +119,8 @@ class PathSet:
 
     Path p's event times are ``times[offsets[p]:offsets[p + 1]]``;
     ``unit_exp[p]`` is the unit exponential that ends its slice of the stream.
-    ``tau`` is the random time of each path (inf: none) and ``tau_valid``
-    flags the paths that have the events the random time needs.  A prefix
-    keeps the set it was cut from in ``_whole`` (None: this is the whole
-    simulation), whose ``_stats`` caches the statistics of all its paths.
+    A prefix keeps the whole simulation in ``_whole`` (None: this is the
+    whole simulation), whose ``_stats`` caches the statistics of all its paths.
     """
 
     lam: float
@@ -141,8 +130,6 @@ class PathSet:
     times: np.ndarray
     offsets: np.ndarray
     unit_exp: np.ndarray
-    tau: np.ndarray
-    tau_valid: np.ndarray
     _whole: PathSet | None = field(default=None, init=False, repr=False)
     _stats: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -218,14 +205,13 @@ class PathSet:
         last[has] = self.times[self.offsets[:-1][has] + below[has] - 1]
         return (last > np.asarray(lo)).astype(float)
 
-    def with_random_time(self, spec: RandomTimeSpec | None, n_paths: int | None = None) -> PathSet:
-        """The first ``n_paths`` paths (all by default) with the random time ``spec``.
+    def prefix(self, n: int) -> PathSet:
+        """The first ``n`` paths.
 
-        Shares the event arrays, a slice of the owner index and the whole
-        simulation's statistics; paths missing events for the spec are
-        flagged invalid and keep tau = inf.
+        Every array is a view of this set's (the event arrays, the unit
+        exponentials and a slice of the owner index), and the statistics are
+        the whole simulation's.
         """
-        n = self.n_paths if n_paths is None else int(n_paths)
         if not 1 <= n <= self.n_paths:
             raise BadParameter(f"a prefix of 1..{self.n_paths} paths, not {n}")
         offsets = self.offsets[: n + 1]
@@ -237,31 +223,14 @@ class PathSet:
             times=self.times[: offsets[-1]],
             offsets=offsets,
             unit_exp=self.unit_exp[:n],
-            tau=np.full(n, math.inf),
-            tau_valid=np.ones(n, dtype=bool),
         )
         prefix._owner = self._owner[: offsets[-1]]
         prefix._whole = self._whole or self
-        if spec is None:
-            return prefix
-        if spec.kind == "exponential":
-            if not spec.mu > 0.0:
-                raise BadParameter("exponential rate must be positive")
-            prefix.tau = prefix.unit_exp / spec.mu
-        elif spec.kind == "midpoint":
-            # 0.5 * (e0 + inf) = inf on paths with fewer than two events
-            prefix.tau = 0.5 * (prefix._nth_events(0) + prefix._nth_events(1))
-            prefix.tau_valid = prefix.lengths >= 2
-        elif spec.kind == "copy_first":
-            prefix.tau = prefix._nth_events(0)
-            prefix.tau_valid = prefix.lengths >= 1
-        else:
-            raise BadParameter(f"unknown random-time kind {spec.kind!r}")
         return prefix
 
 
 def simulate_path_set(lam: float, t_real: float, n_paths: int, seed: int) -> PathSet:
-    """Simulate the ensemble, with no random time (see ``PathSet.with_random_time``).
+    """Simulate the ensemble.
 
     A chunk of paths is one draw of ``(rows, block + 1)`` exponentials from the
     main stream (see the module docstring); a path whose ``block`` arrivals all
@@ -302,8 +271,6 @@ def simulate_path_set(lam: float, t_real: float, n_paths: int, seed: int) -> Pat
         times=np.concatenate(pieces),
         offsets=np.concatenate(([0], np.cumsum(counts))),
         unit_exp=unit_exp,
-        tau=np.full(n_paths, math.inf),
-        tau_valid=np.ones(n_paths, dtype=bool),
     )
 
 
@@ -332,14 +299,14 @@ def second_moment_suite(paths: PathSet, z_max: float = 4.0) -> list[CheckResult]
 
 
 def azema_exponential_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[CheckResult]:
-    """Independent exponential time of rate ``mu``, drawn on ``paths``: survival
-    law and the survival-driven compensator.
+    """Independent exponential time of rate ``mu`` on ``paths``: survival law
+    and the survival-driven compensator.
 
     With survival e^{-mu t}, the enlarged compensator of the single-jump
     indicator is mu * (t ^ tau), so H - mu (t ^ tau) must drift zero against
     probes known at s.
     """
-    tau = paths.with_random_time(RandomTimeSpec("exponential", mu)).tau
+    tau = _exponential_time(paths, mu)
     out = [
         z_test("exponential_survival_at_1", (tau > 1.0).astype(float), math.exp(-mu), z_max)
     ]
@@ -352,6 +319,13 @@ def azema_exponential_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> li
     return out
 
 
+def _exponential_time(paths: PathSet, mu: float) -> np.ndarray:
+    """Per path: the independent exponential time of rate ``mu``, its unit exponential over ``mu``."""
+    if not mu > 0.0:
+        raise BadParameter("exponential rate must be positive")
+    return paths.unit_exp / mu
+
+
 def _compensated_jump_increment(tau: np.ndarray, mu: float, s: float, t: float) -> np.ndarray:
     """Increment over (s, t] of 1{tau <= .} minus its compensator mu (. ^ tau)."""
     return ((tau <= t).astype(float) - (tau <= s).astype(float)) - mu * (
@@ -359,37 +333,35 @@ def _compensated_jump_increment(tau: np.ndarray, mu: float, s: float, t: float) 
     )
 
 
-def _collision_fraction(paths: PathSet) -> tuple[float, int]:
-    valid = paths.tau_valid
-    hits = (paths._segment_count(paths.times == paths.tau[paths._owner]) > 0).astype(float)
+def _collision_fraction(paths: PathSet, tau: np.ndarray, valid: np.ndarray) -> tuple[float, int]:
+    """Share of the ``valid`` paths whose random time ``tau`` is one of their events, and their number."""
+    hits = (paths._segment_count(paths.times == tau[paths._owner]) > 0).astype(float)
     n = int(valid.sum())
     return (float(hits[valid].mean()) if n else 0.0, n)
 
 
 def avoidance_mc_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[CheckResult]:
     """Avoidance holds pathwise-exactly for an independent exponential time
-    of rate ``mu``, drawn on ``paths``.
+    of rate ``mu`` on ``paths``.
 
     Reports: the collision fraction (must be exactly 0; a floating-point
     collision is reported, never silently passed), drift tests for the two
     compensated processes in the enlargement, and the no-common-jump
     certificate for their bracket.
     """
-    paths = paths.with_random_time(RandomTimeSpec("exponential", mu))
-    frac, n_valid = _collision_fraction(paths)
+    tau = _exponential_time(paths, mu)
+    frac, n_valid = _collision_fraction(paths, tau, np.ones(paths.n_paths, dtype=bool))
     out = [exact_check("avoidance_collision_fraction", frac, 0.0, n_valid)]
 
-    valid = paths.tau_valid
-    tau = paths.tau
     # probe time scaled to the random-time rate so the survivor set stays populated
     s, t = min(0.2 * paths.t_real, 1.0 / mu), 0.8 * paths.t_real
     cs = paths.counts_at(s).astype(float)
     ct = paths.counts_at(t).astype(float)
     alive = (tau > s).astype(float)
     x_inc = (ct - cs) - paths.lam * (t - s)
-    out.append(z_test("count_compensated_in_enlargement", (x_inc * alive)[valid], 0.0, z_max))
+    out.append(z_test("count_compensated_in_enlargement", x_inc * alive, 0.0, z_max))
     h_inc = _compensated_jump_increment(tau, mu, s, t)
-    out.append(z_test("jump_indicator_compensated", h_inc[valid], 0.0, z_max))
+    out.append(z_test("jump_indicator_compensated", h_inc, 0.0, z_max))
     out.append(exact_check("bracket_common_jump_fraction", frac, 0.0, n_valid))
     return out
 
@@ -397,15 +369,14 @@ def avoidance_mc_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[Ch
 def predictable_jump_probe(paths: PathSet, epsilons, z_max: float = 4.0) -> list[CheckResult]:
     """Contrast the enlarged and base probabilities of a jump in a shrinking window.
 
-    With the midpoint time, drawn on ``paths``, the second jump is announced
-    in the enlargement as soon as the random time passes (target = 2 tau -
-    tau_1 = second event), so the hit rate of the window (target - eps,
-    target] is exactly 1.  A window anchored at an observable-by-the-base
-    time catches a jump only with probability 1 - e^{-lam eps}.  Per width in
-    ``epsilons``: the target row, then the base row.
+    With the midpoint time on ``paths``, the second jump is announced in the
+    enlargement as soon as the random time passes (target = 2 tau - tau_1 =
+    second event), so the hit rate of the window (target - eps, target] is
+    exactly 1.  A window anchored at an observable-by-the-base time catches a
+    jump only with probability 1 - e^{-lam eps}.  Per width in ``epsilons``:
+    the target row, then the base row.
     """
-    midpoint = paths.with_random_time(RandomTimeSpec("midpoint"))
-    target_rows = _target_window_rows(midpoint, epsilons, z_max, announced=True)
+    target_rows = _announced_window_rows(paths, epsilons)
     base_rows = _base_window_rows(paths, epsilons, z_max)
     return [row for pair in zip(target_rows, base_rows) for row in pair]
 
@@ -420,35 +391,26 @@ def _widths(epsilons) -> np.ndarray:
     return eps[:, None]
 
 
-def _target_window_rows(paths: PathSet, epsilons, z_max: float, announced: bool) -> list[CheckResult]:
-    """Hit rate of (target - eps, target] per width, target = 2 tau - first event.
+def _announced_window_rows(paths: PathSet, epsilons) -> list[CheckResult]:
+    """Hit rate of (target - eps, target] per width, for the midpoint time.
 
-    ``announced``: tau is the midpoint time, so the target is the second
-    event and every qualifying window holds it.  Otherwise tau is an
-    independent time, the target points nowhere special and its hit rate is
-    the base rate.
+    The midpoint tau = (first + second event) / 2 needs two events; it
+    announces target = 2 tau - first event = the second event, so every
+    qualifying window holds it.
     """
     eps = _widths(epsilons)
-    tau = paths.tau
-    first = paths.first_events()
-    if announced:
-        target = paths.second_events()
-        with np.errstate(invalid="ignore"):
-            qualify = paths.tau_valid & (target <= paths.t_real) & (target - tau > eps)
-    else:
-        target = 2.0 * tau - first
-        qualify = np.isfinite(first) & (target <= paths.t_real) & (target - eps > np.maximum(tau, first))
+    target = paths.second_events()
+    # inf on paths with fewer than two events
+    tau = 0.5 * (paths.first_events() + target)
+    with np.errstate(invalid="ignore"):
+        qualify = (paths.lengths >= 2) & (target <= paths.t_real) & (target - tau > eps)
     hits = paths.window_hits(target - eps, target)
-    reports = []
+    rows = []
     for epsilon, hit, ok in zip(eps[:, 0], hits, qualify):
-        if announced:
-            n_q = int(ok.sum())
-            estimate = float(hit[ok].mean()) if n_q else 0.0
-            reports.append(exact_check(f"announced_window_hit_rate_eps_{epsilon:g}", estimate, 1.0, n_q))
-        else:
-            expected = 1.0 - math.exp(-paths.lam * epsilon)
-            reports.append(z_test(f"unannounced_window_hit_rate_eps_{epsilon:g}", hit[ok], expected, z_max))
-    return reports
+        n_q = int(ok.sum())
+        estimate = float(hit[ok].mean()) if n_q else 0.0
+        rows.append(exact_check(f"announced_window_hit_rate_eps_{epsilon:g}", estimate, 1.0, n_q))
+    return rows
 
 
 def _base_window_rows(paths: PathSet, epsilons, z_max: float) -> list[CheckResult]:
@@ -468,19 +430,24 @@ def _base_window_rows(paths: PathSet, epsilons, z_max: float) -> list[CheckResul
 def negative_control_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[CheckResult]:
     """Checks engineered to fail: they guard the power of the positive tests.
 
-    The copied and the independent (rate ``mu``) random times are drawn on
-    the given paths.
+    The copied time (each path's first event) must collide with an event, and
+    the window (target - 0.1, target] with target = 2 tau - first event, for
+    an independent time tau of rate ``mu``, must not hit at the
+    construction-exact rate 1 of an announced target.
     """
     s, t = 0.5 * paths.t_real, paths.t_real
     raw_inc = (paths.counts_at(t) - paths.counts_at(s)).astype(float)
     uncompensated = z_test("uncompensated_count_drift", raw_inc, 0.0, z_max)
 
-    frac, n_valid = _collision_fraction(paths.with_random_time(RandomTimeSpec("copy_first")))
+    first = paths.first_events()
+    frac, n_valid = _collision_fraction(paths, first, paths.lengths >= 1)
     collision = exact_check("copied_time_collision_fraction", frac, 0.0, n_valid)
 
-    independent = paths.with_random_time(RandomTimeSpec("exponential", mu))
-    # the unannounced hit rate must NOT reach the construction-exact value 1
-    (unannounced,) = _target_window_rows(independent, (0.1,), z_max, announced=False)
-    ev = unannounced.evidence  # its estimate is "nan" when no window qualified
-    no_announcement = exact_check("independent_time_announced_hit_rate", float(ev["estimate"]), 1.0, ev["n_paths"])
+    tau, eps = _exponential_time(paths, mu), 0.1
+    target = 2.0 * tau - first
+    qualify = np.isfinite(first) & (target <= paths.t_real) & (target - eps > np.maximum(tau, first))
+    hits = paths.window_hits(target - eps, target)[qualify]
+    # NaN when no window qualified, which fails the row
+    rate = float(hits.mean()) if hits.size else math.nan
+    no_announcement = exact_check("independent_time_announced_hit_rate", rate, 1.0, hits.size)
     return [uncompensated, collision, no_announcement]

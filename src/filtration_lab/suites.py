@@ -125,7 +125,7 @@ class SuiteContext:
         return np.random.default_rng([self.seed, zlib.crc32(salt.encode())])
 
     def paths(self, n_paths=None) -> PathSet:
-        """The first ``n_paths`` (default ``mc.n_paths``) paths, without a random time.
+        """The first ``n_paths`` (default ``mc.n_paths``) paths.
 
         Every request reads the context's one simulation, made on first use at
         the largest size any suite asks for; path p does not depend on that size.
@@ -134,7 +134,7 @@ class SuiteContext:
         if self._paths is None:
             size = max(mc.n_paths, mc.stress_n_paths)
             self._paths = simulate_path_set(mc.lam, mc.t_real, size, self.seed)
-        return self._paths.with_random_time(None, n_paths or mc.n_paths)
+        return self._paths.prefix(n_paths or mc.n_paths)
 
 
 def _bounded(name: str, gaps: dict, ok: bool = True, **evidence) -> CheckResult:

@@ -507,17 +507,6 @@ def oracle_path_set(lam, t_real, n_paths, seed, block):
     return out
 
 
-def oracle_random_time(spec, events, unit_exp):
-    """One path's random time from its events and its unit exponential, or None without the events it needs."""
-    if spec.kind == "exponential":
-        return float(unit_exp / spec.mu)
-    if spec.kind == "midpoint":
-        return float(0.5 * (events[0] + events[1])) if events.size >= 2 else None
-    if spec.kind == "copy_first":
-        return float(events[0]) if events.size >= 1 else None
-    raise ValueError(f"unknown random-time kind {spec.kind!r}")
-
-
 def oracle_counts_at(events, t):
     """Per path: events at or before t, one searchsorted per path."""
     return np.array([e.searchsorted(t, side="right") for e in events], dtype=np.int64)

@@ -10,7 +10,6 @@ from conftest import (
     oracle_counts_at,
     oracle_nth_events,
     oracle_path_set,
-    oracle_random_time,
     oracle_window_hits,
 )
 
@@ -20,10 +19,10 @@ from filtration_lab.errors import BadParameter
 from filtration_lab.serialize import CheckResult
 from filtration_lab.montecarlo import (
     PathSet,
-    RandomTimeSpec,
+    _announced_window_rows,
     _base_window_rows,
     _collision_fraction,
-    _target_window_rows,
+    _exponential_time,
     avoidance_mc_suite,
     azema_exponential_suite,
     exact_check,
@@ -77,56 +76,59 @@ class TestSimulatePoisson:
 
 class TestRandomTimes:
     def test_exponential_survival(self):
-        paths = simulate_path_set(1.0, 10.0, N, SEED).with_random_time(
-            RandomTimeSpec("exponential", 1.0)
-        )
-        surv = (paths.tau > 1.0).astype(float)
-        assert z_test("survival", surv, math.exp(-1.0), 4.0).passed
+        tau = _exponential_time(simulate_path_set(1.0, 10.0, N, SEED), 1.0)
+        assert z_test("survival", (tau > 1.0).astype(float), math.exp(-1.0), 4.0).passed
+
+    def test_exponential_rate_must_be_positive(self):
+        paths = simulate_path_set(1.0, 10.0, 50, SEED)
+        for suite in (azema_exponential_suite, avoidance_mc_suite, negative_control_suite):
+            for mu in (0.0, -1.0, math.nan):
+                with pytest.raises(BadParameter):
+                    suite(paths, mu)
 
     def test_midpoint_strictly_between_first_two(self):
-        paths = simulate_path_set(1.0, 10.0, 2000, SEED).with_random_time(
-            RandomTimeSpec("midpoint")
-        )
-        events = paths.events
-        for p in range(2000):
-            if paths.tau_valid[p]:
-                e = events[p]
-                assert e[0] < paths.tau[p] < e[1]
+        # the announced rows' midpoint time, (first + second event) / 2 on each path with two events
+        paths = simulate_path_set(1.0, 10.0, 2000, SEED)
+        events = [e for e in paths.events if e.size >= 2]
+        tau = [0.5 * (e[0] + e[1]) for e in events]
+        assert all(e[0] < m < e[1] for e, m in zip(events, tau))
+        # a path's window (second event - eps, second event] qualifies iff it lies above the midpoint
+        for eps in (0.01, 0.5, 2.0):
+            (row,) = _announced_window_rows(paths, (eps,))
+            assert row.evidence["n_paths"] == sum(e[1] - m > eps for e, m in zip(events, tau)) > 0, eps
 
     def test_copy_first_always_collides(self):
-        paths = simulate_path_set(1.0, 10.0, 2000, SEED).with_random_time(
-            RandomTimeSpec("copy_first")
-        )
-        valid = paths.tau_valid
+        paths = simulate_path_set(1.0, 10.0, 2000, SEED)
+        first, valid = paths.first_events(), paths.lengths >= 1
         assert valid.any()
         events = paths.events
         for p in np.flatnonzero(valid):
-            assert paths.tau[p] in events[p]
+            assert first[p] in events[p]
+        (row,) = [r for r in negative_control_suite(paths, 1.0) if r.name == "copied_time_collision_fraction"]
+        assert (row.evidence["estimate"], row.evidence["n_paths"]) == (1.0, int(valid.sum()))
 
     def test_insufficient_events(self):
-        # path lengths 1, 0, 2: midpoint needs two events, copy_first one
+        # path lengths 1, 0, 2: the midpoint needs two events, the copied time one
         base = _flat_path_set([[1.0], [], [2.0, 3.0]])
-        midpoint = base.with_random_time(RandomTimeSpec("midpoint"))
-        assert midpoint.tau_valid.tolist() == [False, False, True]
-        assert midpoint.tau.tolist() == [math.inf, math.inf, 2.5]
-        copy_first = base.with_random_time(RandomTimeSpec("copy_first"))
-        assert copy_first.tau_valid.tolist() == [True, False, True]
-        assert copy_first.tau.tolist() == [1.0, math.inf, 2.0]
-        with pytest.raises(BadParameter):
-            base.with_random_time(RandomTimeSpec("nope"))
+        # the only midpoint is 2.5, so a window ending at 3.0 qualifies iff it is narrower than 0.5
+        assert [r.evidence["n_paths"] for r in _announced_window_rows(base, (0.49, 0.5))] == [1, 0]
+        assert base.first_events().tolist() == [1.0, math.inf, 2.0]
+        (row,) = [r for r in negative_control_suite(base, 1.0) if r.name == "copied_time_collision_fraction"]
+        assert (row.evidence["estimate"], row.evidence["n_paths"]) == (1.0, 2)
 
 
 class TestSuites:
     def test_positive_controls_pass(self):
         paths = simulate_path_set(1.0, 10.0, N, SEED)
-        for r in poisson_compensator_suite(paths):
-            assert r.passed, r
-        for r in second_moment_suite(paths):
-            assert r.passed, r
-        for r in azema_exponential_suite(paths, 1.0):
-            assert r.passed, r
-        for r in avoidance_mc_suite(paths, 1.0):
-            assert r.passed, r
+        for rows in (
+            poisson_compensator_suite(paths),
+            second_moment_suite(paths),
+            azema_exponential_suite(paths, 1.0),
+            avoidance_mc_suite(paths, 1.0),
+        ):
+            assert rows and all(isinstance(r, CheckResult) for r in rows)
+            for r in rows:
+                assert r.passed, r
 
     def test_survival_probe_changes_the_statistic(self):
         # the increment vanishes where tau <= s, so a probe 1{tau > s} would
@@ -165,6 +167,7 @@ class TestSuites:
             "announced_window_hit_rate_eps_0.01",
             "base_window_hit_rate_eps_0.01",
         ]
+        assert all(isinstance(r, CheckResult) for r in reports)
         for eps, hit, base in zip((0.1, 0.01), reports[::2], reports[1::2]):
             assert hit.evidence["exact"] and hit.evidence["estimate"] == 1.0 and hit.passed
             assert base.passed
@@ -172,25 +175,21 @@ class TestSuites:
 
     def test_predictable_jump_probe_negative_control(self):
         paths = simulate_path_set(1.0, 10.0, N, SEED)
-        timed = paths.with_random_time(RandomTimeSpec("exponential", 1.0))
-        (unannounced,) = _target_window_rows(timed, (0.1,), 4.0, False)
+        rows = negative_control_suite(paths, 1.0)
+        (unannounced,) = [r for r in rows if r.name == "independent_time_announced_hit_rate"]
         (base,) = _base_window_rows(paths, (0.1,), 4.0)
-        # without an announced time both windows behave like the base window
+        # without an announced time the target window behaves like the base window
         assert abs(unannounced.evidence["estimate"] - base.evidence["estimate"]) < 0.02
         assert unannounced.evidence["estimate"] < 0.5
 
-    @pytest.mark.parametrize(
-        "spec", [RandomTimeSpec("midpoint"), RandomTimeSpec("exponential", 1.0)], ids=["midpoint", "exponential"]
-    )
-    def test_predictable_jump_probe_stacks_widths(self, spec):
+    def test_predictable_jump_probe_stacks_widths(self):
         # one window pass per window end gives each width the rows it gets alone
         paths = simulate_path_set(1.0, 10.0, 2000, SEED)
-        timed = paths.with_random_time(spec)
         widths = (0.1, 0.01, 0.5, 0.1)
         for rows in (
-            lambda eps: _target_window_rows(timed, eps, 4.0, spec.kind == "midpoint"),
+            lambda eps: _announced_window_rows(paths, eps),
             lambda eps: _base_window_rows(paths, eps, 4.0),
-            lambda eps: predictable_jump_probe(paths, eps),  # draws the midpoint time itself
+            lambda eps: predictable_jump_probe(paths, eps),
         ):
             assert rows(widths) == [r for eps in widths for r in rows((eps,))]
             assert rows(()) == []
@@ -198,38 +197,44 @@ class TestSuites:
                 with pytest.raises(BadParameter):
                     rows(bad)
 
-    def test_negative_controls_fail(self):
-        for r in negative_control_suite(simulate_path_set(1.0, 10.0, 5000, SEED), 1.0):
-            assert not r.passed, r
-
     @pytest.mark.parametrize(
-        "suite,carried",
+        "suite,computed",
         [
-            (poisson_compensator_suite, RandomTimeSpec("exponential", 1.0)),
-            (second_moment_suite, RandomTimeSpec("midpoint")),
-            (azema_exponential_suite, RandomTimeSpec("midpoint")),
-            (azema_exponential_suite, RandomTimeSpec("exponential", 3.0)),
-            (avoidance_mc_suite, RandomTimeSpec("copy_first")),
-            (predictable_jump_probe, RandomTimeSpec("copy_first")),
-            (predictable_jump_probe, RandomTimeSpec("exponential", 1.0)),
-            (negative_control_suite, RandomTimeSpec("midpoint")),
+            (poisson_compensator_suite, "exponential"),
+            (second_moment_suite, "midpoint"),
+            (azema_exponential_suite, "midpoint"),
+            (azema_exponential_suite, "exponential"),
+            (avoidance_mc_suite, "copy_first"),
+            (predictable_jump_probe, "copy_first"),
+            (predictable_jump_probe, "exponential"),
+            (negative_control_suite, "midpoint"),
         ],
-        ids=lambda v: getattr(v, "__name__", None) or v.kind,
+        ids=lambda v: getattr(v, "__name__", v),
     )
-    def test_suite_draws_its_own_random_time(self, suite, carried):
-        # a suite reads only the simulation: a time the set already carries changes no row,
-        # and the time a suite draws is not left on the set it was handed
+    def test_suite_draws_its_own_random_time(self, suite, computed):
+        # a suite reads only the simulation: a random time computed on the set first
+        # (which fills the simulation's cache) changes no row, and the time a suite
+        # draws is not left on the set it was handed
         plain = simulate_path_set(1.0, 10.0, 50, SEED)
-        timed = plain.with_random_time(carried)
-        tau, valid = timed.tau.copy(), timed.tau_valid.copy()
+        warm = simulate_path_set(1.0, 10.0, 50, SEED)
+        tau, valid = (a.copy() for a in _random_times(warm, (computed,))[computed])
         # the second argument is predictable_jump_probe's epsilons or the others' mu
         extra = {predictable_jump_probe: ((0.1,),), poisson_compensator_suite: (), second_moment_suite: ()}
         args = extra.get(suite, (0.5,))
         rows = suite(plain, *args)
         assert rows and all(isinstance(r, CheckResult) for r in rows)
-        assert suite(timed, *args) == rows
-        assert np.all(plain.tau == math.inf) and plain.tau_valid.all()
-        assert np.array_equal(timed.tau, tau) and np.array_equal(timed.tau_valid, valid)
+        assert suite(warm, *args) == rows
+        for paths in (plain, warm):
+            arrays = {name for name, v in vars(paths).items() if isinstance(v, np.ndarray)}
+            assert arrays <= {"times", "offsets", "unit_exp", "_owner"}, arrays
+        (again,) = _random_times(warm, (computed,)).values()
+        assert np.array_equal(again[0], tau) and np.array_equal(again[1], valid)
+
+    def test_negative_controls_fail(self):
+        rows = negative_control_suite(simulate_path_set(1.0, 10.0, 5000, SEED), 1.0)
+        assert rows and all(isinstance(r, CheckResult) for r in rows)
+        for r in rows:
+            assert not r.passed, r
 
     def test_exact_check_semantics(self):
         good = exact_check("x", 0.0, 0.0, 10)
@@ -276,15 +281,9 @@ class TestSuites:
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "configs"
-SPECS = (
-    None,
-    RandomTimeSpec("exponential", 2.0),
-    RandomTimeSpec("midpoint"),
-    RandomTimeSpec("copy_first"),
-)
 
 
-def _flat_path_set(events, tau=None, valid=None, t_real=10.0):
+def _flat_path_set(events, t_real=10.0):
     """A PathSet built by hand from a list of per-path event arrays."""
     n = len(events)
     return PathSet(
@@ -295,12 +294,24 @@ def _flat_path_set(events, tau=None, valid=None, t_real=10.0):
         times=np.concatenate([np.asarray(e, dtype=float) for e in events] + [np.empty(0)]),
         offsets=np.concatenate(([0], np.cumsum([len(e) for e in events]))).astype(np.int64),
         unit_exp=np.ones(n),
-        tau=np.full(n, math.inf) if tau is None else np.asarray(tau, dtype=float),
-        tau_valid=np.ones(n, dtype=bool) if valid is None else np.asarray(valid, dtype=bool),
     )
 
 
-def _assert_kernels_match_oracles(paths, rng):
+RANDOM_TIME_KINDS = ("exponential", "midpoint", "copy_first")
+
+
+def _random_times(paths, kinds=RANDOM_TIME_KINDS):
+    """Per kind of random time the suites test, its (tau, valid) arrays: the
+    exponential time of rate 2, the midpoint time and the copied first event."""
+    make = {
+        "exponential": lambda: (_exponential_time(paths, 2.0), np.ones(paths.n_paths, dtype=bool)),
+        "midpoint": lambda: (0.5 * (paths.first_events() + paths.second_events()), paths.lengths >= 2),
+        "copy_first": lambda: (paths.first_events(), paths.lengths >= 1),
+    }
+    return {kind: make[kind]() for kind in kinds}
+
+
+def _assert_kernels_match_oracles(paths, rng, kinds=RANDOM_TIME_KINDS):
     events = paths.events
     n = paths.n_paths
     specials = np.array([math.nan, math.inf, -math.inf, 0.0])
@@ -334,9 +345,11 @@ def _assert_kernels_match_oracles(paths, rng):
         assert np.array_equal(
             paths.window_hits(first - 0.5, first), oracle_window_hits(events, first - 0.5, first)
         )
-    frac = _collision_fraction(paths)
-    assert frac == oracle_collision_fraction(events, paths.tau, paths.tau_valid)
-    return frac
+    fracs = {}
+    for kind, (tau, valid) in _random_times(paths, kinds).items():
+        fracs[kind] = _collision_fraction(paths, tau, valid)
+        assert fracs[kind] == oracle_collision_fraction(events, tau, valid), kind
+    return fracs
 
 
 class TestFlatKernels:
@@ -345,9 +358,12 @@ class TestFlatKernels:
         # exact collisions on paths 1 and 4, NaN and inf random times, one invalid path
         tau = [2.0, 1.0, math.nan, math.inf, 3.5, 4.0]
         valid = [True, True, True, True, True, False]
-        paths = _flat_path_set(events, tau, valid)
-        frac, n_valid = _assert_kernels_match_oracles(paths, np.random.default_rng(0))
-        assert (frac, n_valid) == (0.4, 5)
+        tau = np.array(tau)
+        valid = np.array(valid)
+        paths = _flat_path_set(events)
+        _assert_kernels_match_oracles(paths, np.random.default_rng(0))
+        frac = _collision_fraction(paths, tau, valid)
+        assert frac == oracle_collision_fraction(paths.events, tau, valid) == (0.4, 5)
         assert np.array_equal(paths.counts_at(3.0), [0, 1, 2, 0, 1, 0])
         assert np.array_equal(paths.window_hits(np.full(6, 0.5), np.full(6, 1.0)), [0, 1, 0, 0, 0, 0])
 
@@ -379,14 +395,19 @@ class TestFlatKernels:
         _assert_kernels_match_oracles(paths, np.random.default_rng(1))
         assert paths.counts_at(5.0).tolist() == [0]
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind if s else "none")
-    def test_simulated_paths(self, spec):
+    @pytest.mark.parametrize("kind", ["none", *RANDOM_TIME_KINDS])
+    def test_simulated_paths(self, kind):
         # a low rate leaves many paths with 0 or 1 events
-        paths = simulate_path_set(0.4, 4.0, 600, SEED).with_random_time(spec)
+        paths = simulate_path_set(0.4, 4.0, 600, SEED)
         assert {0, 1, 2} <= set(paths.lengths.tolist())
-        frac, n_valid = _assert_kernels_match_oracles(paths, np.random.default_rng(2))
-        assert frac == (1.0 if spec and spec.kind == "copy_first" else 0.0)
-        assert n_valid == int(paths.tau_valid.sum())
+        kinds = tuple(k for k in RANDOM_TIME_KINDS if k == kind)
+        fracs = _assert_kernels_match_oracles(paths, np.random.default_rng(2), kinds)
+        want = {
+            "exponential": (0.0, 600),
+            "midpoint": (0.0, int((paths.lengths >= 2).sum())),
+            "copy_first": (1.0, int((paths.lengths >= 1).sum())),
+        }
+        assert fracs == {k: want[k] for k in kinds}
 
     def test_events_are_read_only_views(self):
         paths = simulate_path_set(1.0, 10.0, 50, SEED)
@@ -397,32 +418,37 @@ class TestFlatKernels:
         with pytest.raises(ValueError):
             events[0][0] = 0.0
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind if s else "none")
-    def test_prefixes_across_a_chunk_boundary(self, monkeypatch, spec):
-        # a prefix reads a slice of its parent's owner index (an empty one if its paths have no events)
+    @pytest.mark.parametrize("kind", ["none", *RANDOM_TIME_KINDS])
+    def test_prefixes_across_a_chunk_boundary(self, monkeypatch, kind):
+        # a prefix reads a slice of its parent's owner index (an empty one if its paths have no events),
+        # and the random time computed on it is the first n entries of the one computed on the whole set
         monkeypatch.setattr(montecarlo, "_CHUNK", 64)
         base = simulate_path_set(0.4, 4.0, 300, SEED)
+        kinds = tuple(k for k in RANDOM_TIME_KINDS if k == kind)
+        whole = _random_times(base, kinds)
         rng = np.random.default_rng(3)
         for n in (1, 63, 64, 65, 299):
-            prefix = base.with_random_time(spec, n)
+            prefix = base.prefix(n)
             assert prefix._owner.base is base._owner
-            _assert_kernels_match_oracles(prefix, rng)
-            _assert_kernels_match_oracles(prefix.with_random_time(spec, max(1, n // 2)), rng)
+            _assert_kernels_match_oracles(prefix, rng, kinds)
+            _assert_kernels_match_oracles(prefix.prefix(max(1, n // 2)), rng, kinds)
+            for k, (tau, valid) in _random_times(prefix, kinds).items():
+                assert np.array_equal(tau, whole[k][0][:n]) and np.array_equal(valid, whole[k][1][:n]), (k, n)
 
     def test_every_path_set_a_small_config_reads(self, monkeypatch):
         handed_out = []
-        with_random_time = PathSet.with_random_time
+        prefix = PathSet.prefix
 
-        def recorded(self, *args):
-            handed_out.append(with_random_time(self, *args))
+        def recorded(self, n):
+            handed_out.append(prefix(self, n))
             return handed_out[-1]
 
-        monkeypatch.setattr(PathSet, "with_random_time", recorded)
+        monkeypatch.setattr(PathSet, "prefix", recorded)
         config = json.loads((CONFIG_DIR / "poisson_qlc.json").read_text())
         config["mc"]["n_paths"] = 300
         run_config(config)
-        # each suite's plain set (the stress run's too) and the random times the suites draw on them
-        assert len(handed_out) == 13
+        # one set per suite, and one for mc_avoidance's stress run
+        assert len(handed_out) == 7
         rng = np.random.default_rng(4)
         for paths in handed_out:
             _assert_kernels_match_oracles(paths, rng)
@@ -433,7 +459,7 @@ class TestFlatKernels:
         # base anchor, the negative controls' target) and one collision pass per
         # random time; a suite that repeats one of these passes changes the numbers
         passes, inside, wholes = [], [], []
-        segment_count, with_random_time = PathSet._segment_count, PathSet.with_random_time
+        segment_count, prefix = PathSet._segment_count, PathSet.prefix
 
         def tagged(kind, fn):
             def wrapper(*args):
@@ -449,14 +475,14 @@ class TestFlatKernels:
             passes.append(inside[-1] if inside else "count")
             return segment_count(self, flags)
 
-        def recorded(self, *args):
+        def recorded(self, n):
             wholes.append(self._whole or self)
-            return with_random_time(self, *args)
+            return prefix(self, n)
 
         monkeypatch.setattr(PathSet, "_segment_count", counted)
         monkeypatch.setattr(PathSet, "window_hits", tagged("window", PathSet.window_hits))
         monkeypatch.setattr(montecarlo, "_collision_fraction", tagged("collision", _collision_fraction))
-        monkeypatch.setattr(PathSet, "with_random_time", recorded)
+        monkeypatch.setattr(PathSet, "prefix", recorded)
         config = json.loads((CONFIG_DIR / "poisson_qlc.json").read_text())
         config["mc"]["n_paths"] = 300
         run_config(config)
@@ -475,10 +501,9 @@ class TestFlatKernels:
             return segment_count(self, flags)
 
         monkeypatch.setattr(PathSet, "_segment_count", counted)
-        spec = RandomTimeSpec("copy_first")
         for prefix_first in (True, False):
             base = simulate_path_set(0.4, 4.0, 300, SEED)
-            prefix = base.with_random_time(spec, 120).with_random_time(spec, 80)
+            prefix = base.prefix(120).prefix(80)
             passes.clear()
             for paths in (prefix, base) if prefix_first else (base, prefix):
                 events = paths.events
@@ -495,44 +520,36 @@ class TestFlatKernels:
                     assert np.array_equal(paths.counts_at(t), oracle_counts_at(paths.events, t))
             assert prefix._whole is base
             stats = (base.counts_at(2.0), prefix.counts_at(2.0), prefix.first_events(), base.second_events())
-            # copy_first's tau is the cached first events, so it is read-only too
-            for stat in (*stats, prefix.tau):
+            for stat in stats:
                 with pytest.raises(ValueError):
                     stat[0] = 0
 
-    def test_prefix_with_random_time_shares_the_simulation(self):
+    def test_a_prefix_holds_views_of_the_simulation(self):
+        # a prefix allocates no per-path array: every array it holds is a view of the whole simulation's
         base = simulate_path_set(1.0, 10.0, 300, SEED)
-        spec = RandomTimeSpec("exponential", 25.0)
-        prefix = base.with_random_time(spec, 120)
-        direct = simulate_path_set(1.0, 10.0, 120, SEED).with_random_time(spec)
-        assert np.shares_memory(prefix.times, base.times)
-        for name in ("times", "offsets", "unit_exp", "tau", "tau_valid"):
-            assert np.array_equal(getattr(prefix, name), getattr(direct, name)), name
-        with pytest.raises(BadParameter):
-            base.with_random_time(spec, 301)
-        with pytest.raises(BadParameter):
-            base.with_random_time(RandomTimeSpec("nope"))
+        direct = simulate_path_set(1.0, 10.0, 120, SEED)
+        for prefix in (base.prefix(120), base.prefix(200).prefix(120)):
+            arrays = {name: v for name, v in vars(prefix).items() if isinstance(v, np.ndarray)}
+            assert sorted(arrays) == ["_owner", "offsets", "times", "unit_exp"]
+            for name, array in arrays.items():
+                assert np.shares_memory(array, getattr(base, name)), name
+                assert np.array_equal(array, getattr(direct, name)), name
+        for n in (0, 301):
+            with pytest.raises(BadParameter):
+                base.prefix(n)
 
 
 def _assert_paths_match_the_oracle(lam, t_real, n, seed):
-    """Path p of every spec is slice p of the oracle's stream prefix, and its
-    random time comes from that path's events and unit exponential."""
-    sets = {spec: simulate_path_set(lam, t_real, n, seed).with_random_time(spec) for spec in SPECS}
-    events = {spec: paths.events for spec, paths in sets.items()}
+    """Path p is slice p of the oracle's stream prefix, and its exponential
+    time is the unit exponential that ends the slice over the rate."""
+    paths = simulate_path_set(lam, t_real, n, seed)
+    events = paths.events
+    tau = _exponential_time(paths, 2.0)
     expected = oracle_path_set(lam, t_real, n, seed, montecarlo._block_size(lam, t_real))
     for p, (want, unit) in enumerate(expected):
-        for spec, paths in sets.items():
-            assert np.array_equal(events[spec][p], want), (spec, p)
-            assert paths.unit_exp[p] == unit
-            if spec is None:
-                assert paths.tau[p] == math.inf and paths.tau_valid[p]
-                continue
-            tau = oracle_random_time(spec, want, unit)
-            if tau is None:
-                assert not paths.tau_valid[p] and paths.tau[p] == math.inf
-            else:
-                assert paths.tau_valid[p] and paths.tau[p] == tau
-    return sets[None]
+        assert np.array_equal(events[p], want), p
+        assert paths.unit_exp[p] == unit and tau[p] == unit / 2.0, p
+    return paths
 
 
 class TestDeterminism:
