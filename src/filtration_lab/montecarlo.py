@@ -17,16 +17,16 @@ The rare path still at or before ``t_real`` after its S - 1 arrivals
 continues from its own stream, keyed (seed, p); p < 2^64 - 1, so no path's
 key is the main stream's.
 
-Each ``(lam, t_real, seed)`` is simulated once into flat arrays (all event
-times in path order, plus per-path offsets), and every per-path statistic is
-a segment reduction over them in a fixed order.  A statistic that depends on
-the paths alone (the count at a time t, event k of each path) is computed
-once per simulation, on all of its paths, and cached there read-only; every
-prefix (``PathSet.prefix``) reads its first entries.  Events are sorted
-within a path, so a window (lo, hi] holds an event iff the path's last event
-at or before hi lies above lo: one pass finds those last events for a stack
-of windows that share hi.  Reports are therefore byte-identical on rerun,
-and ``--parallel`` has nothing to change.
+Each ``(lam, t_real, seed)`` is simulated once into a table whose row k
+holds event k of every path, and every per-path statistic is at most one
+pass over its rows in a fixed order.  One that depends on the paths alone
+(the count at a time t, event k of each path) is computed once per
+simulation, on all of its paths, and cached there read-only; every prefix
+(``PathSet.prefix``) reads its first entries.  Events are sorted within a
+path, so a count at t reads only the rows whose minimum is at or before t,
+and a window (lo, hi] holds an event iff the path's last event at or before
+hi lies above lo.  Reports are therefore byte-identical on rerun, and
+``--parallel`` has nothing to change.
 """
 from __future__ import annotations
 
@@ -115,43 +115,43 @@ def _continuation(last: float, lam: float, t_real: float, block: int, rng: np.ra
 
 @dataclass(eq=False)
 class PathSet:
-    """Simulated ensemble, stored flat.
+    """Simulated ensemble, stored as a C-order ``(K, n_paths)`` event table.
 
-    Path p's event times are ``times[offsets[p]:offsets[p + 1]]``;
-    ``unit_exp[p]`` is the unit exponential that ends its slice of the stream.
-    A prefix keeps the whole simulation in ``_whole`` (None: this is the
-    whole simulation), whose ``_stats`` caches the statistics of all its paths.
+    ``table[k, p]`` is path p's event k for k < ``lengths[p]``; K is the
+    longest path's length.  Below its events a column holds padding above
+    ``t_real`` (arrivals drawn past it, or inf), so a kernel that compares
+    the table only with times at or before ``t_real`` never reads padding as
+    an event.  ``unit_exp[p]`` is the unit exponential that ends path p's
+    slice of the stream.  A prefix keeps the whole simulation in ``_whole``
+    (None: this is the whole simulation), whose ``_stats`` caches the
+    statistics of all its paths.
     """
 
     lam: float
     t_real: float
     n_paths: int
     seed: int
-    times: np.ndarray
-    offsets: np.ndarray
+    table: np.ndarray
+    lengths: np.ndarray
     unit_exp: np.ndarray
     _whole: PathSet | None = field(default=None, init=False, repr=False)
     _stats: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def events(self) -> tuple:
-        """One read-only view into ``times`` per path, built on each access."""
-        times = self.times.view()
-        times.flags.writeable = False
-        return tuple(np.split(times, self.offsets[1:-1]))
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        """One read-only view into ``table`` per path, built on each access."""
+        table = self.table.view()
+        table.flags.writeable = False
+        return tuple(table[:m, p] for p, m in enumerate(self.lengths.tolist()))
 
     @cached_property
-    def _owner(self) -> np.ndarray:
-        """The path index of every event."""
-        return np.repeat(np.arange(self.n_paths), self.lengths)
+    def _row_min(self) -> np.ndarray:
+        return self.table.min(axis=1)
 
-    def _segment_count(self, flags: np.ndarray) -> np.ndarray:
-        """Per path: how many of its events are flagged."""
-        return np.bincount(self._owner[flags], minlength=self.n_paths)
+    def _rows_to(self, t) -> np.ndarray:
+        """The rows that hold an event at or before ``t``: those whose minimum
+        is, as row k + 1's events lie above row k's."""
+        return self.table[: np.searchsorted(self._row_min, t, side="right")]
 
     def _cached(self, key, compute) -> np.ndarray:
         """``compute(whole)`` on the whole simulation, made once per ``key``
@@ -168,20 +168,23 @@ class PathSet:
 
         def nth(whole):
             out = np.full(whole.n_paths, math.inf)
-            has = whole.lengths > k
-            out[has] = whole.times[whole.offsets[:-1][has] + k]
+            if k < len(whole.table):
+                np.copyto(out, whole.table[k], where=whole.lengths > k)
             return out
 
         return self._cached(("nth", k), nth)
 
     def counts_at(self, t: float) -> np.ndarray:
-        # counts the events not above t, as searchsorted(t, side="right") does (NaN included),
-        # from whichever side holds fewer events: the gather and bincount cost one step per event counted
+        # counts the events not above t, as searchsorted(t, side="right") does: all of them at
+        # t_real or above and at NaN, else one pass over the rows, adding in the narrowest type
         def count(whole):
-            above = whole.times > t
-            if 2 * np.count_nonzero(above) <= above.size:
-                return whole.lengths - whole._segment_count(above)
-            return whole._segment_count(~above)
+            if not t < whole.t_real:
+                return whole.lengths.copy()
+            rows = whole._rows_to(t)
+            out = np.zeros(whole.n_paths, dtype=np.min_scalar_type(len(rows)))
+            for row in rows:
+                out += row <= t
+            return out.astype(np.int64)
 
         return self._cached(("count", t), count)
 
@@ -195,36 +198,31 @@ class PathSet:
         """Per path: 1.0 if any event lies in (lo_p, hi_p]; a ``(k, n_paths)``
         stack ``lo`` gives one row per window.
 
-        That event exists iff the last event at or before hi_p lies above
-        lo_p (events are sorted within a path), so one pass over the events
-        serves every row.  A NaN bound holds no event.
+        That event exists iff the last event at or before hi_p (read as at
+        most ``t_real``) lies above lo_p, since events are sorted within a
+        path, so one pass over the rows serves every window.  A NaN bound
+        holds no event.
         """
-        below = self._segment_count(self.times <= np.asarray(hi)[self._owner])
+        hi = np.minimum(hi, self.t_real)
         last = np.full(self.n_paths, -math.inf)
-        has = below > 0
-        last[has] = self.times[self.offsets[:-1][has] + below[has] - 1]
+        for row in self.table:
+            np.copyto(last, row, where=row <= hi)
         return (last > np.asarray(lo)).astype(float)
 
     def prefix(self, n: int) -> PathSet:
-        """The first ``n`` paths.
-
-        Every array is a view of this set's (the event arrays, the unit
-        exponentials and a slice of the owner index), and the statistics are
-        the whole simulation's.
-        """
+        """The first ``n`` paths: views of this set's arrays (the table's first
+        ``n`` columns), with the whole simulation's statistics."""
         if not 1 <= n <= self.n_paths:
             raise BadParameter(f"a prefix of 1..{self.n_paths} paths, not {n}")
-        offsets = self.offsets[: n + 1]
         prefix = PathSet(
             lam=self.lam,
             t_real=self.t_real,
             n_paths=n,
             seed=self.seed,
-            times=self.times[: offsets[-1]],
-            offsets=offsets,
+            table=self.table[:, :n],
+            lengths=self.lengths[:n],
             unit_exp=self.unit_exp[:n],
         )
-        prefix._owner = self._owner[: offsets[-1]]
         prefix._whole = self._whole or self
         return prefix
 
@@ -233,45 +231,41 @@ def simulate_path_set(lam: float, t_real: float, n_paths: int, seed: int) -> Pat
     """Simulate the ensemble.
 
     A chunk of paths is one draw of ``(rows, block + 1)`` exponentials from the
-    main stream (see the module docstring); a path whose ``block`` arrivals all
-    lie at or before ``t_real`` takes the rest of its events from
-    ``_continuation`` on its own stream.
+    main stream (see the module docstring), summed row by row in its columns
+    of the table; a path whose ``block`` arrivals all lie at or before
+    ``t_real`` takes the rest of its events from ``_continuation`` on its own
+    stream, in rows added below.
     """
     if not 1 <= n_paths < _MAIN_STREAM:
         raise BadParameter(f"need 1 to 2^64 - 2 paths, not {n_paths}")
     block = _block_size(lam, t_real)
     stream = _stream(seed, _MAIN_STREAM)
     draws = np.empty((min(_CHUNK, n_paths), block + 1))
-    counts = np.empty(n_paths, dtype=np.int64)
+    table = np.empty((block, n_paths))
+    lengths = np.empty(n_paths, dtype=np.int64)
     unit_exp = np.empty(n_paths)
-    pieces = []
+    tails = {}
     for lo in range(0, n_paths, _CHUNK):
         hi = min(lo + _CHUNK, n_paths)
         rows = draws[: hi - lo]
         stream.standard_exponential(out=rows)
-        # row-wise cumsum adds in sequence, as a 1-D cumsum of one path's slice does
-        arrivals = np.cumsum(rows[:, :block] / lam, axis=1)
-        inside = arrivals <= t_real
-        counts[lo:hi] = inside.sum(axis=1)
         unit_exp[lo:hi] = rows[:, block]
-        events = arrivals[inside]
-        long_rows = np.flatnonzero(inside[:, -1])
-        if long_rows.size:
-            tails = [_continuation(arrivals[i, -1], lam, t_real, block, _stream(seed, lo + i)) for i in long_rows]
-            sizes = [tail.size for tail in tails]
-            ends = np.cumsum(counts[lo:hi])[long_rows]
-            events = np.insert(events, np.repeat(ends, sizes), np.concatenate(tails))
-            counts[lo + long_rows] += sizes
-        pieces.append(events)
-    return PathSet(
-        lam=lam,
-        t_real=t_real,
-        n_paths=n_paths,
-        seed=seed,
-        times=np.concatenate(pieces),
-        offsets=np.concatenate(([0], np.cumsum(counts))),
-        unit_exp=unit_exp,
-    )
+        arrivals = table[:, lo:hi]
+        np.divide(rows[:, :block].T, lam, out=arrivals)
+        # adds each path's inter-arrival times in sequence, as a 1-D cumsum of its slice does
+        for k in range(1, block):
+            np.add(arrivals[k - 1], arrivals[k], out=arrivals[k])
+        inside = arrivals <= t_real
+        lengths[lo:hi] = inside.sum(axis=0)
+        for i in np.flatnonzero(inside[-1]):
+            tails[lo + i] = tail = _continuation(arrivals[-1, i], lam, t_real, block, _stream(seed, lo + i))
+            lengths[lo + i] += tail.size
+    # resized in place, so there is no second table; rows past ``block`` start at 0
+    table.resize((lengths.max(), n_paths), refcheck=False)
+    table[block:] = math.inf
+    for p, tail in tails.items():
+        table[block : block + tail.size, p] = tail
+    return PathSet(lam=lam, t_real=t_real, n_paths=n_paths, seed=seed, table=table, lengths=lengths, unit_exp=unit_exp)
 
 
 def poisson_compensator_suite(paths: PathSet, z_max: float = 4.0) -> list[CheckResult]:
@@ -335,7 +329,11 @@ def _compensated_jump_increment(tau: np.ndarray, mu: float, s: float, t: float) 
 
 def _collision_fraction(paths: PathSet, tau: np.ndarray, valid: np.ndarray) -> tuple[float, int]:
     """Share of the ``valid`` paths whose random time ``tau`` is one of their events, and their number."""
-    hits = (paths._segment_count(paths.times == tau[paths._owner]) > 0).astype(float)
+    # every event lies at or before t_real, so a later (or NaN) tau is none of them
+    tau = np.where(tau <= paths.t_real, tau, math.nan)
+    hits = np.zeros(paths.n_paths, dtype=bool)
+    for row in paths.table:
+        hits |= row == tau
     n = int(valid.sum())
     return (float(hits[valid].mean()) if n else 0.0, n)
 

@@ -42,10 +42,10 @@ class TestSimulatePoisson:
     def test_deterministic_given_seed(self):
         a = simulate_path_set(1.0, 10.0, 50, 1234)
         b = simulate_path_set(1.0, 10.0, 50, 1234)
-        for name in ("times", "offsets", "unit_exp"):
+        for name in ("table", "lengths", "unit_exp"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         c = simulate_path_set(1.0, 10.0, 50, 1235)
-        assert not np.array_equal(a.times[:10], c.times[:10])
+        assert not np.array_equal(a.table[0], c.table[0])
 
     def test_events_sorted_in_range(self):
         for evs in simulate_path_set(2.0, 5.0, 50, SEED).events:
@@ -109,7 +109,7 @@ class TestRandomTimes:
 
     def test_insufficient_events(self):
         # path lengths 1, 0, 2: the midpoint needs two events, the copied time one
-        base = _flat_path_set([[1.0], [], [2.0, 3.0]])
+        base = _path_set([[1.0], [], [2.0, 3.0]])
         # the only midpoint is 2.5, so a window ending at 3.0 qualifies iff it is narrower than 0.5
         assert [r.evidence["n_paths"] for r in _announced_window_rows(base, (0.49, 0.5))] == [1, 0]
         assert base.first_events().tolist() == [1.0, math.inf, 2.0]
@@ -226,7 +226,7 @@ class TestSuites:
         assert suite(warm, *args) == rows
         for paths in (plain, warm):
             arrays = {name for name, v in vars(paths).items() if isinstance(v, np.ndarray)}
-            assert arrays <= {"times", "offsets", "unit_exp", "_owner"}, arrays
+            assert arrays <= {"table", "lengths", "unit_exp", "_row_min"}, arrays
         (again,) = _random_times(warm, (computed,)).values()
         assert np.array_equal(again[0], tau) and np.array_equal(again[1], valid)
 
@@ -283,18 +283,14 @@ class TestSuites:
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "configs"
 
 
-def _flat_path_set(events, t_real=10.0):
-    """A PathSet built by hand from a list of per-path event arrays."""
+def _path_set(events, t_real=10.0):
+    """A PathSet built by hand from a list of per-path event lists, padded with inf."""
     n = len(events)
-    return PathSet(
-        lam=1.0,
-        t_real=t_real,
-        n_paths=n,
-        seed=0,
-        times=np.concatenate([np.asarray(e, dtype=float) for e in events] + [np.empty(0)]),
-        offsets=np.concatenate(([0], np.cumsum([len(e) for e in events]))).astype(np.int64),
-        unit_exp=np.ones(n),
-    )
+    lengths = np.array([len(e) for e in events], dtype=np.int64)
+    table = np.full((lengths.max(), n), math.inf)
+    for p, e in enumerate(events):
+        table[: len(e), p] = e
+    return PathSet(lam=1.0, t_real=t_real, n_paths=n, seed=0, table=table, lengths=lengths, unit_exp=np.ones(n))
 
 
 RANDOM_TIME_KINDS = ("exponential", "midpoint", "copy_first")
@@ -315,7 +311,8 @@ def _assert_kernels_match_oracles(paths, rng, kinds=RANDOM_TIME_KINDS):
     events = paths.events
     n = paths.n_paths
     specials = np.array([math.nan, math.inf, -math.inf, 0.0])
-    event_times = paths.times if paths.times.size else specials
+    event_times = np.concatenate(events)
+    event_times = event_times if event_times.size else specials
     for t in [*specials, paths.t_real, *rng.choice(event_times, 3), *rng.uniform(0, paths.t_real, 3)]:
         assert np.array_equal(paths.counts_at(t), oracle_counts_at(events, t)), t
     assert np.array_equal(paths.first_events(), oracle_nth_events(events, 0))
@@ -360,38 +357,60 @@ class TestFlatKernels:
         valid = [True, True, True, True, True, False]
         tau = np.array(tau)
         valid = np.array(valid)
-        paths = _flat_path_set(events)
+        paths = _path_set(events)
         _assert_kernels_match_oracles(paths, np.random.default_rng(0))
         frac = _collision_fraction(paths, tau, valid)
         assert frac == oracle_collision_fraction(paths.events, tau, valid) == (0.4, 5)
         assert np.array_equal(paths.counts_at(3.0), [0, 1, 2, 0, 1, 0])
         assert np.array_equal(paths.window_hits(np.full(6, 0.5), np.full(6, 1.0)), [0, 1, 0, 0, 0, 0])
 
-    def test_a_count_reads_the_smaller_side(self, monkeypatch):
-        # events not above t, counted from the events above t or from the rest, whichever are fewer
-        flagged = []
-        segment_count = PathSet._segment_count
+    def test_padding_is_never_an_event(self):
+        # the inf padding below a short path's events is no event at an inf or NaN time,
+        # bound or random time (the copied first event of an empty path is inf)
+        paths = _path_set([[], [1.0], [0.5, 2.0, 7.0]])
+        for t in (math.inf, math.nan, 10.0, 1e300):
+            assert paths.counts_at(t).tolist() == [0, 1, 3], t
+        inf, nan = np.full(3, math.inf), np.full(3, math.nan)
+        assert paths.window_hits(-inf, inf).tolist() == [0.0, 1.0, 1.0]
+        assert paths.window_hits(np.full(3, 1.5), inf).tolist() == [0.0, 0.0, 1.0]
+        for lo, hi in ((nan, inf), (-inf, nan), (nan, nan), (inf, inf)):
+            assert paths.window_hits(lo, hi).tolist() == [0.0] * 3
+        first = paths.first_events()
+        assert first.tolist() == [math.inf, 1.0, 0.5]
+        assert _collision_fraction(paths, first, np.ones(3, dtype=bool)) == (2 / 3, 3)
+        assert _collision_fraction(paths, inf, np.ones(3, dtype=bool)) == (0.0, 3)
+        assert paths.second_events().tolist() == [math.inf, math.inf, 2.0]
 
-        def counted(self, flags):
-            flagged.append(int(np.count_nonzero(flags)))
-            return segment_count(self, flags)
+    def test_a_count_reads_the_rows_at_or_before_t(self, monkeypatch):
+        # row k holds an event at or before t iff some path has more than k of them, so a count
+        # reads as many rows as the largest count; at t_real and above, and at NaN, it reads none
+        read = []
+        rows_to = PathSet._rows_to
+
+        def recorded(self, t):
+            rows = rows_to(self, t)
+            read.append(len(rows))
+            return rows
 
         paths = simulate_path_set(1.0, 10.0, 2000, SEED)
-        for t in (0.04, 5.0, 10.0, math.nan, math.inf, -math.inf):
+        monkeypatch.setattr(PathSet, "_rows_to", recorded)
+        for t in (0.04, 5.0, 10.0, math.inf, -math.inf, math.nan):
             want = oracle_counts_at(paths.events, t)
-            above = paths.times > t
-            from_above = paths.lengths - np.bincount(paths._owner[above], minlength=paths.n_paths)
-            from_rest = np.bincount(paths._owner[~above], minlength=paths.n_paths)
-            assert np.array_equal(from_above, want) and np.array_equal(from_rest, want), t
-            monkeypatch.setattr(PathSet, "_segment_count", counted)
-            flagged.clear()
+            read.clear()
             got = paths.counts_at(t)
-            monkeypatch.undo()
             assert np.array_equal(got, want) and got.dtype == np.int64, t
-            assert flagged == [min(above.sum(), (~above).sum())], t
+            assert read == ([] if not t < 10.0 else [want.max()]), t
+        assert paths.counts_at(0.04).max() <= 2
+
+    def test_a_count_above_255_events(self):
+        # the count adds in the narrowest type that holds the rows it reads
+        paths = _path_set([np.arange(1, 301) / 100.0, [5.0]])
+        for t in (2.55, 2.56, 3.0, 9.0):
+            assert np.array_equal(paths.counts_at(t), oracle_counts_at(paths.events, t)), t
+        assert paths.counts_at(9.0).tolist() == [300, 1]
 
     def test_single_path_without_events(self):
-        paths = _flat_path_set([[]])
+        paths = _path_set([[]])
         _assert_kernels_match_oracles(paths, np.random.default_rng(1))
         assert paths.counts_at(5.0).tolist() == [0]
 
@@ -413,14 +432,14 @@ class TestFlatKernels:
         paths = simulate_path_set(1.0, 10.0, 50, SEED)
         events = paths.events
         assert len(events) == 50
-        assert sum(e.size for e in events) == paths.times.size
-        assert all(np.shares_memory(e, paths.times) for e in events if e.size)
+        assert sum(e.size for e in events) == paths.lengths.sum()
+        assert all(np.shares_memory(e, paths.table) for e in events if e.size)
         with pytest.raises(ValueError):
             events[0][0] = 0.0
 
     @pytest.mark.parametrize("kind", ["none", *RANDOM_TIME_KINDS])
     def test_prefixes_across_a_chunk_boundary(self, monkeypatch, kind):
-        # a prefix reads a slice of its parent's owner index (an empty one if its paths have no events),
+        # a prefix reads the first columns of its parent's table,
         # and the random time computed on it is the first n entries of the one computed on the whole set
         monkeypatch.setattr(montecarlo, "_CHUNK", 64)
         base = simulate_path_set(0.4, 4.0, 300, SEED)
@@ -429,7 +448,7 @@ class TestFlatKernels:
         rng = np.random.default_rng(3)
         for n in (1, 63, 64, 65, 299):
             prefix = base.prefix(n)
-            assert prefix._owner.base is base._owner
+            assert prefix.table.base is base.table
             _assert_kernels_match_oracles(prefix, rng, kinds)
             _assert_kernels_match_oracles(prefix.prefix(max(1, n // 2)), rng, kinds)
             for k, (tau, valid) in _random_times(prefix, kinds).items():
@@ -454,39 +473,33 @@ class TestFlatKernels:
             _assert_kernels_match_oracles(paths, rng)
 
     def test_bundled_config_makes_each_pass_once(self, monkeypatch):
-        # full passes over a set's events: one count per distinct time the suites
-        # ask for, one window pass per window end (mc_predictable_jump's target and
-        # base anchor, the negative controls' target) and one collision pass per
-        # random time; a suite that repeats one of these passes changes the numbers
-        passes, inside, wholes = [], [], []
-        segment_count, prefix = PathSet._segment_count, PathSet.prefix
+        # passes over a table's rows: one count per distinct time below t_real the suites
+        # ask for (the count at t_real is the path lengths), one window pass per window end
+        # (mc_predictable_jump's target and base anchor, the negative controls' target) and
+        # one collision pass per random time; a suite that repeats one of these passes
+        # changes the numbers
+        passes, wholes = [], []
+        rows_to, prefix = PathSet._rows_to, PathSet.prefix
 
         def tagged(kind, fn):
             def wrapper(*args):
-                inside.append(kind)
-                try:
-                    return fn(*args)
-                finally:
-                    inside.pop()
+                passes.append(kind)
+                return fn(*args)
 
             return wrapper
-
-        def counted(self, flags):
-            passes.append(inside[-1] if inside else "count")
-            return segment_count(self, flags)
 
         def recorded(self, n):
             wholes.append(self._whole or self)
             return prefix(self, n)
 
-        monkeypatch.setattr(PathSet, "_segment_count", counted)
+        monkeypatch.setattr(PathSet, "_rows_to", tagged("count", rows_to))
         monkeypatch.setattr(PathSet, "window_hits", tagged("window", PathSet.window_hits))
         monkeypatch.setattr(montecarlo, "_collision_fraction", tagged("collision", _collision_fraction))
         monkeypatch.setattr(PathSet, "prefix", recorded)
         config = json.loads((CONFIG_DIR / "poisson_qlc.json").read_text())
         config["mc"]["n_paths"] = 300
         run_config(config)
-        assert (passes.count("count"), passes.count("window"), passes.count("collision")) == (6, 3, 3)
+        assert (passes.count("count"), passes.count("window"), passes.count("collision")) == (5, 3, 3)
         # every set the suites read is a prefix of one simulation, which caches the counts
         (whole,) = {id(w): w for w in wholes}.values()
         counted_at = sorted(t for kind, t in whole._stats if kind == "count")
@@ -494,13 +507,13 @@ class TestFlatKernels:
 
     def test_statistics_are_cached_once_per_simulation(self, monkeypatch):
         passes = []
-        segment_count = PathSet._segment_count
+        rows_to = PathSet._rows_to
 
-        def counted(self, flags):
-            passes.append(flags.size)
-            return segment_count(self, flags)
+        def counted(self, t):
+            passes.append(self)
+            return rows_to(self, t)
 
-        monkeypatch.setattr(PathSet, "_segment_count", counted)
+        monkeypatch.setattr(PathSet, "_rows_to", counted)
         for prefix_first in (True, False):
             base = simulate_path_set(0.4, 4.0, 300, SEED)
             prefix = base.prefix(120).prefix(80)
@@ -511,8 +524,9 @@ class TestFlatKernels:
                     assert np.array_equal(paths.counts_at(t), oracle_counts_at(events, t)), t
                 assert np.array_equal(paths.first_events(), oracle_nth_events(events, 0))
                 assert np.array_equal(paths.second_events(), oracle_nth_events(events, 1))
-            # each count is one pass over the whole simulation, whichever set asked first
-            assert passes == [base.times.size] * 2
+            # the count at 2.0 is one pass over the whole simulation, whichever set asked first;
+            # the count at inf (above t_real) reads no row
+            assert passes == [base]
             assert np.shares_memory(prefix.counts_at(2.0), base.counts_at(2.0))
             # NaN equals nothing, so a NaN time may miss the cache; it still counts every event
             for paths in (prefix, base, prefix):
@@ -525,15 +539,18 @@ class TestFlatKernels:
                     stat[0] = 0
 
     def test_a_prefix_holds_views_of_the_simulation(self):
-        # a prefix allocates no per-path array: every array it holds is a view of the whole simulation's
+        # a prefix allocates no per-path array: every array it holds is a view of the whole simulation's,
+        # and the table's columns hold the events of a simulation of that many paths
         base = simulate_path_set(1.0, 10.0, 300, SEED)
         direct = simulate_path_set(1.0, 10.0, 120, SEED)
         for prefix in (base.prefix(120), base.prefix(200).prefix(120)):
             arrays = {name: v for name, v in vars(prefix).items() if isinstance(v, np.ndarray)}
-            assert sorted(arrays) == ["_owner", "offsets", "times", "unit_exp"]
+            assert sorted(arrays) == ["lengths", "table", "unit_exp"]
             for name, array in arrays.items():
                 assert np.shares_memory(array, getattr(base, name)), name
-                assert np.array_equal(array, getattr(direct, name)), name
+            assert np.array_equal(prefix.lengths, direct.lengths)
+            assert np.array_equal(prefix.unit_exp, direct.unit_exp)
+            assert all(np.array_equal(a, b) for a, b in zip(prefix.events, direct.events, strict=True))
         for n in (0, 301):
             with pytest.raises(BadParameter):
                 base.prefix(n)
@@ -567,6 +584,10 @@ class TestDeterminism:
         paths = _assert_paths_match_the_oracle(1.0, 10.0, 300, SEED)
         # both kinds of path occur: one slice, and a slice continued from the path's own stream
         assert (paths.lengths < 4).any() and (paths.lengths >= 4).any()
+        # the continued paths add rows below the first 4, padded with inf in the other columns
+        assert paths.table.shape == (paths.lengths.max(), 300) and len(paths.table) > 4
+        assert np.isinf(paths.table[4:][np.arange(4, len(paths.table))[:, None] >= paths.lengths]).all()
+        _assert_kernels_match_oracles(paths, np.random.default_rng(5))
 
     @pytest.mark.parametrize("seed", [0, SEED, 2**64 - 1])
     def test_no_path_stream_has_the_main_key(self, monkeypatch, seed):
@@ -621,7 +642,7 @@ class TestDeterminism:
         # the stress set (1000 paths) is larger than n_paths; it is simulated up front
         assert calls == [(1.0, 10.0, 1000, SEED)]
         assert (plain.n_paths, stress.n_paths) == (500, 1000)
-        assert np.array_equal(stress.offsets[:501], plain.offsets)
+        assert np.array_equal(stress.lengths[:500], plain.lengths)
     def test_path_count_prefix_stability(self):
         a = simulate_path_set(1.0, 10.0, 1000, SEED)
         b = simulate_path_set(1.0, 10.0, 2000, SEED)
