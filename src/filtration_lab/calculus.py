@@ -25,6 +25,7 @@ from .finite_space import (
     AdaptedProcess,
     Filtration,
     as_point_process,
+    running_sums,
     segment_sups,
     slice_expectations,
     slice_violation,
@@ -63,7 +64,7 @@ def dual_projection(p: AdaptedProcess, filtration: Filtration | None = None) -> 
 
 def dual_projections(values, filtration: Filtration) -> np.ndarray:
     """The :func:`dual_projection` of every entry of a ``(..., n, T+1)`` stack, in one pass."""
-    return np.cumsum(slice_expectations(time_increments(values), filtration, 1), axis=-1)
+    return running_sums(slice_expectations(time_increments(values), filtration, 1))
 
 
 def compensator(a: AdaptedProcess) -> CompensatorPair:
@@ -92,7 +93,7 @@ def quadratic_covariation(y: AdaptedProcess, z: AdaptedProcess) -> AdaptedProces
     if y.filtration.partitions != z.filtration.partitions:
         raise FiltrationMismatch("bracket operands live on different filtrations")
     prod = y.increments() * z.increments()
-    return AdaptedProcess(y.filtration, np.cumsum(prod, axis=1))
+    return AdaptedProcess(y.filtration, running_sums(prod))
 
 
 def stochastic_integral(k: AdaptedProcess, m: AdaptedProcess) -> AdaptedProcess:
@@ -113,7 +114,7 @@ def stochastic_integrals(integrands, m: AdaptedProcess) -> np.ndarray:
     if bad is not None:
         raise NotPredictable(f"integrand is not predictable at (t, block) = {bad}")
     vals = np.zeros(k.shape)
-    np.cumsum(k[..., 1:] * m.increments()[:, 1:], axis=-1, out=vals[..., 1:])
+    running_sums(k[..., 1:] * m.increments()[:, 1:], out=vals[..., 1:])
     return vals
 
 
@@ -246,12 +247,12 @@ def orthogonality_segments(y: AdaptedProcess, z: AdaptedProcess, starts) -> Segm
     # jump products, then brackets, of [Y,Z], [Y^p,Z], [Y,Z^p], [Y^p,Z^p], [Ybar,Zbar]
     left = time_increments(np.stack([y.values, yp, y.values, yp, y.values - yp]))
     prods = left * time_increments(np.stack([z.values, z.values, zp, zp, z.values - zp]))
-    brackets = np.cumsum(prods, axis=-1)
+    brackets = running_sums(prods)
     b_yz, b_yp_z, b_y_zp, b_pp, b_bar = brackets
     incs = time_increments(brackets)
     # one-step drifts of [Y,Z], [Y^p,Z], [Y,Z^p] and the compensated bracket
     drifts = slice_expectations(incs[[0, 1, 2, 4]], filt, 1)
-    comp_yz, comp_yp_z, comp_y_zp, comp_bar = np.cumsum(drifts, axis=-1)
+    comp_yz, comp_yp_z, comp_y_zp, comp_bar = running_sums(drifts)
     jump_product = prods[3]
 
     identity = b_bar - (b_yz - b_yp_z - b_y_zp + b_pp)

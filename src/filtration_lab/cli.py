@@ -2,7 +2,9 @@
 
 Runs the configured check suites in declared order and writes a consolidated
 JSON report (optionally a flat CSV).  Exit code 0 iff every check passed,
-1 when a check failed (report still written), 2 for an invalid config.
+1 when a check failed (report still written), 2 for an invalid config; a
+suite that raises a package error other than ``ConfigInvalid`` is one failing
+``raised`` row.
 Reports are byte-identical across reruns for a fixed seed.  `--parallel N` is
 kept for Monte Carlo configs and has no effect: path p reads a fixed-width
 slice of one stream keyed by the seed, so there is no thread count for a
@@ -194,8 +196,14 @@ def run_config(config: dict, parallel: int = 1, seed_override: int | None = None
         spec = get_suite(entry["name"])
         # polarity-sensitive suites read this and mark their own rows
         ctx.expected_outcome = entry["expected_outcome"]
-        # a suite that checks nothing fails, whatever its declared polarity
-        results = spec.fn(ctx) or [CheckResult("no_rows", "fails", {"rows": 0})]
+        try:
+            # a suite that checks nothing fails, whatever its declared polarity
+            results = spec.fn(ctx) or [CheckResult("no_rows", "fails", {"rows": 0})]
+        except ConfigInvalid:
+            raise
+        except FiltrationLabError as exc:
+            # so does a suite that raises; the other suites still run
+            results = [CheckResult("raised", "fails", {"error": type(exc).__name__, "message": str(exc)})]
         for result in results:
             checks.append(
                 {

@@ -331,6 +331,24 @@ def time_increments(values) -> np.ndarray:
     return out
 
 
+def running_sums(steps, out=None) -> np.ndarray:
+    """Sums along time of a ``(..., n, T+1)`` stack, bit for bit ``np.cumsum(steps, axis=-1)``.
+
+    Slice 0 is copied and slice t is ``out[..., t-1] + steps[..., t]``, the
+    order ``np.cumsum`` adds in, so a -0.0, an inf or a NaN lands as there.
+    One addition per time slice over the whole stack costs less than
+    ``np.cumsum``'s inner loop per row when the time axis is short.  ``out``
+    may be ``steps`` itself, or a strided view.
+    """
+    steps = np.asarray(steps, dtype=float)
+    if out is None:
+        out = np.empty(steps.shape)
+    out[..., 0] = steps[..., 0]
+    for t in range(1, steps.shape[-1]):
+        np.add(out[..., t - 1], steps[..., t], out=out[..., t])
+    return out
+
+
 class PointProcess(AdaptedProcess):
     """Counting process: values in N, X_0 = 0, increments in {0, 1}."""
 

@@ -20,6 +20,7 @@ from .finite_space import (
     Filtration,
     PointProcess,
     as_point_process,
+    running_sums,
     slice_violation,
     time_increments,
 )
@@ -84,7 +85,7 @@ class MarkedMeasure:
     def mass(self) -> AdaptedProcess:
         """Cumulative total mass over all marks."""
         step = sum(self.indicator_increments(m) for m in MARKS)
-        return AdaptedProcess(self.filtration, np.cumsum(step, axis=1))
+        return AdaptedProcess(self.filtration, running_sums(step))
 
 
 def joint_decomposition(
@@ -126,7 +127,7 @@ def compensator_measure(mu: MarkedMeasure) -> MarkedMeasure:
     """
     if mu.is_predictable_density:
         raise ValueError("input is already in density form")
-    counts = np.cumsum(mu.increments, axis=-1)
+    counts = running_sums(mu.increments)
     dens = time_increments(compensators(counts, mu.filtration))
     return MarkedMeasure(mu.filtration, dens, is_predictable_density=True)
 
@@ -177,7 +178,7 @@ def integrals(values, m: MarkedMeasure) -> np.ndarray:
     step = np.zeros(vals.shape[:-3] + vals.shape[-2:])
     for k in range(len(MARKS)):
         step += vals[..., k, :, :] * m.increments[k]
-    return np.cumsum(step, axis=-1)
+    return running_sums(step, out=step)
 
 
 def fundamental_martingales(

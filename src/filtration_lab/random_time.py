@@ -26,6 +26,7 @@ from .finite_space import (
     first_jump_time,
     max_gap,
     positive_sup,
+    running_sums,
     slice_expectations,
     stop_process,
 )
@@ -99,7 +100,7 @@ def compensator_via_azema(bundle: EnlargementBundle, azema: AdaptedProcess) -> A
             f"survival hit zero at t={t - 1} before tau on positive-probability atom {atom}"
         )
     inc = np.where(alive & (prev_a > 0.0), base_inc / np.where(prev_a > 0.0, prev_a, 1.0), 0.0)
-    return AdaptedProcess(bundle.g, np.cumsum(inc, axis=1))
+    return AdaptedProcess(bundle.g, running_sums(inc, out=inc))
 
 
 def cross_validation_gap(bundle: EnlargementBundle, azema: AdaptedProcess) -> float:

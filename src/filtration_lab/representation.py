@@ -39,6 +39,7 @@ from .finite_space import (
     max_gap,
     positive_sup,
     positive_sups,
+    running_sums,
     slice_expectations,
     slice_violation,
     stop_process,
@@ -48,7 +49,7 @@ from .jump_measure import MARKS, MarkedMeasure, fundamental_martingales
 
 #: relative singular-value cutoff for the nodewise least-squares solves
 SV_CUTOFF = 1e-12
-#: (atom, time) values per target chunk of a batched reconstruction
+#: (atom, time) values per chunk of a stack of (n, T+1) entries (the Thm 3.3 check's functions)
 _CHUNK = 1 << 13
 
 
@@ -142,8 +143,10 @@ def solve_batch(
     Every target's drift is checked by :func:`martingale_checks` (a failure
     names the first drifting target and the witness ``is_martingale`` gives
     for it) and the integrands' predictability once per batch.
-    Reconstructions are built one regressor at a time, in chunks of targets,
-    so that no (k, n, T+1) buffer beyond the kept ones is live.
+    Reconstructions are built one time slice at a time, for all targets at
+    once: each regressor's integral is one running (k, n) slice, added in the
+    order ``np.cumsum`` adds, and the targets' residuals are the running max
+    of their slices' gaps.
     """
     values = np.asarray(targets, dtype=float)
     regs = np.stack(regressors) if len(regressors) else np.zeros((0,) + values.shape[1:])
@@ -156,19 +159,21 @@ def solve_batch(
     if bad is not None:
         raise NotPredictable(f"integrand is not predictable at (t, block) = {bad}")
 
-    residual_sup = np.empty(len(values))
+    residual_sup = np.zeros(len(values))
     recons = np.empty_like(values) if keep_reconstructions else None
-    step = chunk_length(filtration)
-    for lo in range(0, len(values), step):
-        chunk = slice(lo, lo + step)
-        recon = np.repeat(values[chunk, :, :1], node_of.shape[1], axis=-1)
-        for c, d in zip(table, regs):
-            part = c[chunk, node_of]
-            part *= d
-            recon += np.cumsum(part, axis=-1, out=part)
-        residual_sup[chunk] = positive_sups(filtration.space, values[chunk] - recon)
+    running = [None] * len(regs)
+    for t in range(values.shape[-1]):
+        recon = values[:, :, 0].copy()
+        for j, (c, d) in enumerate(zip(table, regs)):
+            part = np.take(c, node_of[:, t], axis=1)
+            part *= d[:, t]
+            # slice 0 is the part itself, not 0 + part, which would turn a -0.0 into 0.0
+            running[j] = part if t == 0 else np.add(running[j], part, out=running[j])
+            recon += running[j]
+        gap = positive_sups(filtration.space, (values[:, :, t] - recon)[..., None])
+        np.maximum(residual_sup, gap, out=residual_sup)
         if recons is not None:
-            recons[chunk] = recon
+            recons[:, :, t] = recon
     integrands = table[:, :, node_of] if keep_integrands else None
     return BatchSolution(residual_sup, integrands, recons)
 
@@ -287,7 +292,7 @@ def independent_batch(
     brackets.append(quadratic_covariation(bundle.X, bundle.H).values)
     projected = dual_projections(brackets, filtration)
     orth_gap = max_gap(positive_sups(space, projected[:3]))
-    factor_gap = positive_sup(space, projected[3] - np.cumsum(dxp.values * dhp.values, axis=-1))
+    factor_gap = positive_sup(space, projected[3] - running_sums(dxp.values * dhp.values))
 
     # change of basis: each compensated jump part against the orthogonal
     # basis; the joint part picks up both predictable densities, the single
@@ -305,7 +310,7 @@ def independent_batch(
     probs = space.probs
     total = (values[..., -1] - values[..., 0]) ** 2 @ probs
     split = sum(
-        np.cumsum(k * d, axis=-1)[..., -1] ** 2 @ probs for k, d in zip(batch.integrands, deltas)
+        running_sums(k * d)[..., -1] ** 2 @ probs for k, d in zip(batch.integrands, deltas)
     )
 
     checks = {
@@ -365,4 +370,4 @@ def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProce
             for i, e in enumerate(vectors):
                 for c, (child, _) in enumerate(children):
                     incs[i][child, t] = e[c]
-    return [AdaptedProcess(filtration, np.cumsum(inc, axis=1)) for inc in incs]
+    return [AdaptedProcess(filtration, running_sums(inc, out=inc)) for inc in incs]

@@ -438,6 +438,27 @@ def oracle_residual_sup(y, integrands, regressors, probs):
     return float(np.abs(y - recon)[probs > 0.0].max())
 
 
+def oracle_chunked_reconstruction(values, regressors, node_of, table, probs, step):
+    """Residual sups and reconstructions of a solved batch, rebuilt ``step`` targets at a time.
+
+    Each regressor's integral is the ``np.cumsum`` of its parts along time,
+    added to the targets' time-0 values in regressor order, and a chunk's
+    residual is the largest |Y - recon| over positive atoms and all times.
+    """
+    residual_sup = np.empty(len(values))
+    recons = np.empty_like(values)
+    for lo in range(0, len(values), step):
+        chunk = slice(lo, lo + step)
+        recon = np.repeat(values[chunk, :, :1], node_of.shape[1], axis=-1)
+        for c, d in zip(table, regressors):
+            part = c[chunk, node_of]
+            part *= d
+            recon += np.cumsum(part, axis=-1, out=part)
+        residual_sup[chunk] = np.abs(values[chunk] - recon)[:, probs > 0.0].max(axis=(-2, -1))
+        recons[chunk] = recon
+    return residual_sup, recons
+
+
 def oracle_pinv_per_node(values, regressors, filtration, cutoff):
     """The nodewise solve one node at a time: one ``np.linalg.pinv`` per positive-mass node.
 

@@ -18,7 +18,7 @@ from filtration_lab.cli import (
     run_config,
     validate_config,
 )
-from filtration_lab.errors import ConfigInvalid
+from filtration_lab.errors import ConfigInvalid, NotMartingale
 from filtration_lab.finite_space import AdaptedProcess
 from filtration_lab import fixtures, suites
 from filtration_lab.suites import REGISTRY, SuiteContext, describe_suite, list_suites
@@ -427,6 +427,48 @@ class TestCommandLine:
         (row,) = [r for r in rows if r["name"] == "base_window_hit_rate_eps_0.1"]
         assert not row["passed"]
         assert row["evidence"]["n_paths"] == 0 and row["evidence"]["z_score"] == "nan"
+
+    def test_a_suite_that_raises_is_one_failing_row(self, tmp_path, capsys, monkeypatch):
+        spec = REGISTRY["wrp_representation"]
+
+        def raises(ctx):
+            raise NotMartingale("target 0 has nonzero drift at (1, 0, 0.5)")
+
+        monkeypatch.setitem(suites.REGISTRY, spec.name, dataclasses.replace(spec, fn=raises))
+        cfg = json.loads((CONFIG_DIR / "space_a_full.json").read_text())
+        cfg["suites"] = ["three_point_processes", spec.name, "filtration_identities"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"[FAIL] {spec.name}::raised" in err
+        report = json.loads((tmp_path / "r.json").read_text())
+        failed = [(c["suite"], c["name"], c["evidence"]) for c in report["checks"] if not c["passed"]]
+        evidence = {"error": "NotMartingale", "message": "target 0 has nonzero drift at (1, 0, 0.5)"}
+        assert failed == [(spec.name, "raised", evidence)]
+        # the suites around it still ran, and passed
+        assert report["checks"][0]["suite"] == "three_point_processes"
+        assert report["checks"][-1]["suite"] == "filtration_identities"
+        assert report["summary"]["failed"] == 1
+
+    @pytest.mark.parametrize("error", [ConfigInvalid, ValueError])
+    def test_a_suite_raising_anything_else_is_not_a_row(self, tmp_path, monkeypatch, error):
+        spec = REGISTRY["wrp_representation"]
+
+        def raises(ctx):
+            raise error("from inside the suite")
+
+        monkeypatch.setitem(suites.REGISTRY, spec.name, dataclasses.replace(spec, fn=raises))
+        cfg = dict(json.loads((CONFIG_DIR / "space_a_full.json").read_text()), suites=[spec.name])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        if error is ConfigInvalid:
+            assert main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
+        else:
+            with pytest.raises(ValueError, match="from inside the suite"):
+                main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert not (tmp_path / "r.json").exists()
 
     def test_suites_and_describe_commands(self):
         proc = _flab("suites")

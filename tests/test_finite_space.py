@@ -37,6 +37,7 @@ from filtration_lab.finite_space import (
     first_jump_time,
     is_adapted,
     is_predictable,
+    running_sums,
     slice_violation,
     stop_process,
     stop_values,
@@ -406,6 +407,46 @@ class TestTimeIncrements:
         v[2, :, 0] = -np.finfo(float).max
         self._assert_bitwise(v)
         assert not time_increments(v)[..., 0].any()
+
+
+class TestRunningSums:
+    @staticmethod
+    def _assert_bitwise(got, steps):
+        want = np.cumsum(steps, axis=-1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @staticmethod
+    def _steps(shape, seed):
+        """Normal draws across 16 decades, with a -0.0, +-inf and NaN scattered in; inf - inf makes more NaN."""
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        for special in (-0.0, np.inf, -np.inf, np.nan):
+            v[rng.random(shape) < 0.08] = special
+        # a -0.0 at time 0 stays -0.0 only if slice 0 is copied, not added to 0.0
+        v[..., 0][rng.random(shape[:-1]) < 0.3] = -0.0
+        return v
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    @pytest.mark.parametrize("lead", [(), (3,), (4, 2)])
+    def test_every_bit_is_cumsums(self, lead, width):
+        steps = self._steps(lead + (16, width), 10 * width + len(lead))
+        with np.errstate(invalid="ignore"):
+            self._assert_bitwise(running_sums(steps), steps)
+            self._assert_bitwise(running_sums(steps.tolist()), steps)
+            # in place, on the steps themselves
+            inplace = steps.copy()
+            assert running_sums(inplace, out=inplace) is inplace
+            self._assert_bitwise(inplace, steps)
+
+    def test_a_strided_out_view(self):
+        # as stochastic_integrals writes: columns 1.. of a zeroed stack, from a product the width of those columns
+        steps = self._steps((3, 16, 4), 7)
+        vals = np.zeros((3, 16, 5))
+        with np.errstate(invalid="ignore"):
+            running_sums(steps, out=vals[..., 1:])
+            self._assert_bitwise(vals[..., 1:], steps)
+        assert not vals[..., 0].any() and not np.signbit(vals[..., 0]).any()
 
 
 class TestStoppingTimes:

@@ -22,7 +22,9 @@ running ``x = max(x, gap)`` drops a NaN gap, and ``np.abs(gap).max()``, whole
 or along an axis, also reads the null atoms, so both are flagged; a stack of
 gaps is reduced entry by entry by ``positive_sups``.  A row's ``worst_*``
 value is built by ``suites._bounded``, so no call in ``suites`` passes a
-``worst_*`` keyword.
+``worst_*`` keyword.  The stacked exact kernels sum along time with
+``finite_space.running_sums``, which adds as ``np.cumsum`` does, one time
+slice at a time, so no ``cumsum`` call is left in them.
 """
 import ast
 from pathlib import Path
@@ -39,6 +41,9 @@ BLOCK_PRIMITIVES = ("conditional_expectation", "_block_violation")
 NOT_FINITE_SPACE = [p for p in ALL_MODULES if p.name != "finite_space.py"]
 #: a partition's per-block views, read only inside finite_space
 BLOCK_VIEWS = ("blocks", "_first_atom")
+
+#: the modules whose kernels sum along time with ``running_sums``
+RUNNING_SUM_MODULES = [PACKAGE / f"{name}.py" for name in ("calculus", "jump_measure", "representation", "random_time")]
 
 #: (function, parameter) -> why it keeps a default no program call overrides
 UNPASSED_ALLOWED = {
@@ -148,6 +153,15 @@ def worst_keywords(source: str) -> list:
         if isinstance(node, ast.Call)
         for kw in node.keywords
         if kw.arg is not None and kw.arg.startswith("worst_")
+    )
+
+
+def cumsum_calls(source: str) -> list:
+    """Line of every ``cumsum`` call, as a function (``np.cumsum(x)``) or a method (``x.cumsum()``)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "cumsum"
     )
 
 
@@ -348,6 +362,22 @@ def test_the_scan_finds_a_worst_keyword():
 
 def test_every_worst_value_is_built_by_the_row_builder():
     assert worst_keywords((PACKAGE / "suites.py").read_text()) == []
+
+
+def test_the_scan_finds_a_cumsum():
+    source = (
+        "a = np.cumsum(x, axis=-1)\n"
+        "b = x.cumsum(axis=1)\n"
+        "c = numpy.cumsum(\n"
+        "    x, out=y)\n"
+        "d = running_sums(x), np.add.accumulate(x), cumsum\n"
+    )
+    assert cumsum_calls(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", RUNNING_SUM_MODULES, ids=[p.name for p in RUNNING_SUM_MODULES])
+def test_the_stacked_kernels_sum_along_time_with_running_sums(path):
+    assert cumsum_calls(path.read_text()) == []
 
 
 def test_the_scan_finds_an_unpassed_parameter():

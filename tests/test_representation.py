@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    oracle_chunked_reconstruction,
     oracle_independence_violation,
     oracle_nodewise_lstsq,
     oracle_pinv_per_node,
@@ -519,6 +520,37 @@ class TestBatchedKernel:
             assert abs(sol.checks["pythagoras_gap"] - checks["pythagoras_gap"][i]) <= 1e-12
             for key in ("basis_orthogonality_gap", "basis_identity_gap", "bracket_factorisation_gap"):
                 assert sol.checks[key] == checks[key]
+
+
+class TestSliceReconstruction:
+    """The reconstructions and residuals built slice by slice have the bits of the chunked build."""
+
+    @pytest.mark.parametrize("kind", ["wrp", "triple", "rank_deficient"])
+    @pytest.mark.parametrize("k", [1, 7, 100])
+    @pytest.mark.parametrize("tree", ["large_tree", "space_a", "null_atoms"])
+    def test_matches_the_chunked_reconstruction(self, tree, k, kind):
+        rng = np.random.default_rng(k)
+        b = _large_tree(11) if tree == "large_tree" else fixtures.space_a()
+        if tree == "null_atoms":
+            b = _bundle_with_null_atoms(rng, b)
+        regs = np.stack(_regressor_family(kind, b))
+        # a -0.0 time-0 column everywhere, and a target starting at -0.0: its time-0 reconstruction
+        # stays -0.0 only if each running integral starts as its part, not as 0 + part
+        regs[:, :, 0] = -0.0
+        ys = martingale_closures(rng.normal(size=(k, b.space.n_atoms)), b.g)
+        ys[0] = -(ys[0] - ys[0, :, :1])
+        if tree == "null_atoms":
+            ys[:, b.space.null_atoms[0]] = np.nan
+        batch = solve_batch(ys, list(regs), b.g, keep_reconstructions=True)
+        node_of, table = representation._nodewise_solve(ys, regs, b.g)
+        step = representation.chunk_length(b.g)
+        residual_sup, recons = oracle_chunked_reconstruction(ys, regs, node_of, table, b.space.probs, step)
+        assert batch.residual_sup.tobytes() == residual_sup.tobytes()
+        assert batch.reconstructions.tobytes() == recons.tobytes()
+        assert np.signbit(recons[0, b.space.positive, 0]).all()
+        if tree == "null_atoms":
+            assert np.isnan(recons[:, b.space.null_atoms[0]]).all()
+            assert not np.isnan(residual_sup).any()
 
 
 class TestUnionSolves:
