@@ -187,6 +187,11 @@ class SegmentedToolkit:
     predictable_jump_product: np.ndarray
     bar_moves: np.ndarray
 
+    def first_move(self) -> tuple[int, int] | None:
+        """(time, atom) at which [Ybar,Zbar]^p first moves: earliest t, then lowest atom; None if it never does."""
+        moves = np.argwhere(self.bar_moves.T)
+        return (int(moves[0, 0]), int(moves[0, 1])) if len(moves) else None
+
     def clauses_at(self, i: int) -> dict:
         """Segment i's clauses as a lone pair reports them (the disjoint-jumps ones only if its jumps are)."""
         disjoint_only = ("disjoint_zero", "disjoint_predictable")
@@ -211,14 +216,11 @@ def orthogonality_report(y: AdaptedProcess, z: AdaptedProcess) -> OrthogonalityR
     """
     toolkit = orthogonality_segments(y, z, [0])
     filt = y.filtration
-    # (time, atom) at which the compensated bracket's compensator first moves: earliest t, then lowest atom
-    moves = np.argwhere(toolkit.bar_moves.T)
-    witness = (int(moves[0, 0]), int(moves[0, 1])) if len(moves) else None
     return OrthogonalityReport(
         bracket_compensators=AdaptedProcess(filt, toolkit.bracket_compensators),
         bracket_bar=AdaptedProcess(filt, toolkit.bracket_bar),
         is_orthogonal=bool(toolkit.orthogonal[0]),
-        witness=witness,
+        witness=toolkit.first_move(),
         predictable_jump_product=toolkit.predictable_jump_product,
         clauses=toolkit.clauses_at(0),
         jumps_disjoint=bool(toolkit.jumps_disjoint[0]),

@@ -22,8 +22,9 @@ import sys
 
 from . import __version__
 from .enlargement import build_bundle
-from .errors import ConfigInvalid, FiltrationLabError, UnknownSuite
+from .errors import BadParameter, ConfigInvalid, FiltrationLabError, UnknownSuite
 from .fixtures import bundle_by_name
+from .montecarlo import path_block
 from .serialize import (
     BUNDLE_SCHEMA,
     CONFIG_SCHEMA,
@@ -170,7 +171,13 @@ def _mc_params(config: dict) -> McParams:
         else:
             value = _positive_number(value, f"mc.{key}")
         params["lam" if key == "lambda" else key] = value
-    return McParams(**params)
+    mc = McParams(**params)
+    try:
+        # the simulation holds max(n_paths, 1000) paths, which can be simulated iff n_paths can
+        path_block(mc.lam, mc.t_real, mc.n_paths)
+    except BadParameter as exc:
+        raise ConfigInvalid(f"mc.lambda, mc.t_real and mc.n_paths cannot be simulated: {exc}") from exc
+    return mc
 
 
 def run_config(config: dict, parallel: int = 1, seed_override: int | None = None) -> dict:

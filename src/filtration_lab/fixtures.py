@@ -169,7 +169,7 @@ def random_bundle(rng: np.random.Generator, max_atoms: int = 6, max_horizon: int
     return random_pair_bundle(random_pair_draw(rng, max_atoms, max_horizon), "random")
 
 
-def random_pair_draw(rng: np.random.Generator, max_atoms: int, max_horizon: int) -> tuple:
+def random_pair_draw(rng: np.random.Generator, max_atoms: int = 6, max_horizon: int = 3) -> tuple:
     """The draws of one :func:`random_bundle`, in its order: (probs, dX, dH, initial labels or None)."""
     probs = random_space_probs(rng, max_atoms)
     n = probs.size
@@ -187,34 +187,38 @@ def random_pair_bundle(draw: tuple, name: str) -> EnlargementBundle:
     return build_bundle(build_space(probs), _paths_from_jumps(dx), _paths_from_jumps(dh), initial=initial, name=name)
 
 
-def random_pair_unions(rng: np.random.Generator, n_pairs: int) -> list[tuple]:
-    """The pairs of ``n_pairs`` :func:`random_bundle` calls, as one :func:`pair_union` per horizon present (ascending).
+def random_pair_unions(rng: np.random.Generator, n_pairs: int, draw=random_pair_draw) -> list[tuple]:
+    """The pairs of ``n_pairs`` ``draw(rng)`` calls, as one :func:`pair_union` per horizon present (ascending).
 
-    The rng is drawn exactly as those calls draw it.
+    ``draw`` is :func:`random_pair_draw` (the pairs of :func:`random_bundle`)
+    or :func:`random_time_draw` (those of :func:`random_random_time_bundle`);
+    the rng is drawn exactly as the lone builder's calls draw it.
     """
     by_horizon: dict = {}
     for i in range(n_pairs):
-        draw = random_pair_draw(rng, 6, 3)
-        by_horizon.setdefault(draw[1].shape[1], []).append((i, draw))
+        pair = draw(rng)
+        by_horizon.setdefault(pair[1].shape[1], []).append((i, pair))
     return [pair_union(*zip(*by_horizon[horizon])) for horizon in sorted(by_horizon)]
 
 
 def pair_union(pairs, draws) -> tuple:
-    """The :func:`random_pair_draw` ``draws`` of one horizon as one disjoint-union bundle: (bundle, starts, pairs).
+    """The pair ``draws`` of one horizon as one disjoint-union bundle: (bundle, starts, pairs, exponent).
 
     Segment i of ``starts`` holds the draw with id ``pairs[i]``; the last
     segment is the filler atom.  With k pairs every probability is scaled by
-    4^-m, the least power of four above k, which is exact.  So every block
-    average rounds as in the lone pair, and so does a nodewise solve, which
-    weights by sqrt(p): sqrt(4^-m p) is 2^-m sqrt(p) exactly, where an odd
-    power of two would round.  The filler takes the remaining mass, with
-    X = H = 0 and a block of its own.  The initial sigma-field labels an atom
-    (pair id, the pair's own initial label): the paper's initial enlargement,
-    so the union's filtrations split pair by pair.
+    2^exponent = 4^-m, the least power of four above k, which is exact.  So
+    every block average rounds as in the lone pair, a block mass is the lone
+    one times 2^exponent exactly, and a nodewise solve, which weights by
+    sqrt(p), rounds as alone too: sqrt(4^-m p) is 2^-m sqrt(p) exactly, where
+    an odd power of two would round.  The filler takes the remaining mass,
+    with X = H = 0 and a block of its own.  The initial sigma-field labels an
+    atom (pair id, the pair's own initial label): the paper's initial
+    enlargement, so the union's filtrations split pair by pair.
     """
     probs, dx, dh, initial = zip(*draws)
     initial = [own or [0] * p.size for own, p in zip(initial, probs)]
-    probs = np.ldexp(np.concatenate(probs), -2 * ((len(draws).bit_length() + 1) // 2))
+    exponent = -2 * ((len(draws).bit_length() + 1) // 2)
+    probs = np.ldexp(np.concatenate(probs), exponent)
     filler = np.zeros((1, dx[0].shape[1]), dtype=np.int64)
     bundle = build_bundle(
         build_space(np.append(probs, 1.0 - probs.sum())),
@@ -223,7 +227,7 @@ def pair_union(pairs, draws) -> tuple:
         initial=Partition.from_labels([(i, lab) for i, own in zip(pairs, initial) for lab in own] + [None]),
         name="random_pairs",
     )
-    return bundle, np.cumsum([0] + [len(own) for own in initial]), tuple(pairs)
+    return bundle, np.cumsum([0] + [len(own) for own in initial]), tuple(pairs), exponent
 
 
 def random_predictable_values(rng: np.random.Generator, filtration: Filtration) -> np.ndarray:
@@ -249,6 +253,7 @@ def random_predictable_stack(rng: np.random.Generator, filtration: Filtration, c
 
 
 def random_random_time_bundle(rng: np.random.Generator) -> EnlargementBundle:
+    """A random time on a random space, built through ``random_time_bundle``: the oracle of :func:`random_time_draw`."""
     probs = random_space_probs(rng)
     space = build_space(probs)
     n = space.n_atoms
@@ -257,3 +262,16 @@ def random_random_time_bundle(rng: np.random.Generator) -> EnlargementBundle:
     choices = np.arange(1, horizon + 1).tolist() + [NEVER]
     tau = np.array([choices[int(rng.integers(0, len(choices)))] for _ in range(n)], dtype=np.int64)
     return random_time_bundle(space, _paths_from_jumps(dx), tau, name="random")
+
+
+def random_time_draw(rng: np.random.Generator) -> tuple:
+    """The draws of one :func:`random_random_time_bundle`, in its order, as a pair draw (probs, dX, dH, None).
+
+    tau is drawn per atom from {1..T, NEVER}; dH jumps once, at tau (never for NEVER).
+    """
+    probs = random_space_probs(rng)
+    horizon = int(rng.integers(1, 4))
+    dx = rng.integers(0, 2, (probs.size, horizon))
+    # row j < T of the (T+1, T) identity is a jump at tau = j + 1; its last row, NEVER, is no jump
+    dh = np.eye(horizon + 1, horizon, dtype=np.int64)[[int(rng.integers(0, horizon + 1)) for _ in range(probs.size)]]
+    return probs, dx, dh, None

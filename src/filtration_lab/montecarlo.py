@@ -93,12 +93,23 @@ def exact_check(name: str, estimate: float, expected: float, n: int) -> CheckRes
     )
 
 
+def path_block(lam: float, t_real: float, n_paths: int) -> int:
+    """The block size of ``n_paths`` paths at rate ``lam`` on [0, ``t_real``]; BadParameter if they cannot be simulated.
+
+    Path p keys its own stream (seed, p) and the main stream is keyed
+    (seed, 2^64 - 1), so there are at most 2^64 - 2 paths.
+    """
+    if not 1 <= n_paths < _MAIN_STREAM:
+        raise BadParameter(f"need 1 to 2^64 - 2 paths, not {n_paths}")
+    return _block_size(lam, t_real)
+
+
 def _block_size(lam: float, t_real: float) -> int:
     """Inter-arrival times in a path's slice of the main stream: 5 standard
     deviations above the mean count, plus 5 (at least 16), so a path falls back
     to its own stream with probability about 3e-7 or less at every rate."""
-    if not (0.0 < lam < math.inf and 0.0 < t_real < math.inf):
-        raise BadParameter("rate and horizon must be positive and finite")
+    if not (0.0 < lam < math.inf and 0.0 < t_real < math.inf and lam * t_real < math.inf):
+        raise BadParameter("rate, horizon and their product must be positive and finite")
     return max(16, int(lam * t_real + 5.0 * math.sqrt(lam * t_real) + 5.0))
 
 
@@ -236,9 +247,7 @@ def simulate_path_set(lam: float, t_real: float, n_paths: int, seed: int) -> Pat
     ``t_real`` takes the rest of its events from ``_continuation`` on its own
     stream, in rows added below.
     """
-    if not 1 <= n_paths < _MAIN_STREAM:
-        raise BadParameter(f"need 1 to 2^64 - 2 paths, not {n_paths}")
-    block = _block_size(lam, t_real)
+    block = path_block(lam, t_real, n_paths)
     stream = _stream(seed, _MAIN_STREAM)
     draws = np.empty((min(_CHUNK, n_paths), block + 1))
     table = np.empty((block, n_paths))

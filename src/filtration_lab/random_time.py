@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, TauAtZero, VanishingAzema
-from .calculus import compensator, dual_projection, orthogonality_report, quadratic_covariation
+from .calculus import compensator, dual_projection, orthogonality_segments, quadratic_covariation
 from .enlargement import EnlargementBundle, build_bundle
 from .finite_space import (
     EXACT_TOL,
@@ -27,6 +27,7 @@ from .finite_space import (
     max_gap,
     positive_sup,
     running_sums,
+    segment_sups,
     slice_expectations,
     stop_process,
 )
@@ -215,8 +216,31 @@ def orthogonality_suite(bundle: EnlargementBundle) -> OrthogonalityStudy:
     For each pair among the three disjoint counting parts (and the first one
     stopped at tau), checks that orthogonality of the compensated versions
     matches the no-common-predictable-jump surrogate, which is the exact
-    discrete equivalence.  The continuity-based sufficient conditions live in
-    the Monte Carlo engine.
+    discrete equivalence: the bundle as the one segment of
+    :func:`surrogate_segments`.  The continuity-based sufficient conditions
+    live in the Monte Carlo engine.
+    """
+    pairs = tuple(
+        PairStudy(
+            name=label,
+            orthogonal=bool(toolkit.orthogonal[0]),
+            consistent=bool(consistent[0]),
+            witness=toolkit.first_move(),
+        )
+        for label, toolkit, consistent in surrogate_segments(bundle, [0])
+    )
+    return OrthogonalityStudy(pairs=pairs, multiplicity=multiplicity(bundle.g))
+
+
+def surrogate_segments(bundle: EnlargementBundle, starts) -> list[tuple]:
+    """(name, toolkit, consistent) for each pair of :func:`orthogonality_suite`, on each segment of atoms.
+
+    ``consistent[i]`` says whether segment i's orthogonality verdict matches
+    its surrogate, the sup of the predictable jump product over the segment.
+    On a disjoint union of random times each segment reports what its random
+    time reports alone.  A reduction over the whole union would not do: it
+    would read one random time's common predictable jump against another's
+    orthogonal verdict.
     """
     y1, y2, y3 = joint_decomposition(bundle.X, bundle.H)
     y1_stopped = stop_process(y1, tau_of(bundle))
@@ -227,16 +251,9 @@ def orthogonality_suite(bundle: EnlargementBundle) -> OrthogonalityStudy:
         ("stopped_part1_vs_part2", y1_stopped, y2),
         ("stopped_part1_vs_joint", y1_stopped, y3),
     ]
-    pairs = []
+    out = []
     for label, a, b in named:
-        rep = orthogonality_report(a, b)
-        surrogate = positive_sup(bundle.g.space, rep.predictable_jump_product) <= EXACT_TOL
-        pairs.append(
-            PairStudy(
-                name=label,
-                orthogonal=rep.is_orthogonal,
-                consistent=rep.is_orthogonal == surrogate,
-                witness=rep.witness,
-            )
-        )
-    return OrthogonalityStudy(pairs=tuple(pairs), multiplicity=multiplicity(bundle.g))
+        toolkit = orthogonality_segments(a, b, starts)
+        surrogate = segment_sups(bundle.g.space, toolkit.predictable_jump_product, starts) <= EXACT_TOL
+        out.append((label, toolkit, toolkit.orthogonal == surrogate))
+    return out

@@ -333,14 +333,30 @@ def independent_decomposition(
     return _solve_one(("K1", "K2", "K3"), y, None, bundle.g, batch=batch, checks=checks)
 
 
-def _spanning_number(nodes) -> int:
-    """Max positive-probability branching of the ``_nodes`` walked, minus one."""
-    return max((len(children) for *_, children in nodes), default=1) - 1
-
-
 def multiplicity(filtration: Filtration) -> int:
     """Spanning number of the tree: max positive-probability branching minus one."""
-    return _spanning_number(_nodes(filtration))
+    return int(spanning_numbers(filtration, [0])[0])
+
+
+def spanning_numbers(filtration: Filtration, starts) -> np.ndarray:
+    """The spanning number of each segment of atoms: its nodes' max positive-probability branching minus one.
+
+    Segment i is the atoms from ``starts[i]`` up to the next start (the last
+    runs to n); a node counts in the segment of its first child's first atom,
+    and a segment with no node gets 0.  On a disjoint union whose initial
+    sigma-field separates the segments, segment i's number is its pair's
+    alone; the union's own maximum would hide a pair whose number is off.
+    """
+    return _spanning_numbers(_nodes(filtration), starts)
+
+
+def _spanning_numbers(nodes, starts) -> np.ndarray:
+    """:func:`spanning_numbers` of the ``_nodes`` walked."""
+    out = np.zeros(len(starts), dtype=np.int64)
+    for *_, children in nodes:
+        segment = np.searchsorted(starts, children[0][0][0], side="right") - 1
+        out[segment] = max(out[segment], len(children) - 1)
+    return out
 
 
 def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProcess]:
@@ -353,7 +369,8 @@ def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProce
     every martingale nodewise.
     """
     nodes = list(_nodes(filtration))
-    incs = [np.zeros((filtration.space.n_atoms, filtration.horizon + 1)) for _ in range(_spanning_number(nodes))]
+    size = int(_spanning_numbers(nodes, [0])[0])
+    incs = [np.zeros((filtration.space.n_atoms, filtration.horizon + 1)) for _ in range(size)]
     for t, mass, children in nodes:
         k = len(children)
         if k > 1:

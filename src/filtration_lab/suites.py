@@ -77,6 +77,7 @@ from .random_time import (
     cross_validation_gap,
     orthogonality_suite,
     supermartingale_gap,
+    surrogate_segments,
     survival,
     tau_of,
 )
@@ -92,6 +93,7 @@ from .representation import (
     solve_prp,
     solve_triple,
     solve_wrp,
+    spanning_numbers,
     triple_regressors,
     wrp_regressors,
 )
@@ -153,6 +155,17 @@ def _random_closures(rng: np.random.Generator, filtration, count: int) -> np.nda
     """``count`` random closure targets, all drawn before any is solved."""
     n = filtration.space.n_atoms
     return martingale_closures(rng.normal(size=(count, n)), filtration)
+
+
+def _union_targets(rng: np.random.Generator, unions: list, count: int) -> list:
+    """``count`` random targets per union: each drawn fixture's (count, n) is one ``rng.normal`` call, in id order,
+    straight into its segment, as ``_random_closures`` draws them for the lone fixtures; the filler's target is 0."""
+    targets = [np.zeros((count, b.space.n_atoms)) for b, *_ in unions]
+    spans = sorted((i, u, starts[j], starts[j + 1]) for u, (_, starts, pairs, _) in enumerate(unions)
+                   for j, i in enumerate(pairs))
+    for _, u, start, stop in spans:
+        targets[u][:, start:stop] = rng.normal(size=(count, stop - start))
+    return targets
 
 
 def _rep_fixtures(ctx: SuiteContext) -> list:
@@ -253,7 +266,7 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("decomposition")
     bundles = _rep_fixtures(ctx) + [fixtures.avoidance_trinomial()]
-    bundles += [fixtures.random_bundle(rng) for _ in range(10)]
+    bundles += [b for b, *_ in fixtures.random_pair_unions(rng, 10)]  # one union of the random pairs per horizon
     brackets, recons, thirds = [], [], {}
     for b in bundles:
         y1, y2, y3 = joint_decomposition(b.X, b.H)  # validates counting-path shape
@@ -375,9 +388,11 @@ def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
         initial=Partition.discrete(fine.space.n_atoms),
         name="space_a_full_initial",
     )
-    bundles = _rep_fixtures(ctx) + [h_only, fine_r] + [fixtures.random_bundle(rng) for _ in range(5)]
-    all_ok = all(verify_filtration_identities(b).ok for b in bundles)
-    checks.append(_check("enlargement_identities", all_ok, bundles=len(bundles)))
+    named = _rep_fixtures(ctx) + [h_only, fine_r]
+    n_random = 5
+    unions = [b for b, *_ in fixtures.random_pair_unions(rng, n_random)]  # one union of the random pairs per horizon
+    all_ok = all(verify_filtration_identities(b).ok for b in named + unions)
+    checks.append(_check("enlargement_identities", all_ok, bundles=len(named) + n_random))
 
     full = all(
         p.n_blocks == fine.space.n_atoms - len(fine.space.null_atoms)
@@ -474,13 +489,14 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     residuals = []
-    rt_bundles = [fixtures.staggered(), fixtures.avoidance_trinomial()]
-    rt_bundles += [fixtures.random_random_time_bundle(rng) for _ in range(5)]
-    for rb in rt_bundles:
+    # the random times as one union per horizon, each random time's targets drawn into its segment
+    unions = fixtures.random_pair_unions(rng, 5, fixtures.random_time_draw)
+    stopped = [(rb, _random_closures(rng, rb.g, 20)) for rb in (fixtures.staggered(), fixtures.avoidance_trinomial())]
+    stopped += [(b, martingale_closures(ys, b.g)) for (b, *_), ys in zip(unions, _union_targets(rng, unions, 20))]
+    for rb, ys in stopped:
         st = tau_of(rb)
         regs = triple_regressors(*fundamental_martingales(rb.X, rb.H), stop_at=st)
-        sol = solve_batch(stop_values(_random_closures(rng, rb.g, 20), st), regs, rb.g)
-        residuals.append(sol.residual_sup)
+        residuals.append(solve_batch(stop_values(ys, st), regs, rb.g).residual_sup)
     checks.append(_bounded("stopped_representation", {"worst_residual": (EXACT_TOL, *residuals)}))
     return checks
 
@@ -496,13 +512,7 @@ def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
     unions = fixtures.random_pair_unions(rng, n_random)
     named = _rep_fixtures(ctx)
     problems = [(b, _random_closures(rng, b.g, count)) for b in named]
-    targets = [np.zeros((count, b.space.n_atoms)) for b, _, _ in unions]  # the filler's target is 0
-    # each random space's (count, n) targets, drawn in id order straight into its segment
-    spans = sorted((i, u, starts[j], starts[j + 1]) for u, (_, starts, pairs) in enumerate(unions)
-                   for j, i in enumerate(pairs))
-    for _, u, start, stop in spans:
-        targets[u][:, start:stop] = rng.normal(size=(count, stop - start))
-    problems += [(b, martingale_closures(ys, b.g)) for (b, _, _), ys in zip(unions, targets)]
+    problems += [(b, martingale_closures(ys, b.g)) for (b, *_), ys in zip(unions, _union_targets(rng, unions, count))]
     residuals = []
     for b, ys in problems:
         mu = jump_measure(b.X, b.H)
@@ -612,10 +622,11 @@ def suite_multiplicity(ctx: SuiteContext) -> list[CheckResult]:
             )
         )
 
-    ok = True
-    for _ in range(10):
-        b = fixtures.random_bundle(rng)
-        ok = ok and multiplicity(b.g) >= multiplicity(b.f)
+    # pair by pair: one union's maximum would hide a pair whose G branches less than its F
+    ok = all(
+        (spanning_numbers(b.g, starts) >= spanning_numbers(b.f, starts)).all()
+        for b, starts, _, _ in fixtures.random_pair_unions(rng, 10)
+    )
     checks.append(_check("monotone_under_refinement", ok))
     return checks
 
@@ -630,19 +641,23 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
     two_step = fixtures.two_step_independent_random_time()
     announced = fixtures.announced_tau_random_time()
     never = fixtures.never_random_time()
-    bundles = [two_step, announced, never, fixtures.staggered(), fixtures.avoidance_trinomial()]
-    bundles += [fixtures.random_random_time_bundle(rng) for _ in range(20)]
-    azemas = [survival(rb) for rb in bundles]  # two_step's and never's are reused below
+    named = [two_step, announced, never, fixtures.staggered(), fixtures.avoidance_trinomial()]
+    n_random = 20
+    # the random times as one union per horizon: a union's block masses are its random times' times
+    # 2^exponent exactly, so its consistency gap is scaled back by 2^-exponent
+    unions = fixtures.random_pair_unions(rng, n_random, fixtures.random_time_draw)
+    bundles = [(rb, 0) for rb in named] + [(b, exponent) for b, _, _, exponent in unions]
+    azemas = [survival(rb) for rb, _ in bundles]  # two_step's and never's are reused below
     cross, consistency, rise = [], [], []
-    for rb, azema in zip(bundles, azemas):
+    for (rb, exponent), azema in zip(bundles, azemas):
         cross.append(cross_validation_gap(rb, azema))
-        consistency.append(azema_consistency_gap(rb, azema))
+        consistency.append(np.ldexp(azema_consistency_gap(rb, azema), -exponent))
         rise.append(supermartingale_gap(rb, azema))
     checks.append(
         _bounded(
             "survival_formula_matches_direct_compensator",
             {"worst_gap": (EXACT_TOL, cross)},
-            bundles=len(bundles),
+            bundles=len(named) + n_random,
         )
     )
     checks.append(
@@ -719,17 +734,20 @@ def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
 def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("rt_orth")
-    bundles = [
-        fixtures.staggered(),
-        fixtures.avoidance_trinomial(),
-        fixtures.two_step_independent_random_time(),
-    ] + [fixtures.random_random_time_bundle(rng) for _ in range(5)]
-    studies = [orthogonality_suite(rb) for rb in bundles]
+    named = [fixtures.staggered(), fixtures.avoidance_trinomial(), fixtures.two_step_independent_random_time()]
+    n_random = 5
+    studies = [orthogonality_suite(rb) for rb in named]
+    # the random times as one union per horizon, each random time one segment of its surrogate checks
+    consistent = all(study.all_consistent for study in studies) and all(
+        ok.all()
+        for b, starts, _, _ in fixtures.random_pair_unions(rng, n_random, fixtures.random_time_draw)
+        for _, _, ok in surrogate_segments(b, starts)
+    )
     checks.append(
         _check(
             "orthogonality_matches_predictable_jump_surrogate",
-            all(study.all_consistent for study in studies),
-            bundles=len(bundles),
+            consistent,
+            bundles=len(named) + n_random,
         )
     )
 
@@ -769,7 +787,7 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     clause_ok = True
     identity_gaps = []
     # one pass per horizon: the pairs as segments of a disjoint-union bundle, the filler segment last
-    for bundle, starts, pairs in fixtures.random_pair_unions(ctx.rng("toolkit"), n_pairs):
+    for bundle, starts, pairs, _ in fixtures.random_pair_unions(ctx.rng("toolkit"), n_pairs):
         toolkit = orthogonality_segments(bundle.X, bundle.H, starts)
         k = len(pairs)
         clause_ok = clause_ok and all(v[:k].all() for v in toolkit.clauses.values())

@@ -443,7 +443,7 @@ class TestSegmentedToolkit:
         rng = np.random.default_rng(seed)
         lone = [fixtures.random_bundle(rng) for _ in range(60)]
         covered = set()
-        for b, starts, pairs in fixtures.random_pair_unions(np.random.default_rng(seed), 60):
+        for b, starts, pairs, _ in fixtures.random_pair_unions(np.random.default_rng(seed), 60):
             toolkit = orthogonality_segments(b.X, b.H, starts)
             for j, i in enumerate(pairs):
                 pair = lone[i]
@@ -465,7 +465,7 @@ class TestSegmentedToolkit:
         coins = (np.full(4, 0.25), np.array([[0], [0], [1], [1]]), np.array([[0], [1], [0], [1]]), None)
         a2 = (np.array([0.3, 0.5, 0.2]), np.array([[1], [0], [0]]), np.array([[0], [1], [0]]), None)
         for draws in ((coins, a2), (a2, coins)):
-            union, starts, _ = fixtures.pair_union([0, 1], draws)
+            union, starts, _, _ = fixtures.pair_union([0, 1], draws)
             toolkit = orthogonality_segments(union.X, union.H, starts)
             for j, draw in enumerate(draws):
                 alone = fixtures.random_pair_bundle(draw, "alone")

@@ -155,6 +155,24 @@ class TestBadMcInput:
         assert err.startswith("error: invalid config: mc.") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "mc",
+        # lambda * t_real overflows to inf; the largest n_paths would key a path with the main stream's key
+        [{"lambda": 1e200, "t_real": 1e200}, {"n_paths": 2**64 - 1}],
+        ids=["lambda_t_real_overflows", "n_paths_2^64-1"],
+    )
+    def test_exit_two_when_the_paths_cannot_be_simulated(self, tmp_path, capsys, mc):
+        cfg = _small_mc_config()
+        cfg["mc"].update(mc)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: invalid config: mc.lambda, mc.t_real and mc.n_paths cannot be simulated")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_absent_keys_keep_the_mc_defaults(self):
         assert _mc_params({"engine": "mc"}) == suites.McParams()
         given = {"mc": {"lambda": 2, "epsilons": [0.5]}}
@@ -543,12 +561,39 @@ def _nan_segment_gap(entry):
     return poison
 
 
-def _toolkit_slot(pair):
-    """(union pass, segment) that holds the toolkit's drawn pair ``pair`` on the bundled space_a_full config."""
+def _nan_atoms(atoms):
+    """A process whose values on ``atoms`` (one segment of a union) are NaN."""
+
+    def poison(process):
+        values = process.values.copy()
+        values[atoms] = math.nan
+        return AdaptedProcess(process.filtration, values)
+
+    return poison
+
+
+def _drawn_slot(salt, n_drawn, fixture, draw=fixtures.random_pair_draw, normals_before=0):
+    """(union, segment, its atoms) holding the ``fixture``-th of the ``n_drawn`` fixtures that a suite draws with
+    ``draw`` from its rng ``salt``, as one union per horizon, after ``normals_before`` normal draws of that rng,
+    on the bundled space_a_full config."""
     seed = json.loads((CONFIG_DIR / "space_a_full.json").read_text())["seed"]
-    unions = fixtures.random_pair_unions(SuiteContext(seed=seed).rng("toolkit"), 200)
-    (slot,) = [(call, pairs.index(pair)) for call, (_, _, pairs) in enumerate(unions) if pair in pairs]
-    return slot
+    rng = SuiteContext(seed=seed).rng(salt)
+    rng.normal(size=normals_before)
+    unions = fixtures.random_pair_unions(rng, n_drawn, draw)
+    ((union, segment, starts),) = [
+        (u, pairs.index(fixture), starts) for u, (_, starts, pairs, _) in enumerate(unions) if fixture in pairs
+    ]
+    return union, segment, slice(starts[segment], starts[segment + 1])
+
+
+#: the union passes holding the first and the last of azema_compensator's 20 random times (after
+#: its 5 named ones), and of triple_representation's 5 stopped ones (after its 3 fixtures x 3
+#: solves and 2 named stopped solves; drawn after the 100 targets of each of its 3 fixtures)
+AZEMA_DRAWN = tuple(5 + _drawn_slot("azema", 20, i, fixtures.random_time_draw)[0] for i in (0, 19))
+_TRIPLE_TARGETS = 100 * sum(b.space.n_atoms for b in (fixtures.space_a(), fixtures.fixture_a2(), fixtures.staggered()))
+STOPPED_DRAWN = tuple(
+    11 + _drawn_slot("triple", 5, i, fixtures.random_time_draw, _TRIPLE_TARGETS)[0] for i in (0, 4)
+)
 
 
 def _nan_independent(key):
@@ -566,33 +611,43 @@ def _nan_independent(key):
 #: (suite, gap source in its namespace) -> calls the suite makes on the bundled space_a_full config
 NAN_SOURCE_CALLS = {
     ("prp_base_filtration", "solve_batch"): 2,
-    ("three_point_processes", "quadratic_covariation"): 42,  # 3 pairs x 14 bundles
+    # 3 pairs x (4 named bundles + one union of the 10 random pairs per horizon)
+    ("three_point_processes", "quadratic_covariation"): 21,
     # one chunk of 100 functions per fixture x 3 fixtures
     ("jump_measure_compensator", "martingale_checks"): 3,
     ("jump_measure_compensator", "stochastic_integrals"): 9,  # 3 marks x 3 chunks
     ("jump_measure_compensator", "quadratic_covariation"): 3,
     ("wrp_representation", "solve_batch"): 3,
-    # 3 fixtures x (triple head, triple rest, measure-form head), then 7 stopped
-    ("triple_representation", "solve_batch"): 16,
+    # 3 fixtures x (triple head, triple rest, measure-form head), then 2 named stopped
+    # and one union of the 5 random times per horizon
+    ("triple_representation", "solve_batch"): 13,
     # 2 families x (3 named spaces + one union of the 50 random spaces per horizon)
     ("completeness_random_spaces", "solve_batch"): 12,
     ("independent_enlargement", "independent_batch"): 1,
-    ("azema_compensator", "cross_validation_gap"): 25,
-    ("azema_compensator", "azema_consistency_gap"): 25,
-    ("azema_compensator", "supermartingale_gap"): 25,
+    # 5 named random times + one union of the 20 random ones per horizon
+    ("azema_compensator", "cross_validation_gap"): 8,
+    ("azema_compensator", "azema_consistency_gap"): 8,
+    ("azema_compensator", "supermartingale_gap"): 8,
     ("orthogonality_toolkit", "orthogonality_segments"): 3,  # one union of the 200 random pairs per horizon
 }
 
 #: every exact row that reports a worst_* value: (suite, row, evidence key, gap source, poison,
 #: the source's 0-based calls on the row's first and last fixture); a stacked source is
-#: poisoned in its first entry on the first call and in its last entry on the last call
+#: poisoned in its first entry on the first call and in its last entry on the last call.  A row
+#: that draws random fixtures into unions is also poisoned on its first and last drawn fixture:
+#: in that fixture's segment where the source reports per segment or per atom, else on the
+#: union pass that holds it
 NAN_GAPS = [
     ("prp_base_filtration", "single_source_solvable", "worst_residual", "solve_batch",
      _nan_residual, (0, 0)),
     ("prp_base_filtration", "initially_enlarged_still_solvable", "worst_residual", "solve_batch",
      _nan_residual, (1, 1)),
     ("three_point_processes", "disjoint_decomposition", "worst_bracket", "quadratic_covariation",
-     _nan_values, (0, 41)),
+     _nan_values, (0,)),
+    # the first and the last drawn pair's segment, in the last of its union's 3 brackets
+    *[("three_point_processes", "disjoint_decomposition", "worst_bracket", "quadratic_covariation",
+       _nan_atoms(atoms), (3 * (4 + union) + 2,))
+      for union, _, atoms in (_drawn_slot("decomposition", 10, i) for i in (0, 9))],
     ("jump_measure_compensator", "compensated_integral_is_martingale", "worst_drift",
      "martingale_checks", _nan_check(0), (0,)),
     ("jump_measure_compensator", "compensated_integral_is_martingale", "worst_drift",
@@ -610,7 +665,7 @@ NAN_GAPS = [
     ("triple_representation", "triple_matches_measure_form", "worst_gap", "solve_batch",
      _nan_reconstructions, (2, 8)),
     ("triple_representation", "stopped_representation", "worst_residual", "solve_batch",
-     _nan_residual, (9, 15)),
+     _nan_residual, (9, *STOPPED_DRAWN)),
     ("completeness_random_spaces", "dense_by_zero_residuals", "worst_residual", "solve_batch",
      _nan_residual, (0, 11)),
     ("independent_enlargement", "orthogonal_basis_represents", "worst_residual", "independent_batch",
@@ -624,14 +679,15 @@ NAN_GAPS = [
     ("independent_enlargement", "pythagoras_identity", "worst_gap", "independent_batch",
      _nan_independent("pythagoras_gap"), (0, 0)),
     ("azema_compensator", "survival_formula_matches_direct_compensator", "worst_gap",
-     "cross_validation_gap", _nan_float, (0, 24)),
+     "cross_validation_gap", _nan_float, (0, *AZEMA_DRAWN)),
     ("azema_compensator", "survival_process_consistent", "worst_block_gap", "azema_consistency_gap",
-     _nan_float, (0, 24)),
+     _nan_float, (0, *AZEMA_DRAWN)),
     ("azema_compensator", "survival_process_consistent", "worst_drift_up", "supermartingale_gap",
-     _nan_float, (0, 24)),
+     _nan_float, (0, *AZEMA_DRAWN)),
     # the first and the last drawn pair, each a segment of its horizon's union
     *[("orthogonality_toolkit", "toolkit_clauses_on_random_pairs", "worst_identity_gap",
-       "orthogonality_segments", _nan_segment_gap(entry), (call,)) for call, entry in map(_toolkit_slot, (0, 199))],
+       "orthogonality_segments", _nan_segment_gap(segment), (union,))
+      for union, segment, _ in (_drawn_slot("toolkit", 200, i) for i in (0, 199))],
 ]
 NAN_GAP_CASES = [
     (suite, row, key, source, poison, call)

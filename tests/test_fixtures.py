@@ -9,7 +9,7 @@ from conftest import BY_NAME_FIXTURES, RANDOM_TIME_FIXTURES
 
 import filtration_lab.cli as cli
 from filtration_lab import fixtures, random_time
-from filtration_lab.finite_space import Partition
+from filtration_lab.finite_space import NEVER, Partition
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,29 +62,22 @@ def test_space_a_full_builds_each_named_fixture_at_most_once(monkeypatch):
     assert {name: built[name] for name in names if built[name] > 1} == {}
 
 
-@pytest.mark.parametrize("seed", [0, 7, 11, 2024])
-def test_random_pair_unions_hold_the_lone_bundles(seed):
-    rng = np.random.default_rng(seed)
-    lone = [fixtures.random_bundle(rng) for _ in range(200)]
-    after_lone = rng.bit_generator.state
-    rng = np.random.default_rng(seed)
-    unions = fixtures.random_pair_unions(rng, 200)
-    # the same draws in the same order, grouped by horizon in draw order
-    assert rng.bit_generator.state == after_lone
-    assert [b.g.horizon for b, _, _ in unions] == [1, 2, 3]
-    assert sorted(i for _, _, pairs in unions for i in pairs) == list(range(200))
-    for b, starts, pairs in unions:
+def _assert_unions_hold(unions, lone):
+    """Each segment of ``unions`` is its lone bundle, with probabilities scaled by the union's power of four."""
+    assert [b.g.horizon for b, _, _, _ in unions] == sorted({pair.g.horizon for pair in lone})
+    assert sorted(i for _, _, pairs, _ in unions for i in pairs) == list(range(len(lone)))
+    for b, starts, pairs, exponent in unions:
         k = len(pairs)
         assert list(pairs) == sorted(pairs)
         # the least power of four above k, so that the scale has an exact square root
-        scale = 4.0 ** -min(m for m in range(8) if 4**m > k)
+        assert 2.0**exponent == 4.0 ** -min(m for m in range(8) if 4**m > k)
         labels = [np.array(b.g.at(t).labels) for t in range(b.g.horizon + 1)]
         for j, i in enumerate(pairs):
             pair, atoms = lone[i], slice(starts[j], starts[j + 1])
             assert pair.g.horizon == b.g.horizon
             assert np.array_equal(b.X.values[atoms], pair.X.values)
             assert np.array_equal(b.H.values[atoms], pair.H.values)
-            assert np.array_equal(b.space.probs[atoms], pair.space.probs * scale)
+            assert np.array_equal(np.ldexp(b.space.probs[atoms], -exponent), pair.space.probs)
             for t, lab in enumerate(labels):
                 # the pair's G blocks, and no block shared with another pair or the filler
                 assert Partition.from_labels(lab[atoms].tolist()) == pair.g.at(t)
@@ -94,3 +87,37 @@ def test_random_pair_unions_hold_the_lone_bundles(seed):
         assert b.space.probs[-1] == 1.0 - b.space.probs[:-1].sum() > 0.0
         assert not b.X.values[-1].any() and not b.H.values[-1].any()
         assert all(lab[-1] not in lab[:-1] for lab in labels)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 2024])
+def test_random_pair_unions_hold_the_lone_bundles(seed):
+    rng = np.random.default_rng(seed)
+    lone = [fixtures.random_bundle(rng) for _ in range(200)]
+    after_lone = rng.bit_generator.state
+    rng = np.random.default_rng(seed)
+    unions = fixtures.random_pair_unions(rng, 200)
+    # the same draws in the same order, grouped by horizon in draw order
+    assert rng.bit_generator.state == after_lone
+    assert [b.g.horizon for b, _, _, _ in unions] == [1, 2, 3]
+    _assert_unions_hold(unions, lone)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 2024])
+def test_random_time_unions_hold_the_lone_bundles(seed):
+    rng = np.random.default_rng(seed)
+    lone = [fixtures.random_random_time_bundle(rng) for _ in range(20)]
+    after_lone = rng.bit_generator.state
+    rng = np.random.default_rng(seed)
+    unions = fixtures.random_pair_unions(rng, 20, fixtures.random_time_draw)
+    # the same draws in the same order, grouped by horizon in draw order
+    assert rng.bit_generator.state == after_lone
+    _assert_unions_hold(unions, lone)
+    taus = set()
+    for b, starts, pairs, _ in unions:
+        tau = random_time.tau_of(b).values
+        for j, i in enumerate(pairs):
+            assert np.array_equal(tau[starts[j] : starts[j + 1]], random_time.tau_of(lone[i]).values)
+            taus.update(tau[starts[j] : starts[j + 1]].tolist())
+        assert tau[-1] == NEVER  # the filler's H never jumps
+    # a random time at every horizon, and one that never happens
+    assert {b.g.horizon for b, *_ in unions} == {1, 2, 3} and NEVER in taus

@@ -24,7 +24,9 @@ gaps is reduced entry by entry by ``positive_sups``.  A row's ``worst_*``
 value is built by ``suites._bounded``, so no call in ``suites`` passes a
 ``worst_*`` keyword.  The stacked exact kernels sum along time with
 ``finite_space.running_sums``, which adds as ``np.cumsum`` does, one time
-slice at a time, so no ``cumsum`` call is left in them.
+slice at a time, so no ``cumsum`` call is left in them.  The suites draw their
+random pairs and random times as power-of-four unions, one per horizon, so
+``suites`` calls neither lone random builder.
 """
 import ast
 from pathlib import Path
@@ -44,6 +46,9 @@ BLOCK_VIEWS = ("blocks", "_first_atom")
 
 #: the modules whose kernels sum along time with ``running_sums``
 RUNNING_SUM_MODULES = [PACKAGE / f"{name}.py" for name in ("calculus", "jump_measure", "representation", "random_time")]
+
+#: builders of one random fixture, which the suites draw through ``fixtures.random_pair_unions`` instead
+LONE_RANDOM_BUILDERS = {"random_bundle", "random_random_time_bundle"}
 
 #: (function, parameter) -> why it keeps a default no program call overrides
 UNPASSED_ALLOWED = {
@@ -156,12 +161,12 @@ def worst_keywords(source: str) -> list:
     )
 
 
-def cumsum_calls(source: str) -> list:
-    """Line of every ``cumsum`` call, as a function (``np.cumsum(x)``) or a method (``x.cumsum()``)."""
+def named_calls(source: str, names) -> list:
+    """Line of every call to one of ``names``, as a function (``np.cumsum(x)``) or a method (``x.cumsum()``)."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "cumsum"
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in names
     )
 
 
@@ -372,12 +377,17 @@ def test_the_scan_finds_a_cumsum():
         "    x, out=y)\n"
         "d = running_sums(x), np.add.accumulate(x), cumsum\n"
     )
-    assert cumsum_calls(source) == [1, 2, 3]
+    assert named_calls(source, {"cumsum"}) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("path", RUNNING_SUM_MODULES, ids=[p.name for p in RUNNING_SUM_MODULES])
 def test_the_stacked_kernels_sum_along_time_with_running_sums(path):
-    assert cumsum_calls(path.read_text()) == []
+    assert named_calls(path.read_text(), {"cumsum"}) == []
+
+
+def test_the_suites_draw_random_fixtures_as_unions():
+    # the lone builders stay as the tests' oracles; the suites check their draws one union per horizon
+    assert named_calls((PACKAGE / "suites.py").read_text(), LONE_RANDOM_BUILDERS) == []
 
 
 def test_the_scan_finds_an_unpassed_parameter():

@@ -13,7 +13,7 @@ from filtration_lab import fixtures
 from filtration_lab.calculus import compensator, is_martingale
 from filtration_lab.enlargement import natural_filtration, progressive_enlargement
 from filtration_lab.errors import BadParameter, TauAtZero, VanishingAzema
-from filtration_lab.finite_space import NEVER, AdaptedProcess, StoppingTime, build_space
+from filtration_lab.finite_space import EXACT_TOL, NEVER, AdaptedProcess, StoppingTime, build_space, segment_sups
 from filtration_lab.random_time import (
     AvoidanceReport,
     avoidance_check,
@@ -23,6 +23,7 @@ from filtration_lab.random_time import (
     orthogonality_suite,
     random_time_bundle,
     supermartingale_gap,
+    surrogate_segments,
     survival,
     tau_of,
 )
@@ -209,6 +210,62 @@ class TestOrthogonalityStudy:
         for _ in range(15):
             study = orthogonality_suite(fixtures.random_random_time_bundle(rng))
             assert study.all_consistent
+
+
+class TestUnionsOfRandomTimes:
+    """The random times of a power-of-four union keep their lone gaps and verdicts, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_the_azema_gaps_of_a_union_are_the_lone_maxima(self, seed):
+        rng = np.random.default_rng(seed)
+        lone = [fixtures.random_random_time_bundle(rng) for _ in range(40)]
+        gaps = (cross_validation_gap, azema_consistency_gap, supermartingale_gap)
+        alone = [[gap(b, survival(b)) for gap in gaps] for b in lone]
+        for b, starts, pairs, exponent in fixtures.random_pair_unions(
+            np.random.default_rng(seed), 40, fixtures.random_time_draw
+        ):
+            azema = survival(b)
+            for j, i in enumerate(pairs):
+                atoms = slice(starts[j], starts[j + 1])
+                assert azema.values[atoms].tobytes() == survival(lone[i]).values.tobytes()
+            got = [gap(b, azema) for gap in gaps]
+            # a block mass is the lone one times 2^exponent exactly, and so is the consistency gap
+            got[1] = np.ldexp(got[1], -exponent)
+            want = np.max([alone[i] for i in pairs], axis=0)
+            assert np.array(got).tobytes() == want.tobytes()
+        # the consistency gaps are rounding, not zero, so the rescaling is seen
+        assert max(a[1] for a in alone) > 0.0
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_each_segment_keeps_its_lone_orthogonality_study(self, seed):
+        rng = np.random.default_rng(seed)
+        lone = [orthogonality_suite(fixtures.random_random_time_bundle(rng)) for _ in range(40)]
+        verdicts = set()
+        for b, starts, pairs, _ in fixtures.random_pair_unions(
+            np.random.default_rng(seed), 40, fixtures.random_time_draw
+        ):
+            segments = surrogate_segments(b, starts)
+            assert [label for label, _, _ in segments] == [p.name for p in lone[0].pairs]
+            for k, (_, toolkit, consistent) in enumerate(segments):
+                for j, i in enumerate(pairs):
+                    pair = lone[i].pairs[k]
+                    assert (toolkit.orthogonal[j], consistent[j]) == (pair.orthogonal, pair.consistent)
+                    verdicts.add(pair.orthogonal)
+                assert toolkit.orthogonal[-1] and consistent[-1]  # the filler
+        assert verdicts == {True, False}
+
+    def test_the_surrogate_is_reduced_segment_by_segment(self):
+        # avoidance_trinomial's part1_vs_part2 has a common predictable jump; beside it, a time that never happens
+        draws = [
+            (b.space.probs, b.X.increments()[:, 1:], b.H.increments()[:, 1:], None)
+            for b in (fixtures.avoidance_trinomial(), fixtures.never_random_time())
+        ]
+        union, starts, _, _ = fixtures.pair_union([0, 1], draws)
+        label, toolkit, consistent = surrogate_segments(union, starts)[0]
+        assert label == "part1_vs_part2"
+        assert toolkit.orthogonal.tolist() == [False, True, True] and consistent.all()
+        # over the whole union the product is nonzero, which the orthogonal segment would then contradict
+        assert segment_sups(union.space, toolkit.predictable_jump_product, [0])[0] > EXACT_TOL
 
 
 class TestBlockOracles:

@@ -55,6 +55,7 @@ from filtration_lab.representation import (
     solve_prp,
     solve_triple,
     solve_wrp,
+    spanning_numbers,
     triple_regressors,
     verify_independence,
     wrp_regressors,
@@ -339,6 +340,29 @@ class TestMultiplicity:
             b = fixtures.random_bundle(rng)
             assert multiplicity(b.g) >= multiplicity(b.f)
 
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_each_segment_has_its_lone_spanning_numbers(self, seed):
+        rng = np.random.default_rng(seed)
+        lone = [fixtures.random_bundle(rng) for _ in range(60)]
+        seen = set()
+        for b, starts, pairs, _ in fixtures.random_pair_unions(np.random.default_rng(seed), 60):
+            for filt, kind in ((b.g, "g"), (b.f, "f")):
+                got = spanning_numbers(filt, starts)
+                want = [multiplicity(getattr(lone[i], kind)) for i in pairs]
+                assert got.tolist() == want + [0]  # the filler does not branch
+                seen.update((kind, n) for n in want)
+        # every spanning number G can have (0 to 3) and F can have (0 and 1) is met
+        assert seen == {("g", n) for n in range(4)} | {("f", n) for n in range(2)}
+
+    def test_a_union_of_spaces_keeps_each_spanning_number(self):
+        # a 4-way G tree beside a tree that never branches: the union's maximum is 3, its segments 3 and 0
+        coins = (np.full(4, 0.25), np.array([[0], [0], [1], [1]]), np.array([[0], [1], [0], [1]]), None)
+        still = (np.array([0.5, 0.5]), np.zeros((2, 1), dtype=int), np.zeros((2, 1), dtype=int), None)
+        union, starts, _, _ = fixtures.pair_union([0, 1], [coins, still])
+        assert multiplicity(union.g) == 3
+        assert spanning_numbers(union.g, starts).tolist() == [3, 0, 0]
+        assert spanning_numbers(union.f, starts).tolist() == [1, 0, 0]
+
 
 def _bundle_with_null_atoms(rng, b):
     """The same paths with about a third of the atoms given probability 0."""
@@ -563,7 +587,7 @@ class TestUnionSolves:
         xis = [rng.normal(size=(20, b.space.n_atoms)) for b in lone]
         closures = [martingale_closures(xi, b.g) for xi, b in zip(xis, lone)]
         covered = set()
-        for b, starts, pairs in fixtures.random_pair_unions(np.random.default_rng(seed), 50):
+        for b, starts, pairs, _ in fixtures.random_pair_unions(np.random.default_rng(seed), 50):
             targets = np.zeros((20, b.space.n_atoms))  # the filler's target is 0
             for j, i in enumerate(pairs):
                 targets[:, starts[j] : starts[j + 1]] = xis[i]
@@ -582,6 +606,28 @@ class TestUnionSolves:
                 # the union's own residual is the largest over its segments
                 assert union.residual_sup.tobytes() == sups.max(axis=-1).tobytes()
         assert covered == {(h, initial) for h in (1, 2, 3) for initial in (False, True)}
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_each_random_time_solves_its_stopped_targets_like_its_lone_bundle(self, seed):
+        # triple_representation's stopped row: 20 targets per random time, stopped at its tau
+        rng = np.random.default_rng(seed)
+        lone = [fixtures.random_random_time_bundle(rng) for _ in range(20)]
+        xis = [rng.normal(size=(20, b.space.n_atoms)) for b in lone]
+
+        def stopped_solve(b, xi):
+            st = tau_of(b)
+            regs = triple_regressors(*fundamental_martingales(b.X, b.H), stop_at=st)
+            return solve_batch(stop_values(martingale_closures(xi, b.g), st), regs, b.g).residual_sup
+
+        alone = [stopped_solve(b, xi) for b, xi in zip(lone, xis)]
+        for b, starts, pairs, _ in fixtures.random_pair_unions(np.random.default_rng(seed), 20, fixtures.random_time_draw):
+            targets = np.zeros((20, b.space.n_atoms))  # the filler's target is 0
+            for j, i in enumerate(pairs):
+                targets[:, starts[j] : starts[j + 1]] = xis[i]
+            # each target's residual over the union is the largest of its random times' residuals alone
+            want = np.max([alone[i] for i in pairs], axis=0)
+            assert stopped_solve(b, targets).tobytes() == want.tobytes()
+        assert max(np.max(r) for r in alone) > 0.0
 
     @pytest.mark.parametrize("r", [1, 3])
     @pytest.mark.parametrize("m", range(1, 9))
