@@ -173,8 +173,7 @@ def _mc_params(config: dict) -> McParams:
         params["lam" if key == "lambda" else key] = value
     mc = McParams(**params)
     try:
-        # the simulation holds max(n_paths, 1000) paths, which can be simulated iff n_paths can
-        path_block(mc.lam, mc.t_real, mc.n_paths)
+        path_block(mc.lam, mc.t_real, mc.simulated_n_paths)
     except BadParameter as exc:
         raise ConfigInvalid(f"mc.lambda, mc.t_real and mc.n_paths cannot be simulated: {exc}") from exc
     return mc

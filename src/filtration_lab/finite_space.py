@@ -7,7 +7,11 @@ space (the positive-mass blocks grouped by size), are derived from the labels
 on first read.  A filtration is a refining sequence of partitions indexed by
 integer time 0..T.  Processes are (atom, time) value matrices tied to a
 filtration.  Conditional expectation is an exact weighted block average, which
-makes every downstream identity checkable to float precision.
+makes every downstream identity checkable to float precision.  The two slice
+operators average or test every time slice of a stack at once, on the
+filtration's cell union: its (atom, time) cells as one space, partitioned by
+(t, block of P_{t-lag}), with dyadic slice weights that keep every block
+average's bits; the union is structure only, built once per lag.
 """
 from __future__ import annotations
 
@@ -154,24 +158,48 @@ class Partition:
         return tuple(tuple(g) for _, g in groupby(atoms, key=self.labels.__getitem__))
 
     @cached_property
+    def _runs(self) -> tuple:
+        """(atoms in block order, each block ascending; each block's start in that order; each block's size)."""
+        order = np.argsort(self.block_of, kind="stable")
+        sizes = np.bincount(self.block_of)
+        return order, sizes.cumsum() - sizes, sizes
+
+    @cached_property
     def _first_atom(self) -> np.ndarray:
         """Read-only array mapping atom id to the first atom of its block."""
-        return _frozen([self.blocks[lab][0] for lab in self.labels], dtype=np.int64)
+        order, starts, _ = self._runs
+        first = order[starts][self.block_of]
+        first.setflags(write=False)
+        return first
 
     def size_groups(self, space: FiniteProbabilitySpace) -> tuple:
         """The positive-mass blocks grouped by size, sizes as first seen: (atoms (G, m), probs (G, m), masses (G,)) per size m.
 
         This is the partition's one block table, kept per space (all frozen; keyed by identity).
         """
+        return self._table(space)[0]
+
+    def _table(self, space: FiniteProbabilitySpace) -> tuple:
+        """The block table for ``space`` with its read index; see :func:`_indexed`."""
         tables = self.__dict__.setdefault("_tables", {})
         if space not in tables:
-            by_size = {}
-            for atoms in map(np.array, self.blocks):
+            order, starts, sizes = self._runs
+            by_first = {}
+            for m in dict.fromkeys(sizes.tolist()):
+                blocks = (sizes == m).nonzero()[0]
+                atoms = order[starts[blocks, None] + np.arange(m)]
                 w = space.probs[atoms]
-                mass = float(w.sum())
-                if mass > 0.0:
-                    by_size.setdefault(len(atoms), []).append((atoms, w, mass))
-            tables[space] = tuple(tuple(_frozen(c, dtype=None) for c in zip(*g)) for g in by_size.values())
+                masses = np.add.reduce(w, axis=1)  # each row sums as its block's own w.sum() does
+                keep = masses > 0.0
+                if keep.all():
+                    by_first[blocks[0]] = atoms, w, masses
+                elif keep.any():
+                    by_first[blocks[keep.argmax()]] = atoms[keep], w[keep], masses[keep]
+            # sizes in the order their first positive-mass block comes
+            groups = tuple(by_first[b] for b in sorted(by_first))
+            for a in (a for g in groups for a in g):
+                a.setflags(write=False)
+            tables[space] = _indexed(groups, self.n_atoms)
         return tables[space]
 
     def refines(self, coarser: "Partition") -> bool:
@@ -206,6 +234,79 @@ class Filtration:
     def at(self, t: int) -> Partition:
         return self.partitions[t]
 
+    def cell_union(self, lag: int) -> tuple:
+        """(space, partition) of the cells (a, t), numbered atom-major as a ``(n, T+1)`` matrix flattens.
+
+        Cell (a, t) lies in block (t, block of a in P_{max(t-lag, 0)}).  For t >= lag it
+        weighs p_a 2^-e_t, e = 1, 2, ..., k-1, k-1 over the k = T+1-lag slices (sum 1);
+        the slices t < lag are null cells in zero-mass blocks.  A power of two scales a
+        block's weights and mass exactly, so its average keeps the bits of the slice's.
+        Built once per lag from the slices' own size groups: structure only, all frozen.
+        """
+        return self._cells("union", lag)
+
+    def first_cells(self, lag: int) -> np.ndarray:
+        """Each cell's block-first cell in :meth:`cell_union`, read-only; built once per lag, on its own."""
+        return self._cells("first", lag)
+
+    def _cells(self, kind: str, lag: int):
+        built = self.__dict__.setdefault("_cell_tables", {})
+        if (kind, lag) not in built:
+            built[kind, lag] = (_cell_union if kind == "union" else _first_cells)(self, lag)
+        return built[kind, lag]
+
+
+def _indexed(groups: tuple, n_atoms: int) -> tuple:
+    """(groups, spread, nulls) of size groups: ``spread[a]`` is the row of atom a's block among
+    the groups' blocks, counted in table order, and one past the last row for a zero-mass
+    block; ``nulls`` is true iff some positive-mass block holds a zero-probability atom.
+    """
+    spread = np.full(n_atoms, sum(len(masses) for *_, masses in groups))
+    row = 0
+    for atoms, _, masses in groups:
+        spread[atoms] = np.arange(row, row + len(masses))[:, None]
+        row += len(masses)
+    spread.setflags(write=False)
+    return groups, spread, not all(w.all() for _, w, _ in groups)
+
+
+def _first_cells(filtration: Filtration, lag: int) -> np.ndarray:
+    """:meth:`Filtration.first_cells`, built: a block's first cell is its first atom's cell at its time."""
+    parts, width = filtration.partitions, filtration.horizon + 1
+    first = np.array([parts[max(t - lag, 0)]._first_atom for t in range(width)]).T * width
+    first += np.arange(width)
+    first = first.ravel()
+    first.setflags(write=False)
+    return first
+
+
+def _cell_union(filtration: Filtration, lag: int) -> tuple:
+    """:meth:`Filtration.cell_union`, built: canonical labels, blocks ranked by first cell, then the block table."""
+    space, parts = filtration.space, filtration.partitions
+    n, width = space.n_atoms, len(parts)
+    first = filtration.first_cells(lag)
+    ranks = np.cumsum(first == np.arange(n * width))
+    labels = ranks[first]
+    labels -= 1
+    partition = object.__new__(Partition)
+    object.__setattr__(partition, "labels", tuple(labels.tolist()))
+    labels.setflags(write=False)
+    partition.__dict__.update(n_blocks=int(ranks[-1]), block_of=labels, _first_atom=first)
+
+    k = width - lag
+    scale = [0.0] * lag + [2.0 ** -min(i, k - 1) for i in range(1, k + 1)]
+    cells = object.__new__(FiniteProbabilitySpace)  # its total is the space's, so it is not checked again
+    object.__setattr__(cells, "probs", (space.probs[:, None] * scale).ravel())
+    by_size = {}
+    for t in range(lag, width):
+        for atoms, w, masses in parts[t - lag].size_groups(space):
+            by_size.setdefault(atoms.shape[1], []).append((atoms * width + t, w * scale[t], masses * scale[t]))
+    groups = tuple(g[0] if len(g) == 1 else tuple(map(np.concatenate, zip(*g))) for g in by_size.values())
+    for a in (cells.probs, *(a for g in groups for a in g)):
+        a.setflags(write=False)
+    partition.__dict__["_tables"] = {cells: _indexed(groups, n * width)}
+    return cells, partition
+
 
 def conditional_expectation(
     space: FiniteProbabilitySpace, values, partition: Partition
@@ -217,18 +318,18 @@ def conditional_expectation(
     total probability zero get the value 0.  A stack of variables, atoms on
     the last axis, is averaged in one pass, one ``np.vecdot`` per block size,
     which rounds every entry exactly as ``v[atoms] @ w / mass`` does alone.
+    The averages are written out by one ``np.take`` through the block table's spread.
     """
     if partition.n_atoms != space.n_atoms:
         raise FiltrationMismatch("partition does not belong to the space")
     v = np.asarray(values, dtype=float)
-    if space.null_atoms:
+    groups, spread, nulls = partition._table(space)
+    if nulls:
         # weight 0 does not silence a NaN or an inf (nan * 0 is nan), so drop them
         v = np.where(space.positive, v, 0.0)
-    out = np.zeros(v.shape[:-1] + (space.n_atoms,))
-    for atoms, w, masses in partition.size_groups(space):
-        # take() lays the rows out contiguously; a strided row would be summed in another order
-        out[..., atoms] = (np.vecdot(np.take(v, atoms, axis=-1), w) / masses)[..., None]
-    return out
+    # take() lays the rows out contiguously; a strided row would be summed in another order
+    means = [np.vecdot(np.take(v, atoms, axis=-1), w) / masses for atoms, w, masses in groups]
+    return np.take(np.concatenate(means + [np.zeros(v.shape[:-1] + (1,))], axis=-1), spread, axis=-1)
 
 
 def positive_sup(space: FiniteProbabilitySpace, values) -> float:
@@ -369,42 +470,36 @@ def as_point_process(p: AdaptedProcess) -> PointProcess:
     return p if isinstance(p, PointProcess) else PointProcess(p.filtration, p.values)
 
 
-def _block_violation(column: np.ndarray, partition: Partition):
-    """First block on which an atom-indexed column (or any of a stack, atoms last) is not constant.
-
-    Every atom is compared with its block's first atom, so a NaN violates its block.
-    """
-    bad = column != column[..., partition._first_atom]
-    if bad.ndim > 1:
-        bad = bad.reshape(-1, bad.shape[-1]).any(axis=0)
-    if not bad.any():
-        return None
-    return int(partition.block_of[bad].min())
-
-
 def slice_expectations(values, filtration: Filtration, lag: int) -> np.ndarray:
     """Slice t of a ``(..., n, T+1)`` stack averaged over the blocks of P_{t-lag}; slices t < lag are 0.
 
     Lag 1 is the one-step average E[. | P_{t-1}] behind compensators and
-    drifts, lag 0 the closure E[. | P_t].
+    drifts, lag 0 the closure E[. | P_t].  The whole stack is one block average
+    over the filtration's cell union (:meth:`Filtration.cell_union`).
     """
+    cells, partition = filtration.cell_union(lag)
     v = np.asarray(values, dtype=float)
-    out = np.zeros(v.shape)
-    for t in range(lag, filtration.horizon + 1):
-        out[..., t] = conditional_expectation(filtration.space, v[..., t], filtration.at(t - lag))
-    return out
+    return conditional_expectation(cells, v.reshape(v.shape[:-2] + (cells.n_atoms,)), partition).reshape(v.shape)
 
 
 def slice_violation(values, filtration: Filtration, lag: int):
     """First (t, block) at which slice t of a ``(..., n, T+1)`` stack is not P_{max(t-lag, 0)}-constant, else None.
 
-    Lag 0 tests adaptedness, lag 1 predictability (slice 0 against P_0).
+    Lag 0 tests adaptedness, lag 1 predictability (slice 0 against P_0).  Every
+    cell of the cell union is compared with its block's first cell, so a NaN
+    violates its block; (t, block) is located only when some cell fails.
     """
-    for t in range(filtration.horizon + 1):
-        block = _block_violation(values[..., t], filtration.at(max(t - lag, 0)))
-        if block is not None:
-            return t, block
-    return None
+    first = filtration.first_cells(lag)
+    v = np.asarray(values)
+    flat = v.reshape(v.shape[:-2] + first.shape)
+    bad = flat != flat[..., first]
+    if bad.ndim > 1:
+        bad = bad.reshape((-1,) + first.shape).any(axis=0)
+    if not bad.any():
+        return None
+    bad = bad.reshape(v.shape[-2:])
+    t = int(bad.any(axis=0).argmax())
+    return t, int(filtration.at(max(t - lag, 0)).block_of[bad[:, t]].min())
 
 
 def is_adapted(p: AdaptedProcess) -> bool:

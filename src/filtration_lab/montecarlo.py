@@ -41,6 +41,8 @@ from .serialize import CheckResult, _check
 
 #: paths drawn per step of simulate_path_set; bounds its scratch array
 _CHUNK = 4096
+#: most entries (block x paths, float64: 2 GiB) of the event table simulate_path_set starts with
+_MAX_ENTRIES = 2**28
 #: key word 1 of the main stream; a path's own stream has its index there instead
 _MAIN_STREAM = 2**64 - 1
 
@@ -96,12 +98,16 @@ def exact_check(name: str, estimate: float, expected: float, n: int) -> CheckRes
 def path_block(lam: float, t_real: float, n_paths: int) -> int:
     """The block size of ``n_paths`` paths at rate ``lam`` on [0, ``t_real``]; BadParameter if they cannot be simulated.
 
-    Path p keys its own stream (seed, p) and the main stream is keyed
-    (seed, 2^64 - 1), so there are at most 2^64 - 2 paths.
+    The simulation starts from a ``(block, n_paths)`` event table, which may
+    hold at most ``_MAX_ENTRIES`` entries.  As block >= 16, that also keeps
+    path p's own stream key (seed, p) below the main stream's (seed, 2^64 - 1).
     """
-    if not 1 <= n_paths < _MAIN_STREAM:
-        raise BadParameter(f"need 1 to 2^64 - 2 paths, not {n_paths}")
-    return _block_size(lam, t_real)
+    if n_paths < 1:
+        raise BadParameter(f"need at least 1 path, not {n_paths}")
+    block = _block_size(lam, t_real)
+    if block * n_paths > _MAX_ENTRIES:
+        raise BadParameter(f"{n_paths} paths of {block} events exceed the 2^28 entries of an event table")
+    return block
 
 
 def _block_size(lam: float, t_real: float) -> int:

@@ -114,6 +114,11 @@ class McParams:
         """Paths of mc_avoidance's stress run; may exceed n_paths."""
         return max(1000, self.n_paths // 10)
 
+    @property
+    def simulated_n_paths(self) -> int:
+        """Paths of a context's one simulation: the most any suite asks for."""
+        return max(self.n_paths, self.stress_n_paths)
+
 
 @dataclass
 class SuiteContext:
@@ -134,8 +139,7 @@ class SuiteContext:
         """
         mc = self.mc
         if self._paths is None:
-            size = max(mc.n_paths, mc.stress_n_paths)
-            self._paths = simulate_path_set(mc.lam, mc.t_real, size, self.seed)
+            self._paths = simulate_path_set(mc.lam, mc.t_real, mc.simulated_n_paths, self.seed)
         return self._paths.prefix(n_paths or mc.n_paths)
 
 

@@ -157,9 +157,17 @@ class TestBadMcInput:
 
     @pytest.mark.parametrize(
         "mc",
-        # lambda * t_real overflows to inf; the largest n_paths would key a path with the main stream's key
-        [{"lambda": 1e200, "t_real": 1e200}, {"n_paths": 2**64 - 1}],
-        ids=["lambda_t_real_overflows", "n_paths_2^64-1"],
+        # lambda * t_real overflows to inf; the other four need an event table of more than 2^28 entries
+        # (2^64 - 1 paths would also key a path with the main stream's key), the last for the 1000 paths
+        # of mc_avoidance's stress run though n_paths is 1; none is simulated
+        [
+            {"lambda": 1e200, "t_real": 1e200},
+            {"n_paths": 2**64 - 1},
+            {"n_paths": 10**12},
+            {"lambda": 1e11},
+            {"lambda": 3e5, "t_real": 1.0, "n_paths": 1},
+        ],
+        ids=["lambda_t_real_overflows", "n_paths_2^64-1", "n_paths_1e12", "lambda_t_real_1e12", "stress_run_too_large"],
     )
     def test_exit_two_when_the_paths_cannot_be_simulated(self, tmp_path, capsys, mc):
         cfg = _small_mc_config()

@@ -16,7 +16,8 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filtration_lab import fixtures
+from filtration_lab import finite_space, fixtures
+from filtration_lab.calculus import dual_projections
 from filtration_lab.enlargement import natural_filtration
 from filtration_lab.errors import (
     NegativeProbability,
@@ -32,12 +33,12 @@ from filtration_lab.finite_space import (
     PointProcess,
     StoppingTime,
     build_space,
-    _block_violation,
     conditional_expectation,
     first_jump_time,
     is_adapted,
     is_predictable,
     running_sums,
+    slice_expectations,
     slice_violation,
     stop_process,
     stop_values,
@@ -175,6 +176,24 @@ class TestCanonicalLabels:
         for got, want in zip(p.size_groups(space), groups):
             assert all(_bitwise_equal(g, w) for g, w in zip(got, want))
 
+    @pytest.mark.parametrize("sizes", [(1, 7, 9, 130, 153), (300,), (8, 16, 129, 1, 16)])
+    @pytest.mark.parametrize("null_first_block", [False, True])
+    def test_block_tables_of_large_blocks_match_the_per_block_loop(self, sizes, null_first_block):
+        # rows of 8 or more and of more than 128 atoms are summed in pieces, as a lone block's w.sum() is
+        rng = np.random.default_rng(len(sizes))
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)).tolist()
+        weights = rng.uniform(0.1, 1.0, len(labels)) * (rng.random(len(labels)) >= 0.3)
+        if null_first_block:
+            # a zero-mass block does not place its size in the table's order
+            weights[np.array(labels) == labels[0]] = 0.0
+        weights[labels.index(len(sizes) - 1)] = 1.0
+        space = build_space(weights / weights.sum())
+        groups = oracle_block_tables(space.probs, oracle_first_seen_blocks(labels))
+        got = Partition.from_labels(labels).size_groups(space)
+        assert len(got) == len(groups)
+        for g, w in zip(got, groups):
+            assert all(_bitwise_equal(a, b) for a, b in zip(g, w))
+
 
 class TestConditionalExpectation:
     def test_finest_partition_is_identity(self):
@@ -288,6 +307,11 @@ class TestConditionalExpectation:
         }
         assert pi.size_groups(space) is pi.size_groups(space)
 
+    def test_sizes_are_ordered_by_their_first_positive_mass_block(self):
+        space = build_space([0.0, 0.0, 0.5, 0.25, 0.25])
+        pi = Partition.from_labels([0, 0, 1, 2, 2])  # block 0 has size 2 and no mass
+        assert [atoms.tolist() for atoms, _, _ in pi.size_groups(space)] == [[[2]], [[3, 4]]]
+
     def test_zero_probability_block_gets_zero(self):
         space = build_space([0.5, 0.5, 0.0])
         pi = Partition(((0, 1), (2,)), 3)
@@ -338,22 +362,23 @@ class TestBlockIndex:
         n = int(rng.integers(1, 12))
         labels = rng.integers(0, 4, n)
         part = Partition.from_labels(labels if numpy_labels else labels.tolist())
+        filt = Filtration(build_space(np.full(n, 1.0 / n)), (part, part))
         # few distinct values, so constant blocks are common; NaN and inf mixed in
         levels = np.array([0.0, 1.0, -2.5, np.nan, np.inf])
         shape = (stack, n) if stack else (n,)
         cols = levels[rng.choice(5, size=shape, p=[0.7, 0.1, 0.1, 0.05, 0.05])]
-        got = _block_violation(cols, part)
+        got = slice_violation(np.stack([np.zeros(shape), cols], axis=-1), filt, 0)
         rows = cols if stack else cols[None]
         hits = [v for v in (oracle_block_violation(c, part.blocks) for c in rows) if v is not None]
-        assert got == (min(hits) if hits else None)
+        assert got == ((1, min(hits)) if hits else None)
 
     def test_first_atom_index(self):
         part = Partition(((4, 1), (0, 3), (2,)), 5)
         assert part._first_atom.tolist() == [0, 1, 2, 0, 1]
 
     def test_nan_breaks_a_singleton_block(self):
-        part = Partition.discrete(3)
-        assert _block_violation(np.array([0.0, np.nan, 1.0]), part) == 1
+        filt = Filtration(build_space([0.5, 0.25, 0.25]), (Partition.discrete(3), Partition.discrete(3)))
+        assert slice_violation(np.array([[0.0, 0.0], [0.0, np.nan], [1.0, 1.0]]), filt, 0) == (1, 1)
 
     def test_predictable_violation_locates_time_and_block(self, space_a_bundle):
         b = space_a_bundle
@@ -377,6 +402,118 @@ class TestBlockIndex:
         got = stop_values(stack, sigma)
         for vals, want in zip(got, (b.X, b.H, AdaptedProcess(b.g, 2.0 * b.X.values))):
             assert np.array_equal(vals, stop_process(want, sigma).values)
+
+
+def _slice_loop_expectations(values, filt, lag):
+    """The per-slice form of ``slice_expectations``: one block average per time slice."""
+    out = np.zeros(np.shape(values))
+    for t in range(lag, filt.horizon + 1):
+        out[..., t] = conditional_expectation(filt.space, values[..., t], filt.at(t - lag))
+    return out
+
+
+def _slice_loop_violation(values, filt, lag):
+    """The per-slice form of ``slice_violation``, by a loop over slices, entries and blocks."""
+    rows = np.reshape(values, (-1,) + np.shape(values)[-2:])
+    for t in range(filt.horizon + 1):
+        blocks = filt.at(max(t - lag, 0)).blocks
+        hits = [h for h in (oracle_block_violation(r[:, t], blocks) for r in rows) if h is not None]
+        if hits:
+            return t, min(hits)
+    return None
+
+
+#: NaN, the infinities and a negative zero, which a block average or a constancy test must carry bit for bit
+SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0])
+LEADS = [(), (3,), (2, 2), (0,)]
+
+
+class TestCellUnion:
+    """The one-pass slice operators against the per-slice loop they replaced."""
+
+    @pytest.mark.parametrize("lag", [0, 1])
+    @pytest.mark.parametrize("lead", LEADS, ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_expectations_equal_the_slice_loop(self, lead, lag, seed):
+        rng = np.random.default_rng(seed)
+        filt = random_filtration(rng, int(rng.integers(1, 25)), int(rng.integers(1, 5)))
+        shape = lead + (filt.space.n_atoms, filt.horizon + 1)
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        # specials on some positive-probability atoms, and on every null atom
+        poison = (rng.random(shape) < 0.1) | ~filt.space.positive[:, None]
+        values[poison] = rng.choice(SPECIALS, size=int(poison.sum()))
+        with np.errstate(invalid="ignore"):  # inf - inf within a block
+            got, want = slice_expectations(values, filt, lag), _slice_loop_expectations(values, filt, lag)
+        assert _bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("lag", [0, 1])
+    @pytest.mark.parametrize("lead", LEADS, ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_violation_and_its_witness_equal_the_slice_loop(self, lead, lag, seed):
+        rng = np.random.default_rng(seed)
+        filt = random_filtration(rng, int(rng.integers(1, 25)), int(rng.integers(1, 5)))
+        n, width = filt.space.n_atoms, filt.horizon + 1
+        # constant on the blocks of P_{max(t-lag, 0)}, then a few entries moved, a NaN, an inf or a -0.0 among them
+        values = np.empty(lead + (n, width))
+        for t in range(width):
+            part = filt.at(max(t - lag, 0))
+            values[..., t] = rng.choice([0.0, 1.0, -2.5], size=lead + (part.n_blocks,))[..., part.block_of]
+        moved = rng.random(values.shape) < rng.choice([0.0, 0.02, 0.2])
+        values[moved] = rng.choice(np.append(SPECIALS, 7.0), size=int(moved.sum()))
+        assert slice_violation(values, filt, lag) == _slice_loop_violation(values, filt, lag)
+
+    def test_an_empty_stack_gives_an_empty_projection(self, space_a_bundle):
+        filt = space_a_bundle.g
+        empty = np.zeros((0, filt.space.n_atoms, filt.horizon + 1))
+        assert dual_projections(empty, filt).shape == empty.shape
+        assert slice_expectations(empty, filt, 0).shape == empty.shape
+        assert slice_violation(empty, filt, 1) is None
+
+    @pytest.mark.parametrize("lag", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_the_union_is_built_once_per_lag_and_read_only(self, monkeypatch, lag, seed):
+        built = []
+        for name in ("_cell_union", "_first_cells"):
+            build = getattr(finite_space, name)
+            monkeypatch.setattr(finite_space, name, lambda f, lag, build=build, name=name: built.append(name) or build(f, lag))
+        rng = np.random.default_rng(seed)
+        filt = random_filtration(rng, 12, 3)
+        n, width = filt.space.n_atoms, filt.horizon + 1
+        values = rng.normal(size=(2, n, width))
+        for _ in range(3):
+            slice_expectations(values, filt, lag)
+            slice_violation(values, filt, lag)
+        assert sorted(built) == ["_cell_union", "_first_cells"]
+        cells, part = filt.cell_union(lag)
+        assert filt.cell_union(lag) == (cells, part) and filt.first_cells(lag) is part._first_atom
+
+        # cell (a, t) lies in block (t, block of a in P_{max(t-lag, 0)}), labels canonical
+        pairs = [(t, filt.at(max(t - lag, 0)).labels[a]) for a in range(n) for t in range(width)]
+        assert part == Partition.from_labels(pairs) and part.n_blocks == Partition.from_labels(pairs).n_blocks
+        assert [part.blocks[lab][0] for lab in part.labels] == part._first_atom.tolist()
+
+        # dyadic slice weights 2^-e, e = 1, 2, ..., k-1, k-1, which sum to 1; the slices below lag are null
+        k = width - lag
+        scale = 2.0 ** -np.minimum(np.arange(1, k + 1), k - 1)
+        assert scale.sum() == 1.0
+        assert _bitwise_equal(cells.probs.reshape(n, width), np.hstack([np.zeros((n, lag)), filt.space.probs[:, None] * scale]))
+
+        # the table is the per-block one of the cell space, rows in any order, with the bits of each slice's own rows
+        rows = {int(a[0]): (a.tobytes(), w.tobytes(), m) for atoms, w, masses in part.size_groups(cells)
+                for a, w, m in zip(atoms, w, masses)}
+        want = {int(a[0]): (a.tobytes(), w.tobytes(), m) for atoms, w, masses in oracle_block_tables(cells.probs, part.blocks)
+                for a, w, m in zip(atoms, w, masses)}
+        assert rows == want
+        for t in range(lag, width):
+            for atoms, w, masses in filt.at(t - lag).size_groups(filt.space):
+                for a, wa, m in zip(atoms, w, masses):
+                    assert rows[int(a[0]) * width + t][1:] == ((wa * scale[t - lag]).tobytes(), m * scale[t - lag])
+
+        groups, spread, _ = part._table(cells)
+        arrays = [cells.probs, part.block_of, part._first_atom, spread, *(a for g in groups for a in g)]
+        assert not any(a.flags.writeable for a in arrays)
 
 
 class TestTimeIncrements:

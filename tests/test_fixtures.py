@@ -8,7 +8,7 @@ import pytest
 from conftest import BY_NAME_FIXTURES, RANDOM_TIME_FIXTURES
 
 import filtration_lab.cli as cli
-from filtration_lab import fixtures, random_time
+from filtration_lab import fixtures, random_time, suites
 from filtration_lab.finite_space import NEVER, Partition
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +100,25 @@ def test_random_pair_unions_hold_the_lone_bundles(seed):
     assert rng.bit_generator.state == after_lone
     assert [b.g.horizon for b, _, _, _ in unions] == [1, 2, 3]
     _assert_unions_hold(unions, lone)
+
+
+@pytest.mark.parametrize("draw", [fixtures.random_pair_draw, fixtures.random_time_draw])
+@pytest.mark.parametrize("seed", [0, 7, 11, 2024])
+def test_union_targets_are_drawn_fixture_by_fixture_in_id_order(seed, draw):
+    # the suites' per-segment targets: one rng.normal((count, n_i)) per drawn fixture, in id order
+    rng = np.random.default_rng(seed)
+    unions = fixtures.random_pair_unions(rng, 30, draw)
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = rng.bit_generator.state
+    targets = suites._union_targets(rng, unions, 4)
+    segment = {i: (u, starts[j], starts[j + 1]) for u, (_, starts, pairs, _) in enumerate(unions) for j, i in enumerate(pairs)}
+    for i in range(30):
+        u, start, stop = segment[i]
+        assert targets[u][:, start:stop].tobytes() == twin.normal(size=(4, stop - start)).tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+    for (b, starts, _, _), ys in zip(unions, targets):
+        # the filler's target is 0
+        assert ys.shape == (4, b.space.n_atoms) and ys[:, starts[-1]:].tobytes() == bytes(8 * 4 * (b.space.n_atoms - starts[-1]))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11, 2024])

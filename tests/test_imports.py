@@ -5,9 +5,10 @@ blocks, every defaulted parameter of a package function is passed by some call
 in the program, and every gap is reduced by ``finite_space``'s two reductions.
 
 ``__init__.py`` is left out of the unused-import scan: its imports are the
-package's exports.  The block primitives (``conditional_expectation`` and
-``_block_violation``) are walked over time by ``finite_space``'s two slice
-operators, so a time loop written around them anywhere else is flagged.  A
+package's exports.  The block primitives (``conditional_expectation``, and
+the constancy test, which the scan knows as ``_block_violation``) are applied
+by ``finite_space``'s two slice operators to a filtration's cell union, every
+time slice at once, so a call of either written anywhere else is flagged.  A
 partition keeps one block table per space, its size groups: every block walk
 outside ``finite_space`` reads them, ``block_of`` or ``labels``, never the
 per-block views ``blocks`` and ``_first_atom``.  A partition's one stored form

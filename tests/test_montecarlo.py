@@ -27,6 +27,7 @@ from filtration_lab.montecarlo import (
     azema_exponential_suite,
     exact_check,
     negative_control_suite,
+    path_block,
     poisson_compensator_suite,
     predictable_jump_probe,
     second_moment_suite,
@@ -64,6 +65,15 @@ class TestSimulatePoisson:
         counts = paths.counts_at(5.0).astype(float)
         assert z_test("mean", counts, 10.0, 4.0).passed
         assert z_test("var", (counts - 10.0) ** 2, 10.0, 4.0).passed
+
+    def test_the_event_table_is_bounded(self):
+        # at lam 1, t 10 a block is 30 events: 2^28 // 30 paths fit and one more does not; nothing is simulated
+        assert path_block(1.0, 10.0, 2**28 // 30) == 30
+        with pytest.raises(BadParameter, match="2\\^28"):
+            path_block(1.0, 10.0, 2**28 // 30 + 1)
+        for lam, t_real, n_paths in ((1.0, 10.0, 10**12), (1e6, 1e6, 1), (1.0, 10.0, 2**64 - 1)):
+            with pytest.raises(BadParameter):
+                simulate_path_set(lam, t_real, n_paths, 0)
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):
