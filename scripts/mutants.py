@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""One-line source mutants, each of which some tier-1 test must notice.
+
+    python3 scripts/mutants.py ROOT [--only ID]
+
+For each mutant of ``MUTANTS`` (or only the one named ``ID``), ROOT's
+``src/``, ``tests/`` and ``perfbench/`` (the tests load its workload
+generator) and its ``pyproject.toml`` are copied to a temporary tree, the
+mutant's one line is replaced there, and its listed tests run with
+``pytest -x``; if they all pass, the whole of tier-1 runs.  A mutant is
+killed when a run fails, and survives when both pass.  One line is printed
+per mutant.  The exit status is 1 if a mutant not in ``KNOWN_SURVIVORS``
+survives, 2 if a mutant's old line is not found exactly once (the list is
+stale), 0 otherwise.  ROOT itself is never written to.  Not part of tier-1.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FS = "src/filtration_lab/finite_space.py"
+REP = "src/filtration_lab/representation.py"
+MC = "src/filtration_lab/montecarlo.py"
+
+#: (id, file, the exact old line, its replacement, the tests to run first)
+MUTANTS = (
+    ("exact_tol_1e-6", FS, "EXACT_TOL = 1e-9", "EXACT_TOL = 1e-6", ["tests/test_cli.py::TestFaultRows"]),
+    ("atomwise_tol_1e-9", FS, "ATOMWISE_TOL = 1e-12", "ATOMWISE_TOL = 1e-9", ["tests/test_cli.py::TestFaultRows"]),
+    ("sv_cutoff_1e-6", REP, "SV_CUTOFF = 1e-12", "SV_CUTOFF = 1e-6", ["tests/test_representation.py::TestBatchedKernel"]),
+    ("z_gate_doubled", MC, "        abs(z) <= z_max,", "        abs(z) <= 2 * z_max,", ["tests/test_montecarlo.py"]),
+    (
+        "union_weights_undyadic",
+        FS,
+        "    scale = [0.0] * lag + [2.0 ** -min(i, k - 1) for i in range(1, k + 1)]",
+        "    scale = [0.0] * lag + [2.0 ** -i for i in range(1, k + 1)]",
+        ["tests/test_finite_space.py::TestCellUnion"],
+    ),
+    (
+        # sqrt(2^-e) is not exact for odd e, so the union's cell weights round each node's design apart
+        "solver_weights_dyadic",
+        REP,
+        "        sw = np.sqrt(space.probs[nodes // width])",
+        "        sw = np.sqrt(cells.probs[nodes])",
+        ["tests/test_representation.py::TestBatchedKernel"],
+    ),
+)
+
+#: mutants known to survive, each with the reason it is left
+KNOWN_SURVIVORS: dict = {}
+
+
+def _pytest(tree: Path, args: list) -> bool:
+    """True iff ``pytest -x -q`` on ``args`` passes in ``tree``, against its own package."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode == 0
+
+
+def run_mutant(root: Path, path: str, old: str, new: str, tests: list) -> str:
+    """'killed (listed tests)', 'killed (tier-1)' or 'survived', or 'stale' if ``old`` is not one line of ``path``."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        for name in ("src", "tests", "perfbench"):
+            shutil.copytree(root / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(root / "pyproject.toml", tree)
+        lines = (tree / path).read_text(encoding="utf-8").split("\n")
+        if lines.count(old) != 1:
+            return "stale"
+        lines[lines.index(old)] = new
+        (tree / path).write_text("\n".join(lines), encoding="utf-8")
+        if not _pytest(tree, tests):
+            return "killed (listed tests)"
+        return "survived" if _pytest(tree, []) else "killed (tier-1)"
+
+
+def main(argv: list) -> int:
+    if len(argv) not in (2, 4) or (len(argv) == 4 and argv[2] != "--only"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    root = Path(argv[1]).resolve()
+    chosen = [m for m in MUTANTS if len(argv) == 2 or m[0] == argv[3]]
+    if not chosen:
+        print(f"no mutant {argv[3]!r}; known: {', '.join(m[0] for m in MUTANTS)}", file=sys.stderr)
+        return 2
+    status = 0
+    for ident, path, old, new, tests in chosen:
+        result = run_mutant(root, path, old, new, tests)
+        note = f"  (known: {KNOWN_SURVIVORS[ident]})" if ident in KNOWN_SURVIVORS else ""
+        print(f"{result:<22} {ident}{note}", flush=True)
+        if result == "stale":
+            status = 2
+        elif result == "survived" and ident not in KNOWN_SURVIVORS:
+            status = max(status, 1)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

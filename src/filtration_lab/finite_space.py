@@ -243,17 +243,10 @@ class Filtration:
         block's weights and mass exactly, so its average keeps the bits of the slice's.
         Built once per lag from the slices' own size groups: structure only, all frozen.
         """
-        return self._cells("union", lag)
-
-    def first_cells(self, lag: int) -> np.ndarray:
-        """Each cell's block-first cell in :meth:`cell_union`, read-only; built once per lag, on its own."""
-        return self._cells("first", lag)
-
-    def _cells(self, kind: str, lag: int):
-        built = self.__dict__.setdefault("_cell_tables", {})
-        if (kind, lag) not in built:
-            built[kind, lag] = (_cell_union if kind == "union" else _first_cells)(self, lag)
-        return built[kind, lag]
+        built = self.__dict__.setdefault("_cell_unions", {})
+        if lag not in built:
+            built[lag] = _cell_union(self, lag)
+        return built[lag]
 
 
 def _indexed(groups: tuple, n_atoms: int) -> tuple:
@@ -270,27 +263,19 @@ def _indexed(groups: tuple, n_atoms: int) -> tuple:
     return groups, spread, not all(w.all() for _, w, _ in groups)
 
 
-def _first_cells(filtration: Filtration, lag: int) -> np.ndarray:
-    """:meth:`Filtration.first_cells`, built: a block's first cell is its first atom's cell at its time."""
-    parts, width = filtration.partitions, filtration.horizon + 1
-    first = np.array([parts[max(t - lag, 0)]._first_atom for t in range(width)]).T * width
-    first += np.arange(width)
-    first = first.ravel()
-    first.setflags(write=False)
-    return first
-
-
 def _cell_union(filtration: Filtration, lag: int) -> tuple:
     """:meth:`Filtration.cell_union`, built: canonical labels, blocks ranked by first cell, then the block table."""
     space, parts = filtration.space, filtration.partitions
     n, width = space.n_atoms, len(parts)
-    first = filtration.first_cells(lag)
+    # a block's first cell is its first atom's cell at its time
+    first = np.array([parts[max(t - lag, 0)]._first_atom for t in range(width)]).T * width
+    first += np.arange(width)
+    first = first.ravel()
     ranks = np.cumsum(first == np.arange(n * width))
     labels = ranks[first]
     labels -= 1
     partition = object.__new__(Partition)
     object.__setattr__(partition, "labels", tuple(labels.tolist()))
-    labels.setflags(write=False)
     partition.__dict__.update(n_blocks=int(ranks[-1]), block_of=labels, _first_atom=first)
 
     k = width - lag
@@ -302,7 +287,7 @@ def _cell_union(filtration: Filtration, lag: int) -> tuple:
         for atoms, w, masses in parts[t - lag].size_groups(space):
             by_size.setdefault(atoms.shape[1], []).append((atoms * width + t, w * scale[t], masses * scale[t]))
     groups = tuple(g[0] if len(g) == 1 else tuple(map(np.concatenate, zip(*g))) for g in by_size.values())
-    for a in (cells.probs, *(a for g in groups for a in g)):
+    for a in (first, labels, cells.probs, *(a for g in groups for a in g)):
         a.setflags(write=False)
     partition.__dict__["_tables"] = {cells: _indexed(groups, n * width)}
     return cells, partition
@@ -489,7 +474,7 @@ def slice_violation(values, filtration: Filtration, lag: int):
     cell of the cell union is compared with its block's first cell, so a NaN
     violates its block; (t, block) is located only when some cell fails.
     """
-    first = filtration.first_cells(lag)
+    first = filtration.cell_union(lag)[1]._first_atom
     v = np.asarray(values)
     flat = v.reshape(v.shape[:-2] + first.shape)
     bad = flat != flat[..., first]

@@ -8,9 +8,10 @@ residual is zero to float precision, so the residual doubles as a
 certificate.  Degenerate nodes get the minimum-norm solution (singular-value
 cutoff 1e-12), which puts 0 on zero-variance regressors.
 
-One kernel serves every solver: per time and block size it forms one stacked
-pseudo-inverse of the nodes' weighted designs and applies it to a whole stack
-of targets.  :func:`solve_batch` is the batch entry point; ``solve_prp``,
+The nodes are the blocks of the filtration's lag-1 cell union, and one kernel
+serves every solver: per block size, over the whole horizon, it forms one
+stacked pseudo-inverse of the nodes' weighted designs and applies it to a
+whole stack of targets.  :func:`solve_batch` is the batch entry point; ``solve_prp``,
 ``solve_wrp``, ``solve_triple``, ``solve_in_basis`` and
 ``independent_decomposition`` solve one target through it.
 """
@@ -90,45 +91,53 @@ def chunk_length(filtration: Filtration) -> int:
 
 
 def _nodes(filtration: Filtration):
-    """(t, mass, children) of every positive-mass node, a time t >= 1 and a block of P_{t-1}, by P_{t-1}'s size groups.
+    """(t, mass, children) of every positive-mass node, by the lag-1 cell union's size groups.
 
-    ``children`` are the node's positive-mass blocks of P_t as (atoms, mass), in block order.
+    A node is a time t >= 1 and a block of P_{t-1}, the union's block of its cells (a, t);
+    ``children`` are its positive-mass blocks of P_t as (atoms, mass), in block order,
+    told apart by the lag-0 union's labels.
     """
-    for t in range(1, filtration.horizon + 1):
-        block_of = filtration.at(t).block_of
-        for atoms, w, masses in filtration.at(t - 1).size_groups(filtration.space):
-            for node, node_probs, mass, labels in zip(atoms, w, masses, block_of[atoms]):
-                masks = [labels == label for label in dict.fromkeys(labels.tolist())]
-                children = [(node[mask], float(node_probs[mask].sum())) for mask in masks]
-                yield t, float(mass), [child for child in children if child[1] > 0.0]
+    width = filtration.horizon + 1
+    cells, union = filtration.cell_union(1)
+    child_of = filtration.cell_union(0)[1].block_of
+    for nodes, _, _ in union.size_groups(cells):
+        for node, labels in zip(nodes, child_of[nodes]):
+            atoms = node // width
+            w = filtration.space.probs[atoms]
+            masks = [labels == label for label in dict.fromkeys(labels.tolist())]
+            children = [(atoms[mask], float(w[mask].sum())) for mask in masks]
+            yield int(node[0] % width), float(w.sum()), [child for child in children if child[1] > 0.0]
 
 
 def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filtration):
     """Weighted least squares of every target's increment against the regressors', per node.
 
-    ``values`` is (k, n, T+1), ``regressors`` (r, n, T+1).  The G nodes of one
-    time and block size m are solved as one stack of (m, r) designs.  Returns
-    each (atom, t)'s node (-1 at time 0 and on zero-mass nodes) and the
-    coefficients (r, k, nodes + 1) whose last column is 0.
+    ``values`` is (k, n, T+1), ``regressors`` (r, n, T+1).  The nodes are the
+    lag-1 cell union's blocks, and its G nodes of one size m, over the whole
+    horizon, are solved as one stack of (m, r) designs weighted by the atoms'
+    own probabilities.  Returns each (atom, t)'s node, the union's spread (time
+    0 and zero-mass nodes get the last column), and the coefficients
+    (r, k, nodes + 1) whose last column is 0.
     """
     space = filtration.space
     if space.null_atoms:
         # weight 0 does not silence a NaN or an inf, so a null atom's increment is dropped
         values = np.where(space.positive[:, None], values, 0.0)
-    node_of = np.full(values.shape[1:], -1)
-    coefs, offset = [], 0
-    for t in range(1, filtration.horizon + 1):
-        for atoms, w, _ in filtration.at(t - 1).size_groups(space):
-            node_of[atoms, t] = np.arange(offset, offset + len(atoms))[:, None]
-            offset += len(atoms)
-            # (G, m, k) with each node's (m, k) block row-major: matmul's rounding depends on the
-            # layout, and this one gives every node the bits of a solve of that node alone
-            dy = np.ascontiguousarray((values[:, atoms, t] - values[:, atoms, t - 1]).transpose(1, 2, 0))
-            sw = np.sqrt(w)
-            pinv = np.linalg.pinv(regressors[:, atoms, t].transpose(1, 2, 0) * sw[..., None], rcond=SV_CUTOFF)
-            coefs.append((pinv * sw[:, None]) @ dy)
+    cells, union = filtration.cell_union(1)
+    groups, spread, _ = union._table(cells)
+    width = filtration.horizon + 1
+    dys = time_increments(values).reshape(len(values), cells.n_atoms)
+    regs = regressors.reshape(len(regressors), cells.n_atoms)
+    coefs = []
+    for nodes, _, _ in groups:
+        # (G, m, k) with each node's (m, k) block row-major: matmul's rounding depends on the
+        # layout, and this one gives every node the bits of a solve of that node alone
+        dy = np.ascontiguousarray(dys[:, nodes].transpose(1, 2, 0))
+        sw = np.sqrt(space.probs[nodes // width])
+        pinv = np.linalg.pinv(regs[:, nodes].transpose(1, 2, 0) * sw[..., None], rcond=SV_CUTOFF)
+        coefs.append((pinv * sw[:, None]) @ dy)
     coefs.append(np.zeros((1, len(regressors), len(values))))
-    return node_of, np.concatenate(coefs).transpose(1, 2, 0)
+    return spread.reshape(values.shape[1:]), np.concatenate(coefs).transpose(1, 2, 0)
 
 
 def solve_batch(

@@ -9,7 +9,10 @@ independent path.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,6 +410,36 @@ def random_filtration(rng, n_atoms, horizon, zero_frac=0.3):
     return Filtration(space, tuple(parts))
 
 
+def perfbench_workloads():
+    """The benchmark's workload generator, ``perfbench/workloads.py``, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up while the class is built
+    spec.loader.exec_module(module)
+    return module
+
+
+def relabel(bundle, perm):
+    """``bundle`` with its atoms renumbered: new atom i is old atom ``perm[i]``.
+
+    Probabilities, paths and the initial sigma-field move with the atoms, and
+    the filtrations are built again from them, so the new bundle carries the
+    same information in another layout.
+    """
+    from filtration_lab.enlargement import build_bundle
+    from filtration_lab.finite_space import Partition, build_space
+
+    perm = np.asarray(perm)
+    return build_bundle(
+        build_space(bundle.space.probs[perm]),
+        bundle.X.values[perm],
+        bundle.H.values[perm],
+        initial=Partition.from_labels(np.asarray(bundle.initial.labels)[perm].tolist()),
+        name=bundle.name,
+    )
+
+
 def oracle_nodewise_lstsq(targets, regressors, filtration, cutoff):
     """Integrands (r, k, n, T+1) by one single-right-hand-side lstsq per node per target."""
     probs = filtration.space.probs
@@ -462,10 +495,12 @@ def oracle_chunked_reconstruction(values, regressors, node_of, table, probs, ste
 def oracle_pinv_per_node(values, regressors, filtration, cutoff):
     """The nodewise solve one node at a time: one ``np.linalg.pinv`` per positive-mass node.
 
-    Nodes are numbered time by time in block order.  Returns each (atom, t)'s
-    node (-1 at time 0 and on zero-mass nodes) and the coefficients
-    (r, k, nodes + 1) whose last column is 0, as ``_nodewise_solve`` does; a
-    null atom's increment is dropped first, as there.
+    Nodes are numbered time by time in block order, not in the cell union's
+    table order that ``_nodewise_solve`` uses, and time 0 and zero-mass nodes
+    get node -1, not one past the last node; ``solve_batch`` reads either
+    numbering the same way.  Returns each (atom, t)'s node and the
+    coefficients (r, k, nodes + 1) whose last column is 0; a null atom's
+    increment is dropped first, as there.
     """
     space = filtration.space
     nodes = [

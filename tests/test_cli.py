@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import perfbench_workloads
 
 from filtration_lab.calculus import MartingaleCheck
 from filtration_lab.cli import (
@@ -20,7 +22,7 @@ from filtration_lab.cli import (
 )
 from filtration_lab.errors import ConfigInvalid, NotMartingale
 from filtration_lab.finite_space import AdaptedProcess
-from filtration_lab import fixtures, suites
+from filtration_lab import finite_space, fixtures, suites
 from filtration_lab.suites import REGISTRY, SuiteContext, describe_suite, list_suites
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "configs"
@@ -779,3 +781,71 @@ class TestBoundedRow:
     def test_ok_false_fails_the_row_within_tolerance(self, ok):
         row = suites._bounded("row", {"worst_a": (1e-12, 0.0)}, ok=ok, computed=2)
         assert (row.outcome, row.evidence) == ("fails", {"worst_a": 0.0, "computed": 2})
+
+
+class TestBlasThreads:
+    """The exact reports do not depend on the BLAS thread count.
+
+    The solver's pseudo-inverse stacks span the whole horizon, one per block
+    size, so the largest ones are where a threaded BLAS could round apart.
+    """
+
+    @pytest.mark.parametrize("config", ["space_a_full", "large_tree"])
+    def test_one_and_two_threads_write_the_same_bytes(self, tmp_path, config):
+        if config == "large_tree":
+            # the benchmark's 256-atom tree, inline, running the five fixture suites
+            doc = perfbench_workloads().generate("exact_large_tree", 11, CONFIG_DIR.parents[2])[0].config
+        else:
+            doc = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "filtration_lab", "run", str(cfg_path), "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
+#: the rows of ``space_a_full.json`` that fail when every block average is off by eps times its
+#: largest |value|, for eps = 1e-11 and 1e-10; a looser EXACT_TOL (1e-6) or ATOMWISE_TOL (1e-9)
+#: lets some of them pass
+BIASED_AVERAGE_FAILURES = (
+    "jump_measure_compensator::uniform_fixture_densities",
+    "jump_measure_compensator::three_atom_densities",
+    "wrp_representation::three_atom_solution_avoids_dead_mark",
+    "triple_representation::stopped_representation",
+    "completeness_random_spaces::dense_by_zero_residuals",
+    "independent_enlargement::orthogonal_basis_represents",
+    "independent_enlargement::change_of_basis_identities",
+    "azema_compensator::survival_process_consistent",
+    "azema_compensator::independent_uniform_profile",
+    "azema_compensator::announced_time_is_its_own_compensator",
+    "orthogonality_toolkit::common_predictable_jump_quantified",
+    "orthogonality_toolkit::self_bracket_compensates_to_compensator",
+)
+
+
+class TestFaultRows:
+    """A fault in the exact engine's block average fails a pinned set of the bundled config's rows."""
+
+    @pytest.mark.parametrize("eps", [1e-11, 1e-10])
+    def test_a_biased_block_average_fails_the_pinned_rows(self, tmp_path, monkeypatch, eps):
+        real = finite_space.conditional_expectation
+
+        def biased(space, values, partition):
+            out = real(space, values, partition)
+            return out + eps * np.max(np.abs(out), initial=0.0)
+
+        monkeypatch.setattr(finite_space, "conditional_expectation", biased)
+        out = tmp_path / "r.json"
+        assert main(["run", str(CONFIG_DIR / "space_a_full.json"), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        failed = tuple(f"{c['suite']}::{c['name']}" for c in report["checks"] if not c["passed"])
+        assert failed == BIASED_AVERAGE_FAILURES
+        assert report["summary"] == {"checks": 47, "passed": 35, "failed": 12}

@@ -475,19 +475,22 @@ class TestCellUnion:
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_the_union_is_built_once_per_lag_and_read_only(self, monkeypatch, lag, seed):
         built = []
-        for name in ("_cell_union", "_first_cells"):
-            build = getattr(finite_space, name)
-            monkeypatch.setattr(finite_space, name, lambda f, lag, build=build, name=name: built.append(name) or build(f, lag))
+        build = finite_space._cell_union
+        monkeypatch.setattr(finite_space, "_cell_union", lambda f, lag: built.append(lag) or build(f, lag))
         rng = np.random.default_rng(seed)
         filt = random_filtration(rng, 12, 3)
         n, width = filt.space.n_atoms, filt.horizon + 1
         values = rng.normal(size=(2, n, width))
         for _ in range(3):
             slice_expectations(values, filt, lag)
-            slice_violation(values, filt, lag)
-        assert sorted(built) == ["_cell_union", "_first_cells"]
+            assert slice_violation(values, filt, lag) is not None  # P_0 is trivial, so slice 0 varies on a block
+        assert built == [lag]
         cells, part = filt.cell_union(lag)
-        assert filt.cell_union(lag) == (cells, part) and filt.first_cells(lag) is part._first_atom
+        assert filt.cell_union(lag) == (cells, part)
+        # slice_violation reads its first cells off the union: made every cell its own block's first, nothing varies
+        first, part.__dict__["_first_atom"] = part._first_atom, np.arange(n * width)
+        assert slice_violation(values, filt, lag) is None
+        part.__dict__["_first_atom"] = first
 
         # cell (a, t) lies in block (t, block of a in P_{max(t-lag, 0)}), labels canonical
         pairs = [(t, filt.at(max(t - lag, 0)).labels[a]) for a in range(n) for t in range(width)]

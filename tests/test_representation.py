@@ -1,6 +1,4 @@
-import importlib.util
 import json
-import sys
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -8,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    BY_NAME_FIXTURES,
     oracle_chunked_reconstruction,
     oracle_independence_violation,
     oracle_nodewise_lstsq,
@@ -15,7 +14,9 @@ from conftest import (
     oracle_positive_children,
     oracle_residual_sup,
     oracle_spanning_family,
+    perfbench_workloads,
     random_filtration,
+    relabel,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,7 @@ from filtration_lab.finite_space import (
     PointProcess,
     build_space,
     segment_sups,
+    slice_violation,
     stop_values,
 )
 from filtration_lab.jump_measure import compensator_measure, fundamental_martingales, jump_measure
@@ -376,12 +378,14 @@ def _bundle_with_null_atoms(rng, b):
 
 def _large_tree(seed):
     """The benchmark's ``exact_large_tree`` bundle: the complete 4-way (dX, dH) tree of horizon 4, 256 atoms."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks its module up while the class is built
-    spec.loader.exec_module(module)
-    return bundle_from_doc(module.tree_bundle_doc(seed))
+    return bundle_from_doc(perfbench_workloads().tree_bundle_doc(seed))
+
+
+def _quiet_first_step():
+    """Four uniform atoms, horizon 2, nothing jumps at t = 1: P_0 = P_1 is trivial, and P_2 discrete."""
+    x = [[0, 0, 0], [0, 0, 1], [0, 0, 0], [0, 0, 1]]
+    h = [[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 1]]
+    return build_bundle(build_space([0.25] * 4), x, h, name="quiet_first_step")
 
 
 def _regressor_family(kind, b):
@@ -440,10 +444,11 @@ class TestBatchedKernel:
             batch = solve_batch(ys, regs, b.g, keep_integrands=True, keep_reconstructions=True)
             _assert_solved_node_by_node(batch, ys, regs, b.g)
 
-    @pytest.mark.parametrize("tree,calls", [("large_tree", 4), ("space_a", 2)])
-    def test_one_pinv_per_time_and_block_size(self, monkeypatch, tree, calls):
-        # the 256-atom tree has 85 nodes and space_a's joint tree 5, each of one size per time
-        b = _large_tree(11) if tree == "large_tree" else fixtures.space_a()
+    @pytest.mark.parametrize("tree,calls", [("large_tree", 4), ("space_a", 2), ("quiet_first_step", 1)])
+    def test_one_pinv_per_block_size(self, monkeypatch, tree, calls):
+        # the 256-atom tree has 85 nodes and space_a's joint tree 5, each of one size per time; the quiet
+        # tree's two nodes, one per time, have one size, so the whole horizon is one stack
+        b = {"large_tree": lambda: _large_tree(11), "space_a": fixtures.space_a, "quiet_first_step": _quiet_first_step}[tree]()
         pinv, made = np.linalg.pinv, []
         monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kw: made.append(args[0].shape) or pinv(*args, **kw))
         ys = martingale_closures(np.random.default_rng(53).normal(size=(3, b.space.n_atoms)), b.g)
@@ -682,3 +687,55 @@ class TestUnionSolves:
         for h, (n, _, _) in zip(horizons, solved[6::2]):
             assert n == sum(b.space.n_atoms for b in lone if b.g.horizon == h) + 1
         assert {k for _, _, k in solved} == {100}
+
+
+#: each named fixture, the 256-atom tree, and the drawn union of each horizon
+RELABEL_CASES = BY_NAME_FIXTURES + ("large_tree", "union_horizon_1", "union_horizon_2", "union_horizon_3")
+
+
+def _relabel_case(name):
+    """(bundle, segment starts) of one of ``RELABEL_CASES``."""
+    if name == "large_tree":
+        return _large_tree(11), [0]
+    if name.startswith("union_horizon_"):
+        unions = fixtures.random_pair_unions(np.random.default_rng(19), 12)
+        (b, starts), = [(b, starts) for b, starts, _, _ in unions if b.g.horizon == int(name[-1])]
+        return b, starts.tolist()
+    return fixtures.bundle_by_name(name), [0]
+
+
+def _first_time(hit):
+    return None if hit is None else hit[0]
+
+
+class TestRelabelInvariance:
+    """Renumbering the atoms changes no solve, spanning number or predictability verdict.
+
+    The solver and the spanning walk read the cell union, whose cells are
+    numbered atom-major; these relations hold whatever that layout makes of
+    the atoms' order.
+    """
+
+    @pytest.mark.parametrize("name", RELABEL_CASES)
+    def test_relabelled_fixture_gives_the_same_results(self, name):
+        b, starts = _relabel_case(name)
+        rng = np.random.default_rng(RELABEL_CASES.index(name))
+        n = b.space.n_atoms
+        # a permutation within each segment of ``starts``, so a union's segments stay where they are
+        bounds = starts + [n]
+        perm = np.concatenate([lo + rng.permutation(hi - lo) for lo, hi in zip(bounds, bounds[1:])])
+        rb = relabel(b, perm)
+        positive = b.space.positive[perm]
+        ys = martingale_closures(rng.normal(size=(5, n)), b.g)
+        for kind in ("wrp", "triple"):
+            batch = solve_batch(ys, _regressor_family(kind, b), b.g, keep_integrands=True)
+            moved = solve_batch(ys[:, perm], _regressor_family(kind, rb), rb.g, keep_integrands=True)
+            assert np.abs(moved.residual_sup - batch.residual_sup).max() <= 1e-12, kind
+            gap = np.abs(moved.integrands - batch.integrands[:, :, perm])[:, :, positive]
+            assert gap.max(initial=0.0) <= 1e-12, kind
+        assert spanning_numbers(rb.g, starts).tolist() == spanning_numbers(b.g, starts).tolist()
+        assert spanning_numbers(rb.f, starts).tolist() == spanning_numbers(b.f, starts).tolist()
+        stacks = [b.X.values, b.H.values, batch.integrands[0, 0], rng.normal(size=b.X.values.shape)]
+        for lag in (0, 1):
+            for v in stacks:
+                assert _first_time(slice_violation(v[perm], rb.g, lag)) == _first_time(slice_violation(v, b.g, lag)), lag
