@@ -47,6 +47,21 @@ MUTANTS = (
         "        sw = np.sqrt(cells.probs[nodes])",
         ["tests/test_representation.py::TestBatchedKernel"],
     ),
+    (
+        # a family of the same shape would then reuse another family's factors
+        "factor_key_without_bytes",
+        REP,
+        "    key = (regs.dtype.str, regs.shape, regs.tobytes(), SV_CUTOFF)",
+        "    key = (regs.dtype.str, regs.shape, SV_CUTOFF)",
+        ["tests/test_representation.py::TestFactorStore"],
+    ),
+    (
+        "union_first_cell_from_last",
+        FS,
+        "    heads = order[starts]",
+        "    heads = order[starts + sizes - 1]",
+        ["tests/test_finite_space.py::TestCellUnion"],
+    ),
 )
 
 #: mutants known to survive, each with the reason it is left

@@ -11,7 +11,8 @@ makes every downstream identity checkable to float precision.  The two slice
 operators average or test every time slice of a stack at once, on the
 filtration's cell union: its (atom, time) cells as one space, partitioned by
 (t, block of P_{t-lag}), with dyadic slice weights that keep every block
-average's bits; the union is structure only, built once per lag.
+average's bits; the union is structure only, its labels built once per lag in
+one pass and its block table on first read.
 """
 from __future__ import annotations
 
@@ -159,7 +160,7 @@ class Partition:
 
     @cached_property
     def _runs(self) -> tuple:
-        """(atoms in block order, each block ascending; each block's start in that order; each block's size)."""
+        """(atoms grouped by block, each block ascending; each block's start among them; each block's size)."""
         order = np.argsort(self.block_of, kind="stable")
         sizes = np.bincount(self.block_of)
         return order, sizes.cumsum() - sizes, sizes
@@ -241,7 +242,8 @@ class Filtration:
         weighs p_a 2^-e_t, e = 1, 2, ..., k-1, k-1 over the k = T+1-lag slices (sum 1);
         the slices t < lag are null cells in zero-mass blocks.  A power of two scales a
         block's weights and mass exactly, so its average keeps the bits of the slice's.
-        Built once per lag from the slices' own size groups: structure only, all frozen.
+        Built once per lag in one pass over the slices' labels, its block table on first
+        read (:meth:`Partition.size_groups`): structure only, all frozen.
         """
         built = self.__dict__.setdefault("_cell_unions", {})
         if lag not in built:
@@ -264,32 +266,34 @@ def _indexed(groups: tuple, n_atoms: int) -> tuple:
 
 
 def _cell_union(filtration: Filtration, lag: int) -> tuple:
-    """:meth:`Filtration.cell_union`, built: canonical labels, blocks ranked by first cell, then the block table."""
+    """:meth:`Filtration.cell_union`, built in one label pass over the slices' blocks as one key."""
     space, parts = filtration.space, filtration.partitions
     n, width = space.n_atoms, len(parts)
-    # a block's first cell is its first atom's cell at its time
-    first = np.array([parts[max(t - lag, 0)]._first_atom for t in range(width)]).T * width
-    first += np.arange(width)
-    first = first.ravel()
-    ranks = np.cumsum(first == np.arange(n * width))
-    labels = ranks[first]
-    labels -= 1
+    slices = [parts[max(t - lag, 0)] for t in range(width)]
+    # cell (a, t)'s key is a's block of its slice, past the blocks of the slices before it
+    offsets = np.cumsum([0] + [p.n_blocks for p in slices[:-1]])
+    key = (np.column_stack([p.block_of for p in slices]) + offsets).ravel()
+    order = np.argsort(key, kind="stable")  # each key's cells ascending, so a key's head is its first cell
+    sizes = np.bincount(key)
+    starts = sizes.cumsum() - sizes
+    heads = order[starts]
+    # blocks ranked by first cell are the canonical labels
+    is_head = np.zeros(n * width, dtype=bool)
+    is_head[heads] = True
+    label_of = (np.cumsum(is_head) - 1)[heads]
+    labels, first = label_of[key], heads[key]
+    runs = np.empty((2, len(sizes)), dtype=np.int64)
+    runs[:, label_of] = starts, sizes
     partition = object.__new__(Partition)
     object.__setattr__(partition, "labels", tuple(labels.tolist()))
-    partition.__dict__.update(n_blocks=int(ranks[-1]), block_of=labels, _first_atom=first)
+    partition.__dict__.update(n_blocks=len(sizes), block_of=labels, _first_atom=first, _runs=(order, *runs))
 
     k = width - lag
     scale = [0.0] * lag + [2.0 ** -min(i, k - 1) for i in range(1, k + 1)]
     cells = object.__new__(FiniteProbabilitySpace)  # its total is the space's, so it is not checked again
     object.__setattr__(cells, "probs", (space.probs[:, None] * scale).ravel())
-    by_size = {}
-    for t in range(lag, width):
-        for atoms, w, masses in parts[t - lag].size_groups(space):
-            by_size.setdefault(atoms.shape[1], []).append((atoms * width + t, w * scale[t], masses * scale[t]))
-    groups = tuple(g[0] if len(g) == 1 else tuple(map(np.concatenate, zip(*g))) for g in by_size.values())
-    for a in (first, labels, cells.probs, *(a for g in groups for a in g)):
+    for a in (first, labels, cells.probs):
         a.setflags(write=False)
-    partition.__dict__["_tables"] = {cells: _indexed(groups, n * width)}
     return cells, partition
 
 

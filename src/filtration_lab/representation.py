@@ -11,7 +11,10 @@ cutoff 1e-12), which puts 0 on zero-variance regressors.
 The nodes are the blocks of the filtration's lag-1 cell union, and one kernel
 serves every solver: per block size, over the whole horizon, it forms one
 stacked pseudo-inverse of the nodes' weighted designs and applies it to a
-whole stack of targets.  :func:`solve_batch` is the batch entry point; ``solve_prp``,
+whole stack of targets.  A regressor family is factored once per filtration:
+the filtration keeps each family's factors, keyed on the regressors' bytes
+and the cutoff, so solving the same family again reuses them, with the same
+bits.  :func:`solve_batch` is the batch entry point; ``solve_prp``,
 ``solve_wrp``, ``solve_triple``, ``solve_in_basis`` and
 ``independent_decomposition`` solve one target through it.
 """
@@ -50,6 +53,8 @@ from .jump_measure import MARKS, MarkedMeasure, fundamental_martingales
 
 #: relative singular-value cutoff for the nodewise least-squares solves
 SV_CUTOFF = 1e-12
+#: regressor families whose nodewise factors a filtration keeps, the oldest dropped first
+_FACTORS = 16
 #: (atom, time) values per chunk of a stack of (n, T+1) entries (the Thm 3.3 check's functions)
 _CHUNK = 1 << 13
 
@@ -115,9 +120,10 @@ def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filt
     ``values`` is (k, n, T+1), ``regressors`` (r, n, T+1).  The nodes are the
     lag-1 cell union's blocks, and its G nodes of one size m, over the whole
     horizon, are solved as one stack of (m, r) designs weighted by the atoms'
-    own probabilities.  Returns each (atom, t)'s node, the union's spread (time
-    0 and zero-mass nodes get the last column), and the coefficients
-    (r, k, nodes + 1) whose last column is 0.
+    own probabilities, through the family's factors (:func:`_factors`).
+    Returns each (atom, t)'s node, the union's spread (time 0 and zero-mass
+    nodes get the last column), and the coefficients (r, k, nodes + 1) whose
+    last column is 0.
     """
     space = filtration.space
     if space.null_atoms:
@@ -125,19 +131,45 @@ def _nodewise_solve(values: np.ndarray, regressors: np.ndarray, filtration: Filt
         values = np.where(space.positive[:, None], values, 0.0)
     cells, union = filtration.cell_union(1)
     groups, spread, _ = union._table(cells)
-    width = filtration.horizon + 1
     dys = time_increments(values).reshape(len(values), cells.n_atoms)
-    regs = regressors.reshape(len(regressors), cells.n_atoms)
+    factors = _factors(regressors.reshape(len(regressors), cells.n_atoms), filtration)
     coefs = []
-    for nodes, _, _ in groups:
+    for factor, (nodes, _, _) in zip(factors, groups):
         # (G, m, k) with each node's (m, k) block row-major: matmul's rounding depends on the
         # layout, and this one gives every node the bits of a solve of that node alone
-        dy = np.ascontiguousarray(dys[:, nodes].transpose(1, 2, 0))
-        sw = np.sqrt(space.probs[nodes // width])
-        pinv = np.linalg.pinv(regs[:, nodes].transpose(1, 2, 0) * sw[..., None], rcond=SV_CUTOFF)
-        coefs.append((pinv * sw[:, None]) @ dy)
+        coefs.append(factor @ np.ascontiguousarray(dys[:, nodes].transpose(1, 2, 0)))
     coefs.append(np.zeros((1, len(regressors), len(values))))
     return spread.reshape(values.shape[1:]), np.concatenate(coefs).transpose(1, 2, 0)
+
+
+def _factors(regs: np.ndarray, filtration: Filtration) -> list:
+    """Each lag-1 size group's factor ``pinv(design sqrt(w)) sqrt(w)`` (G, r, m) of the (r, n(T+1)) regressors.
+
+    The filtration keeps the factors of its last ``_FACTORS`` families, keyed
+    on the regressors' dtype, shape and bytes and on ``SV_CUTOFF``: structure
+    only, never targets or coefficients, so a hit is the factor a miss builds.
+    """
+    store = filtration.__dict__.setdefault("_factors", {})
+    key = (regs.dtype.str, regs.shape, regs.tobytes(), SV_CUTOFF)
+    if key not in store:
+        if len(store) == _FACTORS:
+            del store[next(iter(store))]
+        store[key] = _factor(regs, filtration)
+    return store[key]
+
+
+def _factor(regs: np.ndarray, filtration: Filtration) -> list:
+    """:func:`_factors`, built: one stacked ``np.linalg.pinv`` per size group, all frozen."""
+    space, width = filtration.space, filtration.horizon + 1
+    cells, union = filtration.cell_union(1)
+    factors = []
+    for nodes, _, _ in union.size_groups(cells):
+        sw = np.sqrt(space.probs[nodes // width])
+        pinv = np.linalg.pinv(regs[:, nodes].transpose(1, 2, 0) * sw[..., None], rcond=SV_CUTOFF)
+        factor = pinv * sw[:, None]
+        factor.setflags(write=False)
+        factors.append(factor)
+    return factors
 
 
 def solve_batch(

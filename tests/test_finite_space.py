@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from filtration_lab import finite_space, fixtures
 from filtration_lab.calculus import dual_projections
-from filtration_lab.enlargement import natural_filtration
+from filtration_lab.enlargement import build_bundle, natural_filtration
 from filtration_lab.errors import (
     NegativeProbability,
     NotAStoppingTime,
@@ -44,6 +44,7 @@ from filtration_lab.finite_space import (
     stop_values,
     time_increments,
 )
+from filtration_lab.representation import multiplicity
 
 
 class TestSpace:
@@ -517,6 +518,55 @@ class TestCellUnion:
         groups, spread, _ = part._table(cells)
         arrays = [cells.probs, part.block_of, part._first_atom, spread, *(a for g in groups for a in g)]
         assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("lag", [0, 1])
+    def test_labels_first_cells_and_rows_equal_the_slices_own(self, lag):
+        # P_0 is an initial enlargement that ties atoms 0 and 2 apart from atom 1; atoms 3 and 5 carry
+        # no mass, so their P_0 block {3, 5} and their later blocks are zero-mass at every t >= lag
+        x = [[0, 1, 1], [0, 0, 1], [0, 0, 0], [0, 1, 1], [0, 0, 0], [0, 0, 1]]
+        h = [[0, 0, 1], [0, 1, 1], [0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]]
+        space = build_space([0.25, 0.25, 0.25, 0.0, 0.25, 0.0])
+        filt = build_bundle(space, x, h, initial=Partition.from_labels([0, 1, 0, 2, 1, 2])).g
+        assert filt.at(0).n_blocks == 3 and filt.at(0).blocks[2] == (3, 5)
+        n, width = space.n_atoms, filt.horizon + 1
+        cells, part = filt.cell_union(lag)
+
+        # the slice oracle: cell (a, t)'s block is (t, block of a in its slice), blocks numbered by first cell
+        pairs = [(t, filt.at(max(t - lag, 0)).labels[a]) for a in range(n) for t in range(width)]
+        assert part.labels == Partition.from_labels(pairs).labels
+        assert part._first_atom.tolist() == [pairs.index(pair) for pair in pairs]
+
+        # each slice's positive-mass rows, scaled by its slice weight, in rank (first-cell) order, by size as first seen
+        scale = np.append(np.zeros(lag), 2.0 ** -np.minimum(np.arange(1, width - lag + 1), width - lag - 1))
+        rows = []
+        for t in range(lag, width):
+            for block in filt.at(t - lag).blocks:
+                atoms = np.array(block)
+                w = space.probs[atoms]
+                if w.sum() > 0.0:
+                    rows.append((atoms * width + t, w * scale[t], w.sum() * scale[t]))
+        by_size = {}
+        for row in sorted(rows, key=lambda row: row[0][0]):
+            by_size.setdefault(len(row[0]), []).append(row)
+        want = [tuple(map(np.array, zip(*g))) for g in by_size.values()]
+        got = part.size_groups(cells)
+        assert len(got) == len(want)
+        assert all(_bitwise_equal(g, w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
+        # the zero-mass block {3, 5} of P_0 at t = lag has no row: its cells read one past the last
+        spread = part._table(cells)[1]
+        assert spread[3 * width + lag] == spread[5 * width + lag] == len(rows)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_a_union_read_for_its_labels_builds_no_table(self, seed):
+        filt = random_filtration(np.random.default_rng(seed), 9, 3)
+        values = np.zeros((filt.space.n_atoms, filt.horizon + 1))
+        for lag in (0, 1):
+            assert slice_violation(values, filt, lag) is None
+            assert "_tables" not in filt.cell_union(lag)[1].__dict__
+        # the spanning walk reads the lag-1 union's rows, and only the lag-0 union's labels
+        multiplicity(filt)
+        assert "_tables" in filt.cell_union(1)[1].__dict__
+        assert "_tables" not in filt.cell_union(0)[1].__dict__
 
 
 class TestTimeIncrements:

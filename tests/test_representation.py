@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import (
     BY_NAME_FIXTURES,
+    RANDOM_TIME_FIXTURES,
     oracle_chunked_reconstruction,
     oracle_independence_violation,
     oracle_nodewise_lstsq,
@@ -408,6 +409,13 @@ def _assert_solved_node_by_node(batch, ys, regs, filtration):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), field
 
 
+def _counting_pinv(monkeypatch):
+    """``np.linalg.pinv`` patched to record each call's stack shape; returns the record."""
+    pinv, made = np.linalg.pinv, []
+    monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kw: made.append(args[0].shape) or pinv(*args, **kw))
+    return made
+
+
 class TestBatchedKernel:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -447,10 +455,11 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("tree,calls", [("large_tree", 4), ("space_a", 2), ("quiet_first_step", 1)])
     def test_one_pinv_per_block_size(self, monkeypatch, tree, calls):
         # the 256-atom tree has 85 nodes and space_a's joint tree 5, each of one size per time; the quiet
-        # tree's two nodes, one per time, have one size, so the whole horizon is one stack
-        b = {"large_tree": lambda: _large_tree(11), "space_a": fixtures.space_a, "quiet_first_step": _quiet_first_step}[tree]()
-        pinv, made = np.linalg.pinv, []
-        monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kw: made.append(args[0].shape) or pinv(*args, **kw))
+        # tree's two nodes, one per time, have one size, so the whole horizon is one stack.  Each bundle is
+        # built afresh: the shared space_a may already keep this family's factors from an earlier solve
+        build = {"large_tree": lambda: _large_tree(11), "space_a": fixtures.space_a.__wrapped__}
+        b = build.get(tree, _quiet_first_step)()
+        made = _counting_pinv(monkeypatch)
         ys = martingale_closures(np.random.default_rng(53).normal(size=(3, b.space.n_atoms)), b.g)
         solve_batch(ys, triple_regressors(*fundamental_martingales(b.X, b.H)), b.g)
         assert len(made) == calls
@@ -549,6 +558,102 @@ class TestBatchedKernel:
             assert abs(sol.checks["pythagoras_gap"] - checks["pythagoras_gap"][i]) <= 1e-12
             for key in ("basis_orthogonality_gap", "basis_identity_gap", "bracket_factorisation_gap"):
                 assert sol.checks[key] == checks[key]
+
+
+def _solved(ys, regs, filtration):
+    batch = solve_batch(ys, regs, filtration, keep_integrands=True, keep_reconstructions=True)
+    return [getattr(batch, field).tobytes() for field in ("integrands", "residual_sup", "reconstructions")]
+
+
+class TestFactorStore:
+    """A filtration keeps its regressor families' nodewise factors: a hit has the bits of a miss,
+    and any change to the family or to the cutoff misses."""
+
+    @pytest.mark.parametrize("kind", ["wrp", "triple", "rank_deficient"])
+    @pytest.mark.parametrize("tree", ["large_tree", "null_atoms"])
+    def test_a_hit_has_the_bits_of_a_miss_and_of_one_pinv_per_node(self, monkeypatch, tree, kind):
+        def build():
+            rng = np.random.default_rng(60)
+            return _large_tree(11) if tree == "large_tree" else _bundle_with_null_atoms(rng, fixtures.random_bundle(rng))
+
+        warm, cold = build(), build()
+        regs = _regressor_family(kind, warm)
+        rng = np.random.default_rng(61)
+        ys, others = (martingale_closures(rng.normal(size=(5, warm.space.n_atoms)), warm.g) for _ in range(2))
+        solve_batch(others, regs, warm.g)
+        made = _counting_pinv(monkeypatch)
+        hit = _solved(ys, regs, warm.g)
+        assert made == []
+        assert hit == _solved(ys, regs, cold.g)
+        assert made and len(cold.g._factors) == len(warm.g._factors) == 1
+        monkeypatch.undo()
+        _assert_solved_node_by_node(solve_batch(ys, regs, warm.g, keep_integrands=True, keep_reconstructions=True),
+                                    ys, regs, warm.g)
+
+    def test_a_one_ulp_change_to_one_regressor_entry_misses(self, monkeypatch):
+        b, fresh = _large_tree(11), _large_tree(11)
+        regs = _regressor_family("triple", b)
+        ys = martingale_closures(np.random.default_rng(62).normal(size=(3, b.space.n_atoms)), b.g)
+        solve_batch(ys, regs, b.g)
+        moved = [r.copy() for r in regs]
+        moved[1][200, 3] = np.nextafter(moved[1][200, 3], np.inf)
+        made = _counting_pinv(monkeypatch)
+        got = _solved(ys, moved, b.g)
+        assert made and len(b.g._factors) == 2
+        assert got == _solved(ys, moved, fresh.g)
+        assert got != _solved(ys, regs, b.g)
+
+    def test_a_changed_cutoff_misses(self, monkeypatch):
+        b = fixtures.space_a.__wrapped__()
+        regs = _regressor_family("rank_deficient", b)
+        ys = martingale_closures(np.random.default_rng(63).normal(size=(3, b.space.n_atoms)), b.g)
+        solve_batch(ys, regs, b.g)
+        monkeypatch.setattr(representation, "SV_CUTOFF", 1e-6)
+        made = _counting_pinv(monkeypatch)
+        got = _solved(ys, regs, b.g)
+        assert made and len(b.g._factors) == 2
+        monkeypatch.undo()
+        with mock.patch.object(representation, "_nodewise_solve", partial(oracle_pinv_per_node, cutoff=1e-6)):
+            assert got == _solved(ys, regs, b.g)
+
+    def test_the_store_stays_bounded(self, monkeypatch):
+        b = fixtures.space_a.__wrapped__()
+        regs = np.stack(_regressor_family("triple", b))
+        ys = martingale_closures(np.random.default_rng(64).normal(size=(2, b.space.n_atoms)), b.g)
+        families = [list(regs * (1.0 + i)) for i in range(3 * representation._FACTORS)]
+        for family in families:
+            solve_batch(ys, family, b.g)
+            assert len(b.g._factors) <= representation._FACTORS
+        assert len(b.g._factors) == representation._FACTORS
+        made = _counting_pinv(monkeypatch)
+        solve_batch(ys, families[-1], b.g)  # the newest family is kept
+        assert made == []
+        solve_batch(ys, families[0], b.g)  # the oldest was dropped
+        assert made
+
+    def test_a_run_factors_each_family_once_per_filtration(self, monkeypatch):
+        # the named fixtures are built afresh, so every factor of the run is built in it
+        for name in BY_NAME_FIXTURES + RANDOM_TIME_FIXTURES:
+            getattr(fixtures, name).cache_clear()
+        built, solves = [], []
+        factor, factors = representation._factor, representation._factors
+
+        def counting_factor(regs, filtration):
+            built.append((filtration, regs.dtype.str, regs.shape, regs.tobytes()))
+            return factor(regs, filtration)
+
+        def counting_factors(regs, filtration):
+            solves.append(filtration)
+            return factors(regs, filtration)
+
+        monkeypatch.setattr(representation, "_factor", counting_factor)
+        monkeypatch.setattr(representation, "_factors", counting_factors)
+        config = json.loads((Path(suites.__file__).parent / "configs" / "space_a_full.json").read_text())
+        assert run_config(config)["summary"]["failed"] == 0
+        # the filtrations are all alive in ``built``, so their ids tell them apart
+        keys = [(id(filtration), *family) for filtration, *family in built]
+        assert len(set(keys)) == len(keys)
+        assert len(solves) > len(built) > 0
 
 
 class TestSliceReconstruction:
