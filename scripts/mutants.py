@@ -25,6 +25,7 @@ from pathlib import Path
 FS = "src/filtration_lab/finite_space.py"
 REP = "src/filtration_lab/representation.py"
 MC = "src/filtration_lab/montecarlo.py"
+SUITES = "src/filtration_lab/suites.py"
 
 #: (id, file, the exact old line, its replacement, the tests to run first)
 MUTANTS = (
@@ -61,6 +62,29 @@ MUTANTS = (
         "    heads = order[starts]",
         "    heads = order[starts + sizes - 1]",
         ["tests/test_finite_space.py::TestCellUnion"],
+    ),
+    (
+        # the drawn unions share the name "random_pairs", so each would read the first one's processes
+        "process_store_keyed_by_name",
+        SUITES,
+        "        return self._processes.setdefault(b, BundleProcesses(b))",
+        "        return self._processes.setdefault(b.name, BundleProcesses(b))",
+        ["tests/test_cli.py::TestProcessStore"],
+    ),
+    (
+        "window_sweep_stops_at_a_path_above_its_bound",
+        MC,
+        "            if not below.any():",
+        "            if not below.all():",
+        ["tests/test_montecarlo.py::TestFlatKernels"],
+    ),
+    (
+        # a row that meets a tau exactly is then never read
+        "collision_sweep_stops_below_tau",
+        MC,
+        "        if not (row <= tau).any():",
+        "        if not (row < tau).any():",
+        ["tests/test_montecarlo.py::TestFlatKernels"],
     ),
 )
 

@@ -25,8 +25,11 @@ simulation, on all of its paths, and cached there read-only; every prefix
 (``PathSet.prefix``) reads its first entries.  Events are sorted within a
 path, so a count at t reads only the rows whose minimum is at or before t,
 and a window (lo, hi] holds an event iff the path's last event at or before
-hi lies above lo.  Reports are therefore byte-identical on rerun, and
-``--parallel`` has nothing to change.
+hi lies above lo.  A column's padding (later arrivals, then inf) lies above
+its events, so a whole column is sorted, and a sweep over the rows against a
+per-path bound (a window's end, a random time) stops at the first row where
+no path is at or before its bound.  Reports are therefore byte-identical on
+rerun, and ``--parallel`` has nothing to change.
 """
 from __future__ import annotations
 
@@ -223,7 +226,10 @@ class PathSet:
         hi = np.minimum(hi, self.t_real)
         last = np.full(self.n_paths, -math.inf)
         for row in self.table:
-            np.copyto(last, row, where=row <= hi)
+            below = row <= hi
+            if not below.any():
+                break  # a column is sorted, so no later row is at or before its path's bound
+            np.copyto(last, row, where=below)
         return (last > np.asarray(lo)).astype(float)
 
     def prefix(self, n: int) -> PathSet:
@@ -348,6 +354,8 @@ def _collision_fraction(paths: PathSet, tau: np.ndarray, valid: np.ndarray) -> t
     tau = np.where(tau <= paths.t_real, tau, math.nan)
     hits = np.zeros(paths.n_paths, dtype=bool)
     for row in paths.table:
+        if not (row <= tau).any():
+            break  # a column is sorted, so no later row reaches its path's tau
         hits |= row == tau
     n = int(valid.sum())
     return (float(hits[valid].mean()) if n else 0.0, n)

@@ -56,7 +56,7 @@ SV_CUTOFF = 1e-12
 #: regressor families whose nodewise factors a filtration keeps, the oldest dropped first
 _FACTORS = 16
 #: (atom, time) values per chunk of a stack of (n, T+1) entries (the Thm 3.3 check's functions)
-_CHUNK = 1 << 13
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)

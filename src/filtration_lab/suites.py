@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,13 +121,49 @@ class McParams:
         return max(self.n_paths, self.stress_n_paths)
 
 
+class BundleProcesses:
+    """A bundle's jump measure ``mu``, its G-compensator ``nu`` and its
+    fundamental martingales ``zs``, each built on first read.
+
+    They are built through this module's names for ``jump_measure``,
+    ``compensator_measure`` and ``fundamental_martingales``, so a patched
+    primitive builds them.
+    """
+
+    def __init__(self, b: EnlargementBundle):
+        self.bundle = b
+
+    @cached_property
+    def mu(self) -> MarkedMeasure:
+        return jump_measure(self.bundle.X, self.bundle.H)
+
+    @cached_property
+    def nu(self) -> MarkedMeasure:
+        return compensator_measure(self.mu)
+
+    @cached_property
+    def zs(self) -> tuple:
+        return fundamental_martingales(self.bundle.X, self.bundle.H)
+
+
 @dataclass
 class SuiteContext:
+    """One run's state: its seed, its bundle and parameters, and what every
+    suite of the run shares.
+
+    A run makes one Monte Carlo simulation (``paths``) and, per bundle, one
+    jump measure, compensator and set of fundamental martingales
+    (``processes``).  Both live as long as the context, so nothing derived
+    outlives the run: a later run, under a patched primitive or not, builds
+    its own.
+    """
+
     seed: int
     bundle: object = None
     mc: McParams = field(default_factory=McParams)
     expected_outcome: str = "holds"
     _paths: PathSet | None = field(default=None, init=False, repr=False)
+    _processes: dict = field(default_factory=dict, init=False, repr=False)
 
     def rng(self, salt: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(salt.encode())])
@@ -141,6 +178,14 @@ class SuiteContext:
         if self._paths is None:
             self._paths = simulate_path_set(mc.lam, mc.t_real, mc.simulated_n_paths, self.seed)
         return self._paths.prefix(n_paths or mc.n_paths)
+
+    def processes(self, b: EnlargementBundle) -> BundleProcesses:
+        """Bundle ``b``'s processes, one set per bundle for the whole run.
+
+        The key is the bundle object (bundles hash by identity), not its name:
+        the drawn unions share a name but not their processes.
+        """
+        return self._processes.setdefault(b, BundleProcesses(b))
 
 
 def _bounded(name: str, gaps: dict, ok: bool = True, **evidence) -> CheckResult:
@@ -302,15 +347,15 @@ def suite_three_point_processes(ctx: SuiteContext) -> list[CheckResult]:
 
 
 def mark_split_checks(
-    b: EnlargementBundle, mu: MarkedMeasure, nu: MarkedMeasure, rng: np.random.Generator, count: int
+    b: EnlargementBundle, mu: MarkedMeasure, nu: MarkedMeasure, zs, rng: np.random.Generator, count: int
 ):
     """Thm 3.3 on ``count`` random predictable functions W, worked in chunks of W.
 
     Per W, in draw order: the drift check of W * (mu - nu), and the sup over
-    positive atoms of its gap to sum_k W_k . Z_k.  W_i's mark k is row 3i + k
-    of the draws; the stochastic integrals check each chunk's predictability.
+    positive atoms of its gap to sum_k W_k . Z_k, ``zs`` being the
+    fundamental martingales.  W_i's mark k is row 3i + k of the draws; the
+    stochastic integrals check each chunk's predictability.
     """
-    zs = fundamental_martingales(b.X, b.H)
     checks, gaps = [], []
     step = chunk_length(b.g)
     for lo in range(0, count, step):
@@ -331,14 +376,13 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("measure")
     n_w = 100
-    drifts, matches, masses, nus = [], [], [], {}
+    drifts, matches, masses = [], [], []
     for b in _rep_fixtures(ctx):
-        mu = jump_measure(b.X, b.H)
-        nu = nus[b.name] = compensator_measure(mu)
+        p = ctx.processes(b)
         bracket = quadratic_covariation(b.X, b.H)
         expected_mass = b.X.values + b.H.values - bracket.values
-        masses.append(positive_sup(b.space, mu.mass().values - expected_mass))
-        drift_checks, gaps = mark_split_checks(b, mu, nu, rng, n_w)
+        masses.append(positive_sup(b.space, p.mu.mass().values - expected_mass))
+        drift_checks, gaps = mark_split_checks(b, p.mu, p.nu, p.zs, rng, n_w)
         drifts += [0.0 if c else abs(c.witness[2]) for c in drift_checks]
         matches.append(gaps)
     checks.append(
@@ -350,7 +394,7 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(_bounded("total_mass_formula", {"worst_gap": (ATOMWISE_TOL, masses)}))
 
     b = fixtures.space_a()
-    nu = nus[b.name]
+    nu = ctx.processes(b).nu
     densities = [positive_sup(b.space, nu.indicator_increments(mark)[:, 1:] - 0.25) for mark in MARKS]
     ones = PredictableFunction.constant(b.g, 1.0)
     expected = 0.75 * np.arange(b.g.horizon + 1)[None, :]
@@ -363,7 +407,7 @@ def suite_jump_measure(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     a2 = fixtures.fixture_a2()
-    nu2 = nus[a2.name]
+    nu2 = ctx.processes(a2).nu
     target = {MARKS[0]: 0.3, MARKS[1]: 0.5, MARKS[2]: 0.0}
     a2_gaps = [positive_sup(a2.space, nu2.indicator_increments(m)[:, 1] - target[m]) for m in MARKS]
     checks.append(_bounded("three_atom_densities", {"gap": (ATOMWISE_TOL, a2_gaps)}))
@@ -422,12 +466,10 @@ def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
 def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("wrp")
-    residuals, measures = [], {}
+    residuals = []
     for b in _rep_fixtures(ctx):
-        mu = jump_measure(b.X, b.H)
-        nu = compensator_measure(mu)
-        measures[b.name] = mu, nu
-        sol = solve_batch(_random_closures(rng, b.g, 100), wrp_regressors(mu, nu), b.g)
+        p = ctx.processes(b)
+        sol = solve_batch(_random_closures(rng, b.g, 100), wrp_regressors(p.mu, p.nu), b.g)
         residuals.append(sol.residual_sup)
     count = sum(r.size for r in residuals)
     checks.append(
@@ -435,9 +477,9 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     b = fixtures.fixture_a2()
-    mu, nu = measures[b.name]
+    p = ctx.processes(b)
     xi = np.array([0.0, 0.0, 1.0])
-    sol = solve_wrp(martingale_closure(xi, b.g), mu, nu)
+    sol = solve_wrp(martingale_closure(xi, b.g), p.mu, p.nu)
     checks.append(
         _bounded(
             "three_atom_solution_avoids_dead_mark",
@@ -449,7 +491,7 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     y_const = martingale_closure(np.ones(b.space.n_atoms), b.g)
-    sol = solve_wrp(y_const, mu, nu)
+    sol = solve_wrp(y_const, p.mu, p.nu)
     weights = [positive_sup(b.space, v) for v in sol.integrands.values()]
     checks.append(_bounded("constant_target_gets_zero_function", {"max_weight": (ATOMWISE_TOL, weights)}))
     return checks
@@ -462,17 +504,15 @@ def suite_wrp(ctx: SuiteContext) -> list[CheckResult]:
 def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rng = ctx.rng("triple")
-    residuals, equivs, zs = [], [], {}
+    residuals, equivs = [], []
     for b in _rep_fixtures(ctx):
-        mu = jump_measure(b.X, b.H)
-        nu = compensator_measure(mu)
-        zs[b.name] = fundamental_martingales(b.X, b.H)
-        regs = triple_regressors(*zs[b.name])
+        p = ctx.processes(b)
+        regs = triple_regressors(*p.zs)
         ys = _random_closures(rng, b.g, 100)
         # the first 20 are also solved in the measure form, and only their reconstructions kept
         head = solve_batch(ys[:20], regs, b.g, keep_reconstructions=True)
         rest = solve_batch(ys[20:], regs, b.g)
-        other = solve_batch(ys[:20], wrp_regressors(mu, nu), b.g, keep_reconstructions=True)
+        other = solve_batch(ys[:20], wrp_regressors(p.mu, p.nu), b.g, keep_reconstructions=True)
         residuals += [head.residual_sup, rest.residual_sup]
         gap = head.reconstructions - other.reconstructions
         equivs.append(positive_sup(b.space, np.swapaxes(gap, 0, 1)))  # atoms first
@@ -480,7 +520,7 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     checks.append(_bounded("triple_matches_measure_form", {"worst_gap": (ATOMWISE_TOL, equivs)}))
 
     b = fixtures.space_a()
-    z1, z2, z3 = zs[b.name]
+    z1, z2, z3 = ctx.processes(b).zs
     sol = solve_triple(AdaptedProcess(b.g, z2.values), z1, z2, z3)
     off = [positive_sup(b.space, sol.integrands[k][:, 1:]) for k in ("K1", "K3")]
     on = positive_sup(b.space, sol.integrands["K2"][:, 1:] - 1.0)
@@ -499,7 +539,7 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
     stopped += [(b, martingale_closures(ys, b.g)) for (b, *_), ys in zip(unions, _union_targets(rng, unions, 20))]
     for rb, ys in stopped:
         st = tau_of(rb)
-        regs = triple_regressors(*fundamental_martingales(rb.X, rb.H), stop_at=st)
+        regs = triple_regressors(*ctx.processes(rb).zs, stop_at=st)
         residuals.append(solve_batch(stop_values(ys, st), regs, rb.g).residual_sup)
     checks.append(_bounded("stopped_representation", {"worst_residual": (EXACT_TOL, *residuals)}))
     return checks
@@ -519,11 +559,8 @@ def suite_completeness(ctx: SuiteContext) -> list[CheckResult]:
     problems += [(b, martingale_closures(ys, b.g)) for (b, *_), ys in zip(unions, _union_targets(rng, unions, count))]
     residuals = []
     for b, ys in problems:
-        mu = jump_measure(b.X, b.H)
-        for regs in (
-            wrp_regressors(mu, compensator_measure(mu)),
-            triple_regressors(*fundamental_martingales(b.X, b.H)),
-        ):
+        p = ctx.processes(b)
+        for regs in (wrp_regressors(p.mu, p.nu), triple_regressors(*p.zs)):
             residuals.append(solve_batch(ys, regs, b.g).residual_sup)
     spaces = len(named) + n_random
     return [

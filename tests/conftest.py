@@ -591,6 +591,26 @@ def oracle_collision_fraction(events, tau, valid):
     return (float(hits[valid].mean()) if n else 0.0, n)
 
 
+def oracle_full_sweep_window_hits(table, t_real, lo, hi):
+    """``PathSet.window_hits`` on a raw ``(K, n)`` table, reading every row:
+    per path, its last entry at or before min(hi_p, t_real), compared with lo_p."""
+    hi = np.minimum(hi, t_real)
+    last = np.full(table.shape[1], -math.inf)
+    for row in table:
+        last = np.where(row <= hi, row, last)
+    return (last > np.asarray(lo)).astype(float)
+
+
+def oracle_full_sweep_collision_fraction(table, t_real, tau, valid):
+    """The collision fraction on a raw ``(K, n)`` table, reading every row:
+    a valid path collides iff some entry at or before t_real equals its tau."""
+    hits = np.zeros(table.shape[1], dtype=bool)
+    for row in table:
+        hits |= (row == tau) & (row <= t_real)
+    n = int(valid.sum())
+    return (float(hits[valid].mean()) if n else 0.0, n)
+
+
 @pytest.fixture
 def space_a_bundle():
     return fixtures.space_a()

@@ -849,3 +849,63 @@ class TestFaultRows:
         failed = tuple(f"{c['suite']}::{c['name']}" for c in report["checks"] if not c["passed"])
         assert failed == BIASED_AVERAGE_FAILURES
         assert report["summary"] == {"checks": 47, "passed": 35, "failed": 12}
+
+
+class TestProcessStore:
+    """``SuiteContext.processes``: each bundle's jump measure, compensator and fundamental
+    martingales, built once per run and dropped with the run's context."""
+
+    PRIMITIVES = ("jump_measure", "compensator_measure", "fundamental_martingales")
+
+    def test_a_run_builds_each_process_of_a_bundle_at_most_once(self, monkeypatch):
+        calls = {name: [] for name in self.PRIMITIVES}
+        for name in self.PRIMITIVES:
+            real = getattr(suites, name)
+
+            def recorded(*args, real=real, seen=calls[name]):
+                seen.append(args)  # keeps the arguments alive, so no id is reused
+                return real(*args)
+
+            monkeypatch.setattr(suites, name, recorded)
+        run_config(json.loads((CONFIG_DIR / "space_a_full.json").read_text()))
+        for name, seen in calls.items():
+            keys = [tuple(map(id, args)) for args in seen]
+            assert keys and len(set(keys)) == len(keys), name
+        # one measure per bundle read, and each compensated once
+        assert len(calls["compensator_measure"]) == len(calls["jump_measure"])
+
+    def test_a_clean_run_after_a_faulty_one_writes_a_fresh_process_bytes(self, tmp_path, monkeypatch):
+        config = str(CONFIG_DIR / "space_a_full.json")
+        fresh = tmp_path / "fresh.json"
+        proc = _flab("run", config, "--out", str(fresh))
+        assert proc.returncode == 0, proc.stderr
+        real = finite_space.conditional_expectation
+
+        def biased(space, values, partition):
+            out = real(space, values, partition)
+            return out + 1e-10 * np.max(np.abs(out), initial=0.0)
+
+        monkeypatch.setattr(finite_space, "conditional_expectation", biased)
+        assert main(["run", config, "--out", str(tmp_path / "faulty.json")]) == 1
+        monkeypatch.undo()
+        clean = tmp_path / "clean.json"
+        assert main(["run", config, "--out", str(clean)]) == 0
+        assert clean.read_bytes() == fresh.read_bytes()
+
+    def test_drawn_unions_of_one_name_each_get_their_own_processes(self):
+        drawn = [b for b, *_ in fixtures.random_pair_unions(np.random.default_rng(3), 50)]
+        assert len(drawn) >= 2 and {b.name for b in drawn} == {"random_pairs"}
+        ctx = SuiteContext(seed=3)
+        for b in drawn:
+            p = ctx.processes(b)
+            assert p.bundle is b and ctx.processes(b) is p
+            assert p.mu.filtration is p.nu.filtration is b.g
+            assert np.array_equal(p.mu.increments, suites.jump_measure(b.X, b.H).increments)
+            assert all(z.filtration is b.g for z in p.zs)
+        # a run's suite reads its own unions' processes, each under its own bundle
+        ctx = SuiteContext(seed=11)
+        (row,) = suites.suite_completeness(ctx)
+        assert row.outcome == "holds"
+        unions = [p for p in ctx._processes.values() if p.bundle.name == "random_pairs"]
+        assert len(unions) >= 2 and all(p.zs[0].filtration is p.bundle.g for p in unions)
+        assert SuiteContext(seed=11)._processes == {}

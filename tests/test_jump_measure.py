@@ -306,6 +306,7 @@ class TestMarkSplitChecks:
         b = _split_bundle(name)
         mu = jump_measure(b.X, b.H)
         nu = compensator_measure(mu)
+        zs = fundamental_martingales(b.X, b.H)
         old = np.random.default_rng(5)
         want_witnesses, want_gaps = oracle_mark_split(b, mu, nu, old, 100)
         assert want_witnesses == [None] * 100
@@ -325,7 +326,7 @@ class TestMarkSplitChecks:
             assert per_chunk in (None, step)
             sizes.clear()
             new = np.random.default_rng(5)
-            checks, gaps = suites.mark_split_checks(b, mu, nu, new, 100)
+            checks, gaps = suites.mark_split_checks(b, mu, nu, zs, new, 100)
             assert sizes == [step] * (100 // step) + [100 % step] * (100 % step > 0)
             assert [c.witness for c in checks] == want_witnesses
             assert gaps.tolist() == want_gaps  # bitwise: the same products and running sums
@@ -336,7 +337,8 @@ class TestMarkSplitChecks:
         b = _split_bundle(name)
         mu = jump_measure(b.X, b.H)
         nu = _scaled(compensator_measure(mu), 1.001)
-        checks, _ = suites.mark_split_checks(b, mu, nu, np.random.default_rng(5), 20)
+        zs = fundamental_martingales(b.X, b.H)
+        checks, _ = suites.mark_split_checks(b, mu, nu, zs, np.random.default_rng(5), 20)
         want, _ = oracle_mark_split(b, mu, nu, np.random.default_rng(5), 20)
         assert not any(checks)
         # bitwise: every entry of a stack rounds like the block loop's dot product
@@ -364,6 +366,7 @@ class TestMarkSplitChecks:
         b = fixtures.space_a()
         mu = jump_measure(b.X, b.H)
         nu = compensator_measure(mu)
+        zs = fundamental_martingales(b.X, b.H)
         width = b.space.n_atoms * (b.g.horizon + 1)
         monkeypatch.setattr(representation, "_CHUNK", 7 * width)
         atom = b.g.at(1).blocks[2][-1]
@@ -377,4 +380,4 @@ class TestMarkSplitChecks:
 
         monkeypatch.setattr(fixtures, "random_predictable_stack", spoiled)
         with pytest.raises(NotPredictable, match=re.escape("(t, block) = (2, 2)")):
-            suites.mark_split_checks(b, mu, nu, np.random.default_rng(5), 100)
+            suites.mark_split_checks(b, mu, nu, zs, np.random.default_rng(5), 100)

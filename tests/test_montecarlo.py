@@ -8,6 +8,8 @@ import pytest
 from conftest import (
     oracle_collision_fraction,
     oracle_counts_at,
+    oracle_full_sweep_collision_fraction,
+    oracle_full_sweep_window_hits,
     oracle_nth_events,
     oracle_path_set,
     oracle_window_hits,
@@ -339,6 +341,7 @@ def _assert_kernels_match_oracles(paths, rng, kinds=RANDOM_TIME_KINDS):
         out[on_event] = rng.choice(event_times, int(on_event.sum()))
         return out
 
+    table, t_real = paths.table, paths.t_real
     for _ in range(4):
         lo, hi = bounds(), bounds()
         assert np.array_equal(paths.window_hits(lo, hi), oracle_window_hits(events, lo, hi))
@@ -352,10 +355,19 @@ def _assert_kernels_match_oracles(paths, rng, kinds=RANDOM_TIME_KINDS):
         assert np.array_equal(
             paths.window_hits(first - 0.5, first), oracle_window_hits(events, first - 0.5, first)
         )
+        # a sweep over every row of the table, padding included, gives what the early stop gives
+        for lows, highs in ((lo, hi), (stack, hi), (first - 0.5, first)):
+            full = oracle_full_sweep_window_hits(table, t_real, lows, highs)
+            assert np.array_equal(paths.window_hits(lows, highs), full)
+        tau, valid = bounds(), rng.random(n) < 0.8
+        frac = _collision_fraction(paths, tau, valid)
+        assert frac == oracle_collision_fraction(events, tau, valid)
+        assert frac == oracle_full_sweep_collision_fraction(table, t_real, tau, valid)
     fracs = {}
     for kind, (tau, valid) in _random_times(paths, kinds).items():
         fracs[kind] = _collision_fraction(paths, tau, valid)
         assert fracs[kind] == oracle_collision_fraction(events, tau, valid), kind
+        assert fracs[kind] == oracle_full_sweep_collision_fraction(table, t_real, tau, valid), kind
     return fracs
 
 
@@ -373,6 +385,20 @@ class TestFlatKernels:
         assert frac == oracle_collision_fraction(paths.events, tau, valid) == (0.4, 5)
         assert np.array_equal(paths.counts_at(3.0), [0, 1, 2, 0, 1, 0])
         assert np.array_equal(paths.window_hits(np.full(6, 0.5), np.full(6, 1.0)), [0, 1, 0, 0, 0, 0])
+
+    def test_a_sweep_reads_no_row_past_the_first_one_no_bound_reaches(self):
+        # row 2 breaks the sorted columns on purpose, so reading it changes the answer:
+        # row 0 reaches path 0's bound only, and row 1 reaches neither
+        table = np.array([[1.0, 2.0], [5.0, 6.0], [0.5, 0.5]])
+        paths = PathSet(lam=1.0, t_real=10.0, n_paths=2, seed=0, table=table,
+                        lengths=np.array([3, 3]), unit_exp=np.ones(2))
+        lo, hi = np.full(2, 0.8), np.array([3.0, 1.5])
+        assert paths.window_hits(lo, hi).tolist() == [1.0, 0.0]
+        assert oracle_full_sweep_window_hits(table, 10.0, lo, hi).tolist() == [0.0, 0.0]
+        # row 0 reaches path 1's tau exactly, and row 1 neither tau
+        tau, valid = np.array([0.5, 2.0]), np.ones(2, dtype=bool)
+        assert _collision_fraction(paths, tau, valid) == (0.5, 2)
+        assert oracle_full_sweep_collision_fraction(table, 10.0, tau, valid) == (1.0, 2)
 
     def test_padding_is_never_an_event(self):
         # the inf padding below a short path's events is no event at an inf or NaN time,
