@@ -86,6 +86,29 @@ MUTANTS = (
         "        if not (row < tau).any():",
         ["tests/test_montecarlo.py::TestFlatKernels"],
     ),
+    (
+        # a NaN on a null atom then reaches the sup
+        "stack_sup_reads_null_atoms",
+        FS,
+        "    return np.abs(values).max(axis=(-2, -1), initial=0.0, where=space.positive[:, None])",
+        "    return np.abs(values).max(axis=(-2, -1), initial=0.0, where=True)",
+        ["tests/test_calculus.py::TestStackedKernels::test_a_stack_sup_keeps_a_nan_on_a_positive_atom_only"],
+    ),
+    (
+        # a segment of null atoms then reads -1
+        "segment_sup_starts_below_zero",
+        FS,
+        "    per_atom = np.abs(values).max(axis=-1, initial=0.0, where=space.positive[:, None])",
+        "    per_atom = np.abs(values).max(axis=-1, initial=-1.0, where=space.positive[:, None])",
+        ["tests/test_calculus.py::TestStackedKernels::test_a_segment_sup_is_the_sup_of_its_atoms"],
+    ),
+    (
+        "atom_sup_without_mask",
+        FS,
+        "    return float(v.max(initial=0.0, where=space.positive.reshape((-1,) + (1,) * (v.ndim - 1))))",
+        "    return float(v.max(initial=0.0))",
+        ["tests/test_calculus.py::TestStackedKernels::test_the_three_sups_are_the_oracle_bitwise"],
+    ),
 )
 
 #: mutants known to survive, each with the reason it is left

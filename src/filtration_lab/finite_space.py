@@ -76,10 +76,10 @@ class FiniteProbabilitySpace:
     def n_atoms(self) -> int:
         return int(self.probs.size)
 
-    @property
+    @cached_property
     def positive(self) -> np.ndarray:
-        """Boolean mask of atoms with strictly positive probability."""
-        return self.probs > 0.0
+        """Read-only boolean mask of atoms with strictly positive probability."""
+        return _frozen(self.probs > 0.0, dtype=bool)
 
     @cached_property
     def null_atoms(self) -> tuple[int, ...]:
@@ -324,18 +324,18 @@ def conditional_expectation(
 def positive_sup(space: FiniteProbabilitySpace, values) -> float:
     """Max absolute value over positive-probability atoms (the first axis); 0 if there are none.
 
-    A NaN on a positive-probability atom makes the sup NaN.
+    A NaN on a positive-probability atom makes the sup NaN; a null atom is never read.
     """
-    vals = np.abs(np.asarray(values)[space.positive])
-    return float(vals.max()) if vals.size else 0.0
+    v = np.abs(values)
+    return float(v.max(initial=0.0, where=space.positive.reshape((-1,) + (1,) * (v.ndim - 1))))
 
 
 def positive_sups(space: FiniteProbabilitySpace, values) -> np.ndarray:
     """Max absolute value over the positive-probability atoms and times of each ``(..., n, T+1)`` entry.
 
-    A NaN on a positive-probability atom makes its entry's sup NaN.
+    A NaN on a positive-probability atom makes its entry's sup NaN; with none, the sup is 0.
     """
-    return np.abs(np.asarray(values)[..., space.positive, :]).max(axis=(-2, -1))
+    return np.abs(values).max(axis=(-2, -1), initial=0.0, where=space.positive[:, None])
 
 
 def segment_sups(space: FiniteProbabilitySpace, values, starts) -> np.ndarray:
@@ -345,7 +345,7 @@ def segment_sups(space: FiniteProbabilitySpace, values, starts) -> np.ndarray:
     runs to n).  A segment with no positive-probability atom gets 0; a NaN on a
     positive-probability atom makes its segment's sup NaN.
     """
-    per_atom = np.where(space.positive[:, None], np.abs(values), 0.0).max(axis=-1)
+    per_atom = np.abs(values).max(axis=-1, initial=0.0, where=space.positive[:, None])
     return np.maximum.reduceat(per_atom, starts, axis=-1)
 
 

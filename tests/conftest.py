@@ -88,6 +88,28 @@ def oracle_block_loop(space, values, partition):
     return out
 
 
+def oracle_positive_sups(space, values, starts=(0,)):
+    """Sup of |v| over each segment's positive-probability atoms and every time: ``(..., len(starts))``.
+
+    A plain loop over each entry of a ``(..., n, T+1)`` stack: segment i is the
+    atoms from ``starts[i]`` up to the next start; its sup starts at 0.0, skips
+    every null atom and keeps the first NaN it meets.
+    """
+    v = np.asarray(values, dtype=float)
+    bounds = [*starts, v.shape[-2]]
+    out = np.zeros(v.shape[:-2] + (len(starts),))
+    for entry in np.ndindex(v.shape[:-2]):
+        for i in range(len(starts)):
+            sup = 0.0
+            for a in range(bounds[i], bounds[i + 1]):
+                if space.probs[a] > 0.0:
+                    for x in map(abs, v[entry + (a,)].tolist()):
+                        if sup == sup and (x != x or x > sup):
+                            sup = x
+            out[entry + (i,)] = sup
+    return out
+
+
 def oracle_orthogonality_report(y, z):
     """The fields of ``orthogonality_report`` in its earlier form: seven one-process projection passes.
 

@@ -8,6 +8,7 @@ from conftest import (
     oracle_drift_witness,
     oracle_max_drift,
     oracle_orthogonality_report,
+    oracle_positive_sups,
     random_filtration,
 )
 from hypothesis import given, settings
@@ -277,6 +278,39 @@ class TestStackedKernels:
         stack[1, 0, 1] = np.nan
         stack[2, 1, 0] = -3.0
         assert repr(positive_sups(space, stack).tolist()) == "[0.0, nan, 3.0]"
+
+    def test_the_three_sups_are_the_oracle_bitwise(self):
+        # NaN, +-inf and +-0.0 on positive and null atoms, all-null segments, T+1 = 1,
+        # empty leading axes, and strided and broadcast views, as the suites pass them
+        rng = np.random.default_rng(34)
+        specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+        seen = {"all-null segment": 0, "null nan": 0, "positive nan": 0, "empty": 0, "T+1 = 1": 0}
+        for _ in range(300):
+            n, width = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            probs = rng.random(n) * (rng.random(n) < 0.6)
+            probs[rng.integers(n)] += 1.0
+            space = build_space(probs / probs.sum())
+            lead = tuple(int(k) for k in rng.integers(0, 4, size=int(rng.integers(0, 3))))
+            stack = rng.normal(size=lead + (n, width)) * 10.0 ** rng.integers(-3, 4)
+            poke = rng.random(stack.shape) < 0.2
+            stack[poke] = rng.choice(specials, size=int(poke.sum()))
+            starts = np.flatnonzero(rng.random(n) < 0.4)
+            starts = np.r_[0, starts[starts > 0]]
+            nan_atoms = np.isnan(stack).any(axis=tuple(range(len(lead))) + (-1,))
+            seen["all-null segment"] += any(not space.positive[a:b].any() for a, b in zip(starts, [*starts[1:], n]))
+            seen["null nan"] += bool((nan_atoms & ~space.positive).any())
+            seen["positive nan"] += bool((nan_atoms & space.positive).any())
+            seen["empty"] += stack.size == 0
+            seen["T+1 = 1"] += width == 1
+            time_major = np.swapaxes(np.ascontiguousarray(np.swapaxes(stack, -1, -2)), -1, -2)
+            for x in (stack, time_major, np.broadcast_to(stack[..., :1], stack.shape)):
+                want = oracle_positive_sups(space, x, starts)
+                assert segment_sups(space, x, starts).tobytes() == want.tobytes()
+                assert np.asarray(positive_sups(space, x)).tobytes() == oracle_positive_sups(space, x)[..., 0].tobytes()
+                atoms_first = np.moveaxis(x, -2, 0)
+                one = oracle_positive_sups(space, atoms_first.reshape(n, -1))[0]
+                assert np.float64(positive_sup(space, atoms_first)).tobytes() == one.tobytes()
+        assert min(seen.values()) > 0, seen
 
     def test_a_segment_sup_is_the_sup_of_its_atoms(self):
         space = build_space([0.25, 0.25, 0.0, 0.25, 0.25, 0.0])

@@ -75,6 +75,16 @@ class TestSpace:
         space = build_space([0.5, 0.0, 0.5])
         assert space.null_atoms == (1,)
 
+    def test_the_positive_mask_is_built_once_and_read_only(self):
+        space = build_space([0.5, 0.0, 0.5])
+        mask = space.positive
+        assert mask is space.positive
+        assert mask.tolist() == [True, False, True]
+        with pytest.raises(ValueError, match="read-only"):
+            mask[1] = True
+        with pytest.raises(ValueError, match="read-only"):
+            mask[:, None][1, 0] = True
+
 
 class TestPartition:
     def test_canonical_and_validation(self):
