@@ -109,6 +109,38 @@ MUTANTS = (
         "    return float(v.max(initial=0.0))",
         ["tests/test_calculus.py::TestStackedKernels::test_the_three_sups_are_the_oracle_bitwise"],
     ),
+    (
+        # each integrand read off another atom's node
+        "integrands_through_reversed_nodes",
+        REP,
+        "        return self.coefficients[:, :, self.node_of]",
+        "        return self.coefficients[:, :, self.node_of[::-1]]",
+        ["tests/test_representation.py::TestBatchedKernel"],
+    ),
+    (
+        "reconstruction_slice_one_early",
+        REP,
+        "        recons[:, :, t] = recon",
+        "        recons[:, :, t - 1] = recon",
+        ["tests/test_representation.py::TestSliceReconstruction"],
+    ),
+    (
+        # equal to the first atom while a union's segments are contiguous runs; a split twin appended
+        # past the filler is not, and only the split relation sees the node land in the filler's segment
+        "spanning_segment_by_last_atom",
+        REP,
+        '        segment = np.searchsorted(starts, children[0][0][0], side="right") - 1',
+        '        segment = np.searchsorted(starts, children[0][0][-1], side="right") - 1',
+        ["tests/test_representation.py::TestRelabelInvariance::test_split_fixture_gives_the_same_results"],
+    ),
+    (
+        # the named random times' surrogate verdicts then never reach the row
+        "named_random_times_forced_consistent",
+        SUITES,
+        "            all(ok.all() for study in studies for _, _, ok in study),",
+        "            all(ok.all() for study in studies[len(named):] for _, _, ok in study),",
+        ["tests/test_random_time.py::TestSurrogateRow"],
+    ),
 )
 
 #: mutants known to survive, each with the reason it is left

@@ -71,7 +71,6 @@ from .random_time import (
     avoidance_check,
     compensator_via_azema,
     cross_validation_gap,
-    orthogonality_suite,
     random_time_bundle,
     survival,
     tau_of,

@@ -165,12 +165,11 @@ def random_space_probs(rng: np.random.Generator, max_atoms: int = 6) -> np.ndarr
     return weights / weights.sum()
 
 
-def random_bundle(rng: np.random.Generator, max_atoms: int = 6, max_horizon: int = 3) -> EnlargementBundle:
-    return random_pair_bundle(random_pair_draw(rng, max_atoms, max_horizon), "random")
-
-
 def random_pair_draw(rng: np.random.Generator, max_atoms: int = 6, max_horizon: int = 3) -> tuple:
-    """The draws of one :func:`random_bundle`, in its order: (probs, dX, dH, initial labels or None)."""
+    """The draws of one random (X, H) pair: (probs, dX, dH, initial labels or None).
+
+    The labels are drawn half of the time; without them the initial sigma-field is trivial.
+    """
     probs = random_space_probs(rng, max_atoms)
     n = probs.size
     horizon = int(rng.integers(1, max_horizon + 1))
@@ -180,19 +179,12 @@ def random_pair_draw(rng: np.random.Generator, max_atoms: int = 6, max_horizon: 
     return probs, dx, dh, initial
 
 
-def random_pair_bundle(draw: tuple, name: str) -> EnlargementBundle:
-    """The bundle of one :func:`random_pair_draw`."""
-    probs, dx, dh, initial = draw
-    initial = None if initial is None else Partition.from_labels(initial)
-    return build_bundle(build_space(probs), _paths_from_jumps(dx), _paths_from_jumps(dh), initial=initial, name=name)
-
-
 def random_pair_unions(rng: np.random.Generator, n_pairs: int, draw=random_pair_draw) -> list[tuple]:
     """The pairs of ``n_pairs`` ``draw(rng)`` calls, as one :func:`pair_union` per horizon present (ascending).
 
-    ``draw`` is :func:`random_pair_draw` (the pairs of :func:`random_bundle`)
-    or :func:`random_time_draw` (those of :func:`random_random_time_bundle`);
-    the rng is drawn exactly as the lone builder's calls draw it.
+    ``draw`` is :func:`random_pair_draw` or :func:`random_time_draw`; the rng
+    is drawn exactly as ``n_pairs`` lone draws draw it, so each pair is the one
+    a lone bundle of the same draw would be (the tests' oracles build those).
     """
     by_horizon: dict = {}
     for i in range(n_pairs):
@@ -230,13 +222,8 @@ def pair_union(pairs, draws) -> tuple:
     return bundle, np.cumsum([0] + [len(own) for own in initial]), tuple(pairs), exponent
 
 
-def random_predictable_values(rng: np.random.Generator, filtration: Filtration) -> np.ndarray:
-    """Block-constant values on P_{t-1} for t >= 1, zero at time 0."""
-    return random_predictable_stack(rng, filtration, 1)[0]
-
-
 def random_predictable_stack(rng: np.random.Generator, filtration: Filtration, count: int) -> np.ndarray:
-    """``count`` consecutive :func:`random_predictable_values` draws, stacked (count, n, T+1).
+    """``count`` random predictable values (count, n, T+1): block-constant on P_{t-1} for t >= 1, zero at time 0.
 
     One normal draw per block of P_{t-1}, for t = 1..T, entry after entry, all
     from one ``rng.normal`` call: a call of size a + b draws what a call of
@@ -252,22 +239,11 @@ def random_predictable_stack(rng: np.random.Generator, filtration: Filtration, c
     return vals
 
 
-def random_random_time_bundle(rng: np.random.Generator) -> EnlargementBundle:
-    """A random time on a random space, built through ``random_time_bundle``: the oracle of :func:`random_time_draw`."""
-    probs = random_space_probs(rng)
-    space = build_space(probs)
-    n = space.n_atoms
-    horizon = int(rng.integers(1, 4))
-    dx = rng.integers(0, 2, (n, horizon))
-    choices = np.arange(1, horizon + 1).tolist() + [NEVER]
-    tau = np.array([choices[int(rng.integers(0, len(choices)))] for _ in range(n)], dtype=np.int64)
-    return random_time_bundle(space, _paths_from_jumps(dx), tau, name="random")
-
-
 def random_time_draw(rng: np.random.Generator) -> tuple:
-    """The draws of one :func:`random_random_time_bundle`, in its order, as a pair draw (probs, dX, dH, None).
+    """The draws of one random time on a random space, as a pair draw (probs, dX, dH, None).
 
-    tau is drawn per atom from {1..T, NEVER}; dH jumps once, at tau (never for NEVER).
+    tau is drawn per atom from {1..T, NEVER}; dH jumps once, at tau (never for
+    NEVER), which is the H that ``random_time_bundle`` builds from tau.
     """
     probs = random_space_probs(rng)
     horizon = int(rng.integers(1, 4))

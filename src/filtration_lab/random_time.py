@@ -6,7 +6,10 @@ most once: ``random_time_bundle`` builds it with ``build_bundle`` and
 ``tau_of`` reads tau back off H.  The survival supermartingale
 A_t = P[tau > t | F_t] gives the enlarged compensator of H in closed form,
 which this module cross-validates against the direct compensator; in
-discrete time the identity is exact on every consistent model.
+discrete time the identity is exact on every consistent model.  The
+orthogonality study (Thm 4.6) is :func:`surrogate_segments`, read on a lone
+random time as its one segment ``[0]`` and on a disjoint union of random
+times segment by segment.
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ from .finite_space import (
     stop_process,
 )
 from .jump_measure import fundamental_martingales, joint_decomposition
-from .representation import multiplicity
 
 
 def random_time_bundle(
@@ -192,55 +194,20 @@ def avoidance_check(bundle: EnlargementBundle, sigma_list=()) -> AvoidanceReport
     )
 
 
-@dataclass(frozen=True)
-class PairStudy:
-    name: str
-    orthogonal: bool
-    consistent: bool
-    witness: tuple | None
-
-
-@dataclass(frozen=True)
-class OrthogonalityStudy:
-    pairs: tuple
-    multiplicity: int
-
-    @property
-    def all_consistent(self) -> bool:
-        return all(p.consistent for p in self.pairs)
-
-
-def orthogonality_suite(bundle: EnlargementBundle) -> OrthogonalityStudy:
-    """Pairwise orthogonality of the compensated jump parts, with surrogates.
+def surrogate_segments(bundle: EnlargementBundle, starts) -> list[tuple]:
+    """Pairwise orthogonality of the compensated jump parts, with surrogates, on each segment of atoms.
 
     For each pair among the three disjoint counting parts (and the first one
-    stopped at tau), checks that orthogonality of the compensated versions
-    matches the no-common-predictable-jump surrogate, which is the exact
-    discrete equivalence: the bundle as the one segment of
-    :func:`surrogate_segments`.  The continuity-based sufficient conditions
-    live in the Monte Carlo engine.
-    """
-    pairs = tuple(
-        PairStudy(
-            name=label,
-            orthogonal=bool(toolkit.orthogonal[0]),
-            consistent=bool(consistent[0]),
-            witness=toolkit.first_move(),
-        )
-        for label, toolkit, consistent in surrogate_segments(bundle, [0])
-    )
-    return OrthogonalityStudy(pairs=pairs, multiplicity=multiplicity(bundle.g))
-
-
-def surrogate_segments(bundle: EnlargementBundle, starts) -> list[tuple]:
-    """(name, toolkit, consistent) for each pair of :func:`orthogonality_suite`, on each segment of atoms.
-
-    ``consistent[i]`` says whether segment i's orthogonality verdict matches
-    its surrogate, the sup of the predictable jump product over the segment.
-    On a disjoint union of random times each segment reports what its random
-    time reports alone.  A reduction over the whole union would not do: it
-    would read one random time's common predictable jump against another's
-    orthogonal verdict.
+    stopped at tau), one (name, toolkit, consistent): the toolkit of
+    :func:`orthogonality_segments`, and ``consistent[i]``, whether segment i's
+    orthogonality verdict matches its surrogate, the sup of the predictable
+    jump product over the segment (no common predictable jump).  That is the
+    exact discrete equivalence; the continuity-based sufficient conditions
+    live in the Monte Carlo engine.  A lone random time is the one segment
+    ``[0]``.  On a disjoint union of random times each segment reports what
+    its random time reports alone.  A reduction over the whole union would
+    not do: it would read one random time's common predictable jump against
+    another's orthogonal verdict.
     """
     y1, y2, y3 = joint_decomposition(bundle.X, bundle.H)
     y1_stopped = stop_process(y1, tau_of(bundle))

@@ -14,13 +14,16 @@ stacked pseudo-inverse of the nodes' weighted designs and applies it to a
 whole stack of targets.  A regressor family is factored once per filtration:
 the filtration keeps each family's factors, keyed on the regressors' bytes
 and the cutoff, so solving the same family again reuses them, with the same
-bits.  :func:`solve_batch` is the batch entry point; ``solve_prp``,
-``solve_wrp``, ``solve_triple``, ``solve_in_basis`` and
-``independent_decomposition`` solve one target through it.
+bits.  :func:`solve_batch` is the one entry point, with one code path: it
+always returns the residuals and reconstructions, and gathers the
+integrands on first read.  ``solve_prp``, ``solve_wrp``, ``solve_triple``,
+``solve_in_basis`` and ``independent_decomposition`` each solve a batch of
+one target and read its target 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -71,11 +74,20 @@ class RepresentationSolution:
 
 @dataclass(frozen=True)
 class BatchSolution:
-    """Per target i: residual_sup[i]; if kept, integrands[regressor, i] and reconstructions[i]."""
+    """Per target i: residual_sup[i], reconstructions[i] and integrands[regressor, i].
+
+    The integrands are the nodewise ``coefficients`` (r, k, nodes + 1) gathered through ``node_of``.
+    """
 
     residual_sup: np.ndarray
-    integrands: np.ndarray | None = None
-    reconstructions: np.ndarray | None = None
+    reconstructions: np.ndarray
+    coefficients: np.ndarray
+    node_of: np.ndarray
+
+    @cached_property
+    def integrands(self) -> np.ndarray:
+        """(r, k, n, T+1): each target's integrands, gathered on first read."""
+        return self.coefficients[:, :, self.node_of]
 
 
 def martingale_closure(xi, filtration: Filtration) -> AdaptedProcess:
@@ -172,13 +184,7 @@ def _factor(regs: np.ndarray, filtration: Filtration) -> list:
     return factors
 
 
-def solve_batch(
-    targets,
-    regressors: Sequence[np.ndarray],
-    filtration: Filtration,
-    keep_integrands: bool = False,
-    keep_reconstructions: bool = False,
-) -> BatchSolution:
+def solve_batch(targets, regressors: Sequence[np.ndarray], filtration: Filtration) -> BatchSolution:
     """Represent a stack of martingales (k, n, T+1) against one family of regressor increments.
 
     Every target's drift is checked by :func:`martingale_checks` (a failure
@@ -201,7 +207,7 @@ def solve_batch(
         raise NotPredictable(f"integrand is not predictable at (t, block) = {bad}")
 
     residual_sup = np.zeros(len(values))
-    recons = np.empty_like(values) if keep_reconstructions else None
+    recons = np.empty_like(values)
     running = [None] * len(regs)
     for t in range(values.shape[-1]):
         recon = values[:, :, 0].copy()
@@ -213,21 +219,15 @@ def solve_batch(
             recon += running[j]
         gap = positive_sups(filtration.space, (values[:, :, t] - recon)[..., None])
         np.maximum(residual_sup, gap, out=residual_sup)
-        if recons is not None:
-            recons[:, :, t] = recon
-    integrands = table[:, :, node_of] if keep_integrands else None
-    return BatchSolution(residual_sup, integrands, recons)
+        recons[:, :, t] = recon
+    return BatchSolution(residual_sup, recons, table, node_of)
 
 
-def _solve_one(names, y, regressors, filtration, batch=None, checks=None):
-    """One target as a RepresentationSolution, solved here unless its ``batch`` is given."""
-    if batch is None:
-        batch = solve_batch(y.values[None], regressors, filtration, keep_integrands=True,
-                            keep_reconstructions=True)
+def _lone_solution(names, batch: BatchSolution, filtration: Filtration, checks=None) -> RepresentationSolution:
+    """Target 0 of ``batch`` as a RepresentationSolution, its integrands under ``names``."""
     recon = AdaptedProcess(filtration, batch.reconstructions[0])
     integrands = dict(zip(names, batch.integrands[:, 0]))
-    sup = float(batch.residual_sup[0])
-    return RepresentationSolution(integrands, recon, sup, checks or {})
+    return RepresentationSolution(integrands, recon, float(batch.residual_sup[0]), checks or {})
 
 
 def wrp_regressors(mu: MarkedMeasure, nu: MarkedMeasure) -> list[np.ndarray]:
@@ -248,7 +248,8 @@ def solve_prp(y: AdaptedProcess, m: AdaptedProcess) -> RepresentationSolution:
     source); the residual is the certificate either way.
     """
     require_martingale(m, "reference martingale")
-    return _solve_one(("K",), y, [m.increments()], y.filtration)
+    batch = solve_batch(y.values[None], [m.increments()], y.filtration)
+    return _lone_solution(("K",), batch, y.filtration)
 
 
 def solve_wrp(
@@ -259,15 +260,16 @@ def solve_wrp(
     if y.filtration.partitions != filtration.partitions:
         raise FiltrationMismatch("target is not carried by the measure's filtration")
     names = [f"W{mark.value}" for mark in MARKS]
-    return _solve_one(names, y, wrp_regressors(mu, nu), filtration)
+    batch = solve_batch(y.values[None], wrp_regressors(mu, nu), filtration)
+    return _lone_solution(names, batch, filtration)
 
 
 def solve_triple(
     y: AdaptedProcess, z1: AdaptedProcess, z2: AdaptedProcess, z3: AdaptedProcess
 ) -> RepresentationSolution:
     """Represent Y against the three compensated jump-part martingales."""
-    regs = triple_regressors(z1, z2, z3)
-    return _solve_one(("K1", "K2", "K3"), y, regs, y.filtration)
+    batch = solve_batch(y.values[None], triple_regressors(z1, z2, z3), y.filtration)
+    return _lone_solution(("K1", "K2", "K3"), batch, y.filtration)
 
 
 def solve_in_basis(
@@ -275,7 +277,8 @@ def solve_in_basis(
 ) -> RepresentationSolution:
     """Represent Y against an arbitrary martingale family."""
     names = [f"K{i + 1}" for i in range(len(martingales))]
-    return _solve_one(names, y, [m.increments() for m in martingales], y.filtration)
+    batch = solve_batch(y.values[None], [m.increments() for m in martingales], y.filtration)
+    return _lone_solution(names, batch, y.filtration)
 
 
 def verify_independence(bundle: EnlargementBundle) -> None:
@@ -293,14 +296,12 @@ def verify_independence(bundle: EnlargementBundle) -> None:
             )
 
 
-def independent_batch(
-    targets, bundle: EnlargementBundle, keep_reconstructions: bool = False
-) -> tuple[BatchSolution, dict]:
+def independent_batch(targets, bundle: EnlargementBundle) -> tuple[BatchSolution, dict]:
     """Orthogonal representation of stacked targets against (compensated X, compensated H, bracket).
 
     Requires the two component filtrations to be independent (verified by the
     product rule); ``targets`` are (k, n, T+1) value matrices on ``bundle.g``.
-    Returns the batch, integrands kept, and its checks: the orthogonality of
+    Returns the batch and its checks: the orthogonality of
     the basis, the change-of-basis identities against the three compensated
     jump parts and the bracket-compensator factorisation (one value each, as
     the basis does not depend on the target), and the Pythagoras identity of
@@ -317,13 +318,7 @@ def independent_batch(
 
     basis = [xbar, hbar, cross]
     deltas = [b.increments() for b in basis]
-    batch = solve_batch(
-        targets,
-        deltas,
-        filtration,
-        keep_integrands=True,
-        keep_reconstructions=keep_reconstructions,
-    )
+    batch = solve_batch(targets, deltas, filtration)
 
     space = bundle.space
 
@@ -369,9 +364,9 @@ def independent_decomposition(
     """One target through :func:`independent_batch`; its checks hold plain floats."""
     if y.filtration.partitions != bundle.g.partitions:
         raise FiltrationMismatch("target is not carried by the enlarged filtration")
-    batch, checks = independent_batch(y.values[None], bundle, keep_reconstructions=True)
+    batch, checks = independent_batch(y.values[None], bundle)
     checks["pythagoras_gap"] = float(checks["pythagoras_gap"][0])
-    return _solve_one(("K1", "K2", "K3"), y, None, bundle.g, batch=batch, checks=checks)
+    return _lone_solution(("K1", "K2", "K3"), batch, bundle.g, checks)
 
 
 def multiplicity(filtration: Filtration) -> int:

@@ -76,7 +76,6 @@ from .random_time import (
     azema_consistency_gap,
     compensator_via_azema,
     cross_validation_gap,
-    orthogonality_suite,
     supermartingale_gap,
     surrogate_segments,
     survival,
@@ -509,10 +508,10 @@ def suite_triple(ctx: SuiteContext) -> list[CheckResult]:
         p = ctx.processes(b)
         regs = triple_regressors(*p.zs)
         ys = _random_closures(rng, b.g, 100)
-        # the first 20 are also solved in the measure form, and only their reconstructions kept
-        head = solve_batch(ys[:20], regs, b.g, keep_reconstructions=True)
+        # the first 20 are also solved in the measure form; one solve of all 100 would move solver bits
+        head = solve_batch(ys[:20], regs, b.g)
         rest = solve_batch(ys[20:], regs, b.g)
-        other = solve_batch(ys[:20], wrp_regressors(p.mu, p.nu), b.g, keep_reconstructions=True)
+        other = solve_batch(ys[:20], wrp_regressors(p.mu, p.nu), b.g)
         residuals += [head.residual_sup, rest.residual_sup]
         gap = head.reconstructions - other.reconstructions
         equivs.append(positive_sup(b.space, np.swapaxes(gap, 0, 1)))  # atoms first
@@ -777,42 +776,39 @@ def suite_random_time_orth(ctx: SuiteContext) -> list[CheckResult]:
     rng = ctx.rng("rt_orth")
     named = [fixtures.staggered(), fixtures.avoidance_trinomial(), fixtures.two_step_independent_random_time()]
     n_random = 5
-    studies = [orthogonality_suite(rb) for rb in named]
-    # the random times as one union per horizon, each random time one segment of its surrogate checks
-    consistent = all(study.all_consistent for study in studies) and all(
-        ok.all()
-        for b, starts, _, _ in fixtures.random_pair_unions(rng, n_random, fixtures.random_time_draw)
-        for _, _, ok in surrogate_segments(b, starts)
-    )
+    # each named random time is the one segment of its surrogate checks, the drawn ones one union per horizon
+    runs = [(rb, [0]) for rb in named]
+    runs += [(b, starts) for b, starts, _, _ in fixtures.random_pair_unions(rng, n_random, fixtures.random_time_draw)]
+    studies = [surrogate_segments(b, starts) for b, starts in runs]
     checks.append(
         _check(
             "orthogonality_matches_predictable_jump_surrogate",
-            consistent,
+            all(ok.all() for study in studies for _, _, ok in study),
             bundles=len(named) + n_random,
         )
     )
 
-    study = studies[0]
+    staggered, trinomial = ({label: toolkit for label, toolkit, _ in study} for study in studies[:2])
     checks.append(
         _check(
             "staggered_fully_orthogonal",
-            all(p.orthogonal for p in study.pairs),
-            multiplicity=study.multiplicity,
+            all(toolkit.orthogonal[0] for toolkit in staggered.values()),
+            multiplicity=multiplicity(named[0].g),
         )
     )
 
-    study = studies[1]
-    by_name = {p.name: p for p in study.pairs}
+    overlap, spanning = trinomial["part1_vs_part2"], multiplicity(named[1].g)
+    witness = overlap.first_move()
     checks.append(
         _check(
             "overlapping_compensators_report_witness",
-            (not by_name["part1_vs_part2"].orthogonal)
-            and by_name["part1_vs_part2"].witness is not None
-            and by_name["part1_vs_joint"].orthogonal
-            and by_name["part2_vs_joint"].orthogonal
-            and study.multiplicity == 2,
-            witness=str(by_name["part1_vs_part2"].witness),
-            multiplicity=study.multiplicity,
+            (not overlap.orthogonal[0])
+            and witness is not None
+            and trinomial["part1_vs_joint"].orthogonal[0]
+            and trinomial["part2_vs_joint"].orthogonal[0]
+            and spanning == 2,
+            witness=str(witness),
+            multiplicity=spanning,
         )
     )
     return checks

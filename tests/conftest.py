@@ -5,7 +5,10 @@ constancy, stopping-time and independence checks, jump-measure events, the
 one-function-at-a-time Thm 3.3 check, Monte Carlo paths sliced from one
 stream prefix, random times and the per-path Monte Carlo reductions with
 plain Python loops so the vectorised engine is always checked against an
-independent path.
+independent path.  The lone random builders (one random pair, one random
+time, one predictable draw) are the oracles of the power-of-four unions the
+suites draw, and ``relabel``, ``split`` and ``null_lift`` are the layout
+relations every solve must be invariant under.
 """
 from __future__ import annotations
 
@@ -283,6 +286,43 @@ def oracle_first_jump_time(values, never):
     return out
 
 
+def random_bundle(rng, max_atoms=6, max_horizon=3):
+    """One random (X, H) pair built alone: the oracle of ``fixtures.random_pair_unions``' pairs."""
+    return random_pair_bundle(fixtures.random_pair_draw(rng, max_atoms, max_horizon), "random")
+
+
+def random_pair_bundle(draw, name):
+    """The bundle of one ``fixtures.random_pair_draw`` or ``fixtures.random_time_draw``, built alone."""
+    from filtration_lab.enlargement import build_bundle
+    from filtration_lab.finite_space import Partition, build_space
+
+    probs, dx, dh, initial = draw
+    initial = None if initial is None else Partition.from_labels(initial)
+    paths = fixtures._paths_from_jumps
+    return build_bundle(build_space(probs), paths(dx), paths(dh), initial=initial, name=name)
+
+
+def random_random_time_bundle(rng):
+    """A random time on a random space, built alone through ``random_time_bundle``: the oracle of
+    ``fixtures.random_time_draw``, which draws the rng in the same order."""
+    from filtration_lab.finite_space import NEVER, build_space
+    from filtration_lab.random_time import random_time_bundle
+
+    probs = fixtures.random_space_probs(rng)
+    space = build_space(probs)
+    n = space.n_atoms
+    horizon = int(rng.integers(1, 4))
+    dx = rng.integers(0, 2, (n, horizon))
+    choices = np.arange(1, horizon + 1).tolist() + [NEVER]
+    tau = np.array([choices[int(rng.integers(0, len(choices)))] for _ in range(n)], dtype=np.int64)
+    return random_time_bundle(space, fixtures._paths_from_jumps(dx), tau, name="random")
+
+
+def random_predictable_values(rng, filtration):
+    """Block-constant values on P_{t-1} for t >= 1, zero at time 0: the count-1 ``fixtures.random_predictable_stack``."""
+    return fixtures.random_predictable_stack(rng, filtration, 1)[0]
+
+
 def oracle_random_predictable_values(rng, filtration):
     """One scalar normal draw per block of P_{t-1}, blocks in order, for t = 1..T."""
     vals = np.zeros((filtration.space.n_atoms, filtration.horizon + 1))
@@ -460,6 +500,54 @@ def relabel(bundle, perm):
         initial=Partition.from_labels(np.asarray(bundle.initial.labels)[perm].tolist()),
         name=bundle.name,
     )
+
+
+def split(bundle, atom):
+    """``bundle`` with ``atom`` split into two twins of half its mass, the new twin appended last.
+
+    The twins share their paths and initial label, so they lie in one block at
+    every time.  Returns the bundle and the atom map back: new atom i is old
+    atom ``back[i]``.
+    """
+    from filtration_lab.enlargement import build_bundle
+    from filtration_lab.finite_space import Partition, build_space
+
+    back = np.append(np.arange(bundle.space.n_atoms), atom)
+    probs = bundle.space.probs[back]
+    probs[[atom, -1]] /= 2.0
+    labels = np.asarray(bundle.initial.labels)[back].tolist()
+    split_bundle = build_bundle(
+        build_space(probs),
+        bundle.X.values[back],
+        bundle.H.values[back],
+        initial=Partition.from_labels(labels),
+        name=bundle.name,
+    )
+    return split_bundle, back
+
+
+def null_lift(bundle, x_jumps, h_jumps):
+    """``bundle`` with an atom of probability 0 appended, whose paths jump by ``x_jumps`` and ``h_jumps`` (T,).
+
+    The new atom joins atom 0's block of the initial sigma-field, so it sits
+    inside positive-mass nodes wherever its paths follow theirs.  Returns the
+    bundle and the atom map back: new atom i < n is old atom i, and the null
+    atom maps to atom 0, whose initial block it joins; it carries no mass, so a
+    value pulled back onto it is never weighed.
+    """
+    from filtration_lab.enlargement import build_bundle
+    from filtration_lab.finite_space import Partition, build_space
+
+    back = np.append(np.arange(bundle.space.n_atoms), 0)
+    paths = fixtures._paths_from_jumps(np.stack([x_jumps, h_jumps]))
+    lifted = build_bundle(
+        build_space(np.append(bundle.space.probs, 0.0)),
+        np.vstack([bundle.X.values, paths[0]]),
+        np.vstack([bundle.H.values, paths[1]]),
+        initial=Partition.from_labels(np.asarray(bundle.initial.labels)[back].tolist()),
+        name=bundle.name,
+    )
+    return lifted, back
 
 
 def oracle_nodewise_lstsq(targets, regressors, filtration, cutoff):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_bundle, random_predictable_values, random_random_time_bundle
 from filtration_lab import fixtures
 from filtration_lab.calculus import (
     compensator,
@@ -63,7 +64,7 @@ def mc_report_single_thread():
 def test_criterion_1_representation_completeness():
     rng = np.random.default_rng(SEED)
     bundles = [fixtures.space_a(), fixtures.fixture_a2(), fixtures.staggered()]
-    bundles += [fixtures.random_bundle(rng) for _ in range(50)]
+    bundles += [random_bundle(rng) for _ in range(50)]
     start = time.perf_counter()
     worst = 0.0
     for b in bundles:
@@ -93,7 +94,7 @@ def test_criterion_2_compensated_measure_integrals():
         zs = fundamental_martingales(b.X, b.H)
         for _ in range(100):
             w = PredictableFunction(
-                b.g, np.stack([fixtures.random_predictable_values(rng, b.g) for _ in MARKS])
+                b.g, np.stack([random_predictable_values(rng, b.g) for _ in MARKS])
             )
             diff = AdaptedProcess(b.g, integrate(w, mu).values - integrate(w, nu).values)
             check = is_martingale(diff)
@@ -117,7 +118,7 @@ def test_criterion_3_orthogonality_toolkit():
     clauses_ok = True
     worst_identity = 0.0
     for _ in range(200):
-        b = fixtures.random_bundle(rng)
+        b = random_bundle(rng)
         rep = orthogonality_report(b.X, b.H)
         clauses_ok = clauses_ok and all(rep.clauses.values())
         worst_identity = max(worst_identity, rep.decomposition_gap)
@@ -163,7 +164,7 @@ def test_criterion_4_survival_formula_cross_validation():
         fixtures.two_step_independent_random_time(),
         fixtures.announced_tau_random_time(),
         fixtures.never_random_time(),
-    ] + [fixtures.random_random_time_bundle(rng) for _ in range(20)]
+    ] + [random_random_time_bundle(rng) for _ in range(20)]
     worst = max(cross_validation_gap(rb, survival(rb)) for rb in bundles)
     _verdict(
         4,

@@ -9,7 +9,10 @@ from conftest import (
     oracle_max_drift,
     oracle_orthogonality_report,
     oracle_positive_sups,
+    random_bundle,
     random_filtration,
+    random_pair_bundle,
+    random_predictable_values,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,7 +73,7 @@ class TestCompensator:
     def test_compensator_predictable_increasing_from_zero(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             pair = compensator(b.X)
             assert is_predictable(pair.compensator)
             assert np.all(pair.compensator.increments()[:, 1:] >= -1e-15)
@@ -156,7 +159,7 @@ class TestBrackets:
         # <M,M>_t accumulates p_s(1-p_s) for the one-step jump probabilities
         rng = np.random.default_rng(9)
         for _ in range(10):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             pair = compensator(b.X)
             m = pair.martingale_part
             pc = dual_projection(quadratic_covariation(m, m))
@@ -173,7 +176,7 @@ class TestBrackets:
     def test_integration_by_parts(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             y, z = b.X, b.H
             lhs = y.values * z.values - (y.initial * z.initial)[:, None]
             rhs = (
@@ -220,9 +223,9 @@ class TestStochasticIntegral:
     @given(st.integers(0, 10**6))
     def test_martingale_preservation(self, seed):
         rng = np.random.default_rng(seed)
-        b = fixtures.random_bundle(rng)
+        b = random_bundle(rng)
         m = compensator(b.X).martingale_part
-        k = AdaptedProcess(b.g, fixtures.random_predictable_values(rng, b.g))
+        k = AdaptedProcess(b.g, random_predictable_values(rng, b.g))
         assert bool(is_martingale(stochastic_integral(k, m)))
 
 
@@ -361,7 +364,7 @@ class TestOrthogonalityToolkit:
     def test_clauses_on_random_pairs(self):
         rng = np.random.default_rng(21)
         for _ in range(40):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             rep = orthogonality_report(b.X, b.H)
             assert all(rep.clauses.values()), rep.clauses
             assert rep.decomposition_gap <= 1e-12
@@ -369,7 +372,7 @@ class TestOrthogonalityToolkit:
     def test_mixed_brackets_compensate_to_predictable_bracket(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             yp = dual_projection(b.X, b.g)
             zp = dual_projection(b.H, b.g)
             target = quadratic_covariation(yp, zp).values
@@ -427,7 +430,7 @@ class TestOrthogonalityToolkit:
     @given(st.integers(0, 10**6))
     def test_bracket_decomposition_identity(self, seed):
         rng = np.random.default_rng(seed)
-        b = fixtures.random_bundle(rng)
+        b = random_bundle(rng)
         rep = orthogonality_report(b.X, b.H)
         assert rep.decomposition_gap <= 1e-12
 
@@ -451,7 +454,7 @@ class TestTwoPassReport:
     @given(seed=st.integers(0, 10**6))
     def test_random_pairs(self, seed):
         rng = np.random.default_rng(seed)
-        b = fixtures.random_bundle(rng)
+        b = random_bundle(rng)
         _assert_is_the_oracle(orthogonality_report(b.X, b.H), b.X, b.H)
         # counting paths drawn atom by atom on a space with null atoms: not adapted in general
         filt = random_filtration(rng, int(rng.integers(1, 12)), int(rng.integers(1, 4)))
@@ -475,7 +478,7 @@ class TestSegmentedToolkit:
     @pytest.mark.parametrize("seed", [0, 1, 7, 11, 99])
     def test_each_segment_is_its_lone_pair_bitwise(self, seed):
         rng = np.random.default_rng(seed)
-        lone = [fixtures.random_bundle(rng) for _ in range(60)]
+        lone = [random_bundle(rng) for _ in range(60)]
         covered = set()
         for b, starts, pairs, _ in fixtures.random_pair_unions(np.random.default_rng(seed), 60):
             toolkit = orthogonality_segments(b.X, b.H, starts)
@@ -502,7 +505,7 @@ class TestSegmentedToolkit:
             union, starts, _, _ = fixtures.pair_union([0, 1], draws)
             toolkit = orthogonality_segments(union.X, union.H, starts)
             for j, draw in enumerate(draws):
-                alone = fixtures.random_pair_bundle(draw, "alone")
+                alone = random_pair_bundle(draw, "alone")
                 rep = orthogonality_report(alone.X, alone.H)
                 assert (toolkit.orthogonal[j], toolkit.jumps_disjoint[j]) == (rep.is_orthogonal, rep.jumps_disjoint)
                 assert toolkit.clauses_at(j) == rep.clauses

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import oracle_join, oracle_natural_filtration
+from conftest import oracle_join, oracle_natural_filtration, random_bundle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,7 +129,7 @@ class TestJoins:
     def test_monotone_and_idempotent(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             for t in range(b.g.horizon + 1):
                 assert b.g.at(t).refines(b.f.at(t))
             again = progressive_enlargement(b.g, b.h_filtration)
@@ -159,12 +159,12 @@ class TestIdentities:
     def test_identities_on_random_bundles(self):
         rng = np.random.default_rng(15)
         for _ in range(15):
-            assert verify_filtration_identities(fixtures.random_bundle(rng)).ok
+            assert verify_filtration_identities(random_bundle(rng)).ok
 
     def test_component_processes_compensate_in_enlargement(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             for proc in (b.X, b.H):
                 assert is_adapted(proc)
                 pair = compensator(proc)

@@ -11,7 +11,9 @@ from conftest import (
     oracle_refines,
     oracle_stopping_violation,
     oracle_time_increments,
+    random_bundle,
     random_filtration,
+    random_predictable_values,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,7 +229,7 @@ class TestConditionalExpectation:
     def test_matches_oracle_on_random_input(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             v = rng.normal(size=b.space.n_atoms)
             for t in range(b.g.horizon + 1):
                 got = conditional_expectation(b.space, v, b.g.at(t))
@@ -752,7 +754,7 @@ class TestBlockOracles:
         rng = np.random.default_rng(seed)
         filt = random_filtration(rng, int(rng.integers(1, 12)), int(rng.integers(1, 5)))
         new, old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got = fixtures.random_predictable_values(new, filt)
+        got = random_predictable_values(new, filt)
         assert np.array_equal(got, oracle_random_predictable_values(old, filt))
         assert new.normal() == old.normal()
         assert is_predictable(AdaptedProcess(filt, got))

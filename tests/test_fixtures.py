@@ -5,7 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import BY_NAME_FIXTURES, RANDOM_TIME_FIXTURES
+from conftest import (
+    BY_NAME_FIXTURES,
+    RANDOM_TIME_FIXTURES,
+    random_bundle,
+    random_random_time_bundle,
+)
 
 import filtration_lab.cli as cli
 from filtration_lab import fixtures, random_time, suites
@@ -92,7 +97,7 @@ def _assert_unions_hold(unions, lone):
 @pytest.mark.parametrize("seed", [0, 7, 11, 2024])
 def test_random_pair_unions_hold_the_lone_bundles(seed):
     rng = np.random.default_rng(seed)
-    lone = [fixtures.random_bundle(rng) for _ in range(200)]
+    lone = [random_bundle(rng) for _ in range(200)]
     after_lone = rng.bit_generator.state
     rng = np.random.default_rng(seed)
     unions = fixtures.random_pair_unions(rng, 200)
@@ -124,7 +129,7 @@ def test_union_targets_are_drawn_fixture_by_fixture_in_id_order(seed, draw):
 @pytest.mark.parametrize("seed", [0, 7, 11, 2024])
 def test_random_time_unions_hold_the_lone_bundles(seed):
     rng = np.random.default_rng(seed)
-    lone = [fixtures.random_random_time_bundle(rng) for _ in range(20)]
+    lone = [random_random_time_bundle(rng) for _ in range(20)]
     after_lone = rng.bit_generator.state
     rng = np.random.default_rng(seed)
     unions = fixtures.random_pair_unions(rng, 20, fixtures.random_time_draw)

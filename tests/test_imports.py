@@ -48,14 +48,14 @@ BLOCK_VIEWS = ("blocks", "_first_atom")
 #: the modules whose kernels sum along time with ``running_sums``
 RUNNING_SUM_MODULES = [PACKAGE / f"{name}.py" for name in ("calculus", "jump_measure", "representation", "random_time")]
 
-#: builders of one random fixture, which the suites draw through ``fixtures.random_pair_unions`` instead
+#: builders of one random fixture, the tests' oracles; the suites draw through ``fixtures.random_pair_unions`` instead
 LONE_RANDOM_BUILDERS = {"random_bundle", "random_random_time_bundle"}
 
 #: (function, parameter) -> why it keeps a default no program call overrides
 UNPASSED_ALLOWED = {
-    # test_jump_measure sweeps the size of the random spaces the suites draw
-    ("fixtures.random_bundle", "max_atoms"): "tests sweep it",
-    ("fixtures.random_bundle", "max_horizon"): "tests sweep it",
+    # test_jump_measure sweeps the size of the random pairs the suites draw
+    ("fixtures.random_pair_draw", "max_atoms"): "tests sweep it",
+    ("fixtures.random_pair_draw", "max_horizon"): "tests sweep it",
 }
 
 

@@ -3,7 +3,12 @@ import re
 
 import numpy as np
 import pytest
-from conftest import oracle_jump_events, oracle_mark_split
+from conftest import (
+    oracle_jump_events,
+    oracle_mark_split,
+    random_bundle,
+    random_predictable_values,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,7 +48,7 @@ class TestJointDecomposition:
     def test_parts_are_counting_processes_with_disjoint_jumps(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             y1, y2, y3 = joint_decomposition(b.X, b.H)
             for part in (y1, y2, y3):
                 assert isinstance(part, PointProcess)
@@ -88,7 +93,7 @@ class TestJumpMeasure:
     def test_total_mass_formula(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             mu = jump_measure(b.X, b.H)
             bracket = quadratic_covariation(b.X, b.H)
             expected = b.X.values + b.H.values - bracket.values
@@ -97,14 +102,14 @@ class TestJumpMeasure:
     def test_at_most_one_event_per_time(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             assert jump_measure(b.X, b.H).increments.sum(axis=0).max() <= 1.0
 
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), max_atoms=st.integers(2, 12), max_horizon=st.integers(1, 6))
     def test_dense_measure_matches_event_loop(self, seed, max_atoms, max_horizon):
-        b = fixtures.random_bundle(np.random.default_rng(seed), max_atoms, max_horizon)
+        b = random_bundle(np.random.default_rng(seed), max_atoms, max_horizon)
         mu = jump_measure(b.X, b.H)
         events = oracle_jump_events(b.X.increments(), b.H.increments())
         dense = np.zeros((len(MARKS), b.space.n_atoms, b.g.horizon + 1))
@@ -194,7 +199,7 @@ class TestCompensatorMeasure:
     def test_compensated_integral_is_martingale_for_random_functions(self):
         rng = np.random.default_rng(34)
         for _ in range(5):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             mu = jump_measure(b.X, b.H)
             nu = compensator_measure(mu)
             z1, z2, z3 = fundamental_martingales(b.X, b.H)
@@ -202,7 +207,7 @@ class TestCompensatorMeasure:
                 w = PredictableFunction(
                     b.g,
                     np.stack(
-                        [fixtures.random_predictable_values(rng, b.g) for _ in MARKS]
+                        [random_predictable_values(rng, b.g) for _ in MARKS]
                     ),
                 )
                 diff = AdaptedProcess(
@@ -266,7 +271,7 @@ class TestFundamentalMartingales:
     def test_all_three_are_exact_martingales(self):
         rng = np.random.default_rng(35)
         for _ in range(15):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             from filtration_lab.calculus import compensator
 
             z1, z2, z3 = fundamental_martingales(b.X, b.H)

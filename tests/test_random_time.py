@@ -5,12 +5,14 @@ from conftest import (
     oracle_supermartingale_gap,
     oracle_survival,
     random_filtration,
+    random_random_time_bundle,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filtration_lab import fixtures
+from filtration_lab import fixtures, suites
 from filtration_lab.calculus import compensator, is_martingale
+from filtration_lab.cli import run_config
 from filtration_lab.enlargement import natural_filtration, progressive_enlargement
 from filtration_lab.errors import BadParameter, TauAtZero, VanishingAzema
 from filtration_lab.finite_space import EXACT_TOL, NEVER, AdaptedProcess, StoppingTime, build_space, segment_sups
@@ -20,13 +22,13 @@ from filtration_lab.random_time import (
     azema_consistency_gap,
     compensator_via_azema,
     cross_validation_gap,
-    orthogonality_suite,
     random_time_bundle,
     supermartingale_gap,
     surrogate_segments,
     survival,
     tau_of,
 )
+from filtration_lab.representation import multiplicity
 
 
 def _coin_paths(n_steps=2):
@@ -66,7 +68,7 @@ class TestBundleConstruction:
     def test_survival_process_consistency_and_supermartingale(self):
         rng = np.random.default_rng(51)
         for _ in range(20):
-            rb = fixtures.random_random_time_bundle(rng)
+            rb = random_random_time_bundle(rng)
             azema = survival(rb)
             assert azema_consistency_gap(rb, azema) <= 1e-12
             assert supermartingale_gap(rb, azema) <= 1e-12
@@ -136,7 +138,7 @@ class TestSurvivalFormula:
             fixtures.avoidance_trinomial(),
             fixtures.two_step_independent_random_time(),
             fixtures.announced_tau_random_time(),
-        ] + [fixtures.random_random_time_bundle(rng) for _ in range(25)]
+        ] + [random_random_time_bundle(rng) for _ in range(25)]
         for rb in bundles:
             assert cross_validation_gap(rb, survival(rb)) <= 1e-9
             assert bool(
@@ -188,28 +190,61 @@ class TestAvoidance:
         assert rep.conclusions_hold
 
 
-class TestOrthogonalityStudy:
+def _lone_study(rb):
+    """Pair name -> (orthogonal, consistent, witness) of a lone random time: the one segment of its surrogate checks."""
+    return {
+        label: (bool(toolkit.orthogonal[0]), bool(consistent[0]), toolkit.first_move())
+        for label, toolkit, consistent in surrogate_segments(rb, [0])
+    }
+
+
+class TestLoneRandomTimeStudy:
     def test_staggered_all_orthogonal(self):
-        study = orthogonality_suite(fixtures.staggered())
-        assert all(p.orthogonal for p in study.pairs)
-        assert study.all_consistent
-        assert study.multiplicity == 1
+        rb = fixtures.staggered()
+        study = _lone_study(rb)
+        assert all(orthogonal and consistent for orthogonal, consistent, _ in study.values())
+        assert multiplicity(rb.g) == 1
 
     def test_trinomial_overlap_detected(self):
-        study = orthogonality_suite(fixtures.avoidance_trinomial())
-        by_name = {p.name: p for p in study.pairs}
-        assert not by_name["part1_vs_part2"].orthogonal
-        assert by_name["part1_vs_part2"].witness is not None
-        assert by_name["part1_vs_joint"].orthogonal
-        assert by_name["part2_vs_joint"].orthogonal
-        assert study.all_consistent
-        assert study.multiplicity == 2
+        rb = fixtures.avoidance_trinomial()
+        study = _lone_study(rb)
+        orthogonal, _, witness = study["part1_vs_part2"]
+        assert not orthogonal
+        assert witness is not None
+        assert study["part1_vs_joint"][0]
+        assert study["part2_vs_joint"][0]
+        assert all(consistent for _, consistent, _ in study.values())
+        assert multiplicity(rb.g) == 2
 
     def test_surrogate_equivalence_on_random_bundles(self):
         rng = np.random.default_rng(53)
         for _ in range(15):
-            study = orthogonality_suite(fixtures.random_random_time_bundle(rng))
-            assert study.all_consistent
+            study = _lone_study(random_random_time_bundle(rng))
+            assert all(consistent for _, consistent, _ in study.values())
+
+
+class TestSurrogateRow:
+    """``random_time_orthogonality``'s surrogate row reads every random time's verdicts: the named ones
+    alone, the drawn ones segment by segment."""
+
+    @pytest.mark.parametrize("broken", ["staggered", "avoidance_trinomial", "two_step_independent", "random_pairs"])
+    def test_one_inconsistent_random_time_fails_the_row(self, monkeypatch, broken):
+        config = {"engine": "exact", "seed": 7, "suites": ["random_time_orthogonality"]}
+        real = suites.surrogate_segments
+
+        def one_flipped(bundle, starts):
+            out = real(bundle, starts)
+            if bundle.name == broken:
+                label, toolkit, consistent = out[-1]
+                consistent = consistent.copy()
+                consistent[0] = not consistent[0]  # the first random time's last pair
+                out[-1] = (label, toolkit, consistent)
+            return out
+
+        row = "orthogonality_matches_predictable_jump_surrogate"
+        assert {r["name"]: r["outcome"] for r in run_config(config)["checks"]}[row] == "holds"
+        monkeypatch.setattr(suites, "surrogate_segments", one_flipped)
+        assert {r["name"]: r["outcome"] for r in run_config(config)["checks"]}[row] == "fails"
 
 
 class TestUnionsOfRandomTimes:
@@ -218,7 +253,7 @@ class TestUnionsOfRandomTimes:
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_the_azema_gaps_of_a_union_are_the_lone_maxima(self, seed):
         rng = np.random.default_rng(seed)
-        lone = [fixtures.random_random_time_bundle(rng) for _ in range(40)]
+        lone = [random_random_time_bundle(rng) for _ in range(40)]
         gaps = (cross_validation_gap, azema_consistency_gap, supermartingale_gap)
         alone = [[gap(b, survival(b)) for gap in gaps] for b in lone]
         for b, starts, pairs, exponent in fixtures.random_pair_unions(
@@ -239,18 +274,18 @@ class TestUnionsOfRandomTimes:
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_each_segment_keeps_its_lone_orthogonality_study(self, seed):
         rng = np.random.default_rng(seed)
-        lone = [orthogonality_suite(fixtures.random_random_time_bundle(rng)) for _ in range(40)]
+        lone = [_lone_study(random_random_time_bundle(rng)) for _ in range(40)]
         verdicts = set()
         for b, starts, pairs, _ in fixtures.random_pair_unions(
             np.random.default_rng(seed), 40, fixtures.random_time_draw
         ):
             segments = surrogate_segments(b, starts)
-            assert [label for label, _, _ in segments] == [p.name for p in lone[0].pairs]
-            for k, (_, toolkit, consistent) in enumerate(segments):
+            assert [label for label, _, _ in segments] == list(lone[0])
+            for label, toolkit, consistent in segments:
                 for j, i in enumerate(pairs):
-                    pair = lone[i].pairs[k]
-                    assert (toolkit.orthogonal[j], consistent[j]) == (pair.orthogonal, pair.consistent)
-                    verdicts.add(pair.orthogonal)
+                    orthogonal, ok, _ = lone[i][label]
+                    assert (toolkit.orthogonal[j], consistent[j]) == (orthogonal, ok)
+                    verdicts.add(orthogonal)
                 assert toolkit.orthogonal[-1] and consistent[-1]  # the filler
         assert verdicts == {True, False}
 

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     BY_NAME_FIXTURES,
     RANDOM_TIME_FIXTURES,
+    null_lift,
     oracle_chunked_reconstruction,
     oracle_independence_violation,
     oracle_nodewise_lstsq,
@@ -16,8 +17,11 @@ from conftest import (
     oracle_residual_sup,
     oracle_spanning_family,
     perfbench_workloads,
+    random_bundle,
     random_filtration,
+    random_random_time_bundle,
     relabel,
+    split,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,7 +89,7 @@ class TestMartingaleClosure:
     def test_closure_is_martingale_hitting_target(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             xi = rng.normal(size=b.space.n_atoms)
             y = martingale_closure(xi, b.g)
             assert bool(is_martingale(y))
@@ -165,7 +169,7 @@ class TestMeasureAndTripleRepresentation:
     def test_forms_agree_and_both_solve(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             mu = jump_measure(b.X, b.H)
             nu = compensator_measure(mu)
             z1, z2, z3 = fundamental_martingales(b.X, b.H)
@@ -179,7 +183,7 @@ class TestMeasureAndTripleRepresentation:
     def test_stopped_representation(self):
         rng = np.random.default_rng(44)
         bundles = [fixtures.staggered(), fixtures.avoidance_trinomial()]
-        bundles += [fixtures.random_random_time_bundle(rng) for _ in range(5)]
+        bundles += [random_random_time_bundle(rng) for _ in range(5)]
         for rb in bundles:
             st = tau_of(rb)
             regs = triple_regressors(*fundamental_martingales(rb.X, rb.H), stop_at=st)
@@ -286,7 +290,7 @@ class TestMultiplicity:
         rng = np.random.default_rng(seed)
         trees = (
             random_filtration(rng, int(rng.integers(1, 12)), int(rng.integers(1, 4)), zero_frac=0.3),
-            _bundle_with_null_atoms(rng, fixtures.random_bundle(rng)).g,
+            _bundle_with_null_atoms(rng, random_bundle(rng)).g,
         )
         for filt in trees:
             probs = filt.space.probs
@@ -340,13 +344,13 @@ class TestMultiplicity:
     def test_monotone_under_enlargement(self):
         rng = np.random.default_rng(47)
         for _ in range(15):
-            b = fixtures.random_bundle(rng)
+            b = random_bundle(rng)
             assert multiplicity(b.g) >= multiplicity(b.f)
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_each_segment_has_its_lone_spanning_numbers(self, seed):
         rng = np.random.default_rng(seed)
-        lone = [fixtures.random_bundle(rng) for _ in range(60)]
+        lone = [random_bundle(rng) for _ in range(60)]
         seen = set()
         for b, starts, pairs, _ in fixtures.random_pair_unions(np.random.default_rng(seed), 60):
             for filt, kind in ((b.g, "g"), (b.f, "f")):
@@ -403,7 +407,7 @@ def _regressor_family(kind, b):
 def _assert_solved_node_by_node(batch, ys, regs, filtration):
     """``batch`` has the bits of the same solve with one ``np.linalg.pinv`` per node."""
     with mock.patch.object(representation, "_nodewise_solve", partial(oracle_pinv_per_node, cutoff=SV_CUTOFF)):
-        want = solve_batch(ys, regs, filtration, keep_integrands=True, keep_reconstructions=True)
+        want = solve_batch(ys, regs, filtration)
     for field in ("integrands", "residual_sup", "reconstructions"):
         got, expected = getattr(batch, field), getattr(want, field)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), field
@@ -426,12 +430,12 @@ class TestBatchedKernel:
     )
     def test_matches_per_target_lstsq(self, seed, k, null_atoms, kind):
         rng = np.random.default_rng(seed)
-        b = fixtures.random_bundle(rng)
+        b = random_bundle(rng)
         if null_atoms:
             b = _bundle_with_null_atoms(rng, b)
         regs = _regressor_family(kind, b)
         ys = martingale_closures(rng.normal(size=(k, b.space.n_atoms)), b.g)
-        batch = solve_batch(ys, regs, b.g, keep_integrands=True, keep_reconstructions=True)
+        batch = solve_batch(ys, regs, b.g)
         _assert_solved_node_by_node(batch, ys, regs, b.g)
         oracle = oracle_nodewise_lstsq(list(ys), regs, b.g, SV_CUTOFF)
         assert batch.integrands.shape == oracle.shape == (len(regs), k) + ys.shape[1:]
@@ -449,7 +453,7 @@ class TestBatchedKernel:
         b = _large_tree(11) if tree == "large_tree" else fixtures.space_a()
         ys = martingale_closures(np.random.default_rng(k).normal(size=(k, b.space.n_atoms)), b.g)
         for regs in (_regressor_family("wrp", b), _regressor_family("rank_deficient", b)):
-            batch = solve_batch(ys, regs, b.g, keep_integrands=True, keep_reconstructions=True)
+            batch = solve_batch(ys, regs, b.g)
             _assert_solved_node_by_node(batch, ys, regs, b.g)
 
     @pytest.mark.parametrize("tree,calls", [("large_tree", 4), ("space_a", 2), ("quiet_first_step", 1)])
@@ -473,22 +477,42 @@ class TestBatchedKernel:
         ys = martingale_closures(np.random.default_rng(52).normal(size=(3, 16)), b.g)
         kept = solve_batch(ys, [z1, 1e-6 * z2, z3], b.g)
         assert kept.residual_sup.max() <= 1e-9
-        cut = solve_batch(ys, [z1, 1e-14 * z2, z3], b.g, keep_integrands=True)
+        cut = solve_batch(ys, [z1, 1e-14 * z2, z3], b.g)
         assert cut.residual_sup.min() > 1e-3
         assert np.abs(cut.integrands[1]).max() <= 1e-9
 
     def test_single_target_wrappers_match_the_batch(self):
+        # each single-target solver is target 0 of the one-target batch it makes, bit for bit, and
+        # matches the 5-target batch to 1e-12; the independent decomposition needs an independent pair
         rng = np.random.default_rng(48)
-        b = fixtures.random_bundle(rng)
+        b = random_bundle(rng)
         mu = jump_measure(b.X, b.H)
         nu = compensator_measure(mu)
-        ys = martingale_closures(rng.normal(size=(5, b.space.n_atoms)), b.g)
-        batch = solve_batch(ys, wrp_regressors(mu, nu), b.g, keep_integrands=True)
-        for i, y in enumerate(ys):
-            sol = solve_wrp(AdaptedProcess(b.g, y), mu, nu)
-            got = np.stack(list(sol.integrands.values()))
-            assert np.abs(got - batch.integrands[:, i]).max() <= 1e-12
-            assert abs(sol.residual_sup - batch.residual_sup[i]) <= 1e-12
+        zs = fundamental_martingales(b.X, b.H)
+        xbar, hbar = compensator(b.X).martingale_part, compensator(b.H).martingale_part
+        space_a = fixtures.space_a()
+        solvers = {
+            "prp": (b, lambda y: solve_prp(y, xbar), [xbar.increments()]),
+            "wrp": (b, lambda y: solve_wrp(y, mu, nu), wrp_regressors(mu, nu)),
+            "triple": (b, lambda y: solve_triple(y, *zs), triple_regressors(*zs)),
+            "in_basis": (b, lambda y: solve_in_basis(y, [xbar, hbar]), [xbar.increments(), hbar.increments()]),
+            "independent": (space_a, lambda y: independent_decomposition(y, space_a), None),
+        }
+        for name, (bundle, solve, regs) in solvers.items():
+            def batch_of(ys):
+                return independent_batch(ys, bundle)[0] if regs is None else solve_batch(ys, regs, bundle.g)
+
+            ys = martingale_closures(rng.normal(size=(5, bundle.space.n_atoms)), bundle.g)
+            five = batch_of(ys)
+            for i, y in enumerate(ys):
+                sol = solve(AdaptedProcess(bundle.g, y))
+                one = batch_of(y[None])
+                got = np.stack(list(sol.integrands.values()))
+                assert got.tobytes() == one.integrands[:, 0].tobytes(), name
+                assert sol.reconstruction.values.tobytes() == one.reconstructions[0].tobytes(), name
+                assert np.float64(sol.residual_sup).tobytes() == one.residual_sup[:1].tobytes(), name
+                assert np.abs(got - five.integrands[:, i]).max() <= 1e-12, name
+                assert abs(sol.residual_sup - five.residual_sup[i]) <= 1e-12, name
 
     def test_drift_failure_names_the_first_drifting_target(self, space_a_bundle):
         b = space_a_bundle
@@ -561,7 +585,7 @@ class TestBatchedKernel:
 
 
 def _solved(ys, regs, filtration):
-    batch = solve_batch(ys, regs, filtration, keep_integrands=True, keep_reconstructions=True)
+    batch = solve_batch(ys, regs, filtration)
     return [getattr(batch, field).tobytes() for field in ("integrands", "residual_sup", "reconstructions")]
 
 
@@ -574,7 +598,7 @@ class TestFactorStore:
     def test_a_hit_has_the_bits_of_a_miss_and_of_one_pinv_per_node(self, monkeypatch, tree, kind):
         def build():
             rng = np.random.default_rng(60)
-            return _large_tree(11) if tree == "large_tree" else _bundle_with_null_atoms(rng, fixtures.random_bundle(rng))
+            return _large_tree(11) if tree == "large_tree" else _bundle_with_null_atoms(rng, random_bundle(rng))
 
         warm, cold = build(), build()
         regs = _regressor_family(kind, warm)
@@ -587,8 +611,7 @@ class TestFactorStore:
         assert hit == _solved(ys, regs, cold.g)
         assert made and len(cold.g._factors) == len(warm.g._factors) == 1
         monkeypatch.undo()
-        _assert_solved_node_by_node(solve_batch(ys, regs, warm.g, keep_integrands=True, keep_reconstructions=True),
-                                    ys, regs, warm.g)
+        _assert_solved_node_by_node(solve_batch(ys, regs, warm.g), ys, regs, warm.g)
 
     def test_a_one_ulp_change_to_one_regressor_entry_misses(self, monkeypatch):
         b, fresh = _large_tree(11), _large_tree(11)
@@ -675,7 +698,7 @@ class TestSliceReconstruction:
         ys[0] = -(ys[0] - ys[0, :, :1])
         if tree == "null_atoms":
             ys[:, b.space.null_atoms[0]] = np.nan
-        batch = solve_batch(ys, list(regs), b.g, keep_reconstructions=True)
+        batch = solve_batch(ys, list(regs), b.g)
         node_of, table = representation._nodewise_solve(ys, regs, b.g)
         step = representation.chunk_length(b.g)
         residual_sup, recons = oracle_chunked_reconstruction(ys, regs, node_of, table, b.space.probs, step)
@@ -693,7 +716,7 @@ class TestUnionSolves:
     @pytest.mark.parametrize("seed", [0, 1, 7, 11, 99])
     def test_each_segment_solves_like_its_lone_space(self, seed):
         rng = np.random.default_rng(seed)
-        lone = [fixtures.random_bundle(rng) for _ in range(50)]
+        lone = [random_bundle(rng) for _ in range(50)]
         xis = [rng.normal(size=(20, b.space.n_atoms)) for b in lone]
         closures = [martingale_closures(xi, b.g) for xi, b in zip(xis, lone)]
         covered = set()
@@ -705,7 +728,7 @@ class TestUnionSolves:
             for j, i in enumerate(pairs):
                 assert ys[:, starts[j] : starts[j + 1]].tobytes() == closures[i].tobytes()
             for kind in ("wrp", "triple"):
-                union = solve_batch(ys, _regressor_family(kind, b), b.g, keep_reconstructions=True)
+                union = solve_batch(ys, _regressor_family(kind, b), b.g)
                 sups = segment_sups(b.space, ys - union.reconstructions, starts)
                 for j, i in enumerate(pairs):
                     pair = lone[i]
@@ -721,7 +744,7 @@ class TestUnionSolves:
     def test_each_random_time_solves_its_stopped_targets_like_its_lone_bundle(self, seed):
         # triple_representation's stopped row: 20 targets per random time, stopped at its tau
         rng = np.random.default_rng(seed)
-        lone = [fixtures.random_random_time_bundle(rng) for _ in range(20)]
+        lone = [random_random_time_bundle(rng) for _ in range(20)]
         xis = [rng.normal(size=(20, b.space.n_atoms)) for b in lone]
 
         def stopped_solve(b, xi):
@@ -760,9 +783,9 @@ class TestUnionSolves:
         solved, rngs = [], []
         real_solve, real_rng = suites.solve_batch, suites.SuiteContext.rng
 
-        def solve(ys, regs, filtration, **kwargs):
+        def solve(ys, regs, filtration):
             solved.append((filtration.space.n_atoms, filtration.horizon, len(ys)))
-            return real_solve(ys, regs, filtration, **kwargs)
+            return real_solve(ys, regs, filtration)
 
         def rng(ctx, salt):
             rngs.append(real_rng(ctx, salt))
@@ -778,7 +801,7 @@ class TestUnionSolves:
 
         (used,) = rngs
         want = suites.SuiteContext(seed=config["seed"]).rng("completeness")
-        lone = [fixtures.random_bundle(want) for _ in range(50)]
+        lone = [random_bundle(want) for _ in range(50)]
         named = [fixtures.space_a(), fixtures.fixture_a2(), fixtures.staggered()]
         for b in named + lone:
             want.normal(size=(100, b.space.n_atoms))
@@ -813,34 +836,69 @@ def _first_time(hit):
     return None if hit is None else hit[0]
 
 
+def _assert_invariant(b, moved, back, starts, rng, own_stacks=True):
+    """``moved``, a layout of ``b`` whose atom i is ``b``'s atom ``back[i]``, gives ``b``'s results.
+
+    Five random closures pulled back through ``back`` solve with the same
+    residuals and, on ``moved``'s positive atoms, the same integrands, both
+    within 1e-12; the spanning numbers of both filtrations are equal; and a
+    random stack drawn last (with ``own_stacks``, also X, H and an integrand)
+    is first found not adapted, or not predictable, at the same time once
+    pulled back.
+    """
+    positive = moved.space.positive
+    ys = martingale_closures(rng.normal(size=(5, b.space.n_atoms)), b.g)
+    for kind in ("wrp", "triple"):
+        batch = solve_batch(ys, _regressor_family(kind, b), b.g)
+        lifted = solve_batch(ys[:, back], _regressor_family(kind, moved), moved.g)
+        assert np.abs(lifted.residual_sup - batch.residual_sup).max() <= 1e-12, kind
+        gap = np.abs(lifted.integrands - batch.integrands[:, :, back])[:, :, positive]
+        assert gap.max(initial=0.0) <= 1e-12, kind
+    assert spanning_numbers(moved.g, starts).tolist() == spanning_numbers(b.g, starts).tolist()
+    assert spanning_numbers(moved.f, starts).tolist() == spanning_numbers(b.f, starts).tolist()
+    stacks = [b.X.values, b.H.values, batch.integrands[0, 0]] if own_stacks else []
+    stacks.append(rng.normal(size=b.X.values.shape))
+    for lag in (0, 1):
+        for v in stacks:
+            assert _first_time(slice_violation(v[back], moved.g, lag)) == _first_time(slice_violation(v, b.g, lag)), lag
+
+
 class TestRelabelInvariance:
-    """Renumbering the atoms changes no solve, spanning number or predictability verdict.
+    """Renumbering the atoms, splitting one into equal-mass twins, or adding one of probability 0
+    changes no solve, spanning number or predictability verdict.
 
     The solver and the spanning walk read the cell union, whose cells are
     numbered atom-major; these relations hold whatever that layout makes of
-    the atoms' order.
+    the atoms' order, of a block's size and of its null atoms.
     """
 
     @pytest.mark.parametrize("name", RELABEL_CASES)
     def test_relabelled_fixture_gives_the_same_results(self, name):
         b, starts = _relabel_case(name)
         rng = np.random.default_rng(RELABEL_CASES.index(name))
-        n = b.space.n_atoms
         # a permutation within each segment of ``starts``, so a union's segments stay where they are
-        bounds = starts + [n]
+        bounds = starts + [b.space.n_atoms]
         perm = np.concatenate([lo + rng.permutation(hi - lo) for lo, hi in zip(bounds, bounds[1:])])
-        rb = relabel(b, perm)
-        positive = b.space.positive[perm]
-        ys = martingale_closures(rng.normal(size=(5, n)), b.g)
-        for kind in ("wrp", "triple"):
-            batch = solve_batch(ys, _regressor_family(kind, b), b.g, keep_integrands=True)
-            moved = solve_batch(ys[:, perm], _regressor_family(kind, rb), rb.g, keep_integrands=True)
-            assert np.abs(moved.residual_sup - batch.residual_sup).max() <= 1e-12, kind
-            gap = np.abs(moved.integrands - batch.integrands[:, :, perm])[:, :, positive]
-            assert gap.max(initial=0.0) <= 1e-12, kind
-        assert spanning_numbers(rb.g, starts).tolist() == spanning_numbers(b.g, starts).tolist()
-        assert spanning_numbers(rb.f, starts).tolist() == spanning_numbers(b.f, starts).tolist()
-        stacks = [b.X.values, b.H.values, batch.integrands[0, 0], rng.normal(size=b.X.values.shape)]
-        for lag in (0, 1):
-            for v in stacks:
-                assert _first_time(slice_violation(v[perm], rb.g, lag)) == _first_time(slice_violation(v, b.g, lag)), lag
+        _assert_invariant(b, relabel(b, perm), perm, starts, rng)
+
+    @pytest.mark.parametrize("name", RELABEL_CASES)
+    def test_split_fixture_gives_the_same_results(self, name):
+        # the twin is appended last: its block's cells are then not contiguous, and a union's twin lies
+        # past the filler, yet each node still counts in the segment of its first child's first atom
+        b, starts = _relabel_case(name)
+        rng = np.random.default_rng(100 + RELABEL_CASES.index(name))
+        moved, back = split(b, int(rng.integers(b.space.n_atoms)))
+        _assert_invariant(b, moved, back, starts, rng)
+
+    @pytest.mark.parametrize("name", RELABEL_CASES)
+    def test_null_lifted_fixture_gives_the_same_results(self, name):
+        # a null atom with random paths may break the exact constancy of X, H or an integrand pulled
+        # back onto it, as adaptedness is not an almost-sure property; a random stack is already
+        # non-constant on every block of two or more atoms, so the null atom, which copies atom 0's
+        # values and shares its initial block, cannot make it fail earlier
+        b, starts = _relabel_case(name)
+        rng = np.random.default_rng(200 + RELABEL_CASES.index(name))
+        x_jumps, h_jumps = rng.integers(0, 2, (2, b.g.horizon))
+        moved, back = null_lift(b, x_jumps, h_jumps)
+        assert moved.space.null_atoms == (b.space.n_atoms,)
+        _assert_invariant(b, moved, back, starts, rng, own_stacks=False)
