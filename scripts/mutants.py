@@ -26,6 +26,8 @@ FS = "src/filtration_lab/finite_space.py"
 REP = "src/filtration_lab/representation.py"
 MC = "src/filtration_lab/montecarlo.py"
 SUITES = "src/filtration_lab/suites.py"
+JM = "src/filtration_lab/jump_measure.py"
+CALC = "src/filtration_lab/calculus.py"
 
 #: (id, file, the exact old line, its replacement, the tests to run first)
 MUTANTS = (
@@ -98,8 +100,8 @@ MUTANTS = (
         # a segment of null atoms then reads -1
         "segment_sup_starts_below_zero",
         FS,
-        "    per_atom = np.abs(values).max(axis=-1, initial=0.0, where=space.positive[:, None])",
-        "    per_atom = np.abs(values).max(axis=-1, initial=-1.0, where=space.positive[:, None])",
+        "    per_atom = time_major.max(axis=-2, initial=0.0, where=space.positive)",
+        "    per_atom = time_major.max(axis=-2, initial=-1.0, where=space.positive)",
         ["tests/test_calculus.py::TestStackedKernels::test_a_segment_sup_is_the_sup_of_its_atoms"],
     ),
     (
@@ -125,12 +127,12 @@ MUTANTS = (
         ["tests/test_representation.py::TestSliceReconstruction"],
     ),
     (
-        # equal to the first atom while a union's segments are contiguous runs; a split twin appended
-        # past the filler is not, and only the split relation sees the node land in the filler's segment
+        # in the segment of its first child's first atom while a union's segments are contiguous runs; a
+        # split twin appended past the filler is not, and the split relation sees the node land in the filler's
         "spanning_segment_by_last_atom",
         REP,
-        '        segment = np.searchsorted(starts, children[0][0][0], side="right") - 1',
-        '        segment = np.searchsorted(starts, children[0][0][-1], side="right") - 1',
+        "        first = nodes[np.arange(len(nodes)), head.argmax(axis=1)] // width",
+        "        first = nodes[:, -1] // width",
         ["tests/test_representation.py::TestRelabelInvariance::test_split_fixture_gives_the_same_results"],
     ),
     (
@@ -140,6 +142,30 @@ MUTANTS = (
         "            all(ok.all() for study in studies for _, _, ok in study),",
         "            all(ok.all() for study in studies[len(named):] for _, _, ok in study),",
         ["tests/test_random_time.py::TestSurrogateRow"],
+    ),
+    (
+        # nu keeps its bits, but every Z reads the compensator one slice late
+        "z_from_shifted_compensator",
+        JM,
+        "        out = time_increments(comp), counts - comp",
+        "        out = time_increments(comp), counts - np.roll(comp, 1, axis=-1)",
+        ["tests/test_jump_measure.py::TestOneCompensation"],
+    ),
+    (
+        # (Y, Z) evaluated as (Z, Y): the toolkit is symmetric but for the decomposition gap's rounding
+        "toolkit_pair_roles_swapped",
+        CALC,
+        "    first, second = np.transpose(pairs)",
+        "    second, first = np.transpose(pairs)",
+        ["tests/test_random_time.py::TestStackedStudy::test_each_pair_keeps_its_roles"],
+    ),
+    (
+        # a child of null atoms only then branches its node
+        "spanning_counts_zero_mass_children",
+        REP,
+        "    positive = np.zeros(children.n_blocks, dtype=bool)",
+        "    positive = np.ones(children.n_blocks, dtype=bool)",
+        ["tests/test_representation.py::TestSpanningNumbers::test_null_atoms_and_zero_mass_children"],
     ),
 )
 

@@ -181,6 +181,8 @@ class SegmentedToolkit:
     clauses: dict
     jumps_disjoint: np.ndarray
     decomposition_gap: np.ndarray
+    #: sup of dY^p dZ^p over each segment's positive atoms: 0 iff the compensators never jump together there
+    predictable_jump_sup: np.ndarray
     #: values of [Y^p,Z^p], [Ybar,Zbar] and dY^p dZ^p, and the (atom, time) flags where [Ybar,Zbar]^p moves
     bracket_compensators: np.ndarray
     bracket_bar: np.ndarray
@@ -242,29 +244,40 @@ def orthogonality_segments(y: AdaptedProcess, z: AdaptedProcess, starts) -> Segm
     z = as_point_process(z)
     if y.filtration.partitions != z.filtration.partitions:
         raise FiltrationMismatch("pair must share one filtration")
-    filt = y.filtration
-    space = filt.space
+    return orthogonality_pairs(np.stack([y.values, z.values]), [(0, 1)], y.filtration, starts)[0]
 
-    yp, zp = dual_projections(np.stack([y.values, z.values]), filt)
-    # jump products, then brackets, of [Y,Z], [Y^p,Z], [Y,Z^p], [Y^p,Z^p], [Ybar,Zbar]
-    left = time_increments(np.stack([y.values, yp, y.values, yp, y.values - yp]))
-    prods = left * time_increments(np.stack([z.values, z.values, zp, zp, z.values - zp]))
+
+def orthogonality_pairs(values, pairs, filtration: Filtration, starts) -> list[SegmentedToolkit]:
+    """:func:`orthogonality_segments` of each pair (i, j) of a ``(p, n, T+1)`` stack of counting processes.
+
+    The processes are compensated once and the pairs evaluated along one
+    pair axis; pair k's toolkit is bit for bit its lone pair's.  That the
+    values are counting processes on ``filtration`` is the caller's to check.
+    """
+    space = filtration.space
+    v = np.asarray(values, dtype=float)
+    vp = dual_projections(v, filtration)
+    first, second = np.transpose(pairs)
+    y, z, yp, zp = v[first], v[second], vp[first], vp[second]
+    # jump products, then brackets, of [Y,Z], [Y^p,Z], [Y,Z^p], [Y^p,Z^p], [Ybar,Zbar], each (pairs, n, T+1)
+    prods = time_increments(np.stack([y, yp, y, yp, y - yp]))
+    prods *= time_increments(np.stack([z, z, zp, zp, z - zp]))
     brackets = running_sums(prods)
     b_yz, b_yp_z, b_y_zp, b_pp, b_bar = brackets
     incs = time_increments(brackets)
     # one-step drifts of [Y,Z], [Y^p,Z], [Y,Z^p] and the compensated bracket
-    drifts = slice_expectations(incs[[0, 1, 2, 4]], filt, 1)
+    drifts = slice_expectations(incs[[0, 1, 2, 4]], filtration, 1)
     comp_yz, comp_yp_z, comp_y_zp, comp_bar = running_sums(drifts)
     jump_product = prods[3]
 
     identity = b_bar - (b_yz - b_yp_z - b_y_zp + b_pp)
-    gaps = [comp_yp_z - b_pp, comp_y_zp - b_pp, comp_yz - b_pp, prods[0], b_bar, jump_product, identity]
-    sups = segment_sups(space, np.stack(gaps), starts)
+    gaps = np.stack([comp_yp_z - b_pp, comp_y_zp - b_pp, comp_yz - b_pp, prods[0], b_bar, jump_product, identity])
+    sups = segment_sups(space, gaps, starts)
     yp_z_associated, y_zp_associated, compensators_match, disjoint, bar_zero, no_common_jump = sups[:6] <= EXACT_TOL
     positive = space.positive[:, None]
     moves = (np.abs(time_increments(comp_bar)) > EXACT_TOL) & positive
     atom_ok = np.stack([
-        ((incs[1:4] >= 0.0) | ~positive).all(axis=(0, 2)) & np.isfinite(brackets[1:4]).all(axis=(0, 2)),
+        ((incs[1:4] >= 0.0) | ~positive).all(axis=(0, 3)) & np.isfinite(brackets[1:4]).all(axis=(0, 3)),
         (np.abs(drifts[3]) <= EXACT_TOL).all(axis=-1),
         ~moves.any(axis=-1),
     ])
@@ -276,13 +289,17 @@ def orthogonality_segments(y: AdaptedProcess, z: AdaptedProcess, starts) -> Segm
         "disjoint_zero": ~disjoint | (bar_martingale == bar_zero),
         "disjoint_predictable": ~disjoint | (bar_martingale == no_common_jump),
     }
-    return SegmentedToolkit(
-        orthogonal=orthogonal,
-        clauses=clauses,
-        jumps_disjoint=disjoint,
-        decomposition_gap=sups[6],
-        bracket_compensators=b_pp,
-        bracket_bar=b_bar,
-        predictable_jump_product=jump_product,
-        bar_moves=moves,
-    )
+    return [
+        SegmentedToolkit(
+            orthogonal=orthogonal[k],
+            clauses={name: clause[k] for name, clause in clauses.items()},
+            jumps_disjoint=disjoint[k],
+            decomposition_gap=sups[6, k],
+            predictable_jump_sup=sups[5, k],
+            bracket_compensators=b_pp[k],
+            bracket_bar=b_bar[k],
+            predictable_jump_product=jump_product[k],
+            bar_moves=moves[k],
+        )
+        for k in range(len(first))
+    ]

@@ -343,9 +343,13 @@ def segment_sups(space: FiniteProbabilitySpace, values, starts) -> np.ndarray:
 
     Segment i is the atoms from ``starts[i]`` up to the next start (the last
     runs to n).  A segment with no positive-probability atom gets 0; a NaN on a
-    positive-probability atom makes its segment's sup NaN.
+    positive-probability atom makes its segment's sup NaN.  Each atom's max
+    over time is taken on a time-major copy, whose long atom axis is the
+    inner loop; a max rounds nothing, so the bytes are those of the max along
+    the short time axis.
     """
-    per_atom = np.abs(values).max(axis=-1, initial=0.0, where=space.positive[:, None])
+    time_major = np.abs(np.swapaxes(values, -1, -2), order="C")
+    per_atom = time_major.max(axis=-2, initial=0.0, where=space.positive)
     return np.maximum.reduceat(per_atom, starts, axis=-1)
 
 

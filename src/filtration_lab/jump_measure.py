@@ -5,11 +5,14 @@ pairwise disjoint jumps: X-only jumps, H-only jumps, joint jumps.  The jump
 measure and its compensator are stored one way, one increment process per
 mark: 0/1 event indicators for the measure, predictable densities for the
 compensator, so that integrating against either is a plain double sum.
+Both the compensator and the fundamental martingales read the measure's one
+compensation of its mark counts.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +81,22 @@ class MarkedMeasure:
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
+    @cached_property
+    def compensation(self) -> tuple[np.ndarray, np.ndarray]:
+        """A jump measure's compensator densities and compensated mark counts, (marks, n, T+1) each, read-only.
+
+        The counts (running sums of the 0/1 increments, exact small integers)
+        are compensated once; the densities are the compensators' increments.
+        """
+        if self.is_predictable_density:
+            raise ValueError("input is already in density form")
+        counts = running_sums(self.increments)
+        comp = compensators(counts, self.filtration)
+        out = time_increments(comp), counts - comp
+        for a in out:
+            a.setflags(write=False)
+        return out
+
     def indicator_increments(self, mark: Mark) -> np.ndarray:
         """Per-step mass of one mark as an (atom, time) matrix."""
         return self.increments[_MARK_INDEX[mark]]
@@ -122,14 +141,9 @@ def jump_measure(x: PointProcess, h: PointProcess) -> MarkedMeasure:
 def compensator_measure(mu: MarkedMeasure) -> MarkedMeasure:
     """Predictable compensator of a jump measure, in density form.
 
-    The three marks' event-count processes are compensated together in the
-    measure's own filtration; their per-step predictable masses are the densities.
+    The densities are read off the measure's one :attr:`~MarkedMeasure.compensation`.
     """
-    if mu.is_predictable_density:
-        raise ValueError("input is already in density form")
-    counts = running_sums(mu.increments)
-    dens = time_increments(compensators(counts, mu.filtration))
-    return MarkedMeasure(mu.filtration, dens, is_predictable_density=True)
+    return MarkedMeasure(mu.filtration, mu.compensation[0], is_predictable_density=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +196,13 @@ def integrals(values, m: MarkedMeasure) -> np.ndarray:
 
 
 def fundamental_martingales(
-    x: PointProcess, h: PointProcess
+    x: PointProcess, h: PointProcess, mu: MarkedMeasure | None = None
 ) -> tuple[AdaptedProcess, AdaptedProcess, AdaptedProcess]:
-    """Compensated versions of the three disjoint counting parts of (X, H)."""
-    parts = np.stack([p.values for p in joint_decomposition(x, h)])
-    return tuple(AdaptedProcess(x.filtration, v) for v in parts - compensators(parts, x.filtration))
+    """Compensated versions of the three disjoint counting parts of (X, H).
+
+    The parts are the mark counts of the pair's jump measure ``mu`` (built if
+    not given), bit for bit :func:`joint_decomposition`'s; Z is read off its
+    one :attr:`~MarkedMeasure.compensation`.
+    """
+    mu = jump_measure(x, h) if mu is None else mu
+    return tuple(AdaptedProcess(mu.filtration, v) for v in mu.compensation[1])

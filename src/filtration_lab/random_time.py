@@ -9,7 +9,9 @@ which this module cross-validates against the direct compensator; in
 discrete time the identity is exact on every consistent model.  The
 orthogonality study (Thm 4.6) is :func:`surrogate_segments`, read on a lone
 random time as its one segment ``[0]`` and on a disjoint union of random
-times segment by segment.
+times segment by segment.  Its five pairs come from four processes, so the
+study is one stacked toolkit pass that compensates each process once.
+:func:`avoidance_check` reads the fundamental martingales its caller holds.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, TauAtZero, VanishingAzema
-from .calculus import compensator, dual_projection, orthogonality_segments, quadratic_covariation
+from .calculus import compensator, dual_projection, orthogonality_pairs, quadratic_covariation
 from .enlargement import EnlargementBundle, build_bundle
 from .finite_space import (
     EXACT_TOL,
@@ -30,7 +32,6 @@ from .finite_space import (
     max_gap,
     positive_sup,
     running_sums,
-    segment_sups,
     slice_expectations,
     stop_process,
 )
@@ -145,7 +146,7 @@ class AvoidanceReport:
     conclusions_hold: bool | None
 
 
-def avoidance_check(bundle: EnlargementBundle, sigma_list=()) -> AvoidanceReport:
+def avoidance_check(bundle: EnlargementBundle, sigma_list=(), zs=None) -> AvoidanceReport:
     """Check that tau never equals a supplied stopping time or a jump time of X.
 
     When avoidance holds, the consequences are evaluated exactly: no common
@@ -153,7 +154,9 @@ def avoidance_check(bundle: EnlargementBundle, sigma_list=()) -> AvoidanceReport
     collapsing onto the compensated processes themselves, and a vanishing
     bracket between them.  On fixtures where the compensator jumps of X and H
     overlap in time the last conclusion can honestly fail; that failure mode
-    has no continuous-time counterpart and is reported, not raised.
+    has no continuous-time counterpart and is reported, not raised.  ``zs``
+    are the bundle's fundamental martingales if the caller holds them; they
+    are built from X and H if not.
     """
     tau = tau_of(bundle).values
     probs = bundle.g.space.probs
@@ -173,7 +176,7 @@ def avoidance_check(bundle: EnlargementBundle, sigma_list=()) -> AvoidanceReport
     conclusions_hold = None
     if avoids:
         bracket = quadratic_covariation(bundle.X, bundle.H)
-        z1, z2, z3 = fundamental_martingales(bundle.X, bundle.H)
+        z1, z2, z3 = fundamental_martingales(bundle.X, bundle.H) if zs is None else zs
         xbar = compensator(bundle.X).martingale_part
         hbar = compensator(bundle.H).martingale_part
         conclusions = {
@@ -194,6 +197,16 @@ def avoidance_check(bundle: EnlargementBundle, sigma_list=()) -> AvoidanceReport
     )
 
 
+#: the study's five pairs, by name, as indices into (Y1, Y2, Y3, Y1 stopped at tau)
+STUDY_PAIRS = (
+    ("part1_vs_part2", 0, 1),
+    ("part1_vs_joint", 0, 2),
+    ("part2_vs_joint", 1, 2),
+    ("stopped_part1_vs_part2", 3, 1),
+    ("stopped_part1_vs_joint", 3, 2),
+)
+
+
 def surrogate_segments(bundle: EnlargementBundle, starts) -> list[tuple]:
     """Pairwise orthogonality of the compensated jump parts, with surrogates, on each segment of atoms.
 
@@ -203,24 +216,18 @@ def surrogate_segments(bundle: EnlargementBundle, starts) -> list[tuple]:
     orthogonality verdict matches its surrogate, the sup of the predictable
     jump product over the segment (no common predictable jump).  That is the
     exact discrete equivalence; the continuity-based sufficient conditions
-    live in the Monte Carlo engine.  A lone random time is the one segment
-    ``[0]``.  On a disjoint union of random times each segment reports what
-    its random time reports alone.  A reduction over the whole union would
-    not do: it would read one random time's common predictable jump against
-    another's orthogonal verdict.
+    live in the Monte Carlo engine.  The four processes are compensated once
+    and the five pairs evaluated in one :func:`orthogonality_pairs` pass.  A
+    lone random time is the one segment ``[0]``.  On a disjoint union of
+    random times each segment reports what its random time reports alone.  A
+    reduction over the whole union would not do: it would read one random
+    time's common predictable jump against another's orthogonal verdict.
     """
     y1, y2, y3 = joint_decomposition(bundle.X, bundle.H)
     y1_stopped = stop_process(y1, tau_of(bundle))
-    named = [
-        ("part1_vs_part2", y1, y2),
-        ("part1_vs_joint", y1, y3),
-        ("part2_vs_joint", y2, y3),
-        ("stopped_part1_vs_part2", y1_stopped, y2),
-        ("stopped_part1_vs_joint", y1_stopped, y3),
+    values = np.stack([y1.values, y2.values, y3.values, y1_stopped.values])
+    toolkits = orthogonality_pairs(values, [pair for _, *pair in STUDY_PAIRS], bundle.g, starts)
+    return [
+        (label, toolkit, toolkit.orthogonal == (toolkit.predictable_jump_sup <= EXACT_TOL))
+        for (label, *_), toolkit in zip(STUDY_PAIRS, toolkits)
     ]
-    out = []
-    for label, a, b in named:
-        toolkit = orthogonality_segments(a, b, starts)
-        surrogate = segment_sups(bundle.g.space, toolkit.predictable_jump_product, starts) <= EXACT_TOL
-        out.append((label, toolkit, toolkit.orthogonal == surrogate))
-    return out

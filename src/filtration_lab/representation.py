@@ -296,11 +296,13 @@ def verify_independence(bundle: EnlargementBundle) -> None:
             )
 
 
-def independent_batch(targets, bundle: EnlargementBundle) -> tuple[BatchSolution, dict]:
+def independent_batch(targets, bundle: EnlargementBundle, zs=None) -> tuple[BatchSolution, dict]:
     """Orthogonal representation of stacked targets against (compensated X, compensated H, bracket).
 
     Requires the two component filtrations to be independent (verified by the
-    product rule); ``targets`` are (k, n, T+1) value matrices on ``bundle.g``.
+    product rule); ``targets`` are (k, n, T+1) value matrices on ``bundle.g``,
+    and ``zs`` the bundle's fundamental martingales if the caller holds them
+    (built from X and H if not).
     Returns the batch and its checks: the orthogonality of
     the basis, the change-of-basis identities against the three compensated
     jump parts and the bracket-compensator factorisation (one value each, as
@@ -333,7 +335,7 @@ def independent_batch(targets, bundle: EnlargementBundle) -> tuple[BatchSolution
     # change of basis: each compensated jump part against the orthogonal
     # basis; the joint part picks up both predictable densities, the single
     # parts are the compensated processes minus the joint part
-    z1, z2, z3 = fundamental_martingales(bundle.X, bundle.H)
+    z1, z2, z3 = fundamental_martingales(bundle.X, bundle.H) if zs is None else zs
     z3_rhs = cross.values + stochastic_integral(dxp, hbar).values + stochastic_integral(dhp, xbar).values
     z1_rhs = xbar.values - z3_rhs
     z2_rhs = hbar.values - z3_rhs
@@ -359,12 +361,12 @@ def independent_batch(targets, bundle: EnlargementBundle) -> tuple[BatchSolution
 
 
 def independent_decomposition(
-    y: AdaptedProcess, bundle: EnlargementBundle
+    y: AdaptedProcess, bundle: EnlargementBundle, zs=None
 ) -> RepresentationSolution:
     """One target through :func:`independent_batch`; its checks hold plain floats."""
     if y.filtration.partitions != bundle.g.partitions:
         raise FiltrationMismatch("target is not carried by the enlarged filtration")
-    batch, checks = independent_batch(y.values[None], bundle)
+    batch, checks = independent_batch(y.values[None], bundle, zs)
     checks["pythagoras_gap"] = float(checks["pythagoras_gap"][0])
     return _lone_solution(("K1", "K2", "K3"), batch, bundle.g, checks)
 
@@ -378,20 +380,28 @@ def spanning_numbers(filtration: Filtration, starts) -> np.ndarray:
     """The spanning number of each segment of atoms: its nodes' max positive-probability branching minus one.
 
     Segment i is the atoms from ``starts[i]`` up to the next start (the last
-    runs to n); a node counts in the segment of its first child's first atom,
-    and a segment with no node gets 0.  On a disjoint union whose initial
-    sigma-field separates the segments, segment i's number is its pair's
-    alone; the union's own maximum would hide a pair whose number is off.
+    runs to n); a node counts in the segment of its first positive child's
+    first atom, and a segment with no node gets 0.  On a disjoint union whose
+    initial sigma-field separates the segments, segment i's number is its
+    pair's alone; the union's own maximum would hide a pair whose number is off.
+
+    One array pass per size group of the lag-1 cell union (the nodes of
+    :func:`_nodes`), whose children are lag-0 union blocks: each positive-mass
+    child counts at its first cell, and a node's first such cell names its segment.
     """
-    return _spanning_numbers(_nodes(filtration), starts)
-
-
-def _spanning_numbers(nodes, starts) -> np.ndarray:
-    """:func:`spanning_numbers` of the ``_nodes`` walked."""
+    width = filtration.horizon + 1
+    cells, union = filtration.cell_union(1)
+    children = filtration.cell_union(0)[1]
+    labels = children.block_of
+    positive = np.zeros(children.n_blocks, dtype=bool)
+    positive[labels.reshape(-1, width)[filtration.space.positive]] = True
+    # labels number the children by first cell, so a child's first cell is where their running max steps up
+    heads = (np.diff(np.maximum.accumulate(labels), prepend=-1) > 0) & positive[labels]
     out = np.zeros(len(starts), dtype=np.int64)
-    for *_, children in nodes:
-        segment = np.searchsorted(starts, children[0][0][0], side="right") - 1
-        out[segment] = max(out[segment], len(children) - 1)
+    for nodes, _, _ in union.size_groups(cells):
+        head = heads[nodes]
+        first = nodes[np.arange(len(nodes)), head.argmax(axis=1)] // width
+        np.maximum.at(out, np.searchsorted(starts, first, side="right") - 1, head.sum(axis=1) - 1)
     return out
 
 
@@ -404,10 +414,9 @@ def orthogonal_spanning_martingales(filtration: Filtration) -> list[AdaptedProce
     has size ``multiplicity(filtration)``, is pairwise orthogonal, and spans
     every martingale nodewise.
     """
-    nodes = list(_nodes(filtration))
-    size = int(_spanning_numbers(nodes, [0])[0])
+    size = multiplicity(filtration)
     incs = [np.zeros((filtration.space.n_atoms, filtration.horizon + 1)) for _ in range(size)]
-    for t, mass, children in nodes:
+    for t, mass, children in _nodes(filtration):
         k = len(children)
         if k > 1:
             weights = np.array([child_mass / mass for _, child_mass in children])

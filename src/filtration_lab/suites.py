@@ -126,7 +126,9 @@ class BundleProcesses:
 
     They are built through this module's names for ``jump_measure``,
     ``compensator_measure`` and ``fundamental_martingales``, so a patched
-    primitive builds them.
+    primitive builds them.  ``nu`` and ``zs`` read ``mu``'s one compensation,
+    which ``zs`` reaches through ``nu``, so it is always made inside
+    ``compensator_measure``.
     """
 
     def __init__(self, b: EnlargementBundle):
@@ -142,7 +144,8 @@ class BundleProcesses:
 
     @cached_property
     def zs(self) -> tuple:
-        return fundamental_martingales(self.bundle.X, self.bundle.H)
+        self.nu  # compensates mu, if no suite has read nu yet
+        return fundamental_martingales(self.bundle.X, self.bundle.H, self.mu)
 
 
 @dataclass
@@ -581,7 +584,8 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     rng = ctx.rng("independent")
     b = fixtures.space_a()
     targets = np.vstack([b.X.terminal * b.H.terminal, rng.normal(size=(20, b.space.n_atoms))])
-    sol, gaps = independent_batch(martingale_closures(targets, b.g), b)
+    zs = ctx.processes(b).zs
+    sol, gaps = independent_batch(martingale_closures(targets, b.g), b, zs)
     checks.append(
         _bounded(
             "orthogonal_basis_represents",
@@ -605,7 +609,7 @@ def suite_independent(ctx: SuiteContext) -> list[CheckResult]:
     xbar = compensator(b.X).martingale_part
     hbar = compensator(b.H).martingale_part
     cross = quadratic_covariation(xbar, hbar)
-    sol = independent_decomposition(cross, b)
+    sol = independent_decomposition(cross, b, zs)
     off = max_gap([positive_sup(b.space, sol.integrands[k][:, 1:]) for k in ("K1", "K2")])
     checks.append(
         _bounded(
@@ -729,7 +733,8 @@ def suite_azema(ctx: SuiteContext) -> list[CheckResult]:
 def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
     checks = []
     rb = fixtures.staggered()
-    rep = avoidance_check(rb)
+    zs = ctx.processes(rb).zs
+    rep = avoidance_check(rb, zs=zs)
     checks.append(
         _check(
             "staggered_avoids_and_conclusions_hold",
@@ -739,7 +744,7 @@ def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
         )
     )
 
-    rep = avoidance_check(rb, [StoppingTime.constant(rb.g, 2)])
+    rep = avoidance_check(rb, [StoppingTime.constant(rb.g, 2)], zs)
     checks.append(
         _check(
             "deterministic_time_breaks_avoidance",
@@ -757,7 +762,8 @@ def suite_avoidance_discrete(ctx: SuiteContext) -> list[CheckResult]:
         )
     )
 
-    rep = avoidance_check(fixtures.never_random_time())
+    never = fixtures.never_random_time()
+    rep = avoidance_check(never, zs=ctx.processes(never).zs)
     checks.append(
         _check(
             "never_time_vacuously_avoids",

@@ -400,6 +400,19 @@ def oracle_positive_children(probs, filtration):
     return out
 
 
+def oracle_spanning_numbers(probs, filtration, starts):
+    """Per segment of atoms, the max over :func:`oracle_positive_children`'s nodes of their children minus one.
+
+    A node counts in the segment of its first child's first atom (children in
+    block order, so the lowest first atom); a segment with no node gets 0.
+    """
+    out = [0] * len(starts)
+    for _, _, children, _ in oracle_positive_children(probs, filtration):
+        segment = max(i for i, start in enumerate(starts) if start <= children[0][0])
+        out[segment] = max(out[segment], len(children) - 1)
+    return out
+
+
 def oracle_spanning_family(probs, filtration, cutoff):
     """Values of the orthogonal spanning family by Gram-Schmidt over :func:`oracle_positive_children`.
 

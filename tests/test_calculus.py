@@ -315,6 +315,28 @@ class TestStackedKernels:
                 assert np.float64(positive_sup(space, atoms_first)).tobytes() == one.tobytes()
         assert min(seen.values()) > 0, seen
 
+    @pytest.mark.parametrize("n, width", [(256, 5), (37, 4), (5, 2)])
+    def test_a_toolkit_stack_is_the_oracle_bitwise(self, n, width):
+        # the stacked toolkit's (7 gaps, 5 pairs, n, T+1) stacks, with NaN, +-inf and -0.0 on null and
+        # positive atoms, and a segment of null atoms only
+        rng = np.random.default_rng(n)
+        probs = rng.random(n) * (rng.random(n) < 0.7)
+        probs[0] = 0.0
+        probs[-1] += 1.0
+        space = build_space(probs / probs.sum())
+        stack = rng.normal(size=(7, 5, n, width))
+        poke = rng.random(stack.shape) < 0.01
+        stack[poke] = rng.choice([np.nan, np.inf, -np.inf, -0.0], size=int(poke.sum()))
+        stack[3, 2, -1, 0] = np.nan  # a positive atom
+        stack[4, 1, 0, -1] = np.nan  # the null atom
+        starts = np.r_[0, 1, np.flatnonzero(rng.random(n) < 0.2)[1:]]
+        starts = np.unique(starts[starts < n])
+        got = segment_sups(space, stack, starts)
+        assert got.shape == (7, 5, len(starts))
+        assert got.tobytes() == oracle_positive_sups(space, stack, starts).tobytes()
+        assert not space.positive[0] and (got[..., 0] == 0.0).all()  # the null atom's own segment
+        assert np.isnan(got).any()
+
     def test_a_segment_sup_is_the_sup_of_its_atoms(self):
         space = build_space([0.25, 0.25, 0.0, 0.25, 0.25, 0.0])
         stack = np.zeros((3, 6, 2))

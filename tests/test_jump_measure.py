@@ -1,11 +1,15 @@
+import importlib
 import itertools
 import re
 
 import numpy as np
 import pytest
 from conftest import (
+    BY_NAME_FIXTURES,
+    RANDOM_TIME_FIXTURES,
     oracle_jump_events,
     oracle_mark_split,
+    perfbench_workloads,
     random_bundle,
     random_predictable_values,
 )
@@ -13,10 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtration_lab import fixtures, representation, suites
-from filtration_lab.calculus import compensator, is_martingale, quadratic_covariation, stochastic_integral
+from filtration_lab.calculus import (
+    compensator,
+    compensators,
+    is_martingale,
+    quadratic_covariation,
+    stochastic_integral,
+)
 from filtration_lab.enlargement import build_bundle
 from filtration_lab.errors import NotPredictable
-from filtration_lab.finite_space import AdaptedProcess, PointProcess, build_space
+from filtration_lab.finite_space import AdaptedProcess, PointProcess, build_space, running_sums, time_increments
 from filtration_lab.jump_measure import (
     MARKS,
     Mark,
@@ -28,6 +38,7 @@ from filtration_lab.jump_measure import (
     joint_decomposition,
     jump_measure,
 )
+from filtration_lab.serialize import bundle_from_doc
 
 
 class TestJointDecomposition:
@@ -386,3 +397,64 @@ class TestMarkSplitChecks:
         monkeypatch.setattr(fixtures, "random_predictable_stack", spoiled)
         with pytest.raises(NotPredictable, match=re.escape("(t, block) = (2, 2)")):
             suites.mark_split_checks(b, mu, nu, zs, np.random.default_rng(5), 100)
+
+
+def _compensated_bundles():
+    """The five named fixtures, the four named random times, the 256-atom tree at two seeds, and the
+    drawn unions of random pairs and of random times."""
+    out = [fixtures.bundle_by_name(name) for name in BY_NAME_FIXTURES]
+    out += [getattr(fixtures, name)() for name in RANDOM_TIME_FIXTURES]
+    out += [bundle_from_doc(perfbench_workloads().tree_bundle_doc(seed)) for seed in (5, 11)]
+    for seed, draw in ((3, fixtures.random_pair_draw), (8, fixtures.random_time_draw)):
+        out += [b for b, *_ in fixtures.random_pair_unions(np.random.default_rng(seed), 40, draw)]
+    return out
+
+
+def _two_compensations(b):
+    """(nu's densities, Z's values) as two compensations make them: the mark counts for nu, and the
+    joint_decomposition parts again for Z."""
+    mu = jump_measure(b.X, b.H)
+    dens = time_increments(compensators(running_sums(mu.increments), b.g))
+    parts = np.stack([p.values for p in joint_decomposition(b.X, b.H)])
+    return dens, parts - compensators(parts, b.g)
+
+
+class TestOneCompensation:
+    """nu and Z read one compensation of the mark counts, with the bits two compensations give."""
+
+    def test_the_store_gives_the_bits_of_two_compensations(self):
+        bundles = _compensated_bundles()
+        ctx = suites.SuiteContext(seed=3)
+        for b in bundles:
+            dens, zs = _two_compensations(b)
+            p = ctx.processes(b)
+            lone = (compensator_measure(jump_measure(b.X, b.H)), fundamental_martingales(b.X, b.H))
+            for nu, z in ((p.nu, p.zs), lone):
+                assert nu.increments.tobytes() == dens.tobytes(), b.name
+                assert np.stack([part.values for part in z]).tobytes() == zs.tobytes(), b.name
+        assert {b.name for b in bundles[11:]} == {"random_pairs"}
+
+    def test_a_bundle_is_compensated_once(self, monkeypatch):
+        module = importlib.import_module("filtration_lab.jump_measure")
+        calls = []
+
+        def counted(values, filtration):
+            calls.append(filtration)
+            return compensators(values, filtration)
+
+        monkeypatch.setattr(module, "compensators", counted)
+        b = fixtures.space_a()
+        for first in ("nu", "zs"):
+            p = suites.SuiteContext(seed=3).processes(b)
+            getattr(p, first)
+            assert len(p.zs) == 3 and p.nu.is_predictable_density
+            assert calls == [b.g]
+            calls.clear()
+
+    def test_a_density_measure_has_no_compensation(self):
+        b = fixtures.fixture_a2()
+        nu = compensator_measure(jump_measure(b.X, b.H))
+        with pytest.raises(ValueError, match="density form"):
+            compensator_measure(nu)
+        with pytest.raises(ValueError, match="density form"):
+            fundamental_martingales(b.X, b.H, nu)

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import (
+    RANDOM_TIME_FIXTURES,
     oracle_azema_consistency_gap,
+    oracle_orthogonality_report,
     oracle_supermartingale_gap,
     oracle_survival,
+    random_bundle,
     random_filtration,
     random_random_time_bundle,
 )
@@ -11,11 +16,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtration_lab import fixtures, suites
-from filtration_lab.calculus import compensator, is_martingale
+from filtration_lab.calculus import (
+    SegmentedToolkit,
+    compensator,
+    is_martingale,
+    orthogonality_pairs,
+    orthogonality_segments,
+)
 from filtration_lab.cli import run_config
 from filtration_lab.enlargement import natural_filtration, progressive_enlargement
 from filtration_lab.errors import BadParameter, TauAtZero, VanishingAzema
-from filtration_lab.finite_space import EXACT_TOL, NEVER, AdaptedProcess, StoppingTime, build_space, segment_sups
+from filtration_lab.finite_space import (
+    EXACT_TOL,
+    NEVER,
+    AdaptedProcess,
+    StoppingTime,
+    build_space,
+    segment_sups,
+    stop_process,
+)
+from filtration_lab.jump_measure import joint_decomposition
 from filtration_lab.random_time import (
     AvoidanceReport,
     avoidance_check,
@@ -301,6 +321,93 @@ class TestUnionsOfRandomTimes:
         assert toolkit.orthogonal.tolist() == [False, True, True] and consistent.all()
         # over the whole union the product is nonzero, which the orthogonal segment would then contradict
         assert segment_sups(union.space, toolkit.predictable_jump_product, [0])[0] > EXACT_TOL
+
+
+def _assert_same_toolkit(got, want):
+    """Every field of two toolkits bit for bit, clause by clause, and the same first move."""
+    for field in dataclasses.fields(SegmentedToolkit):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "clauses":
+            assert list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
+        else:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+    assert got.first_move() == want.first_move()
+
+
+def _lone_pairs(b):
+    """The surrogate study's five pairs of processes, by name, built alone."""
+    y1, y2, y3 = joint_decomposition(b.X, b.H)
+    stopped = stop_process(y1, tau_of(b))
+    return {
+        "part1_vs_part2": (y1, y2),
+        "part1_vs_joint": (y1, y3),
+        "part2_vs_joint": (y2, y3),
+        "stopped_part1_vs_part2": (stopped, y2),
+        "stopped_part1_vs_joint": (stopped, y3),
+    }
+
+
+class TestStackedStudy:
+    """The surrogate study's one stacked toolkit pass is its five lone ``orthogonality_segments`` calls."""
+
+    @staticmethod
+    def _studies():
+        named = [fixtures.staggered(), fixtures.avoidance_trinomial()]
+        named += [getattr(fixtures, name)() for name in RANDOM_TIME_FIXTURES]
+        out = [(rb, [0]) for rb in named]
+        for seed in (0, 7, 11):
+            unions = fixtures.random_pair_unions(np.random.default_rng(seed), 30, fixtures.random_time_draw)
+            out += [(b, starts) for b, starts, _, _ in unions]
+        return out
+
+    def test_each_pair_is_its_lone_toolkit_bitwise(self):
+        verdicts, moves = set(), set()
+        for b, starts in self._studies():
+            lone = _lone_pairs(b)
+            study = surrogate_segments(b, starts)
+            assert [label for label, _, _ in study] == list(lone)
+            for label, toolkit, consistent in study:
+                want = orthogonality_segments(*lone[label], starts)
+                _assert_same_toolkit(toolkit, want)
+                surrogate = segment_sups(b.g.space, want.predictable_jump_product, starts) <= EXACT_TOL
+                assert consistent.tolist() == (want.orthogonal == surrogate).tolist()
+                verdicts.update(zip(want.orthogonal.tolist(), surrogate.tolist()))
+                moves.add(want.first_move() is None)
+        # orthogonal and not, with and without a common predictable jump, with and without a first move
+        assert verdicts >= {(True, True), (False, False)} and moves == {True, False}
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_any_pairs_of_a_stack_are_their_lone_toolkits(self, seed):
+        # repeated, reversed and self pairs of the X, H and parts of a union of random times
+        b, starts, _, _ = fixtures.random_pair_unions(np.random.default_rng(seed), 12, fixtures.random_time_draw)[-1]
+        processes = [b.X, b.H, *joint_decomposition(b.X, b.H)]
+        rng = np.random.default_rng(seed)
+        pairs = [(0, 1), (1, 0), (2, 2), (4, 3), (0, 1)] + [tuple(rng.integers(0, 5, 2)) for _ in range(4)]
+        got = orthogonality_pairs(np.stack([p.values for p in processes]), pairs, b.g, starts)
+        assert len(got) == len(pairs)
+        for (i, j), toolkit in zip(pairs, got):
+            _assert_same_toolkit(toolkit, orthogonality_segments(processes[i], processes[j], starts))
+
+    def test_each_pair_keeps_its_roles(self):
+        # (X, H) and (H, X) differ in the last bits of the decomposition gap when X and H jump together:
+        # each must give the seven-pass oracle's bits in its own order
+        rng = np.random.default_rng(36)
+        pairs = [(0, 1), (1, 0), (0, 2), (2, 0), (3, 4), (4, 3)]
+        differ = 0
+        for _ in range(40):
+            b = random_bundle(rng)
+            processes = [b.X, b.H, *joint_decomposition(b.X, b.H)]
+            got = orthogonality_pairs(np.stack([p.values for p in processes]), pairs, b.g, [0])
+            for (i, j), toolkit in zip(pairs, got):
+                want = oracle_orthogonality_report(processes[i], processes[j])
+                assert toolkit.clauses_at(0) == want["clauses"]
+                assert toolkit.decomposition_gap[0].tobytes() == np.float64(want["decomposition_gap"]).tobytes()
+                assert (toolkit.orthogonal[0], toolkit.jumps_disjoint[0]) == (want["is_orthogonal"], want["jumps_disjoint"])
+                assert toolkit.first_move() == want["witness"]
+                for key in ("bracket_compensators", "bracket_bar", "predictable_jump_product"):
+                    assert getattr(toolkit, key).tobytes() == want[key].tobytes(), key
+            differ += got[0].decomposition_gap.tobytes() != got[1].decomposition_gap.tobytes()
+        assert differ > 0
 
 
 class TestBlockOracles:

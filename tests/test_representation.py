@@ -16,6 +16,7 @@ from conftest import (
     oracle_positive_children,
     oracle_residual_sup,
     oracle_spanning_family,
+    oracle_spanning_numbers,
     perfbench_workloads,
     random_bundle,
     random_filtration,
@@ -902,3 +903,55 @@ class TestRelabelInvariance:
         moved, back = null_lift(b, x_jumps, h_jumps)
         assert moved.space.null_atoms == (b.space.n_atoms,)
         _assert_invariant(b, moved, back, starts, rng, own_stacks=False)
+
+
+def _walked_spanning_numbers(filtration, starts):
+    """Spanning numbers by the ``_nodes`` walk: a node counts in the segment of its first child's first atom."""
+    out = [0] * len(starts)
+    for *_, children in representation._nodes(filtration):
+        segment = int(np.searchsorted(starts, children[0][0][0], side="right")) - 1
+        out[segment] = max(out[segment], len(children) - 1)
+    return out
+
+
+class TestSpanningNumbers:
+    """``spanning_numbers``' array pass per size group against the ``_nodes`` walk and the containment loop."""
+
+    def test_null_atoms_and_zero_mass_children(self):
+        # random filtrations whose null atoms make zero-mass children, and whose nodes straddle segments
+        rng = np.random.default_rng(36)
+        seen = {"zero-mass child": 0, "node across segments": 0, "empty segment": 0}
+        for _ in range(150):
+            n = int(rng.integers(1, 14))
+            filt = random_filtration(rng, n, int(rng.integers(1, 4)), zero_frac=0.4)
+            starts = sorted({0, *rng.integers(0, n, int(rng.integers(0, 4))).tolist()})
+            got = spanning_numbers(filt, starts).tolist()
+            assert got == _walked_spanning_numbers(filt, starts) == oracle_spanning_numbers(filt.space.probs, filt, starts)
+            probs = filt.space.probs
+            for t, node, children, _ in oracle_positive_children(probs, filt):
+                seen["zero-mass child"] += sum(1 for b in filt.at(t).blocks if set(b) <= set(node)) > len(children)
+                seen["node across segments"] += np.searchsorted(starts, node[-1], side="right") > np.searchsorted(
+                    starts, children[0][0], side="right")
+            seen["empty segment"] += 0 in got[1:]
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("name", BY_NAME_FIXTURES + RANDOM_TIME_FIXTURES + ("large_tree",))
+    def test_named_fixtures(self, name):
+        b = _large_tree(5) if name == "large_tree" else getattr(fixtures, name)()
+        for filt in (b.f, b.g):
+            want = _walked_spanning_numbers(filt, [0])
+            assert spanning_numbers(filt, [0]).tolist() == want == oracle_spanning_numbers(filt.space.probs, filt, [0])
+            assert multiplicity(filt) == want[0]
+
+    @pytest.mark.parametrize("name", RELABEL_CASES)
+    def test_moved_layouts_match_the_walk(self, name):
+        # each relabelled, split and null-lifted layout, on its own nodes and on the original's segments
+        b, starts = _relabel_case(name)
+        rng = np.random.default_rng(300 + RELABEL_CASES.index(name))
+        bounds = starts + [b.space.n_atoms]
+        perm = np.concatenate([lo + rng.permutation(hi - lo) for lo, hi in zip(bounds, bounds[1:])])
+        moved = [b, relabel(b, perm), split(b, int(rng.integers(b.space.n_atoms)))[0]]
+        moved.append(null_lift(b, *rng.integers(0, 2, (2, b.g.horizon)))[0])
+        for m in moved:
+            for filt in (m.f, m.g):
+                assert spanning_numbers(filt, starts).tolist() == _walked_spanning_numbers(filt, starts)
