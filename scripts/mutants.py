@@ -28,6 +28,8 @@ MC = "src/filtration_lab/montecarlo.py"
 SUITES = "src/filtration_lab/suites.py"
 JM = "src/filtration_lab/jump_measure.py"
 CALC = "src/filtration_lab/calculus.py"
+SER = "src/filtration_lab/serialize.py"
+RT = "src/filtration_lab/random_time.py"
 
 #: (id, file, the exact old line, its replacement, the tests to run first)
 MUTANTS = (
@@ -166,6 +168,53 @@ MUTANTS = (
         "    positive = np.zeros(children.n_blocks, dtype=bool)",
         "    positive = np.ones(children.n_blocks, dtype=bool)",
         ["tests/test_representation.py::TestSpanningNumbers::test_null_atoms_and_zero_mass_children"],
+    ),
+    (
+        # json cannot write a NumPy bool, so a row with one as evidence raises in report_to_json
+        "check_keeps_numpy_bools",
+        SER,
+        "        if isinstance(v, np.bool_):",
+        "        if False:",
+        ["tests/test_serialize.py::TestCheckEvidence"],
+    ),
+    (
+        "check_polarity_flipped",
+        SER,
+        '    return CheckResult(name=name, outcome="holds" if ok else "fails", evidence=ev)',
+        '    return CheckResult(name=name, outcome="fails" if ok else "holds", evidence=ev)',
+        ["tests/test_montecarlo.py::TestSuites::test_exact_check_semantics"],
+    ),
+    (
+        # an almost-sure statement then passes a Monte Carlo estimate near its value
+        "exact_check_within_a_bound",
+        MC,
+        "        estimate == expected,",
+        "        abs(estimate - expected) <= 1e-2,",
+        ["tests/test_montecarlo.py::TestSuites::test_exact_check_semantics"],
+    ),
+    (
+        # the compensator's drift then read off P_t, not P_{t-1}
+        "dual_projection_lag_0",
+        CALC,
+        "    return running_sums(slice_expectations(time_increments(values), filtration, 1))",
+        "    return running_sums(slice_expectations(time_increments(values), filtration, 0))",
+        ["tests/test_calculus.py::TestTwoPassReport"],
+    ),
+    (
+        # H's compensated part then read off X
+        "avoidance_stacks_x_twice",
+        RT,
+        "        xh = np.stack([bundle.X.values, bundle.H.values])",
+        "        xh = np.stack([bundle.X.values, bundle.X.values])",
+        ["tests/test_random_time.py::TestAvoidance"],
+    ),
+    (
+        # a null atom past its block's segment then breaks that segment's martingale clause
+        "toolkit_martingale_flag_reads_null_atoms",
+        CALC,
+        "        ((np.abs(drifts[3]) <= EXACT_TOL) | ~positive).all(axis=-1),",
+        "        (np.abs(drifts[3]) <= EXACT_TOL).all(axis=-1),",
+        ["tests/test_representation.py::TestRelabelInvariance"],
     ),
 )
 

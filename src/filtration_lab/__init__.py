@@ -22,11 +22,9 @@ from .finite_space import (
 )
 from .calculus import (
     CompensatorPair,
-    OrthogonalityReport,
     compensator,
     dual_projection,
     is_martingale,
-    orthogonality_report,
     quadratic_covariation,
     stochastic_integral,
 )

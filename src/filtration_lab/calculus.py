@@ -5,11 +5,12 @@ The compensator is the discrete dual predictable projection
 unique predictable increasing process making ``A - A^p`` an exact martingale
 on a finite space.  Quadratic covariation is the jump-product sum; the
 predictable covariation of two martingales is the compensator
-(``dual_projection``) of their bracket.
+(``dual_projection``) of their bracket.  The orthogonality toolkit has one
+result type, :class:`SegmentedToolkit`: a lone pair is its one-segment case.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,28 +150,6 @@ def require_martingale(m: AdaptedProcess, label: str) -> None:
 
 
 @dataclass(frozen=True)
-class OrthogonalityReport:
-    """Orthogonality diagnostics for a pair of counting processes.
-
-    ``is_orthogonal`` holds iff the compensator of the compensated bracket
-    vanishes, equivalently iff the bracket of the raw pair compensates to the
-    bracket of the compensators.
-    """
-
-    bracket_compensators: AdaptedProcess
-    bracket_bar: AdaptedProcess
-    is_orthogonal: bool
-    #: (time, atom) of the first nonzero compensated-bracket drift
-    witness: tuple[int, int] | None
-    #: dY^p * dZ^p per (atom, time): the compensators' common jumps
-    predictable_jump_product: np.ndarray
-    clauses: dict = field(default_factory=dict)
-    jumps_disjoint: bool = False
-    #: sup over atoms/times of the bracket decomposition identity residual
-    decomposition_gap: float = 0.0
-
-
-@dataclass(frozen=True)
 class SegmentedToolkit:
     """The toolkit's verdicts on each segment of atoms (entry i: segment i), and the processes they read.
 
@@ -200,10 +179,14 @@ class SegmentedToolkit:
         return {k: bool(v[i]) for k, v in self.clauses.items() if self.jumps_disjoint[i] or k not in disjoint_only}
 
 
-def orthogonality_report(y: AdaptedProcess, z: AdaptedProcess) -> OrthogonalityReport:
-    """Evaluate the orthogonality toolkit for two counting processes, at ``EXACT_TOL``.
+def orthogonality_segments(y: AdaptedProcess, z: AdaptedProcess, starts) -> SegmentedToolkit:
+    """The orthogonality toolkit for two counting processes, at ``EXACT_TOL``, on each segment of atoms in one pass.
 
-    Clauses reported:
+    Segment i is the atoms from ``starts[i]`` up to the next start (the last
+    runs to the end); a lone pair is the one segment ``starts = [0]``.  A
+    segment is orthogonal iff the compensator of its compensated bracket
+    vanishes, equivalently iff the bracket of the raw pair compensates to the
+    bracket of the compensators.  Clauses reported:
       * ``increasing_brackets``: [Y^p,Z], [Y,Z^p], [Y^p,Z^p] are increasing
         and finite;
       * ``associated``: both mixed brackets compensate to [Y^p,Z^p];
@@ -213,32 +196,13 @@ def orthogonality_report(y: AdaptedProcess, z: AdaptedProcess) -> OrthogonalityR
         ``disjoint_predictable`` (bracket martingale iff it vanishes iff the
         compensators never jump together).
 
-    The verdict, clauses and gap are those of the pair as the one segment of
-    :func:`orthogonality_segments`.
-    """
-    toolkit = orthogonality_segments(y, z, [0])
-    filt = y.filtration
-    return OrthogonalityReport(
-        bracket_compensators=AdaptedProcess(filt, toolkit.bracket_compensators),
-        bracket_bar=AdaptedProcess(filt, toolkit.bracket_bar),
-        is_orthogonal=bool(toolkit.orthogonal[0]),
-        witness=toolkit.first_move(),
-        predictable_jump_product=toolkit.predictable_jump_product,
-        clauses=toolkit.clauses_at(0),
-        jumps_disjoint=bool(toolkit.jumps_disjoint[0]),
-        decomposition_gap=float(toolkit.decomposition_gap[0]),
-    )
-
-
-def orthogonality_segments(y: AdaptedProcess, z: AdaptedProcess, starts) -> SegmentedToolkit:
-    """The verdict, clauses and gap of :func:`orthogonality_report` on each segment of atoms, in one pass.
-
-    Segment i is the atoms from ``starts[i]`` up to the next start (the last
-    runs to the end).  Every clause and gap is reduced segment by segment, so
-    on a disjoint union whose initial sigma-field separates the segments,
-    segment i reports bit for bit what its pair reports alone.  A reduction
-    over the whole union would not do: two pairs that break an equivalence
-    clause in opposite directions would make the union satisfy it.
+    Every clause and gap is reduced segment by segment, so on a disjoint
+    union whose initial sigma-field separates the segments, segment i reports
+    bit for bit what its pair reports alone.  A reduction over the whole
+    union would not do: two pairs that break an equivalence clause in
+    opposite directions would make the union satisfy it.  Only
+    positive-probability atoms are read, so an atom of probability 0 changes
+    no segment's verdict, even one placed past its block's segment.
     """
     y = as_point_process(y)
     z = as_point_process(z)
@@ -278,7 +242,7 @@ def orthogonality_pairs(values, pairs, filtration: Filtration, starts) -> list[S
     moves = (np.abs(time_increments(comp_bar)) > EXACT_TOL) & positive
     atom_ok = np.stack([
         ((incs[1:4] >= 0.0) | ~positive).all(axis=(0, 3)) & np.isfinite(brackets[1:4]).all(axis=(0, 3)),
-        (np.abs(drifts[3]) <= EXACT_TOL).all(axis=-1),
+        ((np.abs(drifts[3]) <= EXACT_TOL) | ~positive).all(axis=-1),
         ~moves.any(axis=-1),
     ])
     increasing_brackets, bar_martingale, orthogonal = np.logical_and.reduceat(atom_ok, starts, axis=-1)

@@ -4,8 +4,8 @@ The natural filtration of a family of processes partitions atoms by equality
 of the joint path prefix.  Initial enlargement joins a fixed partition into
 every time slice; progressive enlargement is the timewise common refinement
 of two filtrations.  Right-continuity is vacuous in discrete time: every
-filtration is right-continuous by construction, so the identity report does
-not check the smallest-right-continuous qualifier.
+filtration is right-continuous by construction, so the identity checks do
+not include the smallest-right-continuous qualifier.
 """
 from __future__ import annotations
 
@@ -118,17 +118,8 @@ def build_bundle(
     )
 
 
-@dataclass(frozen=True)
-class FiltrationIdentityReport:
-    checks: dict
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
-
-def verify_filtration_identities(bundle: EnlargementBundle) -> FiltrationIdentityReport:
-    """Exact partition equalities tying the enlargement to the joint pair.
+def verify_filtration_identities(bundle: EnlargementBundle) -> dict:
+    """Exact partition equalities tying the enlargement to the joint pair, by name; each is a bool.
 
     Checks, at every time slice:
       * ``g_from_joint``: g equals the initial enlargement of the natural
@@ -148,7 +139,7 @@ def verify_filtration_identities(bundle: EnlargementBundle) -> FiltrationIdentit
     h_rebuilt = integrate(picks_h, mu)
     joint_rebuilt = natural_filtration(bundle.space, [x_rebuilt.values, h_rebuilt.values])
 
-    checks = {
+    return {
         "g_from_joint": expected_g.partitions == bundle.g.partitions,
         "joint_from_marks": joint_rebuilt.partitions == joint.partitions,
         "marks_rebuild_paths": bool(
@@ -156,4 +147,3 @@ def verify_filtration_identities(bundle: EnlargementBundle) -> FiltrationIdentit
             and np.array_equal(h_rebuilt.values, bundle.H.values)
         ),
     }
-    return FiltrationIdentityReport(checks=checks)

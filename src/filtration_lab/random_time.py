@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, TauAtZero, VanishingAzema
-from .calculus import compensator, dual_projection, orthogonality_pairs, quadratic_covariation
+from .calculus import compensator, compensators, dual_projection, orthogonality_pairs, quadratic_covariation
 from .enlargement import EnlargementBundle, build_bundle
 from .finite_space import (
     EXACT_TOL,
@@ -177,13 +177,13 @@ def avoidance_check(bundle: EnlargementBundle, sigma_list=(), zs=None) -> Avoida
     if avoids:
         bracket = quadratic_covariation(bundle.X, bundle.H)
         z1, z2, z3 = fundamental_martingales(bundle.X, bundle.H) if zs is None else zs
-        xbar = compensator(bundle.X).martingale_part
-        hbar = compensator(bundle.H).martingale_part
+        xh = np.stack([bundle.X.values, bundle.H.values])
+        xbar, hbar = xh - compensators(xh, bundle.g)
         conclusions = {
             "no_common_jumps": bracket.sup_abs() <= EXACT_TOL,
             "joint_part_vanishes": z3.sup_abs() <= EXACT_TOL,
-            "z1_is_compensated_x": positive_sup(bundle.g.space, z1.values - xbar.values) <= EXACT_TOL,
-            "z2_is_compensated_h": positive_sup(bundle.g.space, z2.values - hbar.values) <= EXACT_TOL,
+            "z1_is_compensated_x": positive_sup(bundle.g.space, z1.values - xbar) <= EXACT_TOL,
+            "z2_is_compensated_h": positive_sup(bundle.g.space, z2.values - hbar) <= EXACT_TOL,
             "z1_z2_bracket_vanishes": quadratic_covariation(z1, z2).sup_abs() <= EXACT_TOL,
         }
         conclusions_hold = all(conclusions.values())

@@ -39,10 +39,13 @@ def _num(x):
 
 def _check(name: str, ok: bool, **evidence) -> CheckResult:
     """The row ``name``, holding iff ``ok``, with its evidence as JSON values (a
-    non-finite float as "inf", "-inf" or "nan")."""
+    NumPy scalar as its Python bool, int or float, a non-finite float as "inf",
+    "-inf" or "nan")."""
     ev = {}
     for k, v in evidence.items():
-        if isinstance(v, (np.floating, float)):
+        if isinstance(v, np.bool_):
+            v = bool(v)
+        elif isinstance(v, (np.floating, float)):
             v = _num(v)
         elif isinstance(v, (np.integer, int)) and not isinstance(v, bool):
             v = int(v)

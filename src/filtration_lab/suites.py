@@ -20,7 +20,6 @@ from .calculus import (
     dual_projections,
     is_martingale,
     martingale_checks,
-    orthogonality_report,
     orthogonality_segments,
     quadratic_covariation,
     stochastic_integrals,
@@ -441,7 +440,7 @@ def suite_filtration_identities(ctx: SuiteContext) -> list[CheckResult]:
     named = _rep_fixtures(ctx) + [h_only, fine_r]
     n_random = 5
     unions = [b for b, *_ in fixtures.random_pair_unions(rng, n_random)]  # one union of the random pairs per horizon
-    all_ok = all(verify_filtration_identities(b).ok for b in named + unions)
+    all_ok = all(all(verify_filtration_identities(b).values()) for b in named + unions)
     checks.append(_check("enlargement_identities", all_ok, bundles=len(named) + n_random))
 
     full = all(
@@ -845,37 +844,37 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     a2 = fixtures.fixture_a2()
-    rep = orthogonality_report(a2.X, a2.H)
-    product = float(rep.predictable_jump_product[:, 1].max())
+    toolkit = orthogonality_segments(a2.X, a2.H, [0])
+    product = float(toolkit.predictable_jump_product[:, 1].max())
     checks.append(
         _check(
             "common_predictable_jump_quantified",
-            rep.jumps_disjoint
-            and not rep.is_orthogonal
+            toolkit.jumps_disjoint[0]
+            and not toolkit.orthogonal[0]
             and abs(product - 0.15) <= ATOMWISE_TOL,
             predictable_jump_product=product,
-            witness=str(rep.witness),
+            witness=str(toolkit.first_move()),
         )
     )
 
     b = fixtures.space_a()
-    rep = orthogonality_report(b.X, b.X)
+    toolkit = orthogonality_segments(b.X, b.X, [0])
     self_comp = dual_projection(quadratic_covariation(b.X, b.X), b.g)
     own = compensator(b.X).compensator
     grid = 0.5 * np.arange(b.g.horizon + 1)[None, :]
     pattern_ok = (
         positive_sup(b.space, self_comp.values - own.values) <= ATOMWISE_TOL
         and positive_sup(b.space, own.values - grid) <= ATOMWISE_TOL
-        and rep.bracket_compensators.sup_abs() > 0.01
-        and not rep.is_orthogonal
-        and not bool(is_martingale(rep.bracket_bar))
+        and positive_sup(b.space, toolkit.bracket_compensators) > 0.01
+        and not toolkit.orthogonal[0]
+        and not martingale_checks(toolkit.bracket_bar, b.g)[0]
     )
     checks.append(
         _check(
             "self_bracket_compensates_to_compensator",
             pattern_ok,
             bracket_compensator_terminal=float(self_comp.values[0, -1]),
-            compensator_bracket_terminal=float(rep.bracket_compensators.values[0, -1]),
+            compensator_bracket_terminal=float(toolkit.bracket_compensators[0, -1]),
         )
     )
     return checks
@@ -888,16 +887,16 @@ def suite_orthogonality_toolkit(ctx: SuiteContext) -> list[CheckResult]:
 )
 def suite_counterexample_a2(ctx: SuiteContext) -> list[CheckResult]:
     a2 = fixtures.fixture_a2()
-    rep = orthogonality_report(a2.X, a2.H)
+    toolkit = orthogonality_segments(a2.X, a2.H, [0])
     result = _check(
         "disjoint_jumps_orthogonality",
-        rep.is_orthogonal,
-        jumps_disjoint=rep.jumps_disjoint,
-        witness=str(rep.witness),
-        bar_bracket_terminal_mean=float(a2.space.expectation(rep.bracket_bar.terminal)),
+        toolkit.orthogonal[0],
+        jumps_disjoint=toolkit.jumps_disjoint[0],
+        witness=str(toolkit.first_move()),
+        bar_bracket_terminal_mean=float(a2.space.expectation(toolkit.bracket_bar[:, -1])),
     )
     result.expected = ctx.expected_outcome
-    sanity = _check("jumps_actually_disjoint", rep.jumps_disjoint)
+    sanity = _check("jumps_actually_disjoint", toolkit.jumps_disjoint[0])
     return [result, sanity]
 
 

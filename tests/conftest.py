@@ -114,7 +114,7 @@ def oracle_positive_sups(space, values, starts=(0,)):
 
 
 def oracle_orthogonality_report(y, z):
-    """The fields of ``orthogonality_report`` in its earlier form: seven one-process projection passes.
+    """A lone pair's one-segment ``orthogonality_segments`` in its earlier form: seven one-process projection passes.
 
     Each pass is the block loop of ``oracle_block_loop`` over every slice;
     brackets are running jump-product sums of processes built one at a time.

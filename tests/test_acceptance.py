@@ -15,7 +15,7 @@ from filtration_lab.calculus import (
     compensator,
     dual_projection,
     is_martingale,
-    orthogonality_report,
+    orthogonality_segments,
     quadratic_covariation,
     stochastic_integral,
 )
@@ -119,35 +119,35 @@ def test_criterion_3_orthogonality_toolkit():
     worst_identity = 0.0
     for _ in range(200):
         b = random_bundle(rng)
-        rep = orthogonality_report(b.X, b.H)
-        clauses_ok = clauses_ok and all(rep.clauses.values())
-        worst_identity = max(worst_identity, rep.decomposition_gap)
+        toolkit = orthogonality_segments(b.X, b.H, [0])
+        clauses_ok = clauses_ok and all(toolkit.clauses_at(0).values())
+        worst_identity = max(worst_identity, toolkit.decomposition_gap[0])
 
     a2 = fixtures.fixture_a2()
-    rep = orthogonality_report(a2.X, a2.H)
+    toolkit = orthogonality_segments(a2.X, a2.H, [0])
     yp = dual_projection(a2.X, a2.g)
     zp = dual_projection(a2.H, a2.g)
     product = (yp.increments() * zp.increments())[:, 1]
     a2_ok = (
-        rep.jumps_disjoint
-        and not rep.is_orthogonal
+        toolkit.jumps_disjoint[0]
+        and not toolkit.orthogonal[0]
         and bool(np.all(np.abs(product - 0.15) <= 1e-12))
     )
 
     b = fixtures.space_a()
-    self_rep = orthogonality_report(b.X, b.X)
+    self_toolkit = orthogonality_segments(b.X, b.X, [0])
     bracket_comp = dual_projection(quadratic_covariation(b.X, b.X), b.g)
     own = compensator(b.X).compensator
     grid = 0.5 * np.arange(3)[None, :]
     pattern_ok = (
         float(np.abs(bracket_comp.values - own.values).max()) <= 1e-12
         and float(np.abs(own.values - grid).max()) <= 1e-12
-        and self_rep.bracket_compensators.sup_abs() > 0.0
+        and AdaptedProcess(b.g, self_toolkit.bracket_compensators).sup_abs() > 0.0
         and float(
-            np.abs(bracket_comp.values - self_rep.bracket_compensators.values).max()
+            np.abs(bracket_comp.values - self_toolkit.bracket_compensators).max()
         )
         > 0.1
-        and not bool(is_martingale(self_rep.bracket_bar))
+        and not bool(is_martingale(AdaptedProcess(b.g, self_toolkit.bracket_bar)))
     )
     _verdict(
         3,

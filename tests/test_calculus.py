@@ -24,7 +24,6 @@ from filtration_lab.calculus import (
     dual_projection,
     is_martingale,
     martingale_checks,
-    orthogonality_report,
     orthogonality_segments,
     quadratic_covariation,
     stochastic_integral,
@@ -387,9 +386,9 @@ class TestOrthogonalityToolkit:
         rng = np.random.default_rng(21)
         for _ in range(40):
             b = random_bundle(rng)
-            rep = orthogonality_report(b.X, b.H)
-            assert all(rep.clauses.values()), rep.clauses
-            assert rep.decomposition_gap <= 1e-12
+            toolkit = orthogonality_segments(b.X, b.H, [0])
+            assert all(toolkit.clauses_at(0).values()), toolkit.clauses
+            assert toolkit.decomposition_gap[0] <= 1e-12
 
     def test_mixed_brackets_compensate_to_predictable_bracket(self):
         rng = np.random.default_rng(22)
@@ -407,66 +406,67 @@ class TestOrthogonalityToolkit:
 
     def test_a2_pair_not_orthogonal_despite_disjoint_jumps(self, a2_bundle):
         b = a2_bundle
-        rep = orthogonality_report(b.X, b.H)
-        assert rep.jumps_disjoint
-        assert not rep.is_orthogonal
-        assert rep.witness == (1, 0)
+        toolkit = orthogonality_segments(b.X, b.H, [0])
+        assert toolkit.jumps_disjoint[0]
+        assert not toolkit.orthogonal[0]
+        assert toolkit.first_move() == (1, 0)
         yp = dual_projection(b.X, b.g)
         zp = dual_projection(b.H, b.g)
         product = (yp.increments() * zp.increments())[:, 1]
         assert np.allclose(product, 0.15, atol=1e-12)
 
     def test_staggered_pair_orthogonal(self, staggered_bundle):
-        rep = orthogonality_report(staggered_bundle.X, staggered_bundle.H)
-        assert rep.jumps_disjoint
-        assert rep.is_orthogonal
-        assert rep.witness is None
+        toolkit = orthogonality_segments(staggered_bundle.X, staggered_bundle.H, [0])
+        assert toolkit.jumps_disjoint[0]
+        assert toolkit.orthogonal[0]
+        assert toolkit.first_move() is None
 
     def test_self_pair_reproduces_jump_pattern(self, space_a_bundle):
         # [Y,Y] compensates to the compensator itself, which never matches
         # the bracket of the compensator pair, so the compensated bracket drifts
         b = space_a_bundle
-        rep = orthogonality_report(b.X, b.X)
+        toolkit = orthogonality_segments(b.X, b.X, [0])
         own = compensator(b.X).compensator
         self_comp = dual_projection(quadratic_covariation(b.X, b.X), b.g)
         assert np.allclose(self_comp.values, own.values, atol=1e-15)
         assert np.allclose(own.values, 0.5 * np.arange(3)[None, :], atol=1e-15)
         assert np.allclose(
-            rep.bracket_compensators.values, 0.25 * np.arange(3)[None, :], atol=1e-15
+            toolkit.bracket_compensators, 0.25 * np.arange(3)[None, :], atol=1e-15
         )
-        assert not rep.is_orthogonal
-        assert not bool(is_martingale(rep.bracket_bar))
+        assert not toolkit.orthogonal[0]
+        assert not bool(is_martingale(AdaptedProcess(b.g, toolkit.bracket_bar)))
 
     def test_inputs_must_be_counting_processes(self, space_a_bundle):
         b = space_a_bundle
         half = AdaptedProcess(b.g, 0.5 * b.X.values)
         with pytest.raises(NotPointProcess):
-            orthogonality_report(half, b.H)
+            orthogonality_segments(half, b.H, [0])
         with pytest.raises(NotPointProcess):
-            orthogonality_report(b.X, half)
+            orthogonality_segments(b.X, half, [0])
         # a plain process with counting values is converted, not rejected
-        rep = orthogonality_report(AdaptedProcess(b.g, b.X.values), b.H)
-        assert rep.is_orthogonal and rep.witness is None
+        toolkit = orthogonality_segments(AdaptedProcess(b.g, b.X.values), b.H, [0])
+        assert toolkit.orthogonal[0] and toolkit.first_move() is None
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_bracket_decomposition_identity(self, seed):
         rng = np.random.default_rng(seed)
         b = random_bundle(rng)
-        rep = orthogonality_report(b.X, b.H)
-        assert rep.decomposition_gap <= 1e-12
+        toolkit = orthogonality_segments(b.X, b.H, [0])
+        assert toolkit.decomposition_gap[0] <= 1e-12
 
 
-def _assert_is_the_oracle(rep, y, z):
+def _assert_is_the_oracle(toolkit, y, z):
+    """The one-segment toolkit of (y, z) is the seven-pass oracle's report, bit for bit."""
     want = oracle_orthogonality_report(y, z)
-    assert np.array_equal(rep.bracket_compensators.values, want["bracket_compensators"])
-    assert np.array_equal(rep.bracket_bar.values, want["bracket_bar"])
-    assert np.array_equal(rep.predictable_jump_product, want["predictable_jump_product"])
-    assert rep.clauses == want["clauses"]
-    assert (rep.is_orthogonal, rep.witness, rep.jumps_disjoint) == (
+    assert np.array_equal(toolkit.bracket_compensators, want["bracket_compensators"])
+    assert np.array_equal(toolkit.bracket_bar, want["bracket_bar"])
+    assert np.array_equal(toolkit.predictable_jump_product, want["predictable_jump_product"])
+    assert toolkit.clauses_at(0) == want["clauses"]
+    assert (toolkit.orthogonal[0], toolkit.first_move(), toolkit.jumps_disjoint[0]) == (
         want["is_orthogonal"], want["witness"], want["jumps_disjoint"]
     )
-    assert rep.decomposition_gap == want["decomposition_gap"]
+    assert toolkit.decomposition_gap[0] == want["decomposition_gap"]
 
 
 class TestTwoPassReport:
@@ -477,7 +477,7 @@ class TestTwoPassReport:
     def test_random_pairs(self, seed):
         rng = np.random.default_rng(seed)
         b = random_bundle(rng)
-        _assert_is_the_oracle(orthogonality_report(b.X, b.H), b.X, b.H)
+        _assert_is_the_oracle(orthogonality_segments(b.X, b.H, [0]), b.X, b.H)
         # counting paths drawn atom by atom on a space with null atoms: not adapted in general
         filt = random_filtration(rng, int(rng.integers(1, 12)), int(rng.integers(1, 4)))
         n, width = filt.space.n_atoms, filt.horizon + 1
@@ -485,13 +485,13 @@ class TestTwoPassReport:
             PointProcess(filt, np.cumsum(np.pad(rng.random((n, width - 1)) < p, ((0, 0), (1, 0))), axis=1))
             for p in (0.4, 0.6)
         )
-        _assert_is_the_oracle(orthogonality_report(y, z), y, z)
+        _assert_is_the_oracle(orthogonality_segments(y, z, [0]), y, z)
 
     @pytest.mark.parametrize("name, pair", [("fixture_a2", ("X", "H")), ("space_a", ("X", "X"))])
     def test_canonical_pairs(self, name, pair):
         b = getattr(fixtures, name)()
         y, z = (getattr(b, p) for p in pair)
-        _assert_is_the_oracle(orthogonality_report(y, z), y, z)
+        _assert_is_the_oracle(orthogonality_segments(y, z, [0]), y, z)
 
 
 class TestSegmentedToolkit:
@@ -506,14 +506,14 @@ class TestSegmentedToolkit:
             toolkit = orthogonality_segments(b.X, b.H, starts)
             for j, i in enumerate(pairs):
                 pair = lone[i]
-                rep = orthogonality_report(pair.X, pair.H)
+                alone = orthogonality_segments(pair.X, pair.H, [0])
                 want = oracle_orthogonality_report(pair.X, pair.H)
-                assert toolkit.clauses_at(j) == rep.clauses == want["clauses"]
+                assert toolkit.clauses_at(j) == alone.clauses_at(0) == want["clauses"]
                 gap = toolkit.decomposition_gap[j]
-                assert gap.tobytes() == np.float64(rep.decomposition_gap).tobytes()
+                assert gap.tobytes() == alone.decomposition_gap[0].tobytes()
                 assert gap.tobytes() == np.float64(want["decomposition_gap"]).tobytes()
-                assert toolkit.orthogonal[j] == rep.is_orthogonal == want["is_orthogonal"]
-                assert toolkit.jumps_disjoint[j] == rep.jumps_disjoint == want["jumps_disjoint"]
+                assert toolkit.orthogonal[j] == alone.orthogonal[0] == want["is_orthogonal"]
+                assert toolkit.jumps_disjoint[j] == alone.jumps_disjoint[0] == want["jumps_disjoint"]
                 covered.add((pair.g.horizon, pair.initial.n_blocks > 1))
             # the filler atom: no jumps, so nothing to break
             assert toolkit.decomposition_gap[-1] == 0.0 and all(v[-1] for v in toolkit.clauses.values())
@@ -528,10 +528,10 @@ class TestSegmentedToolkit:
             toolkit = orthogonality_segments(union.X, union.H, starts)
             for j, draw in enumerate(draws):
                 alone = random_pair_bundle(draw, "alone")
-                rep = orthogonality_report(alone.X, alone.H)
-                assert (toolkit.orthogonal[j], toolkit.jumps_disjoint[j]) == (rep.is_orthogonal, rep.jumps_disjoint)
-                assert toolkit.clauses_at(j) == rep.clauses
-                assert toolkit.decomposition_gap[j] == rep.decomposition_gap
+                lone = orthogonality_segments(alone.X, alone.H, [0])
+                assert (toolkit.orthogonal[j], toolkit.jumps_disjoint[j]) == (lone.orthogonal[0], lone.jumps_disjoint[0])
+                assert toolkit.clauses_at(j) == lone.clauses_at(0)
+                assert toolkit.decomposition_gap[j] == lone.decomposition_gap[0]
             assert toolkit.orthogonal[:2].tolist() == [draws[0] is coins, draws[1] is coins]
             assert toolkit.jumps_disjoint[:2].tolist() == [draws[0] is a2, draws[1] is a2]
             # reduced over the whole union, each verdict would be lost for one of the pairs
@@ -539,20 +539,18 @@ class TestSegmentedToolkit:
             assert (whole.orthogonal[0], whole.jumps_disjoint[0]) == (False, False)
 
     def test_the_toolkit_makes_one_union_pass_per_horizon(self, monkeypatch):
-        # the 200 random pairs as one union pass per horizon present (3 at the bundled seed),
-        # and orthogonality_report only on fixture_a2 and space_a, never per pair
+        # the 200 random pairs as one union pass (a call of more than one segment) per horizon present
+        # (3 at the bundled seed), and lone one-segment calls only on fixture_a2 and space_a, never per pair
         passes, reports = [], []
 
         def union_pass(y, z, starts):
-            passes.append((y.horizon, len(starts) - 1))
+            if len(starts) > 1:
+                passes.append((y.horizon, len(starts) - 1))
+            else:
+                reports.append(y.space.n_atoms)
             return orthogonality_segments(y, z, starts)
 
-        def report(y, z):
-            reports.append(y.space.n_atoms)
-            return orthogonality_report(y, z)
-
         monkeypatch.setattr(suites, "orthogonality_segments", union_pass)
-        monkeypatch.setattr(suites, "orthogonality_report", report)
         config_dir = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "configs"
         config = json.loads((config_dir / "space_a_full.json").read_text())
         report_doc = run_config(dict(config, suites=["orthogonality_toolkit"]))

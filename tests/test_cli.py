@@ -638,7 +638,8 @@ NAN_SOURCE_CALLS = {
     ("azema_compensator", "cross_validation_gap"): 8,
     ("azema_compensator", "azema_consistency_gap"): 8,
     ("azema_compensator", "supermartingale_gap"): 8,
-    ("orthogonality_toolkit", "orthogonality_segments"): 3,  # one union of the 200 random pairs per horizon
+    # one union of the 200 random pairs per horizon, then the lone fixture_a2 and space_a pairs
+    ("orthogonality_toolkit", "orthogonality_segments"): 5,
 }
 
 #: every exact row that reports a worst_* value: (suite, row, evidence key, gap source, poison,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from filtration_lab import fixtures
-from filtration_lab.serialize import bundle_from_doc, space_from_doc
+from filtration_lab.cli import report_to_json
+from filtration_lab.serialize import _check, bundle_from_doc, space_from_doc
 
 
 def _json_roundtrip(doc):
@@ -53,3 +54,15 @@ class TestBundleDoc:
             assert np.array_equal(back.X.values, b.X.values)
             assert back.g.partitions == b.g.partitions
             assert back.initial == b.initial
+
+
+class TestCheckEvidence:
+    def test_numpy_bools_are_written_as_python_bools(self):
+        # a NumPy bool is not JSON-serialisable, so the row must carry a Python one
+        rows = [
+            _check("row", np.True_, disjoint=np.True_, orthogonal=np.False_, gap=np.float64(0.5)),
+            _check("row", True, disjoint=True, orthogonal=False, gap=0.5),
+        ]
+        docs = [report_to_json({"checks": [{"name": r.name, "outcome": r.outcome, "evidence": r.evidence}]}) for r in rows]
+        assert docs[0] == docs[1]
+        assert [type(v) for v in rows[0].evidence.values()] == [bool, bool, float]
