@@ -216,6 +216,78 @@ MUTANTS = (
         "        (np.abs(drifts[3]) <= EXACT_TOL).all(axis=-1),",
         ["tests/test_representation.py::TestRelabelInvariance"],
     ),
+    (
+        # an event exactly at t then counts only from the next call's t
+        "counts_at_strict",
+        MC,
+        "                out += row <= t",
+        "                out += row < t",
+        ["tests/test_montecarlo.py::TestFlatKernels"],
+    ),
+    (
+        # a window then misses an event at its end, the announced target among them
+        "window_hits_strict",
+        MC,
+        "            below = row <= hi",
+        "            below = row < hi",
+        ["tests/test_montecarlo.py::TestFlatKernels"],
+    ),
+    (
+        # a process that reaches 1 exactly has then not jumped
+        "first_jump_time_strict",
+        FS,
+        "    reached = x.values >= 1.0",
+        "    reached = x.values > 1.0",
+        ["tests/test_finite_space.py", "tests/test_enlargement.py"],
+    ),
+    (
+        # tau is then read as alive at its own time
+        "survival_at_tau",
+        RT,
+        "    survive = (tau_of(bundle).values[:, None] > np.arange(f.horizon + 1)[None, :]).astype(float)",
+        "    survive = (tau_of(bundle).values[:, None] >= np.arange(f.horizon + 1)[None, :]).astype(float)",
+        ["tests/test_random_time.py"],
+    ),
+    (
+        # weight 0 does not silence a NaN or an inf on a null atom
+        "null_atoms_kept_in_block_averages",
+        FS,
+        "        v = np.where(space.positive, v, 0.0)",
+        "        v = v",
+        ["tests/test_finite_space.py", "tests/test_calculus.py"],
+    ),
+    (
+        # a union's consistency gap is then reported 2^exponent too large
+        "azema_gap_not_rescaled",
+        SUITES,
+        "        consistency.append(np.ldexp(azema_consistency_gap(rb, azema), -exponent))",
+        "        consistency.append(azema_consistency_gap(rb, azema))",
+        ["tests/test_golden.py", "tests/test_random_time.py"],
+    ),
+    (
+        # the first widths inside the premise, s and 1 - s, are then refused
+        "width_premise_one_spacing_in",
+        MC,
+        "            if not s <= e <= 1.0 - s:",
+        "            if not s < e < 1.0 - s:",
+        ["tests/test_cli.py::TestMcPremises", "tests/test_montecarlo.py::TestWidthPremise"],
+    ),
+    (
+        # the last widths outside the premise are then accepted
+        "width_premise_one_spacing_out",
+        MC,
+        "            if not s <= e <= 1.0 - s:",
+        "            if not np.nextafter(s, 0.0) <= e <= np.nextafter(1.0 - s, 2.0):",
+        ["tests/test_cli.py::TestMcPremises", "tests/test_montecarlo.py::TestWidthPremise"],
+    ),
+    (
+        # a finite mu whose stress rate overflows then runs, and its stress rows read NaN
+        "stress_rate_unchecked",
+        MC,
+        "        if not _STRESS_RATE * self.mu < math.inf:",
+        "        if False:",
+        ["tests/test_cli.py::TestMcPremises"],
+    ),
 )
 
 #: mutants known to survive, each with the reason it is left

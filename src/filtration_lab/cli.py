@@ -17,14 +17,13 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import sys
 
 from . import __version__
 from .enlargement import build_bundle
 from .errors import BadParameter, ConfigInvalid, FiltrationLabError, UnknownSuite
 from .fixtures import bundle_by_name
-from .montecarlo import path_block
+from .montecarlo import McParams
 from .serialize import (
     BUNDLE_SCHEMA,
     CONFIG_SCHEMA,
@@ -35,7 +34,6 @@ from .serialize import (
     space_from_doc,
 )
 from .suites import (
-    McParams,
     SuiteContext,
     describe_suite,
     get_suite,
@@ -133,50 +131,18 @@ def _resolve_bundle(config: dict):
     raise ConfigInvalid("fixture must be a name or an inline document")
 
 
-def _positive_number(value, what: str) -> float:
-    """``value`` as a float, if it is a finite number > 0 (a bool is not a number)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if 0.0 < number < math.inf:
-            return number
-    raise ConfigInvalid(f"{what} must be a finite number > 0, got {value!r}")
-
-
-def _closed_object(config: dict, key: str, known: set) -> dict:
-    """``config[key]`` (default empty): an object with no keys outside ``known``."""
-    raw = config.get(key, {})
-    if not isinstance(raw, dict):
-        raise ConfigInvalid(f"{key} must be an object")
-    extra = set(raw) - known
-    if extra:
-        raise ConfigInvalid(f"unknown {key} keys: {sorted(extra)}")
-    return raw
-
-
 def _mc_params(config: dict) -> McParams:
-    """``McParams`` from the keys the config gives (``lambda`` is ``lam``); the rest are defaults."""
-    raw = _closed_object(config, "mc", {"lambda", "mu", "t_real", "n_paths", "z_max", "epsilons"})
-    params = {}
-    for key, value in raw.items():
-        if key == "n_paths":
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigInvalid(f"mc.n_paths must be an integer >= 1, got {value!r}")
-        elif key == "epsilons":
-            if not isinstance(value, (list, tuple)) or not value:
-                raise ConfigInvalid(f"mc.epsilons must be a non-empty list, got {value!r}")
-            value = tuple(_positive_number(e, "mc.epsilons entry") for e in value)
-        else:
-            value = _positive_number(value, f"mc.{key}")
-        params["lam" if key == "lambda" else key] = value
-    mc = McParams(**params)
+    """``McParams`` from the keys the config's ``mc`` object gives (``lambda`` is ``lam``); the rest are defaults."""
+    raw = config.get("mc", {})
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("mc must be an object")
+    extra = set(raw) - {"lambda", "mu", "t_real", "n_paths", "z_max", "epsilons"}
+    if extra:
+        raise ConfigInvalid(f"unknown mc keys: {sorted(extra)}")
     try:
-        path_block(mc.lam, mc.t_real, mc.simulated_n_paths)
+        return McParams(**{"lam" if key == "lambda" else key: value for key, value in raw.items()})
     except BadParameter as exc:
-        raise ConfigInvalid(f"mc.lambda, mc.t_real and mc.n_paths cannot be simulated: {exc}") from exc
-    return mc
+        raise ConfigInvalid(str(exc)) from exc
 
 
 def run_config(config: dict, parallel: int = 1, seed_override: int | None = None) -> dict:

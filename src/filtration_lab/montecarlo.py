@@ -1,6 +1,8 @@
 """Continuous-time statistical checks: Poisson paths, random times, z-tests.
 
-A ``PathSet`` holds paths only.  Every suite takes one, computes the random
+A ``PathSet`` holds paths only, and a ``McParams`` is the one checked type of
+a run's parameters.  Every statistic takes the two, reads lam and t_real off
+the paths and mu, z_max and the widths off the parameters, computes the random
 time it tests as an array over its paths, and returns report rows: a z-test
 or an exact check is a ``serialize.CheckResult``, the row the exact engine
 writes, with the statistic's numbers as its evidence.
@@ -33,6 +35,7 @@ rerun, and ``--parallel`` has nothing to change.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,6 +51,8 @@ _CHUNK = 4096
 _MAX_ENTRIES = 2**28
 #: key word 1 of the main stream; a path's own stream has its index there instead
 _MAIN_STREAM = 2**64 - 1
+#: mc_avoidance's stress run draws its random time at this multiple of mu
+_STRESS_RATE = 25.0
 
 
 def _stream(seed: int, word: int) -> np.random.Generator:
@@ -120,6 +125,81 @@ def _block_size(lam: float, t_real: float) -> int:
     if not (0.0 < lam < math.inf and 0.0 < t_real < math.inf and lam * t_real < math.inf):
         raise BadParameter("rate, horizon and their product must be positive and finite")
     return max(16, int(lam * t_real + 5.0 * math.sqrt(lam * t_real) + 5.0))
+
+
+def _positive(value, key: str) -> float:
+    """``value`` as a float if it is a finite number > 0 (not a bool, nor an int past the floats), else BadParameter."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if 0.0 < number < math.inf:
+            return number
+    raise BadParameter(f"{key} must be a finite number > 0, got {value!r}")
+
+
+@dataclass(frozen=True)
+class McParams:
+    """A Monte Carlo run's parameters, checked on construction, so no statistic checks them again.
+
+    BadParameter names the failing config key (``mc.lambda`` for ``lam``): ``lam``, ``mu``, ``t_real``,
+    ``z_max`` and the stress rate 25 ``mu`` must be finite numbers > 0, ``n_paths`` an integer >= 1,
+    ``epsilons`` a non-empty list or tuple of widths (kept as floats), the one simulation must fit an
+    event table (``path_block``), and every width must lie in [s, 1 - s], s = ``np.spacing(max(t_real, 1))``.
+
+    That premise keeps ``predictable_jump_probe``'s windows what its rows say.  An announced window
+    (target - eps, target] ends at an event target <= t_real, within s of its float neighbour below, so
+    eps >= s puts target - eps at or below that neighbour: the window holds the target.  A base window
+    ends at anchor = fl(first + 1) in [1, t_real], within s / 2 of first + 1 (rounding to nearest, the
+    spacing growing with magnitude), so eps <= 1 - s puts anchor - eps, and so its rounding, at or above
+    the first event: the window never holds it.  No width is valid from t_real = 2^52, where s > 1/2.
+    """
+
+    lam: float = 1.0
+    mu: float = 1.0
+    t_real: float = 10.0
+    n_paths: int = 100000
+    z_max: float = 4.0
+    epsilons: tuple = (0.1, 0.01)
+
+    def __post_init__(self):
+        for name, key in (("lam", "mc.lambda"), ("mu", "mc.mu"), ("t_real", "mc.t_real"), ("z_max", "mc.z_max")):
+            object.__setattr__(self, name, _positive(getattr(self, name), key))
+        if not isinstance(self.n_paths, int) or isinstance(self.n_paths, bool) or self.n_paths < 1:
+            raise BadParameter(f"mc.n_paths must be an integer >= 1, got {self.n_paths!r}")
+        if not isinstance(self.epsilons, (list, tuple)) or not self.epsilons:
+            raise BadParameter(f"mc.epsilons must be a non-empty list, got {self.epsilons!r}")
+        object.__setattr__(self, "epsilons", tuple(_positive(e, "mc.epsilons entry") for e in self.epsilons))
+        if not _STRESS_RATE * self.mu < math.inf:
+            raise BadParameter(f"mc.mu must keep mc_avoidance's stress rate 25 * mc.mu finite, got {self.mu!r}")
+        try:
+            path_block(self.lam, self.t_real, self.simulated_n_paths)
+        except BadParameter as exc:
+            raise BadParameter(f"mc.lambda, mc.t_real and mc.n_paths cannot be simulated: {exc}") from exc
+        s = float(np.spacing(max(self.t_real, 1.0)))
+        for e in self.epsilons:
+            if not s <= e <= 1.0 - s:
+                raise BadParameter(
+                    f"mc.epsilons entry must lie in [s, 1 - s], s = {s!r} the float spacing at mc.t_real, got {e!r}"
+                )
+
+    @property
+    def stress_n_paths(self) -> int:
+        """Paths of mc_avoidance's stress run; may exceed n_paths."""
+        return max(1000, self.n_paths // 10)
+
+    @property
+    def simulated_n_paths(self) -> int:
+        """Paths of a context's one simulation: the most any suite asks for."""
+        return max(self.n_paths, self.stress_n_paths)
+
+    @property
+    def stress(self) -> McParams:
+        """These parameters at the stress rate 25 ``mu``, not checked again: its own stress rate may overflow."""
+        stress = copy.copy(self)
+        object.__setattr__(stress, "mu", _STRESS_RATE * self.mu)
+        return stress
 
 
 def _continuation(last: float, lam: float, t_real: float, block: int, rng: np.random.Generator) -> np.ndarray:
@@ -289,7 +369,7 @@ def simulate_path_set(lam: float, t_real: float, n_paths: int, seed: int) -> Pat
     return PathSet(lam=lam, t_real=t_real, n_paths=n_paths, seed=seed, table=table, lengths=lengths, unit_exp=unit_exp)
 
 
-def poisson_compensator_suite(paths: PathSet, z_max: float = 4.0) -> list[CheckResult]:
+def poisson_compensator_suite(paths: PathSet, mc: McParams) -> list[CheckResult]:
     """The compensated count has zero conditional drift (unit and adapted probes)."""
     lam = paths.lam
     s, t = 0.5 * paths.t_real, paths.t_real
@@ -298,47 +378,38 @@ def poisson_compensator_suite(paths: PathSet, z_max: float = 4.0) -> list[CheckR
     inc = (ct - cs) - lam * (t - s)
     probe = (cs > lam * s).astype(float)
     return [
-        z_test("compensated_count_increment", inc, 0.0, z_max),
-        z_test("compensated_count_increment_probed", inc * probe, 0.0, z_max),
+        z_test("compensated_count_increment", inc, 0.0, mc.z_max),
+        z_test("compensated_count_increment_probed", inc * probe, 0.0, mc.z_max),
     ]
 
 
-def second_moment_suite(paths: PathSet, z_max: float = 4.0) -> list[CheckResult]:
+def second_moment_suite(paths: PathSet, mc: McParams) -> list[CheckResult]:
     """E[(X_t - lam t)^2] = lam t, the continuous-time bracket identity."""
     out = []
     for t in (0.5 * paths.t_real, paths.t_real):
         c = paths.counts_at(t).astype(float)
         samples = (c - paths.lam * t) ** 2 - paths.lam * t
-        out.append(z_test(f"compensated_square_at_{t:g}", samples, 0.0, z_max))
+        out.append(z_test(f"compensated_square_at_{t:g}", samples, 0.0, mc.z_max))
     return out
 
 
-def azema_exponential_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[CheckResult]:
-    """Independent exponential time of rate ``mu`` on ``paths``: survival law
+def azema_exponential_suite(paths: PathSet, mc: McParams) -> list[CheckResult]:
+    """Independent exponential time of rate ``mc.mu`` on ``paths``: survival law
     and the survival-driven compensator.
 
     With survival e^{-mu t}, the enlarged compensator of the single-jump
     indicator is mu * (t ^ tau), so H - mu (t ^ tau) must drift zero against
     probes known at s.
     """
-    tau = _exponential_time(paths, mu)
-    out = [
-        z_test("exponential_survival_at_1", (tau > 1.0).astype(float), math.exp(-mu), z_max)
-    ]
+    tau = paths.unit_exp / mc.mu
+    out = [z_test("exponential_survival_at_1", (tau > 1.0).astype(float), math.exp(-mc.mu), mc.z_max)]
     s, t = 0.2 * paths.t_real, 0.8 * paths.t_real
-    m_inc = _compensated_jump_increment(tau, mu, s, t)
+    m_inc = _compensated_jump_increment(tau, mc.mu, s, t)
     # m_inc is 0 where tau <= s, so the probe must vary on {tau > s}
     probe = (paths.counts_at(s) > paths.lam * s).astype(float)
-    out.append(z_test("survival_compensated_jump_probed", m_inc * probe, 0.0, z_max))
-    out.append(z_test("survival_compensated_jump", m_inc, 0.0, z_max))
+    out.append(z_test("survival_compensated_jump_probed", m_inc * probe, 0.0, mc.z_max))
+    out.append(z_test("survival_compensated_jump", m_inc, 0.0, mc.z_max))
     return out
-
-
-def _exponential_time(paths: PathSet, mu: float) -> np.ndarray:
-    """Per path: the independent exponential time of rate ``mu``, its unit exponential over ``mu``."""
-    if not mu > 0.0:
-        raise BadParameter("exponential rate must be positive")
-    return paths.unit_exp / mu
 
 
 def _compensated_jump_increment(tau: np.ndarray, mu: float, s: float, t: float) -> np.ndarray:
@@ -361,55 +432,45 @@ def _collision_fraction(paths: PathSet, tau: np.ndarray, valid: np.ndarray) -> t
     return (float(hits[valid].mean()) if n else 0.0, n)
 
 
-def avoidance_mc_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[CheckResult]:
+def avoidance_mc_suite(paths: PathSet, mc: McParams) -> list[CheckResult]:
     """Avoidance holds pathwise-exactly for an independent exponential time
-    of rate ``mu`` on ``paths``.
+    of rate ``mc.mu`` on ``paths``.
 
     Reports: the collision fraction (must be exactly 0; a floating-point
     collision is reported, never silently passed), drift tests for the two
     compensated processes in the enlargement, and the no-common-jump
     certificate for their bracket.
     """
-    tau = _exponential_time(paths, mu)
+    tau = paths.unit_exp / mc.mu
     frac, n_valid = _collision_fraction(paths, tau, np.ones(paths.n_paths, dtype=bool))
     out = [exact_check("avoidance_collision_fraction", frac, 0.0, n_valid)]
 
     # probe time scaled to the random-time rate so the survivor set stays populated
-    s, t = min(0.2 * paths.t_real, 1.0 / mu), 0.8 * paths.t_real
+    s, t = min(0.2 * paths.t_real, 1.0 / mc.mu), 0.8 * paths.t_real
     cs = paths.counts_at(s).astype(float)
     ct = paths.counts_at(t).astype(float)
     alive = (tau > s).astype(float)
     x_inc = (ct - cs) - paths.lam * (t - s)
-    out.append(z_test("count_compensated_in_enlargement", x_inc * alive, 0.0, z_max))
-    h_inc = _compensated_jump_increment(tau, mu, s, t)
-    out.append(z_test("jump_indicator_compensated", h_inc, 0.0, z_max))
+    out.append(z_test("count_compensated_in_enlargement", x_inc * alive, 0.0, mc.z_max))
+    h_inc = _compensated_jump_increment(tau, mc.mu, s, t)
+    out.append(z_test("jump_indicator_compensated", h_inc, 0.0, mc.z_max))
     out.append(exact_check("bracket_common_jump_fraction", frac, 0.0, n_valid))
     return out
 
 
-def predictable_jump_probe(paths: PathSet, epsilons, z_max: float = 4.0) -> list[CheckResult]:
+def predictable_jump_probe(paths: PathSet, mc: McParams) -> list[CheckResult]:
     """Contrast the enlarged and base probabilities of a jump in a shrinking window.
 
     With the midpoint time on ``paths``, the second jump is announced in the
     enlargement as soon as the random time passes (target = 2 tau - tau_1 =
     second event), so the hit rate of the window (target - eps, target] is
     exactly 1.  A window anchored at an observable-by-the-base time catches a
-    jump only with probability 1 - e^{-lam eps}.  Per width in ``epsilons``:
+    jump only with probability 1 - e^{-lam eps}.  Per width in ``mc.epsilons``:
     the target row, then the base row.
     """
-    target_rows = _announced_window_rows(paths, epsilons)
-    base_rows = _base_window_rows(paths, epsilons, z_max)
+    target_rows = _announced_window_rows(paths, mc.epsilons)
+    base_rows = _base_window_rows(paths, mc.epsilons, mc.z_max)
     return [row for pair in zip(target_rows, base_rows) for row in pair]
-
-
-def _widths(epsilons) -> np.ndarray:
-    """The window widths, a sequence of positive numbers, as a column."""
-    eps = np.asarray(epsilons, dtype=float)
-    if eps.ndim != 1:
-        raise BadParameter("epsilons must be a sequence of window widths")
-    if not (eps > 0.0).all():
-        raise BadParameter("epsilon must be positive")
-    return eps[:, None]
 
 
 def _announced_window_rows(paths: PathSet, epsilons) -> list[CheckResult]:
@@ -419,7 +480,7 @@ def _announced_window_rows(paths: PathSet, epsilons) -> list[CheckResult]:
     announces target = 2 tau - first event = the second event, so every
     qualifying window holds it.
     """
-    eps = _widths(epsilons)
+    eps = np.array(epsilons, dtype=float)[:, None]
     target = paths.second_events()
     # inf on paths with fewer than two events
     tau = 0.5 * (paths.first_events() + target)
@@ -436,7 +497,7 @@ def _announced_window_rows(paths: PathSet, epsilons) -> list[CheckResult]:
 
 def _base_window_rows(paths: PathSet, epsilons, z_max: float) -> list[CheckResult]:
     """Hit rate of (anchor - eps, anchor] per width, anchor = first event + 1, known to the base."""
-    eps = _widths(epsilons)
+    eps = np.array(epsilons, dtype=float)[:, None]
     first = paths.first_events()
     anchor = first + 1.0
     base_ok = np.isfinite(first) & (anchor <= paths.t_real)
@@ -448,23 +509,23 @@ def _base_window_rows(paths: PathSet, epsilons, z_max: float) -> list[CheckResul
     return rows
 
 
-def negative_control_suite(paths: PathSet, mu: float, z_max: float = 4.0) -> list[CheckResult]:
+def negative_control_suite(paths: PathSet, mc: McParams) -> list[CheckResult]:
     """Checks engineered to fail: they guard the power of the positive tests.
 
     The copied time (each path's first event) must collide with an event, and
     the window (target - 0.1, target] with target = 2 tau - first event, for
-    an independent time tau of rate ``mu``, must not hit at the
+    an independent time tau of rate ``mc.mu``, must not hit at the
     construction-exact rate 1 of an announced target.
     """
     s, t = 0.5 * paths.t_real, paths.t_real
     raw_inc = (paths.counts_at(t) - paths.counts_at(s)).astype(float)
-    uncompensated = z_test("uncompensated_count_drift", raw_inc, 0.0, z_max)
+    uncompensated = z_test("uncompensated_count_drift", raw_inc, 0.0, mc.z_max)
 
     first = paths.first_events()
     frac, n_valid = _collision_fraction(paths, first, paths.lengths >= 1)
     collision = exact_check("copied_time_collision_fraction", frac, 0.0, n_valid)
 
-    tau, eps = _exponential_time(paths, mu), 0.1
+    tau, eps = paths.unit_exp / mc.mu, 0.1
     target = 2.0 * tau - first
     qualify = np.isfinite(first) & (target <= paths.t_real) & (target - eps > np.maximum(tau, first))
     hits = paths.window_hits(target - eps, target)[qualify]

@@ -4,6 +4,9 @@ Every suite returns a list of CheckResult rows.  A row's ``outcome`` states
 whether the checked property held; the configured ``expected`` outcome (holds
 by default, fails for counterexample suites) decides pass/fail, so a
 counterexample passes exactly when the property breaks the way it should.
+A Monte Carlo suite hands a ``montecarlo`` statistic the run's one simulation
+and its ``McParams``; only ``mc_avoidance``, with its stress run, is a
+function of its own.
 """
 from __future__ import annotations
 
@@ -61,6 +64,7 @@ from .jump_measure import (
     jump_measure,
 )
 from .montecarlo import (
+    McParams,
     PathSet,
     avoidance_mc_suite,
     azema_exponential_suite,
@@ -97,26 +101,6 @@ from .representation import (
     wrp_regressors,
 )
 from .serialize import CheckResult, _check
-
-
-@dataclass
-class McParams:
-    lam: float = 1.0
-    mu: float = 1.0
-    t_real: float = 10.0
-    n_paths: int = 100000
-    z_max: float = 4.0
-    epsilons: tuple = (0.1, 0.01)
-
-    @property
-    def stress_n_paths(self) -> int:
-        """Paths of mc_avoidance's stress run; may exceed n_paths."""
-        return max(1000, self.n_paths // 10)
-
-    @property
-    def simulated_n_paths(self) -> int:
-        """Paths of a context's one simulation: the most any suite asks for."""
-        return max(self.n_paths, self.stress_n_paths)
 
 
 class BundleProcesses:
@@ -904,28 +888,26 @@ def suite_counterexample_a2(ctx: SuiteContext) -> list[CheckResult]:
 # Monte Carlo suites
 
 
-@_suite(
-    "mc_poisson_compensator", "mc", "Poisson remark (compensator lambda*t)",
-    "compensated Poisson count drifts zero against adapted probes",
-)
-def suite_mc_poisson(ctx: SuiteContext) -> list[CheckResult]:
-    return poisson_compensator_suite(ctx.paths(), ctx.mc.z_max)
+def _mc_suite(name: str, anchor: str, description: str, statistic, honours_polarity: bool = False) -> None:
+    """Register ``statistic(paths, mc)`` on the run's simulation and its ``McParams`` as the mc suite
+    ``name``; a suite that honours polarity has the configured outcome stamped on its rows."""
+
+    def run(ctx: SuiteContext) -> list[CheckResult]:
+        rows = statistic(ctx.paths(), ctx.mc)
+        if honours_polarity:
+            for row in rows:
+                row.expected = ctx.expected_outcome
+        return rows
+
+    _suite(name, "mc", anchor, description, honours_polarity)(run)
 
 
-@_suite(
-    "mc_compensator_second_moment", "mc", "Eq. (pb.XsF)",
-    "second moment of the compensated count equals the compensator",
-)
-def suite_mc_second_moment(ctx: SuiteContext) -> list[CheckResult]:
-    return second_moment_suite(ctx.paths(), ctx.mc.z_max)
-
-
-@_suite(
-    "mc_azema_exponential", "mc", "Eq. (G.com.gen)",
-    "closed-form survival compensator for an independent exponential time",
-)
-def suite_mc_azema(ctx: SuiteContext) -> list[CheckResult]:
-    return azema_exponential_suite(ctx.paths(), ctx.mc.mu, ctx.mc.z_max)
+_mc_suite("mc_poisson_compensator", "Poisson remark (compensator lambda*t)",
+          "compensated Poisson count drifts zero against adapted probes", poisson_compensator_suite)
+_mc_suite("mc_compensator_second_moment", "Eq. (pb.XsF)",
+          "second moment of the compensated count equals the compensator", second_moment_suite)
+_mc_suite("mc_azema_exponential", "Eq. (G.com.gen)",
+          "closed-form survival compensator for an independent exponential time", azema_exponential_suite)
 
 
 @_suite(
@@ -933,32 +915,17 @@ def suite_mc_azema(ctx: SuiteContext) -> list[CheckResult]:
     "exact avoidance fraction and enlarged-drift tests, with a stress rate",
 )
 def suite_mc_avoidance(ctx: SuiteContext) -> list[CheckResult]:
-    mc = ctx.mc
-    out = avoidance_mc_suite(ctx.paths(), mc.mu, mc.z_max)
-    for c in avoidance_mc_suite(ctx.paths(mc.stress_n_paths), 25.0 * mc.mu, mc.z_max):
+    out = avoidance_mc_suite(ctx.paths(), ctx.mc)
+    for c in avoidance_mc_suite(ctx.paths(ctx.mc.stress_n_paths), ctx.mc.stress):
         c.name = "stress_" + c.name
         out.append(c)
     return out
 
 
-@_suite(
-    "mc_predictable_jump", "mc", "Counterexample 4.8; Assumption A2",
-    "announced-window hit rate 1 vs base-window rate about lambda*eps",
-)
-def suite_mc_predictable_jump(ctx: SuiteContext) -> list[CheckResult]:
-    return predictable_jump_probe(ctx.paths(), ctx.mc.epsilons, ctx.mc.z_max)
-
-
-@_suite(
-    "mc_negative_controls", "mc", "negative controls",
-    "engineered failures guarding test power (expected failure)",
-    honours_polarity=True,
-)
-def suite_mc_negative_controls(ctx: SuiteContext) -> list[CheckResult]:
-    rows = negative_control_suite(ctx.paths(), ctx.mc.mu, ctx.mc.z_max)
-    for row in rows:
-        row.expected = ctx.expected_outcome
-    return rows
+_mc_suite("mc_predictable_jump", "Counterexample 4.8; Assumption A2",
+          "announced-window hit rate 1 vs base-window rate about lambda*eps", predictable_jump_probe)
+_mc_suite("mc_negative_controls", "negative controls",
+          "engineered failures guarding test power (expected failure)", negative_control_suite, honours_polarity=True)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,65 @@ class TestBadMcInput:
             validate_config(_small_mc_config(mc=[1, 2]))
 
 
+#: the float spacing at the default t_real 10: every width must lie in [S_10, 1 - S_10]
+S_10 = float(np.spacing(10.0))
+#: the largest mu whose stress rate 25 mu is finite
+MU_MAX = 7.190772539449263e306
+
+
+def _run_mc(tmp_path, mc, suite):
+    """``flab run`` on a 2000-path config at seed 7 with ``mc`` and one suite: its exit code and its report's
+    rows by name (None when no report was written)."""
+    cfg = {"engine": "mc", "seed": 7, "mc": {"n_paths": 2000, **mc}, "suites": [suite]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
+    out = tmp_path / "r.json"
+    return code, {c["name"]: c for c in json.loads(out.read_text())["checks"]} if out.exists() else None
+
+
+class TestMcPremises:
+    """A width outside [s, 1 - s], s the float spacing at t_real, and a mu whose stress rate 25 mu
+    overflows are invalid configs (exit 2, one stderr line naming the premise); the first value inside
+    each bound runs, and the window its premise protects means what its row says."""
+
+    @pytest.mark.parametrize(
+        "eps",
+        [1.0, 1.0000001, 1.5, 3, 1e-16, float(np.nextafter(S_10, 0.0)), float(np.nextafter(1.0 - S_10, 2.0))],
+        ids=["1", "1.0000001", "1.5", "3", "1e-16", "below_s", "above_1-s"],
+    )
+    def test_width_outside_the_premise_exits_two(self, tmp_path, capsys, eps):
+        code, rows = _run_mc(tmp_path, {"epsilons": [0.1, eps]}, "mc_predictable_jump")
+        err = capsys.readouterr().err
+        assert code == 2 and rows is None
+        assert err.startswith("error: invalid config: mc.epsilons entry must lie in [s, 1 - s], s = 1.7763568394002505e-15")
+        assert err.count("\n") == 1
+
+    def test_first_widths_inside_the_premise_run(self, tmp_path):
+        # at s the announced window still holds its target; at 1 - s the base window misses its first event
+        code, rows = _run_mc(tmp_path, {"epsilons": [S_10, 1.0 - S_10]}, "mc_predictable_jump")
+        assert code in (0, 1)
+        announced = rows["announced_window_hit_rate_eps_1.77636e-15"]
+        assert announced["passed"] and announced["evidence"]["estimate"] == 1.0 and announced["evidence"]["n_paths"] > 0
+        base = rows["base_window_hit_rate_eps_1"]
+        assert base["passed"], base
+        # the zero-hit base row at s is the rare-event family, outside this premise
+        assert not rows["base_window_hit_rate_eps_1.77636e-15"]["passed"]
+
+    def test_stress_rate_must_be_finite(self, tmp_path, capsys):
+        above = float(np.nextafter(MU_MAX, math.inf))
+        assert 25.0 * MU_MAX < math.inf and not 25.0 * above < math.inf
+        for mu in (above, 1e308):
+            code, rows = _run_mc(tmp_path, {"mu": mu}, "mc_avoidance")
+            err = capsys.readouterr().err
+            assert code == 2 and rows is None, mu
+            assert err == f"error: invalid config: mc.mu must keep mc_avoidance's stress rate 25 * mc.mu finite, got {mu!r}\n"
+        for mu in (MU_MAX, 1e306):
+            code, rows = _run_mc(tmp_path, {"mu": mu}, "mc_avoidance")
+            assert code == 0, mu
+            assert rows["stress_jump_indicator_compensated"]["evidence"]["estimate"] != "nan"
+
+
 #: (how the seed is given, value): each must exit 2 with one stderr line
 BAD_SEED = [
     ("config", True),

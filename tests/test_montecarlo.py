@@ -20,11 +20,11 @@ from filtration_lab.cli import report_to_json, run_config
 from filtration_lab.errors import BadParameter
 from filtration_lab.serialize import CheckResult
 from filtration_lab.montecarlo import (
+    McParams,
     PathSet,
     _announced_window_rows,
     _base_window_rows,
     _collision_fraction,
-    _exponential_time,
     avoidance_mc_suite,
     azema_exponential_suite,
     exact_check,
@@ -88,15 +88,14 @@ class TestSimulatePoisson:
 
 class TestRandomTimes:
     def test_exponential_survival(self):
-        tau = _exponential_time(simulate_path_set(1.0, 10.0, N, SEED), 1.0)
+        tau = simulate_path_set(1.0, 10.0, N, SEED).unit_exp / 1.0
         assert z_test("survival", (tau > 1.0).astype(float), math.exp(-1.0), 4.0).passed
 
     def test_exponential_rate_must_be_positive(self):
-        paths = simulate_path_set(1.0, 10.0, 50, SEED)
-        for suite in (azema_exponential_suite, avoidance_mc_suite, negative_control_suite):
-            for mu in (0.0, -1.0, math.nan):
-                with pytest.raises(BadParameter):
-                    suite(paths, mu)
+        # the statistics read mu off a McParams, which checks it on construction
+        for mu in (0.0, -1.0, math.nan):
+            with pytest.raises(BadParameter):
+                McParams(mu=mu)
 
     def test_midpoint_strictly_between_first_two(self):
         # the announced rows' midpoint time, (first + second event) / 2 on each path with two events
@@ -116,7 +115,7 @@ class TestRandomTimes:
         events = paths.events
         for p in np.flatnonzero(valid):
             assert first[p] in events[p]
-        (row,) = [r for r in negative_control_suite(paths, 1.0) if r.name == "copied_time_collision_fraction"]
+        (row,) = [r for r in negative_control_suite(paths, McParams()) if r.name == "copied_time_collision_fraction"]
         assert (row.evidence["estimate"], row.evidence["n_paths"]) == (1.0, int(valid.sum()))
 
     def test_insufficient_events(self):
@@ -125,18 +124,47 @@ class TestRandomTimes:
         # the only midpoint is 2.5, so a window ending at 3.0 qualifies iff it is narrower than 0.5
         assert [r.evidence["n_paths"] for r in _announced_window_rows(base, (0.49, 0.5))] == [1, 0]
         assert base.first_events().tolist() == [1.0, math.inf, 2.0]
-        (row,) = [r for r in negative_control_suite(base, 1.0) if r.name == "copied_time_collision_fraction"]
+        (row,) = [r for r in negative_control_suite(base, McParams()) if r.name == "copied_time_collision_fraction"]
         assert (row.evidence["estimate"], row.evidence["n_paths"]) == (1.0, 2)
+
+
+class TestWidthPremise:
+    """McParams keeps every width in [s, 1 - s], s = np.spacing(max(t_real, 1)): at either bound the
+    announced window (target - eps, target] holds its target, and the base window
+    (first + 1 - eps, first + 1] misses its first event, in float arithmetic."""
+
+    @pytest.mark.parametrize("t_real", [0.5, 1.5, 10.0, 1e3, 2.0**40, 3e13])
+    def test_windows_at_the_bounds(self, t_real):
+        s = float(np.spacing(max(t_real, 1.0)))
+        rng = np.random.default_rng(int(t_real) % 1000)
+        powers = 2.0 ** np.arange(-3, int(math.log2(t_real)) + 1)
+        edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)])
+        # events in (0, t_real], and first events whose anchor lies at or before t_real
+        target = np.concatenate([rng.uniform(0.0, t_real, 100_000), edges[edges <= t_real], [t_real]])
+        first = np.concatenate([rng.uniform(0.0, t_real - 1.0, 100_000), edges - 1.0]) if t_real > 1.0 else target
+        first = first[(first > 0.0) & (first + 1.0 <= t_real)]
+        assert ((target - s) < target).all()
+        assert ((first + 1.0) - (1.0 - s) >= first).all()
+        if 2.0 < t_real < 1e4:
+            # past the bounds both windows break where first + 1 rounds: an empty window, and a base window
+            # holding its first event
+            assert ((target - s / 4) == target).any()
+            assert ((first + 1.0) - 1.0 < first).any()
+        mc = McParams(lam=1.0 / t_real, t_real=t_real, epsilons=[s, 1.0 - s])
+        assert mc.epsilons == (s, 1.0 - s)
+        for eps in (np.nextafter(s, 0.0), np.nextafter(1.0 - s, 2.0)):
+            with pytest.raises(BadParameter, match=r"mc.epsilons entry must lie in \[s, 1 - s\]"):
+                McParams(lam=1.0 / t_real, t_real=t_real, epsilons=[float(eps)])
 
 
 class TestSuites:
     def test_positive_controls_pass(self):
         paths = simulate_path_set(1.0, 10.0, N, SEED)
         for rows in (
-            poisson_compensator_suite(paths),
-            second_moment_suite(paths),
-            azema_exponential_suite(paths, 1.0),
-            avoidance_mc_suite(paths, 1.0),
+            poisson_compensator_suite(paths, McParams()),
+            second_moment_suite(paths, McParams()),
+            azema_exponential_suite(paths, McParams()),
+            avoidance_mc_suite(paths, McParams()),
         ):
             assert rows and all(isinstance(r, CheckResult) for r in rows)
             for r in rows:
@@ -146,7 +174,7 @@ class TestSuites:
         # the increment vanishes where tau <= s, so a probe 1{tau > s} would
         # reproduce the unprobed row; 1{N_s > lam s} must not
         paths = simulate_path_set(1.0, 10.0, 200, SEED)
-        by_name = {r.name: r.evidence for r in azema_exponential_suite(paths, 1.0)}
+        by_name = {r.name: r.evidence for r in azema_exponential_suite(paths, McParams())}
         probed = by_name["survival_compensated_jump_probed"]
         plain = by_name["survival_compensated_jump"]
         assert probed["estimate"] != plain["estimate"]
@@ -154,25 +182,25 @@ class TestSuites:
 
     def test_z_reports_have_positive_std_error(self):
         paths = simulate_path_set(1.0, 10.0, N, SEED)
-        for r in poisson_compensator_suite(paths):
+        for r in poisson_compensator_suite(paths, McParams()):
             if not r.evidence["exact"]:
                 assert r.evidence["std_error"] > 0.0
 
     def test_avoidance_fraction_exactly_zero(self):
-        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, N, SEED), 1.0)
+        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, N, SEED), McParams())
         frac = next(r.evidence for r in reports if r.name == "avoidance_collision_fraction")
         assert frac["exact"]
         assert frac["estimate"] == 0.0
 
     def test_avoidance_stress_rate(self):
-        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, 5000, SEED), 25.0)
+        reports = avoidance_mc_suite(simulate_path_set(1.0, 10.0, 5000, SEED), McParams(mu=25.0))
         for r in reports:
             assert r.passed, r
             if not r.evidence["exact"]:
                 assert r.evidence["std_error"] > 0.0
 
     def test_predictable_jump_probe_announced(self):
-        reports = predictable_jump_probe(simulate_path_set(1.0, 10.0, N, SEED), (0.1, 0.01))
+        reports = predictable_jump_probe(simulate_path_set(1.0, 10.0, N, SEED), McParams(epsilons=(0.1, 0.01)))
         assert [r.name for r in reports] == [
             "announced_window_hit_rate_eps_0.1",
             "base_window_hit_rate_eps_0.1",
@@ -187,7 +215,7 @@ class TestSuites:
 
     def test_predictable_jump_probe_negative_control(self):
         paths = simulate_path_set(1.0, 10.0, N, SEED)
-        rows = negative_control_suite(paths, 1.0)
+        rows = negative_control_suite(paths, McParams())
         (unannounced,) = [r for r in rows if r.name == "independent_time_announced_hit_rate"]
         (base,) = _base_window_rows(paths, (0.1,), 4.0)
         # without an announced time the target window behaves like the base window
@@ -201,13 +229,14 @@ class TestSuites:
         for rows in (
             lambda eps: _announced_window_rows(paths, eps),
             lambda eps: _base_window_rows(paths, eps, 4.0),
-            lambda eps: predictable_jump_probe(paths, eps),
+            lambda eps: predictable_jump_probe(paths, McParams(epsilons=eps)),
         ):
             assert rows(widths) == [r for eps in widths for r in rows((eps,))]
-            assert rows(()) == []
-            for bad in (0.1, [[0.1]], (0.1, 0.0), (math.nan,), (-0.1,)):
-                with pytest.raises(BadParameter):
-                    rows(bad)
+        assert _announced_window_rows(paths, ()) == _base_window_rows(paths, (), 4.0) == []
+        # the statistic reads its widths off a McParams, which checks them on construction
+        for bad in ((), 0.1, [[0.1]], (0.1, 0.0), (math.nan,), (-0.1,)):
+            with pytest.raises(BadParameter):
+                McParams(epsilons=bad)
 
     @pytest.mark.parametrize(
         "suite,computed",
@@ -230,12 +259,10 @@ class TestSuites:
         plain = simulate_path_set(1.0, 10.0, 50, SEED)
         warm = simulate_path_set(1.0, 10.0, 50, SEED)
         tau, valid = (a.copy() for a in _random_times(warm, (computed,))[computed])
-        # the second argument is predictable_jump_probe's epsilons or the others' mu
-        extra = {predictable_jump_probe: ((0.1,),), poisson_compensator_suite: (), second_moment_suite: ()}
-        args = extra.get(suite, (0.5,))
-        rows = suite(plain, *args)
+        mc = McParams(mu=0.5, epsilons=(0.1,))
+        rows = suite(plain, mc)
         assert rows and all(isinstance(r, CheckResult) for r in rows)
-        assert suite(warm, *args) == rows
+        assert suite(warm, mc) == rows
         for paths in (plain, warm):
             arrays = {name for name, v in vars(paths).items() if isinstance(v, np.ndarray)}
             assert arrays <= {"table", "lengths", "unit_exp", "_row_min"}, arrays
@@ -243,7 +270,7 @@ class TestSuites:
         assert np.array_equal(again[0], tau) and np.array_equal(again[1], valid)
 
     def test_negative_controls_fail(self):
-        rows = negative_control_suite(simulate_path_set(1.0, 10.0, 5000, SEED), 1.0)
+        rows = negative_control_suite(simulate_path_set(1.0, 10.0, 5000, SEED), McParams())
         assert rows and all(isinstance(r, CheckResult) for r in rows)
         for r in rows:
             assert not r.passed, r
@@ -312,7 +339,7 @@ def _random_times(paths, kinds=RANDOM_TIME_KINDS):
     """Per kind of random time the suites test, its (tau, valid) arrays: the
     exponential time of rate 2, the midpoint time and the copied first event."""
     make = {
-        "exponential": lambda: (_exponential_time(paths, 2.0), np.ones(paths.n_paths, dtype=bool)),
+        "exponential": lambda: (paths.unit_exp / 2.0, np.ones(paths.n_paths, dtype=bool)),
         "midpoint": lambda: (0.5 * (paths.first_events() + paths.second_events()), paths.lengths >= 2),
         "copy_first": lambda: (paths.first_events(), paths.lengths >= 1),
     }
@@ -597,7 +624,7 @@ def _assert_paths_match_the_oracle(lam, t_real, n, seed):
     time is the unit exponential that ends the slice over the rate."""
     paths = simulate_path_set(lam, t_real, n, seed)
     events = paths.events
-    tau = _exponential_time(paths, 2.0)
+    tau = paths.unit_exp / 2.0
     expected = oracle_path_set(lam, t_real, n, seed, montecarlo._block_size(lam, t_real))
     for p, (want, unit) in enumerate(expected):
         assert np.array_equal(events[p], want), p

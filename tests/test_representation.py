@@ -30,7 +30,9 @@ from hypothesis import strategies as st
 from filtration_lab import fixtures, representation, suites
 from filtration_lab.calculus import (
     compensator,
+    compensators,
     dual_projection,
+    dual_projections,
     is_martingale,
     martingale_checks,
     orthogonality_segments,
@@ -46,6 +48,7 @@ from filtration_lab.finite_space import (
     PointProcess,
     build_space,
     segment_sups,
+    slice_expectations,
     slice_violation,
     stop_values,
 )
@@ -867,6 +870,38 @@ def _assert_same_toolkit(got, want, back, moved, compared):
         assert want.bar_moves[back[atom], t]
 
 
+def _assert_same_stacked_kernels(b, moved, back, rng, own_stacks):
+    """``slice_expectations`` at lags 0 and 1 and ``dual_projections`` of a random stack, and
+    ``compensators`` of the adapted increasing processes, in ``f`` and ``g``: ``moved``'s values are
+    ``b``'s pulled back through ``back``, within 1e-12 on ``moved``'s positive atoms (a null atom's
+    value is never weighed).
+
+    The compensators read X in ``f`` and X and H in ``g``, each layout its own paths; with
+    ``own_stacks``, also a random adapted increasing stack of ``g`` pulled back (a null atom's copy of
+    atom 0's path need not be adapted in ``moved``, whose null atom has paths of its own).
+    """
+    positive = moved.space.positive
+
+    def check(got, want, label):
+        gap = np.abs(got - want[..., back, :])[..., positive, :]
+        assert gap.max(initial=0.0) <= 1e-12, label
+
+    v = rng.normal(size=(3,) + b.X.values.shape)
+    for name in ("f", "g"):
+        for lag in (0, 1):
+            check(slice_expectations(v[:, back], getattr(moved, name), lag),
+                  slice_expectations(v, getattr(b, name), lag), (name, lag))
+        check(dual_projections(v[:, back], getattr(moved, name)), dual_projections(v, getattr(b, name)), name)
+    check(compensators(moved.X.values, moved.f), compensators(b.X.values, b.f), "f")
+    check(compensators(np.stack([moved.X.values, moved.H.values]), moved.g),
+          compensators(np.stack([b.X.values, b.H.values]), b.g), "g")
+    if own_stacks:
+        steps = np.abs(slice_expectations(v, b.g, 0))
+        steps[..., 0] = 0.0
+        increasing = np.cumsum(steps, axis=-1)
+        check(compensators(increasing[:, back], moved.g), compensators(increasing, b.g), "random")
+
+
 def _assert_invariant(b, moved, back, starts, rng, own_stacks=True, compared=None):
     """``moved``, a layout of ``b`` whose atom i is ``b``'s atom ``back[i]``, gives ``b``'s results.
 
@@ -875,9 +910,11 @@ def _assert_invariant(b, moved, back, starts, rng, own_stacks=True, compared=Non
     within 1e-12; the spanning numbers of both filtrations are equal; a
     random stack drawn last (with ``own_stacks``, also X, H and an integrand)
     is first found not adapted, or not predictable, at the same time once
-    pulled back; and the orthogonality toolkit of (X, H) and the random-time
-    study of H stopped at its first jump give ``b``'s toolkits on the
-    segments ``compared`` (default: all).
+    pulled back; the stacked kernels give ``b``'s values pulled back, within
+    1e-12 on ``moved``'s positive atoms (``_assert_same_stacked_kernels``);
+    and the orthogonality toolkit of (X, H) and the random-time study of H
+    stopped at its first jump give ``b``'s toolkits on the segments
+    ``compared`` (default: all).
     """
     positive = moved.space.positive
     ys = martingale_closures(rng.normal(size=(5, b.space.n_atoms)), b.g)
@@ -894,6 +931,7 @@ def _assert_invariant(b, moved, back, starts, rng, own_stacks=True, compared=Non
     for lag in (0, 1):
         for v in stacks:
             assert _first_time(slice_violation(v[back], moved.g, lag)) == _first_time(slice_violation(v, b.g, lag)), lag
+    _assert_same_stacked_kernels(b, moved, back, rng, own_stacks)
     compared = list(range(len(starts))) if compared is None else compared
     toolkits = [orthogonality_segments(x.X, x.H, starts) for x in (b, moved)]
     _assert_same_toolkit(toolkits[1], toolkits[0], back, moved, compared)
